@@ -14,8 +14,8 @@ the dict and array implementations of both policies over a congested
 24-hour, 360-satellite scenario (demand far above capacity, so max-min
 runs deep freeze cascades), asserts the allocations agree within 1e-9, and
 asserts the array max-min clears the speedup floor (>= 3x at full size).
-A whole-pipeline ``run_scenarios`` sweep is also timed both ways for
-context.
+The simulator itself only runs the array solvers; whole-sweep timings live
+in the end-to-end benchmark (``e2ebench``).
 
 Run ``pytest benchmarks/bench_allocators.py`` (add ``--smoke`` for the
 small CI configuration, ``--benchmark-json=BENCH_allocators.json`` to
@@ -30,14 +30,10 @@ import numpy as np
 
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
-from repro.network.capacity import get_allocator
+from repro.network.capacity import Flow, get_allocator
+from repro.network.flows import select_flow_table
 from repro.network.routing import SnapshotRouter
 from repro.network.ground_station import GroundStation
-from repro.network.simulation import (
-    NetworkSimulator,
-    Scenario,
-    _EdgeListCapacityView,
-)
 from repro.network.topology import ConstellationTopology
 from repro.orbits.time import Epoch, epoch_range
 
@@ -97,23 +93,32 @@ def _run_comparison(smoke: bool):
     sequence = topology.snapshot_sequence(epochs, stations)
 
     # Stage inputs: per-step flows routed once over the csgraph backend
-    # (row-index paths), plus the graph / capacity-view pair every
-    # allocator implementation reads its capacities from.
-    matrix = model.matrix_at(12.0)
-    candidates = NetworkSimulator._select_flows(
-        matrix,
-        tuple(station.name for station in stations),
-        flows_per_step,
-        demand_multiplier=1.0,
+    # (row-index paths), plus the graph / edge-list pair the dict and array
+    # allocators read their capacities from.
+    table = select_flow_table(
+        model.matrix_at(12.0), tuple(station.name for station in stations), flows_per_step
     )
+    names = table.station_names
+    pairs = [
+        (f"gs:{names[src]}", f"gs:{names[dst]}", demand)
+        for src, dst, demand in zip(
+            table.src.tolist(), table.dst.tolist(), table.demand.tolist()
+        )
+    ]
     step_flows = []
-    step_views = []
+    step_edge_lists = []
     for step in range(len(sequence)):
         edge_list = sequence.edge_list(step)
         router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
-        flows = NetworkSimulator._route_flows(router, candidates).flows
-        step_flows.append(flows)
-        step_views.append(_EdgeListCapacityView(edge_list))
+        routes = router.routes_from_many(list(dict.fromkeys(src for src, _, _ in pairs)))
+        step_flows.append(
+            [
+                Flow(f"{src}->{dst}", route.path, demand, path_rows=route.path_rows)
+                for src, dst, demand in pairs
+                if (route := routes[src].get(dst)) is not None
+            ]
+        )
+        step_edge_lists.append(edge_list)
     step_graphs = list(sequence.graphs(copy=True))
 
     policies = ("proportional", "max_min")
@@ -128,7 +133,7 @@ def _run_comparison(smoke: bool):
         array_allocator = get_allocator(f"{policy}_array")
         # Warm both implementations (numpy dispatch, registry imports).
         reference_allocator(step_graphs[0], step_flows[0])
-        array_allocator(step_views[0], step_flows[0])
+        array_allocator(step_edge_lists[0], step_flows[0])
 
         begin = time.perf_counter()
         for _ in range(repetitions):
@@ -141,8 +146,8 @@ def _run_comparison(smoke: bool):
         begin = time.perf_counter()
         for _ in range(repetitions):
             array_results = [
-                array_allocator(view, flows)
-                for view, flows in zip(step_views, step_flows)
+                array_allocator(edge_list, flows)
+                for edge_list, flows in zip(step_edge_lists, step_flows)
             ]
         stage_seconds[f"{policy}_array"] = (time.perf_counter() - begin) / repetitions
 
@@ -150,44 +155,6 @@ def _run_comparison(smoke: bool):
             _allocations_close(reference, candidate)
             for reference, candidate in zip(reference_results, array_results)
         )
-
-    # Whole-pipeline context: the same congested sweep through the dict and
-    # array max-min policies (csgraph routing both ways).
-    simulator = NetworkSimulator(
-        topology=topology,
-        ground_stations=stations,
-        traffic_model=model,
-        flows_per_step=flows_per_step,
-    )
-    simulator.run_scenarios(
-        [Scenario(name="warm", allocator="max_min_array")],
-        epoch,
-        duration_hours=1.0,
-        backend="csgraph",
-    )
-    begin = time.perf_counter()
-    dict_sweep = simulator.run_scenarios(
-        [Scenario(name="mm", allocator="max_min")],
-        epoch,
-        duration_hours,
-        backend="csgraph",
-    )
-    sweep_dict_s = time.perf_counter() - begin
-    begin = time.perf_counter()
-    array_sweep = simulator.run_scenarios(
-        [Scenario(name="mm", allocator="max_min_array")],
-        epoch,
-        duration_hours,
-        backend="csgraph",
-    )
-    sweep_array_s = time.perf_counter() - begin
-    sweep_equivalent = bool(
-        np.allclose(
-            [step.delivered_gbps for step in dict_sweep["mm"].steps],
-            [step.delivered_gbps for step in array_sweep["mm"].steps],
-            atol=1e-9,
-        )
-    )
 
     return {
         "satellites": satellites,
@@ -202,10 +169,6 @@ def _run_comparison(smoke: bool):
         "max_min_array_s": stage_seconds["max_min_array"],
         "max_min_speedup": stage_seconds["max_min"] / stage_seconds["max_min_array"],
         "equivalent": equivalent,
-        "sweep_dict_s": sweep_dict_s,
-        "sweep_array_s": sweep_array_s,
-        "sweep_speedup": sweep_dict_s / sweep_array_s,
-        "sweep_equivalent": sweep_equivalent,
     }
 
 
@@ -226,9 +189,7 @@ def test_allocator_speedup(benchmark, once, smoke):
                 "max_min_s",
                 "max_min_array_s",
                 "max_min_speedup",
-                "sweep_speedup",
                 "equivalent",
-                "sweep_equivalent",
             )
         }
     )
@@ -247,12 +208,6 @@ def test_allocator_speedup(benchmark, once, smoke):
         f"array {stats['proportional_array_s']*1e3:.0f} ms "
         f"-> {stats['proportional_speedup']:.1f}x"
     )
-    print(
-        f"  1-scenario congested sweep: dict {stats['sweep_dict_s']:.2f} s vs "
-        f"array {stats['sweep_array_s']:.2f} s "
-        f"-> {stats['sweep_speedup']:.2f}x"
-    )
 
     assert stats["equivalent"], "allocators must agree on every step's rates"
-    assert stats["sweep_equivalent"], "sweeps must agree on delivered traffic"
     assert stats["max_min_speedup"] >= allocation_floor

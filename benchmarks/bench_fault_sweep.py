@@ -131,16 +131,13 @@ def _run_comparison(smoke: bool) -> dict:
         topology=topology, ground_stations=stations, traffic_model=model, flows_per_step=12
     )
     begin = time.perf_counter()
-    serial = simulator.run_scenarios(
-        SWEEP_SCENARIOS, epoch, duration_hours, backend="csgraph"
-    )
+    serial = simulator.run_scenarios(SWEEP_SCENARIOS, epoch, duration_hours)
     sweep_serial_s = time.perf_counter() - begin
     begin = time.perf_counter()
     pooled = simulator.run_scenarios(
         SWEEP_SCENARIOS,
         epoch,
         duration_hours,
-        backend="csgraph",
         max_workers=2,
         executor="process",
     )

@@ -22,7 +22,7 @@ from repro.radiation.exposure import ExposureCalculator
 
 SCENARIOS = [
     Scenario(name="baseline"),
-    Scenario(name="max_min", allocator="max_min"),
+    Scenario(name="max_min", allocator="max_min_array"),
     Scenario(name="peak_demand", demand_multiplier=2.0),
 ]
 

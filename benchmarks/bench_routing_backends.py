@@ -11,8 +11,9 @@ This benchmark times the **per-step routing stage** -- snapshot-view
 production (incrementally updated graph vs CSR export) plus the batched
 all-stations route-table computation -- over a 24-hour, 360-satellite
 sequence for both backends, asserts the latency tables agree, and asserts
-the ``csgraph`` backend clears the speedup floor (>= 3x at full size).  A
-whole-pipeline ``run_scenarios`` sweep is also timed both ways for context.
+the ``csgraph`` backend clears the speedup floor (>= 3x at full size).  The
+simulator itself only routes with ``csgraph``; whole-sweep timings live in
+the end-to-end benchmark (``e2ebench``).
 
 Run ``pytest benchmarks/bench_routing_backends.py`` (add ``--smoke`` for the
 small CI configuration, ``--benchmark-json=BENCH_routing_backends.json`` to
@@ -26,10 +27,9 @@ import time
 import numpy as np
 
 from repro.coverage.walker import WalkerDelta
-from repro.demand.traffic_matrix import City, GravityTrafficModel
+from repro.demand.traffic_matrix import City
 from repro.network.ground_station import GroundStation
 from repro.network.routing import SnapshotRouter
-from repro.network.simulation import NetworkSimulator, Scenario
 from repro.network.topology import ConstellationTopology
 from repro.orbits.time import Epoch, epoch_range
 
@@ -41,14 +41,6 @@ CITIES = (
     City("Delhi", 28.6, 77.2, 32.0),
     City("Lagos", 6.5, 3.4, 15.0),
 )
-
-SCENARIOS = [
-    Scenario(name="baseline"),
-    Scenario(name="peak_demand", demand_multiplier=2.0),
-    Scenario(name="max_min", allocator="max_min"),
-    Scenario(name="flow_budget", flows_per_step=8),
-]
-
 
 def _walker_topology(epoch: Epoch, satellites: int, planes: int) -> ConstellationTopology:
     wd = WalkerDelta(
@@ -123,29 +115,6 @@ def _run_comparison(smoke: bool):
         and np.allclose(reference[reachable], candidate[reachable], atol=1e-9)
     )
 
-    # Whole-pipeline context: the same 4-scenario sweep through each backend.
-    model = GravityTrafficModel(cities=CITIES, total_demand=60.0)
-    simulator = NetworkSimulator(
-        topology=topology, ground_stations=stations, traffic_model=model, flows_per_step=12
-    )
-    simulator.run_scenarios(SCENARIOS, epoch, duration_hours=1.0)  # warm
-    begin = time.perf_counter()
-    networkx_sweep = simulator.run_scenarios(SCENARIOS, epoch, duration_hours)
-    sweep_networkx_s = time.perf_counter() - begin
-    begin = time.perf_counter()
-    csgraph_sweep = simulator.run_scenarios(
-        SCENARIOS, epoch, duration_hours, backend="csgraph"
-    )
-    sweep_csgraph_s = time.perf_counter() - begin
-    sweep_equivalent = all(
-        np.allclose(
-            [step.delivery_ratio for step in networkx_sweep[name].steps],
-            [step.delivery_ratio for step in csgraph_sweep[name].steps],
-            atol=1e-9,
-        )
-        for name in networkx_sweep
-    )
-
     return {
         "satellites": satellites,
         "steps": len(epochs),
@@ -154,10 +123,6 @@ def _run_comparison(smoke: bool):
         "csgraph_s": csgraph_s,
         "routing_speedup": networkx_s / csgraph_s,
         "equivalent": equivalent,
-        "sweep_networkx_s": sweep_networkx_s,
-        "sweep_csgraph_s": sweep_csgraph_s,
-        "sweep_speedup": sweep_networkx_s / sweep_csgraph_s,
-        "sweep_equivalent": sweep_equivalent,
     }
 
 
@@ -175,9 +140,7 @@ def test_routing_backend_speedup(benchmark, once, smoke):
                 "networkx_s",
                 "csgraph_s",
                 "routing_speedup",
-                "sweep_speedup",
                 "equivalent",
-                "sweep_equivalent",
             )
         }
     )
@@ -191,12 +154,6 @@ def test_routing_backend_speedup(benchmark, once, smoke):
         f"csgraph {stats['csgraph_s']*1e3:.0f} ms "
         f"-> {stats['routing_speedup']:.1f}x"
     )
-    print(
-        f"  4-scenario sweep: networkx {stats['sweep_networkx_s']:.2f} s vs "
-        f"csgraph {stats['sweep_csgraph_s']:.2f} s "
-        f"-> {stats['sweep_speedup']:.2f}x"
-    )
 
     assert stats["equivalent"], "backends must agree on every station-pair latency"
-    assert stats["sweep_equivalent"], "backends must agree on sweep delivery ratios"
     assert stats["routing_speedup"] >= routing_floor

@@ -32,10 +32,16 @@ import numpy as np
 
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
+from repro.network.backends import SnapshotEdgeList
 from repro.network.ground_station import GroundStation, visible_satellites
 from repro.network.isl import isl_feasible, propagation_delay_ms
-from repro.network.routing import SnapshotRouter
-from repro.network.simulation import NetworkSimulator, Scenario, SimulationResult
+from repro.network.simulation import (
+    NetworkSimulator,
+    Scenario,
+    SimulationResult,
+    _evaluate_step,
+    _ScenarioSpec,
+)
 from repro.network.topology import ConstellationTopology
 from repro.orbits.time import Epoch, epoch_range, step_count
 
@@ -51,7 +57,7 @@ CITIES = (
 SCENARIOS = [
     Scenario(name="baseline"),
     Scenario(name="peak_demand", demand_multiplier=2.0),
-    Scenario(name="max_min", allocator="max_min"),
+    Scenario(name="max_min", allocator="max_min_array"),
     Scenario(name="flow_budget", flows_per_step=8),
 ]
 
@@ -151,9 +157,30 @@ def _seed_graph_from_positions(topology, positions, ground_stations):
     return graph
 
 
+def _edge_list_from_graph(graph) -> SnapshotEdgeList:
+    """Flatten a snapshot graph into the edge list the step kernel consumes."""
+    labels = tuple(graph.nodes)
+    rows = {label: row for row, label in enumerate(labels)}
+    edges = list(graph.edges(data=True))
+    column = lambda key: np.array([data[key] for _, _, data in edges], dtype=float)
+    return SnapshotEdgeList(
+        labels=labels,
+        a=np.array([rows[a] for a, _, _ in edges], dtype=np.intp),
+        b=np.array([rows[b] for _, b, _ in edges], dtype=np.intp),
+        distance_km=column("distance_km"),
+        delay_ms=column("delay_ms"),
+        capacity_gbps=column("capacity_gbps"),
+    )
+
+
 def _seed_monolithic_run(simulator, scenario, start, duration_hours, step_hours):
     """The seed's run() loop: rebuild graph and matrix every step, no sharing."""
-    station_names = tuple(station.name for station in simulator.ground_stations)
+    spec = _ScenarioSpec(
+        scenario=scenario,
+        station_names=tuple(station.name for station in simulator.ground_stations),
+        flows_per_step=scenario.flows_per_step or simulator.flows_per_step,
+        group=0,
+    )
     result = SimulationResult()
     for index in range(step_count(duration_hours, step_hours)):
         at = start.add_seconds(index * step_hours * 3600.0)
@@ -163,8 +190,8 @@ def _seed_monolithic_run(simulator, scenario, start, duration_hours, step_hours)
         graph = _seed_graph_from_positions(
             simulator.topology, positions, simulator.ground_stations
         )
-        stats, _, _ = simulator._simulate_step(
-            SnapshotRouter(graph), graph, matrix, scenario, station_names, utc_hour
+        ((stats, _, _),) = _evaluate_step(
+            index, utc_hour, matrix, {0: _edge_list_from_graph(graph)}, [spec], {}, {}
         )
         result.steps.append(stats)
     return result
@@ -173,7 +200,7 @@ def _seed_monolithic_run(simulator, scenario, start, duration_hours, step_hours)
 # -- the comparison --------------------------------------------------------------
 
 
-def _run_comparison(smoke: bool, backend: str = "networkx"):
+def _run_comparison(smoke: bool):
     epoch = Epoch.from_calendar(2025, 3, 20, 12, 0, 0.0)
     satellites, planes = (180, 10) if smoke else (576, 24)
     duration_hours = 6.0 if smoke else 24.0
@@ -185,7 +212,7 @@ def _run_comparison(smoke: bool, backend: str = "networkx"):
     )
 
     # Warm both code paths (numpy dispatch, networkx decorators).
-    simulator.run_scenarios(SCENARIOS, epoch, duration_hours=1.0, backend=backend)
+    simulator.run_scenarios(SCENARIOS, epoch, duration_hours=1.0)
     _seed_monolithic_run(simulator, SCENARIOS[0], epoch, 1.0, 1.0)
 
     begin = time.perf_counter()
@@ -199,24 +226,22 @@ def _run_comparison(smoke: bool, backend: str = "networkx"):
 
     begin = time.perf_counter()
     independent = {
-        "baseline": simulator.run(epoch, duration_hours, backend=backend),
+        "baseline": simulator.run(epoch, duration_hours),
         "peak_demand": simulator.run_scenarios(
-            [SCENARIOS[1]], epoch, duration_hours, backend=backend
+            [SCENARIOS[1]], epoch, duration_hours
         )["peak_demand"],
-        "max_min": simulator.run(
-            epoch, duration_hours, allocator="max_min", backend=backend
-        ),
+        "max_min": simulator.run(epoch, duration_hours, allocator="max_min_array"),
         "flow_budget": NetworkSimulator(
             topology=topology,
             ground_stations=stations,
             traffic_model=model,
             flows_per_step=SCENARIOS[3].flows_per_step,
-        ).run(epoch, duration_hours, backend=backend),
+        ).run(epoch, duration_hours),
     }
     independent_s = time.perf_counter() - begin
 
     begin = time.perf_counter()
-    sweep = simulator.run_scenarios(SCENARIOS, epoch, duration_hours, backend=backend)
+    sweep = simulator.run_scenarios(SCENARIOS, epoch, duration_hours)
     sweep_s = time.perf_counter() - begin
 
     identical = all(
@@ -238,7 +263,6 @@ def _run_comparison(smoke: bool, backend: str = "networkx"):
         "satellites": satellites,
         "steps": len(epochs),
         "scenarios": len(SCENARIOS),
-        "backend": backend,
         "monolithic_s": monolithic_s,
         "independent_s": independent_s,
         "sweep_s": sweep_s,
@@ -257,11 +281,11 @@ def _run_comparison(smoke: bool, backend: str = "networkx"):
     }
 
 
-def test_scenario_sweep_speedup(benchmark, once, smoke, backend):
+def test_scenario_sweep_speedup(benchmark, once, smoke):
     sweep_floor = 2.0 if smoke else 5.0
     incremental_floor = 1.1 if smoke else 1.2
 
-    stats = once(benchmark, _run_comparison, smoke, backend)
+    stats = once(benchmark, _run_comparison, smoke)
     benchmark.extra_info.update(
         {
             key: stats[key]
@@ -269,7 +293,6 @@ def test_scenario_sweep_speedup(benchmark, once, smoke, backend):
                 "satellites",
                 "steps",
                 "scenarios",
-                "backend",
                 "sweep_speedup",
                 "independent_speedup",
                 "incremental_speedup",
@@ -279,7 +302,7 @@ def test_scenario_sweep_speedup(benchmark, once, smoke, backend):
 
     print(
         f"\n{stats['satellites']} satellites, {stats['steps']} steps, "
-        f"{stats['scenarios']} scenarios, backend {stats['backend']}:"
+        f"{stats['scenarios']} scenarios:"
     )
     print(
         f"  seed monolithic runs: {stats['monolithic_s']:.2f} s, "

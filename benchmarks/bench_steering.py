@@ -68,9 +68,7 @@ def _sweep_seconds(simulator, scenarios, epoch, duration_hours, repeats: int):
     result = None
     for _ in range(repeats):
         begin = time.perf_counter()
-        result = simulator.run_scenarios(
-            scenarios, epoch, duration_hours, backend="csgraph", flow_engine="columnar"
-        )
+        result = simulator.run_scenarios(scenarios, epoch, duration_hours)
         best = min(best, time.perf_counter() - begin)
     return best, result
 
@@ -142,8 +140,6 @@ def _run_comparison(smoke: bool) -> dict:
         scenarios("congestion-aware"),
         epoch,
         duration_hours,
-        backend="csgraph",
-        flow_engine="columnar",
         instrument=True,
     )
 

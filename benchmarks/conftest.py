@@ -21,28 +21,12 @@ def pytest_addoption(parser):
             "harness doubles as a fast CI correctness check"
         ),
     )
-    parser.addoption(
-        "--backend",
-        action="store",
-        default="networkx",
-        choices=("networkx", "csgraph"),
-        help=(
-            "routing backend the simulation benchmarks drive the sweep "
-            "engine with (see repro.network.backends.BACKENDS)"
-        ),
-    )
 
 
 @pytest.fixture()
 def smoke(request) -> bool:
     """Whether the harness runs in CI smoke mode (small sizes, lax floors)."""
     return request.config.getoption("--smoke")
-
-
-@pytest.fixture()
-def backend(request) -> str:
-    """Routing-backend name selected on the command line (--backend)."""
-    return request.config.getoption("--backend")
 
 
 def run_once(benchmark, function, *args, **kwargs):

@@ -1,14 +1,13 @@
-"""Columnar flow engine: a 10^5-flow step with a heavy-hitter report.
+"""Columnar flows: a 10^5-flow step with a heavy-hitter report.
 
 Run with:  python examples/columnar_flows.py
 
-The object pipeline tops out around 10^2-10^3 flows per step -- every flow
-is a Python tuple, a lazily reconstructed path and a ``Flow`` dataclass.
-This example drives the same simulator at **one hundred thousand** flows
-per step with ``flow_engine="columnar"``: selection, routing fan-out,
+A per-``Flow`` pipeline tops out around 10^2-10^3 flows per step -- every
+flow would be a Python tuple, a lazily reconstructed path and a dataclass.
+The simulator instead keeps flows columnar: selection, routing fan-out,
 incidence compilation and allocation all run as whole-array numpy over a
-structured flow table (``repro.network.flows``), and the engine is
-bit-identical to the object path wherever both can run.
+structured flow table (``repro.network.flows``).  This example drives it at
+**one hundred thousand** flows per step.
 
 At that scale an exact per-pair traffic summary costs O(distinct pairs)
 memory per step, so the step telemetry is a policy: ``telemetry="sketch"``
@@ -69,21 +68,14 @@ def main() -> None:
         traffic_model=GravityTrafficModel(cities=cities, total_demand=4000.0),
         flows_per_step=FLOWS_PER_STEP,
     )
-    scenario = Scenario(
-        name="columnar",
-        allocator="proportional_array",
-        flow_engine="columnar",
-        telemetry="sketch",
-    )
+    scenario = Scenario(name="columnar", allocator="proportional_array", telemetry="sketch")
 
     print(
         f"{STATIONS} stations ({STATIONS * (STATIONS - 1)} pairs), "
         f"{FLOWS_PER_STEP} flows per step, {wd.total_satellites} satellites"
     )
     begin = time.perf_counter()
-    result = simulator.run_scenarios(
-        [scenario], epoch, duration_hours=3.0, backend="csgraph"
-    )["columnar"]
+    result = simulator.run_scenarios([scenario], epoch, duration_hours=3.0)["columnar"]
     elapsed = time.perf_counter() - begin
     print(f"3-step columnar sweep: {elapsed:.1f} s\n")
 

@@ -12,11 +12,9 @@ Two sweeps, one theme -- how the system responds as demand scales:
    multipliers and allocation policies -- over it with
    ``NetworkSimulator.run_scenarios``, which amortises one batched
    propagation, one vectorised link-feasibility pass and shared per-step
-   routing across every scenario.  The sweep routes through the
-   array-native ``csgraph`` backend (one compiled multi-source Dijkstra over
-   the snapshot's CSR edge arrays per step); swap ``backend="networkx"`` in
-   for the pure-python reference -- the statistics are identical either way
-   (see examples/README.md).
+   routing across every scenario.  Routing is one compiled multi-source
+   Dijkstra over the snapshot's CSR edge arrays per step (see
+   examples/README.md).
 
 The default settings use coarse grids so both sweeps complete in well under
 a minute; ``--full`` switches to the resolutions used by the benchmark
@@ -120,17 +118,14 @@ def traffic_scenario_sweep(designer: ConstellationDesigner) -> None:
         Scenario(name="x1", demand_multiplier=1.0),
         Scenario(name="x2", demand_multiplier=2.0),
         Scenario(name="x4", demand_multiplier=4.0),
-        Scenario(name="x4_max_min", demand_multiplier=4.0, allocator="max_min"),
+        Scenario(name="x4_max_min", demand_multiplier=4.0, allocator="max_min_array"),
     ]
 
     print(
         f"\nTraffic scenario sweep over the {outcome.total_satellites}-satellite "
-        "SS constellation (12 h, 2 h steps, one shared snapshot sequence, "
-        "csgraph routing backend):"
+        "SS constellation (12 h, 2 h steps, one shared snapshot sequence):"
     )
-    sweep = simulator.run_scenarios(
-        scenarios, epoch, duration_hours=12.0, step_hours=2.0, backend="csgraph"
-    )
+    sweep = simulator.run_scenarios(scenarios, epoch, duration_hours=12.0, step_hours=2.0)
     rows = [
         [
             name,

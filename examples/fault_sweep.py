@@ -23,7 +23,7 @@ Fault specs are declarative ``(model, params)`` pairs resolved against the
 into vectorised per-step outage masks, and applied on top of the shared
 snapshot sequence -- so the faulted scenarios cost barely more than the
 healthy one, and fixed seeds make the whole sweep reproducible bit for bit
-across executors and routing backends.
+across executors.
 """
 
 from __future__ import annotations
@@ -90,12 +90,9 @@ def main() -> None:
 
     print(
         f"Fault sweep over a {topology.satellite_count}-satellite Walker "
-        "constellation (24 h, 1 h steps, csgraph backend, one shared "
-        "snapshot sequence):"
+        "constellation (24 h, 1 h steps, one shared snapshot sequence):"
     )
-    sweep = simulator.run_scenarios(
-        SCENARIOS, epoch, duration_hours=24.0, backend="csgraph"
-    )
+    sweep = simulator.run_scenarios(SCENARIOS, epoch, duration_hours=24.0)
 
     healthy = sweep["healthy"]
     rows = []
@@ -128,8 +125,7 @@ def main() -> None:
     )
     print(
         "\nEvery fault scenario is seeded: rerunning this sweep -- serially, "
-        "threaded, over a process pool, or through the networkx backend -- "
-        "reproduces the same numbers."
+        "threaded or over a process pool -- reproduces the same numbers."
     )
 
 

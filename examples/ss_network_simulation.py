@@ -45,7 +45,7 @@ CITIES = (
 SCENARIOS = [
     Scenario(name="baseline"),
     Scenario(name="peak_demand", demand_multiplier=2.0),
-    Scenario(name="max_min_fair", allocator="max_min"),
+    Scenario(name="max_min_fair", allocator="max_min_array"),
     Scenario(
         name="transatlantic",
         ground_station_names=("London", "New York", "Sao Paulo", "Lagos"),

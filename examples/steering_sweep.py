@@ -98,13 +98,9 @@ def main() -> None:
         ]
         print(
             f"Steering sweep over a faulted {topology.satellite_count}-satellite "
-            "Walker constellation (10 h, 1 h steps, csgraph backend, columnar "
-            "flow engine):"
+            "Walker constellation (10 h, 1 h steps):"
         )
-        sweep = simulator.run_scenarios(
-            scenarios, epoch, duration_hours=10.0,
-            backend="csgraph", flow_engine="columnar",
-        )
+        sweep = simulator.run_scenarios(scenarios, epoch, duration_hours=10.0)
     finally:
         del STEERING_POLICIES["sticky-congestion"]
 

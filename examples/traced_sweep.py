@@ -84,8 +84,6 @@ def main() -> None:
         scenarios,
         epoch,
         duration_hours=24.0,
-        backend="csgraph",
-        flow_engine="columnar",
         instrument=True,
         progress=StderrProgress(min_interval_s=0.2),
     )

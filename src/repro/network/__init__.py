@@ -5,8 +5,9 @@ constellations (single- and multi-shell), cached incremental snapshot-graph
 sequences with zero-copy CSR edge-array exports, ground stations, snapshot
 and time-aware routing over pluggable backends (pure-python ``networkx`` or
 array-native ``csgraph``), capacity allocation, demand-aware scheduling, a
-staged scenario-sweep simulator driven by the gravity traffic model with
-thread- or process-pool parallelism and cross-product design/scenario grids,
+scenario-sweep simulator driven by the gravity traffic model (one pipeline:
+csgraph routing, columnar flows, array solvers) with thread- or
+process-pool parallelism and cross-product design/scenario grids,
 a fault-injection subsystem (registered fault models compiling to
 vectorised per-step outage masks) with resilience metrics, and closed-loop
 congestion steering (registered policies feeding per-link utilisation back
@@ -28,6 +29,7 @@ from .backends import (
 )
 from .alloc_arrays import (
     ARRAY_SOLVERS,
+    EdgeListCompileCache,
     FlowLinkSystem,
     allocate_max_min_array,
     allocate_proportional_array,
@@ -124,6 +126,7 @@ __all__ = [
     "ALLOCATORS",
     "ARRAY_SOLVERS",
     "AllocationResult",
+    "EdgeListCompileCache",
     "Flow",
     "FlowLinkSystem",
     "FlowTable",

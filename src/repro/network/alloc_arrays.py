@@ -26,9 +26,9 @@ per round, so no iteration cap is needed.
 
 Two compilation paths produce identical systems:
 
-* the **index path** engages when the capacity view exposes a
-  :class:`~repro.network.backends.SnapshotEdgeList` (as the simulator's
-  per-step capacity views do) and every flow carries
+* the **index path** engages when the capacity argument is a
+  :class:`~repro.network.backends.SnapshotEdgeList` (or its
+  :class:`EdgeListCompileCache`) and every flow carries
   :attr:`~repro.network.capacity.Flow.path_rows` -- the row-index paths an
   array-native routing backend reconstructs from its predecessor matrix.
   Links are encoded, deduplicated and matched against the edge list
@@ -55,6 +55,7 @@ from .capacity import ALLOCATORS, AllocationResult, Flow, _link_key
 
 __all__ = [
     "FlowLinkSystem",
+    "EdgeListCompileCache",
     "compile_flow_link_system",
     "compile_system_from_rows",
     "allocate_proportional_array",
@@ -168,16 +169,18 @@ def _missing_link_error(flows: list[Flow], flow_ids: np.ndarray, bad: np.ndarray
     return ValueError(f"flow {offender.name!r} uses a link not present in the graph")
 
 
-class _EdgeListCompileCache:
+class EdgeListCompileCache:
     """Per-snapshot constants of the index compile path.
 
     Everything that depends only on the edge list -- the sorted link-code
     table, the capacity column in that order, and whether the label table
     is *row-ordered* (numeric labels form an ascending prefix), which lets
     link keys be emitted as plain ``(labels[lo], labels[hi])`` tuples
-    without a per-link :func:`_link_key` call -- is computed once and
-    cached on the capacity view, so a sweep evaluating many scenarios over
-    one snapshot pays it once.
+    without a per-link :func:`_link_key` call -- is computed once.  Pass
+    one instance to every compile over the same snapshot (the simulator
+    builds one per snapshot group per step), so a sweep evaluating many
+    scenarios over one snapshot pays it once.  Read-only after
+    construction, so threads may share it.
     """
 
     __slots__ = (
@@ -224,19 +227,17 @@ class _EdgeListCompileCache:
         )
 
 
-def _compile_cache(capacity_graph, edge_list: SnapshotEdgeList) -> _EdgeListCompileCache:
-    cache = getattr(capacity_graph, "_alloc_compile_cache", None)
-    if cache is None or cache.edge_list is not edge_list:
-        cache = _EdgeListCompileCache(edge_list)
-        try:
-            capacity_graph._alloc_compile_cache = cache
-        except AttributeError:  # slotted or otherwise frozen view
-            pass
-    return cache
+def _compile_cache(capacity) -> "EdgeListCompileCache | None":
+    """The compile cache of an edge list or cache argument (else ``None``)."""
+    if isinstance(capacity, EdgeListCompileCache):
+        return capacity
+    if isinstance(capacity, SnapshotEdgeList):
+        return EdgeListCompileCache(capacity)
+    return None
 
 
 def _match_links(
-    cache: _EdgeListCompileCache, u: np.ndarray, v: np.ndarray
+    cache: EdgeListCompileCache, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Deduplicate hop endpoint arrays into links matched to the edge list.
 
@@ -245,7 +246,7 @@ def _match_links(
     (whose inverse yields the incidence columns), with ``positions`` indexing
     the cache's sorted code/capacity tables and ``matched`` flagging links
     actually present in the edge list.  Shared by both row compile paths so
-    object-engine and columnar systems are built by the identical code.
+    ``Flow``-object and ragged-row systems are built by the identical code.
     """
     codes = np.minimum(u, v) * cache.node_count + np.maximum(u, v)
     unique_codes, link_ids = np.unique(codes, return_inverse=True)
@@ -257,7 +258,7 @@ def _match_links(
     return unique_codes, link_ids, positions, matched
 
 
-def _link_keys_of(cache: _EdgeListCompileCache, unique_codes: np.ndarray) -> tuple:
+def _link_keys_of(cache: EdgeListCompileCache, unique_codes: np.ndarray) -> tuple:
     """Emit the normalised label-space key of every deduplicated link."""
     labels = cache.labels
     node_count = cache.node_count
@@ -278,14 +279,14 @@ def _link_keys_of(cache: _EdgeListCompileCache, unique_codes: np.ndarray) -> tup
 
 
 def _compile_from_rows(
-    cache: _EdgeListCompileCache, flows: list[Flow]
+    cache: EdgeListCompileCache, flows: list[Flow]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, np.ndarray]:
     """Index path: compile row-index flow paths against an edge list.
 
     Validation is deliberately cheap: row bounds plus each flow's *endpoint*
     labels.  Interior rows are trusted to mirror ``flow.path`` -- the
     contract of :attr:`~repro.network.capacity.Flow.path_rows`, which the
-    simulator guarantees by deriving routes and capacity view from the very
+    simulator guarantees by deriving routes and capacities from the very
     same edge list; a full per-hop label check would reintroduce the
     per-node python pass this path exists to avoid.  Rows from a different
     snapshot that happen to share both endpoints and valid bounds compile
@@ -365,12 +366,13 @@ def _compile_from_graph(
 def compile_flow_link_system(capacity_graph, flows: list[Flow]) -> FlowLinkSystem:
     """Compile routed flows into the incidence form of their allocation.
 
-    ``capacity_graph`` is anything the dict allocators accept -- a
-    :class:`networkx.Graph` or a duck-typed capacity view.  When it exposes
-    an ``edge_list`` (:class:`SnapshotEdgeList`) and every flow carries
-    ``path_rows``, the compilation runs entirely over index arrays;
-    otherwise each flow's links are walked once through the graph
-    interface.  Flow names must be unique: the result dict is keyed by
+    ``capacity_graph`` is a :class:`networkx.Graph` (anything with
+    ``has_edge``/``edges[a, b]``), a :class:`SnapshotEdgeList` or an
+    :class:`EdgeListCompileCache`.  With an edge list (or its cache) and
+    ``path_rows`` on every flow, the compilation runs entirely over index
+    arrays; otherwise each flow's links are walked once through the graph
+    interface (an edge list is converted with
+    :meth:`SnapshotEdgeList.graph`).  Flow names must be unique: the result dict is keyed by
     name, and the dict reference's behaviour under duplicates (shared rate
     entries) is an accident not worth reproducing.
     """
@@ -378,18 +380,15 @@ def compile_flow_link_system(capacity_graph, flows: list[Flow]) -> FlowLinkSyste
     if len(set(names)) != len(names):
         raise ValueError("array allocators require unique flow names")
     demand = np.array([flow.demand_gbps for flow in flows], dtype=float)
-    edge_list = getattr(capacity_graph, "edge_list", None)
+    cache = _compile_cache(capacity_graph)
     link_rows = None
-    if isinstance(edge_list, SnapshotEdgeList) and all(
-        flow.path_rows is not None for flow in flows
-    ):
+    if cache is not None and all(flow.path_rows is not None for flow in flows):
         flow_ids, link_ids, capacity, link_keys, link_rows = _compile_from_rows(
-            _compile_cache(capacity_graph, edge_list), flows
+            cache, flows
         )
     else:
-        flow_ids, link_ids, capacity, link_keys = _compile_from_graph(
-            capacity_graph, flows
-        )
+        graph = cache.edge_list.graph() if cache is not None else capacity_graph
+        flow_ids, link_ids, capacity, link_keys = _compile_from_graph(graph, flows)
     return FlowLinkSystem(
         flow_names=names,
         demand=demand,
@@ -402,7 +401,7 @@ def compile_flow_link_system(capacity_graph, flows: list[Flow]) -> FlowLinkSyste
 
 
 def compile_system_from_rows(
-    capacity_graph,
+    capacity: "SnapshotEdgeList | EdgeListCompileCache",
     demand: np.ndarray,
     offsets: np.ndarray,
     rows: np.ndarray,
@@ -410,26 +409,26 @@ def compile_system_from_rows(
 ) -> FlowLinkSystem:
     """Compile ragged row-index paths straight into a nameless system.
 
-    The columnar engine's compile path: flow ``i`` follows
+    The simulator's compile path: flow ``i`` follows
     ``rows[offsets[i]:offsets[i + 1]]`` (empty segments -- unreachable or
     zero-hop flows -- contribute no traversals) and demands ``demand[i]``.
     No :class:`~repro.network.capacity.Flow` objects, names or label paths
     are ever materialised; the incidence arrays come out bit-identical to
     :func:`compile_flow_link_system` over the equivalent object flows, which
-    is what makes the two engines' allocations comparable to the last bit.
+    is what keeps the ``Flow``-level allocators a bit-exact oracle of it.
 
-    ``capacity_graph`` must expose a :class:`SnapshotEdgeList` as
-    ``edge_list``; ``with_keys`` additionally emits the per-link label keys
-    (skipped by default -- the columnar statistics only need the utilisation
-    vector).
+    ``capacity`` is the snapshot's :class:`SnapshotEdgeList` or, to share
+    the per-snapshot constants across many compiles, its
+    :class:`EdgeListCompileCache`; ``with_keys`` additionally emits the
+    per-link label keys (skipped by default -- the columnar statistics only
+    need the utilisation vector).
     """
-    edge_list = getattr(capacity_graph, "edge_list", None)
-    if not isinstance(edge_list, SnapshotEdgeList):
+    cache = _compile_cache(capacity)
+    if cache is None:
         raise ValueError(
-            "compile_system_from_rows requires a capacity view exposing a "
-            "SnapshotEdgeList"
+            "compile_system_from_rows requires a SnapshotEdgeList or an "
+            "EdgeListCompileCache"
         )
-    cache = _compile_cache(capacity_graph, edge_list)
     demand = np.asarray(demand, dtype=float)
     offsets = np.asarray(offsets, dtype=np.intp)
     rows = np.asarray(rows, dtype=np.intp)
@@ -583,10 +582,9 @@ def allocate_max_min_array(
     return _result(system, *_solve_max_min(system, iterations))
 
 
-#: Solver cores by allocator registry name: the columnar engine compiles a
+#: Solver cores by allocator registry name: the simulator compiles a
 #: nameless system and calls these directly, skipping the result-dict
-#: round-trip.  An allocator outside this map has no array solver, so the
-#: columnar engine falls back to the object reference path for it.
+#: round-trip.  These are the only allocators a :class:`Scenario` accepts.
 ARRAY_SOLVERS = {
     "proportional_array": _solve_proportional,
     "max_min_array": _solve_max_min,
@@ -594,10 +592,9 @@ ARRAY_SOLVERS = {
 
 
 #: Introspection metadata mirroring ``RoutingBackend.uses_arrays``: these
-#: allocators exploit an array capacity view and row-index paths when the
-#: caller supplies them (the compile fast path) and fall back to the graph
-#: interface otherwise.  The simulator chooses the capacity representation
-#: by routing backend alone -- every allocator accepts either form.
+#: allocators exploit an edge list and row-index paths when the caller
+#: supplies them (the compile fast path) and fall back to the graph
+#: interface otherwise.
 allocate_proportional_array.uses_arrays = True
 allocate_max_min_array.uses_arrays = True
 

@@ -1,19 +1,18 @@
-"""Columnar flow engine: select, route and compile flows without objects.
+"""Columnar flow stages: select, route and compile flows without objects.
 
-The object pipeline of :mod:`repro.network.simulation` materialises one
-:class:`~repro.network.capacity.Flow` per routed demand pair -- fine at the
-default 50-flow budget, but at the 10^5-10^6 flows per step of
+Materialising one :class:`~repro.network.capacity.Flow` per routed demand
+pair is fine at a 50-flow budget, but at the 10^5-10^6 flows per step of
 hypergrowth-scale traffic matrices the per-flow Python (tuple building,
 list sorts, dataclass construction, generator sums) dominates every
-array-native stage around it.  This module keeps the whole flow population
+array-native stage around it.  The simulator of
+:mod:`repro.network.simulation` therefore keeps the whole flow population
 columnar end-to-end:
 
 * :func:`select_flow_table` -- stage 2 as array ops: the traffic matrix's
   vectorised entry export
   (:meth:`~repro.demand.traffic_matrix.TrafficMatrix.entry_arrays`),
   an :func:`np.argpartition` top-k cut, and a deterministic
-  :func:`np.lexsort` tie-break ordering identical to the object path's
-  ``(-demand, src, dst)`` sort;
+  :func:`np.lexsort` tie-break ordering by ``(-demand, src, dst)``;
 * :func:`route_flow_table` -- stage 3 as gather ops: one batched
   multi-source search, then *every* source's predecessor rows stacked into
   one (sources x nodes) matrix and walked in a single batched layer walk
@@ -25,12 +24,6 @@ columnar end-to-end:
   :func:`repro.network.alloc_arrays.compile_system_from_rows` directly,
   producing incidence arrays bit-identical to compiling the equivalent
   ``Flow`` objects.
-
-The object path stays the reference implementation: engines are switched
-per scenario (``flow_engine="objects" | "columnar"``), and when the
-columnar route export is unavailable (graph-view backends, which have no
-predecessor matrix) the engine falls back to the reference stages via
-:meth:`FlowTable.candidates`.
 """
 
 from __future__ import annotations
@@ -51,9 +44,7 @@ class FlowTable:
 
     Row ``i`` is the flow from station ``station_names[src[i]]`` to
     ``station_names[dst[i]]`` with demand ``demand[i]`` [Gbps], rows ordered
-    by the deterministic selection key ``(-demand, src name, dst name)`` --
-    exactly the object path's candidate order, which is what keeps the two
-    engines' downstream arrays comparable element by element.
+    by the deterministic selection key ``(-demand, src name, dst name)``.
     """
 
     station_names: tuple[str, ...]
@@ -72,21 +63,6 @@ class FlowTable:
     def nbytes(self) -> int:
         """Bytes held by the columnar flow arrays (station names excluded)."""
         return int(self.src.nbytes + self.dst.nbytes + self.demand.nbytes)
-
-    def candidates(self) -> list[tuple[str, str, float]]:
-        """Materialise the object path's candidate list, in table order.
-
-        The bridge to the reference stages: a columnar scenario whose
-        backend cannot export bulk paths routes these tuples through
-        ``_route_flows`` / ``_allocate`` unchanged.
-        """
-        names = self.station_names
-        return [
-            (names[src], names[dst], demand)
-            for src, dst, demand in zip(
-                self.src.tolist(), self.dst.tolist(), self.demand.tolist()
-            )
-        ]
 
 
 @dataclass(frozen=True)
@@ -147,8 +123,7 @@ def select_flow_table(
     With a budget the top-k cut runs as an :func:`np.argpartition` over
     demands, widened to include every candidate tied with the k-th value so
     the boundary is decided by the deterministic ``(-demand, src name,
-    dst name)`` order -- the same order (and therefore the same budget cut)
-    as the object path's fixed sort.
+    dst name)`` order, so the cut never depends on matrix iteration order.
     """
     src, dst, demand = matrix.entry_arrays(station_names)
     if demand_multiplier != 1.0:
@@ -160,8 +135,8 @@ def select_flow_table(
         # Everyone above the k-th value is in; ties *at* the value are kept
         # for the lexsort below to cut deterministically.
         keep = np.flatnonzero(demand >= threshold)
-    # Rank of each station id in name order, so integer keys reproduce the
-    # object path's string comparisons.
+    # Rank of each station id in name order, so integer keys reproduce
+    # string comparisons of the names.
     name_rank = np.empty(len(station_names), dtype=np.intp)
     name_rank[np.argsort(np.asarray(station_names, dtype=object))] = np.arange(
         len(station_names)
@@ -179,21 +154,18 @@ def select_flow_table(
     )
 
 
-def route_flow_table(
-    router, table: FlowTable, route_cache=None
-) -> "RoutedFlowTable | None":
+def route_flow_table(router, table: FlowTable, route_cache=None) -> RoutedFlowTable:
     """Columnar stage 3: route every flow via one batched predecessor walk.
 
     One batched ``routes_from_many`` call covers all distinct sources (served
-    through ``route_cache`` when the sweep shares one, so object and columnar
-    scenarios on the same snapshot share the same search); all sources'
-    predecessor rows are then stacked and walked together by
+    through ``route_cache`` when the sweep shares one, so scenarios on the
+    same snapshot share the same search); all sources' predecessor rows are
+    then stacked and walked together by
     :func:`~repro.network.backends.bulk_path_rows_many`, whose output is
     already in table order -- one walk for the whole step instead of one per
-    source.  Returns ``None`` when a routing table cannot export bulk paths
-    (graph-view backends) -- the caller falls back to the reference stages.
-    Sources absent from the snapshot yield unreachable flows, exactly like
-    the object path's empty tables.
+    source.  ``router`` must use an array-native backend (its tables export
+    bulk paths); any other raises :class:`ValueError`.  Sources absent from
+    the snapshot yield unreachable flows.
     """
     names = table.station_names
     count = table.flow_count
@@ -220,7 +192,10 @@ def route_flow_table(
         elif len(routes) == 0:
             exporters.append(None)  # unknown source: every flow unreachable
         else:
-            return None  # graph-view table: no bulk export, use the fallback
+            raise ValueError(
+                "route_flow_table requires an array-native routing backend; "
+                f"got {router.backend.name!r}"
+            )
     stacked = [routes for routes in exporters if routes is not None]
     if not stacked:
         # No source is even in the snapshot: nothing is reachable.

@@ -158,7 +158,7 @@ def path_delays_from_rows(
 def path_delays(edge_list: SnapshotEdgeList, paths) -> np.ndarray:
     """True latency [ms] of label paths against unsteered link delays.
 
-    The object-engine sibling of :func:`path_delays_from_rows`: each path
+    The label-path sibling of :func:`path_delays_from_rows`: each path
     is a node-label sequence (as on
     :attr:`~repro.network.capacity.Flow.path`).  Labels are mapped to rows
     once and the vectorised row variant does the rest.

@@ -1,7 +1,7 @@
 """Streaming step telemetry: exact and sketch station-pair summaries.
 
-At object-engine flow counts (~10^2 per step) per-flow statistics are free;
-at the columnar engine's 10^5-10^6 flows per step an exact per-pair
+At ~10^2 flows per step per-flow statistics are free; at the 10^5-10^6
+flows per step the columnar simulator handles, an exact per-pair
 breakdown costs O(distinct pairs) memory per step -- the same order as the
 flow store itself.  This module makes that cost a policy: a
 :class:`TelemetryModel` decides, per step, whether the station-pair demand

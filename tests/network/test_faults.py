@@ -1,5 +1,5 @@
 """Tests of the fault-injection subsystem: specs, schedules, masked
-sequences, sweep equivalence across executors/backends, and resilience
+sequences, sweep equivalence across executors, and resilience
 metrics."""
 
 from __future__ import annotations
@@ -388,39 +388,19 @@ FAULT_SCENARIOS = [
 
 
 class TestFaultSweeps:
-    def test_fault_sweep_is_identical_across_executors_and_backends(self, simulator, epoch):
+    def test_fault_sweep_is_identical_across_executors(self, simulator, epoch):
         """The acceptance criterion: one fixed-seed fault sweep, bit-identical
-        results for serial/thread/process executors and both backends."""
-        serial = simulator.run_scenarios(
-            FAULT_SCENARIOS, epoch, duration_hours=3.0, backend="csgraph"
-        )
+        results for serial/thread/process executors."""
+        serial = simulator.run_scenarios(FAULT_SCENARIOS, epoch, duration_hours=3.0)
         threaded = simulator.run_scenarios(
-            FAULT_SCENARIOS, epoch, duration_hours=3.0, backend="csgraph", max_workers=3
+            FAULT_SCENARIOS, epoch, duration_hours=3.0, max_workers=3
         )
         pooled = simulator.run_scenarios(
-            FAULT_SCENARIOS,
-            epoch,
-            duration_hours=3.0,
-            backend="csgraph",
-            max_workers=2,
-            executor="process",
+            FAULT_SCENARIOS, epoch, duration_hours=3.0, max_workers=2, executor="process"
         )
         for name in serial:
             assert serial[name].steps == threaded[name].steps
             assert serial[name].steps == pooled[name].steps
-
-        networkx_serial = simulator.run_scenarios(FAULT_SCENARIOS, epoch, duration_hours=3.0)
-        networkx_pooled = simulator.run_scenarios(
-            FAULT_SCENARIOS, epoch, duration_hours=3.0, max_workers=2, executor="process"
-        )
-        for name in serial:
-            assert networkx_serial[name].steps == networkx_pooled[name].steps
-            for ours, reference in zip(serial[name].steps, networkx_serial[name].steps):
-                assert ours.offered_gbps == pytest.approx(reference.offered_gbps)
-                assert ours.delivered_gbps == pytest.approx(reference.delivered_gbps, rel=1e-9)
-                assert ours.stranded_gbps == pytest.approx(reference.stranded_gbps, rel=1e-9)
-                assert ours.satellites_up_fraction == reference.satellites_up_fraction
-                assert ours.stations_up_fraction == reference.stations_up_fraction
 
     def test_fault_statistics_reflect_outages(self, simulator, epoch):
         sweep = simulator.run_scenarios(FAULT_SCENARIOS, epoch, duration_hours=3.0)
@@ -450,25 +430,26 @@ class TestFaultSweeps:
         with pytest.raises(ValueError, match="same steps"):
             faulted.latency_stretch(simulation_module.SimulationResult(steps=[]))
 
-    def test_route_cache_resets_per_step_under_faults(self, simulator, epoch, monkeypatch):
+    def test_route_cache_is_per_step_under_faults(self, simulator, epoch, monkeypatch):
         """Fault-perturbed snapshot groups keep their own per-step route
-        caches, and every cache is reset at every step -- stale tables from a
-        degraded snapshot must never leak into the next one."""
-        reset_calls: list[int] = []
-        original = simulation_module._SharedRouteCache.reset
+        caches -- stale tables from a degraded snapshot must never leak into
+        the next step or into another group."""
+        used: list = []  # strong references, so ids stay unique
+        original = simulation_module._SharedRouteCache.routes_from_many
 
-        def counting_reset(self):
-            reset_calls.append(id(self))
-            original(self)
+        def recording_routes(self, router, sources):
+            used.append(self)
+            return original(self, router, sources)
 
-        monkeypatch.setattr(simulation_module._SharedRouteCache, "reset", counting_reset)
+        monkeypatch.setattr(
+            simulation_module._SharedRouteCache, "routes_from_many", recording_routes
+        )
         scenarios = [FAULT_SCENARIOS[0], FAULT_SCENARIOS[2]]
         steps = 3
         simulator.run_scenarios(scenarios, epoch, duration_hours=float(steps))
         # Two scenarios with distinct fault specs -> two snapshot groups ->
-        # two caches, each reset once per step.
-        assert len(set(reset_calls)) == 2
-        assert len(reset_calls) == 2 * steps
+        # one fresh cache per group per step.
+        assert len({id(cache) for cache in used}) == 2 * steps
 
     def test_faulted_and_healthy_scenarios_share_no_route_tables(self, simulator, epoch):
         """A faulted scenario must not reuse the healthy scenario's routing:

@@ -1,12 +1,10 @@
-"""Equivalence tests of the columnar flow engine against the object path.
+"""Tests of the columnar flow stages and their sweep-level behaviour.
 
-The columnar engine is an *implementation* swap, not a semantics change:
-``flow_engine="columnar"`` must reproduce the object pipeline bit for bit
--- same selection permutation, same routed paths, same allocations, same
-:class:`~repro.network.simulation.StepStatistics` -- on every backend and
-executor.  These tests assert exact dataclass equality (no tolerances):
-both engines compute their scalars as numpy float64 reductions over
-identically ordered arrays, so any drift is a real ordering bug.
+Selection is checked against a per-flow oracle (``flow_oracles``), bulk
+path export against lazy per-destination reconstruction, and sweeps for
+exact equality across executors (no tolerances: every executor runs the
+same step kernel over identically ordered arrays, so any drift is a real
+ordering bug).
 """
 
 from __future__ import annotations
@@ -16,11 +14,13 @@ import pytest
 
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel, TrafficMatrix
-from repro.network.flows import select_flow_table
+from repro.network.flows import route_flow_table, select_flow_table
 from repro.network.ground_station import GroundStation
 from repro.network.routing import SnapshotRouter
 from repro.network.simulation import NetworkSimulator, Scenario
 from repro.network.topology import ConstellationTopology
+
+from flow_oracles import select_flows, table_candidates
 
 CITIES = (
     City("London", 51.5, -0.1, 9.6),
@@ -54,37 +54,37 @@ class TestSelection:
         matrix = GravityTrafficModel(cities=CITIES, total_demand=40.0).matrix_at(12.0)
         for budget in (1, 3, 7, 12, 50):
             for multiplier in (1.0, 2.5):
-                reference = NetworkSimulator._select_flows(
+                reference = select_flows(
                     matrix, NAMES, budget, demand_multiplier=multiplier
                 )
                 table = select_flow_table(
                     matrix, NAMES, budget, demand_multiplier=multiplier
                 )
-                assert table.candidates() == reference
+                assert table_candidates(table) == reference
 
     def test_tie_break_at_budget_boundary_is_deterministic(self):
         # Regression: with every off-diagonal demand equal, the old
         # demand-only sort key left the budget cut to the matrix iteration
         # order.  The (-demand, src, dst) key makes the cut deterministic
-        # and identical between the engines.
+        # and identical to the oracle's.
         demands = np.full((4, 4), 2.0)
         np.fill_diagonal(demands, 0.0)
         matrix = TrafficMatrix(cities=CITIES, demands=demands)
         expected = sorted(
             (src, dst) for src in NAMES for dst in NAMES if src != dst
         )[:5]
-        reference = NetworkSimulator._select_flows(matrix, NAMES, 5, 1.0)
+        reference = select_flows(matrix, NAMES, 5, 1.0)
         assert [(src, dst) for src, dst, _ in reference] == expected
         table = select_flow_table(matrix, NAMES, 5)
-        assert table.candidates() == reference
+        assert table_candidates(table) == reference
 
     def test_station_subset_and_missing_names_handled(self):
         matrix = GravityTrafficModel(cities=CITIES, total_demand=40.0).matrix_at(0.0)
         subset = ("Tokyo", "London", "Atlantis")
-        reference = NetworkSimulator._select_flows(matrix, subset, 10, 1.0)
+        reference = select_flows(matrix, subset, 10, 1.0)
         table = select_flow_table(matrix, subset, 10)
-        assert table.candidates() == reference
-        assert {src for src, _, _ in table.candidates()} <= {"Tokyo", "London"}
+        assert table_candidates(table) == reference
+        assert {src for src, _, _ in table_candidates(table)} <= {"Tokyo", "London"}
 
 
 class TestBulkPathExport:
@@ -116,9 +116,18 @@ class TestBulkPathExport:
         assert np.isinf(latency[-1])
 
 
+    def test_route_flow_table_requires_array_backend(self, simulator, epoch):
+        sequence = simulator.topology.snapshot_sequence(
+            [epoch], simulator.ground_stations
+        )
+        matrix = simulator.traffic_model.matrix_at(12.0)
+        table = select_flow_table(matrix, NAMES, 5)
+        graph_router = SnapshotRouter(sequence.edge_list(0).graph(), backend="networkx")
+        with pytest.raises(ValueError, match="array-native"):
+            route_flow_table(graph_router, table)
+
+
 SCENARIOS = [
-    Scenario(name="proportional"),
-    Scenario(name="max_min", allocator="max_min"),
     Scenario(name="proportional_array", allocator="proportional_array"),
     Scenario(name="max_min_array", allocator="max_min_array"),
     Scenario(name="budget", flows_per_step=4, telemetry="exact"),
@@ -131,72 +140,21 @@ SCENARIOS = [
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("backend", ["networkx", "csgraph"])
-    def test_columnar_steps_bit_identical(self, simulator, epoch, backend):
-        reference = simulator.run_scenarios(
-            SCENARIOS, epoch, duration_hours=2.0, backend=backend
-        )
-        columnar = simulator.run_scenarios(
-            SCENARIOS,
-            epoch,
-            duration_hours=2.0,
-            backend=backend,
-            flow_engine="columnar",
-        )
-        for scenario in SCENARIOS:
-            assert (
-                columnar[scenario.name].steps == reference[scenario.name].steps
-            ), f"{backend}/{scenario.name} diverged"
-
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_executors_agree_with_serial_columnar(self, simulator, epoch, executor):
-        serial = simulator.run_scenarios(
-            SCENARIOS,
-            epoch,
-            duration_hours=2.0,
-            backend="csgraph",
-            flow_engine="columnar",
-        )
+        serial = simulator.run_scenarios(SCENARIOS, epoch, duration_hours=2.0)
         pooled = simulator.run_scenarios(
-            SCENARIOS,
-            epoch,
-            duration_hours=2.0,
-            backend="csgraph",
-            executor=executor,
-            max_workers=2,
-            flow_engine="columnar",
+            SCENARIOS, epoch, duration_hours=2.0, executor=executor, max_workers=2
         )
         for scenario in SCENARIOS:
             assert pooled[scenario.name].steps == serial[scenario.name].steps
 
-    def test_run_accepts_flow_engine(self, simulator, epoch):
-        reference = simulator.run(epoch, duration_hours=1.0, backend="csgraph")
-        columnar = simulator.run(
-            epoch, duration_hours=1.0, backend="csgraph", flow_engine="columnar"
-        )
-        assert columnar.steps == reference.steps
-
-    def test_scenario_override_beats_sweep_default(self, simulator, epoch):
-        mixed = simulator.run_scenarios(
-            [
-                Scenario(name="objects", flow_engine="objects"),
-                Scenario(name="columnar", flow_engine="columnar"),
-            ],
-            epoch,
-            duration_hours=1.0,
-            backend="csgraph",
-        )
-        assert mixed["objects"].steps == mixed["columnar"].steps
-
     def test_invalid_flow_engine_rejected(self, simulator, epoch):
         with pytest.raises(ValueError):
-            Scenario(name="x", flow_engine="rows")
-        with pytest.raises(ValueError):
             Scenario(name="x", telemetry="census")
-        with pytest.raises(ValueError):
-            simulator.run_scenarios(
-                [Scenario(name="a")], epoch, 1.0, flow_engine="rows"
-            )
+        for engine in ("objects", "rows"):
+            with pytest.raises(ValueError, match="'columnar'"):
+                simulator.run_scenarios([Scenario(name="a")], epoch, 1.0, flow_engine=engine)
 
 
 class TestSweepTelemetry:
@@ -205,7 +163,6 @@ class TestSweepTelemetry:
             [Scenario(name="t", telemetry="exact", allocator="max_min_array")],
             epoch,
             duration_hours=3.0,
-            backend="csgraph",
             **kwargs,
         )
 
@@ -220,24 +177,13 @@ class TestSweepTelemetry:
             values = [value for _, _, value in step.top_pairs]
             assert values == sorted(values, reverse=True)
 
-    def test_engines_and_executors_agree_on_telemetry(self, simulator, epoch):
+    def test_executors_agree_on_telemetry(self, simulator, epoch):
         serial = self._sweep(simulator, epoch)["t"]
-        columnar = self._sweep(simulator, epoch, flow_engine="columnar")["t"]
-        process = self._sweep(
-            simulator, epoch, executor="process", max_workers=2,
-            flow_engine="columnar",
-        )["t"]
-        reference_top = serial.telemetry.top_pairs(5)
-        assert columnar.telemetry.top_pairs(5) == reference_top
-        assert process.telemetry.top_pairs(5) == reference_top
-        assert columnar.telemetry.total_gbps() == serial.telemetry.total_gbps()
-        assert process.telemetry.total_gbps() == pytest.approx(
-            serial.telemetry.total_gbps()
-        )
+        process = self._sweep(simulator, epoch, executor="process", max_workers=2)["t"]
+        assert process.telemetry.top_pairs(5) == serial.telemetry.top_pairs(5)
+        assert process.telemetry.total_gbps() == serial.telemetry.total_gbps()
 
     def test_scenario_without_telemetry_has_none(self, simulator, epoch):
-        result = simulator.run_scenarios(
-            [Scenario(name="quiet")], epoch, 1.0, backend="csgraph"
-        )["quiet"]
+        result = simulator.run_scenarios([Scenario(name="quiet")], epoch, 1.0)["quiet"]
         assert result.telemetry is None
         assert all(step.top_pairs == () for step in result.steps)

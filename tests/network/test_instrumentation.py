@@ -4,7 +4,7 @@ The two contracts under test:
 
 * **disabled is free and invisible** -- running with ``instrument=True``
   (or a progress callback) produces bit-identical ``StepStatistics`` to an
-  untraced run, across backends and flow engines;
+  untraced run;
 * **metrics are executor-invariant** -- the deterministic slices of
   :class:`~repro.obs.RunMetrics` (stage call counts, counters, gauges)
   are exactly equal across serial, thread and process sweeps of the same
@@ -34,15 +34,10 @@ CITIES = (
 )
 
 SCENARIOS = [
-    Scenario(name="objects", allocator="proportional"),
-    Scenario(name="columnar", allocator="proportional_array", flow_engine="columnar"),
+    Scenario(name="plain", allocator="proportional_array"),
+    Scenario(name="max_min", allocator="max_min_array"),
     Scenario(name="telemetry", allocator="proportional_array", telemetry="exact"),
-    Scenario(
-        name="steered",
-        allocator="proportional_array",
-        flow_engine="columnar",
-        steering="congestion-aware",
-    ),
+    Scenario(name="steered", allocator="proportional_array", steering="congestion-aware"),
 ]
 
 DURATION_HOURS = 3.0
@@ -72,29 +67,13 @@ def simulator(topology) -> NetworkSimulator:
 
 
 def _sweep(simulator, epoch, **kwargs):
-    return simulator.run_scenarios(
-        SCENARIOS, epoch, DURATION_HOURS, 1.0, backend="csgraph", **kwargs
-    )
+    return simulator.run_scenarios(SCENARIOS, epoch, DURATION_HOURS, 1.0, **kwargs)
 
 
 class TestDisabledIsInvisible:
-    @pytest.mark.parametrize("backend", ["networkx", "csgraph"])
-    @pytest.mark.parametrize("flow_engine", ["objects", "columnar"])
-    def test_instrumented_statistics_bit_identical(
-        self, simulator, epoch, backend, flow_engine
-    ):
-        untraced = simulator.run_scenarios(
-            SCENARIOS, epoch, DURATION_HOURS, 1.0, backend=backend, flow_engine=flow_engine
-        )
-        traced = simulator.run_scenarios(
-            SCENARIOS,
-            epoch,
-            DURATION_HOURS,
-            1.0,
-            backend=backend,
-            flow_engine=flow_engine,
-            instrument=True,
-        )
+    def test_instrumented_statistics_bit_identical(self, simulator, epoch):
+        untraced = _sweep(simulator, epoch)
+        traced = _sweep(simulator, epoch, instrument=True)
         for name in untraced:
             # Frozen-dataclass equality compares every statistics field, so
             # this is exact bit-identity, not a tolerance.
@@ -118,9 +97,7 @@ class TestDisabledIsInvisible:
             assert isinstance(traced[name].metrics, RunMetrics)
 
     def test_single_run_entry_point_forwards_instrument(self, simulator, epoch):
-        result = simulator.run(
-            epoch, DURATION_HOURS, 1.0, backend="csgraph", instrument=True
-        )
+        result = simulator.run(epoch, DURATION_HOURS, 1.0, instrument=True)
         assert isinstance(result.metrics, RunMetrics)
         assert result.metrics.counters["steps"] == len(result.steps)
 
@@ -128,9 +105,9 @@ class TestDisabledIsInvisible:
 class TestMetricsContent:
     def test_stage_accounting_is_complete_and_bounded(self, simulator, epoch):
         begin = time.perf_counter()
-        traced = _sweep(simulator, epoch, flow_engine="columnar", instrument=True)
+        traced = _sweep(simulator, epoch, instrument=True)
         wall = time.perf_counter() - begin
-        steps = len(traced["columnar"].steps)
+        steps = len(traced["plain"].steps)
         for name, result in traced.items():
             metrics = result.metrics
             assert metrics.stages == STAGES
@@ -153,12 +130,12 @@ class TestMetricsContent:
         steering_row = lambda m: m.stage_calls[m.stage_index("steering")]
         telemetry_row = lambda m: m.stage_calls[m.stage_index("telemetry")]
         assert steering_row(traced["steered"].metrics) > 0
-        assert steering_row(traced["objects"].metrics) == 0
+        assert steering_row(traced["plain"].metrics) == 0
         assert telemetry_row(traced["telemetry"].metrics) > 0
-        assert telemetry_row(traced["objects"].metrics) == 0
+        assert telemetry_row(traced["plain"].metrics) == 0
         assert traced["steered"].metrics.gauges["steering_state_bytes"] > 0.0
         assert traced["telemetry"].metrics.gauges["telemetry_bytes"] > 0.0
-        assert traced["columnar"].metrics.gauges["incidence_bytes"] > 0.0
+        assert traced["max_min"].metrics.gauges["incidence_bytes"] > 0.0
 
     def test_histogram_counts_match_call_counts(self, simulator, epoch):
         traced = _sweep(simulator, epoch, instrument=True)
@@ -171,17 +148,10 @@ class TestMetricsContent:
 
 class TestExecutorInvariance:
     def test_deterministic_metrics_equal_across_executors(self, simulator, epoch):
-        serial = _sweep(simulator, epoch, flow_engine="columnar", instrument=True)
-        threaded = _sweep(
-            simulator, epoch, flow_engine="columnar", instrument=True, max_workers=2
-        )
+        serial = _sweep(simulator, epoch, instrument=True)
+        threaded = _sweep(simulator, epoch, instrument=True, max_workers=2)
         processes = _sweep(
-            simulator,
-            epoch,
-            flow_engine="columnar",
-            instrument=True,
-            max_workers=2,
-            executor="process",
+            simulator, epoch, instrument=True, max_workers=2, executor="process"
         )
         for name in serial:
             reference = serial[name].metrics
@@ -236,7 +206,6 @@ class TestSweepProgress:
             DURATION_HOURS,
             traffic_model=GravityTrafficModel(cities=CITIES, total_demand=40.0),
             flows_per_step=10,
-            backend="csgraph",
             instrument=True,
             progress=events.append,
         )

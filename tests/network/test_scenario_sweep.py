@@ -49,7 +49,7 @@ def simulator(topology, stations) -> NetworkSimulator:
 
 SCENARIOS = [
     Scenario(name="baseline"),
-    Scenario(name="max_min", allocator="max_min"),
+    Scenario(name="max_min", allocator="max_min_array"),
     Scenario(name="budget", flows_per_step=4),
     Scenario(name="subset", ground_station_names=("London", "Tokyo", "New York")),
 ]
@@ -63,14 +63,14 @@ class TestScenarioValidation:
             Scenario(name="x", demand_multiplier=0.0)
         with pytest.raises(ValueError):
             Scenario(name="x", demand_multiplier=-2.0)
-        with pytest.raises(ValueError):
-            Scenario(name="x", demand_multiplier=float("nan"))
+        for multiplier in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="demand_multiplier"):
+                Scenario(name="x", demand_multiplier=multiplier)
         with pytest.raises(ValueError):
             Scenario(name="x", flows_per_step=0)
-        with pytest.raises(ValueError):
-            Scenario(name="x", allocator="nope")
-        with pytest.raises(ValueError):
-            Scenario(name="x", backend="nope")
+        for allocator in ("nope", "max_min", "proportional"):
+            with pytest.raises(ValueError, match="max_min_array"):
+                Scenario(name="x", allocator=allocator)
         with pytest.raises(ValueError):
             Scenario(name="x", faults="nope")
         with pytest.raises(ValueError):
@@ -95,6 +95,31 @@ class TestScenarioValidation:
             simulator.run_scenarios(
                 [Scenario(name="a", ground_station_names=("Atlantis",))], epoch, 1.0
             )
+        nan, inf = float("nan"), float("inf")
+        for kwargs, parameter in (
+            ({"duration_hours": nan}, "duration_hours"),
+            ({"duration_hours": inf}, "duration_hours"),
+            ({"step_hours": nan}, "step_hours"),
+            ({"step_hours": inf}, "step_hours"),
+            ({"max_workers": 0}, "max_workers"),
+            ({"max_workers": -3}, "max_workers"),
+            ({"max_workers": 0, "executor": "process"}, "max_workers"),
+        ):
+            arguments = {"duration_hours": 1.0, **kwargs}
+            with pytest.raises(ValueError, match=parameter):
+                simulator.run_scenarios([Scenario(name="a")], epoch, **arguments)
+
+    def test_removed_pipeline_choices_rejected(self, simulator, epoch):
+        """Only csgraph routing and columnar flows remain; the compatibility
+        keywords reject anything else and name the accepted value."""
+        with pytest.raises(ValueError, match="csgraph"):
+            simulator.run_scenarios([Scenario(name="a")], epoch, 1.0, backend="networkx")
+        with pytest.raises(ValueError, match="csgraph"):
+            simulator.run_scenarios([Scenario(name="a")], epoch, 1.0, backend="nope")
+        with pytest.raises(ValueError, match="columnar"):
+            simulator.run_scenarios(
+                [Scenario(name="a")], epoch, 1.0, flow_engine="objects"
+            )
 
 
 class TestSweepEquivalence:
@@ -106,7 +131,7 @@ class TestSweepEquivalence:
         model = simulator.traffic_model
         independent = {
             "baseline": simulator.run(epoch, 3.0),
-            "max_min": simulator.run(epoch, 3.0, allocator="max_min"),
+            "max_min": simulator.run(epoch, 3.0, allocator="max_min_array"),
             "budget": NetworkSimulator(
                 topology=topology,
                 ground_stations=stations,
@@ -149,96 +174,40 @@ class TestSweepEquivalence:
         assert single.steps == sweep["only"].steps
 
 
-def _assert_step_stats_match(steps_a, steps_b):
-    """Per-step statistics must agree to float round-off."""
-    assert len(steps_a) == len(steps_b)
-    for a, b in zip(steps_a, steps_b):
-        assert a.utc_hour == b.utc_hour
-        assert a.offered_gbps == pytest.approx(b.offered_gbps, rel=1e-12)
-        assert a.delivered_gbps == pytest.approx(b.delivered_gbps, rel=1e-9)
-        assert a.reachable_fraction == b.reachable_fraction
-        if a.mean_latency_ms != b.mean_latency_ms:  # inf compares equal to inf
-            assert a.mean_latency_ms == pytest.approx(b.mean_latency_ms, rel=1e-9)
-        assert a.worst_link_utilisation == pytest.approx(
-            b.worst_link_utilisation, rel=1e-9
-        )
-
-
-class TestBackendSweeps:
-    """The csgraph backend must reproduce the networkx backend's sweep
-    statistics -- delivery ratios, latencies, reachability -- exactly."""
-
-    def test_csgraph_sweep_matches_networkx(self, simulator, epoch):
-        reference = simulator.run_scenarios(SCENARIOS, epoch, duration_hours=3.0)
-        candidate = simulator.run_scenarios(
-            SCENARIOS, epoch, duration_hours=3.0, backend="csgraph"
-        )
-        for name in reference:
-            _assert_step_stats_match(reference[name].steps, candidate[name].steps)
-            assert candidate[name].mean_delivery_ratio() == pytest.approx(
-                reference[name].mean_delivery_ratio(), rel=1e-9
-            )
-
-    def test_per_scenario_backend_override(self, simulator, epoch):
-        mixed = simulator.run_scenarios(
-            [Scenario(name="nx"), Scenario(name="cs", backend="csgraph")],
-            epoch,
-            duration_hours=2.0,
-        )
-        _assert_step_stats_match(mixed["nx"].steps, mixed["cs"].steps)
-
-    def test_run_accepts_backend(self, simulator, epoch):
-        reference = simulator.run(epoch, duration_hours=2.0)
-        candidate = simulator.run(epoch, duration_hours=2.0, backend="csgraph")
-        _assert_step_stats_match(reference.steps, candidate.steps)
-
-
 class TestProcessExecutor:
     def test_process_sweep_matches_serial_csgraph_exactly(self, simulator, epoch):
-        """csgraph routing is pure array math on identical inputs, so the
-        process pool must reproduce the serial sweep bit for bit."""
-        serial = simulator.run_scenarios(
-            SCENARIOS, epoch, duration_hours=2.0, backend="csgraph"
-        )
+        """Every executor runs the same step kernel on identical inputs, so
+        the process pool must reproduce the serial sweep bit for bit."""
+        serial = simulator.run_scenarios(SCENARIOS, epoch, duration_hours=2.0)
         pooled = simulator.run_scenarios(
-            SCENARIOS,
-            epoch,
-            duration_hours=2.0,
-            backend="csgraph",
-            max_workers=2,
-            executor="process",
+            SCENARIOS, epoch, duration_hours=2.0, max_workers=2, executor="process"
         )
         for name in serial:
             assert pooled[name].steps == serial[name].steps
 
-    def test_process_sweep_matches_serial_networkx(self, simulator, epoch):
-        serial = simulator.run_scenarios(SCENARIOS, epoch, duration_hours=2.0)
-        pooled = simulator.run_scenarios(
-            SCENARIOS,
-            epoch,
-            duration_hours=2.0,
-            max_workers=2,
-            executor="process",
+    def test_process_worker_runs_the_serial_kernel(self, simulator, epoch):
+        """Called in-process on shipped per-group edge lists, the worker
+        reproduces the serial sweep exactly: one loop, one step kernel."""
+        from repro.network.simulation import _ScenarioSpec, _sweep_process_worker
+
+        scenario = SCENARIOS[3]
+        subset = simulator._station_subset(scenario)
+        sequence = simulator.topology.snapshot_sequence(
+            [epoch.add_seconds(3600.0 * hour) for hour in range(2)],
+            [s for s in simulator.ground_stations if s.name in subset],
         )
-        for name in serial:
-            _assert_step_stats_match(serial[name].steps, pooled[name].steps)
-
-    def test_process_rejects_unregistered_backend_instances(self, simulator, epoch):
-        """Workers resolve backends by registry name, so an unregistered
-        instance must be refused up front instead of being silently swapped
-        for the registered backend of the same name."""
-        from repro.network.backends import CSGraphBackend
-
-        rogue = CSGraphBackend()  # same name as the registered singleton
-        with pytest.raises(ValueError, match="not registered"):
-            simulator.run_scenarios(
-                [Scenario(name="a")],
-                epoch,
-                1.0,
-                backend=rogue,
-                max_workers=2,
-                executor="process",
-            )
+        spec = _ScenarioSpec(
+            scenario=scenario,
+            station_names=subset,
+            flows_per_step=simulator.flows_per_step,
+            group=0,
+        )
+        utc_hours = [(epoch.fraction_of_day() * 24.0 + hour) % 24.0 for hour in range(2)]
+        worker = _sweep_process_worker(
+            [spec], {0: sequence.edge_lists(subset)}, utc_hours, simulator.traffic_model, False
+        )
+        serial = simulator.run_scenarios([scenario], epoch, duration_hours=2.0)
+        assert worker[scenario.name].steps == serial[scenario.name].steps
 
     def test_single_worker_process_request_falls_back_to_serial(
         self, simulator, epoch
@@ -273,7 +242,6 @@ class TestRunGrid:
             duration_hours=2.0,
             traffic_model=model,
             flows_per_step=6,
-            backend="csgraph",
             output_path=output,
         )
         assert set(cells) == {
@@ -289,9 +257,7 @@ class TestRunGrid:
                 traffic_model=model,
                 flows_per_step=6,
             )
-            sweep = simulator.run_scenarios(
-                scenarios, epoch, duration_hours=2.0, backend="csgraph"
-            )
+            sweep = simulator.run_scenarios(scenarios, epoch, duration_hours=2.0)
             for scenario in scenarios:
                 assert cells[(design_name, scenario.name)].steps == sweep[
                     scenario.name
@@ -317,6 +283,22 @@ class TestRunGrid:
     def test_grid_requires_designs(self, stations, epoch):
         with pytest.raises(ValueError):
             run_grid({}, [Scenario(name="a")], stations, epoch, 1.0)
+
+    def test_grid_validates_time_grid_before_any_work(self, topology, stations, epoch):
+        for kwargs, parameter in (
+            ({"step_hours": float("nan")}, "step_hours"),
+            ({"max_workers": 0}, "max_workers"),
+        ):
+            with pytest.raises(ValueError, match=parameter):
+                run_grid(
+                    {"only": topology},
+                    [Scenario(name="a")],
+                    stations,
+                    epoch,
+                    1.0,
+                    progress=lambda event: None,
+                    **kwargs,
+                )
 
     def test_grid_json_stays_strict_with_unreachable_steps(
         self, topology, epoch, tmp_path
@@ -353,6 +335,33 @@ class TestRunGrid:
         cell = document["cells"][0]
         assert cell["mean_latency_ms"] is None
         assert all(step["mean_latency_ms"] is None for step in cell["steps"])
+
+
+    def test_grid_write_is_atomic(self, topology, stations, epoch, tmp_path, monkeypatch):
+        """A serialisation failure must leave the previous grid file
+        byte-identical and no temporary file behind."""
+        output = tmp_path / "grid.json"
+        output.write_bytes(b'{"previous": "grid"}')
+        arguments = dict(
+            traffic_model=GravityTrafficModel(cities=CITIES, total_demand=40.0),
+            flows_per_step=4,
+            output_path=output,
+        )
+
+        def failing_dump(document, stream, **kwargs):
+            stream.write('{"cells": [')  # a partial document, then failure
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(RuntimeError, match="disk full"):
+            run_grid({"only": topology}, [Scenario(name="s")], stations, epoch, 1.0, **arguments)
+        assert output.read_bytes() == b'{"previous": "grid"}'
+        assert [path.name for path in tmp_path.iterdir()] == ["grid.json"]
+
+        monkeypatch.undo()
+        run_grid({"only": topology}, [Scenario(name="s")], stations, epoch, 1.0, **arguments)
+        assert json.loads(output.read_text())["designs"] == ["only"]
+        assert [path.name for path in tmp_path.iterdir()] == ["grid.json"]
 
 
 class TestTrafficMatrixCache:

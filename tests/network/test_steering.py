@@ -5,8 +5,8 @@ Three layers:
 * unit tests of the control loop (EWMA, hysteresis, cooldown, pruning) and
   the latency re-read helpers on hand-built edge lists;
 * exactness tests that ``steering="static"`` is bit-identical to running
-  with no steering across every backend x executor x flow-engine combo,
-  and that adaptive policies are deterministic and executor-independent;
+  with no steering under every executor, and that adaptive policies are
+  deterministic and executor-independent;
 * an integration test showing a (sticky) congestion-aware policy
   measurably reduces stranded demand under a correlated fault sweep.
 """
@@ -331,17 +331,10 @@ def _steps(result):
 
 
 class TestStaticBitIdentity:
-    @pytest.mark.parametrize("backend", ["networkx", "csgraph"])
-    @pytest.mark.parametrize("flow_engine", ["objects", "columnar"])
-    def test_static_matches_no_steering(self, simulator, epoch, backend, flow_engine):
+    def test_static_matches_no_steering(self, simulator, epoch):
         scenarios = [Scenario(name="s", allocator="proportional_array", faults=FAULTS)]
-        base = simulator.run_scenarios(
-            scenarios, epoch, 3.0, backend=backend, flow_engine=flow_engine
-        )["s"]
-        static = simulator.run_scenarios(
-            scenarios, epoch, 3.0, backend=backend, flow_engine=flow_engine,
-            steering="static",
-        )["s"]
+        base = simulator.run_scenarios(scenarios, epoch, 3.0)["s"]
+        static = simulator.run_scenarios(scenarios, epoch, 3.0, steering="static")["s"]
         assert base.steps == static.steps
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
@@ -349,9 +342,9 @@ class TestStaticBitIdentity:
         self, simulator, epoch, executor
     ):
         scenarios = [Scenario(name="s", faults=FAULTS, steering="static")]
-        serial = simulator.run_scenarios(scenarios, epoch, 2.0, backend="csgraph")
+        serial = simulator.run_scenarios(scenarios, epoch, 2.0)
         pooled = simulator.run_scenarios(
-            scenarios, epoch, 2.0, backend="csgraph", executor=executor, max_workers=2
+            scenarios, epoch, 2.0, executor=executor, max_workers=2
         )
         assert serial["s"].steps == pooled["s"].steps
 
@@ -364,12 +357,10 @@ class TestStaticBitIdentity:
             ],
             epoch,
             3.0,
-            backend="csgraph",
             steering="congestion-aware",
         )
         base = simulator.run_scenarios(
-            [Scenario(name="open", faults=FAULTS)], epoch, 3.0, backend="csgraph"
-        )
+            [Scenario(name="open", faults=FAULTS)], epoch, 3.0)
         assert sweep["open"].steps == base["open"].steps
         assert any(step.steering_max_utilisation > 0.0 for step in sweep["closed"].steps)
 
@@ -378,8 +369,8 @@ class TestAdaptiveDeterminism:
     @pytest.mark.parametrize("policy", ["utilisation-weighted", "congestion-aware", "load-spreading"])
     def test_repeat_runs_are_bit_identical(self, simulator, epoch, policy):
         scenarios = [Scenario(name="a", faults=FAULTS, steering=policy)]
-        first = simulator.run_scenarios(scenarios, epoch, 3.0, backend="csgraph")
-        second = simulator.run_scenarios(scenarios, epoch, 3.0, backend="csgraph")
+        first = simulator.run_scenarios(scenarios, epoch, 3.0)
+        second = simulator.run_scenarios(scenarios, epoch, 3.0)
         assert _steps(first["a"]) == _steps(second["a"])
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
@@ -388,29 +379,12 @@ class TestAdaptiveDeterminism:
             Scenario(name="a", faults=FAULTS, steering="congestion-aware"),
             Scenario(name="b", faults=FAULTS),
         ]
-        serial = simulator.run_scenarios(scenarios, epoch, 3.0, backend="csgraph")
+        serial = simulator.run_scenarios(scenarios, epoch, 3.0)
         pooled = simulator.run_scenarios(
-            scenarios, epoch, 3.0, backend="csgraph", executor=executor, max_workers=2
+            scenarios, epoch, 3.0, executor=executor, max_workers=2
         )
         for name in ("a", "b"):
             assert _steps(serial[name]) == _steps(pooled[name])
-
-    def test_flow_engines_agree_under_steering(self, simulator, epoch):
-        scenarios = [
-            Scenario(
-                name="a",
-                allocator="proportional_array",
-                faults=FAULTS,
-                steering="congestion-aware",
-            )
-        ]
-        objects = simulator.run_scenarios(
-            scenarios, epoch, 3.0, backend="csgraph", flow_engine="objects"
-        )
-        columnar = simulator.run_scenarios(
-            scenarios, epoch, 3.0, backend="csgraph", flow_engine="columnar"
-        )
-        assert _steps(objects["a"]) == _steps(columnar["a"])
 
     def test_steering_fields_default_to_zero(self, simulator, epoch):
         result = simulator.run_scenarios([Scenario(name="s")], epoch, 1.0)["s"]
@@ -444,13 +418,9 @@ class TestAdaptiveImprovesFaultSweep:
                     steering=steering,
                 )
             ]
-            static = simulator.run_scenarios(
-                scenarios("f", "static"), epoch, 10.0,
-                backend="csgraph", flow_engine="columnar",
-            )["f"]
+            static = simulator.run_scenarios(scenarios("f", "static"), epoch, 10.0)["f"]
             adaptive = simulator.run_scenarios(
-                scenarios("f", "sticky-congestion"), epoch, 10.0,
-                backend="csgraph", flow_engine="columnar",
+                scenarios("f", "sticky-congestion"), epoch, 10.0
             )["f"]
         finally:
             del STEERING_POLICIES["sticky-congestion"]
@@ -463,25 +433,17 @@ class TestAdaptiveImprovesFaultSweep:
 
 class TestStrandedSemantics:
     def test_stranded_counts_starved_flows(self, simulator, epoch):
-        """Routed-but-zero-allocated demand counts as stranded, both engines."""
+        """Routed-but-zero-allocated demand counts as stranded."""
         faults = (("link_degradation", {"factor": 0.0, "fraction": 0.3, "seed": 11}),)
-        for flow_engine in ("objects", "columnar"):
-            result = simulator.run_scenarios(
-                [Scenario(name="s", allocator="proportional_array", faults=faults)],
-                epoch,
-                2.0,
-                backend="csgraph",
-                flow_engine=flow_engine,
-            )["s"]
-            assert any(step.stranded_gbps > 0.0 for step in result.steps)
-            for step in result.steps:
-                # Stranded demand (unroutable + starved-at-zero) and the
-                # delivered traffic never over-count the offered demand.
-                assert step.stranded_gbps >= 0.0
-                assert (
-                    step.delivered_gbps + step.stranded_gbps
-                    <= step.offered_gbps + 1e-9
-                )
+        result = simulator.run_scenarios(
+            [Scenario(name="s", allocator="proportional_array", faults=faults)], epoch, 2.0
+        )["s"]
+        assert any(step.stranded_gbps > 0.0 for step in result.steps)
+        for step in result.steps:
+            # Stranded demand (unroutable + starved-at-zero) and the
+            # delivered traffic never over-count the offered demand.
+            assert step.stranded_gbps >= 0.0
+            assert step.delivered_gbps + step.stranded_gbps <= step.offered_gbps + 1e-9
 
 
 class TestLinkTelemetry:
@@ -516,8 +478,7 @@ class TestLinkTelemetry:
 
     def test_simulation_collects_link_telemetry(self, simulator, epoch):
         result = simulator.run_scenarios(
-            [Scenario(name="s", telemetry="exact")], epoch, 2.0, backend="csgraph"
-        )["s"]
+            [Scenario(name="s", telemetry="exact")], epoch, 2.0)["s"]
         assert result.link_telemetry is not None
         hot = result.sustained_hot_links(3)
         assert 0 < len(hot) <= 3
@@ -528,8 +489,7 @@ class TestLinkTelemetry:
 
     def test_no_telemetry_means_no_link_store(self, simulator, epoch):
         result = simulator.run_scenarios(
-            [Scenario(name="s")], epoch, 1.0, backend="csgraph"
-        )["s"]
+            [Scenario(name="s")], epoch, 1.0)["s"]
         assert result.link_telemetry is None
         assert result.sustained_hot_links() == ()
 
@@ -538,17 +498,15 @@ class TestLinkTelemetry:
         self, simulator, epoch, executor
     ):
         scenarios = [Scenario(name="s", telemetry="exact", steering="congestion-aware")]
-        serial = simulator.run_scenarios(scenarios, epoch, 2.0, backend="networkx")
+        serial = simulator.run_scenarios(scenarios, epoch, 2.0)
         pooled = simulator.run_scenarios(
-            scenarios, epoch, 2.0, backend="networkx", executor=executor, max_workers=2
+            scenarios, epoch, 2.0, executor=executor, max_workers=2
         )
         assert serial["s"].link_telemetry is not None
         assert (
             serial["s"].sustained_hot_links(5) == pooled["s"].sustained_hot_links(5)
         )
-        assert serial["s"].link_telemetry.total() == pytest.approx(
-            pooled["s"].link_telemetry.total()
-        )
+        assert serial["s"].link_telemetry.total() == pooled["s"].link_telemetry.total()
 
 
 class TestUtilisationExportParity:
@@ -556,13 +514,11 @@ class TestUtilisationExportParity:
         """Both allocation paths export the same (E,) utilisation layout."""
         from repro.network.alloc_arrays import compile_flow_link_system
         from repro.network.capacity import Flow, allocate_proportional
-        from repro.network.simulation import _EdgeListCapacityView
 
         sequence = simulator.topology.snapshot_sequence(
             [epoch], simulator.ground_stations
         )
         edge_list = sequence.edge_list(0)
-        view = _EdgeListCapacityView(edge_list)
         router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
         sources = [f"gs:{city.name}" for city in CITIES[:2]]
         routes = get_backend("csgraph").routes_from_many(router, sources)
@@ -581,9 +537,9 @@ class TestUtilisationExportParity:
                     )
                 )
         assert flows
-        allocation = allocate_proportional(view, flows)
+        allocation = allocate_proportional(edge_list.graph(), flows)
         by_dict = allocation.link_utilisation_array(edge_list)
-        system = compile_flow_link_system(view, flows)
+        system = compile_flow_link_system(edge_list, flows)
         rates = np.array([allocation.allocated_gbps[flow.name] for flow in flows])
         utilisation = system.link_loads(rates) / system.capacity
         by_array = system.link_utilisation_array(utilisation, len(edge_list.a))
