@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network.capacity import Flow, get_allocator

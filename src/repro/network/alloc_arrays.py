@@ -372,9 +372,9 @@ def compile_flow_link_system(capacity_graph, flows: list[Flow]) -> FlowLinkSyste
     ``path_rows`` on every flow, the compilation runs entirely over index
     arrays; otherwise each flow's links are walked once through the graph
     interface (an edge list is converted with
-    :meth:`SnapshotEdgeList.graph`).  Flow names must be unique: the result dict is keyed by
-    name, and the dict reference's behaviour under duplicates (shared rate
-    entries) is an accident not worth reproducing.
+    :meth:`SnapshotEdgeList.graph`).  Flow names must be unique: the result
+    dict is keyed by name, and the dict reference's behaviour under
+    duplicates (shared rate entries) is an accident not worth reproducing.
     """
     names = tuple(flow.name for flow in flows)
     if len(set(names)) != len(names):
