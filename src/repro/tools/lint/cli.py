@@ -6,20 +6,13 @@ Typical invocations::
     python -m repro.tools.lint src tests benchmarks --format=json
     python -m repro.tools.lint src --select RPL001,RPL004
     python -m repro.tools.lint src tests benchmarks --write-baseline
-    python -m repro.tools.lint src tests benchmarks --cache   # warm runs
 
 When ``lint-baseline.json`` exists in the working directory (or is named
 via ``--baseline``) the run compares against it: findings covered by the
 baseline are allowed, new findings fail, and stale baseline entries --
 violations that have since been fixed -- fail as well so the baseline
 shrinks monotonically.  Exit codes: 0 clean, 1 findings/new findings or
-stale entries, 2 usage error.
-
-``--cache`` keeps a fingerprint cache (default ``.repro-lint-cache.json``)
-so warm runs re-analyse only the import-graph cone of changed files; the
-cache is keyed by rule-set version and enabled codes, and ``--no-cache``
-forces a full run.  A timing line with the parse/replay split goes to
-stderr either way.
+stale entries, 2 usage error.  A timing line goes to stderr.
 """
 
 from __future__ import annotations
@@ -31,15 +24,13 @@ import time
 from pathlib import Path
 
 from .baseline import compare_with_baseline, load_baseline, write_baseline
-from .cache import LintCache
 from .engine import Finding, LintRunner
 from .registries import check_registries
-from .rules import RULESET_VERSION, all_rules
+from .rules import all_rules
 
 __all__ = ["main", "run_lint"]
 
 DEFAULT_BASELINE = "lint-baseline.json"
-DEFAULT_CACHE = ".repro-lint-cache.json"
 
 
 def _parse_codes(value: "str | None") -> "set[str] | None":
@@ -68,13 +59,8 @@ def run_lint(
     ignore: "set[str] | None" = None,
     registries: bool = True,
     root: "Path | None" = None,
-    cache: "LintCache | None" = None,
 ) -> list[Finding]:
-    """Programmatic entry point: lint ``paths`` and return the findings.
-
-    Registry findings (``RPL1xx``) come from importing live code and are
-    never cached; when a ``cache`` is given only the AST layers use it.
-    """
+    """Programmatic entry point: lint ``paths`` and return the findings."""
     module_rules, project_rules = all_rules()
     enabled = _enabled_predicate(select, ignore)
     runner = LintRunner(
@@ -82,7 +68,7 @@ def run_lint(
         project_rules=[rule for rule in project_rules if enabled(rule.code)],
         root=root if root is not None else Path.cwd(),
     )
-    findings = runner.run(paths, cache=cache)
+    findings = runner.run(paths)
     if registries:
         findings.extend(
             finding
@@ -90,22 +76,6 @@ def run_lint(
             if enabled(finding.rule)
         )
     return findings
-
-
-def cache_key(
-    select: "set[str] | None",
-    ignore: "set[str] | None",
-    root: Path,
-) -> str:
-    """Cache identity: rule-set version + enabled codes + reporting root."""
-    module_rules, project_rules = all_rules()
-    enabled = _enabled_predicate(select, ignore)
-    codes = sorted(
-        rule.code
-        for rule in [*module_rules, *project_rules]
-        if enabled(rule.code)
-    )
-    return f"{RULESET_VERSION}|{','.join(codes)}|{root}"
 
 
 def _render_text(
@@ -262,35 +232,11 @@ def main(argv: "list[str] | None" = None) -> int:
         action="store_true",
         help="skip the import-and-inspect registry conformance layer",
     )
-    parser.add_argument(
-        "--cache",
-        nargs="?",
-        const=DEFAULT_CACHE,
-        default=None,
-        metavar="PATH",
-        help=(
-            "use an incremental fingerprint cache (default path: "
-            f"{DEFAULT_CACHE}); warm runs re-analyse only the import-graph "
-            "cone of changed files"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="force a full run even when --cache is given",
-    )
     args = parser.parse_args(argv)
 
     select = _parse_codes(args.select)
     ignore = _parse_codes(args.ignore)
     registries = not args.no_registries
-    root = Path.cwd()
-
-    cache: "LintCache | None" = None
-    cache_path: "Path | None" = None
-    if args.cache is not None and not args.no_cache:
-        cache_path = Path(args.cache)
-        cache = LintCache.load(cache_path, cache_key(select, ignore, root))
 
     started = time.monotonic()
     try:
@@ -299,30 +245,12 @@ def main(argv: "list[str] | None" = None) -> int:
             select=select,
             ignore=ignore,
             registries=registries,
-            cache=cache,
         )
     except FileNotFoundError as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started
-
-    if cache is not None and cache_path is not None:
-        try:
-            cache.save(cache_path)
-        except OSError as error:
-            print(
-                f"repro-lint: warning: could not save cache "
-                f"{cache_path}: {error}",
-                file=sys.stderr,
-            )
-        print(
-            f"repro-lint: {elapsed:.2f}s "
-            f"({'cold' if cache.cold else 'warm'} cache: "
-            f"{cache.stats.describe()})",
-            file=sys.stderr,
-        )
-    else:
-        print(f"repro-lint: {elapsed:.2f}s (no cache)", file=sys.stderr)
+    print(f"repro-lint: {elapsed:.2f}s", file=sys.stderr)
 
     baseline_path: "Path | None" = None
     if args.write_baseline or not args.no_baseline:

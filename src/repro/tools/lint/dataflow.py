@@ -1,7 +1,7 @@
 """Interprocedural substrate: project index, call sites, executor roots.
 
-This module generalises the call-graph walk the picklability rule (RPL002)
-grew privately into a shared layer the data-flow rules stand on:
+The shared layer the interprocedural rules (RPL002, RPL007--009) stand
+on; the runner builds one :class:`Project` per run:
 
 * :class:`Project` -- every linted module indexed at once: top-level
   functions, classes with their methods, import tables, and the
@@ -9,7 +9,7 @@ grew privately into a shared layer the data-flow rules stand on:
 * **Name resolution** (:meth:`Project.resolve_name`) -- local definitions
   first, then the import table routed through the import graph (so
   ``from ..network.capacity import Flow`` lands on the linted file), with
-  RPL002's by-stem match as the last resort.
+  a match on the module's file stem as the last resort.
 * **Caller index** (:meth:`Project.callers_of`) -- the *reverse* call
   graph: every call site whose target resolves to a given function,
   including constructor calls (``Flow(...)`` -> ``Flow.__init__``) and
@@ -18,7 +18,8 @@ grew privately into a shared layer the data-flow rules stand on:
 * **Executor roots** (:meth:`Project.submit_sites`) -- every
   ``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` ``submit``/``map``
   call, with the submitted target and the pool kind.  Race detection
-  (RPL008) walks the forward call graph downward from these.
+  (RPL008) walks the forward call graph downward from these, and the
+  picklability walk (RPL002) starts at the process-pool ones.
 
 Resolution is deliberately best-effort and *optimistic*: a name that
 cannot be resolved inside the linted set produces no edge and no finding.
@@ -203,6 +204,20 @@ class SubmitSite:
         """The submitted callable expression (first argument)."""
         return self.node.args[0] if self.node.args else None
 
+    def nested_target(self) -> "ast.FunctionDef | ast.AsyncFunctionDef | None":
+        """The function nested in the enclosing scope that is submitted."""
+        target = self.target
+        if not isinstance(target, ast.Name):
+            return None
+        for node in ast.walk(self.enclosing):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == target.id
+                and node is not self.enclosing
+            ):
+                return node
+        return None
+
 
 def bind_arguments(
     function: FunctionInfo, call: ast.Call, bound_receiver: bool
@@ -285,8 +300,8 @@ class Project:
         """Resolve ``name`` in ``module`` to ``(kind, module, symbol)``.
 
         ``kind`` is ``"function"`` or ``"class"``.  Local definitions win;
-        imported names route through the import graph; RPL002's by-stem
-        match covers spellings the graph cannot place.
+        imported names route through the import graph; a file-stem match
+        covers spellings the graph cannot place.
         """
         if name in module.functions:
             return ("function", module, name)

@@ -8,8 +8,9 @@ come in two shapes:
 
 * :class:`ModuleRule` -- checks one module at a time from its AST alone
   (the determinism, float-loop, shared-state and dataclass-hygiene rules);
-* :class:`ProjectRule` -- sees every linted module at once, for analyses
-  that need cross-module context (the picklability call-graph walk).
+* :class:`DataflowRule` -- sees every linted module at once through the
+  shared call-graph substrate, for analyses that need cross-module context
+  (picklability, seed provenance, executor races).
 
 Suppressions are inline comments on the *flagged line*::
 
@@ -31,14 +32,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .cache import LintCache
     from .dataflow import Project
 
 __all__ = [
     "Finding",
     "ModuleSource",
     "ModuleRule",
-    "ProjectRule",
     "DataflowRule",
     "LintRunner",
     "collect_python_files",
@@ -161,30 +160,17 @@ class ModuleRule:
         raise NotImplementedError
 
 
-class ProjectRule:
-    """A rule that inspects every linted module together."""
+class DataflowRule:
+    """A rule that inspects every linted module together.
+
+    The runner constructs one :class:`repro.tools.lint.dataflow.Project`
+    (import graph + caller index) per run and hands it to every dataflow
+    rule, so the substrate is built once rather than per rule.
+    """
 
     code: str = ""
     name: str = ""
     description: str = ""
-
-    def check_project(self, modules: list[ModuleSource]) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
-class DataflowRule(ProjectRule):
-    """A project rule built on the shared interprocedural substrate.
-
-    The runner constructs one :class:`repro.tools.lint.dataflow.Project`
-    (import graph + caller index) per run and hands it to every dataflow
-    rule, so the substrate is built once rather than per rule.  The
-    ``check_project`` fallback keeps a dataflow rule usable standalone.
-    """
-
-    def check_project(self, modules: list[ModuleSource]) -> Iterator[Finding]:
-        from .dataflow import Project
-
-        yield from self.check_dataflow(Project(modules))
 
     def check_dataflow(self, project: "Project") -> Iterator[Finding]:
         raise NotImplementedError
@@ -268,7 +254,7 @@ class LintRunner:
     """Run a set of rules over a set of paths and apply suppressions."""
 
     module_rules: list[ModuleRule] = field(default_factory=list)
-    project_rules: list[ProjectRule] = field(default_factory=list)
+    project_rules: list[DataflowRule] = field(default_factory=list)
     #: Root that file paths are reported relative to (defaults to cwd).
     root: Path = field(default_factory=Path.cwd)
 
@@ -277,32 +263,11 @@ class LintRunner:
         codes.update(rule.code for rule in self.project_rules)
         return codes
 
-    def run(
-        self,
-        paths: Iterable[str | Path],
-        cache: "LintCache | None" = None,
-    ) -> list[Finding]:
-        """Lint ``paths`` and return surviving findings, sorted by site.
-
-        With a :class:`~repro.tools.lint.cache.LintCache`, only the
-        import-graph cone of changed files is parsed and re-analysed;
-        everything else replays cached findings.  The caller owns
-        persisting the cache afterwards.
-        """
-        errors: list[Finding] = []
-        files = collect_python_files(paths, errors=errors, root=self.root)
-        if cache is None:
-            findings = self._run_full(files, errors)
-        else:
-            findings = self._run_incremental(files, errors, cache)
-        findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-        return findings
-
-    def _run_full(
-        self, files: list[Path], errors: list[Finding]
-    ) -> list[Finding]:
+    def run(self, paths: Iterable[str | Path]) -> list[Finding]:
+        """Lint ``paths`` and return surviving findings, sorted by site."""
+        findings: list[Finding] = []
+        files = collect_python_files(paths, errors=findings, root=self.root)
         modules: list[ModuleSource] = []
-        findings: list[Finding] = list(errors)
         for path in files:
             parsed = parse_module(path, self.root)
             if isinstance(parsed, Finding):
@@ -313,155 +278,18 @@ class LintRunner:
         for module in modules:
             for rule in self.module_rules:
                 findings.extend(rule.check(module))
-        findings.extend(self._project_findings(modules))
-        return self._apply_suppressions(modules, findings)
-
-    def _project_findings(
-        self, modules: list[ModuleSource]
-    ) -> list[Finding]:
-        """Run project rules, building the dataflow substrate only once."""
-        findings: list[Finding] = []
-        dataflow_rules = [
-            rule
-            for rule in self.project_rules
-            if isinstance(rule, DataflowRule)
-        ]
-        for rule in self.project_rules:
-            if not isinstance(rule, DataflowRule):
-                findings.extend(rule.check_project(modules))
-        if dataflow_rules:
+        if self.project_rules:
             from .dataflow import Project
 
             project = Project(modules)
-            for rule in dataflow_rules:
+            for rule in self.project_rules:
                 findings.extend(rule.check_dataflow(project))
+        findings = self._apply_suppressions(modules, findings)
+        findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
         return findings
 
-    def _run_incremental(
-        self,
-        files: list[Path],
-        errors: list[Finding],
-        cache: "LintCache",
-    ) -> list[Finding]:
-        from .cache import file_fingerprint
-        from .importgraph import ImportGraph, RawImport, module_imports
-
-        rels = {path: _relative_path(path, self.root) for path in files}
-        path_by_rel = {rel: path for path, rel in rels.items()}
-        live = set(rels.values())
-        cache.prune(live)
-        cache.stats.total = len(files)
-
-        parsed: dict[str, ModuleSource | Finding] = {}
-
-        def parse(rel: str) -> "ModuleSource | Finding":
-            if rel not in parsed:
-                cache.stats.parsed += 1
-                parsed[rel] = parse_module(path_by_rel[rel], self.root)
-            return parsed[rel]
-
-        # 1. Fingerprint everything; content drift marks a file changed.
-        shas: dict[str, str] = {}
-        changed: set[str] = set()
-        for rel in live:
-            sha = file_fingerprint(path_by_rel[rel])
-            entry = cache.entries.get(rel)
-            if sha is None or entry is None or entry.sha256 != sha:
-                changed.add(rel)
-            shas[rel] = sha or ""
-
-        # 2. Import statements: fresh parse for changed files, cached raw
-        #    imports otherwise.  Resolution runs against the *current* file
-        #    set every time, so added/deleted modules re-route edges.
-        imports_by_file: dict[str, list[RawImport]] = {}
-        for rel in live:
-            if rel in changed:
-                result = parse(rel)
-                imports_by_file[rel] = (
-                    module_imports(result.tree)
-                    if isinstance(result, ModuleSource)
-                    else []
-                )
-            else:
-                imports_by_file[rel] = list(cache.entries[rel].imports)
-        graph = ImportGraph.build(imports_by_file)
-
-        # 3. Edge drift (an import resolving somewhere new) also counts
-        #    as a change even when the importer's bytes are identical.
-        for rel in live - changed:
-            if sorted(graph.edges.get(rel, ())) != cache.entries[rel].resolved:
-                changed.add(rel)
-
-        # 4. Dirty = changed + transitive importers (their cross-module
-        #    findings may differ).  Parse set additionally pulls in what
-        #    dirty files import -- the context interprocedural rules need.
-        dirty = graph.dependents_closure(changed) & live
-        parse_set = (dirty | graph.dependencies_closure(dirty)) & live
-        cache.stats.changed = len(changed)
-        cache.stats.reused = len(live - dirty)
-        for rel in sorted(parse_set):
-            parse(rel)
-
-        modules = [
-            result
-            for result in parsed.values()
-            if isinstance(result, ModuleSource)
-        ]
-        parse_failures = {
-            rel: result
-            for rel, result in parsed.items()
-            if isinstance(result, Finding)
-        }
-
-        # 5. Fresh analysis over the cone: module rules for dirty files
-        #    only, project rules over the whole parsed context.
-        fresh: list[Finding] = list(parse_failures.values())
-        for module in modules:
-            if module.rel_path in dirty:
-                for rule in self.module_rules:
-                    fresh.extend(rule.check(module))
-        fresh.extend(self._project_findings(modules))
-        fresh = self._apply_suppressions(
-            modules, fresh, unused_scope=dirty
-        )
-
-        # 6. Assemble: dirty files take the fresh result wholesale;
-        #    context files keep cached findings plus any novel fresh ones;
-        #    untouched files replay the cache verbatim.
-        fresh_by_path: dict[str, list[Finding]] = {}
-        for finding in fresh:
-            fresh_by_path.setdefault(finding.path, []).append(finding)
-        final: list[Finding] = list(errors)
-        for rel in sorted(live):
-            if rel in dirty:
-                kept = fresh_by_path.get(rel, [])
-            elif rel in parse_set:
-                cached = cache.entries[rel].findings
-                known = {
-                    (f.rule, f.line, f.message, f.symbol) for f in cached
-                }
-                kept = list(cached) + [
-                    f
-                    for f in fresh_by_path.get(rel, [])
-                    if (f.rule, f.line, f.message, f.symbol) not in known
-                ]
-            else:
-                kept = cache.entries[rel].findings
-            final.extend(kept)
-            cache.update(
-                rel,
-                shas[rel],
-                imports_by_file[rel],
-                sorted(graph.edges.get(rel, ())),
-                kept,
-            )
-        return final
-
     def _apply_suppressions(
-        self,
-        modules: list[ModuleSource],
-        findings: list[Finding],
-        unused_scope: "set[str] | None" = None,
+        self, modules: list[ModuleSource], findings: list[Finding]
     ) -> list[Finding]:
         """Drop suppressed findings; flag suppressions that did nothing."""
         by_path = {module.rel_path: module for module in modules}
@@ -476,10 +304,6 @@ class LintRunner:
                 kept.append(finding)
         enabled = self.enabled_codes()
         for module in modules:
-            if unused_scope is not None and module.rel_path not in unused_scope:
-                # Context-only module on an incremental run: its cached
-                # RPL000 findings replay instead of being recomputed.
-                continue
             for line, codes in sorted(module.suppressions.items()):
                 for code in sorted(codes):
                     if code not in enabled:

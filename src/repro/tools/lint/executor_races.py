@@ -1,8 +1,9 @@
 """RPL008 -- static race detection on executor-submitted call graphs.
 
-RPL003 catches the *syntactic* shapes of shared mutable state (module
-globals mutated in functions, caches whose ``reset()`` never runs).  This
-rule is its interprocedural twin: starting from every
+RPL003 catches the *syntactic* shape of shared mutable state (module
+globals mutated in functions).  This rule is its interprocedural twin,
+and the one that catches the ``_SharedRouteCache`` bug class: starting
+from every
 ``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` ``submit``/``map`` site
 it walks the call graph the worker can actually reach and flags writes to
 state that lives *outside* the worker:
@@ -146,7 +147,7 @@ class ExecutorRaceRule(DataflowRule):
             )
             self._walk_body(project, [target.body], frame, writes, seen)
         elif isinstance(target, ast.Name):
-            nested = _nested_function(site.enclosing, target.id)
+            nested = site.nested_target()
             if nested is not None:
                 outside = (
                     _free_names(nested, site.enclosing) if captured_ok else set()
@@ -626,19 +627,6 @@ class ExecutorRaceRule(DataflowRule):
 
 
 # -- helpers ---------------------------------------------------------------------
-
-
-def _nested_function(
-    enclosing: ast.AST, name: str
-) -> "ast.FunctionDef | ast.AsyncFunctionDef | None":
-    for node in ast.walk(enclosing):
-        if (
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == name
-            and node is not enclosing
-        ):
-            return node
-    return None
 
 
 def _bound_names(function: ast.AST) -> set[str]:

@@ -1,10 +1,10 @@
 """Project import graph over the linted file set.
 
-The graph is the substrate both the interprocedural rules and the
-incremental cache stand on: nodes are linted files (by root-relative
-path), edges point from an importer to the file its import statement
-resolves to *within the linted set*.  Imports that leave the set (numpy,
-scipy, the stdlib) produce no edge -- the analyses are project-local.
+The graph is the substrate the interprocedural rules stand on: nodes are
+linted files (by root-relative path), edges point from an importer to the
+file its import statement resolves to *within the linted set*.  Imports
+that leave the set (numpy, scipy, the stdlib) produce no edge -- the
+analyses are project-local.
 
 File-to-module naming handles the repository's layouts without config:
 
@@ -21,17 +21,11 @@ File-to-module naming handles the repository's layouts without config:
 Ambiguous suffixes (two linted ``grid.py`` files) resolve only when a
 longer, unique suffix is used; a genuinely ambiguous short import creates
 no edge rather than a wrong one.
-
-Closures (:meth:`ImportGraph.dependents_closure`,
-:meth:`ImportGraph.dependencies_closure`) are plain BFS over the edge
-sets, so import cycles -- legal in Python, common via ``TYPE_CHECKING``
-blocks -- terminate naturally instead of recursing.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable
 
 __all__ = ["RawImport", "module_imports", "ImportGraph"]
 
@@ -41,10 +35,7 @@ class RawImport:
 
     ``from ..orbits import time`` inside ``src/repro/network/x.py`` is
     ``RawImport("orbits.time", 2)``; plain ``import numpy.random`` is
-    ``RawImport("numpy.random", 0)``.  The pair is what the cache persists
-    per file -- resolution against the *current* file set happens on every
-    run, so adding or deleting a module re-routes edges without touching
-    the importer's cache entry.
+    ``RawImport("numpy.random", 0)``.
     """
 
     __slots__ = ("name", "level")
@@ -55,16 +46,6 @@ class RawImport:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RawImport({self.name!r}, level={self.level})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RawImport)
-            and self.name == other.name
-            and self.level == other.level
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.level))
 
 
 def module_imports(tree: ast.Module) -> list[RawImport]:
@@ -108,7 +89,6 @@ class ImportGraph:
         #: rel_path -> its full dotted parts
         self._parts: dict[str, tuple[str, ...]] = {}
         self.edges: dict[str, set[str]] = {}
-        self.reverse_edges: dict[str, set[str]] = {}
 
     # -- construction ------------------------------------------------------------
 
@@ -124,16 +104,12 @@ class ImportGraph:
                 target = graph.resolve(rel_path, raw)
                 if target is not None and target != rel_path:
                     graph.edges[rel_path].add(target)
-        for importer, targets in graph.edges.items():
-            for target in targets:
-                graph.reverse_edges.setdefault(target, set()).add(importer)
         return graph
 
     def _register(self, rel_path: str) -> None:
         parts = tuple(_module_parts(rel_path))
         self._parts[rel_path] = parts
         self.edges.setdefault(rel_path, set())
-        self.reverse_edges.setdefault(rel_path, set())
         for start in range(len(parts)):
             self._by_suffix.setdefault(parts[start:], set()).add(rel_path)
 
@@ -165,26 +141,3 @@ class ImportGraph:
                     return exact[0]
                 return None
         return None
-
-    # -- closures ----------------------------------------------------------------
-
-    def _closure(
-        self, files: Iterable[str], edges: dict[str, set[str]]
-    ) -> set[str]:
-        seen = set()
-        queue = [f for f in files if f in self._parts]
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            queue.extend(edges.get(current, ()))
-        return seen
-
-    def dependents_closure(self, files: Iterable[str]) -> set[str]:
-        """``files`` plus everything that (transitively) imports them."""
-        return self._closure(files, self.reverse_edges)
-
-    def dependencies_closure(self, files: Iterable[str]) -> set[str]:
-        """``files`` plus everything they (transitively) import."""
-        return self._closure(files, self.edges)

@@ -7,18 +7,19 @@ arguments -- must pickle.  A lambda, a nested function, a ``threading.Lock``
 or an open file handle in a shipped dataclass fails at submission time at
 best, and at worst only on the one machine whose start method is ``spawn``.
 
-The rule walks a static call graph:
+The rule walks a static call graph on the shared
+:class:`~repro.tools.lint.dataflow.Project` substrate:
 
-1. **Roots**: every ``pool.submit(f, ...)`` / ``pool.map(f, ...)`` call
-   where ``pool`` is bound to a ``ProcessPoolExecutor(...)`` in the
-   enclosing function (thread pools are exempt -- closures are fine there).
-   Submitting a lambda or a function nested in the enclosing scope is
-   flagged immediately.
+1. **Roots**: every process-pool site from :meth:`Project.submit_sites`
+   (thread pools are exempt -- closures are fine there).  Submitting a
+   lambda or a function nested in the enclosing scope is flagged
+   immediately.
 2. **Reachability**: from each root function, every project-local function
    it calls, every class it references (by call, by annotation -- including
    string annotations -- or by attribute access), and every method of a
-   reachable class joins the walk.  Resolution is best-effort through the
-   module's import table; names that leave the linted file set are skipped.
+   reachable class joins the walk.  Names resolve through
+   :meth:`Project.resolve_name`; names that leave the linted file set are
+   skipped.
 3. **Payload checks**: each reachable *dataclass* must not declare fields
    whose annotation names an unpicklable type (``threading.Lock``/``RLock``,
    ``networkx``/``nx.Graph``/``DiGraph``, ``IO``/``TextIO``/``BinaryIO``),
@@ -32,8 +33,9 @@ import ast
 import re
 from typing import Iterator
 
-from .astutil import annotation_text, dataclass_decorator, dotted_chain, import_table
-from .engine import Finding, ModuleSource, ProjectRule
+from .astutil import annotation_text, dataclass_decorator, dotted_chain
+from .dataflow import ClassInfo, FunctionInfo, Project
+from .engine import DataflowRule, Finding, ModuleSource
 
 __all__ = ["PicklabilityRule"]
 
@@ -45,48 +47,6 @@ _UNPICKLABLE_ANNOTATION = re.compile(
 _UNPICKLABLE_FACTORY = re.compile(
     r"\b(Lock|RLock|Condition|Semaphore|Event|Graph|DiGraph|open)\b"
 )
-
-
-def _is_process_pool_expr(node: ast.AST) -> bool:
-    """True when the expression (or any branch of it) constructs a
-    ProcessPoolExecutor."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            chain = dotted_chain(child.func)
-            if chain and chain[-1] == "ProcessPoolExecutor":
-                return True
-    return False
-
-
-def _process_pool_names(function: ast.AST) -> set[str]:
-    """Names bound to a ProcessPoolExecutor inside ``function``."""
-    names: set[str] = set()
-    for node in ast.walk(function):
-        if isinstance(node, ast.Assign) and _is_process_pool_expr(node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, ast.withitem) and _is_process_pool_expr(
-            node.context_expr
-        ):
-            if isinstance(node.optional_vars, ast.Name):
-                names.add(node.optional_vars.id)
-    return names
-
-
-class _ModuleIndex:
-    """Top-level defs, classes and imports of one module."""
-
-    def __init__(self, module: ModuleSource):
-        self.module = module
-        self.imports = import_table(module.tree)
-        self.functions: dict[str, ast.AST] = {}
-        self.classes: dict[str, ast.ClassDef] = {}
-        for statement in module.tree.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.functions[statement.name] = statement
-            elif isinstance(statement, ast.ClassDef):
-                self.classes[statement.name] = statement
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -116,7 +76,7 @@ def _referenced_names(function: ast.AST) -> set[str]:
     return names
 
 
-class PicklabilityRule(ProjectRule):
+class PicklabilityRule(DataflowRule):
     code = "RPL002"
     name = "worker-payload-picklability"
     description = (
@@ -124,150 +84,35 @@ class PicklabilityRule(ProjectRule):
         "must not carry lambdas, nested functions, locks, handles or graphs"
     )
 
-    def check_project(self, modules: list[ModuleSource]) -> Iterator[Finding]:
-        indexes = {module.rel_path: _ModuleIndex(module) for module in modules}
-        # Module name (by file stem and by dotted tail) -> index, for
-        # resolving ``from .simulation import x`` style cross-module edges.
-        by_stem: dict[str, _ModuleIndex] = {}
-        for index in indexes.values():
-            by_stem[index.module.path.stem] = index
-
-        roots: list[tuple[_ModuleIndex, str]] = []
-        for index in indexes.values():
-            yield from self._check_submit_sites(index, roots)
-
-        reachable = self._walk(roots, by_stem)
-        for index, class_name in sorted(
-            reachable["classes"],
-            key=lambda item: (item[0].module.rel_path, item[1]),
-        ):
-            node = index.classes.get(class_name)
-            if node is not None:
-                yield from self._check_dataclass(index.module, node)
-
-    # -- roots -------------------------------------------------------------------
-
-    def _check_submit_sites(
-        self, index: _ModuleIndex, roots: list[tuple[_ModuleIndex, str]]
-    ) -> Iterator[Finding]:
-        module = index.module
-        for function in ast.walk(module.tree):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    def check_dataflow(self, project: Project) -> Iterator[Finding]:
+        roots: list[FunctionInfo] = []
+        for site in project.submit_sites():
+            if site.kind != "process":
                 continue
-            pools = _process_pool_names(function)
-            if not pools:
-                continue
-            nested = {
-                child.name
-                for child in ast.walk(function)
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and child is not function
-            }
-            for node in ast.walk(function):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("submit", "map")
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in pools
-                    and node.args
-                ):
-                    continue
-                target = node.args[0]
-                if isinstance(target, ast.Lambda):
+            module = site.module.source
+            target = site.target
+            if isinstance(target, ast.Lambda):
+                yield module.finding(
+                    self.code,
+                    target,
+                    "lambda submitted to a ProcessPoolExecutor cannot be "
+                    "pickled; use a module-level function",
+                )
+            elif isinstance(target, ast.Name):
+                if site.nested_target() is not None:
                     yield module.finding(
                         self.code,
                         target,
-                        "lambda submitted to a ProcessPoolExecutor cannot be "
-                        "pickled; use a module-level function",
+                        f"nested function {target.id!r} submitted to a "
+                        "ProcessPoolExecutor cannot be pickled; hoist it "
+                        "to module level",
                     )
-                elif isinstance(target, ast.Name):
-                    if target.id in nested:
-                        yield module.finding(
-                            self.code,
-                            target,
-                            f"nested function {target.id!r} submitted to a "
-                            "ProcessPoolExecutor cannot be pickled; hoist it "
-                            "to module level",
-                        )
-                    elif target.id in index.functions:
-                        roots.append((index, target.id))
+                elif target.id in site.module.functions:
+                    roots.append(site.module.functions[target.id])
 
-    # -- reachability ------------------------------------------------------------
-
-    def _walk(
-        self,
-        roots: list[tuple[_ModuleIndex, str]],
-        by_stem: dict[str, _ModuleIndex],
-    ) -> dict[str, set]:
-        seen_functions: set[tuple[str, str]] = set()
-        seen_classes: set[tuple[str, str]] = set()
-        reachable_classes: list[tuple[_ModuleIndex, str]] = []
-        queue: list[tuple[_ModuleIndex, ast.AST, str]] = [
-            (index, index.functions[name], name) for index, name in roots
-        ]
-        while queue:
-            index, function, qualname = queue.pop()
-            key = (index.module.rel_path, qualname)
-            if key in seen_functions:
-                continue
-            seen_functions.add(key)
-            for name in sorted(_referenced_names(function)):
-                resolved = self._resolve(index, name, by_stem)
-                if resolved is None:
-                    continue
-                target_index, kind, target_name = resolved
-                if kind == "function":
-                    queue.append(
-                        (
-                            target_index,
-                            target_index.functions[target_name],
-                            target_name,
-                        )
-                    )
-                else:
-                    class_key = (target_index.module.rel_path, target_name)
-                    if class_key in seen_classes:
-                        continue
-                    seen_classes.add(class_key)
-                    reachable_classes.append((target_index, target_name))
-                    class_node = target_index.classes[target_name]
-                    for statement in class_node.body:
-                        if isinstance(
-                            statement, (ast.FunctionDef, ast.AsyncFunctionDef)
-                        ):
-                            queue.append(
-                                (
-                                    target_index,
-                                    statement,
-                                    f"{target_name}.{statement.name}",
-                                )
-                            )
-        return {"classes": reachable_classes}
-
-    @staticmethod
-    def _resolve(
-        index: _ModuleIndex, name: str, by_stem: dict[str, _ModuleIndex]
-    ) -> "tuple[_ModuleIndex, str, str] | None":
-        if name in index.functions:
-            return (index, "function", name)
-        if name in index.classes:
-            return (index, "class", name)
-        imported = index.imports.get(name)
-        if imported is None:
-            return None
-        parts = imported.split(".")
-        # ``from .capacity import Flow`` -> ["capacity", "Flow"]; the module
-        # part resolves by file stem within the linted set.
-        if len(parts) >= 2:
-            target = by_stem.get(parts[-2])
-            symbol = parts[-1]
-            if target is not None:
-                if symbol in target.functions:
-                    return (target, "function", symbol)
-                if symbol in target.classes:
-                    return (target, "class", symbol)
-        return None
+        for info in _reachable_classes(project, roots):
+            module = project.modules[info.module].source
+            yield from self._check_dataclass(module, info.node)
 
     # -- payload checks ----------------------------------------------------------
 
@@ -326,3 +171,31 @@ class PicklabilityRule(ProjectRule):
                                     f"{node.name!r} defaults to "
                                     f"{text}(), which does not pickle",
                                 )
+
+
+def _reachable_classes(
+    project: Project, roots: list[FunctionInfo]
+) -> list[ClassInfo]:
+    """Every class the roots reach through referenced names, sorted."""
+    seen: set[tuple[str, str]] = set()
+    reachable: dict[tuple[str, str], ClassInfo] = {}
+    queue = list(roots)
+    while queue:
+        function = queue.pop()
+        key = (function.module, function.qualname)
+        if key in seen:
+            continue
+        seen.add(key)
+        module = project.modules[function.module]
+        for name in sorted(_referenced_names(function.node)):
+            resolved = project.resolve_name(module, name)
+            if resolved is None:
+                continue
+            kind, target, symbol = resolved
+            if kind == "function":
+                queue.append(target.functions[symbol])
+            elif (target.rel_path, symbol) not in reachable:
+                info = target.classes[symbol]
+                reachable[(target.rel_path, symbol)] = info
+                queue.extend(info.methods.values())
+    return [reachable[key] for key in sorted(reachable)]

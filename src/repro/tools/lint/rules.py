@@ -4,17 +4,13 @@
 import-and-inspect registry conformance checks
 (:mod:`repro.tools.lint.registries`).  ``RPL000`` (unused suppression) and
 ``RPL099`` (unparsable module) are engine-level and always active.
-
-``RULESET_VERSION`` feeds the incremental cache key: bump it whenever a
-rule's behaviour changes so stale cached findings are discarded rather
-than replayed.
 """
 
 from __future__ import annotations
 
 from .dataclass_hygiene import DataclassHygieneRule
 from .determinism import DeterminismRule
-from .engine import ModuleRule, ProjectRule
+from .engine import DataflowRule, ModuleRule
 from .executor_races import ExecutorRaceRule
 from .float_loops import FloatLoopRule
 from .merge_safety import MergeSafetyRule
@@ -23,10 +19,7 @@ from .picklability import PicklabilityRule
 from .seed_provenance import SeedProvenanceRule
 from .shared_state import SharedStateRule
 
-__all__ = ["all_rules", "RULE_CATALOGUE", "RULESET_VERSION"]
-
-#: Bump on any rule behaviour change; part of the lint cache key.
-RULESET_VERSION = "2026.08-rpl009"
+__all__ = ["all_rules", "RULE_CATALOGUE"]
 
 #: code -> one-line description, for --help style listings and docs.
 RULE_CATALOGUE: dict[str, str] = {
@@ -48,18 +41,18 @@ RULE_CATALOGUE: dict[str, str] = {
 }
 
 
-def all_rules() -> "tuple[list[ModuleRule], list[ProjectRule]]":
+def all_rules() -> "tuple[list[ModuleRule], list[DataflowRule]]":
     """Fresh instances of every AST rule (module-level, project-level)."""
     module_rules: list[ModuleRule] = [
         DeterminismRule(),
+        SharedStateRule(),
         FloatLoopRule(),
         DataclassHygieneRule(),
         PerFlowLoopRule(),
         MergeSafetyRule(),
     ]
-    project_rules: list[ProjectRule] = [
+    project_rules: list[DataflowRule] = [
         PicklabilityRule(),
-        SharedStateRule(),
         SeedProvenanceRule(),
         ExecutorRaceRule(),
     ]

@@ -1,20 +1,14 @@
 """RPL003 -- shared mutable state on sweep paths.
 
-Two sub-checks, both descendants of real bugs:
+A module-level dict/list/set mutated from function bodies is cross-scenario
+shared state: results then depend on evaluation order, which the
+serial/thread/process equivalence guarantee forbids.  Registration at
+import time (the ``ALLOCATORS``/``BACKENDS`` registry idiom -- module-level
+statements) is allowed; mutation from inside a ``def`` is flagged.
 
-* **Module-level mutable containers mutated inside functions.**  A module
-  dict/list/set mutated from function bodies is cross-scenario shared state:
-  results then depend on evaluation order, which the serial/thread/process
-  equivalence guarantee forbids.  Registration at import time (the
-  ``ALLOCATORS``/``BACKENDS`` registry idiom -- module-level statements) is
-  allowed; mutation from inside a ``def`` is flagged.
-
-* **Cache classes whose ``reset()`` is never invoked.**  The
-  ``_SharedRouteCache`` bug class: a per-snapshot cache object that survives
-  the step boundary because nobody calls its ``reset()``.  Any class that
-  both (a) defines a ``reset`` method and (b) initialises mutable container
-  state in ``__init__`` must have at least one ``.reset()`` call site
-  somewhere in a linted module that defines or imports the class.
+The ``_SharedRouteCache`` bug class -- a cache object written from
+executor workers without a lock -- is caught interprocedurally by RPL008
+(:mod:`repro.tools.lint.executor_races`).
 """
 
 from __future__ import annotations
@@ -22,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .engine import Finding, ModuleSource, ProjectRule
+from .engine import Finding, ModuleRule, ModuleSource
 
 __all__ = ["SharedStateRule"]
 
@@ -121,107 +115,22 @@ def _mutations_of(function: ast.AST, names: set[str]) -> Iterator[tuple[ast.AST,
                     yield node, target.value.id
 
 
-class _ResetCacheInfo:
-    """One class defining reset() + mutable __init__ state."""
-
-    def __init__(self, module: ModuleSource, node: ast.ClassDef):
-        self.module = module
-        self.node = node
-
-
-def _reset_cache_classes(module: ModuleSource) -> Iterator[_ResetCacheInfo]:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        methods = {
-            statement.name: statement
-            for statement in node.body
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if "reset" not in methods or "__init__" not in methods:
-            continue
-        def _self_attribute_targets(statement: ast.AST) -> list[ast.AST]:
-            if isinstance(statement, ast.Assign):
-                return statement.targets
-            if isinstance(statement, ast.AnnAssign):
-                return [statement.target]
-            return []
-
-        has_mutable_state = any(
-            any(
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-                for target in _self_attribute_targets(statement)
-            )
-            and getattr(statement, "value", None) is not None
-            and _is_mutable_container(statement.value)
-            for statement in ast.walk(methods["__init__"])
-        )
-        if has_mutable_state:
-            yield _ResetCacheInfo(module, node)
-
-
-def _reset_call_sites(module: ModuleSource, class_name: str) -> bool:
-    """True if the module calls ``.reset()`` outside the class itself."""
-    class_ranges = [
-        (node.lineno, max(node.lineno, getattr(node, "end_lineno", node.lineno)))
-        for node in ast.walk(module.tree)
-        if isinstance(node, ast.ClassDef) and node.name == class_name
-    ]
-    for node in ast.walk(module.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "reset"
-        ):
-            line = node.lineno
-            if not any(start <= line <= end for start, end in class_ranges):
-                return True
-    return False
-
-
-class SharedStateRule(ProjectRule):
+class SharedStateRule(ModuleRule):
     code = "RPL003"
     name = "shared-mutable-state"
-    description = (
-        "no function-scope mutation of module globals; caches with reset() "
-        "must actually be reset"
-    )
+    description = "no function-scope mutation of module-level containers"
 
-    def check_project(self, modules: list[ModuleSource]) -> Iterator[Finding]:
-        for module in modules:
-            names = _module_level_containers(module.tree)
-            if names:
-                for function in _function_bodies(module.tree):
-                    for site, name in _mutations_of(function, names):
-                        yield module.finding(
-                            self.code,
-                            site,
-                            f"module-level mutable {name!r} is mutated inside "
-                            "a function; shared state leaks across scenarios "
-                            "-- register at import time or pass state "
-                            "explicitly",
-                        )
-        # reset() liveness: a cache class counts as reset if any module that
-        # defines or imports it has a .reset() call site outside the class.
-        for module in modules:
-            for info in _reset_cache_classes(module):
-                class_name = info.node.name
-                consumers = [
-                    candidate
-                    for candidate in modules
-                    if candidate is module or class_name in candidate.text
-                ]
-                if not any(
-                    _reset_call_sites(candidate, class_name)
-                    for candidate in consumers
-                ):
-                    yield module.finding(
-                        self.code,
-                        info.node,
-                        f"cache class {class_name!r} defines reset() over "
-                        "mutable state but no linted module ever calls it; "
-                        "per-step caches must be reset when the snapshot "
-                        "advances",
-                    )
+    def check(self, module: ModuleSource) -> Iterator[Finding]:
+        names = _module_level_containers(module.tree)
+        if not names:
+            return
+        for function in _function_bodies(module.tree):
+            for site, name in _mutations_of(function, names):
+                yield module.finding(
+                    self.code,
+                    site,
+                    f"module-level mutable {name!r} is mutated inside "
+                    "a function; shared state leaks across scenarios "
+                    "-- register at import time or pass state "
+                    "explicitly",
+                )

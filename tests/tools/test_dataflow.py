@@ -12,11 +12,9 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.tools.lint import Finding, ImportGraph, LintRunner, all_rules, run_lint
-from repro.tools.lint.importgraph import RawImport, module_imports
+from repro.tools.lint import Finding, ImportGraph, LintRunner, all_rules
+from repro.tools.lint.importgraph import module_imports
 import ast
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def lint_tree(tmp_path: Path, sources: dict[str, str]) -> list[Finding]:
@@ -90,23 +88,6 @@ class TestImportGraph:
         )
         assert graph.edges["user.py"] == set()
         assert graph.edges["precise.py"] == {"one/grid.py"}
-
-    def test_cycles_terminate_in_both_closures(self):
-        graph = self.graph_of(
-            {
-                "a.py": "import b\n",
-                "b.py": "import c\n",
-                "c.py": "import a\n",  # a -> b -> c -> a
-                "d.py": "",
-            }
-        )
-        assert graph.dependents_closure(["b.py"]) == {"a.py", "b.py", "c.py"}
-        assert graph.dependencies_closure(["b.py"]) == {
-            "a.py",
-            "b.py",
-            "c.py",
-        }
-        assert graph.dependents_closure(["d.py"]) == {"d.py"}
 
     def test_import_cycle_does_not_break_the_linter(self, tmp_path):
         findings = lint_tree(
@@ -515,17 +496,3 @@ class TestSuppressionsForDataflowRules:
         assert "RPL009" not in codes(findings)
         assert "RPL000" not in codes(findings)
 
-
-class TestDataflowSelfCheck:
-    def test_live_tree_is_clean_for_interprocedural_rules(self):
-        findings = run_lint(
-            [
-                str(REPO_ROOT / "src"),
-                str(REPO_ROOT / "tests"),
-                str(REPO_ROOT / "benchmarks"),
-            ],
-            select={"RPL007", "RPL008", "RPL009"},
-            registries=False,
-            root=REPO_ROOT,
-        )
-        assert findings == [], [finding.render() for finding in findings]

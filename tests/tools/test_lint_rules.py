@@ -2,8 +2,9 @@
 
 Each AST rule gets a seeded violating fixture and a clean counterpart;
 the registry layer gets a deliberately broken registry; the baseline and
-CLI get workflow tests; and a self-check asserts that linting the live
-tree matches the committed ``lint-baseline.json`` exactly.
+CLI get workflow tests; unreadable paths surface as RPL099; and a
+self-check asserts that linting the live tree matches the committed
+``lint-baseline.json`` exactly.
 """
 
 from __future__ import annotations
@@ -26,20 +27,32 @@ from repro.tools.lint import (
     run_lint,
     write_baseline,
 )
+import repro.tools.lint.engine as engine_module
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def lint_source(tmp_path: Path, source: str, name: str = "fixture.py") -> list[Finding]:
-    """Write ``source`` under ``tmp_path`` and run every rule over it."""
-    path = tmp_path / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(textwrap.dedent(source), encoding="utf-8")
+def write_tree(tmp_path: Path, sources: dict[str, str]) -> None:
+    """Write ``{rel_path: source}`` under ``tmp_path``."""
+    for rel_path, source in sources.items():
+        target = tmp_path / rel_path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(textwrap.dedent(source), encoding="utf-8")
+
+
+def lint_dir(tmp_path: Path) -> list[Finding]:
+    """Run every rule over everything under ``tmp_path``."""
     module_rules, project_rules = all_rules()
     runner = LintRunner(
         module_rules=module_rules, project_rules=project_rules, root=tmp_path
     )
     return runner.run([tmp_path])
+
+
+def lint_source(tmp_path: Path, source: str, name: str = "fixture.py") -> list[Finding]:
+    """Write ``source`` under ``tmp_path`` and run every rule over it."""
+    write_tree(tmp_path, {name: source})
+    return lint_dir(tmp_path)
 
 
 def codes(findings: list[Finding]) -> list[str]:
@@ -194,6 +207,50 @@ class TestPicklabilityRule:
         )
         assert findings == []
 
+    @pytest.mark.parametrize("sibling", ["core", "zcore"])
+    def test_payload_resolves_past_a_same_stem_module(self, tmp_path, sibling):
+        # Two linted ``metrics.py`` files: the payload must be found in the
+        # one the worker imports, whichever of the two sorts last.
+        write_tree(
+            tmp_path,
+            {
+                "pkg/obs/metrics.py": """
+                import threading
+                from dataclasses import dataclass, field
+
+
+                @dataclass
+                class Payload:
+                    lock: threading.Lock = field(default_factory=threading.Lock)
+                """,
+                f"pkg/{sibling}/metrics.py": """
+                def total():
+                    return 0
+                """,
+                "pkg/net/sweep.py": """
+                from concurrent.futures import ProcessPoolExecutor
+
+                from pkg.obs.metrics import Payload
+
+
+                def worker(item):
+                    return Payload()
+
+
+                def sweep(items):
+                    with ProcessPoolExecutor() as pool:
+                        return list(pool.map(worker, items))
+                """,
+            },
+        )
+        picklability = [
+            finding for finding in lint_dir(tmp_path) if finding.rule == "RPL002"
+        ]
+        assert [finding.path for finding in picklability] == [
+            "pkg/obs/metrics.py"
+        ]
+        assert "Payload" in picklability[0].message
+
 
 class TestSharedStateRule:
     def test_function_scope_mutation_of_module_global_flagged(self, tmp_path):
@@ -221,42 +278,6 @@ class TestSharedStateRule:
 
 
             REGISTRY["equal"] = allocate_equal
-            """,
-        )
-        assert findings == []
-
-    def test_unreset_cache_class_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class RouteCache:
-                def __init__(self):
-                    self.routes = {}
-
-                def reset(self):
-                    self.routes = {}
-
-                def lookup(self, key):
-                    return self.routes.get(key)
-            """,
-        )
-        assert codes(findings) == ["RPL003"]
-        assert "RouteCache" in findings[0].message
-
-    def test_cache_with_live_reset_call_clean(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            class RouteCache:
-                def __init__(self):
-                    self.routes = {}
-
-                def reset(self):
-                    self.routes = {}
-
-
-            def advance(cache: RouteCache):
-                cache.reset()
             """,
         )
         assert findings == []
@@ -464,6 +485,61 @@ class TestSuppressions:
     def test_unparsable_module_becomes_parse_error_finding(self, tmp_path):
         findings = lint_source(tmp_path, "def broken(:\n    pass\n")
         assert codes(findings) == ["RPL099"]
+
+
+class TestUnreadablePaths:
+    def test_undecodable_file_is_a_parse_error_finding(self, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "binary.py").write_bytes(b"\xff\xfe\x00junk")
+        findings = lint_dir(tmp_path)
+        assert [finding.rule for finding in findings] == ["RPL099"]
+        assert findings[0].path == "pkg/binary.py"
+
+    def test_permission_denied_file_is_a_parse_error_finding(
+        self, tmp_path, monkeypatch
+    ):
+        write_tree(
+            tmp_path,
+            {
+                "pkg/open.py": "def f():\n    return 1\n",
+                "pkg/locked.py": "def g():\n    return 2\n",
+            },
+        )
+        real_read_text = Path.read_text
+
+        def read_text(self, *args, **kwargs):
+            # The suite runs as root, where chmod 000 still reads fine;
+            # simulate the EACCES the engine must surface.
+            if self.name == "locked.py":
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", read_text)
+        findings = lint_dir(tmp_path)
+        assert [finding.rule for finding in findings] == ["RPL099"]
+        assert findings[0].path == "pkg/locked.py"
+        assert "Permission denied" in findings[0].message
+
+    def test_unlistable_directory_is_a_parse_error_finding(
+        self, tmp_path, monkeypatch
+    ):
+        write_tree(tmp_path, {"pkg/mod.py": "def f():\n    return 1\n"})
+        real_walk = engine_module.os.walk
+
+        def walk(top, onerror=None, **kwargs):
+            if onerror is not None:
+                onerror(
+                    PermissionError(
+                        13, "Permission denied", str(Path(top) / "secret")
+                    )
+                )
+            return real_walk(top, onerror=onerror, **kwargs)
+
+        monkeypatch.setattr(engine_module.os, "walk", walk)
+        findings = lint_dir(tmp_path)
+        assert [finding.rule for finding in findings] == ["RPL099"]
+        assert findings[0].path.endswith("secret")
+        assert "could not be read" in findings[0].message
 
 
 class TestRegistryConformance:
@@ -686,6 +762,41 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["no_such_dir.txt", "--no-registries"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_stale_baseline_prints_regeneration_hint(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self.write_fixture(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["pkg", "--no-registries", "--write-baseline"]) == 0
+        # Fix the violation: the baseline entry goes stale and the CLI
+        # must print the exact regeneration command and the new size.
+        self.write_fixture(tmp_path, source="def tidy():\n    return 1\n")
+        capsys.readouterr()
+        assert main(["pkg", "--no-registries"]) == 1
+        out = capsys.readouterr().out
+        assert "python -m repro.tools.lint pkg --write-baseline" in out
+        assert "down by 1" in out
+
+    def test_github_format_emits_annotations(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self.write_fixture(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert (
+            main(
+                [
+                    "pkg",
+                    "--no-registries",
+                    "--no-baseline",
+                    "--format=github",
+                ]
+            )
+            == 1
+        )
+        out = capsys.readouterr().out
+        assert "::error file=pkg/mod.py,line=" in out
+        assert "title=repro-lint RPL001::" in out
 
 
 class TestSelfCheck:
