@@ -27,6 +27,7 @@ from repro.tools.lint import (
     run_lint,
     write_baseline,
 )
+import repro.tools.lint.dataflow as dataflow_module
 import repro.tools.lint.engine as engine_module
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -251,6 +252,260 @@ class TestPicklabilityRule:
         ]
         assert "Payload" in picklability[0].message
 
+    LOCKED_PAYLOAD = """
+    import threading
+    from dataclasses import dataclass, field
+
+
+    @dataclass
+    class Payload:
+        lock: threading.Lock = field(default_factory=threading.Lock)
+    """
+
+    def rpl002(self, tmp_path: Path) -> list[Finding]:
+        return [
+            finding for finding in lint_dir(tmp_path) if finding.rule == "RPL002"
+        ]
+
+    def test_payload_reached_through_relative_import(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/payloads.py": self.LOCKED_PAYLOAD,
+                "pkg/sweep.py": """
+                from concurrent.futures import ProcessPoolExecutor
+
+                from .payloads import Payload
+
+
+                def worker(item):
+                    return Payload()
+
+
+                def sweep(items):
+                    with ProcessPoolExecutor() as pool:
+                        return list(pool.map(worker, items))
+                """,
+            },
+        )
+        picklability = self.rpl002(tmp_path)
+        assert [finding.path for finding in picklability] == ["pkg/payloads.py"]
+
+    def test_payload_reached_through_a_helper_in_another_module(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "payloads.py": self.LOCKED_PAYLOAD,
+                "helpers.py": """
+                from payloads import Payload
+
+
+                def build(item):
+                    return Payload()
+                """,
+                "sweep.py": """
+                from concurrent.futures import ProcessPoolExecutor
+
+                from helpers import build
+
+
+                def worker(item):
+                    return build(item)
+
+
+                def sweep(items):
+                    with ProcessPoolExecutor() as pool:
+                        return [pool.submit(worker, item) for item in items]
+                """,
+            },
+        )
+        picklability = self.rpl002(tmp_path)
+        assert [finding.path for finding in picklability] == ["payloads.py"]
+        assert "'lock'" in picklability[0].message
+
+    def test_methods_of_a_reachable_class_join_the_walk(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            import threading
+            from concurrent.futures import ProcessPoolExecutor
+            from dataclasses import dataclass, field
+
+
+            @dataclass
+            class Payload:
+                lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+            class Runner:
+                def result(self):
+                    return Payload()
+
+
+            def worker(item):
+                return Runner().result()
+
+
+            def sweep(items):
+                with ProcessPoolExecutor() as pool:
+                    return list(pool.map(worker, items))
+            """,
+        )
+        assert codes(findings) == ["RPL002"]
+        assert "'Payload'" in findings[0].message
+
+    def test_graph_and_handle_fields_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            from concurrent.futures import ProcessPoolExecutor
+            from dataclasses import dataclass
+            from typing import TextIO
+
+            import networkx as nx
+
+
+            @dataclass
+            class Payload:
+                graph: nx.Graph
+                log: TextIO
+
+
+            def worker(payload: "Payload") -> int:
+                return 0
+
+
+            def sweep(items):
+                with ProcessPoolExecutor() as pool:
+                    return [pool.submit(worker, item) for item in items]
+            """,
+        )
+        assert codes(findings) == ["RPL002", "RPL002"]
+        assert "'graph'" in findings[0].message
+        assert "'log'" in findings[1].message
+
+    def test_lambda_default_factory_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            from concurrent.futures import ProcessPoolExecutor
+            from dataclasses import dataclass, field
+
+
+            @dataclass
+            class Payload:
+                tags: list = field(default_factory=lambda: ["a"])
+
+
+            def worker(payload: Payload) -> int:
+                return len(payload.tags)
+
+
+            def sweep(items):
+                with ProcessPoolExecutor() as pool:
+                    return list(pool.map(worker, items))
+            """,
+        )
+        assert codes(findings) == ["RPL002"]
+        assert "lambda default_factory" in findings[0].message
+
+    def test_classvar_lock_is_exempt(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            import threading
+            from concurrent.futures import ProcessPoolExecutor
+            from dataclasses import dataclass
+            from typing import ClassVar
+
+
+            @dataclass
+            class Payload:
+                weight: float
+                guard: ClassVar[threading.Lock] = threading.Lock()
+
+
+            def worker(payload: Payload) -> float:
+                return payload.weight
+
+
+            def sweep(items):
+                with ProcessPoolExecutor() as pool:
+                    return list(pool.map(worker, items))
+            """,
+        )
+        assert findings == []
+
+    def test_unreachable_dataclass_is_not_checked(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            import threading
+            from concurrent.futures import ProcessPoolExecutor
+            from dataclasses import dataclass, field
+
+
+            @dataclass
+            class Coordinator:
+                lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+            def worker(item: int) -> int:
+                return item * 2
+
+
+            def sweep(items):
+                with ProcessPoolExecutor() as pool:
+                    return list(pool.map(worker, items))
+            """,
+        )
+        assert findings == []
+
+    def test_payload_shipped_only_to_threads_is_exempt(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "payloads.py": self.LOCKED_PAYLOAD,
+                "sweep.py": """
+                from concurrent.futures import ThreadPoolExecutor
+
+                from payloads import Payload
+
+
+                def worker(item):
+                    return Payload()
+
+
+                def sweep(items):
+                    with ThreadPoolExecutor() as pool:
+                        return list(pool.map(worker, items))
+                """,
+            },
+        )
+        assert self.rpl002(tmp_path) == []
+
+    def test_pool_bound_by_assignment_is_a_root(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            from concurrent.futures import ProcessPoolExecutor
+
+
+            def sweep(items):
+                def inner(x):
+                    return x
+
+                pool = ProcessPoolExecutor()
+                try:
+                    return list(pool.map(inner, items))
+                finally:
+                    pool.shutdown()
+            """,
+        )
+        assert codes(findings) == ["RPL002"]
+        assert "nested function 'inner'" in findings[0].message
+
 
 class TestSharedStateRule:
     def test_function_scope_mutation_of_module_global_flagged(self, tmp_path):
@@ -278,6 +533,47 @@ class TestSharedStateRule:
 
 
             REGISTRY["equal"] = allocate_equal
+            """,
+        )
+        assert findings == []
+
+    def test_mutator_calls_and_subscript_deletes_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            SEEN = set()
+            COUNTS = {}
+
+
+            def record(key):
+                SEEN.add(key)
+                COUNTS[key] += 1
+
+
+            def forget(key):
+                del COUNTS[key]
+            """,
+        )
+        assert codes(findings) == ["RPL003"] * 3
+        assert "'SEEN'" in findings[0].message
+        assert all("'COUNTS'" in finding.message for finding in findings[1:])
+
+    def test_parameters_and_locals_shadow_the_global(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            CACHE = {}
+
+
+            def fill(CACHE, key):
+                CACHE[key] = 1
+                return CACHE
+
+
+            def fresh(key):
+                CACHE = {}
+                CACHE[key] = 1
+                return CACHE
             """,
         )
         assert findings == []
@@ -542,6 +838,69 @@ class TestUnreadablePaths:
         assert "could not be read" in findings[0].message
 
 
+class TestRunner:
+    SUBMITTER = """
+    from concurrent.futures import ThreadPoolExecutor
+
+    from counter import worker
+
+
+    def run(items):
+        with ThreadPoolExecutor() as pool:
+            return list(pool.map(worker, items))
+    """
+
+    COUNTER = """
+    TOTAL = 0
+
+
+    def worker(item):
+        global TOTAL
+        TOTAL += item
+        return item
+    """
+
+    def test_each_run_reflects_the_current_sources(self, tmp_path):
+        # A cross-file finding lives only as long as the submit site that
+        # causes it, even when the same runner lints the tree again.
+        write_tree(tmp_path, {"app.py": self.SUBMITTER, "counter.py": self.COUNTER})
+        module_rules, project_rules = all_rules()
+        runner = LintRunner(
+            module_rules=module_rules, project_rules=project_rules, root=tmp_path
+        )
+        first = runner.run([tmp_path])
+        assert {(finding.rule, finding.path) for finding in first} == {
+            ("RPL008", "counter.py")
+        }
+        write_tree(
+            tmp_path,
+            {
+                "app.py": """
+                from counter import worker
+
+
+                def run(items):
+                    return [worker(item) for item in items]
+                """
+            },
+        )
+        assert runner.run([tmp_path]) == []
+
+    def test_one_project_per_run(self, tmp_path, monkeypatch):
+        built: list[int] = []
+
+        class CountingProject(dataflow_module.Project):
+            def __init__(self, modules):
+                built.append(len(modules))
+                super().__init__(modules)
+
+        monkeypatch.setattr(dataflow_module, "Project", CountingProject)
+        write_tree(tmp_path, {"app.py": self.SUBMITTER, "counter.py": self.COUNTER})
+        findings = lint_dir(tmp_path)
+        assert codes(findings) == ["RPL008"]
+        assert built == [2]
+
+
 class TestRegistryConformance:
     def test_live_registries_are_conformant(self):
         assert check_registries() == []
@@ -757,6 +1116,24 @@ class TestCli:
         assert main(["pkg", "--no-registries", "--format=json"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["findings"][0]["rule"] == "RPL001"
+
+    def test_json_output_is_identical_across_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self.write_fixture(tmp_path)
+        (tmp_path / "pkg" / "other.py").write_text(
+            "CACHE = {}\n\n\ndef remember(key):\n    CACHE[key] = 1\n",
+            encoding="utf-8",
+        )
+        monkeypatch.chdir(tmp_path)
+        argv = ["pkg", "--no-registries", "--no-baseline", "--format=json"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        rules = [entry["rule"] for entry in json.loads(outputs[0])["findings"]]
+        assert rules == ["RPL001", "RPL003"]
 
     def test_missing_path_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
