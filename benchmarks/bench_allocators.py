@@ -5,8 +5,9 @@ capacity allocation over per-flow python dicts -- as the dominant
 pure-python cost of congested sweeps.  The ``"*_array"`` allocators
 (:mod:`repro.network.alloc_arrays`) compile each step's routed flows into a
 sparse (flow x link) incidence system straight from the csgraph backend's
-row-index paths and run the same progressive-filling fixed point as numpy
-mask/`bincount` operations.
+row-index paths; proportional scaling is a few ``bincount`` products and
+max-min is incremental waterfilling, whose rounds touch only per-link
+totals and the incidence rows of the flows they freeze.
 
 This benchmark times the **per-step allocation stage** -- allocator calls
 over identical flow sets routed once with the ``csgraph`` backend -- for
@@ -14,8 +15,11 @@ the dict and array implementations of both policies over a congested
 24-hour, 360-satellite scenario (demand far above capacity, so max-min
 runs deep freeze cascades), asserts the allocations agree within 1e-9, and
 asserts the array max-min clears the speedup floor (>= 3x at full size).
-The simulator itself only runs the array solvers; whole-sweep timings live
-in the end-to-end benchmark (``e2ebench``).
+Two sizes run: ``base`` (120 flows per step among 12 cities) and
+``large`` (1,000 flows per step among 60 synthetic stations), where the
+per-round cost of the max-min fixed point dominates.  The simulator itself
+only runs the array solvers; whole-sweep timings live in the end-to-end
+benchmark (``e2ebench``).
 
 Run ``pytest benchmarks/bench_allocators.py`` (add ``--smoke`` for the
 small CI configuration, ``--benchmark-json=BENCH_allocators.json`` to
@@ -25,6 +29,9 @@ record the result).
 from __future__ import annotations
 
 import time
+
+import numpy as np
+import pytest
 
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
@@ -49,6 +56,34 @@ CITIES = (
     City("Los Angeles", 34.1, -118.2, 12.5),
     City("Santiago", -33.4, -70.7, 6.2),
 )
+
+
+#: Problem sizes: name -> {smoke: configuration}.  ``stations`` is ``None``
+#: for the 12 named cities, else a count of synthetic stations.
+SIZES = {
+    "base": {
+        False: dict(satellites=360, planes=18, hours=24.0, flows=120, stations=None),
+        True: dict(satellites=120, planes=8, hours=6.0, flows=60, stations=None),
+    },
+    "large": {
+        False: dict(satellites=360, planes=18, hours=24.0, flows=1000, stations=60),
+        True: dict(satellites=120, planes=8, hours=3.0, flows=300, stations=30),
+    },
+}
+
+
+def _synthetic_cities(count: int) -> tuple[City, ...]:
+    """World-spanning stations (golden-ratio placement, seeded weights)."""
+    rng = np.random.default_rng(7)
+    golden = (1.0 + 5.0**0.5) / 2.0
+    index = np.arange(count)
+    latitudes = -55.0 + 110.0 * ((index * golden) % 1.0)
+    longitudes = -180.0 + 360.0 * ((index * golden * golden) % 1.0)
+    weights = rng.pareto(1.5, size=count) + 1.0
+    return tuple(
+        City(f"S{i:03d}", float(latitudes[i]), float(longitudes[i]), float(weights[i]))
+        for i in range(count)
+    )
 
 
 def _walker_topology(epoch: Epoch, satellites: int, planes: int) -> ConstellationTopology:
@@ -76,17 +111,18 @@ def _allocations_close(reference, candidate, tolerance: float = 1e-9) -> bool:
     )
 
 
-def _run_comparison(smoke: bool):
+def _run_comparison(smoke: bool, size: str):
+    config = SIZES[size][smoke]
     epoch = Epoch.from_calendar(2025, 3, 20, 12, 0, 0.0)
-    satellites, planes = (120, 8) if smoke else (360, 18)
-    duration_hours = 6.0 if smoke else 24.0
-    flows_per_step = 60 if smoke else 120
-    topology = _walker_topology(epoch, satellites, planes)
-    stations = [GroundStation(c.name, c.latitude_deg, c.longitude_deg) for c in CITIES]
+    duration_hours = config["hours"]
+    flows_per_step = config["flows"]
+    topology = _walker_topology(epoch, config["satellites"], config["planes"])
+    cities = CITIES if config["stations"] is None else _synthetic_cities(config["stations"])
+    stations = [GroundStation(c.name, c.latitude_deg, c.longitude_deg) for c in cities]
     # Demand far above link capacity: every step runs a deep progressive
     # filling with long freeze cascades -- the congested regime the array
     # formulation exists for.
-    model = GravityTrafficModel(cities=CITIES, total_demand=4000.0)
+    model = GravityTrafficModel(cities=cities, total_demand=4000.0)
     epochs = epoch_range(epoch, duration_hours * 3600.0, 3600.0)
     sequence = topology.snapshot_sequence(epochs, stations)
 
@@ -155,7 +191,7 @@ def _run_comparison(smoke: bool):
         )
 
     return {
-        "satellites": satellites,
+        "satellites": config["satellites"],
         "steps": len(epochs),
         "flows_per_step": flows_per_step,
         "proportional_s": stage_seconds["proportional"],
@@ -170,10 +206,11 @@ def _run_comparison(smoke: bool):
     }
 
 
-def test_allocator_speedup(benchmark, once, smoke):
+@pytest.mark.parametrize("size", sorted(SIZES))
+def test_allocator_speedup(benchmark, once, smoke, size):
     allocation_floor = 1.3 if smoke else 3.0
 
-    stats = once(benchmark, _run_comparison, smoke)
+    stats = once(benchmark, _run_comparison, smoke, size)
     benchmark.extra_info.update(
         {
             key: stats[key]

@@ -14,15 +14,17 @@ whole-array numpy operations:
   flow ``f`` traverses link ``l``), held in COO form as the parallel index
   arrays ``flow_ids`` / ``link_ids`` -- one entry per traversal.
 
-Every quantity of the allocators is then a sparse matrix-vector product:
-link loads are ``A.T @ rates`` (``np.bincount`` over ``link_ids`` weighted
-by ``rates[flow_ids]``), per-link unfrozen-flow counts are ``A.T @ active``,
-and "flows touching a saturated link" is ``A @ saturated > 0``.  Max-min
-progressive filling becomes a waterfilling fixed point: the uniform
-increment is the minimum over links of headroom over active-flow count
-(and over flows of remaining demand), frozen flows are boolean masks, and
-the loop runs until the active mask empties -- at least one flow freezes
-per round, so no iteration cap is needed.
+Proportional scaling is a few sparse matrix-vector products: link loads
+are ``A.T @ rates`` (``np.bincount`` over ``link_ids`` weighted by
+``rates[flow_ids]``) and "flows touching a starved link" is
+``A @ starved > 0``.  Max-min progressive filling is incremental
+waterfilling: all unfrozen flows share one water level, so each link keeps
+its frozen load and active-flow count, updated only from the incidence rows
+of flows as they freeze (through flow->link and link->flow CSR indexes built
+per solve).  A round costs O(links + entries of newly frozen flows), and the
+uniform increment is the minimum over links of headroom over active-flow
+count (and of the least remaining demand).  At least one flow freezes per
+round, so no iteration cap is needed.
 
 Two compilation paths produce identical systems:
 
@@ -123,14 +125,6 @@ class FlowLinkSystem:
         """Return per-link load ``A.T @ rates``, shape ``(L,)``."""
         return np.bincount(
             self.link_ids, weights=rates[self.flow_ids], minlength=self.link_count
-        )
-
-    def link_counts(self, flow_mask: np.ndarray) -> np.ndarray:
-        """Return per-link count of masked flows ``A.T @ mask``, shape ``(L,)``."""
-        return np.bincount(
-            self.link_ids,
-            weights=flow_mask[self.flow_ids].astype(float),
-            minlength=self.link_count,
         )
 
     def flows_touching(self, link_mask: np.ndarray) -> np.ndarray:
@@ -495,53 +489,113 @@ def _solve_proportional(system: FlowLinkSystem) -> tuple[np.ndarray, np.ndarray]
     return allocated, utilisation
 
 
+def _group_by(keys: np.ndarray, values: np.ndarray, size: int):
+    """CSR index of ``values`` grouped by ``keys`` in ``range(size)``.
+
+    Returns ``(ptr, grouped)``: group ``k`` is ``grouped[ptr[k]:ptr[k + 1]]``,
+    in the original entry order (the sort is stable).
+    """
+    ptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
+    return ptr, values[np.argsort(keys, kind="stable")]
+
+
+def _gather(ptr: np.ndarray, grouped: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Concatenate the CSR groups ``groups`` of ``(ptr, grouped)``."""
+    if groups.size == 1:
+        return grouped[ptr[groups[0]] : ptr[groups[0] + 1]]
+    starts = ptr[groups]
+    lengths = ptr[groups + 1] - starts
+    ends = lengths.cumsum()
+    index = np.arange(ends[-1] if ends.size else 0)
+    index += (starts - ends + lengths).repeat(lengths)
+    return grouped[index]
+
+
 def _solve_max_min(
     system: FlowLinkSystem, iterations: "int | None" = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Max-min waterfilling fixed point; returns ``(rates, utilisation)``."""
+    """Max-min waterfilling fixed point; returns ``(rates, utilisation)``.
+
+    Every active flow holds the same rate, the water ``level`` (all start at
+    0 and take the same increments), so a link's load is its ``frozen_load``
+    plus ``active_count * level``.  Both per-link quantities change only when
+    flows freeze and are updated from those flows' incidence rows alone; the
+    smallest active demand is a cursor over the demand-sorted flows, and a
+    saturated link's flows are gathered once (its active count then drops
+    to 0).  A round therefore costs O(links + entries of newly frozen flows)
+    rather than O(nnz), while freezing the same flows in the same rounds as
+    full recomputation: loads agree with it to float reordering (~1e-14).
+    """
     demand, capacity = system.demand, system.capacity
-    link_count = system.link_count
-    rates = np.zeros(system.flow_count)
-    frozen = demand == 0.0
+    flow_count, link_count = system.flow_count, system.link_count
+    rates = np.zeros(flow_count)
+    active = demand != 0.0
+    flow_ptr, flow_links = _group_by(system.flow_ids, system.link_ids, flow_count)
+    link_ptr, link_flows = _group_by(system.link_ids, system.flow_ids, link_count)
+    active_count = np.bincount(
+        system.link_ids[active[system.flow_ids]], minlength=link_count
+    ).astype(float)
+    frozen_load = np.zeros(link_count)
+    by_demand = np.argsort(demand, kind="stable")
+    rank = np.empty(flow_count, dtype=np.intp)
+    rank[by_demand] = np.arange(flow_count)
+    # ``demand - 1e-9`` is monotone in ``demand``, so the flows a level
+    # satisfies form a prefix of ``by_demand``: one searchsorted per round.
+    satisfied_at = (demand - 1e-9)[by_demand]
+    active_by_demand = active[by_demand]
+    active_total = int(np.count_nonzero(active))
+    head = 0  # no active flow sorts before ``by_demand[head]``
+    level = 0.0
     rounds = 0
     while iterations is None or rounds < iterations:
         rounds += 1
-        active = ~frozen
-        if not active.any():
+        if not active_total:
             break
-        remaining = np.where(active, demand - rates, np.inf)
-        binding_flow = int(np.argmin(remaining))
-        increment = float(remaining[binding_flow])
+        head += int(active_by_demand[head:].argmax())
+        remaining = float(demand[by_demand[head]] - level)
+        increment = remaining
         binding_link: int | None = None
-        if link_count:
-            counts = system.link_counts(active)
-            load = system.link_loads(rates)
-            live = counts > 0
-            if live.any():
-                shares = np.full(link_count, np.inf)
-                shares[live] = (capacity[live] - load[live]) / counts[live]
-                candidate = int(np.argmin(shares))
-                if shares[candidate] < increment:
-                    increment = float(shares[candidate])
-                    binding_link = candidate
+        live = active_count.nonzero()[0]
+        if live.size:
+            counts = active_count[live]
+            live_capacity = capacity[live]
+            live_frozen = frozen_load[live]
+            shares = (live_capacity - (live_frozen + counts * level)) / counts
+            candidate = int(shares.argmin())
+            if shares[candidate] < increment:
+                increment = float(shares[candidate])
+                binding_link = int(live[candidate])
         if increment <= 1e-12:
             increment = 0.0
-        rates[active] += increment
-        newly = active & (rates >= demand - 1e-9)
-        if link_count:
-            saturated = system.link_loads(rates) >= capacity - 1e-9
-            newly |= active & system.flows_touching(saturated)
-        if newly.any():
-            frozen |= newly
-            continue
-        # No tolerance fired: freeze the binding constraint directly (its
-        # headroom cannot recover) instead of spinning without progress.
-        if binding_link is not None:
-            on_link = np.zeros(system.flow_count, dtype=bool)
-            on_link[system.flow_ids[system.link_ids == binding_link]] = True
-            frozen |= on_link
-        else:
-            frozen[binding_flow] = True
+        previous, level = level, level + increment
+        reach = int(satisfied_at.searchsorted(level, side="right"))
+        newly = by_demand[head:reach][active_by_demand[head:reach]]
+        if live.size:
+            saturated = live[live_frozen + counts * level >= live_capacity - 1e-9]
+            if saturated.size:
+                on_links = _gather(link_ptr, link_flows, saturated)
+                newly = np.union1d(newly, on_links[active[on_links]])
+        if not newly.size:
+            # No tolerance fired: freeze the binding constraint directly
+            # (its headroom cannot recover) instead of spinning without
+            # progress.  The binding flow is the lowest-index active flow
+            # of least remaining demand, as a full argmin would pick.
+            if binding_link is not None:
+                on_link = link_flows[link_ptr[binding_link] : link_ptr[binding_link + 1]]
+                newly = np.unique(on_link[active[on_link]])
+            else:
+                tail = by_demand[head:]
+                tied = tail[active[tail] & (demand[tail] - previous == remaining)]
+                newly = np.array([tied.min()])
+        active[newly] = False
+        active_by_demand[rank[newly]] = False
+        active_total -= newly.size
+        rates[newly] = level
+        hits = np.bincount(_gather(flow_ptr, flow_links, newly), minlength=link_count)
+        active_count -= hits
+        frozen_load += hits * level
+    rates[active] = level
 
     utilisation = np.zeros(link_count)
     if link_count:
@@ -570,13 +624,16 @@ def allocate_max_min_array(
 ) -> AllocationResult:
     """Array-native max-min waterfilling; see :func:`allocate_max_min`.
 
-    Each round is a handful of sparse matrix-vector products over the
-    incidence arrays: the uniform increment is the minimum of remaining
-    demands and per-link headroom-over-active-count shares (clamped at 0 --
-    accumulated tolerance must never drive rates down), freezes are boolean
-    mask updates, and when the float tolerances miss the binding constraint
-    it is frozen directly, so every round retires at least one flow and the
-    loop terminates without an iteration cap.
+    Incremental waterfilling over the incidence arrays: each round raises
+    the shared level of the unfrozen flows by the minimum of the least
+    remaining demand and the per-link headroom-over-active-count shares
+    (clamped at 0 -- accumulated tolerance must never drive rates down),
+    then freezes flows that met their demand or cross a saturated link,
+    touching only per-link totals and the rows of the flows it freezes.
+    When the float tolerances miss the binding constraint it is frozen
+    directly, so every round retires at least one flow and the loop
+    terminates without an iteration cap.  Rates agree with the dict
+    reference to float reordering (~1e-14).
     """
     system = compile_flow_link_system(capacity_graph, flows)
     return _result(system, *_solve_max_min(system, iterations))

@@ -7,9 +7,10 @@ on; the runner builds one :class:`Project` per run:
   functions, classes with their methods, import tables, and the
   :class:`~repro.tools.lint.importgraph.ImportGraph` tying files together.
 * **Name resolution** (:meth:`Project.resolve_name`) -- local definitions
-  first, then the import table routed through the import graph (so
-  ``from ..network.capacity import Flow`` lands on the linted file), with
-  a match on the module's file stem as the last resort.
+  first, then the import table routed through the import graph with each
+  import's relative level (so ``from ..network.capacity import Flow`` lands
+  on the linted file, and ``from .metrics import X`` on the importer's own
+  package's ``metrics.py`` however many such files are linted).
 * **Caller index** (:meth:`Project.callers_of`) -- the *reverse* call
   graph: every call site whose target resolves to a given function,
   including constructor calls (``Flow(...)`` -> ``Flow.__init__``) and
@@ -126,14 +127,42 @@ class ClassInfo:
         ]
 
 
+def _import_levels(tree: ast.Module) -> dict[str, int]:
+    """Relative level of the import binding each local name.
+
+    Absolute imports read 0.  Walks imports in the order
+    :func:`~repro.tools.lint.astutil.import_table` does, so the later of two
+    bindings of one name wins in both tables; that table keeps only the
+    dotted path, which cannot place ``from .metrics import X`` on its own.
+    """
+    levels: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                levels[alias.asname or alias.name.split(".")[0]] = 0
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name != "*":
+                    levels[alias.asname or alias.name] = node.level or 0
+    return levels
+
+
 class ModuleInfo:
     """Index of one module: defs, classes, imports."""
 
-    __slots__ = ("source", "imports", "functions", "classes", "raw_imports")
+    __slots__ = (
+        "source",
+        "imports",
+        "import_levels",
+        "functions",
+        "classes",
+        "raw_imports",
+    )
 
     def __init__(self, source: ModuleSource):
         self.source = source
         self.imports = import_table(source.tree)
+        self.import_levels = _import_levels(source.tree)
         self.raw_imports = module_imports(source.tree)
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
@@ -146,6 +175,19 @@ class ModuleInfo:
                 self.classes[statement.name] = ClassInfo(
                     statement, source.rel_path
                 )
+
+    def raw_import(self, local: str, attribute: str = "") -> "RawImport | None":
+        """The import binding ``local``, extended by ``.attribute`` if given.
+
+        Keeps the relative level, so ``from .metrics import X`` resolves
+        against this module's own package.
+        """
+        dotted = self.imports.get(local)
+        if dotted is None:
+            return None
+        if attribute:
+            dotted = f"{dotted}.{attribute}"
+        return RawImport(dotted, self.import_levels.get(local, 0))
 
     @property
     def rel_path(self) -> str:
@@ -287,9 +329,6 @@ class Project:
         self.import_graph = ImportGraph.build(
             {info.rel_path: info.raw_imports for info in self.modules.values()}
         )
-        self._by_stem: dict[str, ModuleInfo] = {}
-        for info in self.modules.values():
-            self._by_stem[info.source.path.stem] = info
         self._caller_index: "dict[tuple[str, str], list[CallSite]] | None" = None
 
     # -- name resolution ---------------------------------------------------------
@@ -300,36 +339,25 @@ class Project:
         """Resolve ``name`` in ``module`` to ``(kind, module, symbol)``.
 
         ``kind`` is ``"function"`` or ``"class"``.  Local definitions win;
-        imported names route through the import graph; a file-stem match
-        covers spellings the graph cannot place.
+        imported names route through the import graph, relative imports
+        with their level.
         """
         if name in module.functions:
             return ("function", module, name)
         if name in module.classes:
             return ("class", module, name)
-        imported = module.imports.get(name)
-        if imported is None:
+        raw = module.raw_import(name)
+        if raw is None:
             return None
-        target_file = self.import_graph.resolve(
-            module.rel_path, RawImport(imported, 0)
-        )
-        symbol = imported.split(".")[-1]
-        if target_file is not None and target_file in self.modules:
-            target = self.modules[target_file]
-            if symbol in target.functions:
-                return ("function", target, symbol)
-            if symbol in target.classes:
-                return ("class", target, symbol)
-        # By-stem fallback: ``from .simulation import x`` styles whose
-        # module part matches a linted file stem.
-        parts = imported.split(".")
-        if len(parts) >= 2:
-            target = self._by_stem.get(parts[-2])
-            if target is not None:
-                if symbol in target.functions:
-                    return ("function", target, symbol)
-                if symbol in target.classes:
-                    return ("class", target, symbol)
+        target_file = self.import_graph.resolve(module.rel_path, raw)
+        if target_file is None or target_file not in self.modules:
+            return None
+        target = self.modules[target_file]
+        symbol = raw.name.split(".")[-1]
+        if symbol in target.functions:
+            return ("function", target, symbol)
+        if symbol in target.classes:
+            return ("class", target, symbol)
         return None
 
     def resolve_class(
@@ -467,11 +495,9 @@ class Project:
             class_info = self._infer_local_class(module, caller, base)
         if class_info is None:
             # ``Module.function(...)`` via an imported module name.
-            imported = module.imports.get(base)
-            if imported is not None:
-                target_file = self.import_graph.resolve(
-                    module.rel_path, RawImport(f"{imported}.{method_name}", 0)
-                )
+            raw = module.raw_import(base, method_name)
+            if raw is not None:
+                target_file = self.import_graph.resolve(module.rel_path, raw)
                 if target_file is not None:
                     target = self.modules.get(target_file)
                     if target is not None and method_name in target.functions:

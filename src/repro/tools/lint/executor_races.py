@@ -53,7 +53,6 @@ from .dataflow import (
     SubmitSite,
     bind_arguments,
 )
-from .importgraph import RawImport
 from .shared_state import _MUTATORS, _module_level_containers
 
 __all__ = ["ExecutorRaceRule"]
@@ -235,7 +234,7 @@ class ExecutorRaceRule(DataflowRule):
             if local != symbol:
                 continue  # aliased or whole-module imports mutate via attrs
             target_file = project.import_graph.resolve(
-                module.rel_path, RawImport(dotted, 0)
+                module.rel_path, module.raw_import(local)
             )
             target = (
                 project.modules.get(target_file)

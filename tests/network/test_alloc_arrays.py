@@ -1,6 +1,6 @@
 """Tests of the array-native allocation engine and the max-min bugfixes.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * **equivalence** -- on random graphs (congested, zero-capacity,
   zero-demand, staggered freeze orderings) the array allocators must match
@@ -10,6 +10,9 @@ Three layers of guarantees:
   100) and to spin without progress once the increment hit zero while
   flows were unfrozen; the negative-headroom clamp must keep rates from
   ever decreasing;
+* **workload scale** -- thousands of routed flows on a real snapshot,
+  compiled as the simulator compiles a step, must match the dict reference
+  (also under an iteration cap) and satisfy the solver certificates;
 * **integration** -- array-solver sweeps must hit congestion and stay
   bit-identical across serial/thread/process executors.
 """
@@ -31,8 +34,10 @@ from repro.network.alloc_arrays import (
     compile_flow_link_system,
     compile_system_from_rows,
 )
+from repro.network.backends import bulk_path_rows_many
 from repro.network.capacity import (
     ALLOCATORS,
+    AllocationResult,
     Flow,
     _link_key,
     allocate_max_min,
@@ -40,6 +45,7 @@ from repro.network.capacity import (
     get_allocator,
 )
 from repro.network.ground_station import GroundStation
+from repro.network.routing import SnapshotRouter
 from repro.network.simulation import NetworkSimulator, Scenario
 from repro.network.topology import ConstellationTopology
 
@@ -146,6 +152,31 @@ class TestEquivalenceOnRandomGraphs:
             allocate_max_min_array(graph, flows)
 
 
+def _assert_feasible(system: FlowLinkSystem, rates: np.ndarray) -> None:
+    """Rates within demand and non-negative; loads within capacity."""
+    assert np.all(rates >= 0.0)
+    assert np.all(rates <= system.demand + 1e-9)
+    load = system.link_loads(rates)
+    assert np.all(load <= np.maximum(system.capacity, 0.0) + 1e-9)
+
+
+def _assert_max_min_bottlenecks(system: FlowLinkSystem, rates: np.ndarray) -> None:
+    """Every flow below its demand crosses a saturated link on which no
+    other flow gets a larger rate."""
+    load = system.link_loads(rates)
+    saturated = load >= system.capacity - 1e-9
+    largest = np.zeros(system.link_count)
+    np.maximum.at(largest, system.link_ids, rates[system.flow_ids])
+    bottleneck = saturated[system.link_ids] & (
+        rates[system.flow_ids] >= largest[system.link_ids] - 1e-9
+    )
+    has_bottleneck = np.bincount(
+        system.flow_ids, weights=bottleneck, minlength=system.flow_count
+    ) > 0
+    unsatisfied = np.flatnonzero(rates < system.demand - 1e-9)
+    assert np.all(has_bottleneck[unsatisfied]), unsatisfied[~has_bottleneck[unsatisfied]]
+
+
 class TestSolverCertificates:
     """Invariants every allocation must satisfy, checked without a second
     implementation: conservation, capacity feasibility and, for max-min,
@@ -157,25 +188,25 @@ class TestSolverCertificates:
         graph, flows = _random_problem(seed, congestion=3.0)
         system = compile_flow_link_system(graph, flows)
         rates, _ = ARRAY_SOLVERS[solver](system)
-        assert np.all(rates >= 0.0)
-        assert np.all(rates <= system.demand + 1e-9)
-        load = system.link_loads(rates)
-        assert np.all(load <= np.maximum(system.capacity, 0.0) + 1e-9)
+        _assert_feasible(system, rates)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_max_min_bottleneck_certificate(self, seed):
-        """Every flow below its demand crosses a saturated link on which no
-        other flow gets a larger rate."""
         graph, flows = _random_problem(seed, congestion=3.0)
         system = compile_flow_link_system(graph, flows)
         rates, _ = ARRAY_SOLVERS["max_min_array"](system)
-        load = system.link_loads(rates)
-        saturated = load >= system.capacity - 1e-9
-        largest = np.zeros(system.link_count)
-        np.maximum.at(largest, system.link_ids, rates[system.flow_ids])
-        for flow in np.flatnonzero(rates < system.demand - 1e-9):
-            links = system.link_ids[system.flow_ids == flow]
-            assert np.any(saturated[links] & (rates[flow] >= largest[links] - 1e-9)), flow
+        _assert_max_min_bottlenecks(system, rates)
+
+    @pytest.mark.parametrize("solver", sorted(ARRAY_SOLVERS))
+    def test_allocation_is_feasible_at_workload_scale(self, workload_problem, solver):
+        system, _, _ = workload_problem
+        rates, _ = ARRAY_SOLVERS[solver](system)
+        _assert_feasible(system, rates)
+
+    def test_max_min_bottleneck_certificate_at_workload_scale(self, workload_problem):
+        system, _, _ = workload_problem
+        rates, _ = ARRAY_SOLVERS["max_min_array"](system)
+        _assert_max_min_bottlenecks(system, rates)
 
 
 class TestMaxMinRegressions:
@@ -201,6 +232,22 @@ class TestMaxMinRegressions:
             # at the uniform fill level of round three.
             assert capped.allocated_gbps["f19"] == pytest.approx(3.0)
 
+    def test_links_saturating_together_freeze_in_one_round(self):
+        """Two links filling at the same level both freeze in that round, so
+        one round later the remaining flow has already reached its demand."""
+        graph = nx.Graph()
+        graph.add_edge(0, 1, capacity_gbps=2.0)
+        graph.add_edge(2, 3, capacity_gbps=4.0)
+        graph.add_edge(4, 5, capacity_gbps=100.0)
+        flows = [Flow(f"a{k}", (0, 1), 5.0) for k in range(2)]
+        flows += [Flow(f"b{k}", (2, 3), 5.0) for k in range(4)]
+        flows.append(Flow("c", (4, 5), 10.0))
+        for allocator in (allocate_max_min, allocate_max_min_array):
+            capped = allocator(graph, flows, iterations=2)
+            assert capped.allocated_gbps["c"] == pytest.approx(10.0)
+            assert capped.allocated_gbps["a0"] == pytest.approx(1.0)
+            assert capped.allocated_gbps["b0"] == pytest.approx(1.0)
+
     def test_zero_increment_with_unfrozen_flows_terminates(self):
         """A bottleneck whose tiny positive headroom spreads below 1e-12 per
         flow never trips the absolute saturation tolerance; the allocator
@@ -222,6 +269,20 @@ class TestMaxMinRegressions:
             for k in range(member_count):
                 assert result.allocated_gbps[f"m{k}"] == pytest.approx(1.0, abs=1e-8)
             assert result.worst_link_utilisation() <= 1.0 + 1e-9
+
+    def test_demand_missed_by_rounding_freezes_the_binding_flow(self):
+        """At large magnitudes ``level + (demand - level)`` can fall an ulp
+        short of ``demand``, beyond the absolute 1e-9 tolerance, while no
+        link binds; the binding flow must then be frozen directly."""
+        small, large = 212758959.39241698, 530330166.0223189
+        assert small + (large - small) < large - 1e-9
+        graph = nx.Graph()
+        graph.add_edge(0, 1, capacity_gbps=1e12)
+        flows = [Flow("small", (0, 1), small), Flow("large", (0, 1), large)]
+        for allocator in (allocate_max_min, allocate_max_min_array):
+            result = allocator(graph, flows)
+            assert result.allocated_gbps["small"] == small
+            assert result.allocated_gbps["large"] == small + (large - small)
 
     def test_negative_headroom_never_drives_rates_down(self):
         """A (mis)configured negative-capacity link makes the raw increment
@@ -402,6 +463,91 @@ def simulator(epoch) -> NetworkSimulator:
         traffic_model=GravityTrafficModel(cities=CITIES, total_demand=400.0),
         flows_per_step=10,
     )
+
+
+@pytest.fixture(scope="module")
+def workload_problem(simulator, epoch):
+    """A step-sized max-min problem on a real snapshot.
+
+    Returns ``(system, graph, flows)``: about 2,400 random node pairs routed
+    by csgraph and compiled through :func:`compile_system_from_rows`, as the
+    simulator compiles a step, plus the equivalent label-path ``Flow``
+    objects and capacity graph for the dict reference.  Demands take a few
+    values only, so tied flows freeze together, and are scaled so that many
+    links saturate while other flows freeze at their demand.
+    """
+    edge_list = simulator.topology.snapshot_sequence(
+        [epoch], simulator.ground_stations
+    ).edge_list(0)
+    labels = edge_list.labels
+    rng = np.random.default_rng(11)
+    src = rng.integers(0, len(labels), size=2400)
+    dst = rng.integers(0, len(labels), size=2400)
+    src, dst = src[src != dst], dst[src != dst]
+    sources = np.unique(src)
+    router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
+    tables = router.routes_from_many([labels[row] for row in sources])
+    offsets, rows, _ = bulk_path_rows_many(
+        [tables[labels[row]] for row in sources], np.searchsorted(sources, src), dst
+    )
+    assert np.all(np.diff(offsets) >= 2), "every pair must be routed"
+    demand = rng.choice([0.0, 0.1, 0.2, 0.5, 1.0, 4.0], size=src.size)
+    system = compile_system_from_rows(edge_list, demand, offsets, rows, with_keys=True)
+    flows = [
+        Flow(
+            f"f{index}",
+            tuple(labels[row] for row in rows[offsets[index] : offsets[index + 1]]),
+            float(demand[index]),
+        )
+        for index in range(demand.size)
+    ]
+    return system, edge_list.graph(), flows
+
+
+def _named_result(system, flows, rates, utilisation) -> AllocationResult:
+    return AllocationResult(
+        allocated_gbps={flow.name: float(rate) for flow, rate in zip(flows, rates)},
+        link_utilisation={
+            key: float(value) for key, value in zip(system.link_keys, utilisation)
+        },
+    )
+
+
+class TestWorkloadScale:
+    """Max-min at the size of a sweep step, against the dict reference.
+
+    The random problems above hold at most 30 flows; here thousands of flows
+    freeze over dozens of rounds, in tied groups and on links saturating in
+    different rounds, which is what the incremental waterfilling state
+    (per-link frozen loads and active counts) has to get right.
+    """
+
+    def test_problem_reaches_the_incremental_bookkeeping(self, workload_problem):
+        system, _, _ = workload_problem
+        rates, utilisation = ARRAY_SOLVERS["max_min_array"](system)
+        demand = system.demand
+        assert system.flow_count >= 2000
+        assert np.unique(demand).size <= 6
+        assert np.count_nonzero(utilisation >= 1.0 - 1e-9) >= 30
+        assert np.count_nonzero(rates < demand - 1e-9) >= 500
+        assert np.count_nonzero((demand > 0.0) & (rates >= demand - 1e-9)) >= 500
+
+    def test_max_min_matches_reference(self, workload_problem):
+        system, graph, flows = workload_problem
+        _assert_results_match(
+            allocate_max_min(graph, flows),
+            _named_result(system, flows, *ARRAY_SOLVERS["max_min_array"](system)),
+        )
+
+    @pytest.mark.parametrize("iterations", [1, 2, 5, 20, 60])
+    def test_iteration_cap_matches_capped_reference(self, workload_problem, iterations):
+        system, graph, flows = workload_problem
+        _assert_results_match(
+            allocate_max_min(graph, flows, iterations=iterations),
+            _named_result(
+                system, flows, *ARRAY_SOLVERS["max_min_array"](system, iterations)
+            ),
+        )
 
 
 SCENARIOS = [

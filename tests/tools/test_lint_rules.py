@@ -252,6 +252,55 @@ class TestPicklabilityRule:
         ]
         assert "Payload" in picklability[0].message
 
+    def test_relative_import_resolves_in_the_importers_package(self, tmp_path):
+        # ``from .metrics import Payload`` names the importer's sibling
+        # module.  The other ``metrics.py`` sorts last and defines a clean
+        # ``Payload``; a lookup by file stem would land there and miss the
+        # lock.
+        write_tree(
+            tmp_path,
+            {
+                "pkg/obs/metrics.py": """
+                import threading
+                from dataclasses import dataclass, field
+
+
+                @dataclass
+                class Payload:
+                    lock: threading.Lock = field(default_factory=threading.Lock)
+                """,
+                "pkg/zcore/metrics.py": """
+                from dataclasses import dataclass
+
+
+                @dataclass(frozen=True)
+                class Payload:
+                    name: str
+                """,
+                "pkg/obs/sweep.py": """
+                from concurrent.futures import ProcessPoolExecutor
+
+                from .metrics import Payload
+
+
+                def worker(item):
+                    return Payload()
+
+
+                def sweep(items):
+                    with ProcessPoolExecutor() as pool:
+                        return list(pool.map(worker, items))
+                """,
+            },
+        )
+        picklability = [
+            finding for finding in lint_dir(tmp_path) if finding.rule == "RPL002"
+        ]
+        assert [finding.path for finding in picklability] == [
+            "pkg/obs/metrics.py"
+        ]
+        assert "Payload" in picklability[0].message
+
     LOCKED_PAYLOAD = """
     import threading
     from dataclasses import dataclass, field
