@@ -239,8 +239,7 @@ def _match_links(
     undirected link encoded as one integer, deduplicated by :func:`np.unique`
     (whose inverse yields the incidence columns), with ``positions`` indexing
     the cache's sorted code/capacity tables and ``matched`` flagging links
-    actually present in the edge list.  Shared by both row compile paths so
-    ``Flow``-object and ragged-row systems are built by the identical code.
+    actually present in the edge list.
     """
     codes = np.minimum(u, v) * cache.node_count + np.maximum(u, v)
     unique_codes, link_ids = np.unique(codes, return_inverse=True)
@@ -272,6 +271,32 @@ def _link_keys_of(cache: EdgeListCompileCache, unique_codes: np.ndarray) -> tupl
     return tuple(_link_key(labels[lo], labels[hi]) for lo, hi in zip(los, his))
 
 
+def _compile_ragged(
+    cache: EdgeListCompileCache, offsets: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Match ragged row-index paths against an edge list.
+
+    Flow ``i`` follows ``rows[offsets[i]:offsets[i + 1]]``; segments shorter
+    than two rows contribute no hops.  Returns each hop's flow id followed
+    by :func:`_match_links`' ``(unique_codes, link_ids, positions,
+    matched)``.  The one compile core of both the ``Flow``-object and the
+    ragged-row path.
+    """
+    lengths = np.diff(offsets)
+    # Hop endpoints: every row except each segment's last (u) / first (v),
+    # selected by boolean masks so the global hop order stays flow-by-flow,
+    # hop-by-hop.
+    keep_u = np.ones(rows.size, dtype=bool)
+    keep_v = np.ones(rows.size, dtype=bool)
+    nonempty = lengths > 0
+    keep_u[offsets[1:][nonempty] - 1] = False
+    keep_v[offsets[:-1][nonempty]] = False
+    flow_ids = np.repeat(
+        np.arange(lengths.size, dtype=np.intp), np.maximum(lengths - 1, 0)
+    )
+    return (flow_ids, *_match_links(cache, rows[keep_u], rows[keep_v]))
+
+
 def _compile_from_rows(
     cache: EdgeListCompileCache, flows: list[Flow]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, np.ndarray]:
@@ -288,40 +313,29 @@ def _compile_from_rows(
     should pass label paths only (the graph path validates every link).
     """
     labels = cache.labels
-    node_count = cache.node_count
-    rows_per_flow = [
-        np.asarray(flow.path_rows, dtype=np.intp) for flow in flows
-    ]
-    counts = np.fromiter(
-        (max(rows.size - 1, 0) for rows in rows_per_flow),
-        dtype=np.intp,
-        count=len(flows),
-    )
-    if rows_per_flow:
-        all_rows = np.concatenate(rows_per_flow)
-        if all_rows.size and (all_rows.min() < 0 or all_rows.max() >= node_count):
-            raise ValueError("path_rows do not index this snapshot's label table")
-        u = np.concatenate([rows[:-1] for rows in rows_per_flow])
-        v = np.concatenate([rows[1:] for rows in rows_per_flow])
-    else:
-        u = v = np.empty(0, dtype=np.intp)
-    for flow, rows in zip(flows, rows_per_flow):
-        if rows.size and (
-            labels[rows[0]] != flow.path[0] or labels[rows[-1]] != flow.path[-1]
+    rows_per_flow = [np.asarray(flow.path_rows, dtype=np.intp) for flow in flows]
+    offsets = np.zeros(len(flows) + 1, dtype=np.intp)
+    offsets[1:] = np.cumsum([path.size for path in rows_per_flow])
+    rows = np.concatenate(rows_per_flow) if flows else np.empty(0, dtype=np.intp)
+    if rows.size and (rows.min() < 0 or rows.max() >= cache.node_count):
+        raise ValueError("path_rows do not index this snapshot's label table")
+    for flow, begin, end in zip(flows, offsets[:-1].tolist(), offsets[1:].tolist()):
+        if end > begin and (
+            labels[rows[begin]] != flow.path[0] or labels[rows[end - 1]] != flow.path[-1]
         ):
             raise ValueError(
                 f"flow {flow.name!r}: path_rows do not index this snapshot's "
                 "label table"
             )
-    unique_codes, link_ids, positions, matched = _match_links(cache, u, v)
-    flow_ids = np.repeat(np.arange(len(flows), dtype=np.intp), counts)
+    flow_ids, unique_codes, link_ids, positions, matched = _compile_ragged(
+        cache, offsets, rows
+    )
     if not matched.all():
         raise _missing_link_error(flows, flow_ids, ~matched[link_ids])
-    capacity = cache.sorted_capacity[positions]
     return (
         flow_ids,
         link_ids,
-        capacity,
+        cache.sorted_capacity[positions],
         _link_keys_of(cache, unique_codes),
         cache.sorted_rows[positions],
     )
@@ -430,18 +444,8 @@ def compile_system_from_rows(
         raise ValueError("offsets must have one entry more than demand")
     if rows.size and (rows.min() < 0 or rows.max() >= cache.node_count):
         raise ValueError("path rows do not index this snapshot's label table")
-    lengths = np.diff(offsets)
-    counts = np.maximum(lengths - 1, 0)
-    # Hop endpoints: every row except each segment's last (u) / first (v),
-    # selected by boolean masks so the global hop order stays flow-by-flow,
-    # hop-by-hop -- the exact order the object compile path produces.
-    keep_u = np.ones(rows.size, dtype=bool)
-    keep_v = np.ones(rows.size, dtype=bool)
-    nonempty = lengths > 0
-    keep_u[offsets[1:][nonempty] - 1] = False
-    keep_v[offsets[:-1][nonempty]] = False
-    unique_codes, link_ids, positions, matched = _match_links(
-        cache, rows[keep_u], rows[keep_v]
+    flow_ids, unique_codes, link_ids, positions, matched = _compile_ragged(
+        cache, offsets, rows
     )
     if not matched.all():
         raise ValueError("a flow path uses a link not present in the snapshot")
@@ -449,7 +453,7 @@ def compile_system_from_rows(
         flow_names=None,
         demand=demand,
         capacity=cache.sorted_capacity[positions],
-        flow_ids=np.repeat(np.arange(demand.size, dtype=np.intp), counts),
+        flow_ids=flow_ids,
         link_ids=link_ids,
         link_keys=_link_keys_of(cache, unique_codes) if with_keys else None,
         link_rows=cache.sorted_rows[positions],

@@ -1063,6 +1063,8 @@ class NetworkSimulator:
         arrays the serial path routes on.  Progress is necessarily coarser
         than the in-process path -- a worker reports only when its whole
         chunk completes -- but the cell totals and stage means still add up.
+        A worker that raises (or dies) surfaces as a :class:`RuntimeError`
+        naming the scenarios of its chunk, chained to the original error.
         """
         chunks = [chunk for chunk in (specs[i::max_workers] for i in range(max_workers)) if chunk]
         results: dict[str, SimulationResult] = {}
@@ -1081,10 +1083,17 @@ class NetworkSimulator:
             # Advance as chunks land: each completed future accounts for its
             # chunk's scenarios over every step of the sweep.
             for future in as_completed(futures):
-                results.update(future.result())
+                chunk = futures[future]
+                try:
+                    results.update(future.result())
+                except Exception as error:
+                    names = [spec.name for spec in chunk]
+                    raise RuntimeError(
+                        f"sweep worker failed on scenarios {names}: {error!r}"
+                    ) from error
                 if tracker is not None:
                     tracker.advance(
-                        len(futures[future]) * len(utc_hours),
+                        len(chunk) * len(utc_hours),
                         stage_means=combined_stage_means(
                             [result.metrics for result in results.values()]
                         ),

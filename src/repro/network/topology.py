@@ -17,23 +17,23 @@ is organised in three tiers:
   selections and ground-station visibility for *all candidate pairs of all
   steps* in numpy array operations -- no per-edge Python feasibility calls.
 
-* **Incremental graphs and array exports** -- :meth:`SnapshotSequence.graphs`
-  yields one :class:`networkx.Graph` per step by diffing each step's edge set
-  against the previous one: nodes are inserted once, vanished links are
-  removed, persisting links only have their attributes refreshed.  Rebuilding
-  the graph object from nothing at every step -- the dominant cost of
-  time-stepped simulation once propagation is batched -- is gone.  The same
-  per-step link data is also exported as flat arrays without any per-edge
-  Python work: :meth:`SnapshotSequence.edge_arrays` produces the CSR routing
-  view consumed by array-native backends
-  (:class:`repro.network.backends.CSGraphBackend`), and
-  :meth:`SnapshotSequence.edge_list` the picklable
-  :class:`~repro.network.backends.SnapshotEdgeList` shipped to worker
-  processes by the scenario-sweep simulator.  Every producer optionally
-  applies a compiled :class:`~repro.network.faults.FaultSchedule` on top of
-  the feasibility tensors -- links touching a down satellite or ground
-  station vanish, degraded nodes scale their links' capacity -- so fault
-  scenarios reuse the same precomputed kinematics as healthy ones.
+* **One link producer, two views** -- :meth:`SnapshotSequence.edge_list` is
+  the only place that turns the precomputed tensors into links.  It applies
+  the feasibility masks and, optionally, a compiled
+  :class:`~repro.network.faults.FaultSchedule` in one vectorised pass -- a
+  link exists while it is feasible and both endpoints are up, and carries
+  its capacity scaled by the worse endpoint's degradation factor -- so fault
+  scenarios reuse the same precomputed kinematics as healthy ones.  Its
+  :class:`~repro.network.backends.SnapshotEdgeList` is the picklable payload
+  the scenario-sweep simulator ships to worker processes, and
+  :meth:`SnapshotSequence.edge_arrays` derives the CSR routing view consumed
+  by array-native backends (:class:`repro.network.backends.CSGraphBackend`)
+  from it.  :meth:`SnapshotSequence.graphs` derives the
+  :class:`networkx.Graph` stream from the same edge lists, diffing each
+  step's link set against the previous one: nodes are inserted once,
+  vanished links are removed, persisting links only have their attributes
+  refreshed.  The analysis graphs and the simulator's arrays therefore
+  cannot disagree about which links exist.
 
 The classic entry points (:meth:`ConstellationTopology.snapshot_graph`,
 :meth:`~ConstellationTopology.snapshot_graphs`,
@@ -51,7 +51,6 @@ implications this layer lets users explore.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
@@ -178,17 +177,19 @@ def _nearest_scan_arrays(
 
 
 class SnapshotSequence:
-    """Precomputed, incrementally updated snapshot graphs of a topology.
+    """Precomputed per-step links of a topology, as edge lists or graphs.
 
     One construction evaluates the whole sequence in vectorised numpy: the
     batched ``(T, N, 3)`` propagation, distances and feasibility masks of all
     static candidate pairs, nearest-neighbour selections toward adjacent
     planes/shells, and ground-station visibility for every supplied station.
-    :meth:`graphs` then replays the sequence as :class:`networkx.Graph`
-    snapshots, updating one graph in place between steps instead of
-    rebuilding it.
+    :meth:`edge_list` turns one step of these tensors into links, applying
+    the masks and any fault schedule; :meth:`edge_arrays`,
+    :meth:`edge_lists` and :meth:`graphs` are all derived from it, the last
+    replaying the sequence as :class:`networkx.Graph` snapshots by updating
+    one graph in place between steps.
 
-    Several independent graph streams (e.g. one per scenario group with a
+    Several independent streams (e.g. one per scenario group with a
     different ground-station subset) can be drawn from the same sequence;
     the expensive array work is shared by all of them.
     """
@@ -210,55 +211,52 @@ class SnapshotSequence:
 
         positions = topology.positions_ecef_over(self._epochs)
 
-        # Static pair groups: distances + feasibility for every pair of every
-        # step in one broadcastable operation per group.
-        self._static: list[
-            tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray, float]
-        ] = []
-        self._scans: list[
-            tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]
-        ] = []
+        # One satellite link table of (a, b, distance, feasible, capacity)
+        # blocks: ``a`` is (E,), ``b`` is (E,) for static pairs and (T, E)
+        # for per-step scan picks, distance and feasible are (T, E).  All
+        # static blocks precede all scan blocks -- this is the edge-list row
+        # order, which fixes CSR neighbour order and so shortest-path
+        # tie-breaks.
+        static: list[tuple] = []
+        scans: list[tuple] = []
         for group in topology.edge_groups():
             if isinstance(group, _StaticPairs):
                 if len(group.pairs) == 0:
                     continue
                 block_a = positions[:, group.pairs[:, 0], :]
                 block_b = positions[:, group.pairs[:, 1], :]
-                dist = np.linalg.norm(block_a - block_b, axis=-1)
-                feasible = isl_feasible_mask(block_a, block_b, group.config)
-                self._static.append(
+                static.append(
                     (
-                        [tuple(row) for row in group.pairs.tolist()],
-                        group.pairs,
-                        dist,
-                        feasible,
+                        group.pairs[:, 0],
+                        group.pairs[:, 1],
+                        np.linalg.norm(block_a - block_b, axis=-1),
+                        isl_feasible_mask(block_a, block_b, group.config),
                         group.config.capacity_gbps,
                     )
                 )
             elif isinstance(group, _NearestScan):
                 if len(group.a_indices) == 0 or len(group.b_indices) == 0:
                     continue
-                a_ids, b_nearest, dist, feasible = _nearest_scan_arrays(positions, group)
-                self._scans.append(
-                    (
-                        list(a_ids.tolist()),
-                        a_ids,
-                        b_nearest,
-                        dist,
-                        feasible,
-                        group.config.capacity_gbps,
-                    )
+                scans.append(
+                    (*_nearest_scan_arrays(positions, group), group.config.capacity_gbps)
                 )
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown edge group {type(group).__name__}")
+        self._links = static + scans
 
-        # Ground visibility: elevation masks and slant ranges for all
-        # stations over all steps, in array operations.
-        ground_capacity = topology.isl_config.capacity_gbps
-        self._ground: dict[str, tuple[np.ndarray, np.ndarray, float]] = {}
-        for station in self._stations:
-            visible, distances = visibility_mask(station, positions)
-            self._ground[station.name] = (visible, distances, ground_capacity)
+        # Ground visibility: (T, K, N) elevation masks and slant ranges of
+        # every station, filled one station at a time.
+        shape = (positions.shape[0], len(self._stations), positions.shape[1])
+        self._visible = np.empty(shape, dtype=bool)
+        self._slant_km = np.empty(shape)
+        for row, station in enumerate(self._stations):
+            self._visible[:, row], self._slant_km[:, row] = visibility_mask(
+                station, positions
+            )
+        self._station_rows = {
+            station.name: row for row, station in enumerate(self._stations)
+        }
+        self._ground_capacity = topology.isl_config.capacity_gbps
 
     # -- introspection -----------------------------------------------------------
 
@@ -275,123 +273,7 @@ class SnapshotSequence:
     def __len__(self) -> int:
         return len(self._epochs)
 
-    # -- per-step edge sets ------------------------------------------------------
-
-    def _check_faults(
-        self, faults: FaultSchedule | None, stations: list[GroundStation]
-    ) -> None:
-        """Reject schedules that do not match this grid and station selection.
-
-        Coverage is checked against the *selected* stations only: schedules
-        are compiled per scenario station subset, so a subset stream may
-        legitimately carry a schedule narrower than the whole sequence.
-        """
-        if faults is None:
-            return
-        if faults.steps != len(self):
-            raise ValueError(
-                f"fault schedule covers {faults.steps} steps but the sequence "
-                f"has {len(self)}"
-            )
-        if faults.satellite_count != self._topology.satellite_count:
-            raise ValueError(
-                f"fault schedule covers {faults.satellite_count} satellites but "
-                f"the topology has {self._topology.satellite_count}"
-            )
-        missing = {station.name for station in stations} - set(faults.station_names)
-        if missing:
-            raise ValueError(
-                f"fault schedule does not cover stations {sorted(missing)}"
-            )
-
-    def _edges_at(
-        self,
-        step: int,
-        stations: list[GroundStation],
-        faults: FaultSchedule | None = None,
-    ) -> dict[tuple, tuple[float, float, float]]:
-        """Return the canonical edge set of one step.
-
-        Keys are ``(a, b)`` with satellite pairs sorted ascending and ground
-        links keyed ``("gs:<name>", sat)``; values are
-        ``(distance_km, delay_ms, capacity_gbps)``.  With ``faults``, links
-        touching a down node are dropped and capacities are scaled by the
-        worse endpoint's degradation factor -- all in the same vectorised
-        selection that applies the feasibility masks.
-        """
-        sat_up = faults.satellite_up[step] if faults is not None else None
-        sat_factor = faults.satellite_factor[step] if faults is not None else None
-        edges: dict[tuple, tuple[float, float, float]] = {}
-        for pairs, pairs_arr, dist, feasible, capacity in self._static:
-            mask = feasible[step]
-            if sat_up is not None:
-                mask = mask & sat_up[pairs_arr[:, 0]] & sat_up[pairs_arr[:, 1]]
-            selected = np.flatnonzero(mask)
-            step_dist = dist[step, selected]
-            step_delay = propagation_delay_ms(step_dist).tolist()
-            if sat_factor is None:
-                caps = repeat(capacity)
-            else:
-                caps = (
-                    capacity
-                    * np.minimum(
-                        sat_factor[pairs_arr[selected, 0]],
-                        sat_factor[pairs_arr[selected, 1]],
-                    )
-                ).tolist()
-            for index, d, dl, c in zip(
-                selected.tolist(), step_dist.tolist(), step_delay, caps
-            ):
-                edges[pairs[index]] = (d, dl, c)
-        for a_ids, a_arr, b_nearest, dist, feasible, capacity in self._scans:
-            mask = feasible[step]
-            if sat_up is not None:
-                mask = mask & sat_up[a_arr] & sat_up[b_nearest[step]]
-            selected = np.flatnonzero(mask)
-            step_b = b_nearest[step, selected].tolist()
-            step_dist = dist[step, selected]
-            step_delay = propagation_delay_ms(step_dist).tolist()
-            if sat_factor is None:
-                caps = repeat(capacity)
-            else:
-                caps = (
-                    capacity
-                    * np.minimum(
-                        sat_factor[a_arr[selected]],
-                        sat_factor[b_nearest[step, selected]],
-                    )
-                ).tolist()
-            for index, b, d, dl, c in zip(
-                selected.tolist(), step_b, step_dist.tolist(), step_delay, caps
-            ):
-                a = a_ids[index]
-                key = (a, b) if a <= b else (b, a)
-                edges[key] = (d, dl, c)
-        for station in stations:
-            visible, dist, capacity = self._ground[station.name]
-            gs_node = f"gs:{station.name}"
-            mask = visible[step]
-            station_factor = 1.0
-            if faults is not None:
-                column = faults.station_column(station.name)
-                if not faults.station_up[step, column]:
-                    continue
-                station_factor = float(faults.station_factor[step, column])
-                mask = mask & sat_up
-            selected = np.flatnonzero(mask)
-            step_dist = dist[step, selected]
-            step_delay = propagation_delay_ms(step_dist).tolist()
-            if sat_factor is None:
-                caps = repeat(capacity)
-            else:
-                caps = (
-                    capacity * np.minimum(station_factor, sat_factor[selected])
-                ).tolist()
-            for sat, d, dl, c in zip(
-                selected.tolist(), step_dist.tolist(), step_delay, caps
-            ):
-                edges[(gs_node, sat)] = (d, dl, c)
-        return edges
+    # -- link production ---------------------------------------------------------
 
     def _select_stations(
         self, station_names: Iterable[str] | None
@@ -405,8 +287,6 @@ class SnapshotSequence:
                 f"stations not part of this sequence: {sorted(unknown)}"
             )
         return [station for station in self._stations if station.name in wanted]
-
-    # -- array production --------------------------------------------------------
 
     def node_labels(self, station_names: Iterable[str] | None = None) -> tuple:
         """Return the node-label table of the array views, in row order.
@@ -429,90 +309,102 @@ class SnapshotSequence:
     ) -> SnapshotEdgeList:
         """Return one step's links as flat, picklable endpoint/attribute arrays.
 
-        The export is assembled purely from slices of the precomputed
-        feasibility/distance tensors -- no per-edge Python work -- and each
-        undirected link appears exactly once (duplicate nearest-neighbour
-        picks collapse, as in the graph stream).  This is the payload shipped
-        to worker processes by the scenario-sweep simulator.  With ``faults``
-        the outage masks of a :class:`~repro.network.faults.FaultSchedule`
-        are applied in the same vectorised selection: links touching a down
-        node vanish, capacities scale by the worse endpoint's factor -- so a
-        pre-masked payload reaches the workers and every executor sees the
-        identical degraded network.
+        The single link producer of the sequence: every other view
+        (:meth:`edge_arrays`, :meth:`graphs`) is derived from it, and this is
+        where the masks apply.  The export is assembled purely from slices
+        of the precomputed feasibility/distance tensors -- no per-edge Python
+        work.  Rows come in a fixed order (static pairs, then nearest-
+        neighbour picks, then ground links station by station with
+        satellites ascending), which fixes the CSR neighbour order and so
+        shortest-path tie-breaks; each undirected link appears exactly once,
+        duplicate nearest-neighbour picks collapsing onto their first row.
+        This is the payload shipped to worker processes by the
+        scenario-sweep simulator.  With ``faults`` the outage masks of a
+        :class:`~repro.network.faults.FaultSchedule` are applied in the same
+        vectorised selection: links touching a down node vanish, capacities
+        scale by the worse endpoint's factor -- so a pre-masked payload
+        reaches the workers and every executor sees the identical degraded
+        network.  A schedule must match the sequence's steps and satellites
+        and cover the *selected* stations (schedules are compiled per
+        scenario station subset, so it may be narrower than the sequence).
         """
         stations = self._select_stations(station_names)
-        self._check_faults(faults, stations)
         labels = self.node_labels(station_names)
         satellite_count = self._topology.satellite_count
-        sat_up = faults.satellite_up[step] if faults is not None else None
-        sat_factor = faults.satellite_factor[step] if faults is not None else None
-        a_parts: list[np.ndarray] = []
-        b_parts: list[np.ndarray] = []
-        dist_parts: list[np.ndarray] = []
-        cap_parts: list[np.ndarray] = []
-        for _, pairs_arr, dist, feasible, capacity in self._static:
-            mask = feasible[step]
-            if sat_up is not None:
-                mask = mask & sat_up[pairs_arr[:, 0]] & sat_up[pairs_arr[:, 1]]
-            selected = np.flatnonzero(mask)
-            a_sel = pairs_arr[selected, 0]
-            b_sel = pairs_arr[selected, 1]
-            a_parts.append(a_sel)
-            b_parts.append(b_sel)
-            dist_parts.append(dist[step, selected])
-            if sat_factor is None:
-                cap_parts.append(np.full(selected.size, capacity))
-            else:
-                cap_parts.append(
-                    capacity * np.minimum(sat_factor[a_sel], sat_factor[b_sel])
+        rows = [self._station_rows[station.name] for station in stations]
+        blocks = [
+            (a, b if b.ndim == 1 else b[step], distance[step], feasible[step], capacity)
+            for a, b, distance, feasible, capacity in self._links
+        ]
+        if rows:
+            # Ground links: station-major, satellites ascending per station.
+            blocks.append(
+                (
+                    np.tile(np.arange(satellite_count, dtype=np.intp), len(rows)),
+                    np.repeat(
+                        np.arange(satellite_count, len(labels), dtype=np.intp),
+                        satellite_count,
+                    ),
+                    self._slant_km[step, rows].ravel(),
+                    self._visible[step, rows].ravel(),
+                    self._ground_capacity,
                 )
-        for _, a_ids, b_nearest, dist, feasible, capacity in self._scans:
-            mask = feasible[step]
-            if sat_up is not None:
-                mask = mask & sat_up[a_ids] & sat_up[b_nearest[step]]
-            selected = np.flatnonzero(mask)
-            a_sel = a_ids[selected]
-            b_sel = b_nearest[step, selected]
-            a_parts.append(np.minimum(a_sel, b_sel))
-            b_parts.append(np.maximum(a_sel, b_sel))
-            dist_parts.append(dist[step, selected])
-            if sat_factor is None:
-                cap_parts.append(np.full(selected.size, capacity))
-            else:
-                cap_parts.append(
-                    capacity * np.minimum(sat_factor[a_sel], sat_factor[b_sel])
-                )
-        for row, station in enumerate(stations):
-            visible, dist, capacity = self._ground[station.name]
-            mask = visible[step]
-            station_factor = 1.0
-            if faults is not None:
-                column = faults.station_column(station.name)
-                if not faults.station_up[step, column]:
-                    continue
-                station_factor = float(faults.station_factor[step, column])
-                mask = mask & sat_up
-            selected = np.flatnonzero(mask)
-            a_parts.append(selected.astype(np.intp))
-            b_parts.append(
-                np.full(selected.size, satellite_count + row, dtype=np.intp)
             )
-            dist_parts.append(dist[step, selected])
-            if sat_factor is None:
-                cap_parts.append(np.full(selected.size, capacity))
-            else:
-                cap_parts.append(
-                    capacity * np.minimum(station_factor, sat_factor[selected])
+
+        # The fault rule, over the label table: a link exists while it is
+        # feasible and both endpoints are up, and carries its block capacity
+        # scaled by the worse endpoint's factor.
+        up = factor = None
+        if faults is not None:
+            if faults.steps != len(self):
+                raise ValueError(
+                    f"fault schedule covers {faults.steps} steps but the sequence "
+                    f"has {len(self)}"
                 )
-        a = np.concatenate(a_parts) if a_parts else np.empty(0, dtype=np.intp)
-        b = np.concatenate(b_parts) if b_parts else np.empty(0, dtype=np.intp)
-        distances = np.concatenate(dist_parts) if dist_parts else np.empty(0)
-        capacities = np.concatenate(cap_parts) if cap_parts else np.empty(0)
+            if faults.satellite_count != satellite_count:
+                raise ValueError(
+                    f"fault schedule covers {faults.satellite_count} satellites but "
+                    f"the topology has {satellite_count}"
+                )
+            # Coverage is checked against the *selected* stations only:
+            # schedules are compiled per scenario station subset.
+            missing = {station.name for station in stations} - set(
+                faults.station_names
+            )
+            if missing:
+                raise ValueError(
+                    f"fault schedule does not cover stations {sorted(missing)}"
+                )
+            columns = [faults.station_column(station.name) for station in stations]
+            up = np.concatenate(
+                (faults.satellite_up[step], faults.station_up[step, columns])
+            )
+            factor = np.concatenate(
+                (faults.satellite_factor[step], faults.station_factor[step, columns])
+            )
+        parts = []
+        for a, b, distance, feasible, capacity in blocks:
+            selected = np.flatnonzero(feasible if up is None else feasible & up[a] & up[b])
+            a_sel, b_sel = a[selected], b[selected]
+            parts.append(
+                (
+                    np.minimum(a_sel, b_sel),
+                    np.maximum(a_sel, b_sel),
+                    distance[selected],
+                    np.full(selected.size, capacity)
+                    if factor is None
+                    else capacity * np.minimum(factor[a_sel], factor[b_sel]),
+                )
+            )
+        if parts:
+            a, b, distances, capacities = map(np.concatenate, zip(*parts))
+        else:
+            a = b = np.empty(0, dtype=np.intp)
+            distances = capacities = np.empty(0)
         # Canonical endpoints (a <= b throughout) make duplicates, e.g. two
-        # scan directions picking each other, collapse to one stored link.
-        keys = a * len(labels) + b
-        if keys.size and np.unique(keys).size != keys.size:
-            _, first = np.unique(keys, return_index=True)
+        # scan directions picking each other, collapse to their first row.
+        _, first = np.unique(a * len(labels) + b, return_index=True)
+        if first.size != a.size:
             first.sort()
             a, b = a[first], b[first]
             distances, capacities = distances[first], capacities[first]
@@ -565,10 +457,12 @@ class SnapshotSequence:
     ) -> Iterator[nx.Graph]:
         """Yield one snapshot graph per step, updating incrementally.
 
-        Nodes (satellites plus the selected ground stations) are inserted
-        once; between steps only the edge diff is applied -- links that
-        disappeared are removed, links that persist have their ``distance_km``
-        / ``delay_ms`` attributes refreshed in place.
+        Each step's links are exactly those of :meth:`edge_list` (same
+        stations, same faults), added in its row order.  Nodes (satellites
+        plus the selected ground stations) are inserted once; between steps
+        only the edge diff is applied -- links that disappeared are removed,
+        links that persist have their ``distance_km`` / ``delay_ms`` /
+        ``capacity_gbps`` attributes refreshed in place.
 
         With ``copy=True`` (the default) every yielded graph is an
         independent copy, safe to store.  ``copy=False`` yields the live,
@@ -576,14 +470,12 @@ class SnapshotSequence:
         (simulators, per-step routers) that finish with each snapshot before
         advancing.  ``station_names`` restricts which of the precomputed
         ground stations are attached; several restricted streams can be drawn
-        from one sequence without repeating any array work.  ``faults``
-        applies a :class:`~repro.network.faults.FaultSchedule` on top of the
-        feasibility masks: down nodes keep their graph node (the label table
-        stays stable) but lose every incident edge, and degraded nodes scale
-        the ``capacity_gbps`` of their links.
+        from one sequence without repeating any array work.  ``faults`` is
+        applied by :meth:`edge_list`: down nodes keep their graph node (the
+        label table stays stable) but lose every incident edge, and degraded
+        nodes scale the ``capacity_gbps`` of their links.
         """
         stations = self._select_stations(station_names)
-        self._check_faults(faults, stations)
         graph = nx.Graph()
         for node_id, attributes in self._topology.graph_nodes():
             graph.add_node(node_id, **attributes)
@@ -596,7 +488,18 @@ class SnapshotSequence:
             )
         previous: dict[tuple, tuple[float, float, float]] = {}
         for step in range(len(self._epochs)):
-            edges = self._edges_at(step, stations, faults)
+            links = self.edge_list(step, station_names, faults=faults)
+            labels = links.labels
+            edges = {
+                (labels[a], labels[b]): (distance, delay, capacity)
+                for a, b, distance, delay, capacity in zip(
+                    links.a.tolist(),
+                    links.b.tolist(),
+                    links.distance_km.tolist(),
+                    links.delay_ms.tolist(),
+                    links.capacity_gbps.tolist(),
+                )
+            }
             for key in previous.keys() - edges.keys():
                 graph.remove_edge(*key)
             for (a, b), (distance, delay, capacity) in edges.items():

@@ -466,13 +466,12 @@ def simulator(epoch) -> NetworkSimulator:
 
 
 @pytest.fixture(scope="module")
-def workload_problem(simulator, epoch):
-    """A step-sized max-min problem on a real snapshot.
+def workload_routes(simulator, epoch):
+    """About 2,400 random node pairs routed by csgraph on a real snapshot.
 
-    Returns ``(system, graph, flows)``: about 2,400 random node pairs routed
-    by csgraph and compiled through :func:`compile_system_from_rows`, as the
-    simulator compiles a step, plus the equivalent label-path ``Flow``
-    objects and capacity graph for the dict reference.  Demands take a few
+    Returns ``(edge_list, demand, offsets, rows, flows)``: the ragged
+    row-index paths the simulator compiles, plus the equivalent ``Flow``
+    objects carrying both label paths and ``path_rows``.  Demands take a few
     values only, so tied flows freeze together, and are scaled so that many
     links saturate while other flows freeze at their demand.
     """
@@ -492,15 +491,30 @@ def workload_problem(simulator, epoch):
     )
     assert np.all(np.diff(offsets) >= 2), "every pair must be routed"
     demand = rng.choice([0.0, 0.1, 0.2, 0.5, 1.0, 4.0], size=src.size)
-    system = compile_system_from_rows(edge_list, demand, offsets, rows, with_keys=True)
-    flows = [
-        Flow(
-            f"f{index}",
-            tuple(labels[row] for row in rows[offsets[index] : offsets[index + 1]]),
-            float(demand[index]),
+    flows = []
+    for index in range(demand.size):
+        path_rows = tuple(rows[offsets[index] : offsets[index + 1]].tolist())
+        flows.append(
+            Flow(
+                f"f{index}",
+                tuple(labels[row] for row in path_rows),
+                float(demand[index]),
+                path_rows=path_rows,
+            )
         )
-        for index in range(demand.size)
-    ]
+    return edge_list, demand, offsets, rows, flows
+
+
+@pytest.fixture(scope="module")
+def workload_problem(workload_routes):
+    """A step-sized max-min problem on a real snapshot.
+
+    Returns ``(system, graph, flows)``: the routed pairs compiled through
+    :func:`compile_system_from_rows`, as the simulator compiles a step, plus
+    the ``Flow`` objects and capacity graph for the dict reference.
+    """
+    edge_list, demand, offsets, rows, flows = workload_routes
+    system = compile_system_from_rows(edge_list, demand, offsets, rows, with_keys=True)
     return system, edge_list.graph(), flows
 
 
@@ -538,6 +552,20 @@ class TestWorkloadScale:
             allocate_max_min(graph, flows),
             _named_result(system, flows, *ARRAY_SOLVERS["max_min_array"](system)),
         )
+
+    def test_flow_object_compile_matches_row_compile(self, workload_routes):
+        """``Flow`` objects with ``path_rows`` compile to exactly the system
+        the simulator's ragged-row compile builds."""
+        edge_list, demand, offsets, rows, flows = workload_routes
+        objects = compile_flow_link_system(edge_list, flows)
+        ragged = compile_system_from_rows(edge_list, demand, offsets, rows, with_keys=True)
+        assert objects.flow_names == tuple(flow.name for flow in flows)
+        assert ragged.flow_names is None
+        for name in ("demand", "capacity", "flow_ids", "link_ids", "link_rows"):
+            got, want = getattr(objects, name), getattr(ragged, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert objects.link_keys == ragged.link_keys
 
     @pytest.mark.parametrize("iterations", [1, 2, 5, 20, 60])
     def test_iteration_cap_matches_capped_reference(self, workload_problem, iterations):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network.ground_station import GroundStation
 from repro.network.simulation import NetworkSimulator, Scenario, run_grid
+from repro.network.steering import CongestionAwareSteering
 from repro.network.topology import ConstellationTopology
 
 CITIES = (
@@ -174,6 +176,14 @@ class TestSweepEquivalence:
         assert single.steps == sweep["only"].steps
 
 
+@dataclass(frozen=True)
+class _FailingSteering(CongestionAwareSteering):
+    """A steering policy whose controller cannot be built (in the worker)."""
+
+    def controller(self):
+        raise ZeroDivisionError("steering state exploded")
+
+
 class TestProcessExecutor:
     def test_process_sweep_matches_serial_csgraph_exactly(self, simulator, epoch):
         """Every executor runs the same step kernel on identical inputs, so
@@ -208,6 +218,24 @@ class TestProcessExecutor:
         )
         serial = simulator.run_scenarios([scenario], epoch, duration_hours=2.0)
         assert worker[scenario.name].steps == serial[scenario.name].steps
+
+    def test_worker_failure_names_its_scenarios(self, simulator, epoch):
+        """A scenario raising inside a worker process fails the sweep with
+        the names of that worker's scenarios, chained to the original error."""
+        scenarios = [
+            Scenario(name="ok-a"),
+            Scenario(name="broken", steering=_FailingSteering()),
+            Scenario(name="ok-b"),
+            Scenario(name="ok-c"),
+        ]
+        # Two workers take every other scenario: broken shares with ok-c.
+        with pytest.raises(RuntimeError, match=r"\['broken', 'ok-c'\]") as caught:
+            simulator.run_scenarios(
+                scenarios, epoch, duration_hours=1.0, max_workers=2, executor="process"
+            )
+        assert "ok-a" not in str(caught.value)
+        assert isinstance(caught.value.__cause__, ZeroDivisionError)
+        assert "steering state exploded" in str(caught.value.__cause__)
 
     def test_single_worker_process_request_falls_back_to_serial(
         self, simulator, epoch
