@@ -184,7 +184,8 @@ def test_cases_exercise_their_features(cases):
     assert not faults.station_up.all()
     sequence, subset, faults = cases["single-shell-degraded-stations"]
     ground = [
-        edges.capacity_gbps[edges.b >= 120] for edges in sequence.edge_lists(subset, faults)
+        edges.capacity_gbps[edges.b >= len(edges.labels) - len(STATIONS)]
+        for edges in sequence.edge_lists(subset, faults)
     ]
     assert any(np.any(caps == 20.0 * 0.25) for caps in ground)
 
