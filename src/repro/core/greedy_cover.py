@@ -101,23 +101,27 @@ class GreedySSPlaneDesigner:
             self.altitude_km, self.min_elevation_deg, self.street_half_width_fraction
         )
 
-    def _plane_for(self, latitude_deg: float, local_time_hours: float, ascending: bool) -> SSPlane:
-        """Return the SS-plane whose chosen branch crosses the given cell."""
-        probe = SSPlane(
-            altitude_km=self.altitude_km,
-            ltan_hours=0.0,
-            satellite_count=1,
-            min_elevation_deg=self.min_elevation_deg,
-            street_half_width_fraction=self.street_half_width_fraction,
-        )
+    def _plane_for(
+        self,
+        latitude_deg: float,
+        local_time_hours: float,
+        ascending: bool,
+        inclination_rad: float,
+        satellite_count: int,
+    ) -> SSPlane:
+        """Return the SS-plane whose chosen branch crosses the given cell.
+
+        ``inclination_rad`` and ``satellite_count`` are the designer's shared
+        plane inclination and per-plane count, computed once per design run.
+        """
         offset = plane_local_time_offset_hours(
-            math.radians(latitude_deg), probe.inclination_rad, ascending=ascending
+            math.radians(latitude_deg), inclination_rad, ascending=ascending
         )
         ltan = (local_time_hours - offset) % 24.0
         return SSPlane(
             altitude_km=self.altitude_km,
             ltan_hours=ltan,
-            satellite_count=self.satellites_per_plane(),
+            satellite_count=satellite_count,
             min_elevation_deg=self.min_elevation_deg,
             street_half_width_fraction=self.street_half_width_fraction,
         )
@@ -163,6 +167,7 @@ class GreedySSPlaneDesigner:
         unreachable = np.abs(remaining.latitudes_deg) > max_lat_deg
         clipped_demand = float(remaining.values[unreachable].sum())
         remaining.values[unreachable] = 0.0
+        satellite_count = self.satellites_per_plane()
 
         while remaining.total() > 1e-9 and iterations < self.max_planes:
             iterations += 1
@@ -175,7 +180,9 @@ class GreedySSPlaneDesigner:
             best_removed = -1.0
             for ascending in (True, False):
                 try:
-                    plane = self._plane_for(peak_lat, peak_time, ascending)
+                    plane = self._plane_for(
+                        peak_lat, peak_time, ascending, probe.inclination_rad, satellite_count
+                    )
                 except ValueError:
                     continue
                 mask = self._coverage_mask(plane, remaining)

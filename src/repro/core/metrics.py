@@ -61,52 +61,37 @@ class ConstellationMetrics:
 class MetricsCalculator:
     """Computes :class:`ConstellationMetrics` for SS-plane and Walker designs.
 
-    Radiation fluence only depends on a satellite's altitude, inclination and
-    (weakly, through SAA sampling) RAAN; the underlying
-    :class:`~repro.radiation.exposure.ExposureCalculator` caches accordingly,
-    so evaluating constellations with tens of thousands of satellites stays
-    cheap.
+    Statistics are group-native: a design is a list of ``(elements, count)``
+    groups, one per SS-plane or Walker shell, and no per-satellite list is
+    ever built.  Radiation fluence only depends on a satellite's altitude,
+    inclination and (weakly, through SAA sampling) RAAN, which every
+    satellite of a plane or shell shares, so one fluence per group is
+    evaluated and repeated ``count`` times before the median and mean.  The
+    repeated arrays equal the per-satellite arrays element for element, so
+    the statistics are exactly those of the expanded constellation.
     """
 
     exposure: ExposureCalculator = field(default_factory=ExposureCalculator)
 
-    # -- generic helpers ---------------------------------------------------------
-
     def _fluence_stats(
-        self, satellites: list[OrbitalElements]
+        self, groups: list[tuple[OrbitalElements, int]]
     ) -> tuple[DailyFluence, DailyFluence]:
-        fluences = self.exposure.constellation_fluences(satellites)
-        electrons = np.array([f.electron for f in fluences])
-        protons = np.array([f.proton for f in fluences])
+        fluences = self.exposure.constellation_fluences([elements for elements, _ in groups])
+        counts = [count for _, count in groups]
+        electrons = np.repeat([f.electron for f in fluences], counts)
+        protons = np.repeat([f.proton for f in fluences], counts)
         median = DailyFluence(float(np.median(electrons)), float(np.median(protons)))
         mean = DailyFluence(float(np.mean(electrons)), float(np.mean(protons)))
         return median, mean
-
-    @staticmethod
-    def _representative_satellites(
-        groups: list[tuple[OrbitalElements, int]]
-    ) -> list[OrbitalElements]:
-        """Expand (representative element, count) groups into a satellite list.
-
-        Satellites within one plane or shell share their daily fluence, so one
-        representative per group repeated ``count`` times gives the same
-        median/mean statistics as enumerating every satellite individually.
-        """
-        satellites: list[OrbitalElements] = []
-        for elements, count in groups:
-            satellites.extend([elements] * count)
-        return satellites
 
     # -- per-design entry points --------------------------------------------------
 
     def for_ssplane(self, result: GreedyCoverResult) -> ConstellationMetrics:
         """Return metrics of a greedy SS-plane design."""
-        groups = [
-            (plane.satellite_elements()[0], plane.satellite_count)
-            for plane in result.planes
-        ]
-        satellites = self._representative_satellites(groups)
-        median, mean = self._fluence_stats(satellites)
+        # ``orbit.to_elements()`` is the plane's first satellite (true anomaly 0,
+        # Sun at RA 0), i.e. ``plane.satellite_elements()[0]``.
+        groups = [(plane.orbit.to_elements(), plane.satellite_count) for plane in result.planes]
+        median, mean = self._fluence_stats(groups)
         return ConstellationMetrics(
             design="ss-plane",
             total_satellites=result.total_satellites,
@@ -118,15 +103,16 @@ class MetricsCalculator:
 
     def for_walker(self, result: WalkerBaselineResult) -> ConstellationMetrics:
         """Return metrics of a demand-driven Walker baseline design."""
-        groups = []
-        for shell in result.shells:
-            representative = OrbitalElements.circular(
-                altitude_km=shell.altitude_km,
-                inclination_deg=shell.inclination_deg,
+        groups = [
+            (
+                OrbitalElements.circular(
+                    altitude_km=shell.altitude_km, inclination_deg=shell.inclination_deg
+                ),
+                shell.satellite_count,
             )
-            groups.append((representative, shell.satellite_count))
-        satellites = self._representative_satellites(groups)
-        median, mean = self._fluence_stats(satellites)
+            for shell in result.shells
+        ]
+        median, mean = self._fluence_stats(groups)
         return ConstellationMetrics(
             design="walker",
             total_satellites=result.total_satellites,

@@ -24,7 +24,7 @@ the SS-plane design removes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -68,8 +68,12 @@ class WalkerShell:
         return self.pattern.total_satellites
 
     def satellite_elements(self) -> list[OrbitalElements]:
-        """Return Keplerian elements of every satellite in the shell."""
-        return self.pattern.satellite_elements()
+        """Return Keplerian elements of every satellite in the shell.
+
+        The shell's pattern is sized at the designer's base altitude; its
+        satellites fly at the shell's own (staggered) ``altitude_km``.
+        """
+        return replace(self.pattern, altitude_km=self.altitude_km).satellite_elements()
 
 
 @dataclass(frozen=True)

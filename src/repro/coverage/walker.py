@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,8 +141,13 @@ def circular_positions_eci(
     return np.stack([x, y, z], axis=-1)
 
 
+@lru_cache(maxsize=64)
 def _grid_unit_vectors(lat_step_deg: float, lat_limit_deg: float) -> np.ndarray:
-    """Return unit vectors of a lat/lon test grid up to ``lat_limit_deg``."""
+    """Return unit vectors of a lat/lon test grid up to ``lat_limit_deg``.
+
+    The grid is built once per ``(lat_step_deg, lat_limit_deg)`` and shared,
+    so the returned array is read-only.
+    """
     latitudes = np.arange(-lat_limit_deg + lat_step_deg / 2, lat_limit_deg, lat_step_deg)
     longitudes = np.arange(-180.0 + lat_step_deg / 2, 180.0, lat_step_deg)
     lat_grid, lon_grid = np.meshgrid(np.radians(latitudes), np.radians(longitudes), indexing="ij")
@@ -149,7 +155,9 @@ def _grid_unit_vectors(lat_step_deg: float, lat_limit_deg: float) -> np.ndarray:
     vectors = np.stack(
         [cos_lat * np.cos(lon_grid), cos_lat * np.sin(lon_grid), np.sin(lat_grid)], axis=-1
     )
-    return vectors.reshape(-1, 3)
+    vectors = vectors.reshape(-1, 3)
+    vectors.flags.writeable = False
+    return vectors
 
 
 def coverage_fraction(
@@ -239,6 +247,20 @@ def streets_of_coverage_size(
     return planes, satellites_per_plane
 
 
+#: Cosine margin below which a witness point rejects a candidate: far above
+#: the ~1e-16 rounding error of the dot products behind a coverage verdict.
+_WITNESS_MARGIN = 1e-9
+
+
+def _start_unit_vectors(constellation: WalkerDelta) -> np.ndarray:
+    """Return the (N, 3) sub-satellite unit vectors at the first time sample."""
+    raan, phase = constellation.raan_and_phase_rad()
+    positions = circular_positions_eci(
+        constellation.altitude_km, math.radians(constellation.inclination_deg), raan, phase
+    )
+    return positions / np.linalg.norm(positions, axis=1, keepdims=True)
+
+
 def minimum_walker_for_coverage(
     altitude_km: float,
     inclination_deg: float,
@@ -251,9 +273,20 @@ def minimum_walker_for_coverage(
     """Return the smallest Walker-delta giving continuous single coverage.
 
     The search enumerates plane counts and satellites-per-plane counts in
-    order of increasing total satellite count, starting from the analytic
-    streets-of-coverage seed, and returns the first configuration that passes
-    the numerical continuous-coverage check.
+    order of increasing total satellite count (ties in plane-count order),
+    bounded around the analytic streets-of-coverage seed, and returns the
+    first configuration that passes :func:`is_continuously_covered`.
+
+    Candidates are ``(total, planes)`` pairs; a :class:`WalkerDelta` is built
+    only for a candidate when it is tested.  Almost every failing candidate
+    already leaves some grid point uncovered at the first time sample, so
+    the search keeps *witnesses*: grid points that earlier candidates left
+    uncovered at that sample.  A candidate whose best cosine to a witness
+    falls below ``cos(half_angle)`` by more than a margin far above the
+    rounding error of a 3-term dot product is rejected without the full
+    check; the full check would reject it too, at that sample.  Every other
+    candidate runs the full check, which alone accepts, so the returned
+    pattern is the one the exhaustive search in this order would return.
 
     Raises
     ------
@@ -267,25 +300,36 @@ def minimum_walker_for_coverage(
     lam = coverage_half_angle_rad(altitude_km, min_elevation_deg)
     min_sats_per_plane = max(3, int(math.ceil(math.pi / lam)))
 
-    candidates: list[tuple[int, WalkerDelta]] = []
+    candidates: list[tuple[int, int]] = []
     max_planes = max(seed_planes * 3, 8)
     max_sats_per_plane = max(seed_sats * 3, min_sats_per_plane + 10)
     for planes in range(2, max_planes + 1):
         for sats_per_plane in range(min_sats_per_plane, max_sats_per_plane + 1):
             total = planes * sats_per_plane
-            if total > max_total:
-                continue
-            constellation = WalkerDelta(
-                altitude_km=altitude_km,
-                inclination_deg=inclination_deg,
-                total_satellites=total,
-                planes=planes,
-                phasing=1 if planes > 1 else 0,
-            )
-            candidates.append((total, constellation))
+            if total <= max_total:
+                candidates.append((total, planes))
     candidates.sort(key=lambda item: item[0])
 
-    for _, constellation in candidates:
+    if lat_limit_deg is None:
+        lat_limit_deg = min(inclination_deg, 180.0 - inclination_deg)
+    grid_units = _grid_unit_vectors(grid_step_deg, lat_limit_deg)
+    cos_half_angle = math.cos(lam)
+    witnesses = np.empty((0, 3))
+
+    for total, planes in candidates:
+        # Plane counts start at 2, so phasing factor 1 is always valid.
+        constellation = WalkerDelta(
+            altitude_km=altitude_km,
+            inclination_deg=inclination_deg,
+            total_satellites=total,
+            planes=planes,
+            phasing=1,
+        )
+        sat_units = _start_unit_vectors(constellation)
+        if len(witnesses) and np.any(
+            (witnesses @ sat_units.T).max(axis=1) < cos_half_angle - _WITNESS_MARGIN
+        ):
+            continue
         if is_continuously_covered(
             constellation,
             min_elevation_deg,
@@ -294,6 +338,10 @@ def minimum_walker_for_coverage(
             time_samples=time_samples,
         ):
             return constellation
+        best = (grid_units @ sat_units.T).max(axis=1)
+        worst = int(np.argmin(best))
+        if best[worst] < cos_half_angle:
+            witnesses = np.vstack([witnesses, grid_units[worst]])
     raise ValueError(
         f"no Walker-delta with at most {max_total} satellites covers the requested region"
     )

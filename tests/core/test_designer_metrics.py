@@ -6,14 +6,17 @@ on small/coarse instances (the benchmarks run the full-size versions).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.comparison import run_comparison_sweep
 from repro.core.designer import ConstellationDesigner
 from repro.core.metrics import MetricsCalculator
 from repro.core.rgt_baseline import rgt_vs_walker_sweep
+from repro.core.walker_baseline import WalkerBaselineResult, WalkerShell
+from repro.coverage.walker import WalkerDelta
 from repro.demand.spatiotemporal import SpatiotemporalDemandModel
-from repro.radiation.exposure import ExposureCalculator
+from repro.radiation.exposure import DailyFluence, ExposureCalculator
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,59 @@ class TestConstellationDesigner:
         low_ratio = low_wd.total_satellites / low_ss.total_satellites
         high_ratio = high_wd.total_satellites / high_ss.total_satellites
         assert low_ratio > high_ratio
+
+
+def _per_satellite_stats(exposure, satellites) -> tuple[DailyFluence, DailyFluence]:
+    """Median and mean fluence over an expanded per-satellite list (the oracle)."""
+    fluences = exposure.constellation_fluences(satellites)
+    mean = DailyFluence(
+        float(np.mean([f.electron for f in fluences])),
+        float(np.mean([f.proton for f in fluences])),
+    )
+    return exposure.median_constellation_fluence(satellites), mean
+
+
+class TestGroupNativeMetrics:
+    """Per-group statistics equal those over every satellite, bit for bit."""
+
+    def test_ssplane_matches_per_satellite_oracle(self, coarse_designer):
+        outcome = coarse_designer.design_ssplane(3.0)
+        satellites = [
+            elements for plane in outcome.result.planes for elements in plane.satellite_elements()
+        ]
+        assert len(satellites) == outcome.total_satellites
+        assert outcome.result.plane_count > 1
+        oracle = _per_satellite_stats(coarse_designer.metrics_calculator.exposure, satellites)
+        assert (outcome.metrics.median_fluence, outcome.metrics.mean_fluence) == oracle
+
+    def test_walker_matches_per_satellite_oracle(self):
+        # A shell is represented by its RAAN-0 plane, so single-plane shells
+        # make the expanded list the exact oracle.  Two shells share an orbit
+        # to exercise the first-seen cache.
+        shells = tuple(
+            WalkerShell(
+                pattern=WalkerDelta(560.0, inclination, total, planes=1, phasing=0),
+                altitude_km=altitude,
+            )
+            for altitude, inclination, total in (
+                (550.0, 45.0, 12),
+                (560.0, 53.0, 20),
+                (570.0, 70.0, 8),
+                (560.0, 53.0, 5),
+            )
+        )
+        result = WalkerBaselineResult(
+            shells=shells,
+            total_satellites=sum(shell.satellite_count for shell in shells),
+            residual_demand=0.0,
+            iterations=len(shells),
+        )
+        calculator = MetricsCalculator(exposure=ExposureCalculator(step_s=180.0))
+        metrics = calculator.for_walker(result)
+        satellites = [elements for shell in shells for elements in shell.satellite_elements()]
+        assert len(satellites) == metrics.total_satellites
+        oracle = _per_satellite_stats(calculator.exposure, satellites)
+        assert (metrics.median_fluence, metrics.mean_fluence) == oracle
 
 
 class TestComparisonSweep:

@@ -89,3 +89,12 @@ class TestGreedyCover:
         assert result.plane_count == 2
         assert not result.satisfied
         assert result.residual_demand > 0.0
+
+    def test_invalid_street_fraction_rejected(self):
+        # An impossible street width is a configuration error, not demand
+        # that no plane can reach.
+        grid = _empty_grid()
+        row, col = grid.index_of(34.0, 20.5)
+        grid.values[row, col] = 2.0
+        with pytest.raises(ValueError, match="street_half_width_fraction"):
+            GreedySSPlaneDesigner(street_half_width_fraction=1.5).design(grid)

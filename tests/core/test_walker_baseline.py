@@ -82,6 +82,21 @@ class TestWalkerBaseline:
         )
         assert all(abs(a - designer.altitude_km) <= 50.0 for a in altitudes)
 
+    def test_shell_elements_fly_at_shell_altitude(self, designer):
+        # Shells are staggered around the base altitude; every satellite of a
+        # shell must sit at that shell's altitude, not at the pattern's.
+        grid = _empty_grid()
+        row, col = grid.index_of(34.0, 21.0)
+        grid.values[row, col] = 3.0
+        result = designer.design(grid)
+        assert len({shell.altitude_km for shell in result.shells}) == 3
+        for shell in result.shells:
+            elements = shell.satellite_elements()
+            assert len(elements) == shell.satellite_count
+            for element in elements:
+                assert element.altitude_km == pytest.approx(shell.altitude_km)
+                assert element.inclination_deg == pytest.approx(shell.inclination_deg)
+
     def test_input_not_mutated(self, designer):
         grid = _empty_grid()
         row, col = grid.index_of(34.0, 21.0)
