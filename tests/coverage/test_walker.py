@@ -101,6 +101,26 @@ class TestCoverage:
         assert not is_continuously_covered(tiny, 25.0, grid_step_deg=8.0, time_samples=4)
 
 
+def _exhaustive_minimum_walker(altitude_km, inclination_deg, **check) -> WalkerDelta:
+    """The sizing search without witness pruning: every candidate runs the full check."""
+    seed_planes, seed_sats = streets_of_coverage_size(altitude_km, inclination_deg, 25.0)
+    lam = coverage_half_angle_rad(altitude_km, 25.0)
+    min_sats = max(3, int(math.ceil(math.pi / lam)))
+    candidates = sorted(
+        (
+            (planes * sats, planes)
+            for planes in range(2, max(seed_planes * 3, 8) + 1)
+            for sats in range(min_sats, max(seed_sats * 3, min_sats + 10) + 1)
+        ),
+        key=lambda item: item[0],
+    )
+    for total, planes in candidates:
+        pattern = WalkerDelta(altitude_km, inclination_deg, total, planes, phasing=1)
+        if is_continuously_covered(pattern, 25.0, **check):
+            return pattern
+    raise AssertionError("no candidate covers")
+
+
 class TestSizing:
     def test_streets_of_coverage_seed(self):
         planes, per_plane = streets_of_coverage_size(1215.0, 65.0, 25.0)
@@ -123,33 +143,14 @@ class TestSizing:
         wd = minimum_walker_for_coverage(1215.0, 65.0, 25.0, grid_step_deg=6.0, time_samples=5)
         assert is_continuously_covered(wd, 25.0, grid_step_deg=6.0, time_samples=5)
 
-
-def _exhaustive_minimum_walker(altitude_km, inclination_deg, **check) -> WalkerDelta:
-    """The sizing search without witness pruning: every candidate runs the full check."""
-    seed_planes, seed_sats = streets_of_coverage_size(altitude_km, inclination_deg, 25.0)
-    lam = coverage_half_angle_rad(altitude_km, 25.0)
-    min_sats = max(3, int(math.ceil(math.pi / lam)))
-    candidates = sorted(
-        (
-            (planes * sats, planes)
-            for planes in range(2, max(seed_planes * 3, 8) + 1)
-            for sats in range(min_sats, max(seed_sats * 3, min_sats + 10) + 1)
-        ),
-        key=lambda item: item[0],
+    @pytest.mark.parametrize(
+        "altitude_km, inclination_deg, lat_limit_deg",
+        [(1215.0, 65.0, None), (1215.0, 80.0, 50.0), (800.0, 40.0, None)],
     )
-    for total, planes in candidates:
-        pattern = WalkerDelta(altitude_km, inclination_deg, total, planes, phasing=1)
-        if is_continuously_covered(pattern, 25.0, **check):
-            return pattern
-    raise AssertionError("no candidate covers")
-
-
-@pytest.mark.parametrize(
-    "altitude_km, inclination_deg, lat_limit_deg",
-    [(1215.0, 65.0, None), (1215.0, 80.0, 50.0), (800.0, 40.0, None)],
-)
-def test_pruned_search_matches_exhaustive_search(altitude_km, inclination_deg, lat_limit_deg):
-    check = {"lat_limit_deg": lat_limit_deg, "grid_step_deg": 8.0, "time_samples": 4}
-    assert minimum_walker_for_coverage(
-        altitude_km, inclination_deg, 25.0, **check
-    ) == _exhaustive_minimum_walker(altitude_km, inclination_deg, **check)
+    def test_pruned_search_matches_exhaustive_search(
+        self, altitude_km, inclination_deg, lat_limit_deg
+    ):
+        check = {"lat_limit_deg": lat_limit_deg, "grid_step_deg": 8.0, "time_samples": 4}
+        assert minimum_walker_for_coverage(
+            altitude_km, inclination_deg, 25.0, **check
+        ) == _exhaustive_minimum_walker(altitude_km, inclination_deg, **check)
