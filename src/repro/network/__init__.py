@@ -21,6 +21,7 @@ from .backends import (
     EdgeArrays,
     NetworkXBackend,
     NodeIndex,
+    RouteTables,
     RoutingBackend,
     SnapshotEdgeList,
     edge_arrays_from_graph,
@@ -67,7 +68,13 @@ from .isl import (
     isl_feasible_mask,
     propagation_delay_ms,
 )
-from .flows import FlowTable, RoutedFlowTable, route_flow_table, select_flow_table
+from .flows import (
+    FlowTable,
+    RoutedFlowTable,
+    route_flow_table,
+    select_flow_table,
+    station_rows,
+)
 from .routing import RouteResult, SnapshotRouter, TimeAwareRouter
 from .scheduler import PeakShiftScheduler, ScheduleResult
 from .steering import (
@@ -117,6 +124,7 @@ __all__ = [
     "EdgeArrays",
     "NetworkXBackend",
     "NodeIndex",
+    "RouteTables",
     "RoutingBackend",
     "SnapshotEdgeList",
     "edge_arrays_from_graph",
@@ -140,6 +148,7 @@ __all__ = [
     "get_allocator",
     "route_flow_table",
     "select_flow_table",
+    "station_rows",
     "TELEMETRY",
     "AutoTelemetry",
     "CountMinPairStore",

@@ -29,6 +29,13 @@ can select them declaratively):
     unique on continuous-geometry topologies -- the same paths as the
     reference backend, at a fraction of the per-step cost.
 
+The csgraph search result is kept in its native matrix form,
+:class:`RouteTables`: ``(S, N)`` distance and predecessor matrices plus the
+``S`` source rows.  The simulator routes on it directly --
+:meth:`RouteTables.paths` walks every flow's path in one batched layer walk
+-- and the backend's ``{destination: RouteResult}`` mappings are read-only
+row views of it.
+
 Because :class:`EdgeArrays` and :class:`SnapshotEdgeList` are plain numpy
 containers they pickle cheaply (unlike :class:`networkx.Graph`), which is
 what lets :meth:`repro.network.simulation.NetworkSimulator.run_scenarios`
@@ -48,6 +55,7 @@ import numpy as np
 
 __all__ = [
     "RouteResult",
+    "RouteTables",
     "NodeIndex",
     "EdgeArrays",
     "SnapshotEdgeList",
@@ -56,7 +64,6 @@ __all__ = [
     "CSGraphBackend",
     "BACKENDS",
     "get_backend",
-    "bulk_path_rows_many",
     "edge_arrays_from_graph",
     "graph_from_edge_arrays",
 ]
@@ -276,8 +283,112 @@ def _require_scipy():
     return sparse
 
 
+class RouteTables(NamedTuple):
+    """Multi-source shortest-path tables of one snapshot, as matrices.
+
+    Row ``i`` holds the single-source search from node row
+    ``source_rows[i]``: ``distances[i, n]`` is the lowest delay [ms] to
+    node row ``n`` (``inf`` when unreachable) and ``predecessors[i, n]`` the
+    row before ``n`` on that path (scipy's ``-9999`` at the source and at
+    unreachable nodes).  A negative source row marks a source absent from
+    the snapshot, whose row reaches nothing.  This is the only form the
+    simulator routes on: :meth:`paths` walks the matrices directly, and the
+    analysis APIs read single rows through :class:`_PredecessorRoutes`.
+    """
+
+    node_index: NodeIndex
+    source_rows: np.ndarray  # (S,)
+    distances: np.ndarray  # (S, N)
+    predecessors: np.ndarray  # (S, N)
+
+    @classmethod
+    def solve(cls, arrays: EdgeArrays, source_rows) -> "RouteTables":
+        """Solve every non-negative source row in one multi-source Dijkstra.
+
+        Each row of a multi-source :func:`scipy.sparse.csgraph.dijkstra`
+        result is its own single-source search, so a row is the same
+        however many other sources share the call.
+        """
+        source_rows = np.asarray(source_rows, dtype=np.intp)
+        known = source_rows >= 0
+        if known.all():
+            distances, predecessors = _dijkstra(arrays, source_rows)
+        else:
+            shape = (source_rows.size, arrays.node_count)
+            distances = np.full(shape, np.inf)
+            predecessors = np.full(shape, -9999, dtype=np.int32)
+            if known.any():
+                distances[known], predecessors[known] = _dijkstra(
+                    arrays, source_rows[known]
+                )
+        return cls(arrays.node_index, source_rows, distances, predecessors)
+
+    def paths(
+        self, group_of: np.ndarray, dest_rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One layer walk over many queries' predecessor rows at once.
+
+        Query ``i`` walks table row ``group_of[i]`` toward node row
+        ``dest_rows[i]``.  Negative ``group_of`` or ``dest_rows`` entries,
+        like unreachable destinations, yield an empty segment with ``inf``
+        latency.
+
+        Returns ``(offsets, rows_buffer, latency_ms)`` in query order: path
+        ``i`` occupies ``rows_buffer[offsets[i]:offsets[i + 1]]`` (source
+        first, destination last -- the rows of
+        :meth:`_PredecessorRoutes._reconstruct`).  Every pending query steps
+        one hop per iteration, so the Python-level work is O(longest path)
+        across the whole batch.
+        """
+        group_of = np.asarray(group_of, dtype=np.intp)
+        dest_rows = np.asarray(dest_rows, dtype=np.intp)
+        count = dest_rows.size
+        latency = np.full(count, np.inf)
+        lengths = np.zeros(count, dtype=np.intp)
+        known = (group_of >= 0) & (dest_rows >= 0)
+        safe_group = np.where(known, group_of, 0)
+        safe_rows = np.where(known, dest_rows, 0)
+        reachable = known & np.isfinite(self.distances[safe_group, safe_rows])
+        latency[reachable] = self.distances[safe_group[reachable], safe_rows[reachable]]
+        # Walk predecessors for all reachable queries at once, recording each
+        # layer; depth[i] counts hops from destination i back to its source.
+        source_of = self.source_rows[safe_group]
+        cursor = safe_rows.copy()
+        depth = np.zeros(count, dtype=np.intp)
+        pending = reachable.copy()
+        layers: list[tuple[np.ndarray, np.ndarray]] = []
+        while True:
+            pending = pending & (cursor != source_of)
+            if not pending.any():
+                break
+            layers.append((np.flatnonzero(pending), cursor[pending].copy()))
+            depth[pending] += 1
+            cursor[pending] = self.predecessors[safe_group[pending], cursor[pending]]
+        lengths[reachable] = depth[reachable] + 1
+        offsets = np.zeros(count + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        buffer = np.empty(int(offsets[-1]), dtype=np.intp)
+        # Each source sits at its segment's start; the layer recorded at walk
+        # step k holds the node depth[i]-k hops along path i, i.e. position
+        # offsets[i] + depth[i] - k (destination itself at k=0).
+        buffer[offsets[:-1][reachable]] = source_of[reachable]
+        for step, (where, nodes) in enumerate(layers):
+            buffer[offsets[:-1][where] + depth[where] - step] = nodes
+        return offsets, buffer, latency
+
+
+def _dijkstra(arrays: EdgeArrays, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distances, predecessors)`` of one multi-source csgraph search."""
+    return _require_scipy().csgraph.dijkstra(
+        arrays.matrix(),
+        directed=True,  # the CSR export is explicitly symmetric
+        indices=rows,
+        return_predecessors=True,
+    )
+
+
 class _PredecessorRoutes(Mapping):
-    """Lazily reconstructed single-source routes of one Dijkstra row.
+    """Read-only view of one row of :class:`RouteTables`.
 
     Behaves like the dict produced by the networkx backend -- keys are the
     reachable destinations, values are :class:`RouteResult` -- but each path
@@ -286,44 +397,13 @@ class _PredecessorRoutes(Mapping):
     pays for exactly those paths.
     """
 
-    def __init__(
-        self,
-        node_index: NodeIndex,
-        distances: np.ndarray,
-        predecessors: np.ndarray,
-        source_row: int,
-    ):
-        self._node_index = node_index
-        self._distances = distances
-        self._predecessors = predecessors
-        self._source_row = source_row
-        self._reachable = np.flatnonzero(np.isfinite(distances))
+    def __init__(self, tables: RouteTables, index: int):
+        self._node_index = tables.node_index
+        self._distances = tables.distances[index]
+        self._predecessors = tables.predecessors[index]
+        self._source_row = int(tables.source_rows[index])
+        self._reachable = np.flatnonzero(np.isfinite(self._distances))
         self._built: dict = {}
-
-    @property
-    def node_index(self) -> NodeIndex:
-        """Label table of the snapshot this route table was solved on."""
-        return self._node_index
-
-    def bulk_path_rows(
-        self, dest_rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised path export for a batch of destination rows.
-
-        Returns ``(offsets, rows_buffer, latency_ms)``: path ``i`` occupies
-        ``rows_buffer[offsets[i]:offsets[i + 1]]`` (source first, destination
-        last -- identical rows to :meth:`_reconstruct`) and has latency
-        ``latency_ms[i]``.  Unreachable or unknown destinations (negative
-        row, non-finite distance) get an empty segment and ``inf`` latency.
-
-        The predecessor walk runs layer-by-layer over the whole batch --
-        every pending destination steps one hop per iteration -- so the
-        Python-level work is O(longest path), not O(total rows).
-        """
-        dest_rows = np.asarray(dest_rows, dtype=np.intp)
-        return bulk_path_rows_many(
-            [self], np.zeros(dest_rows.size, dtype=np.intp), dest_rows
-        )
 
     def _reconstruct(self, row: int) -> RouteResult:
         path_rows = [row]
@@ -356,68 +436,6 @@ class _PredecessorRoutes(Mapping):
 
     def __len__(self) -> int:
         return len(self._reachable)
-
-
-def bulk_path_rows_many(
-    tables: Sequence, group_of: np.ndarray, dest_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One layer walk over many sources' predecessor rows at once.
-
-    ``tables`` are per-source route tables solved on the *same* snapshot
-    (the :class:`_PredecessorRoutes` the csgraph backend hands out); query
-    ``i`` walks table ``tables[group_of[i]]`` toward row ``dest_rows[i]``.
-    Negative ``group_of`` or ``dest_rows`` entries mark unknown sources or
-    destinations and yield an empty segment with ``inf`` latency, exactly
-    like :meth:`_PredecessorRoutes.bulk_path_rows`.
-
-    Returns ``(offsets, rows_buffer, latency_ms)`` in query order: path
-    ``i`` occupies ``rows_buffer[offsets[i]:offsets[i + 1]]`` (source
-    first, destination last).  Stacking every source's distance and
-    predecessor rows into one ``(sources, nodes)`` matrix lets a single
-    layer-by-layer walk advance *all* queries one hop per iteration, so
-    the Python-level work is O(longest path) across the whole batch
-    instead of O(sources) separate walks.
-    """
-    group_of = np.asarray(group_of, dtype=np.intp)
-    dest_rows = np.asarray(dest_rows, dtype=np.intp)
-    count = dest_rows.size
-    latency = np.full(count, np.inf)
-    lengths = np.zeros(count, dtype=np.intp)
-    if not tables:
-        return np.zeros(count + 1, dtype=np.intp), np.empty(0, dtype=np.intp), latency
-    distances = np.stack([table._distances for table in tables])
-    predecessors = np.stack([table._predecessors for table in tables])
-    source_rows = np.array([table._source_row for table in tables], dtype=np.intp)
-    known = (group_of >= 0) & (dest_rows >= 0)
-    safe_group = np.where(known, group_of, 0)
-    safe_rows = np.where(known, dest_rows, 0)
-    reachable = known & np.isfinite(distances[safe_group, safe_rows])
-    latency[reachable] = distances[safe_group[reachable], safe_rows[reachable]]
-    # Walk predecessors for all reachable queries at once, recording each
-    # layer; depth[i] counts hops from destination i back to its source.
-    source_of = source_rows[safe_group]
-    cursor = safe_rows.copy()
-    depth = np.zeros(count, dtype=np.intp)
-    pending = reachable.copy()
-    layers: list[tuple[np.ndarray, np.ndarray]] = []
-    while True:
-        pending = pending & (cursor != source_of)
-        if not pending.any():
-            break
-        layers.append((np.flatnonzero(pending), cursor[pending].copy()))
-        depth[pending] += 1
-        cursor[pending] = predecessors[safe_group[pending], cursor[pending]]
-    lengths[reachable] = depth[reachable] + 1
-    offsets = np.zeros(count + 1, dtype=np.intp)
-    np.cumsum(lengths, out=offsets[1:])
-    buffer = np.empty(int(offsets[-1]), dtype=np.intp)
-    # Each source sits at its segment's start; the layer recorded at walk
-    # step k holds the node depth[i]-k hops along path i, i.e. position
-    # offsets[i] + depth[i] - k (destination itself at k=0).
-    buffer[offsets[:-1][reachable]] = source_of[reachable]
-    for step, (where, nodes) in enumerate(layers):
-        buffer[offsets[:-1][where] + depth[where] - step] = nodes
-    return offsets, buffer, latency
 
 
 class RoutingBackend(ABC):
@@ -506,30 +524,12 @@ class CSGraphBackend(RoutingBackend):
 
     def routes_from_many(self, router, sources: Sequence) -> dict:
         arrays = router.edge_arrays()
-        node_index = arrays.node_index
-        resolved = [(source, node_index.index_of(source)) for source in sources]
-        rows = [row for _, row in resolved if row is not None]
-        tables: dict = {}
-        if rows:
-            sparse = _require_scipy()
-            distances, predecessors = sparse.csgraph.dijkstra(
-                arrays.matrix(),
-                directed=True,  # the CSR export is explicitly symmetric
-                indices=rows,
-                return_predecessors=True,
-            )
-            cursor = 0
-            for source, row in resolved:
-                if row is None:
-                    continue
-                tables[source] = _PredecessorRoutes(
-                    node_index, distances[cursor], predecessors[cursor], int(row)
-                )
-                cursor += 1
-        for source, row in resolved:
-            if row is None:
-                tables[source] = {}
-        return tables
+        rows = [arrays.node_index.index_of(source) for source in sources]
+        tables = RouteTables.solve(arrays, [-1 if row is None else row for row in rows])
+        return {
+            source: {} if row is None else _PredecessorRoutes(tables, index)
+            for index, (source, row) in enumerate(zip(sources, rows))
+        }
 
     def routes_from(self, router, source) -> Mapping:
         return self.routes_from_many(router, [source])[source]

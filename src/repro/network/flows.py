@@ -13,12 +13,12 @@ columnar end-to-end:
   (:meth:`~repro.demand.traffic_matrix.TrafficMatrix.entry_arrays`),
   an :func:`np.argpartition` top-k cut, and a deterministic
   :func:`np.lexsort` tie-break ordering by ``(-demand, src, dst)``;
-* :func:`route_flow_table` -- stage 3 as gather ops: one batched
-  multi-source search, then *every* source's predecessor rows stacked into
-  one (sources x nodes) matrix and walked in a single batched layer walk
-  (:func:`~repro.network.backends.bulk_path_rows_many`) straight into one
-  ragged ``(offsets, rows)`` path buffer in table order -- no per-source
-  loop, no scatter pass;
+* :func:`route_flow_table` -- stage 3 as gather ops: the step's
+  :class:`~repro.network.backends.RouteTables` (one ``(S, N)`` multi-source
+  Dijkstra result, indexed by station id) are walked for *every* flow in a
+  single batched layer walk (:meth:`~repro.network.backends.RouteTables.paths`)
+  straight into one ragged ``(offsets, rows)`` path buffer in table order --
+  no per-source loop, no per-source tables, no scatter pass;
 * :meth:`RoutedFlowTable.compact` -- stage 4 input: the reachable slice of
   the ragged paths feeds
   :func:`repro.network.alloc_arrays.compile_system_from_rows` directly,
@@ -33,9 +33,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..demand.traffic_matrix import TrafficMatrix
-from .backends import bulk_path_rows_many
+from .backends import NodeIndex, RouteTables
 
-__all__ = ["FlowTable", "RoutedFlowTable", "select_flow_table", "route_flow_table"]
+__all__ = [
+    "FlowTable",
+    "RoutedFlowTable",
+    "select_flow_table",
+    "station_rows",
+    "route_flow_table",
+]
 
 
 @dataclass(frozen=True)
@@ -154,75 +160,33 @@ def select_flow_table(
     )
 
 
-def route_flow_table(router, table: FlowTable, route_cache=None) -> RoutedFlowTable:
-    """Columnar stage 3: route every flow via one batched predecessor walk.
+def station_rows(node_index: NodeIndex, station_names: tuple[str, ...]) -> np.ndarray:
+    """Snapshot row of every station, indexed by station id.
 
-    One batched ``routes_from_many`` call covers all distinct sources (served
-    through ``route_cache`` when the sweep shares one, so scenarios on the
-    same snapshot share the same search); all sources' predecessor rows are
-    then stacked and walked together by
-    :func:`~repro.network.backends.bulk_path_rows_many`, whose output is
-    already in table order -- one walk for the whole step instead of one per
-    source.  ``router`` must use an array-native backend (its tables export
-    bulk paths); any other raises :class:`ValueError`.  Sources absent from
-    the snapshot yield unreachable flows.
+    Station ``i`` (``station_names[i]``) is the node ``"gs:<name>"``; a
+    station absent from the snapshot gets row ``-1``, which routes nowhere.
     """
-    names = table.station_names
-    count = table.flow_count
-    latency = np.full(count, np.inf)
-    if count == 0:
-        return RoutedFlowTable(
-            table=table,
-            reachable=np.zeros(0, dtype=bool),
-            latency_ms=latency,
-            path_offsets=np.zeros(1, dtype=np.intp),
-            path_rows=np.empty(0, dtype=np.intp),
-        )
-    unique_src, inverse = np.unique(table.src, return_inverse=True)
-    sources = [f"gs:{names[src]}" for src in unique_src.tolist()]
-    if route_cache is not None:
-        tables = route_cache.routes_from_many(router, sources)
-    else:
-        tables = router.routes_from_many(sources)
-    exporters = []
-    for source in sources:
-        routes = tables[source]
-        if hasattr(routes, "bulk_path_rows"):
-            exporters.append(routes)
-        elif len(routes) == 0:
-            exporters.append(None)  # unknown source: every flow unreachable
-        else:
-            raise ValueError(
-                "route_flow_table requires an array-native routing backend; "
-                f"got {router.backend.name!r}"
-            )
-    stacked = [routes for routes in exporters if routes is not None]
-    if not stacked:
-        # No source is even in the snapshot: nothing is reachable.
-        return RoutedFlowTable(
-            table=table,
-            reachable=np.zeros(count, dtype=bool),
-            latency_ms=latency,
-            path_offsets=np.zeros(count + 1, dtype=np.intp),
-            path_rows=np.empty(0, dtype=np.intp),
-        )
-    node_index = stacked[0].node_index
-    station_rows = np.array(
+    return np.array(
         [
             -1 if (row := node_index.index_of(f"gs:{name}")) is None else row
-            for name in names
+            for name in station_names
         ],
         dtype=np.intp,
     )
-    # Per-flow row into the stacked tables (-1 marks an unknown source, which
-    # bulk_path_rows_many resolves to an unreachable empty segment).
-    remap = np.full(len(exporters), -1, dtype=np.intp)
-    present = [group for group, routes in enumerate(exporters) if routes is not None]
-    remap[present] = np.arange(len(stacked))
-    group_of = remap[np.asarray(inverse, dtype=np.intp).reshape(count)]
-    path_offsets, path_rows, latency = bulk_path_rows_many(
-        stacked, group_of, station_rows[table.dst]
-    )
+
+
+def route_flow_table(
+    tables: RouteTables, station_rows: np.ndarray, table: FlowTable
+) -> RoutedFlowTable:
+    """Columnar stage 3: route every flow in one batched predecessor walk.
+
+    ``tables`` holds one row per station id (a station that no flow starts
+    at may have a negative, unsolved row), and ``station_rows`` maps station
+    ids to snapshot rows (:func:`station_rows`).  The walk's output is
+    already in table order; flows from or to a station absent from the
+    snapshot are unreachable.
+    """
+    path_offsets, path_rows, latency = tables.paths(table.src, station_rows[table.dst])
     return RoutedFlowTable(
         table=table,
         reachable=np.isfinite(latency),

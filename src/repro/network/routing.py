@@ -65,9 +65,7 @@ class SnapshotRouter:
         given).
     """
 
-    # Routers are built worker-side from snapshot arrays and never cross a
-    # process boundary, so the graph field is safe to hold here.
-    graph: nx.Graph | None = None  # repro-lint: ignore[RPL002]
+    graph: nx.Graph | None = None
     backend: str | RoutingBackend = "networkx"
     arrays: EdgeArrays | None = None
 

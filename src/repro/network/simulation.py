@@ -7,16 +7,18 @@ The simulator runs one pipeline per scenario and time step:
    ``(T, N, 3)`` propagation plus one vectorised feasibility pass for the
    whole run); each snapshot group (station subset plus fault schedule)
    gets one :class:`~repro.network.backends.SnapshotEdgeList` per step,
-   from which the step kernel builds one shared csgraph router, one shared
-   route cache and one shared allocation compile cache;
+   from which the step kernel builds the group's station rows, its shared
+   allocation compile cache and -- when two or more open-loop scenarios
+   route on it -- one shared :class:`~repro.network.backends.RouteTables`;
 2. **flow selection** -- the gravity traffic matrix of the step's UTC hour
    (memoised: the diurnal model repeats every 24 h) is filtered to the
    scenario's ground stations, scaled by its demand multiplier and cut to
    the largest ``flows_per_step`` flows as a columnar
    :class:`~repro.network.flows.FlowTable`;
-3. **routing** -- every distinct source station is solved in one batched
-   multi-source Dijkstra over the snapshot's CSR arrays, and all paths are
-   walked at once into ragged row arrays
+3. **routing** -- every source station is solved in one batched
+   multi-source Dijkstra over the snapshot's CSR arrays, kept as ``(S, N)``
+   distance and predecessor matrices indexed by station id, and all paths
+   are walked at once into ragged row arrays
    (:func:`~repro.network.flows.route_flow_table`);
 4. **capacity allocation** -- the routed paths compile straight into a
    sparse (flow x link) incidence system and the scenario's array solver
@@ -32,9 +34,9 @@ analysis and as test oracles, but the simulator never runs them.
 :meth:`NetworkSimulator.run_scenarios` evaluates many :class:`Scenario`
 variants (demand multipliers, ground-station subsets, flow budgets,
 allocators, fault specs, steering policies, telemetry) over *one* shared
-snapshot sequence: scenarios of one snapshot group share each step's
-routing searches, so a sweep pays the topology and shortest-path cost once
-per group instead of once per scenario.  This is the paper's Section 5
+snapshot sequence: open-loop scenarios of one snapshot group share each
+step's route tables, so a sweep pays the topology and shortest-path cost
+once per group instead of once per scenario.  This is the paper's Section 5
 evaluation methodology -- many traffic scenarios over one constellation --
 as a first-class API.
 
@@ -59,8 +61,8 @@ import json
 import math
 import os
 import tempfile
-import threading
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -78,11 +80,10 @@ from ..obs import (
 )
 from .alloc_arrays import ARRAY_SOLVERS, EdgeListCompileCache, compile_system_from_rows
 from ..orbits.time import Epoch, epoch_range
-from .backends import BACKENDS, RoutingBackend, SnapshotEdgeList, get_backend
+from .backends import BACKENDS, RouteTables, RoutingBackend, SnapshotEdgeList, get_backend
 from .faults import FaultContext, FaultSchedule, FaultSpec, compile_faults, normalise_fault_specs
-from .flows import route_flow_table, select_flow_table
+from .flows import route_flow_table, select_flow_table, station_rows
 from .ground_station import GroundStation
-from .routing import SnapshotRouter
 from .steering import (
     SteeringController,
     SteeringPolicy,
@@ -350,38 +351,6 @@ class SimulationResult:
         return worst
 
 
-class _SharedRouteCache:
-    """One snapshot's cache of single-source routing tables.
-
-    The step kernel builds one per snapshot group per step, so scenarios of
-    a group share each source's shortest-path search however many of them
-    (or worker threads) consume it, and no table ever outlives its
-    snapshot.  The lock makes the check-then-compute atomic under thread
-    pools: concurrent scenarios of one group wait for the first computation
-    instead of redundantly repeating it.
-    """
-
-    def __init__(self):
-        self._routes: dict = {}
-        self._lock = threading.Lock()
-
-    def routes_from_many(self, router: SnapshotRouter, sources: list) -> dict:
-        """Return ``{source: routing table}``, computing the missing sources.
-
-        All sources absent from the cache are solved in one batched
-        :meth:`~repro.network.routing.SnapshotRouter.routes_from_many` call,
-        so the step pays a single multi-source search per group however the
-        consuming scenarios overlap.
-        """
-        missing = [source for source in sources if source not in self._routes]
-        if missing:
-            with self._lock:
-                missing = [s for s in dict.fromkeys(missing) if s not in self._routes]
-                if missing:
-                    self._routes.update(router.routes_from_many(missing))
-        return {source: self._routes[source] for source in sources}
-
-
 class _TrafficMatrixCache:
     """Memoise ``matrix_at`` by UTC hour.
 
@@ -436,10 +405,12 @@ class _GroupSnapshot(NamedTuple):
     """One snapshot group's shared per-step state, built by the step kernel."""
 
     edge_list: SnapshotEdgeList
-    #: Open-loop router and its route cache (``None`` when every scenario
-    #: of the group steers adaptively and routes privately).
-    router: SnapshotRouter | None
-    route_cache: _SharedRouteCache | None
+    #: Snapshot row of each of the group's stations, indexed by station id.
+    station_rows: np.ndarray
+    #: Open-loop route tables over every station of the group, solved only
+    #: when two or more open-loop scenarios share them (``None`` otherwise:
+    #: every scenario then solves its own sources privately).
+    route_tables: RouteTables | None
     #: Per-snapshot constants of the incidence compile, shared by every
     #: scenario of the group.
     compile_cache: EdgeListCompileCache
@@ -491,21 +462,23 @@ def _evaluate_scenario(
 ) -> _StepOutput:
     """Stages 2-5 for one scenario at one step, as whole-array numpy.
 
-    With an adaptive ``controller`` the step routes on a *private* router
-    over the controller-steered snapshot (the group's shared router and
-    route cache hold open-loop tables that must not see per-scenario
+    The scenario routes on the group's shared open-loop route tables when
+    the step kernel solved them; otherwise it solves private tables, inside
+    its routing span, for only the stations its flows start at.  With an
+    adaptive ``controller`` the private tables are solved on the
+    controller-steered snapshot (shared tables must not see per-scenario
     feedback state); allocation and every reported statistic still run
     against the unsteered capacities and delays.  ``obs`` records the
     stage spans (the shared :data:`~repro.obs.NULL_TRACER` when untraced).
     """
     scenario = spec.scenario
     edge_list = snapshot.edge_list
-    router, route_cache = snapshot.router, snapshot.route_cache
+    tables = snapshot.route_tables
+    arrays = None
     if controller is not None:
         with obs.span("steering"):
-            steered = controller.steer(edge_list)
-            router = SnapshotRouter(backend=_ROUTING_BACKEND, arrays=steered.arrays())
-        route_cache = None
+            arrays = controller.steer(edge_list).arrays()
+        tables = None
     if obs.enabled:
         obs.counter("steps")
     with obs.span("flow_selection"):
@@ -520,7 +493,14 @@ def _evaluate_scenario(
         with obs.span("telemetry"):
             telemetry = _pair_telemetry(scenario, table)
     with obs.span("routing"):
-        routed = route_flow_table(router, table, route_cache)
+        if tables is None:
+            sources = np.unique(table.src)
+            source_rows = np.full(snapshot.station_rows.size, -1, dtype=np.intp)
+            source_rows[sources] = snapshot.station_rows[sources]
+            tables = RouteTables.solve(
+                edge_list.arrays() if arrays is None else arrays, source_rows
+            )
+        routed = route_flow_table(tables, snapshot.station_rows, table)
     routed_count = int(np.count_nonzero(routed.reachable))
     if obs.enabled:
         obs.counter("flows_routed", routed_count)
@@ -615,29 +595,35 @@ def _evaluate_step(
 
     ``edge_lists`` maps each snapshot group to its (already fault-masked)
     edge list of this step.  The kernel builds each group's shared state
-    once -- csgraph router and route cache for the open-loop scenarios,
-    compile cache for every scenario -- then evaluates the scenarios,
-    through ``pool`` when given.  Outputs come back in ``specs`` order.
+    once -- station rows and compile cache for every scenario, plus
+    :class:`~repro.network.backends.RouteTables` over all of the group's
+    stations when two or more open-loop scenarios would route on them --
+    then evaluates the scenarios, through ``pool`` when given.  Every
+    shared value is built before any scenario runs and only read after, so
+    thread workers need no lock.  A group's sole open-loop scenario, like
+    every steered one, solves only its own sources inside its routing span
+    instead.  Outputs come back in ``specs`` order.
 
     With ``tracers`` (one per scenario, or none at all) the snapshot stage
     -- the caller's edge-list export (``export_seconds``) plus the shared
-    builds here -- serves every scenario at once, so it is amortised
-    equally and per-scenario metrics sum to the measured total.
+    builds here, the shared route tables included -- serves every scenario
+    at once, so it is amortised equally and per-scenario metrics sum to the
+    measured total.
     """
     begin = time.perf_counter() if tracers else 0.0
-    open_loop = {spec.group for spec in specs if spec.steering is None}
+    open_loop = Counter(spec.group for spec in specs if spec.steering is None)
     snapshots: dict[int, _GroupSnapshot] = {}
-    for group in dict.fromkeys(spec.group for spec in specs):
+    for group, names in {spec.group: spec.station_names for spec in specs}.items():
         edge_list = edge_lists[group]
-        shared = group in open_loop
+        rows = station_rows(edge_list.node_index, names)
         snapshots[group] = _GroupSnapshot(
             edge_list=edge_list,
-            router=(
-                SnapshotRouter(backend=_ROUTING_BACKEND, arrays=edge_list.arrays())
-                if shared
+            station_rows=rows,
+            route_tables=(
+                RouteTables.solve(edge_list.arrays(), rows)
+                if open_loop[group] >= 2
                 else None
             ),
-            route_cache=_SharedRouteCache() if shared else None,
             compile_cache=EdgeListCompileCache(edge_list),
         )
     if tracers:
@@ -808,6 +794,10 @@ class NetworkSimulator:
     traffic_model: GravityTrafficModel = field(default_factory=GravityTrafficModel)
     flows_per_step: int = 50
 
+    def __post_init__(self) -> None:
+        if self.flows_per_step is not None and self.flows_per_step <= 0:
+            raise ValueError("flows_per_step must be positive")
+
     # -- public entry points -----------------------------------------------------
 
     def run(
@@ -855,10 +845,13 @@ class NetworkSimulator:
         All scenarios see the same constellation kinematics: one batched
         propagation and one vectorised link-feasibility pass cover the whole
         sweep, and scenarios whose ground-station subsets *and* fault specs
-        coincide form one snapshot group sharing each step's edge list and
-        routing searches: shortest paths depend only on the snapshot, so
-        one batched search per group per step serves every scenario of the
-        group, whatever its demand multiplier, flow budget or allocator.
+        coincide form one snapshot group sharing each step's edge list.
+        Shortest paths depend only on the snapshot, so when two or more
+        open-loop scenarios share a group, one batched search from every
+        station of the group per step serves them all, whatever their
+        demand multipliers, flow budgets or allocators.  A group's sole
+        open-loop scenario, and every adaptively steered one, instead
+        solves only the stations its flows start at.
         Fault specs (:attr:`Scenario.faults`) compile once per distinct
         spec tuple into vectorised outage masks.  Results are keyed by
         scenario name, in input order, and are identical to running each

@@ -34,7 +34,7 @@ from repro.network.alloc_arrays import (
     compile_flow_link_system,
     compile_system_from_rows,
 )
-from repro.network.backends import bulk_path_rows_many
+from repro.network.backends import RouteTables
 from repro.network.capacity import (
     ALLOCATORS,
     AllocationResult,
@@ -45,7 +45,6 @@ from repro.network.capacity import (
     get_allocator,
 )
 from repro.network.ground_station import GroundStation
-from repro.network.routing import SnapshotRouter
 from repro.network.simulation import NetworkSimulator, Scenario
 from repro.network.topology import ConstellationTopology
 
@@ -484,11 +483,8 @@ def workload_routes(simulator, epoch):
     dst = rng.integers(0, len(labels), size=2400)
     src, dst = src[src != dst], dst[src != dst]
     sources = np.unique(src)
-    router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
-    tables = router.routes_from_many([labels[row] for row in sources])
-    offsets, rows, _ = bulk_path_rows_many(
-        [tables[labels[row]] for row in sources], np.searchsorted(sources, src), dst
-    )
+    tables = RouteTables.solve(edge_list.arrays(), sources)
+    offsets, rows, _ = tables.paths(np.searchsorted(sources, src), dst)
     assert np.all(np.diff(offsets) >= 2), "every pair must be routed"
     demand = rng.choice([0.0, 0.1, 0.2, 0.5, 1.0, 4.0], size=src.size)
     flows = []

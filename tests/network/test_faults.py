@@ -12,6 +12,7 @@ import pytest
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network import simulation as simulation_module
+from repro.network.backends import RouteTables
 from repro.network.faults import (
     FAULT_MODELS,
     FaultContext,
@@ -20,6 +21,7 @@ from repro.network.faults import (
     compile_faults,
     get_fault_model,
 )
+from repro.network.flows import route_flow_table
 from repro.network.ground_station import GroundStation
 from repro.network.simulation import NetworkSimulator, Scenario
 from repro.network.topology import ConstellationTopology, MultiShellTopology
@@ -431,25 +433,40 @@ class TestFaultSweeps:
             faulted.latency_stretch(simulation_module.SimulationResult(steps=[]))
 
     def test_route_cache_is_per_step_under_faults(self, simulator, epoch, monkeypatch):
-        """Fault-perturbed snapshot groups keep their own per-step route
-        caches -- stale tables from a degraded snapshot must never leak into
-        the next step or into another group."""
-        used: list = []  # strong references, so ids stay unique
-        original = simulation_module._SharedRouteCache.routes_from_many
+        """Fault-perturbed snapshot groups get fresh route tables every step
+        -- stale tables from a degraded snapshot must never leak into the
+        next step or into another group."""
+        solved: list = []  # strong references, so ids stay unique
+        consumed: list = []
+        solve = RouteTables.solve.__func__
 
-        def recording_routes(self, router, sources):
-            used.append(self)
-            return original(self, router, sources)
+        def recording_solve(cls, arrays, source_rows):
+            tables = solve(cls, arrays, source_rows)
+            solved.append(tables)
+            return tables
 
-        monkeypatch.setattr(
-            simulation_module._SharedRouteCache, "routes_from_many", recording_routes
-        )
-        scenarios = [FAULT_SCENARIOS[0], FAULT_SCENARIOS[2]]
+        def recording_route(tables, station_rows, table):
+            consumed.append(tables)
+            return route_flow_table(tables, station_rows, table)
+
+        monkeypatch.setattr(RouteTables, "solve", classmethod(recording_solve))
+        monkeypatch.setattr(simulation_module, "route_flow_table", recording_route)
+        scenarios = [
+            FAULT_SCENARIOS[0],
+            Scenario(name="healthy_double", demand_multiplier=2.0),
+            FAULT_SCENARIOS[2],
+        ]
         steps = 3
         simulator.run_scenarios(scenarios, epoch, duration_hours=float(steps))
-        # Two scenarios with distinct fault specs -> two snapshot groups ->
-        # one fresh cache per group per step.
-        assert len({id(cache) for cache in used}) == 2 * steps
+        # Two snapshot groups -> one fresh solve per group per step: shared
+        # by the two healthy scenarios, private to the faulted one.
+        assert len({id(tables) for tables in solved}) == len(solved) == 2 * steps
+        assert {id(tables) for tables in consumed} == {id(tables) for tables in solved}
+        assert len(consumed) == 3 * steps
+        for step in range(steps):
+            healthy, double, faulted = consumed[3 * step : 3 * step + 3]
+            assert healthy is double
+            assert faulted is not healthy
 
     def test_faulted_and_healthy_scenarios_share_no_route_tables(self, simulator, epoch):
         """A faulted scenario must not reuse the healthy scenario's routing:

@@ -14,7 +14,8 @@ import pytest
 
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel, TrafficMatrix
-from repro.network.flows import route_flow_table, select_flow_table
+from repro.network.backends import RouteTables
+from repro.network.flows import route_flow_table, select_flow_table, station_rows
 from repro.network.ground_station import GroundStation
 from repro.network.routing import SnapshotRouter
 from repro.network.simulation import NetworkSimulator, Scenario
@@ -93,21 +94,25 @@ class TestBulkPathExport:
             [epoch], simulator.ground_stations
         )
         edge_list = sequence.edge_list(0)
+        node_index = edge_list.node_index
+        tables = RouteTables.solve(
+            edge_list.arrays(), [node_index.index_of("gs:London")]
+        )
         router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
-        table = router.routes_from_many(["gs:London"])["gs:London"]
-        node_index = table.node_index
+        oracle = router.routes_from_many(["gs:London"])["gs:London"]
 
         labels = [f"gs:{name}" for name in ("New York", "Tokyo", "Sao Paulo")]
         dest_rows = [node_index.index_of(label) for label in labels]
         dest_rows.append(-1)  # unknown destination: empty segment, inf latency
-        offsets, rows, latency = table.bulk_path_rows(
-            np.asarray(dest_rows, dtype=np.int64)
+        offsets, rows, latency = tables.paths(
+            np.zeros(len(dest_rows), dtype=np.intp),
+            np.asarray(dest_rows, dtype=np.int64),
         )
 
         assert offsets[0] == 0 and offsets[-1] == rows.size
         for position, label in enumerate(labels):
             segment = rows[offsets[position] : offsets[position + 1]]
-            reference = table[label]
+            reference = oracle[label]
             assert [node_index.label_of(int(row)) for row in segment] == list(
                 reference.path
             )
@@ -115,16 +120,45 @@ class TestBulkPathExport:
         assert offsets[-2] == offsets[-1]  # the unknown destination
         assert np.isinf(latency[-1])
 
-
-    def test_route_flow_table_requires_array_backend(self, simulator, epoch):
-        sequence = simulator.topology.snapshot_sequence(
+    def test_route_flow_table_matches_row_views(self, simulator, epoch):
+        """Station-id-indexed tables, solved for the flows' sources only,
+        route every flow exactly like the backend's per-source row views;
+        a station missing from the snapshot routes nothing."""
+        edge_list = simulator.topology.snapshot_sequence(
             [epoch], simulator.ground_stations
+        ).edge_list(0)
+        table = select_flow_table(simulator.traffic_model.matrix_at(12.0), NAMES, 8)
+        rows = station_rows(edge_list.node_index, NAMES)
+        sources = np.unique(table.src)
+        source_rows = np.full(rows.size, -1, dtype=np.intp)
+        source_rows[sources] = rows[sources]
+        tables = RouteTables.solve(edge_list.arrays(), source_rows)
+        routed = route_flow_table(tables, rows, table)
+        router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
+        views = router.routes_from_many([f"gs:{name}" for name in NAMES])
+        assert routed.reachable.any()
+        for flow in range(table.flow_count):
+            route = views[f"gs:{NAMES[table.src[flow]]}"].get(
+                f"gs:{NAMES[table.dst[flow]]}"
+            )
+            begin, end = routed.path_offsets[flow : flow + 2]
+            if route is None:
+                assert not routed.reachable[flow] and begin == end
+            else:
+                assert tuple(routed.path_rows[begin:end].tolist()) == route.path_rows
+                assert routed.latency_ms[flow] == route.latency_ms
+
+        missing = rows.copy()
+        missing[table.src[0]] = -1
+        tables = RouteTables.solve(
+            edge_list.arrays(), np.where(source_rows >= 0, missing, -1)
         )
-        matrix = simulator.traffic_model.matrix_at(12.0)
-        table = select_flow_table(matrix, NAMES, 5)
-        graph_router = SnapshotRouter(sequence.edge_list(0).graph(), backend="networkx")
-        with pytest.raises(ValueError, match="array-native"):
-            route_flow_table(graph_router, table)
+        rerouted = route_flow_table(tables, missing, table)
+        touches = (table.src == table.src[0]) | (table.dst == table.src[0])
+        assert not rerouted.reachable[touches].any()
+        assert np.array_equal(
+            rerouted.reachable[~touches], routed.reachable[~touches]
+        )
 
 
 SCENARIOS = [

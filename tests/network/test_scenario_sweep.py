@@ -10,6 +10,9 @@ import pytest
 
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
+from repro.network import simulation as simulation_module
+from repro.network.backends import RouteTables
+from repro.network.flows import route_flow_table
 from repro.network.ground_station import GroundStation
 from repro.network.simulation import NetworkSimulator, Scenario, run_grid
 from repro.network.steering import CongestionAwareSteering
@@ -77,6 +80,15 @@ class TestScenarioValidation:
             Scenario(name="x", faults="nope")
         with pytest.raises(ValueError):
             Scenario(name="x", faults=("random_satellite", {"rate": 2.0}))
+
+    def test_simulator_rejects_non_positive_flow_budget(self, topology, stations):
+        # A budget of -3 used to keep all but 3 flows (``order[:-3]``) and a
+        # budget of 0 none at all.
+        for budget in (0, -3):
+            with pytest.raises(ValueError, match="flows_per_step must be positive"):
+                NetworkSimulator(
+                    topology=topology, ground_stations=stations, flows_per_step=budget
+                )
 
     def test_rejects_unknown_executor(self, simulator, epoch):
         with pytest.raises(ValueError, match="executor"):
@@ -174,6 +186,76 @@ class TestSweepEquivalence:
         single = simulator.run(epoch, duration_hours=2.0)
         sweep = simulator.run_scenarios([Scenario(name="only")], epoch, duration_hours=2.0)
         assert single.steps == sweep["only"].steps
+
+
+class _RoutingRecorder:
+    """Records every route-table solve and every table a scenario routes on."""
+
+    def __init__(self, monkeypatch):
+        self.solves: list = []  # (tables, source_rows); strong references
+        self.routes: list = []  # (tables, flow table)
+        solve = RouteTables.solve.__func__
+
+        def recording_solve(cls, arrays, source_rows):
+            tables = solve(cls, arrays, source_rows)
+            self.solves.append((tables, np.array(source_rows)))
+            return tables
+
+        def recording_route(tables, station_rows, table):
+            self.routes.append((tables, table))
+            return route_flow_table(tables, station_rows, table)
+
+        monkeypatch.setattr(RouteTables, "solve", classmethod(recording_solve))
+        monkeypatch.setattr(simulation_module, "route_flow_table", recording_route)
+
+
+class TestRouteTableSharing:
+    """Route tables are shared only by two or more open-loop scenarios."""
+
+    @pytest.mark.parametrize("max_workers", [None, 3])
+    def test_one_shared_and_one_private_solve_per_step(
+        self, simulator, epoch, monkeypatch, max_workers
+    ):
+        recorder = _RoutingRecorder(monkeypatch)
+        scenarios = [
+            Scenario(name="x1"),
+            Scenario(name="x2", demand_multiplier=2.0),
+            Scenario(name="budget", flows_per_step=4, allocator="max_min_array"),
+            Scenario(name="steered", steering="congestion-aware"),
+        ]
+        steps = 3
+        simulator.run_scenarios(
+            scenarios, epoch, duration_hours=float(steps), max_workers=max_workers
+        )
+        assert len(recorder.solves) == 2 * steps
+        assert len(recorder.routes) == len(scenarios) * steps
+        consumers = [
+            sum(tables is routed for routed, _ in recorder.routes)
+            for tables, _ in recorder.solves
+        ]
+        # Per step: one shared solve over every station, routed on by the
+        # three open-loop scenarios, and one private solve for the steered one.
+        assert sorted(consumers) == [1] * steps + [3] * steps
+        for (_, source_rows), count in zip(recorder.solves, consumers):
+            if count == 3:
+                assert np.all(source_rows >= 0) and source_rows.size == len(CITIES)
+
+    def test_sole_consumer_solves_only_its_sources(self, simulator, epoch, monkeypatch):
+        recorder = _RoutingRecorder(monkeypatch)
+        steps = 4
+        simulator.run_scenarios(
+            [Scenario(name="solo", flows_per_step=2)], epoch, duration_hours=float(steps)
+        )
+        assert len(recorder.solves) == len(recorder.routes) == steps
+        solved_fewer = False
+        for (tables, source_rows), (routed, table) in zip(
+            recorder.solves, recorder.routes
+        ):
+            assert routed is tables
+            solved = np.flatnonzero(source_rows >= 0)
+            assert np.array_equal(solved, np.unique(table.src))
+            solved_fewer |= solved.size < len(CITIES)
+        assert solved_fewer
 
 
 @dataclass(frozen=True)

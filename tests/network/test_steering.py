@@ -18,7 +18,7 @@ import pytest
 
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
-from repro.network.backends import SnapshotEdgeList, get_backend
+from repro.network.backends import RouteTables, SnapshotEdgeList, get_backend
 from repro.network.ground_station import GroundStation
 from repro.network.routing import SnapshotRouter
 from repro.network.simulation import NetworkSimulator, Scenario
@@ -549,53 +549,55 @@ class TestUtilisationExportParity:
 
 class TestBulkWalkBatching:
     def test_many_sources_one_walk_matches_per_source_walks(self, simulator, epoch):
-        from repro.network.backends import bulk_path_rows_many
-
         sequence = simulator.topology.snapshot_sequence(
             [epoch], simulator.ground_stations
         )
         edge_list = sequence.edge_list(0)
-        router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
-        names = [f"gs:{city.name}" for city in CITIES]
-        routes = get_backend("csgraph").routes_from_many(router, names)
-        tables = [routes[name] for name in names]
+        arrays = edge_list.arrays()
         node_index = edge_list.node_index
-        group_of, dest_rows = [], []
-        for source_group in range(len(names)):
-            for destination in names:
-                group_of.append(source_group)
-                dest_rows.append(node_index.index_of(destination))
-        group_of = np.array(group_of, dtype=np.intp)
-        dest_rows = np.array(dest_rows, dtype=np.intp)
-        offsets, rows, latency = bulk_path_rows_many(tables, group_of, dest_rows)
-        cursor = 0
+        names = [f"gs:{city.name}" for city in CITIES]
+        rows = np.array([node_index.index_of(name) for name in names], dtype=np.intp)
+        tables = RouteTables.solve(arrays, rows)
+        views = get_backend("csgraph").routes_from_many(
+            SnapshotRouter(backend="csgraph", arrays=arrays), names
+        )
+        group_of = np.repeat(np.arange(len(names)), len(names))
+        dest_rows = np.tile(rows, len(names))
+        offsets, path_rows, latency = tables.paths(group_of, dest_rows)
         for source_group, source in enumerate(names):
-            solo_offsets, solo_rows, solo_latency = tables[source_group].bulk_path_rows(
-                dest_rows[cursor : cursor + len(names)]
+            solo = RouteTables.solve(arrays, rows[source_group : source_group + 1])
+            solo_offsets, solo_rows, solo_latency = solo.paths(
+                np.zeros(len(names), dtype=np.intp), rows
             )
+            cursor = source_group * len(names)
             begin, end = offsets[cursor], offsets[cursor + len(names)]
-            assert np.array_equal(rows[begin:end], solo_rows)
-            assert np.array_equal(
-                latency[cursor : cursor + len(names)], solo_latency
-            )
-            cursor += len(names)
+            assert np.array_equal(path_rows[begin:end], solo_rows)
+            assert np.array_equal(latency[cursor : cursor + len(names)], solo_latency)
+            for position, destination in enumerate(names):
+                query = cursor + position
+                segment = path_rows[offsets[query] : offsets[query + 1]]
+                route = views[source].get(destination)
+                if route is None:
+                    assert segment.size == 0 and np.isinf(latency[query])
+                else:
+                    assert tuple(segment.tolist()) == route.path_rows
+                    assert latency[query] == route.latency_ms
 
     def test_negative_rows_yield_empty_inf_segments(self, simulator, epoch):
-        from repro.network.backends import bulk_path_rows_many
-
         sequence = simulator.topology.snapshot_sequence(
             [epoch], simulator.ground_stations
         )
         edge_list = sequence.edge_list(0)
-        router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
-        routes = get_backend("csgraph").routes_from_many(router, ["gs:London"])
-        tables = [routes["gs:London"]]
-        offsets, rows, latency = bulk_path_rows_many(
-            tables,
-            np.array([0, -1, 0], dtype=np.intp),
-            np.array([edge_list.node_index.index_of("gs:Tokyo"), 0, -1], dtype=np.intp),
+        london = edge_list.node_index.index_of("gs:London")
+        tokyo = edge_list.node_index.index_of("gs:Tokyo")
+        tables = RouteTables.solve(edge_list.arrays(), [london, -1])
+        assert np.isinf(tables.distances[1]).all()
+        offsets, rows, latency = tables.paths(
+            np.array([0, -1, 0, 1], dtype=np.intp),
+            np.array([tokyo, 0, -1, tokyo], dtype=np.intp),
         )
         assert offsets[2] == offsets[1]  # unknown source: empty segment
         assert offsets[3] == offsets[2]  # unknown destination: empty segment
-        assert np.isinf(latency[1]) and np.isinf(latency[2])
+        assert offsets[4] == offsets[3]  # unsolved source row: empty segment
+        assert np.isinf(latency[1:]).all()
         assert np.isfinite(latency[0]) and offsets[1] > 0
