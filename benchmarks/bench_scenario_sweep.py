@@ -5,18 +5,20 @@ stack from scratch: per-step scalar propagation, a fresh ``nx.Graph`` built
 edge by edge in Python, per-scenario routing and a fresh gravity matrix per
 step.  The sweep engine amortises one batched propagation, one vectorised
 feasibility pass, incrementally updated snapshot graphs, shared per-step
-Dijkstra results and a 24-hour traffic-matrix cache across all scenarios.
+Dijkstra results, per-step flow plans shared across demand multipliers and
+a 24-hour traffic-matrix cache across all scenarios.
 
-This benchmark times a 4-scenario sweep three ways --
+This benchmark times a 5-scenario sweep three ways --
 
-* ``monolithic``: four seed-style independent runs (the pre-engine cost);
-* ``independent``: four independent ``NetworkSimulator.run`` calls on the
+* ``monolithic``: five seed-style independent runs (the pre-engine cost);
+* ``independent``: five independent ``NetworkSimulator.run`` calls on the
   new engine (what a user who ignores ``run_scenarios`` pays today);
 * ``sweep``: one ``run_scenarios`` call
 
 -- asserts the sweep beats the monolithic baseline by the speedup floor,
-asserts sweep results are *identical* to the independent new-engine runs,
-and separately measures the incremental snapshot-graph reuse against
+asserts sweep results are *identical* to the independent new-engine runs
+(the ``off_peak`` multiplier is not a power of two, so its products round
+and the shared plan's tie check runs), and separately measures the incremental snapshot-graph reuse against
 per-step full rebuilds.
 
 Run ``pytest benchmarks/bench_scenario_sweep.py`` (add ``--smoke`` for the
@@ -59,6 +61,7 @@ SCENARIOS = [
     Scenario(name="peak_demand", demand_multiplier=2.0),
     Scenario(name="max_min", allocator="max_min_array"),
     Scenario(name="flow_budget", flows_per_step=8),
+    Scenario(name="off_peak", demand_multiplier=0.3),
 ]
 
 
@@ -237,6 +240,9 @@ def _run_comparison(smoke: bool):
             traffic_model=model,
             flows_per_step=SCENARIOS[3].flows_per_step,
         ).run(epoch, duration_hours),
+        "off_peak": simulator.run_scenarios(
+            [SCENARIOS[4]], epoch, duration_hours
+        )["off_peak"],
     }
     independent_s = time.perf_counter() - begin
 

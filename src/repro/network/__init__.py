@@ -69,8 +69,10 @@ from .isl import (
     propagation_delay_ms,
 )
 from .flows import (
+    FlowPlan,
     FlowTable,
     RoutedFlowTable,
+    plan_flows,
     route_flow_table,
     select_flow_table,
     station_rows,
@@ -137,6 +139,7 @@ __all__ = [
     "EdgeListCompileCache",
     "Flow",
     "FlowLinkSystem",
+    "FlowPlan",
     "FlowTable",
     "RoutedFlowTable",
     "allocate_max_min",
@@ -146,6 +149,7 @@ __all__ = [
     "compile_flow_link_system",
     "compile_system_from_rows",
     "get_allocator",
+    "plan_flows",
     "route_flow_table",
     "select_flow_table",
     "station_rows",

@@ -23,21 +23,31 @@ columnar end-to-end:
   the ragged paths feeds
   :func:`repro.network.alloc_arrays.compile_system_from_rows` directly,
   producing incidence arrays bit-identical to compiling the equivalent
-  ``Flow`` objects.
+  ``Flow`` objects;
+* :class:`FlowPlan` -- the demand-independent part of stages 2-4, kept so
+  that scenarios differing only in demand multiplier share it:
+  :func:`plan_flows` selects once, and :meth:`FlowPlan.scaled` rescales the
+  demand with the same elementwise product selection would have used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from ..demand.traffic_matrix import TrafficMatrix
 from .backends import NodeIndex, RouteTables
 
+if TYPE_CHECKING:
+    from .alloc_arrays import FlowLinkSystem
+
 __all__ = [
     "FlowTable",
     "RoutedFlowTable",
+    "FlowPlan",
+    "plan_flows",
     "select_flow_table",
     "station_rows",
     "route_flow_table",
@@ -117,12 +127,68 @@ class RoutedFlowTable:
         return self.table.demand[reachable], offsets, self.path_rows
 
 
-def select_flow_table(
+class FlowPlan(NamedTuple):
+    """One step's flows with the work that does not depend on demand scale.
+
+    ``table`` is the selection of :func:`plan_flows`.  ``routed`` (its
+    paths) and ``system`` (their compiled incidence, ``None`` when no flow
+    is reachable) are attached by whoever routes the plan.  None of the
+    three changes when every demand is multiplied by the same positive
+    factor, *except* where the product rounds two different demands to one
+    value: :meth:`scaled` detects exactly that case.
+    """
+
+    table: FlowTable
+    #: Largest demand the budget left out that is strictly below the last
+    #: selected one (``None`` when the budget cut nothing).
+    boundary: "float | None"
+    routed: "RoutedFlowTable | None" = None
+    system: "FlowLinkSystem | None" = None
+
+    def scaled(self, multiplier: float) -> "FlowPlan | None":
+        """This plan with every demand multiplied by ``multiplier``.
+
+        The products are the ones :func:`select_flow_table` computes, so
+        the result equals selecting on the scaled matrix bit for bit --
+        provided scaling keeps the selection's order.  A positive product
+        is monotone but may round two adjacent demands to the same value,
+        which the name tie-break could then reorder or swap across the
+        budget.  So every strictly ordered adjacent pair of the selection,
+        and the last selected demand against :attr:`boundary`, must stay
+        distinct (if those do, every pair does); otherwise this returns
+        ``None`` and the caller must select on the scaled demand itself.
+        O(flows); paths and incidence are shared, not copied.
+        """
+        if multiplier == 1.0:
+            return self
+        unscaled = self.table.demand
+        demand = unscaled * multiplier
+        if np.any((unscaled[:-1] != unscaled[1:]) & (demand[:-1] == demand[1:])):
+            return None
+        boundary = self.boundary
+        if boundary is not None:
+            boundary = boundary * multiplier
+            if unscaled.size and demand[-1] == boundary:
+                return None
+        table = replace(self.table, demand=demand)
+        return FlowPlan(
+            table=table,
+            boundary=boundary,
+            routed=None if self.routed is None else replace(self.routed, table=table),
+            system=(
+                None
+                if self.system is None
+                else replace(self.system, demand=self.system.demand * multiplier)
+            ),
+        )
+
+
+def plan_flows(
     matrix: TrafficMatrix,
     station_names: tuple[str, ...],
     flows_per_step: "int | None",
     demand_multiplier: float = 1.0,
-) -> FlowTable:
+) -> FlowPlan:
     """Columnar stage 2: filter, scale and budget one step's flows.
 
     ``flows_per_step=None`` selects every positive entry ("all flows" mode).
@@ -130,17 +196,23 @@ def select_flow_table(
     demands, widened to include every candidate tied with the k-th value so
     the boundary is decided by the deterministic ``(-demand, src name,
     dst name)`` order, so the cut never depends on matrix iteration order.
+    Returns an unrouted :class:`FlowPlan` that also records the largest
+    demand the cut left out below the k-th value.
     """
     src, dst, demand = matrix.entry_arrays(station_names)
     if demand_multiplier != 1.0:
         demand = demand * demand_multiplier
     keep = np.arange(src.size)
+    boundary = None
     if flows_per_step is not None and 0 < flows_per_step < src.size:
         top = np.argpartition(-demand, flows_per_step - 1)[:flows_per_step]
         threshold = demand[top].min()
         # Everyone above the k-th value is in; ties *at* the value are kept
         # for the lexsort below to cut deterministically.
-        keep = np.flatnonzero(demand >= threshold)
+        above = demand >= threshold
+        keep = np.flatnonzero(above)
+        if keep.size < src.size:
+            boundary = float(np.max(demand, where=~above, initial=-np.inf))
     # Rank of each station id in name order, so integer keys reproduce
     # string comparisons of the names.
     name_rank = np.empty(len(station_names), dtype=np.intp)
@@ -152,12 +224,23 @@ def select_flow_table(
     ]
     if flows_per_step is not None:
         order = order[:flows_per_step]
-    return FlowTable(
+    table = FlowTable(
         station_names=tuple(station_names),
         src=src[order],
         dst=dst[order],
         demand=demand[order],
     )
+    return FlowPlan(table=table, boundary=boundary)
+
+
+def select_flow_table(
+    matrix: TrafficMatrix,
+    station_names: tuple[str, ...],
+    flows_per_step: "int | None",
+    demand_multiplier: float = 1.0,
+) -> FlowTable:
+    """The flows :func:`plan_flows` selects, without the plan around them."""
+    return plan_flows(matrix, station_names, flows_per_step, demand_multiplier).table
 
 
 def station_rows(node_index: NodeIndex, station_names: tuple[str, ...]) -> np.ndarray:

@@ -12,18 +12,30 @@ The simulator runs one pipeline per scenario and time step:
    route on it -- one shared :class:`~repro.network.backends.RouteTables`;
 2. **flow selection** -- the gravity traffic matrix of the step's UTC hour
    (memoised: the diurnal model repeats every 24 h) is filtered to the
-   scenario's ground stations, scaled by its demand multiplier and cut to
-   the largest ``flows_per_step`` flows as a columnar
-   :class:`~repro.network.flows.FlowTable`;
+   group's ground stations and cut to the largest ``flows_per_step`` flows
+   as a columnar :class:`~repro.network.flows.FlowTable`.  The step kernel
+   does this once per (snapshot group, flow budget), on *unscaled* demand,
+   as a :class:`~repro.network.flows.FlowPlan`; each scenario multiplies
+   the plan's demand by its multiplier -- the same elementwise product
+   selection would use, so the bits are identical.  Scaling is monotone
+   but may round two adjacent demands to one value, which the name
+   tie-break could then reorder: a scenario whose product merges any
+   strictly ordered adjacent pair of the selection, or the last selected
+   demand with the largest one left out below it, selects its own plan
+   on its scaled demand instead (the *tie rule*);
 3. **routing** -- every source station is solved in one batched
    multi-source Dijkstra over the snapshot's CSR arrays, kept as ``(S, N)``
    distance and predecessor matrices indexed by station id, and all paths
    are walked at once into ragged row arrays
-   (:func:`~repro.network.flows.route_flow_table`);
+   (:func:`~repro.network.flows.route_flow_table`).  Paths do not depend
+   on demand, so a plan on the group's shared route tables is walked once
+   by the kernel and reused by every open-loop scenario of the plan;
+   steered scenarios walk their own selection on their own tables;
 4. **capacity allocation** -- the routed paths compile straight into a
-   sparse (flow x link) incidence system and the scenario's array solver
-   (:data:`repro.network.alloc_arrays.ARRAY_SOLVERS`) splits link bandwidth
-   in whole-array numpy;
+   sparse (flow x link) incidence system -- once per shared plan, each
+   scenario swapping in its scaled demand vector -- and the scenario's
+   array solver (:data:`repro.network.alloc_arrays.ARRAY_SOLVERS`) splits
+   link bandwidth in whole-array numpy;
 5. **statistics** -- throughput, latency, reachability and the resilience
    and steering quantities are folded into a :class:`StepStatistics`.
 
@@ -35,8 +47,10 @@ analysis and as test oracles, but the simulator never runs them.
 variants (demand multipliers, ground-station subsets, flow budgets,
 allocators, fault specs, steering policies, telemetry) over *one* shared
 snapshot sequence: open-loop scenarios of one snapshot group share each
-step's route tables, so a sweep pays the topology and shortest-path cost
-once per group instead of once per scenario.  This is the paper's Section 5
+step's route tables, and scenarios that differ only in demand multiplier
+share each step's flow plan, so a sweep pays the topology, shortest-path,
+selection, path-walk and compile cost once per group (and flow budget)
+instead of once per scenario.  This is the paper's Section 5
 evaluation methodology -- many traffic scenarios over one constellation --
 as a first-class API.
 
@@ -59,6 +73,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -82,7 +97,7 @@ from .alloc_arrays import ARRAY_SOLVERS, EdgeListCompileCache, compile_system_fr
 from ..orbits.time import Epoch, epoch_range
 from .backends import BACKENDS, RouteTables, RoutingBackend, SnapshotEdgeList, get_backend
 from .faults import FaultContext, FaultSchedule, FaultSpec, compile_faults, normalise_fault_specs
-from .flows import route_flow_table, select_flow_table, station_rows
+from .flows import FlowPlan, plan_flows, route_flow_table, station_rows
 from .ground_station import GroundStation
 from .steering import (
     SteeringController,
@@ -104,6 +119,23 @@ __all__ = [
 
 #: The routing backend of the production pipeline.
 _ROUTING_BACKEND = "csgraph"
+
+
+def _flow_budget(value: "int | None") -> "int | None":
+    """Validate a per-step flow budget and return it as a plain ``int``.
+
+    The budget is a count: ``bool`` and non-integral values (``2.5``, and
+    ``3.0`` too) are rejected here rather than inside the selection's
+    partition mid-sweep; numpy integers are accepted.  ``None`` passes
+    through.
+    """
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"flows_per_step must be an integer, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"flows_per_step must be positive, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -168,8 +200,7 @@ class Scenario:
                 "demand_multiplier must be positive and finite, got "
                 f"{self.demand_multiplier}"
             )
-        if self.flows_per_step is not None and self.flows_per_step <= 0:
-            raise ValueError("flows_per_step must be positive")
+        object.__setattr__(self, "flows_per_step", _flow_budget(self.flows_per_step))
         if self.ground_station_names is not None:
             object.__setattr__(
                 self, "ground_station_names", tuple(self.ground_station_names)
@@ -395,6 +426,11 @@ class _ScenarioSpec:
     #: and absent policies are normalised away by the driver).  Shipped as
     #: the instance, so policies registered at run time reach workers too.
     steering: SteeringPolicy | None = None
+    #: Whether this is the sweep's first scenario of its (group, flow
+    #: budget) plan key.  The kernel's ``flow_plans_built`` counter is
+    #: credited to it, so the counter counts each plan once under every
+    #: executor -- even when process workers each rebuild it for their chunk.
+    leads_plan: bool = True
 
     @property
     def name(self) -> str:
@@ -402,7 +438,12 @@ class _ScenarioSpec:
 
 
 class _GroupSnapshot(NamedTuple):
-    """One snapshot group's shared per-step state, built by the step kernel."""
+    """One snapshot group's shared per-step state, built by the step kernel.
+
+    The step's :class:`~repro.network.flows.FlowPlan` of each flow budget
+    sits beside it (see :func:`_build_plans`); when ``route_tables`` exist,
+    those plans are already routed on them and compiled.
+    """
 
     edge_list: SnapshotEdgeList
     #: Snapshot row of each of the group's stations, indexed by station id.
@@ -451,9 +492,27 @@ def _link_telemetry(
     return telemetry
 
 
+def _route_plan(plan: FlowPlan, tables: RouteTables, snapshot: _GroupSnapshot) -> FlowPlan:
+    """Walk the plan's paths on ``tables``, dropping an incidence of other paths."""
+    return plan._replace(
+        routed=route_flow_table(tables, snapshot.station_rows, plan.table), system=None
+    )
+
+
+def _compile_plan(plan: FlowPlan, snapshot: _GroupSnapshot) -> FlowPlan:
+    """Compile the plan's reachable paths (no system when none is reachable)."""
+    demand, offsets, rows = plan.routed.compact()
+    if not demand.size:
+        return plan
+    return plan._replace(
+        system=compile_system_from_rows(snapshot.compile_cache, demand, offsets, rows)
+    )
+
+
 def _evaluate_scenario(
     spec: _ScenarioSpec,
     snapshot: _GroupSnapshot,
+    shared: FlowPlan,
     step: int,
     utc_hour: float,
     matrix: TrafficMatrix,
@@ -462,30 +521,41 @@ def _evaluate_scenario(
 ) -> _StepOutput:
     """Stages 2-5 for one scenario at one step, as whole-array numpy.
 
-    The scenario routes on the group's shared open-loop route tables when
-    the step kernel solved them; otherwise it solves private tables, inside
-    its routing span, for only the stations its flows start at.  With an
-    adaptive ``controller`` the private tables are solved on the
-    controller-steered snapshot (shared tables must not see per-scenario
-    feedback state); allocation and every reported statistic still run
-    against the unsteered capacities and delays.  ``obs`` records the
-    stage spans (the shared :data:`~repro.obs.NULL_TRACER` when untraced).
+    ``shared`` is the kernel's plan for the scenario's group and flow
+    budget, selected on unscaled demand.  The scenario scales it by its
+    demand multiplier; if scaling would merge two of its demands
+    (:meth:`~repro.network.flows.FlowPlan.scaled`), it selects its own plan
+    on the scaled demand instead, with the same builder.  An open-loop
+    scenario reuses the plan's paths and incidence when the kernel routed
+    it on the group's shared route tables.  Otherwise it routes the plan
+    itself -- on the shared tables if there are any, else on private tables
+    solved, inside its routing span, for only the stations its flows start
+    at -- and compiles it.  With an adaptive ``controller`` the private
+    tables are solved on the controller-steered snapshot (shared tables and
+    paths must not see per-scenario feedback state); allocation and every
+    reported statistic still run against the unsteered capacities and
+    delays.  ``obs`` records the stage spans (the shared
+    :data:`~repro.obs.NULL_TRACER` when untraced).
     """
     scenario = spec.scenario
     edge_list = snapshot.edge_list
-    tables = snapshot.route_tables
     arrays = None
     if controller is not None:
         with obs.span("steering"):
             arrays = controller.steer(edge_list).arrays()
-        tables = None
     if obs.enabled:
         obs.counter("steps")
     with obs.span("flow_selection"):
-        table = select_flow_table(
-            matrix, spec.station_names, spec.flows_per_step, scenario.demand_multiplier
-        )
+        plan = shared.scaled(scenario.demand_multiplier)
+        fallback = plan is None
+        if fallback:
+            plan = plan_flows(
+                matrix, spec.station_names, spec.flows_per_step, scenario.demand_multiplier
+            )
+    table = plan.table
     if obs.enabled:
+        obs.counter("flow_plan_fallbacks", float(fallback))
+        obs.counter("flow_plans_built", float(fallback))
         obs.counter("flows_selected", table.flow_count)
         obs.gauge("flow_table_bytes", table.nbytes)
     telemetry = None
@@ -493,34 +563,35 @@ def _evaluate_scenario(
         with obs.span("telemetry"):
             telemetry = _pair_telemetry(scenario, table)
     with obs.span("routing"):
-        if tables is None:
-            sources = np.unique(table.src)
-            source_rows = np.full(snapshot.station_rows.size, -1, dtype=np.intp)
-            source_rows[sources] = snapshot.station_rows[sources]
-            tables = RouteTables.solve(
-                edge_list.arrays() if arrays is None else arrays, source_rows
-            )
-        routed = route_flow_table(tables, snapshot.station_rows, table)
+        if plan.routed is None or controller is not None:
+            tables = snapshot.route_tables if controller is None else None
+            if tables is None:
+                sources = np.unique(table.src)
+                source_rows = np.full(snapshot.station_rows.size, -1, dtype=np.intp)
+                source_rows[sources] = snapshot.station_rows[sources]
+                tables = RouteTables.solve(
+                    edge_list.arrays() if arrays is None else arrays, source_rows
+                )
+            plan = _route_plan(plan, tables, snapshot)
+    routed = plan.routed
     routed_count = int(np.count_nonzero(routed.reachable))
     if obs.enabled:
         obs.counter("flows_routed", routed_count)
         obs.gauge("flow_table_bytes", routed.nbytes)
-    demand, offsets, rows = routed.compact()
     delivered = 0.0
     worst_util = 0.0
     starved = 0.0
-    system = None
     utilisation = None
     with obs.span("allocation"):
-        if demand.size:
-            system = compile_system_from_rows(
-                snapshot.compile_cache, demand, offsets, rows
-            )
+        if plan.system is None:
+            plan = _compile_plan(plan, snapshot)
+        system = plan.system
+        if system is not None:
             rates, utilisation = ARRAY_SOLVERS[scenario.allocator](system)
             delivered = float(rates.sum())
             if utilisation.size:
                 worst_util = float(utilisation.max())
-            starved = float(demand[rates == 0.0].sum())
+            starved = float(system.demand[rates == 0.0].sum())
     if obs.enabled and system is not None:
         obs.gauge("incidence_bytes", system.nbytes)
     latencies = routed.latency_ms[routed.reachable]
@@ -538,6 +609,7 @@ def _evaluate_scenario(
             if controller is not None:
                 # Steered routing distances are preferences, not times:
                 # re-read true latencies from the unsteered delay column.
+                _, offsets, rows = routed.compact()
                 latencies = path_delays_from_rows(edge_list, offsets, rows)
                 controller.observe(edge_list, link_utilisation)
                 steering_stats = controller.step_stats()
@@ -546,6 +618,7 @@ def _evaluate_scenario(
                 link_telemetry = _link_telemetry(scenario, edge_list, link_utilisation)
     with obs.span("statistics"):
         offered = float(table.demand.sum())
+        routed_demand = float(system.demand.sum()) if system is not None else 0.0
         latencies = np.asarray(latencies, dtype=float)
         stats = StepStatistics(
             utc_hour=utc_hour,
@@ -558,7 +631,7 @@ def _evaluate_scenario(
                 float(np.mean(latencies)) if latencies.size else float("inf")
             ),
             worst_link_utilisation=worst_util,
-            stranded_gbps=max(0.0, offered - float(demand.sum())) + starved,
+            stranded_gbps=max(0.0, offered - routed_demand) + starved,
             satellites_up_fraction=(
                 spec.satellites_up[step] if spec.satellites_up else 1.0
             ),
@@ -580,6 +653,53 @@ def _evaluate_scenario(
     return stats, telemetry, link_telemetry
 
 
+#: The stages a flow plan's selection, path walk and compile stand in for.
+_PLAN_STAGES = ("flow_selection", "routing", "allocation")
+
+
+def _build_plans(
+    matrix: TrafficMatrix,
+    specs: Sequence[_ScenarioSpec],
+    snapshots: Mapping[int, _GroupSnapshot],
+    tracers: Mapping[str, Tracer],
+) -> dict[tuple[int, int], FlowPlan]:
+    """One :class:`~repro.network.flows.FlowPlan` per (group, flow budget).
+
+    Each plan is selected on unscaled demand.  When the group has shared
+    route tables and the plan has an open-loop user, it is also routed on
+    them and compiled, so those scenarios walk and compile nothing.  With
+    ``tracers``, each user gets an equal share of the plan's selection,
+    routing and compile time in the matching stage, without a call count
+    (its own spans count the calls), and the key's leading scenario counts
+    the plan in ``flow_plans_built``.
+    """
+    users: dict[tuple[int, int], list[_ScenarioSpec]] = {}
+    for spec in specs:
+        users.setdefault((spec.group, spec.flows_per_step), []).append(spec)
+    plans: dict[tuple[int, int], FlowPlan] = {}
+    for (group, budget), members in users.items():
+        snapshot = snapshots[group]
+        marks = [time.perf_counter()]
+        plan = plan_flows(matrix, members[0].station_names, budget)
+        marks.append(time.perf_counter())
+        if snapshot.route_tables is not None and any(
+            member.steering is None for member in members
+        ):
+            plan = _route_plan(plan, snapshot.route_tables, snapshot)
+            marks.append(time.perf_counter())
+            plan = _compile_plan(plan, snapshot)
+            marks.append(time.perf_counter())
+        plans[group, budget] = plan
+        if tracers:
+            spent = np.diff(marks) / len(members)
+            for member in members:
+                tracer = tracers[member.name]
+                for stage, seconds in zip(_PLAN_STAGES, spent):
+                    tracer.fold_seconds(stage, float(seconds))
+                tracer.counter("flow_plans_built", float(member.leads_plan))
+    return plans
+
+
 def _evaluate_step(
     step: int,
     utc_hour: float,
@@ -590,6 +710,7 @@ def _evaluate_step(
     tracers: Mapping[str, Tracer],
     pool: ThreadPoolExecutor | None = None,
     export_seconds: float = 0.0,
+    matrix_seconds: float = 0.0,
 ) -> list[_StepOutput]:
     """The step kernel: evaluate every scenario of one step.
 
@@ -598,17 +719,23 @@ def _evaluate_step(
     once -- station rows and compile cache for every scenario, plus
     :class:`~repro.network.backends.RouteTables` over all of the group's
     stations when two or more open-loop scenarios would route on them --
-    then evaluates the scenarios, through ``pool`` when given.  Every
-    shared value is built before any scenario runs and only read after, so
-    thread workers need no lock.  A group's sole open-loop scenario, like
-    every steered one, solves only its own sources inside its routing span
-    instead.  Outputs come back in ``specs`` order.
+    and then one :class:`~repro.network.flows.FlowPlan` per (group, flow
+    budget), selected on unscaled demand and, on shared tables, routed and
+    compiled (:func:`_build_plans`).  Then it evaluates the scenarios,
+    through ``pool`` when given.  Every shared value is built before any
+    scenario runs and only read after, so thread workers need no lock; the
+    plans are dropped when the step returns.  A group's sole open-loop
+    scenario, like every steered one, solves only its own sources inside
+    its routing span instead.  Outputs come back in ``specs`` order.
 
     With ``tracers`` (one per scenario, or none at all) the snapshot stage
     -- the caller's edge-list export (``export_seconds``) plus the shared
     builds here, the shared route tables included -- serves every scenario
     at once, so it is amortised equally and per-scenario metrics sum to the
-    measured total.
+    measured total; each plan's cost is shared the same way among its users.
+    The caller's traffic-matrix fetch (``matrix_seconds``), the input of
+    every plan's selection, is folded into ``flow_selection`` in equal
+    shares.
     """
     begin = time.perf_counter() if tracers else 0.0
     open_loop = Counter(spec.group for spec in specs if spec.steering is None)
@@ -631,12 +758,15 @@ def _evaluate_step(
         for spec in specs:
             tracer = tracers[spec.name]
             tracer.record_seconds("snapshot", share)
+            tracer.fold_seconds("flow_selection", matrix_seconds / len(specs))
             tracer.gauge("edge_list_bytes", edge_lists[spec.group].nbytes)
+    plans = _build_plans(matrix, specs, snapshots, tracers)
 
     def evaluate(spec: _ScenarioSpec) -> _StepOutput:
         return _evaluate_scenario(
             spec,
             snapshots[spec.group],
+            plans[spec.group, spec.flows_per_step],
             step,
             utc_hour,
             matrix,
@@ -696,8 +826,9 @@ def _run_specs(
     tracers = {spec.name: Tracer() for spec in specs} if trace else {}
     results = {spec.name: SimulationResult() for spec in specs}
     for step, utc_hour in enumerate(utc_hours):
-        matrix = matrix_cache.matrix_at(utc_hour)
         begin = time.perf_counter() if trace else 0.0
+        matrix = matrix_cache.matrix_at(utc_hour)
+        fetched = time.perf_counter() if trace else 0.0
         edge_lists = edge_lists_at(step)
         outputs = _evaluate_step(
             step,
@@ -708,7 +839,8 @@ def _run_specs(
             controllers,
             tracers,
             pool=pool,
-            export_seconds=time.perf_counter() - begin if trace else 0.0,
+            export_seconds=time.perf_counter() - fetched if trace else 0.0,
+            matrix_seconds=fetched - begin,
         )
         _merge_step(results, specs, outputs)
         if on_step is not None:
@@ -795,8 +927,7 @@ class NetworkSimulator:
     flows_per_step: int = 50
 
     def __post_init__(self) -> None:
-        if self.flows_per_step is not None and self.flows_per_step <= 0:
-            raise ValueError("flows_per_step must be positive")
+        self.flows_per_step = _flow_budget(self.flows_per_step)
 
     # -- public entry points -----------------------------------------------------
 
@@ -851,7 +982,15 @@ class NetworkSimulator:
         station of the group per step serves them all, whatever their
         demand multipliers, flow budgets or allocators.  A group's sole
         open-loop scenario, and every adaptively steered one, instead
-        solves only the stations its flows start at.
+        solves only the stations its flows start at.  Selection, the path
+        walk and the incidence compile do not depend on the demand
+        multiplier either: per step, scenarios of one group and flow budget
+        share one flow plan selected on unscaled demand (and, on shared
+        route tables, walked and compiled once), and each scales its
+        demand.  A scenario whose multiplier would round two distinct
+        demands of the plan's selection -- or the last selected one and the
+        largest one left out -- to one value selects its own plan instead,
+        so results never depend on the sharing.
         Fault specs (:attr:`Scenario.faults`) compile once per distinct
         spec tuple into vectorised outage masks.  Results are keyed by
         scenario name, in input order, and are identical to running each
@@ -938,6 +1077,7 @@ class NetworkSimulator:
         group_of: dict[tuple, int] = {}
         group_stations: list[tuple[str, ...]] = []
         schedules: list[FaultSchedule | None] = []
+        plan_keys: set[tuple[int, int]] = set()
         specs = []
         for scenario in scenarios:
             subset = station_subsets[scenario.name]
@@ -954,15 +1094,17 @@ class NetworkSimulator:
             schedule = schedules[group_of[key]]
             policy_name = scenario.steering if scenario.steering is not None else steering
             policy = get_steering_policy(policy_name) if policy_name is not None else None
+            budget = (
+                scenario.flows_per_step
+                if scenario.flows_per_step is not None
+                else self.flows_per_step
+            )
+            plan_key = (group_of[key], budget)
             specs.append(
                 _ScenarioSpec(
                     scenario=scenario,
                     station_names=subset,
-                    flows_per_step=(
-                        scenario.flows_per_step
-                        if scenario.flows_per_step is not None
-                        else self.flows_per_step
-                    ),
+                    flows_per_step=budget,
                     group=group_of[key],
                     satellites_up=(
                         tuple(
@@ -983,8 +1125,10 @@ class NetworkSimulator:
                     # Non-adaptive policies ("static", the open-loop
                     # identity) normalise to None: no controller at all.
                     steering=policy if policy is not None and policy.adaptive else None,
+                    leads_plan=plan_key not in plan_keys,
                 )
             )
+            plan_keys.add(plan_key)
 
         # Observation plumbing: tracers exist only when asked for (progress
         # needs per-stage means, so it implies tracing too); otherwise every

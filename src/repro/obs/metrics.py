@@ -115,6 +115,15 @@ class RunMetrics:
         bin_index = int(np.searchsorted(HISTOGRAM_EDGES, seconds, side="right"))
         self.stage_histogram[index, bin_index] += 1
 
+    def fold_index(self, index: int, seconds: float) -> None:
+        """Add ``seconds`` to stage row ``index`` without counting a span.
+
+        For work done once on behalf of many spans (see
+        :meth:`~repro.obs.Tracer.fold_seconds`): calls and the histogram
+        keep describing the spans themselves.
+        """
+        self.stage_seconds[index] += seconds
+
     def increment(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to the additive counter ``name``."""
         self.counters[name] = self.counters.get(name, 0.0) + float(value)

@@ -108,6 +108,19 @@ class Tracer:
             return
         self._record_index(self._indices[stage], seconds)
 
+    def fold_seconds(self, stage: str, seconds: float) -> None:
+        """Add a share of shared work to ``stage``'s seconds, counting no call.
+
+        For work done once for several scenarios *in place of* a part of
+        their own spans (the step kernel's shared flow plans): the time
+        lands on the stage that would otherwise have done it, while call
+        counts and histograms keep counting the scenarios' own passes.
+        """
+        if not self.enabled:
+            return
+        with self._lock:
+            self.metrics.fold_index(self._indices[stage], seconds)
+
     def _record_index(self, index: int, seconds: float) -> None:
         with self._lock:
             self.metrics.record_index(index, seconds)

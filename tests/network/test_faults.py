@@ -462,11 +462,17 @@ class TestFaultSweeps:
         # by the two healthy scenarios, private to the faulted one.
         assert len({id(tables) for tables in solved}) == len(solved) == 2 * steps
         assert {id(tables) for tables in consumed} == {id(tables) for tables in solved}
-        assert len(consumed) == 3 * steps
+        # One path walk per flow plan per step: the two healthy scenarios
+        # share one plan, walked once on their shared tables; the faulted
+        # scenario walks its own plan on its private tables.
+        assert len(consumed) == 2 * steps
         for step in range(steps):
-            healthy, double, faulted = consumed[3 * step : 3 * step + 3]
-            assert healthy is double
+            healthy, faulted = consumed[2 * step : 2 * step + 2]
             assert faulted is not healthy
+            # Both tables were solved in this very step.
+            assert {id(healthy), id(faulted)} == {
+                id(tables) for tables in solved[2 * step : 2 * step + 2]
+            }
 
     def test_faulted_and_healthy_scenarios_share_no_route_tables(self, simulator, epoch):
         """A faulted scenario must not reuse the healthy scenario's routing:

@@ -1,21 +1,30 @@
 """Tests of the columnar flow stages and their sweep-level behaviour.
 
-Selection is checked against a per-flow oracle (``flow_oracles``), bulk
-path export against lazy per-destination reconstruction, and sweeps for
-exact equality across executors (no tolerances: every executor runs the
-same step kernel over identically ordered arrays, so any drift is a real
-ordering bug).
+Selection is checked against a per-flow oracle (``flow_oracles``), flow
+plans scaled by a demand multiplier against selecting on the scaled
+matrix, bulk path export against lazy per-destination reconstruction, and
+sweeps for exact equality across executors (no tolerances: every executor
+runs the same step kernel over identically ordered arrays, so any drift is
+a real ordering bug).
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
 
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel, TrafficMatrix
+from repro.network.alloc_arrays import compile_system_from_rows
 from repro.network.backends import RouteTables
-from repro.network.flows import route_flow_table, select_flow_table, station_rows
+from repro.network.flows import (
+    plan_flows,
+    route_flow_table,
+    select_flow_table,
+    station_rows,
+)
 from repro.network.ground_station import GroundStation
 from repro.network.routing import SnapshotRouter
 from repro.network.simulation import NetworkSimulator, Scenario
@@ -86,6 +95,149 @@ class TestSelection:
         table = select_flow_table(matrix, subset, 10)
         assert table_candidates(table) == reference
         assert {src for src, _, _ in table_candidates(table)} <= {"Tokyo", "London"}
+
+
+#: Demand multipliers of the plan tests: exact powers of two plus factors
+#: whose products round.
+MULTIPLIERS = (0.5, 1.0, 2.0, 4.0, 0.3, 1.0 / 3.0, 1.1, 3.0)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _plan_table(matrix, names, budget, multiplier):
+    """The flows a scenario runs on: the scaled shared plan, or its fallback."""
+    scaled = plan_flows(matrix, names, budget).scaled(multiplier)
+    if scaled is None:
+        return None
+    return scaled.table
+
+
+def _merging_pair(multiplier: float) -> tuple[float, float]:
+    """Adjacent floats ``x < up`` whose products with ``multiplier`` coincide."""
+    for x in np.linspace(1.0, 2.0, 1001):
+        up = np.nextafter(x, np.inf)
+        if x * multiplier == up * multiplier:
+            return float(x), float(up)
+    raise AssertionError("no merging pair found")
+
+
+def _tie_matrix(x: float, up: float, boundary: bool) -> TrafficMatrix:
+    """Adjacent demands placed so that merging them reorders the selection.
+
+    ``up`` goes to Tokyo -> Sao Paulo and ``x`` to London -> New York, whose
+    names sort first: once scaling merges the two, the name tie-break puts
+    London -> New York ahead.  Without ``boundary`` they are the two largest
+    demands (inside a budget of 6); with it, four larger demands come first
+    and a budget of 5 cuts between them.
+    """
+    demands = np.zeros((4, 4))
+    others = [(i, j) for i in range(4) for j in range(4) if i != j]
+    others.remove((2, 3))
+    others.remove((0, 1))
+    fill = (
+        [10.0, 11.0, 12.0, 13.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        if boundary
+        else [0.1 * (k + 1) for k in range(10)]
+    )
+    for (i, j), value in zip(others, fill):
+        demands[i, j] = value
+    demands[2, 3] = up
+    demands[0, 1] = x
+    return TrafficMatrix(cities=CITIES, demands=demands)
+
+
+class TestFlowPlans:
+    def test_scaled_plans_match_selection_on_scaled_demand(self):
+        rng = np.random.default_rng(7)
+        cities = tuple(
+            City(f"C{i:02d}", float(rng.uniform(-50, 50)), float(rng.uniform(-180, 180)), 1.0)
+            for i in range(24)
+        )
+        names = tuple(city.name for city in cities)
+        demands = rng.lognormal(0.0, 2.0, size=(24, 24))
+        # Repeated values exercise ties the name order must decide.
+        demands[rng.random((24, 24)) < 0.2] = 1.5
+        matrix = TrafficMatrix(cities=cities, demands=demands)
+        for budget in (1, 17, 100, 551, 552, 1000, None):
+            for multiplier in MULTIPLIERS:
+                expected = select_flow_table(matrix, names, budget, multiplier)
+                table = _plan_table(matrix, names, budget, multiplier)
+                if table is None:
+                    table = plan_flows(matrix, names, budget, multiplier).table
+                for column in ("src", "dst", "demand"):
+                    assert _same_bytes(
+                        getattr(table, column), getattr(expected, column)
+                    ), (budget, multiplier, column)
+
+    @pytest.mark.parametrize("boundary", [False, True])
+    def test_merged_adjacent_demands_force_a_private_plan(self, boundary):
+        budget = 5 if boundary else 6
+        x, up = _merging_pair(3.0)
+        matrix = _tie_matrix(x, up, boundary)
+        plan = plan_flows(matrix, NAMES, budget)
+        assert plan.scaled(3.0) is None
+        expected = select_flow_table(matrix, NAMES, budget, 3.0)
+        # Scaling without the check would put the wrong flow first (or the
+        # wrong flow across the budget): the fallback is what keeps it exact.
+        naive = plan.table.demand * 3.0
+        naive_pairs = list(zip(plan.table.src.tolist(), plan.table.dst.tolist()))
+        expected_pairs = list(zip(expected.src.tolist(), expected.dst.tolist()))
+        assert naive_pairs != expected_pairs
+        assert naive.tobytes() == expected.demand.tobytes()
+        # An exact multiplier keeps the order, so the plan is reused.
+        for multiplier in (0.5, 2.0, 4.0):
+            table = plan.scaled(multiplier).table
+            reference = select_flow_table(matrix, NAMES, budget, multiplier)
+            assert _same_bytes(table.src, reference.src)
+            assert _same_bytes(table.demand, reference.demand)
+
+    def test_fallback_engages_exactly_when_a_pair_merges(self):
+        rng = np.random.default_rng(11)
+        merged = 0
+        trials = 200
+        for x in rng.uniform(1.0, 2.0, size=trials):
+            up = float(np.nextafter(x, np.inf))
+            for boundary in (False, True):
+                budget = 5 if boundary else 6
+                matrix = _tie_matrix(float(x), up, boundary)
+                table = _plan_table(matrix, NAMES, budget, 3.0)
+                merges = x * 3.0 == up * 3.0
+                assert (table is None) == merges
+                if table is not None:
+                    expected = select_flow_table(matrix, NAMES, budget, 3.0)
+                    assert _same_bytes(table.src, expected.src)
+                    assert _same_bytes(table.dst, expected.dst)
+                    assert _same_bytes(table.demand, expected.demand)
+            merged += merges
+        # Both branches are exercised (about 30% of pairs merge under 3.0).
+        assert 0.1 * trials < merged < 0.6 * trials
+
+    def test_scaled_plan_shares_paths_and_incidence(self, simulator, epoch):
+        matrix = simulator.traffic_model.matrix_at(12.0)
+        sequence = simulator.topology.snapshot_sequence([epoch], simulator.ground_stations)
+        edge_list = sequence.edge_list(0, NAMES)
+        rows = station_rows(edge_list.node_index, NAMES)
+        tables = RouteTables.solve(edge_list.arrays(), rows)
+        plan = plan_flows(matrix, NAMES, 10)
+        plan = plan._replace(routed=route_flow_table(tables, rows, plan.table))
+        demand, offsets, path_rows = plan.routed.compact()
+        plan = plan._replace(
+            system=compile_system_from_rows(edge_list, demand, offsets, path_rows)
+        )
+        scaled = plan.scaled(2.5)
+        assert scaled is not None
+        assert scaled.routed.path_rows is plan.routed.path_rows
+        assert scaled.system.flow_ids is plan.system.flow_ids
+        assert scaled.routed.table is scaled.table
+        reference = select_flow_table(matrix, NAMES, 10, 2.5)
+        routed = route_flow_table(tables, rows, reference)
+        demand, offsets, path_rows = routed.compact()
+        system = compile_system_from_rows(edge_list, demand, offsets, path_rows)
+        assert _same_bytes(scaled.system.demand, system.demand)
+        assert _same_bytes(scaled.system.link_ids, system.link_ids)
+        assert _same_bytes(scaled.system.capacity, system.capacity)
 
 
 class TestBulkPathExport:
@@ -189,6 +341,102 @@ class TestEngineEquivalence:
         for engine in ("objects", "rows"):
             with pytest.raises(ValueError, match="'columnar'"):
                 simulator.run_scenarios([Scenario(name="a")], epoch, 1.0, flow_engine=engine)
+
+
+class _FixedTrafficModel:
+    """Serves one constructed traffic matrix at every hour."""
+
+    def __init__(self, matrix: TrafficMatrix):
+        self.matrix = matrix
+
+    def matrix_at(self, utc_hour: float) -> TrafficMatrix:
+        return self.matrix
+
+
+class TestMixedMultiplierSweep:
+    """A sweep whose multipliers round, over a matrix where one of them ties."""
+
+    SCENARIOS = [
+        Scenario(name="x1", telemetry="exact"),
+        Scenario(name="x3", demand_multiplier=3.0, telemetry="exact"),
+        Scenario(name="third", demand_multiplier=1.0 / 3.0),
+        Scenario(name="x1.1", demand_multiplier=1.1, allocator="max_min_array"),
+        Scenario(name="half", demand_multiplier=0.5),
+        Scenario(name="steered-x3", demand_multiplier=3.0, steering="congestion-aware"),
+    ]
+    STEPS = 2
+
+    @pytest.fixture(scope="class")
+    def tied(self, simulator):
+        x, up = _merging_pair(3.0)
+        matrix = _tie_matrix(x, up, boundary=True)
+        return NetworkSimulator(
+            topology=simulator.topology,
+            ground_stations=simulator.ground_stations,
+            traffic_model=_FixedTrafficModel(matrix),
+            flows_per_step=5,
+        )
+
+    def _sweep(self, tied, epoch, **kwargs):
+        return tied.run_scenarios(
+            self.SCENARIOS, epoch, duration_hours=float(self.STEPS), instrument=True, **kwargs
+        )
+
+    def test_bit_identical_across_executors(self, tied, epoch):
+        serial = self._sweep(tied, epoch)
+        thread = self._sweep(tied, epoch, max_workers=3)
+        process = self._sweep(tied, epoch, max_workers=3, executor="process")
+        for scenario in self.SCENARIOS:
+            name = scenario.name
+            assert serial[name].steps == thread[name].steps == process[name].steps
+            for other in (thread[name].metrics, process[name].metrics):
+                assert other.counters == serial[name].metrics.counters, name
+            alone = tied.run_scenarios([scenario], epoch, float(self.STEPS))[name]
+            assert alone.steps == serial[name].steps
+
+    def test_thread_stress_reads_shared_plans_safely(self, tied, epoch):
+        # More workers than cores and a tiny switch interval: a worker that
+        # wrote to a shared plan (or raced on a tracer) would show up here.
+        serial = self._sweep(tied, epoch)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self._sweep(tied, epoch, max_workers=8)
+        finally:
+            sys.setswitchinterval(previous)
+        for name, result in serial.items():
+            assert threaded[name].steps == result.steps
+            assert threaded[name].metrics.counters == result.metrics.counters
+            assert np.array_equal(
+                threaded[name].metrics.stage_calls, result.metrics.stage_calls
+            )
+
+    def test_fallback_engages_only_for_the_tied_multiplier(self, tied, epoch):
+        results = self._sweep(tied, epoch)
+        fallbacks = {
+            name: result.metrics.counters["flow_plan_fallbacks"]
+            for name, result in results.items()
+        }
+        assert fallbacks == {
+            "x1": 0.0,
+            "x3": self.STEPS,
+            "third": 0.0,
+            "x1.1": 0.0,
+            "half": 0.0,
+            "steered-x3": self.STEPS,
+        }
+        # One shared plan per step, credited to the sweep's first scenario,
+        # plus each fallback's own plan.
+        built = {name: r.metrics.counters["flow_plans_built"] for name, r in results.items()}
+        assert built["x1"] == built["x3"] == built["steered-x3"] == self.STEPS
+        assert sum(built.values()) == 3 * self.STEPS
+        # The tied scenario runs the flows selected on its scaled demand:
+        # London -> New York wins the tie at the budget boundary.
+        expected = select_flow_table(tied.traffic_model.matrix, NAMES, 5, 3.0)
+        pairs = {(NAMES[s], NAMES[d]) for s, d in zip(expected.src, expected.dst)}
+        assert ("London", "New York") in pairs and ("Tokyo", "Sao Paulo") not in pairs
+        for step in results["x3"].steps:
+            assert {(src, dst) for src, dst, _ in step.top_pairs} == pairs
 
 
 class TestSweepTelemetry:

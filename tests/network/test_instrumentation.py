@@ -137,6 +137,19 @@ class TestMetricsContent:
         assert traced["telemetry"].metrics.gauges["telemetry_bytes"] > 0.0
         assert traced["max_min"].metrics.gauges["incidence_bytes"] > 0.0
 
+    def test_plan_counters(self, simulator, epoch):
+        traced = _sweep(simulator, epoch, instrument=True)
+        steps = len(traced["plain"].steps)
+        # All four scenarios share one (group, budget) plan per step, counted
+        # once, on the sweep's first scenario; multiplier 1.0 never ties.
+        built = {
+            name: result.metrics.counters["flow_plans_built"]
+            for name, result in traced.items()
+        }
+        assert built == {"plain": steps, "max_min": 0.0, "telemetry": 0.0, "steered": 0.0}
+        for result in traced.values():
+            assert result.metrics.counters["flow_plan_fallbacks"] == 0.0
+
     def test_histogram_counts_match_call_counts(self, simulator, epoch):
         traced = _sweep(simulator, epoch, instrument=True)
         for result in traced.values():

@@ -90,6 +90,33 @@ class TestScenarioValidation:
                     topology=topology, ground_stations=stations, flows_per_step=budget
                 )
 
+    def test_flow_budget_must_be_an_integer(self, topology, stations):
+        # A float budget used to pass construction and then fail mid-sweep
+        # inside ``np.argpartition``; ``True`` was taken as a budget of 1.
+        for budget in (2.5, 3.0, True, np.bool_(True), "4"):
+            with pytest.raises(ValueError, match="flows_per_step must be an integer"):
+                Scenario(name="x", flows_per_step=budget)
+            with pytest.raises(ValueError, match="flows_per_step must be an integer"):
+                NetworkSimulator(
+                    topology=topology, ground_stations=stations, flows_per_step=budget
+                )
+        with pytest.raises(ValueError, match="flows_per_step must be positive"):
+            Scenario(name="x", flows_per_step=np.int64(0))
+
+    def test_numpy_integer_budgets_accepted(self, simulator, topology, stations, epoch):
+        scenario = Scenario(name="np", flows_per_step=np.int64(4))
+        assert scenario.flows_per_step == 4 and type(scenario.flows_per_step) is int
+        numpy_default = NetworkSimulator(
+            topology=topology,
+            ground_stations=stations,
+            traffic_model=simulator.traffic_model,
+            flows_per_step=np.int32(10),
+        )
+        assert type(numpy_default.flows_per_step) is int
+        swept = numpy_default.run_scenarios([scenario], epoch, 2.0)["np"]
+        reference = simulator.run_scenarios([Scenario(name="np", flows_per_step=4)], epoch, 2.0)
+        assert swept.steps == reference["np"].steps
+
     def test_rejects_unknown_executor(self, simulator, epoch):
         with pytest.raises(ValueError, match="executor"):
             simulator.run_scenarios([Scenario(name="a")], epoch, 1.0, executor="fleet")
@@ -228,17 +255,25 @@ class TestRouteTableSharing:
             scenarios, epoch, duration_hours=float(steps), max_workers=max_workers
         )
         assert len(recorder.solves) == 2 * steps
-        assert len(recorder.routes) == len(scenarios) * steps
+        # One path walk per flow plan per step -- x1 and x2 share the plan of
+        # the default budget, "budget" has its own -- plus the steered
+        # scenario's private walk.
+        assert len(recorder.routes) == 3 * steps
         consumers = [
             sum(tables is routed for routed, _ in recorder.routes)
             for tables, _ in recorder.solves
         ]
-        # Per step: one shared solve over every station, routed on by the
-        # three open-loop scenarios, and one private solve for the steered one.
-        assert sorted(consumers) == [1] * steps + [3] * steps
-        for (_, source_rows), count in zip(recorder.solves, consumers):
-            if count == 3:
+        # Per step: one shared solve over every station, walked once by each
+        # of the two plans, and one private solve for the steered scenario.
+        assert sorted(consumers) == [1] * steps + [2] * steps
+        for (tables, source_rows), count in zip(recorder.solves, consumers):
+            walked = [table for routed, table in recorder.routes if routed is tables]
+            if count == 2:
                 assert np.all(source_rows >= 0) and source_rows.size == len(CITIES)
+                # Plans are selected on unscaled demand, one per budget.
+                assert sorted(table.flow_count for table in walked) == [4, 10]
+            else:
+                assert [table.flow_count for table in walked] == [10]
 
     def test_sole_consumer_solves_only_its_sources(self, simulator, epoch, monkeypatch):
         recorder = _RoutingRecorder(monkeypatch)

@@ -61,6 +61,16 @@ class TestSpans:
         assert tracer.metrics.stage_seconds[index] == pytest.approx(0.5)
         assert tracer.metrics.stage_calls[index] == 1
 
+    def test_fold_seconds_adds_time_but_no_call(self):
+        tracer = Tracer(clock=FakeClock())
+        with tracer.span("routing"):
+            pass
+        tracer.fold_seconds("routing", 0.25)
+        index = tracer.metrics.stage_index("routing")
+        assert tracer.metrics.stage_seconds[index] == pytest.approx(1.25)
+        assert tracer.metrics.stage_calls[index] == 1
+        assert tracer.metrics.stage_histogram[index].sum() == 1
+
     def test_custom_stage_vocabulary(self):
         tracer = Tracer(stages=("fig01", "fig02"))
         with tracer.span("fig01"):
@@ -75,6 +85,7 @@ class TestDisabled:
         with tracer.span("routing") as span:
             pass
         tracer.record_seconds("routing", 9.0)
+        tracer.fold_seconds("routing", 9.0)
         tracer.counter("steps")
         tracer.gauge("bytes", 1.0)
         assert span.seconds == 0.0
