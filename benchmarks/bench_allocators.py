@@ -4,13 +4,13 @@ PR 3/4 made routing and fault masking array-native, which left stage 4 --
 capacity allocation over per-flow python dicts -- as the dominant
 pure-python cost of congested sweeps.  The ``"*_array"`` allocators
 (:mod:`repro.network.alloc_arrays`) compile each step's routed flows into a
-sparse (flow x link) incidence system straight from the csgraph backend's
+sparse (flow x link) incidence system straight from the router's
 row-index paths; proportional scaling is a few ``bincount`` products and
 max-min is incremental waterfilling, whose rounds touch only per-link
 totals and the incidence rows of the flows they freeze.
 
 This benchmark times the **per-step allocation stage** -- allocator calls
-over identical flow sets routed once with the ``csgraph`` backend -- for
+over identical flow sets routed once with ``csgraph`` -- for
 the dict and array implementations of both policies over a congested
 24-hour, 360-satellite scenario (demand far above capacity, so max-min
 runs deep freeze cascades), asserts the allocations agree within 1e-9, and
@@ -35,7 +35,11 @@ import pytest
 
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
-from repro.network.capacity import Flow, get_allocator
+from repro.network.alloc_arrays import (
+    allocate_max_min_array,
+    allocate_proportional_array,
+)
+from repro.network.capacity import Flow, allocate_max_min, allocate_proportional
 from repro.network.flows import select_flow_table
 from repro.network.routing import SnapshotRouter
 from repro.network.ground_station import GroundStation
@@ -126,7 +130,7 @@ def _run_comparison(smoke: bool, size: str):
     epochs = epoch_range(epoch, duration_hours * 3600.0, 3600.0)
     sequence = topology.snapshot_sequence(epochs, stations)
 
-    # Stage inputs: per-step flows routed once over the csgraph backend
+    # Stage inputs: per-step flows routed once with csgraph
     # (row-index paths), plus the graph / edge-list pair the dict and array
     # allocators read their capacities from.
     table = select_flow_table(
@@ -143,7 +147,7 @@ def _run_comparison(smoke: bool, size: str):
     step_edge_lists = []
     for step in range(len(sequence)):
         edge_list = sequence.edge_list(step)
-        router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
+        router = SnapshotRouter(arrays=edge_list.arrays())
         routes = router.routes_from_many(list(dict.fromkeys(src for src, _, _ in pairs)))
         step_flows.append(
             [
@@ -155,17 +159,18 @@ def _run_comparison(smoke: bool, size: str):
         step_edge_lists.append(edge_list)
     step_graphs = list(sequence.graphs(copy=True))
 
-    policies = ("proportional", "max_min")
+    policies = {
+        "proportional": (allocate_proportional, allocate_proportional_array),
+        "max_min": (allocate_max_min, allocate_max_min_array),
+    }
     # The smoke problem finishes in single-digit milliseconds; repeating
     # the (deterministic) stage keeps the measured ratio out of timer
     # noise without changing what is measured.
     repetitions = 5 if smoke else 1
     stage_seconds: dict[str, float] = {}
     equivalent = True
-    for policy in policies:
-        reference_allocator = get_allocator(policy)
-        array_allocator = get_allocator(f"{policy}_array")
-        # Warm both implementations (numpy dispatch, registry imports).
+    for policy, (reference_allocator, array_allocator) in policies.items():
+        # Warm both implementations (numpy dispatch).
         reference_allocator(step_graphs[0], step_flows[0])
         array_allocator(step_edge_lists[0], step_flows[0])
 

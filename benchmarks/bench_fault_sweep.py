@@ -88,10 +88,7 @@ def _routing_stage_seconds(sequence, sources, schedule, repeats: int) -> float:
     for _ in range(repeats):
         begin = time.perf_counter()
         for step in range(len(sequence)):
-            router = SnapshotRouter(
-                backend="csgraph",
-                arrays=sequence.edge_arrays(step, faults=schedule),
-            )
+            router = SnapshotRouter(arrays=sequence.edge_arrays(step, faults=schedule))
             tables = router.routes_from_many(sources)
             for source in sources:
                 # Touch one route per table so lazy reconstruction runs.

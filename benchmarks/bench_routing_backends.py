@@ -1,19 +1,19 @@
-"""Benchmark: array-native ``csgraph`` routing backend vs the ``networkx`` reference.
+"""Benchmark: ``csgraph`` routing vs a direct ``networkx`` Dijkstra reference.
 
-PR 2 made snapshot-graph construction cached and incremental, which left the
-per-step shortest-path searches over ``networkx`` adjacency dicts as the
-dominant cost of every sweep.  The ``csgraph`` backend routes on the
-snapshot sequence's CSR edge arrays instead: one compiled multi-source
+Per-step shortest-path searches over ``networkx`` adjacency dicts used to
+dominate every sweep.  :class:`~repro.network.routing.SnapshotRouter` routes
+on the snapshot sequence's CSR edge arrays instead: one compiled multi-source
 :func:`scipy.sparse.csgraph.dijkstra` call covers every ground station of a
 step, and paths are reconstructed lazily from the predecessor matrix.
 
 This benchmark times the **per-step routing stage** -- snapshot-view
 production (incrementally updated graph vs CSR export) plus the batched
 all-stations route-table computation -- over a 24-hour, 360-satellite
-sequence for both backends, asserts the latency tables agree, and asserts
-the ``csgraph`` backend clears the speedup floor (>= 3x at full size).  The
-simulator itself only routes with ``csgraph``; whole-sweep timings live in
-the end-to-end benchmark (``e2ebench``).
+sequence for both engines, asserts the latency tables agree, and asserts
+``csgraph`` clears the speedup floor (>= 3x at full size).  The networkx side
+is a local helper calling :func:`networkx.single_source_dijkstra` directly;
+the library itself only routes with ``csgraph``, and whole-sweep timings live
+in the end-to-end benchmark (``e2ebench``).
 
 Run ``pytest benchmarks/bench_routing_backends.py`` (add ``--smoke`` for the
 small CI configuration, ``--benchmark-json=BENCH_routing_backends.json`` to
@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import time
 
+import networkx as nx
 import numpy as np
 
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City
 from repro.network.ground_station import GroundStation
-from repro.network.routing import SnapshotRouter
+from repro.network.routing import RouteResult, SnapshotRouter
 from repro.network.topology import ConstellationTopology
 from repro.orbits.time import Epoch, epoch_range
 
@@ -58,6 +59,23 @@ def _walker_topology(epoch: Epoch, satellites: int, planes: int) -> Constellatio
     )
 
 
+def _networkx_routes_from_many(graph, sources) -> dict:
+    """``{source: {destination: RouteResult}}``, one networkx Dijkstra per source."""
+    tables = {}
+    for source in sources:
+        distances, paths = nx.single_source_dijkstra(graph, source, weight="delay_ms")
+        tables[source] = {
+            destination: RouteResult(
+                path=tuple(path),
+                latency_ms=float(distances[destination]),
+                hop_count=len(path) - 1,
+                reachable=True,
+            )
+            for destination, path in paths.items()
+        }
+    return tables
+
+
 def _station_pair_latencies(tables, sources) -> list[float]:
     """Flatten every station-to-station latency of one step, fixed order."""
     latencies = []
@@ -83,17 +101,15 @@ def _run_comparison(smoke: bool):
 
     # Warm both code paths (numpy dispatch, networkx decorators, scipy import).
     warm_graph = next(sequence.graphs(copy=True))
-    SnapshotRouter(warm_graph).routes_from_many(sources)
-    SnapshotRouter(backend="csgraph", arrays=sequence.edge_arrays(0)).routes_from_many(
-        sources
-    )
+    _networkx_routes_from_many(warm_graph, sources)
+    SnapshotRouter(arrays=sequence.edge_arrays(0)).routes_from_many(sources)
 
     # Per-step routing stage, networkx: incrementally updated graph stream
     # plus one single-source Dijkstra per station per step.
     begin = time.perf_counter()
     networkx_latencies = []
     for graph in sequence.graphs(copy=False):
-        tables = SnapshotRouter(graph).routes_from_many(sources)
+        tables = _networkx_routes_from_many(graph, sources)
         networkx_latencies.extend(_station_pair_latencies(tables, sources))
     networkx_s = time.perf_counter() - begin
 
@@ -102,7 +118,7 @@ def _run_comparison(smoke: bool):
     begin = time.perf_counter()
     csgraph_latencies = []
     for step in range(len(sequence)):
-        router = SnapshotRouter(backend="csgraph", arrays=sequence.edge_arrays(step))
+        router = SnapshotRouter(arrays=sequence.edge_arrays(step))
         tables = router.routes_from_many(sources)
         csgraph_latencies.extend(_station_pair_latencies(tables, sources))
     csgraph_s = time.perf_counter() - begin

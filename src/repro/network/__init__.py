@@ -3,30 +3,23 @@
 Inter-satellite link modelling, +Grid topologies for Walker and SS-plane
 constellations (single- and multi-shell), cached incremental snapshot-graph
 sequences with zero-copy CSR edge-array exports, ground stations, snapshot
-and time-aware routing over pluggable backends (pure-python ``networkx`` or
-array-native ``csgraph``), capacity allocation, demand-aware scheduling, a
-scenario-sweep simulator driven by the gravity traffic model (one pipeline:
-csgraph routing, columnar flows, array solvers) with thread- or
-process-pool parallelism and cross-product design/scenario grids,
-a fault-injection subsystem (registered fault models compiling to
-vectorised per-step outage masks) with resilience metrics, and closed-loop
-congestion steering (registered policies feeding per-link utilisation back
-into routing weights with EWMA smoothing, hysteresis and anti-flap
-cooldowns).
+and time-aware routing (one compiled ``csgraph`` Dijkstra per snapshot),
+capacity allocation, demand-aware scheduling, a scenario-sweep simulator
+driven by the gravity traffic model (one pipeline: csgraph routing, columnar
+flows, array solvers) with thread- or process-pool parallelism and
+cross-product design/scenario grids, a fault-injection subsystem
+(registered fault models compiling to vectorised per-step outage masks) with
+resilience metrics, and closed-loop congestion steering (registered policies
+feeding per-link utilisation back into routing weights with EWMA smoothing,
+hysteresis and anti-flap cooldowns).
 """
 
 from .backends import (
-    BACKENDS,
-    CSGraphBackend,
     EdgeArrays,
-    NetworkXBackend,
     NodeIndex,
     RouteTables,
-    RoutingBackend,
     SnapshotEdgeList,
     edge_arrays_from_graph,
-    get_backend,
-    graph_from_edge_arrays,
 )
 from .alloc_arrays import (
     ARRAY_SOLVERS,
@@ -38,12 +31,10 @@ from .alloc_arrays import (
     compile_system_from_rows,
 )
 from .capacity import (
-    ALLOCATORS,
     AllocationResult,
     Flow,
     allocate_max_min,
     allocate_proportional,
-    get_allocator,
 )
 from .faults import (
     FAULT_MODELS,
@@ -121,19 +112,12 @@ from .topology import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "CSGraphBackend",
     "EdgeArrays",
-    "NetworkXBackend",
     "NodeIndex",
     "RouteTables",
-    "RoutingBackend",
     "SnapshotEdgeList",
     "edge_arrays_from_graph",
-    "get_backend",
-    "graph_from_edge_arrays",
     "run_grid",
-    "ALLOCATORS",
     "ARRAY_SOLVERS",
     "AllocationResult",
     "EdgeListCompileCache",
@@ -148,7 +132,6 @@ __all__ = [
     "allocate_proportional_array",
     "compile_flow_link_system",
     "compile_system_from_rows",
-    "get_allocator",
     "plan_flows",
     "route_flow_table",
     "select_flow_table",

@@ -31,19 +31,19 @@ Two compilation paths produce identical systems:
 * the **index path** engages when the capacity argument is a
   :class:`~repro.network.backends.SnapshotEdgeList` (or its
   :class:`EdgeListCompileCache`) and every flow carries
-  :attr:`~repro.network.capacity.Flow.path_rows` -- the row-index paths an
-  array-native routing backend reconstructs from its predecessor matrix.
+  :attr:`~repro.network.capacity.Flow.path_rows` -- the row-index paths the
+  router reconstructs from its predecessor matrix.
   Links are encoded, deduplicated and matched against the edge list
   entirely in numpy, with no python tuple or string-ordered key in sight;
 * the **graph path** handles any ``networkx``-style graph and label-only
   flows, walking each flow's links once (the same per-link python work the
   dict allocators' setup does) before the vectorised fixed point.
 
-The allocators register themselves in
-:data:`repro.network.capacity.ALLOCATORS` as ``"proportional_array"`` and
-``"max_min_array"`` and return the same :class:`AllocationResult` structure
-as the references -- rates within 1e-9 and identical (normalised) link
-keys -- so they are drop-in scenario policies.
+:func:`allocate_proportional_array` and :func:`allocate_max_min_array`
+return the same :class:`AllocationResult` structure as the references --
+rates within 1e-9 and identical (normalised) link keys.  The simulator calls
+their solver cores through :data:`ARRAY_SOLVERS`, the table of allocator
+names a :class:`~repro.network.simulation.Scenario` accepts.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import SnapshotEdgeList
-from .capacity import ALLOCATORS, AllocationResult, Flow, _link_key
+from .capacity import AllocationResult, Flow, _link_key
 
 __all__ = [
     "FlowLinkSystem",
@@ -643,21 +643,10 @@ def allocate_max_min_array(
     return _result(system, *_solve_max_min(system, iterations))
 
 
-#: Solver cores by allocator registry name: the simulator compiles a
+#: Solver cores by allocator name: the simulator compiles a
 #: nameless system and calls these directly, skipping the result-dict
 #: round-trip.  These are the only allocators a :class:`Scenario` accepts.
 ARRAY_SOLVERS = {
     "proportional_array": _solve_proportional,
     "max_min_array": _solve_max_min,
 }
-
-
-#: Introspection metadata mirroring ``RoutingBackend.uses_arrays``: these
-#: allocators exploit an edge list and row-index paths when the caller
-#: supplies them (the compile fast path) and fall back to the graph
-#: interface otherwise.
-allocate_proportional_array.uses_arrays = True
-allocate_max_min_array.uses_arrays = True
-
-ALLOCATORS["proportional_array"] = allocate_proportional_array
-ALLOCATORS["max_min_array"] = allocate_max_min_array

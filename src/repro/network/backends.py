@@ -1,40 +1,21 @@
-"""Pluggable routing backends over snapshot graphs and CSR edge arrays.
+"""Snapshot link arrays and the csgraph shortest-path tables built on them.
 
-The routing layer is split from its shortest-path kernel by a small protocol,
-:class:`RoutingBackend`.  A backend answers single-source (and batched
-multi-source) lowest-delay route queries against a *snapshot view* that can
-supply the topology in two interchangeable forms:
+Every route in the library comes from one engine: a multi-source
+:func:`scipy.sparse.csgraph.dijkstra` over a snapshot's compressed-sparse-row
+(CSR) export, :class:`EdgeArrays` (``indptr``, ``indices``, ``weights`` plus a
+:class:`NodeIndex` mapping node labels to row numbers).  Snapshot sequences
+produce the arrays straight from their link tensors
+(:meth:`repro.network.topology.SnapshotSequence.edge_arrays`); a hand-built
+:class:`networkx.Graph` with ``delay_ms`` edge attributes is converted once by
+:func:`edge_arrays_from_graph`, which is also where external weights are
+validated.
 
-* a :class:`networkx.Graph` with ``delay_ms`` edge attributes (the classic
-  representation, kept for capacity allocation and ad-hoc analysis);
-* :class:`EdgeArrays` -- a compressed-sparse-row (CSR) export of the same
-  snapshot (``indptr``, ``indices``, ``weights`` plus a :class:`NodeIndex`
-  mapping node labels to row numbers), produced zero-copy-where-possible by
-  :meth:`repro.network.topology.SnapshotSequence.edge_arrays`.
-
-Two backends ship with the library, registered by name in :data:`BACKENDS`
-(mirroring :data:`repro.network.capacity.ALLOCATORS` so scenario definitions
-can select them declaratively):
-
-``networkx``
-    The reference backend: :func:`networkx.single_source_dijkstra` over the
-    graph view.  Result-identical to the pre-backend routing layer.
-
-``csgraph``
-    The array-native hot path: one :func:`scipy.sparse.csgraph.dijkstra` call
-    covers *all* requested sources over the CSR view, and paths are
-    reconstructed lazily from the predecessor matrix -- a route query for a
-    destination nobody asks about costs nothing.  Produces the same
-    reachability, latencies (to float round-off) and -- shortest paths being
-    unique on continuous-geometry topologies -- the same paths as the
-    reference backend, at a fraction of the per-step cost.
-
-The csgraph search result is kept in its native matrix form,
-:class:`RouteTables`: ``(S, N)`` distance and predecessor matrices plus the
-``S`` source rows.  The simulator routes on it directly --
-:meth:`RouteTables.paths` walks every flow's path in one batched layer walk
--- and the backend's ``{destination: RouteResult}`` mappings are read-only
-row views of it.
+The search result is kept in its native matrix form, :class:`RouteTables`:
+``(S, N)`` distance and predecessor matrices plus the ``S`` source rows.  The
+simulator routes on it directly -- :meth:`RouteTables.paths` walks every
+flow's path in one batched layer walk -- and the
+:class:`~repro.network.routing.SnapshotRouter` analysis API reads
+``{destination: RouteResult}`` mappings as lazy row views of it.
 
 Because :class:`EdgeArrays` and :class:`SnapshotEdgeList` are plain numpy
 containers they pickle cheaply (unlike :class:`networkx.Graph`), which is
@@ -44,11 +25,10 @@ fan a sweep out to a real :class:`concurrent.futures.ProcessPoolExecutor`.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, NamedTuple, Sequence
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
@@ -59,13 +39,7 @@ __all__ = [
     "NodeIndex",
     "EdgeArrays",
     "SnapshotEdgeList",
-    "RoutingBackend",
-    "NetworkXBackend",
-    "CSGraphBackend",
-    "BACKENDS",
-    "get_backend",
     "edge_arrays_from_graph",
-    "graph_from_edge_arrays",
 ]
 
 
@@ -77,11 +51,11 @@ class RouteResult:
     latency_ms: float
     hop_count: int
     reachable: bool
-    #: Row-index form of ``path`` into the snapshot's array views, set by
-    #: array-native backends whose reconstruction already works in rows.
-    #: Downstream array consumers (the array-native capacity allocators)
-    #: read it to skip the label round-trip; it never affects equality, so
-    #: backends with and without it still compare route-equal.
+    #: Row-index form of ``path`` into the snapshot's array views, set when
+    #: the path was rebuilt from a predecessor row.  Downstream array
+    #: consumers (the array-native capacity allocators) read it to skip the
+    #: label round-trip; it never affects equality, so a result built from
+    #: labels alone still compares route-equal.
     path_rows: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
@@ -123,7 +97,7 @@ class NodeIndex:
 class EdgeArrays(NamedTuple):
     """CSR export of one topology snapshot, weighted by ``delay_ms``.
 
-    The canonical array form consumed by array-native backends: row ``i`` of
+    The form every route search runs on: row ``i`` of
     the implied ``(n, n)`` sparse matrix holds the out-links of node
     ``node_index.label_of(i)``; the matrix is explicitly symmetric (both
     directions of every undirected link are stored), so consumers should
@@ -237,10 +211,13 @@ class SnapshotEdgeList:
 def edge_arrays_from_graph(graph: nx.Graph, weight: str = "delay_ms") -> EdgeArrays:
     """Export a snapshot graph to CSR edge arrays.
 
-    Fallback for routers handed a plain graph (hand-built fixtures, external
-    callers): snapshot-sequence consumers get their arrays straight from
-    :meth:`repro.network.topology.SnapshotSequence.edge_arrays` without ever
-    touching per-edge Python iteration.
+    The entry point for graphs supplied from outside (hand-built fixtures,
+    external callers), so it rejects a missing, non-finite or negative
+    ``weight`` naming the edge: csgraph would report a missing or NaN
+    weight's destinations unreachable and never return on a negative one.
+    Snapshot-sequence consumers get their arrays straight from
+    :meth:`repro.network.topology.SnapshotSequence.edge_arrays`, built from
+    geometry, without per-edge Python iteration or this check.
     """
     node_index = NodeIndex(tuple(graph.nodes))
     edge_count = graph.number_of_edges()
@@ -250,25 +227,17 @@ def edge_arrays_from_graph(graph: nx.Graph, weight: str = "delay_ms") -> EdgeArr
     for row, (u, v, value) in enumerate(graph.edges(data=weight)):
         a[row] = node_index.index_of(u)
         b[row] = node_index.index_of(v)
-        weights[row] = value
+        weights[row] = value  # a missing attribute stores NaN
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0.0)))
+    if bad.size:
+        u = node_index.label_of(int(a[bad[0]]))
+        v = node_index.label_of(int(b[bad[0]]))
+        raise ValueError(
+            f"edge ({u!r}, {v!r}) has {weight}={graph.edges[u, v].get(weight)!r}; "
+            f"every edge needs a finite, non-negative {weight}"
+        )
     indptr, indices, data = _csr_from_undirected(a, b, weights, len(node_index))
     return EdgeArrays(indptr, indices, data, node_index)
-
-
-def graph_from_edge_arrays(arrays: EdgeArrays) -> nx.Graph:
-    """Build a routing-view graph (``delay_ms`` edges only) from CSR arrays."""
-    labels = arrays.node_index.labels
-    graph = nx.Graph()
-    graph.add_nodes_from(labels)
-    indptr, indices, weights = arrays.indptr, arrays.indices, arrays.weights
-    for row in range(arrays.node_count):
-        for position in range(int(indptr[row]), int(indptr[row + 1])):
-            column = int(indices[position])
-            if row < column:
-                graph.add_edge(
-                    labels[row], labels[column], delay_ms=float(weights[position])
-                )
-    return graph
 
 
 def _require_scipy():
@@ -277,8 +246,7 @@ def _require_scipy():
         import scipy.sparse as sparse
     except ImportError as error:  # pragma: no cover - scipy ships with the toolchain
         raise ImportError(
-            "the 'csgraph' routing backend requires scipy; install scipy or "
-            "select backend='networkx'"
+            "routing requires scipy (scipy.sparse.csgraph); install scipy"
         ) from error
     return sparse
 
@@ -390,7 +358,7 @@ def _dijkstra(arrays: EdgeArrays, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 class _PredecessorRoutes(Mapping):
     """Read-only view of one row of :class:`RouteTables`.
 
-    Behaves like the dict produced by the networkx backend -- keys are the
+    Behaves like a ``{destination: RouteResult}`` dict -- keys are the
     reachable destinations, values are :class:`RouteResult` -- but each path
     is rebuilt from the predecessor row only when first requested, so asking
     for a handful of station-to-station routes out of an N-node snapshot
@@ -436,119 +404,3 @@ class _PredecessorRoutes(Mapping):
 
     def __len__(self) -> int:
         return len(self._reachable)
-
-
-class RoutingBackend(ABC):
-    """Shortest-path kernel behind :class:`repro.network.routing.SnapshotRouter`.
-
-    A backend receives the router as its snapshot view and pulls whichever
-    representation it prefers: :meth:`~repro.network.routing.SnapshotRouter.nx_graph`
-    or :meth:`~repro.network.routing.SnapshotRouter.edge_arrays` (both are
-    built lazily from the other form when not supplied).  Implementations
-    must be stateless -- one shared instance serves every router, thread and
-    worker process.
-    """
-
-    #: Registry name of the backend.
-    name: ClassVar[str]
-    #: Whether the backend routes on :class:`EdgeArrays` (``True``) or on the
-    #: graph view (``False``); snapshot producers use this to skip building
-    #: the representation nobody will read.
-    uses_arrays: ClassVar[bool] = False
-
-    @abstractmethod
-    def routes_from(self, router, source) -> Mapping:
-        """Return ``{destination: RouteResult}`` for every reachable node."""
-
-    def routes_from_many(self, router, sources: Sequence) -> dict:
-        """Batched :meth:`routes_from`; backends may fuse the searches."""
-        return {source: self.routes_from(router, source) for source in sources}
-
-    def route(self, router, source, destination) -> RouteResult:
-        """Return the minimum-delay route between two nodes."""
-        result = self.routes_from(router, source).get(destination)
-        return result if result is not None else RouteResult.unreachable()
-
-
-class NetworkXBackend(RoutingBackend):
-    """Reference backend: pure-python Dijkstra over the graph view."""
-
-    name = "networkx"
-    uses_arrays = False
-
-    def routes_from(self, router, source) -> dict:
-        graph = router.nx_graph()
-        if source not in graph:
-            return {}
-        distances, paths = nx.single_source_dijkstra(graph, source, weight="delay_ms")
-        return {
-            destination: RouteResult(
-                path=tuple(path),
-                latency_ms=float(distances[destination]),
-                hop_count=len(path) - 1,
-                reachable=True,
-            )
-            for destination, path in paths.items()
-        }
-
-    def route(self, router, source, destination) -> RouteResult:
-        graph = router.nx_graph()
-        if source not in graph or destination not in graph:
-            return RouteResult.unreachable()
-        try:
-            path = nx.shortest_path(graph, source, destination, weight="delay_ms")
-        except nx.NetworkXNoPath:
-            return RouteResult.unreachable()
-        latency = sum(
-            graph.edges[path[index], path[index + 1]]["delay_ms"]
-            for index in range(len(path) - 1)
-        )
-        return RouteResult(
-            path=tuple(path),
-            latency_ms=latency,
-            hop_count=len(path) - 1,
-            reachable=True,
-        )
-
-
-class CSGraphBackend(RoutingBackend):
-    """Array-native backend: :func:`scipy.sparse.csgraph.dijkstra` over CSR.
-
-    All requested sources of one batch are solved in a single compiled
-    multi-source call, and per-destination paths are reconstructed lazily
-    from the predecessor matrix.
-    """
-
-    name = "csgraph"
-    uses_arrays = True
-
-    def routes_from_many(self, router, sources: Sequence) -> dict:
-        arrays = router.edge_arrays()
-        rows = [arrays.node_index.index_of(source) for source in sources]
-        tables = RouteTables.solve(arrays, [-1 if row is None else row for row in rows])
-        return {
-            source: {} if row is None else _PredecessorRoutes(tables, index)
-            for index, (source, row) in enumerate(zip(sources, rows))
-        }
-
-    def routes_from(self, router, source) -> Mapping:
-        return self.routes_from_many(router, [source])[source]
-
-
-#: Routing backends addressable by name (scenario definitions use these),
-#: mirroring :data:`repro.network.capacity.ALLOCATORS`.
-BACKENDS: dict[str, RoutingBackend] = {
-    backend.name: backend for backend in (NetworkXBackend(), CSGraphBackend())
-}
-
-
-def get_backend(backend: "str | RoutingBackend") -> RoutingBackend:
-    """Resolve a backend instance or registry name to a backend instance."""
-    if isinstance(backend, RoutingBackend):
-        return backend
-    try:
-        return BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown routing backend {backend!r}; available: {sorted(BACKENDS)}"
-        ) from None

@@ -3,25 +3,23 @@
 Given a set of flows routed over a snapshot graph, allocate bandwidth subject
 to per-link capacities.  Two allocation policies are provided: proportional
 scaling (every flow gets the same fraction of its demand, set by the most
-congested link) and progressive-filling max-min fairness.  Policies are
-registered by name in :data:`ALLOCATORS` so scenario definitions can select
-them declaratively (see :class:`repro.network.simulation.Scenario`).
+congested link) and progressive-filling max-min fairness.
 
 Each policy exists in two equivalent implementations:
 
-* the **reference** allocators in this module (``"proportional"`` /
-  ``"max_min"``) walk per-flow python dicts keyed by normalised link tuples
-  -- easy to read, easy to single-step, the ground truth of the equivalence
-  tests;
+* the **reference** allocators in this module (:func:`allocate_proportional`
+  / :func:`allocate_max_min`) walk per-flow python dicts keyed by normalised
+  link tuples -- easy to read, easy to single-step, the ground truth of the
+  equivalence tests;
 * the **array-native** allocators of :mod:`repro.network.alloc_arrays`
-  (``"proportional_array"`` / ``"max_min_array"``) compile the same problem
-  into a sparse (flow x link) incidence matrix plus per-link capacity and
-  per-flow demand vectors, and run the identical fixed-point iterations as
-  whole-array numpy operations -- the hot path of large congested sweeps
-  (see ``benchmarks/bench_allocators.py``).
+  compile the same problem into a sparse (flow x link) incidence matrix plus
+  per-link capacity and per-flow demand vectors, and run the identical
+  fixed-point iterations as whole-array numpy operations.  Their solver
+  cores (:data:`repro.network.alloc_arrays.ARRAY_SOLVERS`) are the only
+  allocators a :class:`repro.network.simulation.Scenario` accepts.
 
 Both produce the same :class:`AllocationResult` (rates within 1e-9, identical
-link keys), so scenario statistics are unaffected by the choice.
+link keys).
 
 **Max-min as a fixed point.**  Progressive filling grows all unfrozen rates
 by the largest uniform increment any constraint allows: a flow's remaining
@@ -35,7 +33,6 @@ cap -- it converges in at most ``len(flows)`` rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import networkx as nx
 import numpy as np
@@ -45,8 +42,6 @@ __all__ = [
     "AllocationResult",
     "allocate_proportional",
     "allocate_max_min",
-    "ALLOCATORS",
-    "get_allocator",
 ]
 
 
@@ -59,8 +54,8 @@ class Flow:
     demand_gbps: float
     #: Optional row-index form of ``path`` into the label table of the
     #: snapshot's array views (:class:`repro.network.backends.NodeIndex`),
-    #: carried straight from an array-native routing backend's predecessor
-    #: reconstruction.  The array allocators use it to compile the flow
+    #: carried straight from the router's predecessor reconstruction.  The
+    #: array allocators use it to compile the flow
     #: without translating labels; it never affects equality or the dict
     #: allocators.  Contract: each entry must be the row of the same-index
     #: ``path`` node in the snapshot the flow is allocated against -- the
@@ -328,32 +323,3 @@ def allocate_max_min(
             demand = sum(f.demand_gbps for f in flows_by_link[key])
             utilisation[key] = 1.0 if demand > 0 else 0.0
     return AllocationResult(allocated_gbps=rates, link_utilisation=utilisation)
-
-
-#: Allocation policies addressable by name (scenario definitions use these).
-#: The array-native ``"proportional_array"`` / ``"max_min_array"`` policies
-#: are registered by :mod:`repro.network.alloc_arrays` on import;
-#: :func:`get_allocator` imports it on demand so every entry resolves
-#: however this module was reached.
-ALLOCATORS: dict[str, Callable[[nx.Graph, list[Flow]], AllocationResult]] = {
-    "proportional": allocate_proportional,
-    "max_min": allocate_max_min,
-}
-
-
-def get_allocator(policy: str) -> Callable[[nx.Graph, list[Flow]], AllocationResult]:
-    """Return the allocation function registered under ``policy``."""
-    try:
-        return ALLOCATORS[policy]
-    except KeyError:
-        pass
-    # The array-native allocators register themselves when their module is
-    # imported; pull it in before deciding the name is unknown.
-    from . import alloc_arrays  # noqa: F401
-
-    try:
-        return ALLOCATORS[policy]
-    except KeyError:
-        raise ValueError(
-            f"unknown allocator policy {policy!r}; available: {sorted(ALLOCATORS)}"
-        ) from None

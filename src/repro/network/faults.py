@@ -6,10 +6,9 @@ axis -- what the constellation delivers when parts of it are down -- as a
 first-class, declarative subsystem:
 
 * a :class:`FaultSpec` names a fault model from the :data:`FAULT_MODELS`
-  registry (mirroring :data:`repro.network.capacity.ALLOCATORS` and
-  :data:`repro.network.backends.BACKENDS`) together with its parameters and
-  seed, so fault scenarios are picklable, hashable and comparable values that
-  ride inside :class:`repro.network.simulation.Scenario` definitions;
+  registry together with its parameters and seed, so fault scenarios are
+  picklable, hashable and comparable values that ride inside
+  :class:`repro.network.simulation.Scenario` definitions;
 * a :class:`FaultModel` compiles one spec against a :class:`FaultContext`
   (the topology, the epoch grid and the attached ground stations) into a
   :class:`FaultSchedule` -- dense per-step **node masks** and **capacity
@@ -20,8 +19,8 @@ first-class, declarative subsystem:
   of its precomputed feasibility tensors when producing per-step graphs,
   CSR edge arrays or picklable edge lists: a link survives a step only if
   both endpoints are up, and its capacity is scaled by the worse endpoint's
-  degradation factor.  Both routing backends and every sweep executor
-  therefore see the *same* degraded network, bit for bit.
+  degradation factor.  The analysis graphs, the routing arrays and every
+  sweep executor therefore see the *same* degraded network, bit for bit.
 
 Five models ship with the library:
 
@@ -56,8 +55,7 @@ Five models ship with the library:
 Because schedules are compiled **once** per sweep by the driver and shipped
 to worker processes as plain numpy arrays (or pre-applied to the shipped
 edge lists), a fixed-seed fault sweep is result-identical across the serial,
-thread and process executors and across the ``networkx`` and ``csgraph``
-routing backends.
+thread and process executors.
 """
 
 from __future__ import annotations
@@ -805,9 +803,7 @@ class LinkDegradation(FaultModel):
         return schedule
 
 
-#: Fault models addressable by name (scenario definitions use these),
-#: mirroring :data:`repro.network.backends.BACKENDS` and
-#: :data:`repro.network.capacity.ALLOCATORS`.
+#: Fault models addressable by name (scenario definitions use these).
 FAULT_MODELS: dict[str, FaultModel] = {
     model.name: model
     for model in (

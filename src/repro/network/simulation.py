@@ -95,7 +95,7 @@ from ..obs import (
 )
 from .alloc_arrays import ARRAY_SOLVERS, EdgeListCompileCache, compile_system_from_rows
 from ..orbits.time import Epoch, epoch_range
-from .backends import BACKENDS, RouteTables, RoutingBackend, SnapshotEdgeList, get_backend
+from .backends import RouteTables, SnapshotEdgeList
 from .faults import FaultContext, FaultSchedule, FaultSpec, compile_faults, normalise_fault_specs
 from .flows import FlowPlan, plan_flows, route_flow_table, station_rows
 from .ground_station import GroundStation
@@ -116,9 +116,6 @@ __all__ = [
     "NetworkSimulator",
     "run_grid",
 ]
-
-#: The routing backend of the production pipeline.
-_ROUTING_BACKEND = "csgraph"
 
 
 def _flow_budget(value: "int | None") -> "int | None":
@@ -886,18 +883,10 @@ def _check_sweep_arguments(
         raise ValueError(f"max_workers must be at least 1, got {max_workers!r}")
 
 
-def _check_pipeline_keywords(backend: "str | RoutingBackend", flow_engine: str) -> None:
+def _check_pipeline_keywords(backend: str, flow_engine: str) -> None:
     """Validate the compatibility keywords that no longer select anything."""
-    accepted = sorted(name for name, item in BACKENDS.items() if item.uses_arrays)
-    try:
-        native = get_backend(backend).uses_arrays
-    except ValueError:
-        native = False
-    if not native:
-        raise ValueError(
-            f"backend must be an array-native routing backend {accepted}, "
-            f"got {backend!r}"
-        )
+    if backend != "csgraph":
+        raise ValueError(f"backend must be 'csgraph', got {backend!r}")
     if flow_engine != "columnar":
         raise ValueError(f"flow_engine must be 'columnar', got {flow_engine!r}")
 
@@ -964,7 +953,7 @@ class NetworkSimulator:
         duration_hours: float,
         step_hours: float = 1.0,
         max_workers: int | None = None,
-        backend: "str | RoutingBackend" = _ROUTING_BACKEND,
+        backend: str = "csgraph",
         executor: str = "thread",
         flow_engine: str = "columnar",
         steering: str | None = None,
@@ -998,8 +987,8 @@ class NetworkSimulator:
 
         ``backend`` and ``flow_engine`` select nothing: the simulator always
         routes with csgraph and runs the columnar flow stages.  They are
-        accepted for existing callers and must name an array-native backend
-        and ``"columnar"``.
+        accepted for existing callers and must be ``"csgraph"`` and
+        ``"columnar"``.
 
         ``max_workers`` (at least 1) optionally fans the scenario
         evaluations out to a pool.  With ``executor="thread"`` (the default)

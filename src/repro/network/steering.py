@@ -5,7 +5,7 @@ static lowest-delay paths that ignore the utilisation the allocator just
 measured.  This module closes the loop as a pluggable control plane over
 the existing data-plane kernels.  A :class:`SteeringPolicy` -- registered
 by name in :data:`STEERING_POLICIES`, mirroring
-``ALLOCATORS``/``BACKENDS``/``FAULT_MODELS``/``TELEMETRY`` -- transforms
+``FAULT_MODELS``/``TELEMETRY`` -- transforms
 each step's edge weights from the *previous* step's per-link utilisation,
 which the allocation stage exports as a plain ``(E,)`` array in link-index
 order (no label round-trips anywhere on the feedback path).
@@ -328,7 +328,7 @@ class SteeringController:
 class SteeringPolicy(ABC):
     """Base of registry steering policies: control-loop constants + kernel.
 
-    Frozen (policies are shared registry singletons, like backends and
+    Frozen (policies are shared registry singletons, like fault and
     telemetry models); all mutable per-run state lives in the
     :class:`SteeringController` built by :meth:`controller`.
     """
@@ -455,7 +455,7 @@ class LoadSpreadingSteering(SteeringPolicy):
 
 
 #: Steering policies addressable by name (scenario definitions use these),
-#: mirroring :data:`repro.network.capacity.ALLOCATORS`.
+#: mirroring :data:`repro.network.faults.FAULT_MODELS`.
 STEERING_POLICIES: dict[str, SteeringPolicy] = {
     policy.name: policy
     for policy in (

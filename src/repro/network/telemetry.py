@@ -8,7 +8,7 @@ flow store itself.  This module makes that cost a policy: a
 summary is collected **exactly** (consolidated key/value arrays) or
 **approximately** in fixed memory (a count-min sketch with a bounded
 heavy-hitter candidate set).  Models are registered by name in
-:data:`TELEMETRY`, mirroring ``ALLOCATORS``/``BACKENDS``/``FAULT_MODELS``,
+:data:`TELEMETRY`, mirroring ``FAULT_MODELS``/``STEERING_POLICIES``,
 so scenario definitions select them declaratively
 (:attr:`repro.network.simulation.Scenario.telemetry`).
 
@@ -448,7 +448,7 @@ class AutoTelemetry(SketchTelemetry):
 
 
 #: Telemetry models addressable by name (scenario definitions use these),
-#: mirroring :data:`repro.network.capacity.ALLOCATORS`.
+#: mirroring :data:`repro.network.faults.FAULT_MODELS`.
 TELEMETRY: dict[str, TelemetryModel] = {
     model.name: model
     for model in (ExactTelemetry(), SketchTelemetry(), AutoTelemetry())

@@ -26,14 +26,14 @@ is organised in three tiers:
   scenarios reuse the same precomputed kinematics as healthy ones.  Its
   :class:`~repro.network.backends.SnapshotEdgeList` is the picklable payload
   the scenario-sweep simulator ships to worker processes, and
-  :meth:`SnapshotSequence.edge_arrays` derives the CSR routing view consumed
-  by array-native backends (:class:`repro.network.backends.CSGraphBackend`)
-  from it.  :meth:`SnapshotSequence.graphs` derives the
-  :class:`networkx.Graph` stream from the same edge lists, diffing each
-  step's link set against the previous one: nodes are inserted once,
-  vanished links are removed, persisting links only have their attributes
-  refreshed.  The analysis graphs and the simulator's arrays therefore
-  cannot disagree about which links exist.
+  :meth:`SnapshotSequence.edge_arrays` derives the CSR routing view
+  (:class:`repro.network.backends.EdgeArrays`) from it.
+  :meth:`SnapshotSequence.graphs` derives the :class:`networkx.Graph`
+  stream from the same edge lists, diffing each step's link set against the
+  previous one: nodes are inserted once, vanished links are removed,
+  persisting links only have their attributes refreshed.  The analysis
+  graphs and the simulator's arrays therefore cannot disagree about which
+  links exist.
 
 The classic entry points (:meth:`ConstellationTopology.snapshot_graph`,
 :meth:`~ConstellationTopology.snapshot_graphs`,
@@ -425,9 +425,8 @@ class SnapshotSequence:
     ) -> EdgeArrays:
         """Return one step's CSR routing view ``(indptr, indices, weights, node_index)``.
 
-        The delay-weighted compressed-sparse-row export consumed by
-        array-native routing backends
-        (:class:`repro.network.backends.CSGraphBackend`): built from the
+        The delay-weighted compressed-sparse-row export every route search
+        runs on (:class:`repro.network.backends.RouteTables`): built from the
         precomputed per-step arrays without any per-edge Python iteration,
         and -- unlike a :class:`networkx.Graph` -- cheap to pickle across
         process boundaries.  ``faults`` applies outage masks exactly as in

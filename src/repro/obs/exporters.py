@@ -1,7 +1,7 @@
 """Metric exporters: render a :class:`RunMetrics` for people or tooling.
 
 Exporters are registered by name in :data:`OBS_EXPORTERS`, mirroring
-``ALLOCATORS`` / ``BACKENDS`` / ``TELEMETRY`` / ``STEERING_POLICIES``, and
+``TELEMETRY`` / ``STEERING_POLICIES`` / ``FAULT_MODELS``, and
 validated by the same lint machinery (``RPL100``-``RPL103`` via a
 ``RegistrySpec``).  Three ship by default:
 

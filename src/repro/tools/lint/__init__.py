@@ -19,9 +19,8 @@ RPL008    executor races: no unlocked shared-state writes reachable
           from submit/map sites (interprocedural)
 RPL009    merge-safety: ``merge()`` targets carry only mergeable,
           picklable fields (no locks, handles, tracers)
-RPL10x    registry conformance (ALLOCATORS / BACKENDS /
-          FAULT_MODELS / STEERING_POLICIES / TELEMETRY /
-          OBS_EXPORTERS / EXPERIMENTS, import-and-inspect)
+RPL10x    registry conformance (FAULT_MODELS / STEERING_POLICIES /
+          TELEMETRY / OBS_EXPORTERS / EXPERIMENTS, import-and-inspect)
 ========  =======================================================
 
 RPL002 and RPL007--009 ride on a shared substrate, built once per run: a

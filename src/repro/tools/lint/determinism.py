@@ -1,9 +1,9 @@
 """RPL001 -- determinism: no ambient randomness or wall-clock reads.
 
 The engine's headline invariant is that fixed-seed sweeps are bit-identical
-across executors and routing backends.  Any randomness that does not flow
-through an explicit-seed :func:`numpy.random.default_rng` stream -- and any
-wall-clock read folded into results -- silently breaks that contract.
+across executors.  Any randomness that does not flow through an
+explicit-seed :func:`numpy.random.default_rng` stream -- and any wall-clock
+read folded into results -- silently breaks that contract.
 
 Flagged call targets (resolved through the module's import table, so local
 variables shadowing the module names never trip the rule):

@@ -1,18 +1,17 @@
 """Layer 2 -- registry conformance by import-and-inspect.
 
-Pure AST analysis cannot tell whether ``ALLOCATORS["max_min_array"]``
-actually resolves after lazy registration, or whether a backend instance
-satisfies the :class:`~repro.network.backends.RoutingBackend` protocol.
-This layer imports the live registries and checks every entry:
+Pure AST analysis cannot tell whether ``FAULT_MODELS["plane_outage"]``
+actually resolves, or whether a fault model instance satisfies the
+:class:`~repro.network.faults.FaultModel` protocol.  This layer imports the
+live registries and checks every entry:
 
 * **RPL100** -- the registry (or an entry) fails to import/resolve;
 * **RPL101** -- an entry does not satisfy its protocol (wrong type,
   missing attribute, signature that cannot accept the protocol's call);
 * **RPL102** -- the registry key does not match the entry's declared name
-  (``backend.name``, ``model.name``, ``experiment.experiment_id``, or the
-  ``allocate_<key>`` convention for allocator functions);
-* **RPL103** -- the lazy ``get_*`` accessor does not return the registry's
-  own entry for its key (the ``get_allocator``-style string-target path is
+  (``model.name``, ``policy.name``, ``experiment.experiment_id``);
+* **RPL103** -- the ``get_*`` accessor does not return the registry's own
+  entry for its key (the ``get_fault_model``-style string-target path is
   broken).
 
 The checks are data-driven: :func:`check_registries` takes a list of
@@ -49,14 +48,12 @@ class RegistrySpec:
     module: str
     #: Attribute name of the registry mapping.
     attribute: str
-    #: Modules whose import performs lazy registration (imported first).
-    lazy_modules: tuple[str, ...] = ()
     #: Per-entry protocol check: returns a list of problem strings.
     entry_check: "Callable[[str, object], list[str]] | None" = None
     #: Returns the entry's declared name, or None when the convention
     #: does not define one (key-mismatch check is then skipped).
     declared_name: "Callable[[str, object], str | None] | None" = None
-    #: The registry's lazy accessor, e.g. ``get_allocator``.
+    #: The registry's accessor, e.g. ``get_fault_model``.
     accessor: "Callable[[str], object] | None" = None
     accessor_name: str = ""
 
@@ -101,18 +98,6 @@ def check_registries(
 
 def _check_one(spec: RegistrySpec) -> list[Finding]:
     findings: list[Finding] = []
-    for lazy in spec.lazy_modules:
-        try:
-            import_module(lazy)
-        except Exception as error:
-            findings.append(
-                _finding(
-                    spec,
-                    RESOLUTION,
-                    f"lazy registration module {lazy!r} failed to import: "
-                    f"{error!r}",
-                )
-            )
     try:
         module = import_module(spec.module)
     except Exception as error:
@@ -201,38 +186,6 @@ def _check_one(spec: RegistrySpec) -> list[Finding]:
 
 
 # -- live registry specs ---------------------------------------------------------
-
-
-def _allocator_check(key: str, value: object) -> list[str]:
-    problem = _callable_accepts(value, 2)
-    return [problem] if problem else []
-
-
-def _allocator_name(key: str, value: object) -> "str | None":
-    name = getattr(value, "__name__", None)
-    if name is None:
-        return None
-    # Convention: ``allocate_max_min`` registers as ``"max_min"``.
-    return name.removeprefix("allocate_")
-
-
-def _backend_check(key: str, value: object) -> list[str]:
-    from ...network.backends import RoutingBackend
-
-    problems: list[str] = []
-    if not isinstance(value, RoutingBackend):
-        problems.append(
-            f"entry {type(value).__name__!r} is not a RoutingBackend"
-        )
-        return problems
-    if not isinstance(getattr(value, "name", None), str):
-        problems.append("backend.name must be a string")
-    if not isinstance(getattr(value, "uses_arrays", None), bool):
-        problems.append("backend.uses_arrays must be a bool")
-    for method in ("route", "routes_from_many"):
-        if not callable(getattr(value, method, None)):
-            problems.append(f"backend lacks the {method}() protocol method")
-    return problems
 
 
 def _fault_model_check(key: str, value: object) -> list[str]:
@@ -339,33 +292,14 @@ def _experiment_check(key: str, value: object) -> list[str]:
 
 
 def default_registry_specs() -> list[RegistrySpec]:
-    """Specs for the seven live registries of the engine."""
+    """Specs for the five live registries of the engine."""
     from ...analysis.experiments import EXPERIMENTS  # noqa: F401 - existence
-    from ...network.backends import get_backend
-    from ...network.capacity import get_allocator
     from ...network.faults import get_fault_model
     from ...network.steering import get_steering_policy
     from ...network.telemetry import get_telemetry
     from ...obs.exporters import get_exporter
 
     return [
-        RegistrySpec(
-            module="repro.network.capacity",
-            attribute="ALLOCATORS",
-            lazy_modules=("repro.network.alloc_arrays",),
-            entry_check=_allocator_check,
-            declared_name=_allocator_name,
-            accessor=get_allocator,
-            accessor_name="get_allocator",
-        ),
-        RegistrySpec(
-            module="repro.network.backends",
-            attribute="BACKENDS",
-            entry_check=_backend_check,
-            declared_name=lambda key, value: getattr(value, "name", None),
-            accessor=get_backend,
-            accessor_name="get_backend",
-        ),
         RegistrySpec(
             module="repro.network.faults",
             attribute="FAULT_MODELS",

@@ -3,7 +3,7 @@
 A module-level dict/list/set mutated from function bodies is cross-scenario
 shared state: results then depend on evaluation order, which the
 serial/thread/process equivalence guarantee forbids.  Registration at
-import time (the ``ALLOCATORS``/``BACKENDS`` registry idiom -- module-level
+import time (the ``FAULT_MODELS``/``TELEMETRY`` registry idiom -- module-level
 statements) is allowed; mutation from inside a ``def`` is flagged.
 
 The ``_SharedRouteCache`` bug class -- a cache object written from

@@ -1,16 +1,20 @@
-"""Per-flow reference implementations used as test oracles.
+"""Reference implementations used as test oracles.
 
 The simulator selects flows as whole-array numpy
-(:func:`repro.network.flows.select_flow_table`); these plain-Python
-versions spell the same contract out one flow at a time, so tests can
-check the columnar code against an implementation simple enough to trust
+(:func:`repro.network.flows.select_flow_table`) and routes with csgraph
+(:class:`repro.network.backends.RouteTables`); these plain-Python versions
+spell the same contracts out one flow, or one networkx search, at a time, so
+tests can check the library against implementations simple enough to trust
 by reading.
 """
 
 from __future__ import annotations
 
+import networkx as nx
+
 from repro.demand.traffic_matrix import TrafficMatrix
 from repro.network.flows import FlowTable
+from repro.network.routing import RouteResult
 
 
 def select_flows(
@@ -44,3 +48,24 @@ def table_candidates(table: FlowTable) -> list[tuple[str, str, float]]:
             table.src.tolist(), table.dst.tolist(), table.demand.tolist()
         )
     ]
+
+
+def networkx_routes_from(graph: nx.Graph, source) -> dict:
+    """``{destination: RouteResult}`` from one networkx Dijkstra on ``delay_ms``.
+
+    The same contract as :meth:`repro.network.routing.SnapshotRouter.routes_from`:
+    every reachable node (the source included, at zero latency) is a key,
+    and an unknown source maps nothing.
+    """
+    if source not in graph:
+        return {}
+    distances, paths = nx.single_source_dijkstra(graph, source, weight="delay_ms")
+    return {
+        destination: RouteResult(
+            path=tuple(path),
+            latency_ms=float(distances[destination]),
+            hop_count=len(path) - 1,
+            reachable=True,
+        )
+        for destination, path in paths.items()
+    }

@@ -36,13 +36,11 @@ from repro.network.alloc_arrays import (
 )
 from repro.network.backends import RouteTables
 from repro.network.capacity import (
-    ALLOCATORS,
     AllocationResult,
     Flow,
     _link_key,
     allocate_max_min,
     allocate_proportional,
-    get_allocator,
 )
 from repro.network.ground_station import GroundStation
 from repro.network.simulation import NetworkSimulator, Scenario
@@ -336,10 +334,20 @@ class TestLinkKeyNormalisation:
 
 
 class TestCompilation:
-    def test_registry_exposes_array_allocators(self):
-        assert get_allocator("proportional_array") is allocate_proportional_array
-        assert get_allocator("max_min_array") is allocate_max_min_array
-        assert ALLOCATORS["max_min_array"].uses_arrays
+    @pytest.mark.parametrize(
+        "name, oracle",
+        [("proportional_array", allocate_proportional), ("max_min_array", allocate_max_min)],
+    )
+    def test_solver_table_resolves_each_allocator_name(self, name, oracle):
+        """``Scenario.allocator`` resolves through ``ARRAY_SOLVERS``; each name
+        must select the solver that matches its dict oracle on a congested
+        problem (where the two allocation rules disagree)."""
+        assert sorted(ARRAY_SOLVERS) == ["max_min_array", "proportional_array"]
+        graph, flows = _random_problem(0, congestion=3.0)
+        system = compile_flow_link_system(graph, flows)
+        rates, _ = ARRAY_SOLVERS[name](system)
+        reference = oracle(graph, flows).allocated_gbps
+        assert dict(zip(system.flow_names, rates)) == pytest.approx(reference, abs=1e-9)
 
     def test_system_shape(self):
         graph = nx.Graph()

@@ -250,7 +250,7 @@ class TestBulkPathExport:
         tables = RouteTables.solve(
             edge_list.arrays(), [node_index.index_of("gs:London")]
         )
-        router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
+        router = SnapshotRouter(arrays=edge_list.arrays())
         oracle = router.routes_from_many(["gs:London"])["gs:London"]
 
         labels = [f"gs:{name}" for name in ("New York", "Tokyo", "Sao Paulo")]
@@ -274,7 +274,7 @@ class TestBulkPathExport:
 
     def test_route_flow_table_matches_row_views(self, simulator, epoch):
         """Station-id-indexed tables, solved for the flows' sources only,
-        route every flow exactly like the backend's per-source row views;
+        route every flow exactly like the router's per-source row views;
         a station missing from the snapshot routes nothing."""
         edge_list = simulator.topology.snapshot_sequence(
             [epoch], simulator.ground_stations
@@ -286,7 +286,7 @@ class TestBulkPathExport:
         source_rows[sources] = rows[sources]
         tables = RouteTables.solve(edge_list.arrays(), source_rows)
         routed = route_flow_table(tables, rows, table)
-        router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
+        router = SnapshotRouter(arrays=edge_list.arrays())
         views = router.routes_from_many([f"gs:{name}" for name in NAMES])
         assert routed.reachable.any()
         for flow in range(table.flow_count):

@@ -1,4 +1,4 @@
-"""Tests of the pluggable routing backends and the CSR snapshot exports."""
+"""Tests of csgraph routing against a networkx oracle and the CSR snapshot exports."""
 
 from __future__ import annotations
 
@@ -6,18 +6,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from flow_oracles import networkx_routes_from
 from repro.coverage.walker import WalkerDelta
-from repro.network.backends import (
-    BACKENDS,
-    CSGraphBackend,
-    EdgeArrays,
-    NetworkXBackend,
-    NodeIndex,
-    RoutingBackend,
-    edge_arrays_from_graph,
-    get_backend,
-    graph_from_edge_arrays,
-)
+from repro.network.backends import EdgeArrays, NodeIndex, edge_arrays_from_graph
 from repro.network.ground_station import GroundStation
 from repro.network.routing import RouteResult, SnapshotRouter, TimeAwareRouter
 from repro.network.topology import ConstellationTopology
@@ -64,27 +55,10 @@ def _assert_tables_equivalent(reference, candidate, graph):
         assert walked == pytest.approx(expected.latency_ms, abs=1e-9)
 
 
-class TestRegistry:
-    def test_backends_registered_by_name(self):
-        assert isinstance(BACKENDS["networkx"], NetworkXBackend)
-        assert isinstance(BACKENDS["csgraph"], CSGraphBackend)
-        assert not BACKENDS["networkx"].uses_arrays
-        assert BACKENDS["csgraph"].uses_arrays
-
-    def test_get_backend_accepts_names_and_instances(self):
-        backend = get_backend("csgraph")
-        assert isinstance(backend, RoutingBackend)
-        assert get_backend(backend) is backend
-
-    def test_get_backend_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="unknown routing backend"):
-            get_backend("quantum")
-
-
 class TestBackendEquivalenceOnRandomSnapshots:
-    """Property-style check: the csgraph backend reproduces the networkx
-    backend's routing tables across randomised constellations, epochs and
-    station sets -- including isolated stations (unreachable pairs)."""
+    """Property-style check: csgraph routing reproduces the networkx oracle's
+    routing tables across randomised constellations, epochs and station
+    sets -- including isolated stations (unreachable pairs)."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tables_match_across_random_snapshots(self, seed):
@@ -118,14 +92,11 @@ class TestBackendEquivalenceOnRandomSnapshots:
         sources = ["gs:A", "gs:B", "gs:isolated", 0, satellites // 2]
         saw_unreachable_station = False
         for step, graph in enumerate(sequence.graphs(copy=True)):
-            reference = SnapshotRouter(graph)
-            candidate = SnapshotRouter(
-                graph, backend="csgraph", arrays=sequence.edge_arrays(step)
-            )
-            nx_tables = reference.routes_from_many(sources)
+            candidate = SnapshotRouter(graph, arrays=sequence.edge_arrays(step))
             cs_tables = candidate.routes_from_many(sources)
             for source in sources:
-                _assert_tables_equivalent(nx_tables[source], cs_tables[source], graph)
+                nx_table = networkx_routes_from(graph, source)
+                _assert_tables_equivalent(nx_table, cs_tables[source], graph)
             if "gs:A" not in cs_tables["gs:isolated"]:
                 saw_unreachable_station = True
                 unreachable = candidate.route("gs:isolated", "gs:A")
@@ -141,9 +112,11 @@ class TestBackendEquivalenceOnRandomSnapshots:
         epochs = epoch_range(epoch, 3600.0, 1200.0)
         sequence = topology.snapshot_sequence(epochs, stations)
         for step, graph in enumerate(sequence.graphs(copy=True)):
-            reference = SnapshotRouter(graph).route_between_stations(*stations)
+            reference = networkx_routes_from(graph, "gs:London").get(
+                "gs:Tokyo", RouteResult.unreachable()
+            )
             candidate = SnapshotRouter(
-                graph, backend="csgraph", arrays=sequence.edge_arrays(step)
+                graph, arrays=sequence.edge_arrays(step)
             ).route_between_stations(*stations)
             assert candidate.reachable == reference.reachable
             if reference.reachable:
@@ -170,18 +143,26 @@ class TestBackendEquivalenceOnHandBuiltGraphs:
         graph.add_edge(2, "gs:dst", delay_ms=4.0, capacity_gbps=10.0)
         return graph
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_line_graph_routing(self, backend):
-        router = SnapshotRouter(self._line_graph(), backend=backend)
+    @staticmethod
+    def _router(graph, view):
+        """A router over ``graph`` built from the graph itself or, as
+        ``TimeAwareRouter.route_over_time`` builds one, from edge arrays only."""
+        if view == "graph":
+            return SnapshotRouter(graph)
+        return SnapshotRouter(arrays=edge_arrays_from_graph(graph))
+
+    @pytest.mark.parametrize("view", ["graph", "arrays"])
+    def test_line_graph_routing(self, view):
+        router = self._router(self._line_graph(), view)
         result = router.route("gs:src", "gs:dst")
         assert result.reachable
         assert result.path == ("gs:src", 0, 1, 2, "gs:dst")
         assert result.latency_ms == pytest.approx(10.0)
         assert result.hop_count == 4
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_disconnected_and_unknown_nodes(self, backend):
-        router = SnapshotRouter(self._line_graph(), backend=backend)
+    @pytest.mark.parametrize("view", ["graph", "arrays"])
+    def test_disconnected_and_unknown_nodes(self, view):
+        router = self._router(self._line_graph(), view)
         assert router.route("gs:src", "gs:island") == RouteResult.unreachable()
         assert router.route("gs:nowhere", "gs:dst") == RouteResult.unreachable()
         assert router.routes_from("gs:nowhere") == {}
@@ -190,15 +171,15 @@ class TestBackendEquivalenceOnHandBuiltGraphs:
         assert table["gs:island"].latency_ms == 0.0
         assert table["gs:island"].path == ("gs:island",)
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_zero_weight_and_zero_capacity_edges_are_still_links(self, backend):
+    @pytest.mark.parametrize("view", ["graph", "arrays"])
+    def test_zero_weight_and_zero_capacity_edges_are_still_links(self, view):
         """Degenerate links (zero delay, zero capacity) must stay routable:
         capacity never affects path selection, and an explicit zero weight is
         an edge, not a hole in the sparse matrix."""
         graph = nx.Graph()
         graph.add_edge("gs:src", 0, delay_ms=0.0, capacity_gbps=0.0)
         graph.add_edge(0, "gs:dst", delay_ms=5.0, capacity_gbps=10.0)
-        router = SnapshotRouter(graph, backend=backend)
+        router = self._router(graph, view)
         result = router.route("gs:src", "gs:dst")
         assert result.reachable
         assert result.path == ("gs:src", 0, "gs:dst")
@@ -206,14 +187,29 @@ class TestBackendEquivalenceOnHandBuiltGraphs:
 
     def test_lazy_table_matches_dict_semantics(self):
         graph = self._line_graph()
-        nx_table = SnapshotRouter(graph).routes_from("gs:src")
-        cs_table = SnapshotRouter(graph, backend="csgraph").routes_from("gs:src")
+        nx_table = networkx_routes_from(graph, "gs:src")
+        cs_table = SnapshotRouter(graph).routes_from("gs:src")
         assert len(cs_table) == len(nx_table)
         assert set(cs_table) == set(nx_table)
         assert cs_table.get("gs:island") is None
         with pytest.raises(KeyError):
             cs_table["gs:island"]
         _assert_tables_equivalent(nx_table, cs_table, graph)
+
+    @pytest.mark.parametrize(
+        "attributes",
+        [{}, {"delay_ms": float("nan")}, {"delay_ms": -1.0}],
+        ids=["missing", "nan", "negative"],
+    )
+    def test_bad_edge_weights_rejected_naming_the_edge(self, attributes):
+        """A hand-built graph is the one outside input to the csgraph search:
+        a missing or NaN weight would read as "unreachable" and a negative
+        one never returns, so the export rejects all three up front."""
+        graph = self._line_graph()
+        del graph.edges[1, 2]["delay_ms"]
+        graph.edges[1, 2].update(attributes)
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has delay_ms="):
+            SnapshotRouter(graph)
 
 
 class TestEdgeArrays:
@@ -260,16 +256,30 @@ class TestEdgeArrays:
         for a, b, data in graph.edges(data=True):
             assert rebuilt.edges[a, b] == data
 
-    def test_graph_round_trip_through_arrays(self):
+    def test_graph_export_matches_graph(self):
         graph = nx.Graph()
         graph.add_nodes_from(["gs:x", 0, 1, 9])
         graph.add_edge("gs:x", 0, delay_ms=1.5)
         graph.add_edge(0, 1, delay_ms=2.5)
         arrays = edge_arrays_from_graph(graph)
-        rebuilt = graph_from_edge_arrays(arrays)
-        assert set(rebuilt.nodes) == set(graph.nodes)
-        assert set(map(frozenset, rebuilt.edges)) == set(map(frozenset, graph.edges))
-        assert rebuilt.edges["gs:x", 0]["delay_ms"] == 1.5
+        assert arrays.node_index.labels == ("gs:x", 0, 1, 9)
+        row = arrays.node_index.index_of
+        neighbours = {
+            label: {
+                arrays.node_index.label_of(int(arrays.indices[position])): float(
+                    arrays.weights[position]
+                )
+                for position in range(
+                    int(arrays.indptr[row(label)]), int(arrays.indptr[row(label) + 1])
+                )
+            }
+            for label in graph.nodes
+        }
+        assert neighbours == {
+            label: {other: data["delay_ms"] for other, data in graph[label].items()}
+            for label in graph.nodes
+        }
+        assert neighbours[9] == {}
 
     def test_router_requires_some_snapshot_view(self):
         with pytest.raises(ValueError, match="graph or edge arrays"):
@@ -283,20 +293,18 @@ class TestTimeAwareRouterBackends:
             GroundStation("London", 51.5, -0.1),
             GroundStation("New York", 40.7, -74.0),
         ]
-        results = {}
-        for backend in sorted(BACKENDS):
-            router = TimeAwareRouter(
-                topology=topology,
-                ground_stations=stations,
-                step_s=600.0,
-                backend=backend,
+        router = TimeAwareRouter(
+            topology=topology, ground_stations=stations, step_s=600.0
+        )
+        results = router.route_over_time(
+            stations[0], stations[1], epoch, duration_s=3000.0
+        )
+        snapshots = router.snapshots(epoch, duration_s=3000.0)
+        assert len(results) == len(snapshots)
+        for (epoch_a, cs_result), (epoch_b, graph) in zip(results, snapshots):
+            nx_result = networkx_routes_from(graph, "gs:London").get(
+                "gs:New York", RouteResult.unreachable()
             )
-            results[backend] = router.route_over_time(
-                stations[0], stations[1], epoch, duration_s=3000.0
-            )
-        for (epoch_a, nx_result), (epoch_b, cs_result) in zip(
-            results["networkx"], results["csgraph"]
-        ):
             assert epoch_a == epoch_b
             assert cs_result.reachable == nx_result.reachable
             if nx_result.reachable:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
-from repro.network.backends import RouteTables, SnapshotEdgeList, get_backend
+from repro.network.backends import RouteTables, SnapshotEdgeList
 from repro.network.ground_station import GroundStation
 from repro.network.routing import SnapshotRouter
 from repro.network.simulation import NetworkSimulator, Scenario
@@ -519,9 +519,9 @@ class TestUtilisationExportParity:
             [epoch], simulator.ground_stations
         )
         edge_list = sequence.edge_list(0)
-        router = SnapshotRouter(backend="csgraph", arrays=edge_list.arrays())
+        router = SnapshotRouter(arrays=edge_list.arrays())
         sources = [f"gs:{city.name}" for city in CITIES[:2]]
-        routes = get_backend("csgraph").routes_from_many(router, sources)
+        routes = router.routes_from_many(sources)
         flows = []
         for source in sources:
             for destination in (f"gs:{city.name}" for city in CITIES[2:]):
@@ -558,9 +558,7 @@ class TestBulkWalkBatching:
         names = [f"gs:{city.name}" for city in CITIES]
         rows = np.array([node_index.index_of(name) for name in names], dtype=np.intp)
         tables = RouteTables.solve(arrays, rows)
-        views = get_backend("csgraph").routes_from_many(
-            SnapshotRouter(backend="csgraph", arrays=arrays), names
-        )
+        views = SnapshotRouter(arrays=arrays).routes_from_many(names)
         group_of = np.repeat(np.arange(len(names)), len(names))
         dest_rows = np.tile(rows, len(names))
         offsets, path_rows, latency = tables.paths(group_of, dest_rows)

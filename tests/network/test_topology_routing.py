@@ -129,3 +129,10 @@ class TestRouting:
             router.snapshots(epoch, duration_s=0.0)
         with pytest.raises(ValueError):
             TimeAwareRouter.availability([])
+        inf, nan = float("inf"), float("nan")
+        for step_s, duration_s in ((60, inf), (60, nan), (nan, 600), (inf, 600)):
+            router = TimeAwareRouter(
+                topology=walker_topology, ground_stations=stations, step_s=step_s
+            )
+            with pytest.raises(ValueError, match="duration_s and step_s"):
+                router.route_over_time(stations[0], stations[1], epoch, duration_s)
