@@ -4,8 +4,11 @@ PR 3/4 made routing and fault masking array-native, which left stage 4 --
 capacity allocation over per-flow python dicts -- as the dominant
 pure-python cost of congested sweeps.  The ``"*_array"`` allocators
 (:mod:`repro.network.alloc_arrays`) compile each step's routed flows into a
-sparse (flow x link) incidence system straight from the router's
-row-index paths; proportional scaling is a few ``bincount`` products and
+sparse (flow x link) incidence system: each ``Flow``'s label path is mapped
+to snapshot rows through the edge list's label table, and the edge list's
+hop lookup (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`,
+the same compile the simulator runs) matches every hop to a link in numpy.
+Proportional scaling is a few ``bincount`` products and
 max-min is incremental waterfilling, whose rounds touch only per-link
 totals and the incidence rows of the flows they freeze.
 
@@ -130,9 +133,9 @@ def _run_comparison(smoke: bool, size: str):
     epochs = epoch_range(epoch, duration_hours * 3600.0, 3600.0)
     sequence = topology.snapshot_sequence(epochs, stations)
 
-    # Stage inputs: per-step flows routed once with csgraph
-    # (row-index paths), plus the graph / edge-list pair the dict and array
-    # allocators read their capacities from.
+    # Stage inputs: per-step flows routed once with csgraph (label paths),
+    # plus the graph / edge-list pair the dict and array allocators read
+    # their capacities from.
     table = select_flow_table(
         model.matrix_at(12.0), tuple(station.name for station in stations), flows_per_step
     )
@@ -151,7 +154,7 @@ def _run_comparison(smoke: bool, size: str):
         routes = router.routes_from_many(list(dict.fromkeys(src for src, _, _ in pairs)))
         step_flows.append(
             [
-                Flow(f"{src}->{dst}", route.path, demand, path_rows=route.path_rows)
+                Flow(f"{src}->{dst}", route.path, demand)
                 for src, dst, demand in pairs
                 if (route := routes[src].get(dst)) is not None
             ]

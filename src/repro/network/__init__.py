@@ -23,7 +23,6 @@ from .backends import (
 )
 from .alloc_arrays import (
     ARRAY_SOLVERS,
-    EdgeListCompileCache,
     FlowLinkSystem,
     allocate_max_min_array,
     allocate_proportional_array,
@@ -79,7 +78,6 @@ from .steering import (
     SteeringPolicy,
     UtilisationWeightedSteering,
     get_steering_policy,
-    link_codes,
     path_delays,
     path_delays_from_rows,
 )
@@ -120,7 +118,6 @@ __all__ = [
     "run_grid",
     "ARRAY_SOLVERS",
     "AllocationResult",
-    "EdgeListCompileCache",
     "Flow",
     "FlowLinkSystem",
     "FlowPlan",
@@ -155,7 +152,6 @@ __all__ = [
     "SteeringPolicy",
     "UtilisationWeightedSteering",
     "get_steering_policy",
-    "link_codes",
     "path_delays",
     "path_delays_from_rows",
     "FAULT_MODELS",

@@ -26,18 +26,16 @@ uniform increment is the minimum over links of headroom over active-flow
 count (and of the least remaining demand).  At least one flow freezes per
 round, so no iteration cap is needed.
 
-Two compilation paths produce identical systems:
-
-* the **index path** engages when the capacity argument is a
-  :class:`~repro.network.backends.SnapshotEdgeList` (or its
-  :class:`EdgeListCompileCache`) and every flow carries
-  :attr:`~repro.network.capacity.Flow.path_rows` -- the row-index paths the
-  router reconstructs from its predecessor matrix.
-  Links are encoded, deduplicated and matched against the edge list
-  entirely in numpy, with no python tuple or string-ordered key in sight;
-* the **graph path** handles any ``networkx``-style graph and label-only
-  flows, walking each flow's links once (the same per-link python work the
-  dict allocators' setup does) before the vectorised fixed point.
+There is one compile: ragged row-index paths (the columnar engine's
+``(offsets, rows)`` layout) go through
+:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`, which matches
+every hop to an edge-list row and numbers the distinct links in link-code
+order.  :func:`compile_system_from_rows` is that compile, as the simulator
+runs it; :func:`compile_flow_link_system` first turns ``Flow`` label paths
+into rows through the snapshot's :class:`~repro.network.backends.NodeIndex`
+(a graph argument is converted with
+:meth:`~repro.network.backends.SnapshotEdgeList.from_graph`), so both build
+bit-identical incidence arrays.
 
 :func:`allocate_proportional_array` and :func:`allocate_max_min_array`
 return the same :class:`AllocationResult` structure as the references --
@@ -57,7 +55,6 @@ from .capacity import AllocationResult, Flow, _link_key
 
 __all__ = [
     "FlowLinkSystem",
-    "EdgeListCompileCache",
     "compile_flow_link_system",
     "compile_system_from_rows",
     "allocate_proportional_array",
@@ -87,12 +84,12 @@ class FlowLinkSystem:
     link_ids: np.ndarray
     #: Normalised label-space key of every link, for :class:`AllocationResult`.
     link_keys: "tuple[tuple, ...] | None"
-    #: Edge-list row of every link (``None`` on the graph compile path):
-    #: ``link_rows[l]`` is the row of link ``l`` in the snapshot's
-    #: :class:`SnapshotEdgeList`, letting per-link outputs scatter straight
-    #: into link-index order for feedback consumers (congestion steering,
-    #: link telemetry) with no label round-trip.
-    link_rows: "np.ndarray | None" = field(default=None, compare=False)
+    #: Edge-list row of every link: ``link_rows[l]`` is the row of link
+    #: ``l`` in the snapshot's :class:`SnapshotEdgeList`, letting per-link
+    #: outputs scatter straight into link-index order for feedback
+    #: consumers (congestion steering, link telemetry) with no label
+    #: round-trip.
+    link_rows: np.ndarray = field(compare=False)
 
     @property
     def flow_count(self) -> int:
@@ -111,15 +108,13 @@ class FlowLinkSystem:
         allocation stage's dominant allocation, scaling with total path
         length rather than flow count.
         """
-        total = (
+        return int(
             self.demand.nbytes
             + self.capacity.nbytes
             + self.flow_ids.nbytes
             + self.link_ids.nbytes
+            + self.link_rows.nbytes
         )
-        if self.link_rows is not None:
-            total += self.link_rows.nbytes
-        return int(total)
 
     def link_loads(self, rates: np.ndarray) -> np.ndarray:
         """Return per-link load ``A.T @ rates``, shape ``(L,)``."""
@@ -143,277 +138,80 @@ class FlowLinkSystem:
     ) -> np.ndarray:
         """Scatter a per-system-link vector into edge-list link order.
 
-        Links no flow traverses read 0.0.  Requires the system to have been
-        compiled against a :class:`SnapshotEdgeList` (the index paths), which
-        is what records :attr:`link_rows`.
+        Links no flow traverses read 0.0.
         """
-        if self.link_rows is None:
-            raise ValueError(
-                "system was compiled through the graph interface and carries "
-                "no edge-list rows"
-            )
         out = np.zeros(edge_count)
         out[self.link_rows] = utilisation
         return out
 
 
-def _missing_link_error(flows: list[Flow], flow_ids: np.ndarray, bad: np.ndarray):
-    """Mirror the reference allocators' missing-link ValueError."""
-    offender = flows[int(flow_ids[int(np.flatnonzero(bad)[0])])]
-    return ValueError(f"flow {offender.name!r} uses a link not present in the graph")
-
-
-class EdgeListCompileCache:
-    """Per-snapshot constants of the index compile path.
-
-    Everything that depends only on the edge list -- the sorted link-code
-    table, the capacity column in that order, and whether the label table
-    is *row-ordered* (numeric labels form an ascending prefix), which lets
-    link keys be emitted as plain ``(labels[lo], labels[hi])`` tuples
-    without a per-link :func:`_link_key` call -- is computed once.  Pass
-    one instance to every compile over the same snapshot (the simulator
-    builds one per snapshot group per step), so a sweep evaluating many
-    scenarios over one snapshot pays it once.  Read-only after
-    construction, so threads may share it.
-    """
-
-    __slots__ = (
-        "edge_list",
-        "node_count",
-        "labels",
-        "sorted_codes",
-        "sorted_capacity",
-        "sorted_rows",
-        "numeric_prefix",
-        "row_ordered",
-    )
-
-    def __init__(self, edge_list: SnapshotEdgeList):
-        self.edge_list = edge_list
-        labels = edge_list.labels
-        node_count = len(labels)
-        self.labels = labels
-        self.node_count = node_count
-        codes = (
-            np.minimum(edge_list.a, edge_list.b) * node_count
-            + np.maximum(edge_list.a, edge_list.b)
-        )
-        order = np.argsort(codes)
-        self.sorted_codes = codes[order]
-        self.sorted_capacity = edge_list.capacity_gbps[order].astype(float)
-        #: Sorted position -> edge-list row, so compiled links can be mapped
-        #: back to link-index order (the steering feedback signal's layout).
-        self.sorted_rows = order
-        numeric = np.fromiter(
-            (
-                isinstance(label, (int, float)) and not isinstance(label, bool)
-                for label in labels
-            ),
-            dtype=bool,
-            count=node_count,
-        )
-        prefix = int(np.argmin(numeric)) if not numeric.all() else node_count
-        self.numeric_prefix = prefix
-        prefix_values = np.array(labels[:prefix], dtype=float) if prefix else None
-        self.row_ordered = bool(
-            not numeric[prefix:].any()
-            and (prefix < 2 or bool((np.diff(prefix_values) >= 0).all()))
-        )
-
-
-def _compile_cache(capacity) -> "EdgeListCompileCache | None":
-    """The compile cache of an edge list or cache argument (else ``None``)."""
-    if isinstance(capacity, EdgeListCompileCache):
-        return capacity
-    if isinstance(capacity, SnapshotEdgeList):
-        return EdgeListCompileCache(capacity)
-    return None
-
-
-def _match_links(
-    cache: EdgeListCompileCache, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deduplicate hop endpoint arrays into links matched to the edge list.
-
-    Returns ``(unique_codes, link_ids, positions, matched)``: each hop's
-    undirected link encoded as one integer, deduplicated by :func:`np.unique`
-    (whose inverse yields the incidence columns), with ``positions`` indexing
-    the cache's sorted code/capacity tables and ``matched`` flagging links
-    actually present in the edge list.
-    """
-    codes = np.minimum(u, v) * cache.node_count + np.maximum(u, v)
-    unique_codes, link_ids = np.unique(codes, return_inverse=True)
-    positions = np.searchsorted(cache.sorted_codes, unique_codes)
-    in_range = positions < cache.sorted_codes.size
-    matched = np.zeros(unique_codes.size, dtype=bool)
-    matched[in_range] = cache.sorted_codes[positions[in_range]] == unique_codes[in_range]
-    positions = np.minimum(positions, max(cache.sorted_codes.size - 1, 0))
-    return unique_codes, link_ids, positions, matched
-
-
-def _link_keys_of(cache: EdgeListCompileCache, unique_codes: np.ndarray) -> tuple:
-    """Emit the normalised label-space key of every deduplicated link."""
-    labels = cache.labels
-    node_count = cache.node_count
-    los = (unique_codes // node_count).tolist()
-    his = (unique_codes % node_count).tolist()
-    if cache.row_ordered:
-        # A numeric ``lo`` endpoint means the row order already is the
-        # normalised key order; only string-string links (absent from
-        # satellite snapshots) need the python normalisation.
-        prefix = cache.numeric_prefix
-        return tuple(
-            (labels[lo], labels[hi])
-            if lo < prefix
-            else _link_key(labels[lo], labels[hi])
-            for lo, hi in zip(los, his)
-        )
-    return tuple(_link_key(labels[lo], labels[hi]) for lo, hi in zip(los, his))
-
-
-def _compile_ragged(
-    cache: EdgeListCompileCache, offsets: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Match ragged row-index paths against an edge list.
-
-    Flow ``i`` follows ``rows[offsets[i]:offsets[i + 1]]``; segments shorter
-    than two rows contribute no hops.  Returns each hop's flow id followed
-    by :func:`_match_links`' ``(unique_codes, link_ids, positions,
-    matched)``.  The one compile core of both the ``Flow``-object and the
-    ragged-row path.
-    """
-    lengths = np.diff(offsets)
-    # Hop endpoints: every row except each segment's last (u) / first (v),
-    # selected by boolean masks so the global hop order stays flow-by-flow,
-    # hop-by-hop.
-    keep_u = np.ones(rows.size, dtype=bool)
-    keep_v = np.ones(rows.size, dtype=bool)
-    nonempty = lengths > 0
-    keep_u[offsets[1:][nonempty] - 1] = False
-    keep_v[offsets[:-1][nonempty]] = False
-    flow_ids = np.repeat(
-        np.arange(lengths.size, dtype=np.intp), np.maximum(lengths - 1, 0)
-    )
-    return (flow_ids, *_match_links(cache, rows[keep_u], rows[keep_v]))
-
-
-def _compile_from_rows(
-    cache: EdgeListCompileCache, flows: list[Flow]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, np.ndarray]:
-    """Index path: compile row-index flow paths against an edge list.
-
-    Validation is deliberately cheap: row bounds plus each flow's *endpoint*
-    labels.  Interior rows are trusted to mirror ``flow.path`` -- the
-    contract of :attr:`~repro.network.capacity.Flow.path_rows`, which the
-    simulator guarantees by deriving routes and capacities from the very
-    same edge list; a full per-hop label check would reintroduce the
-    per-node python pass this path exists to avoid.  Rows from a different
-    snapshot that happen to share both endpoints and valid bounds compile
-    silently against the wrong links -- callers assembling flows by hand
-    should pass label paths only (the graph path validates every link).
-    """
-    labels = cache.labels
-    rows_per_flow = [np.asarray(flow.path_rows, dtype=np.intp) for flow in flows]
-    offsets = np.zeros(len(flows) + 1, dtype=np.intp)
-    offsets[1:] = np.cumsum([path.size for path in rows_per_flow])
-    rows = np.concatenate(rows_per_flow) if flows else np.empty(0, dtype=np.intp)
-    if rows.size and (rows.min() < 0 or rows.max() >= cache.node_count):
-        raise ValueError("path_rows do not index this snapshot's label table")
-    for flow, begin, end in zip(flows, offsets[:-1].tolist(), offsets[1:].tolist()):
-        if end > begin and (
-            labels[rows[begin]] != flow.path[0] or labels[rows[end - 1]] != flow.path[-1]
-        ):
-            raise ValueError(
-                f"flow {flow.name!r}: path_rows do not index this snapshot's "
-                "label table"
-            )
-    flow_ids, unique_codes, link_ids, positions, matched = _compile_ragged(
-        cache, offsets, rows
-    )
-    if not matched.all():
-        raise _missing_link_error(flows, flow_ids, ~matched[link_ids])
-    return (
-        flow_ids,
-        link_ids,
-        cache.sorted_capacity[positions],
-        _link_keys_of(cache, unique_codes),
-        cache.sorted_rows[positions],
+def _link_keys_of(edge_list: SnapshotEdgeList, link_rows: np.ndarray) -> tuple:
+    """The normalised label-space key of every compiled link."""
+    labels = edge_list.labels
+    return tuple(
+        _link_key(labels[a], labels[b])
+        for a, b in zip(edge_list.a[link_rows].tolist(), edge_list.b[link_rows].tolist())
     )
 
 
-def _compile_from_graph(
-    graph, flows: list[Flow]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """Graph path: compile label paths against ``has_edge``/``edges`` lookups."""
-    key_ids: dict[tuple, int] = {}
-    capacity: list[float] = []
-    flow_ids: list[int] = []
-    link_ids: list[int] = []
-    for index, flow in enumerate(flows):
-        for a, b in flow.links():
-            if not graph.has_edge(a, b):
-                raise ValueError(
-                    f"flow {flow.name!r} uses a link not present in the graph"
-                )
-            key = _link_key(a, b)
-            link = key_ids.get(key)
-            if link is None:
-                link = len(key_ids)
-                key_ids[key] = link
-                capacity.append(float(graph.edges[a, b]["capacity_gbps"]))
-            flow_ids.append(index)
-            link_ids.append(link)
-    return (
-        np.asarray(flow_ids, dtype=np.intp),
-        np.asarray(link_ids, dtype=np.intp),
-        np.asarray(capacity, dtype=float),
-        tuple(key_ids),
+def _compile(
+    edge_list: SnapshotEdgeList,
+    demand: np.ndarray,
+    offsets: np.ndarray,
+    rows: np.ndarray,
+    names: "tuple[str, ...] | None" = None,
+) -> FlowLinkSystem:
+    """The one incidence compile; ``names`` also emits flow names and link keys."""
+    if offsets.size != demand.size + 1:
+        raise ValueError("offsets must have one entry more than demand")
+    flow_ids, link_ids, link_rows = edge_list.hop_links(offsets, rows, names)
+    return FlowLinkSystem(
+        flow_names=names,
+        demand=demand,
+        capacity=edge_list.capacity_gbps[link_rows].astype(float),
+        flow_ids=flow_ids,
+        link_ids=link_ids,
+        link_keys=None if names is None else _link_keys_of(edge_list, link_rows),
+        link_rows=link_rows,
     )
 
 
 def compile_flow_link_system(capacity_graph, flows: list[Flow]) -> FlowLinkSystem:
     """Compile routed flows into the incidence form of their allocation.
 
-    ``capacity_graph`` is a :class:`networkx.Graph` (anything with
-    ``has_edge``/``edges[a, b]``), a :class:`SnapshotEdgeList` or an
-    :class:`EdgeListCompileCache`.  With an edge list (or its cache) and
-    ``path_rows`` on every flow, the compilation runs entirely over index
-    arrays; otherwise each flow's links are walked once through the graph
-    interface (an edge list is converted with
-    :meth:`SnapshotEdgeList.graph`).  Flow names must be unique: the result
-    dict is keyed by name, and the dict reference's behaviour under
-    duplicates (shared rate entries) is an accident not worth reproducing.
+    ``capacity_graph`` is a :class:`SnapshotEdgeList` or a
+    :class:`networkx.Graph` with ``capacity_gbps`` edge attributes
+    (converted by :meth:`SnapshotEdgeList.from_graph`).  Each flow's label
+    path is mapped to rows through the snapshot's label table and compiled
+    like :func:`compile_system_from_rows`; a flow visiting an unknown node
+    or crossing a missing link raises :class:`ValueError` naming it, as
+    does a used graph edge without ``capacity_gbps``.  Flow
+    names must be unique: the result dict is keyed by name, and the dict
+    reference's behaviour under duplicates (shared rate entries) is an
+    accident not worth reproducing.
     """
     names = tuple(flow.name for flow in flows)
     if len(set(names)) != len(names):
         raise ValueError("array allocators require unique flow names")
     demand = np.array([flow.demand_gbps for flow in flows], dtype=float)
-    cache = _compile_cache(capacity_graph)
-    link_rows = None
-    if cache is not None and all(flow.path_rows is not None for flow in flows):
-        flow_ids, link_ids, capacity, link_keys, link_rows = _compile_from_rows(
-            cache, flows
-        )
-    else:
-        graph = cache.edge_list.graph() if cache is not None else capacity_graph
-        flow_ids, link_ids, capacity, link_keys = _compile_from_graph(graph, flows)
-    return FlowLinkSystem(
-        flow_names=names,
-        demand=demand,
-        capacity=capacity,
-        flow_ids=flow_ids,
-        link_ids=link_ids,
-        link_keys=link_keys,
-        link_rows=link_rows,
+    edge_list = (
+        capacity_graph
+        if isinstance(capacity_graph, SnapshotEdgeList)
+        else SnapshotEdgeList.from_graph(capacity_graph)
     )
+    offsets, rows = edge_list.node_index.ragged_rows([flow.path for flow in flows])
+    system = _compile(edge_list, demand, offsets, rows, names)
+    missing = np.flatnonzero(np.isnan(system.capacity))
+    if missing.size:
+        raise ValueError(f"link {system.link_keys[missing[0]]} has no capacity_gbps")
+    return system
 
 
 def compile_system_from_rows(
-    capacity: "SnapshotEdgeList | EdgeListCompileCache",
+    edge_list: SnapshotEdgeList,
     demand: np.ndarray,
     offsets: np.ndarray,
     rows: np.ndarray,
-    with_keys: bool = False,
 ) -> FlowLinkSystem:
     """Compile ragged row-index paths straight into a nameless system.
 
@@ -424,39 +222,14 @@ def compile_system_from_rows(
     are ever materialised; the incidence arrays come out bit-identical to
     :func:`compile_flow_link_system` over the equivalent object flows, which
     is what keeps the ``Flow``-level allocators a bit-exact oracle of it.
-
-    ``capacity`` is the snapshot's :class:`SnapshotEdgeList` or, to share
-    the per-snapshot constants across many compiles, its
-    :class:`EdgeListCompileCache`; ``with_keys`` additionally emits the
-    per-link label keys (skipped by default -- the columnar statistics only
-    need the utilisation vector).
     """
-    cache = _compile_cache(capacity)
-    if cache is None:
-        raise ValueError(
-            "compile_system_from_rows requires a SnapshotEdgeList or an "
-            "EdgeListCompileCache"
-        )
-    demand = np.asarray(demand, dtype=float)
-    offsets = np.asarray(offsets, dtype=np.intp)
-    rows = np.asarray(rows, dtype=np.intp)
-    if offsets.size != demand.size + 1:
-        raise ValueError("offsets must have one entry more than demand")
-    if rows.size and (rows.min() < 0 or rows.max() >= cache.node_count):
-        raise ValueError("path rows do not index this snapshot's label table")
-    flow_ids, unique_codes, link_ids, positions, matched = _compile_ragged(
-        cache, offsets, rows
-    )
-    if not matched.all():
-        raise ValueError("a flow path uses a link not present in the snapshot")
-    return FlowLinkSystem(
-        flow_names=None,
-        demand=demand,
-        capacity=cache.sorted_capacity[positions],
-        flow_ids=flow_ids,
-        link_ids=link_ids,
-        link_keys=_link_keys_of(cache, unique_codes) if with_keys else None,
-        link_rows=cache.sorted_rows[positions],
+    if not isinstance(edge_list, SnapshotEdgeList):
+        raise ValueError("compile_system_from_rows requires a SnapshotEdgeList")
+    return _compile(
+        edge_list,
+        np.asarray(demand, dtype=float),
+        np.asarray(offsets, dtype=np.intp),
+        np.asarray(rows, dtype=np.intp),
     )
 
 

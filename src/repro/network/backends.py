@@ -10,6 +10,13 @@ produce the arrays straight from their link tensors
 :func:`edge_arrays_from_graph`, which is also where external weights are
 validated.
 
+:class:`SnapshotEdgeList` is also the one owner of the link encoding
+(:attr:`SnapshotEdgeList.link_codes`, ``min(a, b) * n + max(a, b)`` over node
+rows) and of matching path hops to its rows
+(:meth:`SnapshotEdgeList.hop_links`): the incidence compile of
+:mod:`repro.network.alloc_arrays`, congestion steering, true-latency re-reads
+and link telemetry all look links up through it.
+
 The search result is kept in its native matrix form, :class:`RouteTables`:
 ``(S, N)`` distance and predecessor matrices plus the ``S`` source rows.  The
 simulator routes on it directly -- :meth:`RouteTables.paths` walks every
@@ -52,10 +59,9 @@ class RouteResult:
     hop_count: int
     reachable: bool
     #: Row-index form of ``path`` into the snapshot's array views, set when
-    #: the path was rebuilt from a predecessor row.  Downstream array
-    #: consumers (the array-native capacity allocators) read it to skip the
-    #: label round-trip; it never affects equality, so a result built from
-    #: labels alone still compares route-equal.
+    #: the path was rebuilt from a predecessor row (the rows
+    #: :meth:`RouteTables.paths` walks).  It never affects equality, so a
+    #: result built from labels alone still compares route-equal.
     path_rows: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
@@ -86,6 +92,24 @@ class NodeIndex:
     def label_of(self, index: int):
         """Return the node label of a CSR row."""
         return self.labels[index]
+
+    def rows_of(self, labels) -> np.ndarray:
+        """Return the CSR row of each label, ``-1`` where it is unknown."""
+        positions = self._positions
+        return np.fromiter(
+            (positions.get(label, -1) for label in labels), dtype=np.intp
+        )
+
+    def ragged_rows(self, paths) -> tuple[np.ndarray, np.ndarray]:
+        """Return label paths as ragged ``(offsets, rows)``, unknown labels ``-1``.
+
+        Path ``i`` becomes ``rows[offsets[i]:offsets[i + 1]]``, the layout
+        :meth:`SnapshotEdgeList.hop_links` reads.
+        """
+        lengths = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+        offsets = np.zeros(lengths.size + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        return offsets, self.rows_of(label for path in paths for label in path)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -144,6 +168,11 @@ class SnapshotEdgeList:
     (a :class:`networkx.Graph` of the same snapshot costs an order of
     magnitude more to serialise).  ``a``/``b`` are row numbers into
     ``labels``; each undirected link appears exactly once.
+
+    The edge list is also the one owner of the link encoding
+    (:attr:`link_codes`) and of matching path hops to its rows
+    (:meth:`hop_links`, :meth:`link_rows`): allocation, steering, latency
+    re-reads and link telemetry all index links through it.
     """
 
     labels: tuple
@@ -152,6 +181,18 @@ class SnapshotEdgeList:
     distance_km: np.ndarray  # (E,)
     delay_ms: np.ndarray  # (E,)
     capacity_gbps: np.ndarray  # (E,)
+
+    @classmethod
+    def from_graph(cls, graph: nx.Graph) -> "SnapshotEdgeList":
+        """Build an edge list from a graph's edges (the inverse of :meth:`graph`).
+
+        Node rows follow ``graph.nodes`` and link rows ``graph.edges``; an
+        attribute an edge lacks reads ``nan``.
+        """
+        node_index, a, b, (distance, delay, capacity) = _edge_table(
+            graph, ("distance_km", "delay_ms", "capacity_gbps")
+        )
+        return cls(node_index.labels, a, b, distance, delay, capacity)
 
     @cached_property
     def node_index(self) -> NodeIndex:
@@ -173,6 +214,92 @@ class SnapshotEdgeList:
             + self.delay_ms.nbytes
             + self.capacity_gbps.nbytes
         )
+
+    @cached_property
+    def link_codes(self) -> np.ndarray:
+        """Each row's undirected link as one int64, ``min(a, b) * n + max(a, b)``.
+
+        The key space of the whole feedback path: steering state and
+        :class:`~repro.network.telemetry.LinkTelemetry` agree on it, so
+        signals line up by plain integer comparison.
+        """
+        return self._codes(self.a, self.b)
+
+    @cached_property
+    def link_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sorted link codes, edge row of each)``, the table lookups search.
+
+        Built once per snapshot; the simulator's step kernel builds it
+        before any scenario runs, so thread workers only read it.
+        """
+        order = np.argsort(self.link_codes)
+        return self.link_codes[order], order
+
+    def _codes(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Link codes of endpoint-row pairs; ``-1`` (no link) out of range."""
+        n = len(self.labels)
+        lo = np.minimum(u, v).astype(np.int64, copy=False)
+        hi = np.maximum(u, v).astype(np.int64, copy=False)
+        return np.where((lo >= 0) & (hi < n), lo * n + hi, -1)
+
+    def _rows_of_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Edge row of each link code, ``-1`` where the snapshot lacks it."""
+        sorted_codes, order = self.link_lookup
+        if not sorted_codes.size:
+            return np.full(codes.size, -1, dtype=np.intp)
+        positions = np.minimum(
+            np.searchsorted(sorted_codes, codes), sorted_codes.size - 1
+        )
+        return np.where(sorted_codes[positions] == codes, order[positions], -1)
+
+    def link_rows(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Edge row of each undirected link ``(u[i], v[i])`` of node rows.
+
+        ``-1`` where the snapshot has no such link (an endpoint outside the
+        label table included).
+        """
+        return self._rows_of_codes(self._codes(np.asarray(u), np.asarray(v)))
+
+    def hop_links(
+        self, offsets: np.ndarray, rows: np.ndarray, names=None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Match every hop of ragged row paths to an edge-list row.
+
+        Path ``i`` follows ``rows[offsets[i]:offsets[i + 1]]``; a segment
+        shorter than two rows has no hops.  Returns ``(flow_ids, link_ids,
+        link_rows)``, one ``flow_ids``/``link_ids`` entry per hop, flow by
+        flow and hop by hop: hop ``h`` of path ``flow_ids[h]`` uses edge row
+        ``link_rows[link_ids[h]]``.  ``link_rows`` holds each distinct link
+        once, in ascending link-code order, so ``link_ids`` are the columns
+        of the paths' (flow x link) incidence matrix.
+
+        Raises :class:`ValueError` on a hop the snapshot has no link for
+        (or whose endpoint row is outside the label table), naming the path
+        as ``names[i]`` when given, else by its index.
+        """
+        offsets = np.asarray(offsets, dtype=np.intp)
+        rows = np.asarray(rows, dtype=np.intp)
+        lengths = np.diff(offsets)
+        # Hop endpoints: every row except each segment's last (u) / first
+        # (v), selected by masks so hops stay flow by flow, hop by hop.
+        keep_u = np.ones(rows.size, dtype=bool)
+        keep_v = np.ones(rows.size, dtype=bool)
+        nonempty = lengths > 0
+        keep_u[offsets[1:][nonempty] - 1] = False
+        keep_v[offsets[:-1][nonempty]] = False
+        flow_ids = np.repeat(
+            np.arange(lengths.size, dtype=np.intp), np.maximum(lengths - 1, 0)
+        )
+        codes, link_ids = np.unique(
+            self._codes(rows[keep_u], rows[keep_v]), return_inverse=True
+        )
+        link_rows = self._rows_of_codes(codes)
+        missing = link_rows < 0
+        if missing.any():
+            path = int(flow_ids[np.flatnonzero(missing[link_ids])[0]])
+            name = path if names is None else names[path]
+            raise ValueError(f"flow {name!r} uses a link not present in the graph")
+        return flow_ids, link_ids, link_rows
 
     def arrays(self) -> EdgeArrays:
         """Return the CSR routing view (``delay_ms`` weighted)."""
@@ -208,6 +335,25 @@ class SnapshotEdgeList:
         return graph
 
 
+def _edge_table(
+    graph: nx.Graph, attributes: tuple[str, ...]
+) -> tuple[NodeIndex, np.ndarray, np.ndarray, np.ndarray]:
+    """One walk over a graph's edges: ``(node_index, a, b, columns)``.
+
+    ``a``/``b`` are endpoint rows and ``columns[k]`` holds attribute
+    ``attributes[k]`` per edge, ``nan`` where an edge lacks it.
+    """
+    node_index = NodeIndex(tuple(graph.nodes))
+    edges = list(graph.edges(data=True))
+    a = node_index.rows_of(u for u, _, _ in edges)
+    b = node_index.rows_of(v for _, v, _ in edges)
+    columns = np.array(
+        [[data.get(name) for _, _, data in edges] for name in attributes],
+        dtype=float,
+    ).reshape(len(attributes), len(edges))
+    return node_index, a, b, columns
+
+
 def edge_arrays_from_graph(graph: nx.Graph, weight: str = "delay_ms") -> EdgeArrays:
     """Export a snapshot graph to CSR edge arrays.
 
@@ -219,15 +365,7 @@ def edge_arrays_from_graph(graph: nx.Graph, weight: str = "delay_ms") -> EdgeArr
     :meth:`repro.network.topology.SnapshotSequence.edge_arrays`, built from
     geometry, without per-edge Python iteration or this check.
     """
-    node_index = NodeIndex(tuple(graph.nodes))
-    edge_count = graph.number_of_edges()
-    a = np.empty(edge_count, dtype=np.intp)
-    b = np.empty(edge_count, dtype=np.intp)
-    weights = np.empty(edge_count)
-    for row, (u, v, value) in enumerate(graph.edges(data=weight)):
-        a[row] = node_index.index_of(u)
-        b[row] = node_index.index_of(v)
-        weights[row] = value  # a missing attribute stores NaN
+    node_index, a, b, (weights,) = _edge_table(graph, (weight,))
     bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0.0)))
     if bad.size:
         u = node_index.label_of(int(a[bad[0]]))

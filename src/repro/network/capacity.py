@@ -32,7 +32,7 @@ cap -- it converges in at most ``len(flows)`` rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -47,29 +47,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Flow:
-    """A routed traffic flow."""
+    """A routed traffic flow: a name, a node-label path and a demand.
+
+    The dict allocators walk ``path`` link by link; the array allocators of
+    :mod:`repro.network.alloc_arrays` map it to snapshot rows through the
+    snapshot's label table, so the same flows feed both.
+    """
 
     name: str
     path: tuple[int | str, ...]
     demand_gbps: float
-    #: Optional row-index form of ``path`` into the label table of the
-    #: snapshot's array views (:class:`repro.network.backends.NodeIndex`),
-    #: carried straight from the router's predecessor reconstruction.  The
-    #: array allocators use it to compile the flow
-    #: without translating labels; it never affects equality or the dict
-    #: allocators.  Contract: each entry must be the row of the same-index
-    #: ``path`` node in the snapshot the flow is allocated against -- the
-    #: array compile validates bounds and endpoints only, so foreign rows
-    #: sharing both endpoints would silently misroute capacity.
-    path_rows: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.demand_gbps < 0:
             raise ValueError("demand must be non-negative")
         if len(self.path) < 2 and self.demand_gbps > 0:
             raise ValueError("a flow with demand needs a path of at least two nodes")
-        if self.path_rows is not None and len(self.path_rows) != len(self.path):
-            raise ValueError("path_rows must mirror path node for node")
 
     def links(self) -> list[tuple[int | str, int | str]]:
         """Return the (unordered) links the flow traverses."""
@@ -110,36 +103,18 @@ class AllocationResult:
         :meth:`repro.network.alloc_arrays.FlowLinkSystem.link_utilisation_array`:
         the label-keyed ``link_utilisation`` dict is mapped onto the
         ``(E,)`` layout feedback consumers (congestion steering, link
-        telemetry) share, with untouched links at 0.0.  ``edge_list`` is
-        duck-typed (``labels`` / ``a`` / ``b`` / ``node_index``); links
-        whose endpoints are absent from the snapshot are skipped.  The loop
-        runs over the *links the allocation touched*, never over flows.
+        telemetry) share, through the edge list's link lookup
+        (:meth:`~repro.network.backends.SnapshotEdgeList.link_rows`), with
+        untouched links at 0.0.  Links the snapshot lacks, or whose
+        endpoints it does not know, are skipped.
         """
-        a, b = edge_list.a, edge_list.b
-        node_count = len(edge_list.labels)
-        out = np.zeros(len(a))
-        if not self.link_utilisation:
-            return out
-        codes = np.minimum(a, b) * node_count + np.maximum(a, b)
-        order = np.argsort(codes)
-        sorted_codes = codes[order]
-        index_of = edge_list.node_index.index_of
-        used: list[int] = []
-        values: list[float] = []
-        for (u, v), value in self.link_utilisation.items():
-            row_u = index_of(u)
-            row_v = index_of(v)
-            if row_u is None or row_v is None:
-                continue
-            lo, hi = (row_u, row_v) if row_u <= row_v else (row_v, row_u)
-            used.append(lo * node_count + hi)
-            values.append(value)
-        if not used:
-            return out
-        positions = np.searchsorted(sorted_codes, np.asarray(used))
-        positions = np.minimum(positions, sorted_codes.size - 1)
-        present = sorted_codes[positions] == np.asarray(used)
-        out[order[positions[present]]] = np.asarray(values)[present]
+        out = np.zeros(len(edge_list.a))
+        keys = self.link_utilisation
+        ends = edge_list.node_index.rows_of(label for key in keys for label in key)
+        rows = edge_list.link_rows(ends[0::2], ends[1::2])
+        present = rows >= 0
+        values = np.fromiter(keys.values(), dtype=float, count=len(keys))
+        out[rows[present]] = values[present]
         return out
 
 

@@ -22,8 +22,10 @@ columnar end-to-end:
 * :meth:`RoutedFlowTable.compact` -- stage 4 input: the reachable slice of
   the ragged paths feeds
   :func:`repro.network.alloc_arrays.compile_system_from_rows` directly,
-  producing incidence arrays bit-identical to compiling the equivalent
-  ``Flow`` objects;
+  whose hops the snapshot's edge list matches to links
+  (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`) -- the same
+  compile ``Flow`` objects go through after their label paths are mapped
+  to rows, so the incidence arrays are bit-identical;
 * :class:`FlowPlan` -- the demand-independent part of stages 2-4, kept so
   that scenarios differing only in demand multiplier share it:
   :func:`plan_flows` selects once, and :meth:`FlowPlan.scaled` rescales the

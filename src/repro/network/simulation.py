@@ -7,9 +7,9 @@ The simulator runs one pipeline per scenario and time step:
    ``(T, N, 3)`` propagation plus one vectorised feasibility pass for the
    whole run); each snapshot group (station subset plus fault schedule)
    gets one :class:`~repro.network.backends.SnapshotEdgeList` per step,
-   from which the step kernel builds the group's station rows, its shared
-   allocation compile cache and -- when two or more open-loop scenarios
-   route on it -- one shared :class:`~repro.network.backends.RouteTables`;
+   from which the step kernel builds the group's station rows, the edge
+   list's link lookup and -- when two or more open-loop scenarios route on
+   it -- one shared :class:`~repro.network.backends.RouteTables`;
 2. **flow selection** -- the gravity traffic matrix of the step's UTC hour
    (memoised: the diurnal model repeats every 24 h) is filtered to the
    group's ground stations and cut to the largest ``flows_per_step`` flows
@@ -32,10 +32,13 @@ The simulator runs one pipeline per scenario and time step:
    by the kernel and reused by every open-loop scenario of the plan;
    steered scenarios walk their own selection on their own tables;
 4. **capacity allocation** -- the routed paths compile straight into a
-   sparse (flow x link) incidence system -- once per shared plan, each
-   scenario swapping in its scaled demand vector -- and the scenario's
-   array solver (:data:`repro.network.alloc_arrays.ARRAY_SOLVERS`) splits
-   link bandwidth in whole-array numpy;
+   sparse (flow x link) incidence system, their hops matched to links by
+   the edge list's lookup
+   (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`) -- once
+   per shared plan, each scenario swapping in its scaled demand vector --
+   and the scenario's array solver
+   (:data:`repro.network.alloc_arrays.ARRAY_SOLVERS`) splits link
+   bandwidth in whole-array numpy;
 5. **statistics** -- throughput, latency, reachability and the resilience
    and steering quantities are folded into a :class:`StepStatistics`.
 
@@ -93,7 +96,7 @@ from ..obs import (
     Tracer,
     combined_stage_means,
 )
-from .alloc_arrays import ARRAY_SOLVERS, EdgeListCompileCache, compile_system_from_rows
+from .alloc_arrays import ARRAY_SOLVERS, compile_system_from_rows
 from ..orbits.time import Epoch, epoch_range
 from .backends import RouteTables, SnapshotEdgeList
 from .faults import FaultContext, FaultSchedule, FaultSpec, compile_faults, normalise_fault_specs
@@ -103,7 +106,6 @@ from .steering import (
     SteeringController,
     SteeringPolicy,
     get_steering_policy,
-    link_codes,
     path_delays_from_rows,
 )
 from .telemetry import LinkTelemetry, PairTelemetry, get_telemetry
@@ -118,20 +120,20 @@ __all__ = [
 ]
 
 
-def _flow_budget(value: "int | None") -> "int | None":
-    """Validate a per-step flow budget and return it as a plain ``int``.
+def _count(name: str, value: "int | None") -> "int | None":
+    """Validate a positive count (a flow budget, a worker count) as an ``int``.
 
-    The budget is a count: ``bool`` and non-integral values (``2.5``, and
-    ``3.0`` too) are rejected here rather than inside the selection's
-    partition mid-sweep; numpy integers are accepted.  ``None`` passes
-    through.
+    ``bool`` and non-integral values (``2.5``, and ``3.0`` too) are
+    rejected here, naming ``name``, rather than failing later mid-sweep
+    (inside the selection's partition, or an executor); numpy integers are
+    accepted.  ``None`` passes through.
     """
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"flows_per_step must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value <= 0:
-        raise ValueError(f"flows_per_step must be positive, got {value!r}")
+        raise ValueError(f"{name} must be positive, got {value!r}")
     return int(value)
 
 
@@ -144,8 +146,9 @@ class Scenario:
     name:
         Unique key of the scenario within a sweep.
     demand_multiplier:
-        Scales every traffic-matrix entry before flow selection; must be
-        positive and finite.
+        Scales every traffic-matrix entry before flow selection; must be a
+        positive, finite real number (a ``bool`` is rejected), stored as a
+        ``float``.
     ground_station_names:
         Restrict traffic endpoints (and graph attachment) to this subset of
         the simulator's stations; ``None`` uses all of them.
@@ -191,13 +194,20 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario name must be non-empty")
+        multiplier = self.demand_multiplier
         # ``isfinite`` rejects NaN and inf, which ``x <= 0`` lets through.
-        if not (math.isfinite(self.demand_multiplier) and self.demand_multiplier > 0):
+        if (
+            isinstance(multiplier, bool)
+            or not isinstance(multiplier, numbers.Real)
+            or not (math.isfinite(multiplier) and multiplier > 0)
+        ):
             raise ValueError(
-                "demand_multiplier must be positive and finite, got "
-                f"{self.demand_multiplier}"
+                f"demand_multiplier must be a positive finite number, got {multiplier!r}"
             )
-        object.__setattr__(self, "flows_per_step", _flow_budget(self.flows_per_step))
+        object.__setattr__(self, "demand_multiplier", float(multiplier))
+        object.__setattr__(
+            self, "flows_per_step", _count("flows_per_step", self.flows_per_step)
+        )
         if self.ground_station_names is not None:
             object.__setattr__(
                 self, "ground_station_names", tuple(self.ground_station_names)
@@ -449,9 +459,6 @@ class _GroupSnapshot(NamedTuple):
     #: when two or more open-loop scenarios share them (``None`` otherwise:
     #: every scenario then solves its own sources privately).
     route_tables: RouteTables | None
-    #: Per-snapshot constants of the incidence compile, shared by every
-    #: scenario of the group.
-    compile_cache: EdgeListCompileCache
 
 
 #: One scenario's step output: statistics plus station-pair and per-link
@@ -485,7 +492,7 @@ def _link_telemetry(
         labels=edge_list.labels,
         store=model.store(int(np.count_nonzero(hot))),
     )
-    telemetry.observe_links(link_codes(edge_list)[hot], utilisation[hot])
+    telemetry.observe_links(edge_list.link_codes[hot], utilisation[hot])
     return telemetry
 
 
@@ -502,7 +509,7 @@ def _compile_plan(plan: FlowPlan, snapshot: _GroupSnapshot) -> FlowPlan:
     if not demand.size:
         return plan
     return plan._replace(
-        system=compile_system_from_rows(snapshot.compile_cache, demand, offsets, rows)
+        system=compile_system_from_rows(snapshot.edge_list, demand, offsets, rows)
     )
 
 
@@ -713,7 +720,8 @@ def _evaluate_step(
 
     ``edge_lists`` maps each snapshot group to its (already fault-masked)
     edge list of this step.  The kernel builds each group's shared state
-    once -- station rows and compile cache for every scenario, plus
+    once -- station rows and the edge list's link lookup for every
+    scenario, plus
     :class:`~repro.network.backends.RouteTables` over all of the group's
     stations when two or more open-loop scenarios would route on them --
     and then one :class:`~repro.network.flows.FlowPlan` per (group, flow
@@ -739,6 +747,7 @@ def _evaluate_step(
     snapshots: dict[int, _GroupSnapshot] = {}
     for group, names in {spec.group: spec.station_names for spec in specs}.items():
         edge_list = edge_lists[group]
+        edge_list.link_lookup  # built here, so thread workers only read it
         rows = station_rows(edge_list.node_index, names)
         snapshots[group] = _GroupSnapshot(
             edge_list=edge_list,
@@ -748,7 +757,6 @@ def _evaluate_step(
                 if open_loop[group] >= 2
                 else None
             ),
-            compile_cache=EdgeListCompileCache(edge_list),
         )
     if tracers:
         share = (export_seconds + time.perf_counter() - begin) / len(specs)
@@ -879,8 +887,7 @@ def _check_sweep_arguments(
     for name, value in (("duration_hours", duration_hours), ("step_hours", step_hours)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be at least 1, got {max_workers!r}")
+    _count("max_workers", max_workers)
 
 
 def _check_pipeline_keywords(backend: str, flow_engine: str) -> None:
@@ -916,7 +923,7 @@ class NetworkSimulator:
     flows_per_step: int = 50
 
     def __post_init__(self) -> None:
-        self.flows_per_step = _flow_budget(self.flows_per_step)
+        self.flows_per_step = _count("flows_per_step", self.flows_per_step)
 
     # -- public entry points -----------------------------------------------------
 
@@ -990,7 +997,7 @@ class NetworkSimulator:
         accepted for existing callers and must be ``"csgraph"`` and
         ``"columnar"``.
 
-        ``max_workers`` (at least 1) optionally fans the scenario
+        ``max_workers`` (a positive integer) optionally fans the scenario
         evaluations out to a pool.  With ``executor="thread"`` (the default)
         workers share the in-process snapshot stream; with
         ``executor="process"`` each worker process receives its slice of the

@@ -11,7 +11,9 @@ which the allocation stage exports as a plain ``(E,)`` array in link-index
 order (no label round-trips anywhere on the feedback path).
 
 The control loop is the wanctl idiom (measure, smooth, hysteresis, act)
-as whole-array numpy over int64 link codes:
+as whole-array numpy over the snapshot's int64 link codes
+(:attr:`~repro.network.backends.SnapshotEdgeList.link_codes`, the one
+link encoding, owned by the edge list):
 
 * **EWMA smoothing** -- per-link utilisation folds into an exponentially
   weighted moving average (``alpha`` per step), so one congested step does
@@ -85,32 +87,9 @@ __all__ = [
     "LoadSpreadingSteering",
     "STEERING_POLICIES",
     "get_steering_policy",
-    "link_codes",
     "path_delays",
     "path_delays_from_rows",
 ]
-
-
-def link_codes(edge_list: SnapshotEdgeList) -> np.ndarray:
-    """Encode each undirected link as ``min * n + max`` over endpoint rows.
-
-    The shared key space of the whole feedback path: steering state,
-    :class:`~repro.network.telemetry.LinkTelemetry` and the allocation
-    stage's utilisation export all agree on it, so signals line up by
-    plain integer comparison.
-    """
-    n = len(edge_list.labels)
-    return (
-        np.minimum(edge_list.a, edge_list.b).astype(np.int64) * n
-        + np.maximum(edge_list.a, edge_list.b).astype(np.int64)
-    )
-
-
-def _sorted_delay_table(edge_list: SnapshotEdgeList) -> tuple[np.ndarray, np.ndarray]:
-    """Per-snapshot (sorted link codes, delays in that order) lookup table."""
-    codes = link_codes(edge_list)
-    order = np.argsort(codes)
-    return codes[order], edge_list.delay_ms[order]
 
 
 def path_delays_from_rows(
@@ -119,38 +98,21 @@ def path_delays_from_rows(
     """True latency [ms] of ragged row paths against unsteered link delays.
 
     ``rows[offsets[i]:offsets[i + 1]]`` is path ``i`` (the columnar
-    engine's layout); every hop must exist in ``edge_list``.  Routing on
-    steered weights returns *steered* distances, which are routing
-    preferences, not times -- latency statistics must be re-read from the
-    real ``delay_ms`` column, which is exactly what this does, fully
-    vectorised.  Empty segments (unreachable flows) read ``inf``.
+    engine's layout); every hop must exist in ``edge_list``
+    (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links` raises
+    otherwise).  Routing on steered weights returns *steered* distances,
+    which are routing preferences, not times -- latency statistics must be
+    re-read from the real ``delay_ms`` column, which is exactly what this
+    does, fully vectorised.  Empty segments (unreachable flows) read
+    ``inf``.
     """
     offsets = np.asarray(offsets, dtype=np.intp)
-    rows = np.asarray(rows, dtype=np.intp)
-    lengths = np.diff(offsets)
-    count = lengths.size
+    count = offsets.size - 1
+    flow_ids, link_ids, link_rows = edge_list.hop_links(offsets, rows)
     totals = np.full(count, np.inf)
-    nonempty = lengths > 0
-    if not nonempty.any():
-        return totals
-    sorted_codes, sorted_delay = _sorted_delay_table(edge_list)
-    n = len(edge_list.labels)
-    # Hop endpoints: drop each segment's last row (u) / first row (v).
-    keep_u = np.ones(rows.size, dtype=bool)
-    keep_v = np.ones(rows.size, dtype=bool)
-    keep_u[offsets[1:][nonempty] - 1] = False
-    keep_v[offsets[:-1][nonempty]] = False
-    u = rows[keep_u].astype(np.int64)
-    v = rows[keep_v].astype(np.int64)
-    hop_codes = np.minimum(u, v) * n + np.maximum(u, v)
-    positions = np.searchsorted(sorted_codes, hop_codes)
-    positions = np.minimum(positions, max(sorted_codes.size - 1, 0))
-    if sorted_codes.size == 0 or not (sorted_codes[positions] == hop_codes).all():
-        raise ValueError("a path uses a link not present in the edge list")
-    hop_counts = np.maximum(lengths - 1, 0)
-    flow_of = np.repeat(np.arange(count, dtype=np.intp), hop_counts)
+    nonempty = np.diff(offsets) > 0
     totals[nonempty] = np.bincount(
-        flow_of, weights=sorted_delay[positions], minlength=count
+        flow_ids, weights=edge_list.delay_ms[link_rows][link_ids], minlength=count
     )[nonempty]
     return totals
 
@@ -160,27 +122,11 @@ def path_delays(edge_list: SnapshotEdgeList, paths) -> np.ndarray:
 
     The label-path sibling of :func:`path_delays_from_rows`: each path
     is a node-label sequence (as on
-    :attr:`~repro.network.capacity.Flow.path`).  Labels are mapped to rows
-    once and the vectorised row variant does the rest.
+    :attr:`~repro.network.capacity.Flow.path`), mapped to rows through the
+    snapshot's label table; a hop through an unknown node raises like a
+    missing link.
     """
-    index_of = edge_list.node_index.index_of
-    lengths = np.fromiter(
-        (len(path) for path in paths), dtype=np.intp, count=len(paths)
-    )
-    offsets = np.zeros(lengths.size + 1, dtype=np.intp)
-    np.cumsum(lengths, out=offsets[1:])
-    rows = np.fromiter(
-        (
-            -1 if (row := index_of(label)) is None else row
-            for path in paths
-            for label in path
-        ),
-        dtype=np.intp,
-        count=int(offsets[-1]),
-    )
-    if rows.size and rows.min() < 0:
-        raise ValueError("a path visits a node not present in the edge list")
-    return path_delays_from_rows(edge_list, offsets, rows)
+    return path_delays_from_rows(edge_list, *edge_list.node_index.ragged_rows(paths))
 
 
 def _hash01(codes: np.ndarray, seed: int, step: int) -> np.ndarray:
@@ -240,7 +186,7 @@ class SteeringController:
         self._step += 1
         if not self.policy.adaptive or not self._engaged.any():
             return edge_list
-        codes = link_codes(edge_list)
+        codes = edge_list.link_codes
         positions = np.searchsorted(self._codes, codes)
         positions = np.minimum(positions, self._codes.size - 1)
         known = self._codes[positions] == codes
@@ -266,7 +212,7 @@ class SteeringController:
         if not self.policy.adaptive:
             return
         policy = self.policy
-        codes = link_codes(edge_list)
+        codes = edge_list.link_codes
         utilisation = np.asarray(utilisation, dtype=float)
         merged = np.union1d(self._codes, codes)
         ewma = np.zeros(merged.size)

@@ -350,12 +350,12 @@ class LinkTelemetry:
 
     The link-space sibling of :class:`PairTelemetry`, sharing one signal
     source with congestion steering: the per-link utilisation array the
-    allocation stage exports in link-index order.  Links are encoded as
-    ``min(row_a, row_b) * len(labels) + max(row_a, row_b)`` over the
-    snapshot's node label table -- the same undirected link code steering's
-    EWMA state uses -- so the summary is stable across steps of one
-    scenario group (labels are fixed within a group) and merges across
-    process workers like any other store.
+    allocation stage exports in link-index order.  Links are keyed by the
+    snapshot edge list's own link codes
+    (:attr:`~repro.network.backends.SnapshotEdgeList.link_codes`) -- the
+    same keys steering's EWMA state uses -- so the summary is stable across
+    steps of one scenario group (labels are fixed within a group) and
+    merges across process workers like any other store.
 
     Each step contributes that step's utilisation per link, so the
     aggregate is *sustained heat*: a link at 0.9 utilisation for ten steps

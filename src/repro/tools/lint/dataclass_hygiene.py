@@ -6,8 +6,8 @@ Two invariants the engine's value types rely on:
   folds every compared field into ``==``; a :class:`numpy.ndarray` field
   makes ``==`` return an array (``bool(...)`` then raises) and silently
   poisons set/dict membership.  Derived array payloads (``path_rows`` on
-  :class:`repro.network.capacity.Flow` is the canonical case) must opt out
-  of comparison.
+  :class:`repro.network.backends.RouteResult` is the canonical case) must
+  opt out of comparison.
 
 * **Frozen specs must stay hashable.**  Sweep grouping keys scenarios by
   their spec values (``Scenario.faults`` tuples are dict keys), so a frozen

@@ -19,6 +19,8 @@ Four layers of guarantees:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import networkx as nx
 import pytest
@@ -27,7 +29,6 @@ from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network.alloc_arrays import (
     ARRAY_SOLVERS,
-    EdgeListCompileCache,
     FlowLinkSystem,
     allocate_max_min_array,
     allocate_proportional_array,
@@ -133,13 +134,24 @@ class TestEquivalenceOnRandomGraphs:
         assert allocate_proportional_array(graph, []).allocated_gbps == {}
 
     def test_missing_link_rejected_like_reference(self):
+        from repro.network.backends import SnapshotEdgeList
+
         graph = nx.Graph()
         graph.add_edge(0, 1, capacity_gbps=1.0)
-        flows = [Flow("ghost", (0, 2), 1.0)]
-        with pytest.raises(ValueError, match="not present"):
-            allocate_proportional_array(graph, flows)
-        with pytest.raises(ValueError, match="not present"):
-            allocate_max_min_array(graph, flows)
+        graph.add_node(2)
+        cases = [(allocate_proportional, graph)] + [
+            (allocator, capacity)
+            for allocator in (allocate_proportional_array, allocate_max_min_array)
+            for capacity in (graph, SnapshotEdgeList.from_graph(graph))
+        ]
+        # Missing links, and a node the snapshot does not know.
+        for path in ((0, 2), (0, 1, 2), (0, 1, "nowhere")):
+            flows = [Flow("ok", (1, 0), 1.0), Flow("ghost", path, 1.0)]
+            for allocator, capacity in cases:
+                with pytest.raises(
+                    ValueError, match="flow 'ghost' uses a link not present in the graph"
+                ):
+                    allocator(capacity, flows)
 
     def test_duplicate_flow_names_rejected(self):
         graph = nx.Graph()
@@ -363,9 +375,9 @@ class TestCompilation:
         loads = system.link_loads(np.array([1.0, 1.0]))
         assert loads[list(system.link_keys).index((1, 2))] == pytest.approx(2.0)
 
-    def test_index_path_matches_graph_path(self):
-        """Compiling from path_rows against an edge list must produce the
-        same allocation as label-path compilation over the graph."""
+    def test_edge_list_compile_matches_graph_compile(self):
+        """Label flows compile to the same allocation against an edge list
+        and against its graph view."""
         from repro.network.backends import SnapshotEdgeList
 
         labels = (0, 1, 2, 3, "gs:x")
@@ -380,66 +392,21 @@ class TestCompilation:
             delay_ms=np.ones(4),
             capacity_gbps=capacity,
         )
-        flows_rows = [
-            Flow("f1", ("gs:x", 0, 1, 2), 5.0, path_rows=(4, 0, 1, 2)),
-            Flow("f2", (1, 2, 3), 3.0, path_rows=(1, 2, 3)),
-        ]
-        flows_labels = [
+        flows = [
             Flow("f1", ("gs:x", 0, 1, 2), 5.0),
             Flow("f2", (1, 2, 3), 3.0),
         ]
         graph = edge_list.graph()
         for allocator in (allocate_max_min_array, allocate_proportional_array):
-            _assert_results_match(
-                allocator(graph, flows_labels), allocator(edge_list, flows_rows)
-            )
+            _assert_results_match(allocator(graph, flows), allocator(edge_list, flows))
 
-    def test_index_path_rejects_foreign_rows(self):
-        from repro.network.backends import SnapshotEdgeList
-
-        edge_list = SnapshotEdgeList(
-            labels=(0, 1),
-            a=np.array([0], dtype=np.intp),
-            b=np.array([1], dtype=np.intp),
-            distance_km=np.ones(1),
-            delay_ms=np.ones(1),
-            capacity_gbps=np.array([1.0]),
-        )
-        # Rows point at the wrong labels for this snapshot.
-        flows = [Flow("f", (1, 0), 1.0, path_rows=(0, 1))]
-        with pytest.raises(ValueError, match="label table"):
-            allocate_max_min_array(edge_list, flows)
-
-    def test_compile_cache_matches_edge_list_compile(self):
-        """A shared compile cache compiles exactly like its edge list, and
-        anything else is rejected."""
-        from repro.network.backends import SnapshotEdgeList
-
-        edge_list = SnapshotEdgeList(
-            labels=(0, 1, 2),
-            a=np.array([0, 1], dtype=np.intp),
-            b=np.array([1, 2], dtype=np.intp),
-            distance_km=np.ones(2),
-            delay_ms=np.ones(2),
-            capacity_gbps=np.array([3.0, 5.0]),
-        )
-        demand = np.array([2.0, 4.0])
-        offsets = np.array([0, 3, 5])
-        rows = np.array([0, 1, 2, 2, 1])
-        direct = compile_system_from_rows(edge_list, demand, offsets, rows)
-        cached = compile_system_from_rows(
-            EdgeListCompileCache(edge_list), demand, offsets, rows
-        )
-        for name in ("capacity", "flow_ids", "link_ids", "link_rows"):
-            assert np.array_equal(getattr(direct, name), getattr(cached, name))
-        with pytest.raises(ValueError, match="SnapshotEdgeList"):
-            compile_system_from_rows(edge_list.graph(), demand, offsets, rows)
-
-    def test_flow_path_rows_validation(self):
-        with pytest.raises(ValueError, match="mirror"):
-            Flow("f", (0, 1, 2), 1.0, path_rows=(0, 1))
-        # path_rows never affect flow equality.
-        assert Flow("f", (0, 1), 1.0, path_rows=(0, 1)) == Flow("f", (0, 1), 1.0)
+    def test_graph_edge_without_capacity_raises(self):
+        graph = nx.Graph()
+        graph.add_edge(0, 1, capacity_gbps=1.0)
+        graph.add_edge(1, 2)
+        allocate_max_min_array(graph, [Flow("f", (0, 1), 1.0)])
+        with pytest.raises(ValueError, match=r"link \(1, 2\) has no capacity_gbps"):
+            allocate_max_min_array(graph, [Flow("f", (0, 1, 2), 1.0)])
 
 
 CITIES = (
@@ -478,7 +445,7 @@ def workload_routes(simulator, epoch):
 
     Returns ``(edge_list, demand, offsets, rows, flows)``: the ragged
     row-index paths the simulator compiles, plus the equivalent ``Flow``
-    objects carrying both label paths and ``path_rows``.  Demands take a few
+    objects with label paths.  Demands take a few
     values only, so tied flows freeze together, and are scaled so that many
     links saturate while other flows freeze at their demand.
     """
@@ -497,14 +464,9 @@ def workload_routes(simulator, epoch):
     demand = rng.choice([0.0, 0.1, 0.2, 0.5, 1.0, 4.0], size=src.size)
     flows = []
     for index in range(demand.size):
-        path_rows = tuple(rows[offsets[index] : offsets[index + 1]].tolist())
+        path = rows[offsets[index] : offsets[index + 1]].tolist()
         flows.append(
-            Flow(
-                f"f{index}",
-                tuple(labels[row] for row in path_rows),
-                float(demand[index]),
-                path_rows=path_rows,
-            )
+            Flow(f"f{index}", tuple(labels[row] for row in path), float(demand[index]))
         )
     return edge_list, demand, offsets, rows, flows
 
@@ -514,12 +476,18 @@ def workload_problem(workload_routes):
     """A step-sized max-min problem on a real snapshot.
 
     Returns ``(system, graph, flows)``: the routed pairs compiled through
-    :func:`compile_system_from_rows`, as the simulator compiles a step, plus
-    the ``Flow`` objects and capacity graph for the dict reference.
+    :func:`compile_system_from_rows`, as the simulator compiles a step (with
+    each link's label key added for the result dict), plus the ``Flow``
+    objects and capacity graph for the dict reference.
     """
     edge_list, demand, offsets, rows, flows = workload_routes
-    system = compile_system_from_rows(edge_list, demand, offsets, rows, with_keys=True)
-    return system, edge_list.graph(), flows
+    system = compile_system_from_rows(edge_list, demand, offsets, rows)
+    labels = edge_list.labels
+    keys = tuple(
+        _link_key(labels[a], labels[b])
+        for a, b in zip(edge_list.a[system.link_rows], edge_list.b[system.link_rows])
+    )
+    return replace(system, link_keys=keys), edge_list.graph(), flows
 
 
 def _named_result(system, flows, rates, utilisation) -> AllocationResult:
@@ -558,18 +526,26 @@ class TestWorkloadScale:
         )
 
     def test_flow_object_compile_matches_row_compile(self, workload_routes):
-        """``Flow`` objects with ``path_rows`` compile to exactly the system
-        the simulator's ragged-row compile builds."""
+        """Label-only ``Flow`` objects, compiled on the edge list or on its
+        graph view, give exactly the system the simulator's ragged-row
+        compile builds; only an edge list is accepted for the latter."""
         edge_list, demand, offsets, rows, flows = workload_routes
-        objects = compile_flow_link_system(edge_list, flows)
-        ragged = compile_system_from_rows(edge_list, demand, offsets, rows, with_keys=True)
-        assert objects.flow_names == tuple(flow.name for flow in flows)
-        assert ragged.flow_names is None
-        for name in ("demand", "capacity", "flow_ids", "link_ids", "link_rows"):
-            got, want = getattr(objects, name), getattr(ragged, name)
-            assert got.dtype == want.dtype, name
-            assert np.array_equal(got, want), name
-        assert objects.link_keys == ragged.link_keys
+        graph = edge_list.graph()
+        ragged = compile_system_from_rows(edge_list, demand, offsets, rows)
+        on_edge_list = compile_flow_link_system(edge_list, flows)
+        on_graph = compile_flow_link_system(graph, flows)
+        assert ragged.flow_names is None and ragged.link_keys is None
+        for objects in (on_edge_list, on_graph):
+            assert objects.flow_names == tuple(flow.name for flow in flows)
+            for name in ("demand", "capacity", "flow_ids", "link_ids"):
+                got, want = getattr(objects, name), getattr(ragged, name)
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+        # The graph's edge rows follow its own edge order; links match by key.
+        assert np.array_equal(on_edge_list.link_rows, ragged.link_rows)
+        assert on_graph.link_keys == on_edge_list.link_keys
+        with pytest.raises(ValueError, match="SnapshotEdgeList"):
+            compile_system_from_rows(graph, demand, offsets, rows)
 
     @pytest.mark.parametrize("iterations", [1, 2, 5, 20, 60])
     def test_iteration_cap_matches_capped_reference(self, workload_problem, iterations):

@@ -68,9 +68,12 @@ class TestScenarioValidation:
             Scenario(name="x", demand_multiplier=0.0)
         with pytest.raises(ValueError):
             Scenario(name="x", demand_multiplier=-2.0)
-        for multiplier in (float("nan"), float("inf"), float("-inf")):
+        for multiplier in (float("nan"), float("inf"), float("-inf"), True, "2", None):
             with pytest.raises(ValueError, match="demand_multiplier"):
                 Scenario(name="x", demand_multiplier=multiplier)
+        for multiplier in (2, np.int64(3), np.float32(0.5)):
+            stored = Scenario(name="x", demand_multiplier=multiplier).demand_multiplier
+            assert type(stored) is float and stored == multiplier
         with pytest.raises(ValueError):
             Scenario(name="x", flows_per_step=0)
         for allocator in ("nope", "max_min", "proportional"):
@@ -145,6 +148,10 @@ class TestScenarioValidation:
             ({"max_workers": 0}, "max_workers"),
             ({"max_workers": -3}, "max_workers"),
             ({"max_workers": 0, "executor": "process"}, "max_workers"),
+            ({"max_workers": 2.5}, "max_workers"),
+            ({"max_workers": 2.5, "executor": "process"}, "max_workers"),
+            ({"max_workers": 2.0}, "max_workers"),
+            ({"max_workers": True}, "max_workers"),
         ):
             arguments = {"duration_hours": 1.0, **kwargs}
             with pytest.raises(ValueError, match=parameter):
@@ -433,6 +440,8 @@ class TestRunGrid:
         for kwargs, parameter in (
             ({"step_hours": float("nan")}, "step_hours"),
             ({"max_workers": 0}, "max_workers"),
+            ({"max_workers": 2.5}, "max_workers"),
+            ({"max_workers": True}, "max_workers"),
         ):
             with pytest.raises(ValueError, match=parameter):
                 run_grid(

@@ -30,7 +30,6 @@ from repro.network.steering import (
     SteeringPolicy,
     UtilisationWeightedSteering,
     get_steering_policy,
-    link_codes,
     path_delays,
     path_delays_from_rows,
 )
@@ -126,8 +125,11 @@ class TestPolicyRegistry:
             simulator.run_scenarios([Scenario(name="a")], epoch, 1.0, steering="nope")
 
 
-class TestLinkCodes:
-    def test_codes_are_endpoint_order_invariant(self):
+class TestLinkLookup:
+    """The edge list's link codes and hop lookup, shared by allocation,
+    steering, latency re-reads and link telemetry."""
+
+    def test_codes_and_hops_are_endpoint_order_invariant(self):
         edges = _triangle()
         flipped = SnapshotEdgeList(
             labels=edges.labels,
@@ -137,12 +139,55 @@ class TestLinkCodes:
             delay_ms=edges.delay_ms,
             capacity_gbps=edges.capacity_gbps,
         )
-        assert np.array_equal(link_codes(edges), link_codes(flipped))
+        assert np.array_equal(edges.link_codes, flipped.link_codes)
+        offsets, rows = np.array([0, 3, 5]), np.array([0, 1, 2, 2, 0])
+        for table in (edges, flipped):
+            flow_ids, link_ids, link_rows = table.hop_links(offsets, rows)
+            assert flow_ids.tolist() == [0, 0, 1]
+            # X-Y, Y-Z, Z-X: edge rows 0, 1, 2, numbered in link-code order.
+            assert link_rows[link_ids].tolist() == [0, 1, 2]
+            assert np.all(np.diff(table.link_codes[link_rows]) > 0)
+            assert table.link_rows(rows[1:], rows[:-1]).tolist() == [0, 1, -1, 2]
 
     def test_codes_are_unique_per_link(self):
-        codes = link_codes(_triangle())
+        codes = _triangle().link_codes
         assert codes.dtype == np.int64
         assert len(np.unique(codes)) == codes.size
+
+    def test_missing_hop_raises(self):
+        edges = _triangle()
+        chain = SnapshotEdgeList(
+            labels=edges.labels,
+            a=edges.a[:2],
+            b=edges.b[:2],
+            distance_km=edges.distance_km[:2],
+            delay_ms=edges.delay_ms[:2],
+            capacity_gbps=edges.capacity_gbps[:2],
+        )
+        offsets = np.array([0, 3, 5])
+        with pytest.raises(ValueError, match="flow 1 uses a link not present"):
+            chain.hop_links(offsets, np.array([0, 1, 2, 2, 0]))
+        # A row outside the label table is a missing hop, not an alias.
+        with pytest.raises(ValueError, match="flow 'b' uses a link not present"):
+            chain.hop_links(offsets, np.array([0, 1, 2, 0, 3]), names=("a", "b"))
+
+    def test_zero_link_edge_list(self):
+        empty = SnapshotEdgeList(
+            labels=("X", "Y"),
+            a=np.empty(0, dtype=np.intp),
+            b=np.empty(0, dtype=np.intp),
+            distance_km=np.empty(0),
+            delay_ms=np.empty(0),
+            capacity_gbps=np.empty(0),
+        )
+        assert empty.link_codes.size == 0
+        flow_ids, link_ids, link_rows = empty.hop_links(
+            np.array([0, 1, 1]), np.array([0])
+        )
+        assert flow_ids.size == link_ids.size == link_rows.size == 0
+        assert empty.link_rows(np.array([0]), np.array([1])).tolist() == [-1]
+        with pytest.raises(ValueError, match="link not present"):
+            empty.hop_links(np.array([0, 2]), np.array([0, 1]))
 
 
 class TestController:
@@ -450,7 +495,7 @@ class TestLinkTelemetry:
     def test_observe_and_top_links(self):
         edges = _triangle()
         telemetry = LinkTelemetry(edges.labels, get_telemetry("exact").store(4))
-        codes = link_codes(edges)
+        codes = edges.link_codes
         telemetry.observe_links(codes, np.array([0.9, 0.1, 0.0]))
         telemetry.observe_links(codes, np.array([0.8, 0.2, 0.0]))
         top = telemetry.top_links(2)
@@ -467,7 +512,7 @@ class TestLinkTelemetry:
 
     def test_merge_accumulates(self):
         edges = _triangle()
-        codes = link_codes(edges)
+        codes = edges.link_codes
         left = LinkTelemetry(edges.labels, get_telemetry("exact").store(4))
         right = LinkTelemetry(edges.labels, get_telemetry("exact").store(4))
         left.observe_links(codes, np.array([0.5, 0.0, 0.0]))
@@ -533,7 +578,6 @@ class TestUtilisationExportParity:
                         name=f"{source}->{destination}",
                         path=route.path,
                         demand_gbps=5.0,
-                        path_rows=route.path_rows,
                     )
                 )
         assert flows
@@ -545,6 +589,27 @@ class TestUtilisationExportParity:
         by_array = system.link_utilisation_array(utilisation, len(edge_list.a))
         assert np.allclose(by_dict, by_array)
         assert by_dict.shape == (len(edge_list.a),)
+
+    def test_dict_export_on_edge_list_without_links(self):
+        """An allocation with link entries exported onto a snapshot with no
+        links reads all zeros (the lookup used to index an empty table)."""
+        from repro.network.capacity import AllocationResult
+
+        edges = _triangle()
+        allocation = AllocationResult(
+            allocated_gbps={"f": 1.0},
+            link_utilisation={("X", "Y"): 0.5, ("Y", "Q"): 0.25},
+        )
+        empty = SnapshotEdgeList(
+            labels=edges.labels,
+            a=np.empty(0, dtype=np.intp),
+            b=np.empty(0, dtype=np.intp),
+            distance_km=np.empty(0),
+            delay_ms=np.empty(0),
+            capacity_gbps=np.empty(0),
+        )
+        assert allocation.link_utilisation_array(empty).shape == (0,)
+        assert allocation.link_utilisation_array(edges).tolist() == [0.5, 0.0, 0.0]
 
 
 class TestBulkWalkBatching:
