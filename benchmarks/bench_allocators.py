@@ -1,20 +1,20 @@
 """Benchmark: array-native capacity allocators vs the dict references.
 
-PR 3/4 made routing and fault masking array-native, which left stage 4 --
-capacity allocation over per-flow python dicts -- as the dominant
-pure-python cost of congested sweeps.  The ``"*_array"`` allocators
-(:mod:`repro.network.alloc_arrays`) compile each step's routed flows into a
-sparse (flow x link) incidence system: each ``Flow``'s label path is mapped
-to snapshot rows through the edge list's label table, and the edge list's
-hop lookup (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`,
-the same compile the simulator runs) matches every hop to a link in numpy.
+Once routing and fault masking were array-native, capacity allocation over
+per-flow python dicts was the dominant pure-python cost of congested
+sweeps.  The array solvers (:data:`repro.network.alloc_arrays.ARRAY_SOLVERS`)
+run on a sparse (flow x link) incidence system: each ``Flow``'s label path
+is mapped to snapshot rows through the edge list's label table
+(``flow_oracles.compile_flows``), and the library compile
+(:func:`~repro.network.alloc_arrays.compile_system_from_rows`, the one the
+simulator runs) matches every hop to a link in numpy.
 Proportional scaling is a few ``bincount`` products and
 max-min is incremental waterfilling, whose rounds touch only per-link
 totals and the incidence rows of the flows they freeze.
 
 This benchmark times the **per-step allocation stage** -- allocator calls
-over identical flow sets routed once with ``csgraph`` -- for
-the dict and array implementations of both policies over a congested
+over identical flow sets routed once with ``csgraph`` -- for the dict
+references of ``flow_oracles`` and the array solvers of both policies over a congested
 24-hour, 360-satellite scenario (demand far above capacity, so max-min
 runs deep freeze cascades), asserts the allocations agree within 1e-9, and
 asserts the array max-min clears the speedup floor (>= 3x at full size).
@@ -32,17 +32,20 @@ record the result).
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
+from flow_oracles import (
+    Flow,
+    allocate_array,
+    allocate_max_min,
+    allocate_proportional,
+    graph_from_edge_list,
+)
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
-from repro.network.alloc_arrays import (
-    allocate_max_min_array,
-    allocate_proportional_array,
-)
-from repro.network.capacity import Flow, allocate_max_min, allocate_proportional
 from repro.network.flows import select_flow_table
 from repro.network.routing import SnapshotRouter
 from repro.network.ground_station import GroundStation
@@ -160,11 +163,14 @@ def _run_comparison(smoke: bool, size: str):
             ]
         )
         step_edge_lists.append(edge_list)
-    step_graphs = list(sequence.graphs(copy=True))
+    step_graphs = [graph_from_edge_list(edge_list) for edge_list in step_edge_lists]
 
     policies = {
-        "proportional": (allocate_proportional, allocate_proportional_array),
-        "max_min": (allocate_max_min, allocate_max_min_array),
+        "proportional": (
+            allocate_proportional,
+            partial(allocate_array, "proportional_array"),
+        ),
+        "max_min": (allocate_max_min, partial(allocate_array, "max_min_array")),
     }
     # The smoke problem finishes in single-digit milliseconds; repeating
     # the (deterministic) stage keeps the measured ratio out of timer

@@ -4,7 +4,7 @@ The seed computed every topology snapshot by constructing a fresh scalar
 ``J2Propagator`` per satellite and rotating each position into ECEF one at a
 time; the batch engine propagates the whole constellation in array
 operations.  This benchmark times both paths on a 360-satellite Walker shell
-(the position computation behind ``ConstellationTopology.snapshot_graph``)
+(the position computation behind every ``SnapshotSequence``)
 and asserts the batch path is at least 5x faster while agreeing with the
 scalar reference to 1e-9 km.
 """

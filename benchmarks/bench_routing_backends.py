@@ -7,13 +7,15 @@ on the snapshot sequence's CSR edge arrays instead: one compiled multi-source
 step, and paths are reconstructed lazily from the predecessor matrix.
 
 This benchmark times the **per-step routing stage** -- snapshot-view
-production (incrementally updated graph vs CSR export) plus the batched
+production (the test oracles' incrementally updated graph stream vs the
+CSR export) plus the batched
 all-stations route-table computation -- over a 24-hour, 360-satellite
 sequence for both engines, asserts the latency tables agree, and asserts
 ``csgraph`` clears the speedup floor (>= 3x at full size).  The networkx side
-is a local helper calling :func:`networkx.single_source_dijkstra` directly;
-the library itself only routes with ``csgraph``, and whole-sweep timings live
-in the end-to-end benchmark (``e2ebench``).
+is the test oracle ``flow_oracles.networkx_routes_from``, one
+:func:`networkx.single_source_dijkstra` per source; the library itself only
+routes with ``csgraph`` and does not import networkx, and whole-sweep
+timings live in the end-to-end benchmark (``e2ebench``).
 
 Run ``pytest benchmarks/bench_routing_backends.py`` (add ``--smoke`` for the
 small CI configuration, ``--benchmark-json=BENCH_routing_backends.json`` to
@@ -24,13 +26,13 @@ from __future__ import annotations
 
 import time
 
-import networkx as nx
 import numpy as np
 
+from flow_oracles import graph_stream, networkx_routes_from
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City
 from repro.network.ground_station import GroundStation
-from repro.network.routing import RouteResult, SnapshotRouter
+from repro.network.routing import SnapshotRouter
 from repro.network.topology import ConstellationTopology
 from repro.orbits.time import Epoch, epoch_range
 
@@ -61,19 +63,7 @@ def _walker_topology(epoch: Epoch, satellites: int, planes: int) -> Constellatio
 
 def _networkx_routes_from_many(graph, sources) -> dict:
     """``{source: {destination: RouteResult}}``, one networkx Dijkstra per source."""
-    tables = {}
-    for source in sources:
-        distances, paths = nx.single_source_dijkstra(graph, source, weight="delay_ms")
-        tables[source] = {
-            destination: RouteResult(
-                path=tuple(path),
-                latency_ms=float(distances[destination]),
-                hop_count=len(path) - 1,
-                reachable=True,
-            )
-            for destination, path in paths.items()
-        }
-    return tables
+    return {source: networkx_routes_from(graph, source) for source in sources}
 
 
 def _station_pair_latencies(tables, sources) -> list[float]:
@@ -100,7 +90,7 @@ def _run_comparison(smoke: bool):
     sources = [f"gs:{station.name}" for station in stations]
 
     # Warm both code paths (numpy dispatch, networkx decorators, scipy import).
-    warm_graph = next(sequence.graphs(copy=True))
+    warm_graph = next(graph_stream(sequence))
     _networkx_routes_from_many(warm_graph, sources)
     SnapshotRouter(arrays=sequence.edge_arrays(0)).routes_from_many(sources)
 
@@ -108,7 +98,7 @@ def _run_comparison(smoke: bool):
     # plus one single-source Dijkstra per station per step.
     begin = time.perf_counter()
     networkx_latencies = []
-    for graph in sequence.graphs(copy=False):
+    for graph in graph_stream(sequence):
         tables = _networkx_routes_from_many(graph, sources)
         networkx_latencies.extend(_station_pair_latencies(tables, sources))
     networkx_s = time.perf_counter() - begin

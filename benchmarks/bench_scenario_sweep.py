@@ -4,8 +4,8 @@ Before this engine existed, every traffic scenario paid the full simulation
 stack from scratch: per-step scalar propagation, a fresh ``nx.Graph`` built
 edge by edge in Python, per-scenario routing and a fresh gravity matrix per
 step.  The sweep engine amortises one batched propagation, one vectorised
-feasibility pass, incrementally updated snapshot graphs, shared per-step
-Dijkstra results, per-step flow plans shared across demand multipliers and
+feasibility pass, per-step edge lists sliced from those tensors, shared
+per-step Dijkstra results, per-step flow plans shared across demand multipliers and
 a 24-hour traffic-matrix cache across all scenarios.
 
 This benchmark times a 5-scenario sweep three ways --
@@ -18,8 +18,9 @@ This benchmark times a 5-scenario sweep three ways --
 -- asserts the sweep beats the monolithic baseline by the speedup floor,
 asserts sweep results are *identical* to the independent new-engine runs
 (the ``off_peak`` multiplier is not a power of two, so its products round
-and the shared plan's tie check runs), and separately measures the incremental snapshot-graph reuse against
-per-step full rebuilds.
+and the shared plan's tie check runs), and separately measures the
+incremental graph stream of the test oracles (``flow_oracles.graph_stream``)
+against per-step full graph rebuilds.
 
 Run ``pytest benchmarks/bench_scenario_sweep.py`` (add ``--smoke`` for the
 small CI configuration).
@@ -32,9 +33,9 @@ import time
 import networkx as nx
 import numpy as np
 
+from flow_oracles import edge_list_from_graph, graph_stream, snapshot_graph
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
-from repro.network.backends import SnapshotEdgeList
 from repro.network.ground_station import GroundStation, visible_satellites
 from repro.network.isl import isl_feasible, propagation_delay_ms
 from repro.network.simulation import (
@@ -160,22 +161,6 @@ def _seed_graph_from_positions(topology, positions, ground_stations):
     return graph
 
 
-def _edge_list_from_graph(graph) -> SnapshotEdgeList:
-    """Flatten a snapshot graph into the edge list the step kernel consumes."""
-    labels = tuple(graph.nodes)
-    rows = {label: row for row, label in enumerate(labels)}
-    edges = list(graph.edges(data=True))
-    column = lambda key: np.array([data[key] for _, _, data in edges], dtype=float)
-    return SnapshotEdgeList(
-        labels=labels,
-        a=np.array([rows[a] for a, _, _ in edges], dtype=np.intp),
-        b=np.array([rows[b] for _, b, _ in edges], dtype=np.intp),
-        distance_km=column("distance_km"),
-        delay_ms=column("delay_ms"),
-        capacity_gbps=column("capacity_gbps"),
-    )
-
-
 def _seed_monolithic_run(simulator, scenario, start, duration_hours, step_hours):
     """The seed's run() loop: rebuild graph and matrix every step, no sharing."""
     spec = _ScenarioSpec(
@@ -194,7 +179,7 @@ def _seed_monolithic_run(simulator, scenario, start, duration_hours, step_hours)
             simulator.topology, positions, simulator.ground_stations
         )
         ((stats, _, _),) = _evaluate_step(
-            index, utc_hour, matrix, {0: _edge_list_from_graph(graph)}, [spec], {}, {}
+            index, utc_hour, matrix, {0: edge_list_from_graph(graph)}, [spec], {}, {}
         )
         result.steps.append(stats)
     return result
@@ -257,12 +242,12 @@ def _run_comparison(smoke: bool):
     # Incremental snapshot reuse vs rebuilding each step's graph from nothing.
     epochs = epoch_range(epoch, duration_hours * 3600.0, 3600.0)
     begin = time.perf_counter()
-    for _ in topology.snapshot_sequence(epochs, stations).graphs(copy=False):
+    for _ in graph_stream(topology.snapshot_sequence(epochs, stations)):
         pass
     incremental_s = time.perf_counter() - begin
     begin = time.perf_counter()
     for at in epochs:
-        topology.snapshot_graph(at, stations)
+        snapshot_graph(topology, at, stations)
     rebuild_s = time.perf_counter() - begin
 
     return {

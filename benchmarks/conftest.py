@@ -8,7 +8,15 @@ single round to keep the full harness in the minutes range.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The reference implementations benchmarks time the library against (dict
+# allocators, label flows, the networkx graph stream) live with the tests
+# as oracles; make ``from flow_oracles import ...`` resolve here too.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "network"))
 
 
 def pytest_addoption(parser):

@@ -1,13 +1,14 @@
 """Satellite network layer (the Section 5 implications substrate).
 
 Inter-satellite link modelling, +Grid topologies for Walker and SS-plane
-constellations (single- and multi-shell), cached incremental snapshot-graph
-sequences with zero-copy CSR edge-array exports, ground stations, snapshot
-and time-aware routing (one compiled ``csgraph`` Dijkstra per snapshot),
-capacity allocation, demand-aware scheduling, a scenario-sweep simulator
-driven by the gravity traffic model (one pipeline: csgraph routing, columnar
-flows, array solvers) with thread- or process-pool parallelism and
-cross-product design/scenario grids, a fault-injection subsystem
+constellations (single- and multi-shell), cached snapshot sequences
+producing per-step edge lists and CSR edge arrays, ground stations,
+snapshot and time-aware routing (one compiled ``csgraph`` Dijkstra per
+snapshot), array-native capacity allocation, demand-aware scheduling, a
+scenario-sweep simulator driven by the gravity traffic model (one
+pipeline: csgraph routing, columnar flows, array solvers) with thread- or
+process-pool parallelism and cross-product design/scenario grids, a
+fault-injection subsystem
 (registered fault models compiling to vectorised per-step outage masks) with
 resilience metrics, and closed-loop congestion steering (registered policies
 feeding per-link utilisation back into routing weights with EWMA smoothing,
@@ -19,21 +20,11 @@ from .backends import (
     NodeIndex,
     RouteTables,
     SnapshotEdgeList,
-    edge_arrays_from_graph,
 )
 from .alloc_arrays import (
     ARRAY_SOLVERS,
     FlowLinkSystem,
-    allocate_max_min_array,
-    allocate_proportional_array,
-    compile_flow_link_system,
     compile_system_from_rows,
-)
-from .capacity import (
-    AllocationResult,
-    Flow,
-    allocate_max_min,
-    allocate_proportional,
 )
 from .faults import (
     FAULT_MODELS,
@@ -78,7 +69,6 @@ from .steering import (
     SteeringPolicy,
     UtilisationWeightedSteering,
     get_steering_policy,
-    path_delays,
     path_delays_from_rows,
 )
 from .telemetry import (
@@ -114,20 +104,12 @@ __all__ = [
     "NodeIndex",
     "RouteTables",
     "SnapshotEdgeList",
-    "edge_arrays_from_graph",
     "run_grid",
     "ARRAY_SOLVERS",
-    "AllocationResult",
-    "Flow",
     "FlowLinkSystem",
     "FlowPlan",
     "FlowTable",
     "RoutedFlowTable",
-    "allocate_max_min",
-    "allocate_max_min_array",
-    "allocate_proportional",
-    "allocate_proportional_array",
-    "compile_flow_link_system",
     "compile_system_from_rows",
     "plan_flows",
     "route_flow_table",
@@ -152,7 +134,6 @@ __all__ = [
     "SteeringPolicy",
     "UtilisationWeightedSteering",
     "get_steering_policy",
-    "path_delays",
     "path_delays_from_rows",
     "FAULT_MODELS",
     "FaultContext",

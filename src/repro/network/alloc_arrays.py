@@ -1,11 +1,10 @@
-"""Array-native capacity allocation over a (flow x link) incidence matrix.
+"""Capacity allocation over a (flow x link) incidence matrix.
 
-The dict allocators of :mod:`repro.network.capacity` walk per-flow python
-structures on every progressive-filling round, which made allocation the
-dominant pure-python cost of large congested sweeps once routing went
-array-native.  This module compiles a step's routed flows into the sparse
-incidence form of the same problem and runs the identical fixed points as
-whole-array numpy operations:
+A step's routed flows are compiled into the sparse incidence form of the
+allocation problem, and both policies -- proportional scaling (every flow
+gets the same fraction of its demand, set by the most congested link) and
+progressive-filling max-min fairness -- run as whole-array numpy fixed
+points over it:
 
 * ``demand`` -- per-flow demand vector, shape ``(F,)``;
 * ``capacity`` -- per-link capacity vector, shape ``(L,)``, one entry per
@@ -17,63 +16,54 @@ whole-array numpy operations:
 Proportional scaling is a few sparse matrix-vector products: link loads
 are ``A.T @ rates`` (``np.bincount`` over ``link_ids`` weighted by
 ``rates[flow_ids]``) and "flows touching a starved link" is
-``A @ starved > 0``.  Max-min progressive filling is incremental
-waterfilling: all unfrozen flows share one water level, so each link keeps
-its frozen load and active-flow count, updated only from the incidence rows
-of flows as they freeze (through flow->link and link->flow CSR indexes built
-per solve).  A round costs O(links + entries of newly frozen flows), and the
-uniform increment is the minimum over links of headroom over active-flow
-count (and of the least remaining demand).  At least one flow freezes per
-round, so no iteration cap is needed.
+``A @ starved > 0``.  Flows routed over a zero-capacity link are allocated
+zero (rather than dragging every other flow's scale to zero), and the link
+is reported saturated.
 
-There is one compile: ragged row-index paths (the columnar engine's
-``(offsets, rows)`` layout) go through
+Max-min progressive filling grows all unfrozen rates by the largest uniform
+increment any constraint allows -- a flow's remaining demand, or a link's
+remaining headroom split over its unfrozen flows -- and freezes the binding
+constraint (flow at demand, or every flow of a saturated link).  It runs as
+incremental waterfilling: all unfrozen flows share one water level, so each
+link keeps its frozen load and active-flow count, updated only from the
+incidence rows of flows as they freeze (through flow->link and link->flow
+CSR indexes built per solve).  A round costs O(links + entries of newly
+frozen flows).  At least one flow freezes per round, so no iteration cap is
+needed.
+
+There is one compile, :func:`compile_system_from_rows`: ragged row-index
+paths (the columnar engine's ``(offsets, rows)`` layout) go through
 :meth:`~repro.network.backends.SnapshotEdgeList.hop_links`, which matches
 every hop to an edge-list row and numbers the distinct links in link-code
-order.  :func:`compile_system_from_rows` is that compile, as the simulator
-runs it; :func:`compile_flow_link_system` first turns ``Flow`` label paths
-into rows through the snapshot's :class:`~repro.network.backends.NodeIndex`
-(a graph argument is converted with
-:meth:`~repro.network.backends.SnapshotEdgeList.from_graph`), so both build
-bit-identical incidence arrays.
-
-:func:`allocate_proportional_array` and :func:`allocate_max_min_array`
-return the same :class:`AllocationResult` structure as the references --
-rates within 1e-9 and identical (normalised) link keys.  The simulator calls
-their solver cores through :data:`ARRAY_SOLVERS`, the table of allocator
-names a :class:`~repro.network.simulation.Scenario` accepts.
+order.  The simulator calls the solver cores through :data:`ARRAY_SOLVERS`,
+the table of allocator names a :class:`~repro.network.simulation.Scenario`
+accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .backends import SnapshotEdgeList
-from .capacity import AllocationResult, Flow, _link_key
 
 __all__ = [
     "FlowLinkSystem",
-    "compile_flow_link_system",
     "compile_system_from_rows",
-    "allocate_proportional_array",
-    "allocate_max_min_array",
     "ARRAY_SOLVERS",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowLinkSystem:
     """One allocation problem in compiled (flow x link) incidence form.
 
-    ``flow_names`` and ``link_keys`` are the label-space identities needed
-    to build an :class:`AllocationResult` dict; the columnar flow engine
-    compiles nameless systems (``None``) and reads the rate/utilisation
-    vectors directly, so it never pays for per-flow or per-link labels.
+    Flows and links are identified by position only; the solvers return
+    per-flow rate and per-link utilisation vectors in that order.
+    Instances compare by identity: array fields have no single truth value.
     """
 
-    flow_names: "tuple[str, ...] | None"
     #: Per-flow demand vector, shape ``(F,)``.
     demand: np.ndarray
     #: Per-link capacity vector, shape ``(L,)``.
@@ -82,14 +72,12 @@ class FlowLinkSystem:
     flow_ids: np.ndarray
     #: COO columns of the incidence matrix: link of each traversal, ``(nnz,)``.
     link_ids: np.ndarray
-    #: Normalised label-space key of every link, for :class:`AllocationResult`.
-    link_keys: "tuple[tuple, ...] | None"
     #: Edge-list row of every link: ``link_rows[l]`` is the row of link
     #: ``l`` in the snapshot's :class:`SnapshotEdgeList`, letting per-link
     #: outputs scatter straight into link-index order for feedback
     #: consumers (congestion steering, link telemetry) with no label
     #: round-trip.
-    link_rows: np.ndarray = field(compare=False)
+    link_rows: np.ndarray
 
     @property
     def flow_count(self) -> int:
@@ -101,7 +89,7 @@ class FlowLinkSystem:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the compiled incidence arrays (labels excluded).
+        """Bytes held by the compiled incidence arrays.
 
         The observability layer gauges this per allocation
         (``gauges["incidence_bytes"]``): the COO traversal arrays are the
@@ -145,104 +133,30 @@ class FlowLinkSystem:
         return out
 
 
-def _link_keys_of(edge_list: SnapshotEdgeList, link_rows: np.ndarray) -> tuple:
-    """The normalised label-space key of every compiled link."""
-    labels = edge_list.labels
-    return tuple(
-        _link_key(labels[a], labels[b])
-        for a, b in zip(edge_list.a[link_rows].tolist(), edge_list.b[link_rows].tolist())
-    )
-
-
-def _compile(
-    edge_list: SnapshotEdgeList,
-    demand: np.ndarray,
-    offsets: np.ndarray,
-    rows: np.ndarray,
-    names: "tuple[str, ...] | None" = None,
-) -> FlowLinkSystem:
-    """The one incidence compile; ``names`` also emits flow names and link keys."""
-    if offsets.size != demand.size + 1:
-        raise ValueError("offsets must have one entry more than demand")
-    flow_ids, link_ids, link_rows = edge_list.hop_links(offsets, rows, names)
-    return FlowLinkSystem(
-        flow_names=names,
-        demand=demand,
-        capacity=edge_list.capacity_gbps[link_rows].astype(float),
-        flow_ids=flow_ids,
-        link_ids=link_ids,
-        link_keys=None if names is None else _link_keys_of(edge_list, link_rows),
-        link_rows=link_rows,
-    )
-
-
-def compile_flow_link_system(capacity_graph, flows: list[Flow]) -> FlowLinkSystem:
-    """Compile routed flows into the incidence form of their allocation.
-
-    ``capacity_graph`` is a :class:`SnapshotEdgeList` or a
-    :class:`networkx.Graph` with ``capacity_gbps`` edge attributes
-    (converted by :meth:`SnapshotEdgeList.from_graph`).  Each flow's label
-    path is mapped to rows through the snapshot's label table and compiled
-    like :func:`compile_system_from_rows`; a flow visiting an unknown node
-    or crossing a missing link raises :class:`ValueError` naming it, as
-    does a used graph edge without ``capacity_gbps``.  Flow
-    names must be unique: the result dict is keyed by name, and the dict
-    reference's behaviour under duplicates (shared rate entries) is an
-    accident not worth reproducing.
-    """
-    names = tuple(flow.name for flow in flows)
-    if len(set(names)) != len(names):
-        raise ValueError("array allocators require unique flow names")
-    demand = np.array([flow.demand_gbps for flow in flows], dtype=float)
-    edge_list = (
-        capacity_graph
-        if isinstance(capacity_graph, SnapshotEdgeList)
-        else SnapshotEdgeList.from_graph(capacity_graph)
-    )
-    offsets, rows = edge_list.node_index.ragged_rows([flow.path for flow in flows])
-    system = _compile(edge_list, demand, offsets, rows, names)
-    missing = np.flatnonzero(np.isnan(system.capacity))
-    if missing.size:
-        raise ValueError(f"link {system.link_keys[missing[0]]} has no capacity_gbps")
-    return system
-
-
 def compile_system_from_rows(
     edge_list: SnapshotEdgeList,
     demand: np.ndarray,
     offsets: np.ndarray,
     rows: np.ndarray,
 ) -> FlowLinkSystem:
-    """Compile ragged row-index paths straight into a nameless system.
+    """Compile ragged row-index paths into the incidence form of their allocation.
 
-    The simulator's compile path: flow ``i`` follows
-    ``rows[offsets[i]:offsets[i + 1]]`` (empty segments -- unreachable or
-    zero-hop flows -- contribute no traversals) and demands ``demand[i]``.
-    No :class:`~repro.network.capacity.Flow` objects, names or label paths
-    are ever materialised; the incidence arrays come out bit-identical to
-    :func:`compile_flow_link_system` over the equivalent object flows, which
-    is what keeps the ``Flow``-level allocators a bit-exact oracle of it.
+    Flow ``i`` follows ``rows[offsets[i]:offsets[i + 1]]`` (empty segments
+    -- unreachable or zero-hop flows -- contribute no traversals) and
+    demands ``demand[i]``.  A hop the snapshot has no link for raises
+    :class:`ValueError` naming the flow's index.
     """
-    if not isinstance(edge_list, SnapshotEdgeList):
-        raise ValueError("compile_system_from_rows requires a SnapshotEdgeList")
-    return _compile(
-        edge_list,
-        np.asarray(demand, dtype=float),
-        np.asarray(offsets, dtype=np.intp),
-        np.asarray(rows, dtype=np.intp),
-    )
-
-
-def _result(
-    system: FlowLinkSystem, rates: np.ndarray, utilisation: np.ndarray
-) -> AllocationResult:
-    return AllocationResult(
-        allocated_gbps={
-            name: float(rate) for name, rate in zip(system.flow_names, rates)
-        },
-        link_utilisation={
-            key: float(value) for key, value in zip(system.link_keys, utilisation)
-        },
+    demand = np.asarray(demand, dtype=float)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if offsets.size != demand.size + 1:
+        raise ValueError("offsets must have one entry more than demand")
+    flow_ids, link_ids, link_rows = edge_list.hop_links(offsets, rows)
+    return FlowLinkSystem(
+        demand=demand,
+        capacity=edge_list.capacity_gbps[link_rows].astype(float),
+        flow_ids=flow_ids,
+        link_ids=link_ids,
+        link_rows=link_rows,
     )
 
 
@@ -303,6 +217,8 @@ def _solve_max_min(
     to 0).  A round therefore costs O(links + entries of newly frozen flows)
     rather than O(nnz), while freezing the same flows in the same rounds as
     full recomputation: loads agree with it to float reordering (~1e-14).
+    ``iterations`` caps the number of rounds; the default ``None`` runs to
+    the fixed point.
     """
     demand, capacity = system.demand, system.capacity
     flow_count, link_count = system.flow_count, system.link_count
@@ -380,45 +296,13 @@ def _solve_max_min(
         positive = capacity > 0.0
         utilisation[positive] = load[positive] / capacity[positive]
         # Zero-capacity links with demand trying to cross are saturated,
-        # not idle -- the reference allocators' convention.
+        # not idle -- the proportional solver's convention.
         utilisation[~positive & (system.link_loads(demand) > 0.0)] = 1.0
     return rates, utilisation
 
 
-def allocate_proportional_array(capacity_graph, flows: list[Flow]) -> AllocationResult:
-    """Array-native proportional scaling; see :func:`allocate_proportional`.
-
-    One incidence compile plus three sparse matrix-vector products: loads
-    from demands, the starved-flow mask from zero-capacity links, and the
-    common scale from the most congested link.
-    """
-    system = compile_flow_link_system(capacity_graph, flows)
-    return _result(system, *_solve_proportional(system))
-
-
-def allocate_max_min_array(
-    capacity_graph, flows: list[Flow], iterations: int | None = None
-) -> AllocationResult:
-    """Array-native max-min waterfilling; see :func:`allocate_max_min`.
-
-    Incremental waterfilling over the incidence arrays: each round raises
-    the shared level of the unfrozen flows by the minimum of the least
-    remaining demand and the per-link headroom-over-active-count shares
-    (clamped at 0 -- accumulated tolerance must never drive rates down),
-    then freezes flows that met their demand or cross a saturated link,
-    touching only per-link totals and the rows of the flows it freezes.
-    When the float tolerances miss the binding constraint it is frozen
-    directly, so every round retires at least one flow and the loop
-    terminates without an iteration cap.  Rates agree with the dict
-    reference to float reordering (~1e-14).
-    """
-    system = compile_flow_link_system(capacity_graph, flows)
-    return _result(system, *_solve_max_min(system, iterations))
-
-
-#: Solver cores by allocator name: the simulator compiles a
-#: nameless system and calls these directly, skipping the result-dict
-#: round-trip.  These are the only allocators a :class:`Scenario` accepts.
+#: Solver cores by allocator name, each ``system -> (rates, utilisation)``.
+#: These are the only allocators a :class:`Scenario` accepts.
 ARRAY_SOLVERS = {
     "proportional_array": _solve_proportional,
     "max_min_array": _solve_max_min,

@@ -5,10 +5,9 @@ Every route in the library comes from one engine: a multi-source
 (CSR) export, :class:`EdgeArrays` (``indptr``, ``indices``, ``weights`` plus a
 :class:`NodeIndex` mapping node labels to row numbers).  Snapshot sequences
 produce the arrays straight from their link tensors
-(:meth:`repro.network.topology.SnapshotSequence.edge_arrays`); a hand-built
-:class:`networkx.Graph` with ``delay_ms`` edge attributes is converted once by
-:func:`edge_arrays_from_graph`, which is also where external weights are
-validated.
+(:meth:`repro.network.topology.SnapshotSequence.edge_arrays`), and
+:class:`~repro.network.routing.SnapshotRouter` validates the weights of
+arrays handed to it from outside.
 
 :class:`SnapshotEdgeList` is also the one owner of the link encoding
 (:attr:`SnapshotEdgeList.link_codes`, ``min(a, b) * n + max(a, b)`` over node
@@ -25,9 +24,9 @@ flow's path in one batched layer walk -- and the
 ``{destination: RouteResult}`` mappings as lazy row views of it.
 
 Because :class:`EdgeArrays` and :class:`SnapshotEdgeList` are plain numpy
-containers they pickle cheaply (unlike :class:`networkx.Graph`), which is
-what lets :meth:`repro.network.simulation.NetworkSimulator.run_scenarios`
-fan a sweep out to a real :class:`concurrent.futures.ProcessPoolExecutor`.
+containers they pickle cheaply, which is what lets
+:meth:`repro.network.simulation.NetworkSimulator.run_scenarios` fan a sweep
+out to a real :class:`concurrent.futures.ProcessPoolExecutor`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "NodeIndex",
     "EdgeArrays",
     "SnapshotEdgeList",
-    "edge_arrays_from_graph",
 ]
 
 
@@ -75,8 +72,7 @@ class NodeIndex:
     """Bidirectional mapping between node labels and CSR row numbers.
 
     Satellite nodes are integers and ground stations are ``"gs:<name>"``
-    strings, exactly as in the graph view; row numbers follow the order of
-    ``labels``.
+    strings; row numbers follow the order of ``labels``.
     """
 
     labels: tuple
@@ -92,24 +88,6 @@ class NodeIndex:
     def label_of(self, index: int):
         """Return the node label of a CSR row."""
         return self.labels[index]
-
-    def rows_of(self, labels) -> np.ndarray:
-        """Return the CSR row of each label, ``-1`` where it is unknown."""
-        positions = self._positions
-        return np.fromiter(
-            (positions.get(label, -1) for label in labels), dtype=np.intp
-        )
-
-    def ragged_rows(self, paths) -> tuple[np.ndarray, np.ndarray]:
-        """Return label paths as ragged ``(offsets, rows)``, unknown labels ``-1``.
-
-        Path ``i`` becomes ``rows[offsets[i]:offsets[i + 1]]``, the layout
-        :meth:`SnapshotEdgeList.hop_links` reads.
-        """
-        lengths = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
-        offsets = np.zeros(lengths.size + 1, dtype=np.intp)
-        np.cumsum(lengths, out=offsets[1:])
-        return offsets, self.rows_of(label for path in paths for label in path)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -159,15 +137,14 @@ def _csr_from_undirected(
     return indptr, v[order], w[order]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotEdgeList:
     """Flat, picklable record of one snapshot's links.
 
-    The shareable sibling of the graph view: plain numpy endpoint/attribute
-    arrays plus the label table, cheap to pickle across process boundaries
-    (a :class:`networkx.Graph` of the same snapshot costs an order of
-    magnitude more to serialise).  ``a``/``b`` are row numbers into
-    ``labels``; each undirected link appears exactly once.
+    Plain numpy endpoint/attribute arrays plus the label table, cheap to
+    pickle across process boundaries.  ``a``/``b`` are row numbers into
+    ``labels``; each undirected link appears exactly once.  Instances
+    compare by identity: array fields have no single truth value.
 
     The edge list is also the one owner of the link encoding
     (:attr:`link_codes`) and of matching path hops to its rows
@@ -181,18 +158,6 @@ class SnapshotEdgeList:
     distance_km: np.ndarray  # (E,)
     delay_ms: np.ndarray  # (E,)
     capacity_gbps: np.ndarray  # (E,)
-
-    @classmethod
-    def from_graph(cls, graph: nx.Graph) -> "SnapshotEdgeList":
-        """Build an edge list from a graph's edges (the inverse of :meth:`graph`).
-
-        Node rows follow ``graph.nodes`` and link rows ``graph.edges``; an
-        attribute an edge lacks reads ``nan``.
-        """
-        node_index, a, b, (distance, delay, capacity) = _edge_table(
-            graph, ("distance_km", "delay_ms", "capacity_gbps")
-        )
-        return cls(node_index.labels, a, b, distance, delay, capacity)
 
     @cached_property
     def node_index(self) -> NodeIndex:
@@ -261,7 +226,7 @@ class SnapshotEdgeList:
         return self._rows_of_codes(self._codes(np.asarray(u), np.asarray(v)))
 
     def hop_links(
-        self, offsets: np.ndarray, rows: np.ndarray, names=None
+        self, offsets: np.ndarray, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Match every hop of ragged row paths to an edge-list row.
 
@@ -275,7 +240,7 @@ class SnapshotEdgeList:
 
         Raises :class:`ValueError` on a hop the snapshot has no link for
         (or whose endpoint row is outside the label table), naming the path
-        as ``names[i]`` when given, else by its index.
+        by its index.
         """
         offsets = np.asarray(offsets, dtype=np.intp)
         rows = np.asarray(rows, dtype=np.intp)
@@ -297,8 +262,7 @@ class SnapshotEdgeList:
         missing = link_rows < 0
         if missing.any():
             path = int(flow_ids[np.flatnonzero(missing[link_ids])[0]])
-            name = path if names is None else names[path]
-            raise ValueError(f"flow {name!r} uses a link not present in the graph")
+            raise ValueError(f"flow {path} uses a link not present in the snapshot")
         return flow_ids, link_ids, link_rows
 
     def arrays(self) -> EdgeArrays:
@@ -307,75 +271,6 @@ class SnapshotEdgeList:
             self.a, self.b, self.delay_ms, len(self.labels)
         )
         return EdgeArrays(indptr, indices, weights, self.node_index)
-
-    def graph(self) -> nx.Graph:
-        """Return the snapshot as a :class:`networkx.Graph`.
-
-        Nodes carry no topology attributes (``plane``/``slot``/``kind`` live
-        on the sequence's own graph stream); edges carry the full
-        ``distance_km`` / ``delay_ms`` / ``capacity_gbps`` attribute set, so
-        the graph serves both routing and capacity allocation.
-        """
-        graph = nx.Graph()
-        graph.add_nodes_from(self.labels)
-        for a, b, distance, delay, capacity in zip(
-            self.a.tolist(),
-            self.b.tolist(),
-            self.distance_km.tolist(),
-            self.delay_ms.tolist(),
-            self.capacity_gbps.tolist(),
-        ):
-            graph.add_edge(
-                self.labels[a],
-                self.labels[b],
-                distance_km=distance,
-                delay_ms=delay,
-                capacity_gbps=capacity,
-            )
-        return graph
-
-
-def _edge_table(
-    graph: nx.Graph, attributes: tuple[str, ...]
-) -> tuple[NodeIndex, np.ndarray, np.ndarray, np.ndarray]:
-    """One walk over a graph's edges: ``(node_index, a, b, columns)``.
-
-    ``a``/``b`` are endpoint rows and ``columns[k]`` holds attribute
-    ``attributes[k]`` per edge, ``nan`` where an edge lacks it.
-    """
-    node_index = NodeIndex(tuple(graph.nodes))
-    edges = list(graph.edges(data=True))
-    a = node_index.rows_of(u for u, _, _ in edges)
-    b = node_index.rows_of(v for _, v, _ in edges)
-    columns = np.array(
-        [[data.get(name) for _, _, data in edges] for name in attributes],
-        dtype=float,
-    ).reshape(len(attributes), len(edges))
-    return node_index, a, b, columns
-
-
-def edge_arrays_from_graph(graph: nx.Graph, weight: str = "delay_ms") -> EdgeArrays:
-    """Export a snapshot graph to CSR edge arrays.
-
-    The entry point for graphs supplied from outside (hand-built fixtures,
-    external callers), so it rejects a missing, non-finite or negative
-    ``weight`` naming the edge: csgraph would report a missing or NaN
-    weight's destinations unreachable and never return on a negative one.
-    Snapshot-sequence consumers get their arrays straight from
-    :meth:`repro.network.topology.SnapshotSequence.edge_arrays`, built from
-    geometry, without per-edge Python iteration or this check.
-    """
-    node_index, a, b, (weights,) = _edge_table(graph, (weight,))
-    bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0.0)))
-    if bad.size:
-        u = node_index.label_of(int(a[bad[0]]))
-        v = node_index.label_of(int(b[bad[0]]))
-        raise ValueError(
-            f"edge ({u!r}, {v!r}) has {weight}={graph.edges[u, v].get(weight)!r}; "
-            f"every edge needs a finite, non-negative {weight}"
-        )
-    indptr, indices, data = _csr_from_undirected(a, b, weights, len(node_index))
-    return EdgeArrays(indptr, indices, data, node_index)
 
 
 def _require_scipy():

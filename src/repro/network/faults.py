@@ -16,11 +16,11 @@ first-class, declarative subsystem:
   (seeded :func:`numpy.random.default_rng` streams, no per-entity Python
   loops);
 * :class:`repro.network.topology.SnapshotSequence` applies a schedule on top
-  of its precomputed feasibility tensors when producing per-step graphs,
-  CSR edge arrays or picklable edge lists: a link survives a step only if
-  both endpoints are up, and its capacity is scaled by the worse endpoint's
-  degradation factor.  The analysis graphs, the routing arrays and every
-  sweep executor therefore see the *same* degraded network, bit for bit.
+  of its precomputed feasibility tensors when producing per-step edge
+  lists and CSR edge arrays: a link survives a step only if both endpoints
+  are up, and its capacity is scaled by the worse endpoint's degradation
+  factor.  The routing arrays and every sweep executor therefore see the
+  *same* degraded network, bit for bit.
 
 Five models ship with the library:
 

@@ -1,7 +1,7 @@
 """Columnar flow stages: select, route and compile flows without objects.
 
-Materialising one :class:`~repro.network.capacity.Flow` per routed demand
-pair is fine at a 50-flow budget, but at the 10^5-10^6 flows per step of
+Materialising one Python object per routed demand pair is fine at a
+50-flow budget, but at the 10^5-10^6 flows per step of
 hypergrowth-scale traffic matrices the per-flow Python (tuple building,
 list sorts, dataclass construction, generator sums) dominates every
 array-native stage around it.  The simulator of
@@ -23,9 +23,7 @@ columnar end-to-end:
   the ragged paths feeds
   :func:`repro.network.alloc_arrays.compile_system_from_rows` directly,
   whose hops the snapshot's edge list matches to links
-  (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`) -- the same
-  compile ``Flow`` objects go through after their label paths are mapped
-  to rows, so the incidence arrays are bit-identical;
+  (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`);
 * :class:`FlowPlan` -- the demand-independent part of stages 2-4, kept so
   that scenarios differing only in demand multiplier share it:
   :func:`plan_flows` selects once, and :meth:`FlowPlan.scaled` rescales the

@@ -12,8 +12,7 @@ would be explored:
 Both modes sit on the cached snapshot-sequence engine of
 :mod:`repro.network.topology` and route with one compiled multi-source
 :func:`scipy.sparse.csgraph.dijkstra` over the snapshot's CSR edge arrays
-(:class:`~repro.network.backends.RouteTables`); a hand-built graph is
-converted to those arrays once, when its router is made.
+(:class:`~repro.network.backends.RouteTables`).
 """
 
 from __future__ import annotations
@@ -22,16 +21,10 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-import networkx as nx
+import numpy as np
 
 from ..orbits.time import Epoch, epoch_range
-from .backends import (
-    EdgeArrays,
-    RouteResult,
-    RouteTables,
-    _PredecessorRoutes,
-    edge_arrays_from_graph,
-)
+from .backends import EdgeArrays, RouteResult, RouteTables, _PredecessorRoutes
 from .ground_station import GroundStation
 from .topology import ConstellationTopology
 
@@ -43,30 +36,34 @@ class SnapshotRouter:
     """Lowest-latency routing on a single topology snapshot.
 
     Every query runs one :meth:`~repro.network.backends.RouteTables.solve`
-    over the snapshot's CSR edge arrays.  Snapshot-sequence consumers should
-    pass the sequence's own
-    :meth:`~repro.network.topology.SnapshotSequence.edge_arrays` export; a
-    graph given instead is converted once, here, by
-    :func:`~repro.network.backends.edge_arrays_from_graph`.
+    over the snapshot's CSR edge arrays, usually a snapshot sequence's
+    :meth:`~repro.network.topology.SnapshotSequence.edge_arrays` export.
 
     Attributes
     ----------
-    graph:
-        Snapshot graph with ``delay_ms`` edge attributes (optional if
-        ``arrays`` is given).
     arrays:
-        CSR edge arrays of the same snapshot (optional if ``graph`` is
-        given).
+        CSR edge arrays of the snapshot, weighted by ``delay_ms``.  Every
+        weight must be finite and non-negative: csgraph reports a NaN
+        weight's destinations unreachable and never returns on a negative
+        one, so construction rejects both, naming the edge.
     """
 
-    graph: nx.Graph | None = None
-    arrays: EdgeArrays | None = None
+    arrays: EdgeArrays
 
     def __post_init__(self) -> None:
-        if self.arrays is None:
-            if self.graph is None:
-                raise ValueError("SnapshotRouter requires a graph or edge arrays")
-            self.arrays = edge_arrays_from_graph(self.graph)
+        weights = self.arrays.weights
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0.0)))
+        if bad.size:
+            # CSR entries are row-major and symmetric, so the first bad entry
+            # is its link's lower-row direction.
+            position = int(bad[0])
+            row = int(np.searchsorted(self.arrays.indptr, position, side="right")) - 1
+            label_of = self.arrays.node_index.label_of
+            u, v = label_of(row), label_of(int(self.arrays.indices[position]))
+            raise ValueError(
+                f"edge ({u!r}, {v!r}) has delay_ms={float(weights[position])!r}; "
+                "every edge needs a finite, non-negative delay_ms"
+            )
 
     def route(self, source: int | str, destination: int | str) -> RouteResult:
         """Return the minimum-delay route between two nodes."""
@@ -122,23 +119,6 @@ class TimeAwareRouter:
     ground_stations: list[GroundStation] = field(default_factory=list)
     step_s: float = 60.0
 
-    def _epochs(self, start: Epoch, duration_s: float) -> list[Epoch]:
-        if not (0 < duration_s < math.inf and 0 < self.step_s < math.inf):
-            raise ValueError("duration_s and step_s must be positive")
-        return epoch_range(start, duration_s, self.step_s)
-
-    def snapshots(self, start: Epoch, duration_s: float) -> list[tuple[Epoch, nx.Graph]]:
-        """Return (epoch, graph) snapshots covering ``duration_s`` from ``start``.
-
-        The number of snapshots is computed as an exact integer count (so
-        ``duration_s=1.0, step_s=0.1`` yields 10 snapshots, not 11), and the
-        whole window shares one snapshot sequence: one batched propagation,
-        one vectorised feasibility pass.  Each returned graph is independent.
-        """
-        epochs = self._epochs(start, duration_s)
-        sequence = self.topology.snapshot_sequence(epochs, self.ground_stations)
-        return list(zip(epochs, sequence.graphs(copy=True)))
-
     def route_over_time(
         self,
         source: GroundStation,
@@ -149,10 +129,14 @@ class TimeAwareRouter:
         """Return the best route at every snapshot over a time window.
 
         The result exposes exactly the quantities a time-aware routing study
-        needs: per-instant latency, reachability gaps and path churn.  Each
-        step routes on the sequence's CSR export, so no graph is built.
+        needs: per-instant latency, reachability gaps and path churn.  The
+        number of steps is an exact integer count (``duration_s=1.0,
+        step_s=0.1`` gives 10, not 11), the whole window shares one snapshot
+        sequence, and each step routes on the sequence's CSR export.
         """
-        epochs = self._epochs(start, duration_s)
+        if not (0 < duration_s < math.inf and 0 < self.step_s < math.inf):
+            raise ValueError("duration_s and step_s must be positive")
+        epochs = epoch_range(start, duration_s, self.step_s)
         sequence = self.topology.snapshot_sequence(epochs, self.ground_stations)
         results = []
         for step, epoch in enumerate(epochs):

@@ -42,9 +42,9 @@ The simulator runs one pipeline per scenario and time step:
 5. **statistics** -- throughput, latency, reachability and the resilience
    and steering quantities are folded into a :class:`StepStatistics`.
 
-The reference implementations -- networkx routing, per-``Flow`` objects and
-the dict allocators of :mod:`repro.network.capacity` -- stay available for
-analysis and as test oracles, but the simulator never runs them.
+Every stage works on numpy arrays: a snapshot is an edge list, a flow is a
+row of a columnar table, and an allocation is a pair of rate and
+utilisation vectors.
 
 :meth:`NetworkSimulator.run_scenarios` evaluates many :class:`Scenario`
 variants (demand multipliers, ground-station subsets, flow budgets,
@@ -150,7 +150,7 @@ class Scenario:
         positive, finite real number (a ``bool`` is rejected), stored as a
         ``float``.
     ground_station_names:
-        Restrict traffic endpoints (and graph attachment) to this subset of
+        Restrict traffic endpoints (and snapshot attachment) to this subset of
         the simulator's stations; ``None`` uses all of them.
     flows_per_step:
         Per-step flow budget; ``None`` uses the simulator's default.

@@ -38,9 +38,8 @@ Within a step the ordering is::
 
 Steering only ever scales ``delay_ms`` used for *routing*; capacities,
 real link delays and therefore the reported latency statistics are always
-taken from the unsteered snapshot (:func:`path_delays` /
-:func:`path_delays_from_rows` recompute true path latencies after routing
-on steered weights).
+taken from the unsteered snapshot (:func:`path_delays_from_rows`
+recomputes true path latencies after routing on steered weights).
 
 Shipped policies:
 
@@ -87,7 +86,6 @@ __all__ = [
     "LoadSpreadingSteering",
     "STEERING_POLICIES",
     "get_steering_policy",
-    "path_delays",
     "path_delays_from_rows",
 ]
 
@@ -115,18 +113,6 @@ def path_delays_from_rows(
         flow_ids, weights=edge_list.delay_ms[link_rows][link_ids], minlength=count
     )[nonempty]
     return totals
-
-
-def path_delays(edge_list: SnapshotEdgeList, paths) -> np.ndarray:
-    """True latency [ms] of label paths against unsteered link delays.
-
-    The label-path sibling of :func:`path_delays_from_rows`: each path
-    is a node-label sequence (as on
-    :attr:`~repro.network.capacity.Flow.path`), mapped to rows through the
-    snapshot's label table; a hop through an unknown node raises like a
-    missing link.
-    """
-    return path_delays_from_rows(edge_list, *edge_list.node_index.ragged_rows(paths))
 
 
 def _hash01(codes: np.ndarray, seed: int, step: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Constellation network topologies and cached snapshot-graph sequences.
+"""Constellation network topologies and cached snapshot sequences.
 
 This module is the topology stage of the layered scenario-sweep engine.  It
 is organised in three tiers:
@@ -17,9 +17,9 @@ is organised in three tiers:
   selections and ground-station visibility for *all candidate pairs of all
   steps* in numpy array operations -- no per-edge Python feasibility calls.
 
-* **One link producer, two views** -- :meth:`SnapshotSequence.edge_list` is
-  the only place that turns the precomputed tensors into links.  It applies
-  the feasibility masks and, optionally, a compiled
+* **One link producer** -- :meth:`SnapshotSequence.edge_list` is the only
+  place that turns the precomputed tensors into links.  It applies the
+  feasibility masks and, optionally, a compiled
   :class:`~repro.network.faults.FaultSchedule` in one vectorised pass -- a
   link exists while it is feasible and both endpoints are up, and carries
   its capacity scaled by the worse endpoint's degradation factor -- so fault
@@ -28,17 +28,6 @@ is organised in three tiers:
   the scenario-sweep simulator ships to worker processes, and
   :meth:`SnapshotSequence.edge_arrays` derives the CSR routing view
   (:class:`repro.network.backends.EdgeArrays`) from it.
-  :meth:`SnapshotSequence.graphs` derives the :class:`networkx.Graph`
-  stream from the same edge lists, diffing each step's link set against the
-  previous one: nodes are inserted once, vanished links are removed,
-  persisting links only have their attributes refreshed.  The analysis
-  graphs and the simulator's arrays therefore cannot disagree about which
-  links exist.
-
-The classic entry points (:meth:`ConstellationTopology.snapshot_graph`,
-:meth:`~ConstellationTopology.snapshot_graphs`,
-:meth:`~ConstellationTopology.iter_snapshot_graphs`) remain as thin wrappers
-over the sequence engine and produce edge-for-edge identical graphs.
 
 The standard "+Grid" pattern (each satellite linked to its two intra-plane
 neighbours and the nearest satellite in each adjacent plane) is provided for
@@ -53,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..orbits.elements import OrbitalElements
@@ -177,21 +165,18 @@ def _nearest_scan_arrays(
 
 
 class SnapshotSequence:
-    """Precomputed per-step links of a topology, as edge lists or graphs.
+    """Precomputed per-step links of a topology, as edge lists.
 
     One construction evaluates the whole sequence in vectorised numpy: the
     batched ``(T, N, 3)`` propagation, distances and feasibility masks of all
     static candidate pairs, nearest-neighbour selections toward adjacent
     planes/shells, and ground-station visibility for every supplied station.
     :meth:`edge_list` turns one step of these tensors into links, applying
-    the masks and any fault schedule; :meth:`edge_arrays`,
-    :meth:`edge_lists` and :meth:`graphs` are all derived from it, the last
-    replaying the sequence as :class:`networkx.Graph` snapshots by updating
-    one graph in place between steps.
+    the masks and any fault schedule; :meth:`edge_arrays` and
+    :meth:`edge_lists` are derived from it.
 
-    Several independent streams (e.g. one per scenario group with a
-    different ground-station subset) can be drawn from the same sequence;
-    the expensive array work is shared by all of them.
+    Several station subsets (e.g. one per scenario group) can be drawn from
+    the same sequence; the expensive array work is shared by all of them.
     """
 
     def __init__(
@@ -261,6 +246,11 @@ class SnapshotSequence:
     # -- introspection -----------------------------------------------------------
 
     @property
+    def topology(self) -> "ConstellationTopology | MultiShellTopology":
+        """The topology whose links the sequence evaluates."""
+        return self._topology
+
+    @property
     def epochs(self) -> list[Epoch]:
         """The epoch of every step, in order."""
         return list(self._epochs)
@@ -292,8 +282,7 @@ class SnapshotSequence:
         """Return the node-label table of the array views, in row order.
 
         Satellites come first (rows equal their node ids), followed by the
-        selected ground stations as ``"gs:<name>"`` in sequence order --
-        identical to the node set of the corresponding graph stream.
+        selected ground stations as ``"gs:<name>"`` in sequence order.
         """
         stations = self._select_stations(station_names)
         satellite_count = self._topology.satellite_count
@@ -309,9 +298,8 @@ class SnapshotSequence:
     ) -> SnapshotEdgeList:
         """Return one step's links as flat, picklable endpoint/attribute arrays.
 
-        The single link producer of the sequence: every other view
-        (:meth:`edge_arrays`, :meth:`graphs`) is derived from it, and this is
-        where the masks apply.  The export is assembled purely from slices
+        The single link producer of the sequence: :meth:`edge_arrays` is
+        derived from it, and this is where the masks apply.  The export is assembled purely from slices
         of the precomputed feasibility/distance tensors -- no per-edge Python
         work.  Rows come in a fixed order (static pairs, then nearest-
         neighbour picks, then ground links station by station with
@@ -428,9 +416,8 @@ class SnapshotSequence:
         The delay-weighted compressed-sparse-row export every route search
         runs on (:class:`repro.network.backends.RouteTables`): built from the
         precomputed per-step arrays without any per-edge Python iteration,
-        and -- unlike a :class:`networkx.Graph` -- cheap to pickle across
-        process boundaries.  ``faults`` applies outage masks exactly as in
-        :meth:`edge_list`.
+        and cheap to pickle across process boundaries.  ``faults`` applies
+        outage masks exactly as in :meth:`edge_list`.
         """
         return self.edge_list(step, station_names, faults=faults).arrays()
 
@@ -445,85 +432,14 @@ class SnapshotSequence:
             for step in range(len(self))
         ]
 
-    # -- graph production --------------------------------------------------------
-
-    def graphs(
-        self,
-        *,
-        copy: bool = True,
-        station_names: Iterable[str] | None = None,
-        faults: FaultSchedule | None = None,
-    ) -> Iterator[nx.Graph]:
-        """Yield one snapshot graph per step, updating incrementally.
-
-        Each step's links are exactly those of :meth:`edge_list` (same
-        stations, same faults), added in its row order.  Nodes (satellites
-        plus the selected ground stations) are inserted once; between steps
-        only the edge diff is applied -- links that disappeared are removed,
-        links that persist have their ``distance_km`` / ``delay_ms`` /
-        ``capacity_gbps`` attributes refreshed in place.
-
-        With ``copy=True`` (the default) every yielded graph is an
-        independent copy, safe to store.  ``copy=False`` yields the live,
-        incrementally mutated graph -- the fast path for streaming consumers
-        (simulators, per-step routers) that finish with each snapshot before
-        advancing.  ``station_names`` restricts which of the precomputed
-        ground stations are attached; several restricted streams can be drawn
-        from one sequence without repeating any array work.  ``faults`` is
-        applied by :meth:`edge_list`: down nodes keep their graph node (the
-        label table stays stable) but lose every incident edge, and degraded
-        nodes scale the ``capacity_gbps`` of their links.
-        """
-        stations = self._select_stations(station_names)
-        graph = nx.Graph()
-        for node_id, attributes in self._topology.graph_nodes():
-            graph.add_node(node_id, **attributes)
-        for station in stations:
-            graph.add_node(
-                f"gs:{station.name}",
-                kind="ground",
-                latitude_deg=station.latitude_deg,
-                longitude_deg=station.longitude_deg,
-            )
-        previous: dict[tuple, tuple[float, float, float]] = {}
-        for step in range(len(self._epochs)):
-            links = self.edge_list(step, station_names, faults=faults)
-            labels = links.labels
-            edges = {
-                (labels[a], labels[b]): (distance, delay, capacity)
-                for a, b, distance, delay, capacity in zip(
-                    links.a.tolist(),
-                    links.b.tolist(),
-                    links.distance_km.tolist(),
-                    links.delay_ms.tolist(),
-                    links.capacity_gbps.tolist(),
-                )
-            }
-            for key in previous.keys() - edges.keys():
-                graph.remove_edge(*key)
-            for (a, b), (distance, delay, capacity) in edges.items():
-                graph.add_edge(
-                    a,
-                    b,
-                    distance_km=distance,
-                    delay_ms=delay,
-                    capacity_gbps=capacity,
-                )
-            previous = edges
-            yield graph.copy() if copy else graph
-
-    def __iter__(self) -> Iterator[nx.Graph]:
-        return self.graphs()
-
 
 class _SnapshotTopologyMixin:
-    """Shared snapshot-graph API of single- and multi-shell topologies.
+    """Shared snapshot API of single- and multi-shell topologies.
 
     Subclasses supply the static structure (:meth:`edge_groups`,
     :meth:`graph_nodes`), batched kinematics (:meth:`positions_ecef_over`)
-    and an ``isl_config``/``epoch``; the mixin routes every graph request
-    through the :class:`SnapshotSequence` engine so all paths produce
-    edge-for-edge identical graphs.
+    and an ``isl_config``/``epoch``; every snapshot comes from the
+    :class:`SnapshotSequence` engine.
     """
 
     def snapshot_sequence(
@@ -531,55 +447,13 @@ class _SnapshotTopologyMixin:
         epochs: Sequence[Epoch],
         ground_stations: Sequence[GroundStation] | None = None,
     ) -> SnapshotSequence:
-        """Precompute a cached snapshot-graph sequence over ``epochs``."""
+        """Precompute a cached snapshot sequence over ``epochs``."""
         return SnapshotSequence(self, epochs, ground_stations)
-
-    def snapshot_graph(
-        self,
-        at: Epoch | None = None,
-        ground_stations: list[GroundStation] | None = None,
-    ) -> nx.Graph:
-        """Return the +Grid network graph at an epoch.
-
-        Satellite nodes are integers; ground-station nodes are strings
-        ``"gs:<name>"``.  Every edge carries ``distance_km``, ``delay_ms`` and
-        ``capacity_gbps`` attributes.
-        """
-        at = at or self.epoch
-        return next(SnapshotSequence(self, [at], ground_stations).graphs(copy=False))
-
-    def snapshot_graphs(
-        self,
-        epochs: Sequence[Epoch],
-        ground_stations: list[GroundStation] | None = None,
-    ) -> list[nx.Graph]:
-        """Return one snapshot graph per epoch, batching all array work.
-
-        Equivalent to ``[self.snapshot_graph(at, ground_stations) for at in
-        epochs]`` but amortises one ``(T, N, 3)`` propagation plus one
-        vectorised feasibility pass across the whole sequence.
-        """
-        return list(self.iter_snapshot_graphs(epochs, ground_stations))
-
-    def iter_snapshot_graphs(
-        self,
-        epochs: Sequence[Epoch],
-        ground_stations: list[GroundStation] | None = None,
-    ) -> Iterator[nx.Graph]:
-        """Yield one independent snapshot graph per epoch.
-
-        Generator form of :meth:`snapshot_graphs`; each yielded graph is a
-        copy that remains valid after iteration advances.  Streaming
-        consumers that never store graphs should use
-        :meth:`snapshot_sequence` and ``graphs(copy=False)`` to also skip the
-        per-step copy.
-        """
-        yield from SnapshotSequence(self, epochs, ground_stations).graphs(copy=True)
 
 
 @dataclass
 class ConstellationTopology(_SnapshotTopologyMixin):
-    """A constellation arranged in planes, able to produce graph snapshots.
+    """A constellation arranged in planes, able to produce link snapshots.
 
     Treat instances as immutable: the node list and the batch propagator are
     built once in ``__post_init__``, so mutating ``planes``, ``epoch`` or
@@ -658,7 +532,7 @@ class ConstellationTopology(_SnapshotTopologyMixin):
     # -- static link structure ---------------------------------------------------
 
     def graph_nodes(self) -> Iterator[tuple[int, dict]]:
-        """Yield every satellite node id with its graph attributes."""
+        """Yield every satellite node id with its ``plane``/``slot``/``kind``."""
         for node in self._nodes:
             yield node.node_id, {
                 "plane": node.plane_index,
@@ -797,7 +671,7 @@ class MultiShellTopology(_SnapshotTopologyMixin):
         """All satellite nodes with globally unique ids, in shell order.
 
         ``plane_index`` and ``slot_index`` stay shell-local; the owning shell
-        is recoverable from the graph node attribute ``shell``.
+        is recoverable from the ``shell`` attribute of :meth:`graph_nodes`.
         """
         nodes = []
         for shell_index, shell in enumerate(self.shells):
@@ -836,7 +710,7 @@ class MultiShellTopology(_SnapshotTopologyMixin):
     # -- static link structure ---------------------------------------------------
 
     def graph_nodes(self) -> Iterator[tuple[int, dict]]:
-        """Yield every satellite node id with its graph attributes."""
+        """Yield every satellite node id with its attributes, ``shell`` added."""
         for shell_index, shell in enumerate(self.shells):
             offset = self._shell_offsets[shell_index]
             for node_id, attributes in shell.graph_nodes():

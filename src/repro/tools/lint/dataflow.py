@@ -8,12 +8,12 @@ on; the runner builds one :class:`Project` per run:
   :class:`~repro.tools.lint.importgraph.ImportGraph` tying files together.
 * **Name resolution** (:meth:`Project.resolve_name`) -- local definitions
   first, then the import table routed through the import graph with each
-  import's relative level (so ``from ..network.capacity import Flow`` lands
+  import's relative level (so ``from ..network.flows import FlowTable`` lands
   on the linted file, and ``from .metrics import X`` on the importer's own
   package's ``metrics.py`` however many such files are linted).
 * **Caller index** (:meth:`Project.callers_of`) -- the *reverse* call
   graph: every call site whose target resolves to a given function,
-  including constructor calls (``Flow(...)`` -> ``Flow.__init__``) and
+  including constructor calls (``FlowTable(...)`` -> ``FlowTable.__init__``) and
   ``self.method(...)`` / annotated-receiver method calls.  Seed
   provenance (RPL007) walks this upward from RNG constructors.
 * **Executor roots** (:meth:`Project.submit_sites`) -- every

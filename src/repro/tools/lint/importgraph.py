@@ -8,14 +8,14 @@ analyses are project-local.
 
 File-to-module naming handles the repository's layouts without config:
 
-* ``src/repro/network/capacity.py`` answers to ``repro.network.capacity``
+* ``src/repro/network/flows.py`` answers to ``repro.network.flows``
   (and any shorter dotted suffix, longest match winning);
 * ``tests/network/test_faults.py`` answers to
   ``tests.network.test_faults``;
 * a package's ``__init__.py`` answers to the package path itself, so
-  ``from repro.network import capacity`` resolves to the submodule when it
+  ``from repro.network import flows`` resolves to the submodule when it
   is linted and falls back to the package ``__init__`` otherwise;
-* relative imports (``from .capacity import Flow``, level >= 1) resolve
+* relative imports (``from .flows import FlowTable``, level >= 1) resolve
   against the importer's own package directory.
 
 Ambiguous suffixes (two linted ``grid.py`` files) resolve only when a
@@ -119,8 +119,8 @@ class ImportGraph:
         """File a raw import points at, or ``None`` if it leaves the set.
 
         Symbol imports fall back segment by segment: ``repro.network.
-        capacity.Flow`` tries the full chain, then ``repro.network.
-        capacity``, then the package ``__init__``.  Each candidate must be
+        flows.FlowTable`` tries the full chain, then ``repro.network.
+        flows``, then the package ``__init__``.  Each candidate must be
         *unique* among the registered suffixes to produce an edge.
         """
         name_parts = tuple(part for part in raw.name.split(".") if part)

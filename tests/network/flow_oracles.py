@@ -1,18 +1,38 @@
 """Reference implementations used as test oracles.
 
-The simulator selects flows as whole-array numpy
-(:func:`repro.network.flows.select_flow_table`) and routes with csgraph
-(:class:`repro.network.backends.RouteTables`); these plain-Python versions
-spell the same contracts out one flow, or one networkx search, at a time, so
-tests can check the library against implementations simple enough to trust
-by reading.
+The library knows a snapshot only as arrays
+(:class:`repro.network.backends.SnapshotEdgeList` and its CSR view), a flow
+only as a row of ragged ``(offsets, rows)`` paths, and an allocation only as
+rate and utilisation vectors.  These plain-Python versions spell the same
+contracts out in the forms a reader checks by eye -- ``networkx`` graphs,
+named label-path flows and dicts keyed by flow name and link -- so tests and
+benchmarks can check the library against implementations simple enough to
+trust by reading:
+
+* flow selection one entry at a time (:func:`select_flows`);
+* networkx Dijkstra routing (:func:`networkx_routes_from`);
+* edge-list <-> graph converters and the incremental graph stream of a
+  snapshot sequence (:func:`graph_stream`, :func:`snapshot_graph`);
+* named label flows (:class:`Flow`), their compile into the library's
+  incidence form (:func:`compile_flows`) and the dict allocators
+  (:func:`allocate_proportional`, :func:`allocate_max_min`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterator
+
 import networkx as nx
+import numpy as np
 
 from repro.demand.traffic_matrix import TrafficMatrix
+from repro.network.alloc_arrays import (
+    ARRAY_SOLVERS,
+    FlowLinkSystem,
+    compile_system_from_rows,
+)
+from repro.network.backends import SnapshotEdgeList
 from repro.network.flows import FlowTable
 from repro.network.routing import RouteResult
 
@@ -69,3 +89,363 @@ def networkx_routes_from(graph: nx.Graph, source) -> dict:
         )
         for destination, path in paths.items()
     }
+
+
+# -- snapshot graphs -------------------------------------------------------------
+
+EDGE_ATTRIBUTES = ("distance_km", "delay_ms", "capacity_gbps")
+
+
+def edge_list_from_graph(graph: nx.Graph) -> SnapshotEdgeList:
+    """A graph's edges as an edge list (the inverse of :func:`graph_from_edge_list`).
+
+    Node rows follow ``graph.nodes`` and link rows ``graph.edges``; an
+    attribute an edge lacks reads ``nan``.
+    """
+    labels = tuple(graph.nodes)
+    rows = {label: row for row, label in enumerate(labels)}
+    edges = list(graph.edges(data=True))
+    columns = [
+        np.array([data.get(name, np.nan) for _, _, data in edges], dtype=float)
+        for name in EDGE_ATTRIBUTES
+    ]
+    return SnapshotEdgeList(
+        labels,
+        np.array([rows[u] for u, _, _ in edges], dtype=np.intp),
+        np.array([rows[v] for _, v, _ in edges], dtype=np.intp),
+        *columns,
+    )
+
+
+def graph_from_edge_list(edge_list: SnapshotEdgeList) -> nx.Graph:
+    """An edge list as a graph: label nodes, edges with every link attribute."""
+    graph = nx.Graph()
+    graph.add_nodes_from(edge_list.labels)
+    labels = edge_list.labels
+    columns = [getattr(edge_list, name).tolist() for name in EDGE_ATTRIBUTES]
+    for a, b, *values in zip(edge_list.a.tolist(), edge_list.b.tolist(), *columns):
+        graph.add_edge(labels[a], labels[b], **dict(zip(EDGE_ATTRIBUTES, values)))
+    return graph
+
+
+def graph_stream(sequence, station_names=None, faults=None) -> Iterator[nx.Graph]:
+    """Replay a snapshot sequence as one graph updated in place per step.
+
+    Each step's links are exactly those of ``sequence.edge_list(step,
+    station_names, faults)``, added in its row order.  Nodes -- satellites
+    with the topology's ``plane``/``slot``/``kind`` (and ``shell``)
+    attributes, then the selected stations with ``kind``/``latitude_deg``/
+    ``longitude_deg`` -- are inserted once; between steps only the edge
+    diff is applied: vanished links are removed, persisting links have
+    their attributes refreshed.  Every step yields the same graph object,
+    so a consumer that keeps a snapshot must ``copy()`` it.
+    """
+    wanted = None if station_names is None else set(station_names)
+    graph = nx.Graph()
+    for node_id, attributes in sequence.topology.graph_nodes():
+        graph.add_node(node_id, **attributes)
+    for station in sequence.ground_stations:
+        if wanted is None or station.name in wanted:
+            graph.add_node(
+                f"gs:{station.name}",
+                kind="ground",
+                latitude_deg=station.latitude_deg,
+                longitude_deg=station.longitude_deg,
+            )
+    previous: dict[tuple, list] = {}
+    for step in range(len(sequence)):
+        links = sequence.edge_list(step, station_names, faults=faults)
+        labels = links.labels
+        columns = [getattr(links, name).tolist() for name in EDGE_ATTRIBUTES]
+        edges = {
+            (labels[a], labels[b]): values
+            for a, b, *values in zip(links.a.tolist(), links.b.tolist(), *columns)
+        }
+        for key in previous.keys() - edges.keys():
+            graph.remove_edge(*key)
+        for (a, b), values in edges.items():
+            graph.add_edge(a, b, **dict(zip(EDGE_ATTRIBUTES, values)))
+        previous = edges
+        yield graph
+
+
+def snapshot_graph(topology, at=None, ground_stations=None) -> nx.Graph:
+    """The topology's links at one epoch (default: its reference epoch) as a graph."""
+    sequence = topology.snapshot_sequence([at or topology.epoch], ground_stations)
+    return next(graph_stream(sequence))
+
+
+# -- named flows and the dict allocators -----------------------------------------
+
+
+@dataclass(frozen=True)
+class Flow:
+    """A routed traffic flow: a name, a node-label path and a demand."""
+
+    name: str
+    path: tuple[int | str, ...]
+    demand_gbps: float
+
+    def __post_init__(self) -> None:
+        if self.demand_gbps < 0:
+            raise ValueError("demand must be non-negative")
+        if len(self.path) < 2 and self.demand_gbps > 0:
+            raise ValueError("a flow with demand needs a path of at least two nodes")
+
+    def links(self) -> list[tuple[int | str, int | str]]:
+        """Return the (unordered) links the flow traverses."""
+        return list(zip(self.path, self.path[1:]))
+
+
+@dataclass
+class AllocationResult:
+    """An allocation keyed by flow name and by :func:`link_key`."""
+
+    allocated_gbps: dict[str, float]
+    link_utilisation: dict[tuple, float]
+
+    def worst_link_utilisation(self) -> float:
+        """Return the highest link utilisation (1.0 means saturated)."""
+        return max(self.link_utilisation.values(), default=0.0)
+
+    def link_utilisation_array(self, edge_list: SnapshotEdgeList) -> np.ndarray:
+        """Per-link utilisation in the edge list's row order, untouched links 0.0.
+
+        Links the snapshot lacks, or whose endpoints it does not know, are
+        skipped.
+        """
+        out = np.zeros(len(edge_list.a))
+        index = edge_list.node_index
+        for (a, b), value in self.link_utilisation.items():
+            u, v = index.index_of(a), index.index_of(b)
+            if u is not None and v is not None:
+                row = int(edge_list.link_rows([u], [v])[0])
+                if row >= 0:
+                    out[row] = value
+        return out
+
+
+def _node_order_key(node) -> tuple:
+    """Total order over mixed node labels: numbers first, then strings."""
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        return (1, 0.0, str(node))
+    return (0, float(node), "")
+
+
+def link_key(a, b) -> tuple:
+    """Order-independent key of an undirected link.
+
+    Satellite ids (ints) order numerically and ahead of ground-station
+    labels (``"gs:<name>"`` strings), matching the row order of the
+    snapshot arrays; ``str`` ordering would put link ``(2, 10)`` as
+    ``(10, 2)``.
+    """
+    return (a, b) if _node_order_key(a) <= _node_order_key(b) else (b, a)
+
+
+def link_keys(edge_list: SnapshotEdgeList, link_rows: np.ndarray) -> tuple:
+    """The :func:`link_key` of each edge-list row in ``link_rows``."""
+    labels = edge_list.labels
+    return tuple(
+        link_key(labels[a], labels[b])
+        for a, b in zip(edge_list.a[link_rows].tolist(), edge_list.b[link_rows].tolist())
+    )
+
+
+def named_result(flows, keys, rates, utilisation) -> AllocationResult:
+    """Rate and utilisation vectors as a dict result keyed by flow name and link."""
+    return AllocationResult(
+        allocated_gbps={flow.name: float(rate) for flow, rate in zip(flows, rates)},
+        link_utilisation={key: float(value) for key, value in zip(keys, utilisation)},
+    )
+
+
+def compile_flows(capacity, flows: list[Flow]) -> tuple[FlowLinkSystem, tuple]:
+    """Compile label flows into the library's incidence form.
+
+    ``capacity`` is a :class:`SnapshotEdgeList` or a graph with
+    ``capacity_gbps`` edge attributes (converted by
+    :func:`edge_list_from_graph`).  Labels map to rows through the
+    snapshot's label table -- an unknown label to ``-1``, which no link
+    has -- and :func:`compile_system_from_rows` does the rest, so a flow
+    crossing a missing link raises naming its index.  Returns ``(system,
+    keys)`` with ``keys[l]`` the :func:`link_key` of system link ``l``.
+    """
+    names = [flow.name for flow in flows]
+    if len(set(names)) != len(names):
+        raise ValueError("flow names must be unique")
+    edge_list = (
+        capacity
+        if isinstance(capacity, SnapshotEdgeList)
+        else edge_list_from_graph(capacity)
+    )
+    positions = {label: row for row, label in enumerate(edge_list.labels)}
+    offsets = np.zeros(len(flows) + 1, dtype=np.intp)
+    np.cumsum([len(flow.path) for flow in flows], out=offsets[1:])
+    rows = np.fromiter(
+        (positions.get(label, -1) for flow in flows for label in flow.path),
+        dtype=np.intp,
+        count=int(offsets[-1]),
+    )
+    demand = [flow.demand_gbps for flow in flows]
+    system = compile_system_from_rows(edge_list, demand, offsets, rows)
+    keys = link_keys(edge_list, system.link_rows)
+    missing = np.flatnonzero(np.isnan(system.capacity))
+    if missing.size:
+        raise ValueError(f"link {keys[missing[0]]} has no capacity_gbps")
+    return system, keys
+
+
+def allocate_array(solver: str, capacity, flows: list[Flow], **options) -> AllocationResult:
+    """Run the library solver ``ARRAY_SOLVERS[solver]`` on label flows."""
+    system, keys = compile_flows(capacity, flows)
+    return named_result(flows, keys, *ARRAY_SOLVERS[solver](system, **options))
+
+
+def _link_capacities(graph: nx.Graph, flows: list[Flow]) -> dict[tuple, float]:
+    capacities: dict[tuple, float] = {}
+    for flow in flows:
+        for a, b in flow.links():
+            if not graph.has_edge(a, b):
+                raise ValueError(f"flow {flow.name!r} uses a link not present in the graph")
+            capacities[link_key(a, b)] = float(graph.edges[a, b]["capacity_gbps"])
+    return capacities
+
+
+def allocate_proportional(graph: nx.Graph, flows: list[Flow]) -> AllocationResult:
+    """Scale every flow by the same factor so no link exceeds its capacity.
+
+    Flows routed over a zero-capacity link cannot carry anything: they are
+    allocated zero (rather than dragging every other flow's scale to zero),
+    and the link is reported saturated (utilisation 1.0).
+    """
+    capacities = _link_capacities(graph, flows)
+
+    def _link_loads(excluded: set[str]) -> dict[tuple, float]:
+        loads = {key: 0.0 for key in capacities}
+        for flow in flows:
+            if flow.name in excluded:
+                continue
+            for a, b in flow.links():
+                loads[link_key(a, b)] += flow.demand_gbps
+        return loads
+
+    loads = _link_loads(set())
+    starved_links = {
+        key for key, load in loads.items() if capacities[key] <= 0.0 and load > 0.0
+    }
+    starved_flows = {
+        flow.name
+        for flow in flows
+        if any(link_key(a, b) in starved_links for a, b in flow.links())
+    }
+    if starved_flows:
+        loads = _link_loads(starved_flows)
+
+    scale = 1.0
+    for key, load in loads.items():
+        if load > capacities[key] > 0:
+            scale = min(scale, capacities[key] / load)
+
+    allocated = {
+        flow.name: 0.0 if flow.name in starved_flows else flow.demand_gbps * scale
+        for flow in flows
+    }
+    utilisation = {}
+    for key, load in loads.items():
+        if capacities[key] > 0:
+            utilisation[key] = (load * scale) / capacities[key]
+        else:
+            utilisation[key] = 1.0 if key in starved_links else 0.0
+    return AllocationResult(allocated_gbps=allocated, link_utilisation=utilisation)
+
+
+def allocate_max_min(
+    graph: nx.Graph, flows: list[Flow], iterations: int | None = None
+) -> AllocationResult:
+    """Max-min fair allocation by progressive filling, recomputed every round.
+
+    Rates of all unfrozen flows grow together by the largest uniform
+    increment any constraint allows; whenever a link saturates, the flows
+    crossing it are frozen at their current rate, and flows are also frozen
+    once they reach their own demand.  Every round freezes at least one
+    flow: when the float tolerances miss the binding constraint (headroom
+    spreading to less than 1e-12 per flow, or float noise at large
+    magnitudes) that constraint is frozen directly.  ``iterations`` caps the
+    rounds; the default ``None`` runs to convergence.
+    """
+    capacities = _link_capacities(graph, flows)
+    rates = {flow.name: 0.0 for flow in flows}
+    frozen = {flow.name: flow.demand_gbps == 0.0 for flow in flows}
+    flows_by_link: dict[tuple, list[Flow]] = {key: [] for key in capacities}
+    for flow in flows:
+        for a, b in flow.links():
+            flows_by_link[link_key(a, b)].append(flow)
+
+    rounds = 0
+    while iterations is None or rounds < iterations:
+        rounds += 1
+        active = [flow for flow in flows if not frozen[flow.name]]
+        if not active:
+            break
+        # Largest uniform increment every active flow can still take, and
+        # the constraint that binds it.
+        increment = float("inf")
+        binding_flow: Flow | None = None
+        for flow in active:
+            remaining = flow.demand_gbps - rates[flow.name]
+            if remaining < increment:
+                increment = remaining
+                binding_flow = flow
+        binding_link: tuple | None = None
+        for key, capacity in capacities.items():
+            link_active = [f for f in flows_by_link[key] if not frozen[f.name]]
+            if not link_active:
+                continue
+            headroom = capacity - sum(rates[f.name] for f in flows_by_link[key])
+            share = headroom / len(link_active)
+            if share < increment:
+                increment = share
+                binding_link = key
+        # Accumulated tolerance can leave a congested link's headroom
+        # slightly negative; the increment must never drive rates down.
+        if increment <= 1e-12:
+            increment = 0.0
+        for flow in active:
+            rates[flow.name] += increment
+        # Freeze flows that met their demand or sit on a saturated link.
+        progressed = False
+        for flow in active:
+            if rates[flow.name] >= flow.demand_gbps - 1e-9:
+                frozen[flow.name] = True
+                progressed = True
+        for key, capacity in capacities.items():
+            load = sum(rates[f.name] for f in flows_by_link[key])
+            if load >= capacity - 1e-9:
+                for f in flows_by_link[key]:
+                    if not frozen[f.name]:
+                        frozen[f.name] = True
+                        progressed = True
+        if not progressed:
+            # The binding constraint escaped the absolute freeze tolerances.
+            # Freeze it directly: its headroom cannot recover, so another
+            # round would recompute exactly this state.
+            if binding_link is not None:
+                for f in flows_by_link[binding_link]:
+                    frozen[f.name] = True
+            elif binding_flow is not None:
+                frozen[binding_flow.name] = True
+            else:  # pragma: no cover - an active flow implies a binding one
+                break
+
+    utilisation = {}
+    for key, capacity in capacities.items():
+        load = sum(rates[f.name] for f in flows_by_link[key])
+        if capacity > 0:
+            utilisation[key] = load / capacity
+        else:
+            # Same convention as allocate_proportional: a zero-capacity link
+            # with demand trying to cross it is saturated, not idle.
+            demand = sum(f.demand_gbps for f in flows_by_link[key])
+            utilisation[key] = 1.0 if demand > 0 else 0.0
+    return AllocationResult(allocated_gbps=rates, link_utilisation=utilisation)

@@ -3,8 +3,9 @@
 Four layers of guarantees:
 
 * **equivalence** -- on random graphs (congested, zero-capacity,
-  zero-demand, staggered freeze orderings) the array allocators must match
-  the dict references within 1e-9, with identical link-utilisation keys;
+  zero-demand, staggered freeze orderings) the array solvers, fed through
+  the oracles' label-flow compile, must match the dict references of
+  ``flow_oracles`` within 1e-9, with identical link-utilisation keys;
 * **regressions** -- the max-min reference used to burn its 100-round cap
   (one freeze per round on staggered demands silently stopped at round
   100) and to spin without progress once the increment hit zero while
@@ -19,33 +20,38 @@ Four layers of guarantees:
 
 from __future__ import annotations
 
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import networkx as nx
 import pytest
 
+from flow_oracles import (
+    Flow,
+    allocate_array,
+    allocate_max_min,
+    allocate_proportional,
+    compile_flows,
+    edge_list_from_graph,
+    graph_from_edge_list,
+    link_key,
+    link_keys,
+    named_result,
+)
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network.alloc_arrays import (
     ARRAY_SOLVERS,
     FlowLinkSystem,
-    allocate_max_min_array,
-    allocate_proportional_array,
-    compile_flow_link_system,
     compile_system_from_rows,
 )
-from repro.network.backends import RouteTables
-from repro.network.capacity import (
-    AllocationResult,
-    Flow,
-    _link_key,
-    allocate_max_min,
-    allocate_proportional,
-)
+from repro.network.backends import RouteTables, SnapshotEdgeList
 from repro.network.ground_station import GroundStation
 from repro.network.simulation import NetworkSimulator, Scenario
 from repro.network.topology import ConstellationTopology
+
+allocate_proportional_array = partial(allocate_array, "proportional_array")
+allocate_max_min_array = partial(allocate_array, "max_min_array")
 
 
 def _assert_results_match(reference, candidate, tolerance: float = 1e-9):
@@ -134,31 +140,29 @@ class TestEquivalenceOnRandomGraphs:
         assert allocate_proportional_array(graph, []).allocated_gbps == {}
 
     def test_missing_link_rejected_like_reference(self):
-        from repro.network.backends import SnapshotEdgeList
-
+        """The compile names a flow crossing a missing link (or a node the
+        snapshot does not know) by its index, as the reference names it."""
         graph = nx.Graph()
         graph.add_edge(0, 1, capacity_gbps=1.0)
         graph.add_node(2)
-        cases = [(allocate_proportional, graph)] + [
-            (allocator, capacity)
-            for allocator in (allocate_proportional_array, allocate_max_min_array)
-            for capacity in (graph, SnapshotEdgeList.from_graph(graph))
-        ]
-        # Missing links, and a node the snapshot does not know.
         for path in ((0, 2), (0, 1, 2), (0, 1, "nowhere")):
             flows = [Flow("ok", (1, 0), 1.0), Flow("ghost", path, 1.0)]
-            for allocator, capacity in cases:
+            with pytest.raises(
+                ValueError, match="flow 'ghost' uses a link not present in the graph"
+            ):
+                allocate_proportional(graph, flows)
+            for capacity in (graph, edge_list_from_graph(graph)):
                 with pytest.raises(
-                    ValueError, match="flow 'ghost' uses a link not present in the graph"
+                    ValueError, match="flow 1 uses a link not present in the snapshot"
                 ):
-                    allocator(capacity, flows)
+                    compile_flows(capacity, flows)
 
     def test_duplicate_flow_names_rejected(self):
         graph = nx.Graph()
         graph.add_edge(0, 1, capacity_gbps=1.0)
         flows = [Flow("dup", (0, 1), 1.0), Flow("dup", (0, 1), 2.0)]
         with pytest.raises(ValueError, match="unique"):
-            allocate_max_min_array(graph, flows)
+            compile_flows(graph, flows)
 
 
 def _assert_feasible(system: FlowLinkSystem, rates: np.ndarray) -> None:
@@ -195,25 +199,25 @@ class TestSolverCertificates:
     @pytest.mark.parametrize("solver", sorted(ARRAY_SOLVERS))
     def test_allocation_is_feasible(self, seed, solver):
         graph, flows = _random_problem(seed, congestion=3.0)
-        system = compile_flow_link_system(graph, flows)
+        system, _ = compile_flows(graph, flows)
         rates, _ = ARRAY_SOLVERS[solver](system)
         _assert_feasible(system, rates)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_max_min_bottleneck_certificate(self, seed):
         graph, flows = _random_problem(seed, congestion=3.0)
-        system = compile_flow_link_system(graph, flows)
+        system, _ = compile_flows(graph, flows)
         rates, _ = ARRAY_SOLVERS["max_min_array"](system)
         _assert_max_min_bottlenecks(system, rates)
 
     @pytest.mark.parametrize("solver", sorted(ARRAY_SOLVERS))
     def test_allocation_is_feasible_at_workload_scale(self, workload_problem, solver):
-        system, _, _ = workload_problem
+        system = workload_problem[0]
         rates, _ = ARRAY_SOLVERS[solver](system)
         _assert_feasible(system, rates)
 
     def test_max_min_bottleneck_certificate_at_workload_scale(self, workload_problem):
-        system, _, _ = workload_problem
+        system = workload_problem[0]
         rates, _ = ARRAY_SOLVERS["max_min_array"](system)
         _assert_max_min_bottlenecks(system, rates)
 
@@ -324,15 +328,15 @@ class TestLinkKeyNormalisation:
     def test_numeric_pairs_order_numerically(self):
         # str-ordering placed 10 before 2 ("10" < "2"); the normalised key
         # orders satellite ids numerically.
-        assert _link_key(10, 2) == (2, 10)
-        assert _link_key(2, 10) == (2, 10)
+        assert link_key(10, 2) == (2, 10)
+        assert link_key(2, 10) == (2, 10)
 
     def test_mixed_pairs_place_numbers_first(self):
-        assert _link_key("gs:London", 7) == (7, "gs:London")
-        assert _link_key(7, "gs:London") == (7, "gs:London")
+        assert link_key("gs:London", 7) == (7, "gs:London")
+        assert link_key(7, "gs:London") == (7, "gs:London")
 
     def test_string_pairs_order_lexicographically(self):
-        assert _link_key("gs:b", "gs:a") == ("gs:a", "gs:b")
+        assert link_key("gs:b", "gs:a") == ("gs:a", "gs:b")
 
     def test_reference_and_array_produce_identical_keys(self):
         graph = nx.Graph()
@@ -356,30 +360,29 @@ class TestCompilation:
         problem (where the two allocation rules disagree)."""
         assert sorted(ARRAY_SOLVERS) == ["max_min_array", "proportional_array"]
         graph, flows = _random_problem(0, congestion=3.0)
-        system = compile_flow_link_system(graph, flows)
+        system, _ = compile_flows(graph, flows)
         rates, _ = ARRAY_SOLVERS[name](system)
         reference = oracle(graph, flows).allocated_gbps
-        assert dict(zip(system.flow_names, rates)) == pytest.approx(reference, abs=1e-9)
+        names = [flow.name for flow in flows]
+        assert dict(zip(names, rates)) == pytest.approx(reference, abs=1e-9)
 
     def test_system_shape(self):
         graph = nx.Graph()
         for a, b in ((0, 1), (1, 2), (2, 3)):
             graph.add_edge(a, b, capacity_gbps=7.0)
         flows = [Flow("a", (0, 1, 2), 1.0), Flow("b", (1, 2, 3), 1.0)]
-        system = compile_flow_link_system(graph, flows)
+        system, keys = compile_flows(graph, flows)
         assert isinstance(system, FlowLinkSystem)
         assert system.flow_count == 2
         assert system.link_count == 3  # (0,1), (1,2) shared, (2,3)
         assert system.flow_ids.size == 4
         assert np.all(system.capacity == 7.0)
         loads = system.link_loads(np.array([1.0, 1.0]))
-        assert loads[list(system.link_keys).index((1, 2))] == pytest.approx(2.0)
+        assert loads[list(keys).index((1, 2))] == pytest.approx(2.0)
 
     def test_edge_list_compile_matches_graph_compile(self):
         """Label flows compile to the same allocation against an edge list
         and against its graph view."""
-        from repro.network.backends import SnapshotEdgeList
-
         labels = (0, 1, 2, 3, "gs:x")
         a = np.array([0, 1, 2, 0], dtype=np.intp)
         b = np.array([1, 2, 3, 4], dtype=np.intp)
@@ -396,7 +399,7 @@ class TestCompilation:
             Flow("f1", ("gs:x", 0, 1, 2), 5.0),
             Flow("f2", (1, 2, 3), 3.0),
         ]
-        graph = edge_list.graph()
+        graph = graph_from_edge_list(edge_list)
         for allocator in (allocate_max_min_array, allocate_proportional_array):
             _assert_results_match(allocator(graph, flows), allocator(edge_list, flows))
 
@@ -475,28 +478,15 @@ def workload_routes(simulator, epoch):
 def workload_problem(workload_routes):
     """A step-sized max-min problem on a real snapshot.
 
-    Returns ``(system, graph, flows)``: the routed pairs compiled through
-    :func:`compile_system_from_rows`, as the simulator compiles a step (with
-    each link's label key added for the result dict), plus the ``Flow``
+    Returns ``(system, keys, graph, flows)``: the routed pairs compiled
+    through :func:`compile_system_from_rows`, as the simulator compiles a
+    step, each link's label key for the result dict, plus the ``Flow``
     objects and capacity graph for the dict reference.
     """
     edge_list, demand, offsets, rows, flows = workload_routes
     system = compile_system_from_rows(edge_list, demand, offsets, rows)
-    labels = edge_list.labels
-    keys = tuple(
-        _link_key(labels[a], labels[b])
-        for a, b in zip(edge_list.a[system.link_rows], edge_list.b[system.link_rows])
-    )
-    return replace(system, link_keys=keys), edge_list.graph(), flows
-
-
-def _named_result(system, flows, rates, utilisation) -> AllocationResult:
-    return AllocationResult(
-        allocated_gbps={flow.name: float(rate) for flow, rate in zip(flows, rates)},
-        link_utilisation={
-            key: float(value) for key, value in zip(system.link_keys, utilisation)
-        },
-    )
+    keys = link_keys(edge_list, system.link_rows)
+    return system, keys, graph_from_edge_list(edge_list), flows
 
 
 class TestWorkloadScale:
@@ -509,7 +499,7 @@ class TestWorkloadScale:
     """
 
     def test_problem_reaches_the_incremental_bookkeeping(self, workload_problem):
-        system, _, _ = workload_problem
+        system = workload_problem[0]
         rates, utilisation = ARRAY_SOLVERS["max_min_array"](system)
         demand = system.demand
         assert system.flow_count >= 2000
@@ -519,41 +509,37 @@ class TestWorkloadScale:
         assert np.count_nonzero((demand > 0.0) & (rates >= demand - 1e-9)) >= 500
 
     def test_max_min_matches_reference(self, workload_problem):
-        system, graph, flows = workload_problem
+        system, keys, graph, flows = workload_problem
         _assert_results_match(
             allocate_max_min(graph, flows),
-            _named_result(system, flows, *ARRAY_SOLVERS["max_min_array"](system)),
+            named_result(flows, keys, *ARRAY_SOLVERS["max_min_array"](system)),
         )
 
     def test_flow_object_compile_matches_row_compile(self, workload_routes):
-        """Label-only ``Flow`` objects, compiled on the edge list or on its
-        graph view, give exactly the system the simulator's ragged-row
-        compile builds; only an edge list is accepted for the latter."""
+        """Label-only ``Flow`` objects, compiled by the oracles on the edge
+        list or on its graph view, give exactly the system the simulator's
+        ragged-row compile builds."""
         edge_list, demand, offsets, rows, flows = workload_routes
-        graph = edge_list.graph()
+        graph = graph_from_edge_list(edge_list)
         ragged = compile_system_from_rows(edge_list, demand, offsets, rows)
-        on_edge_list = compile_flow_link_system(edge_list, flows)
-        on_graph = compile_flow_link_system(graph, flows)
-        assert ragged.flow_names is None and ragged.link_keys is None
+        on_edge_list, edge_list_keys = compile_flows(edge_list, flows)
+        on_graph, graph_keys = compile_flows(graph, flows)
         for objects in (on_edge_list, on_graph):
-            assert objects.flow_names == tuple(flow.name for flow in flows)
             for name in ("demand", "capacity", "flow_ids", "link_ids"):
                 got, want = getattr(objects, name), getattr(ragged, name)
                 assert got.dtype == want.dtype, name
                 assert np.array_equal(got, want), name
         # The graph's edge rows follow its own edge order; links match by key.
         assert np.array_equal(on_edge_list.link_rows, ragged.link_rows)
-        assert on_graph.link_keys == on_edge_list.link_keys
-        with pytest.raises(ValueError, match="SnapshotEdgeList"):
-            compile_system_from_rows(graph, demand, offsets, rows)
+        assert graph_keys == edge_list_keys
 
     @pytest.mark.parametrize("iterations", [1, 2, 5, 20, 60])
     def test_iteration_cap_matches_capped_reference(self, workload_problem, iterations):
-        system, graph, flows = workload_problem
+        system, keys, graph, flows = workload_problem
         _assert_results_match(
             allocate_max_min(graph, flows, iterations=iterations),
-            _named_result(
-                system, flows, *ARRAY_SOLVERS["max_min_array"](system, iterations)
+            named_result(
+                flows, keys, *ARRAY_SOLVERS["max_min_array"](system, iterations)
             ),
         )
 

@@ -1,4 +1,4 @@
-"""Tests of capacity allocation and the peak-shifting scheduler."""
+"""Tests of the dict allocation oracles and the peak-shifting scheduler."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.network.capacity import Flow, allocate_max_min, allocate_proportional
+from flow_oracles import Flow, allocate_max_min, allocate_proportional
 from repro.network.scheduler import PeakShiftScheduler
 
 

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from flow_oracles import graph_stream
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network import simulation as simulation_module
@@ -286,8 +287,26 @@ class TestScheduleCompilation:
         assert schedule.stations_up_fraction(0) == 1.0
 
 
+def _links(edges) -> dict:
+    """``{(label, label): (capacity_gbps, delay_ms)}`` of an edge list."""
+    labels = edges.labels
+    return {
+        (labels[a], labels[b]): (capacity, delay)
+        for a, b, capacity, delay in zip(
+            edges.a.tolist(),
+            edges.b.tolist(),
+            edges.capacity_gbps.tolist(),
+            edges.delay_ms.tolist(),
+        )
+    }
+
+
+def _degree(links: dict, label) -> int:
+    return sum(label in pair for pair in links)
+
+
 class TestMaskedSequences:
-    def test_masked_graphs_drop_edges_of_down_nodes(self, topology, stations, epoch, context):
+    def test_masked_edge_lists_drop_links_of_down_nodes(self, topology, stations, epoch, context):
         epochs = epoch_range(epoch, 4 * 3600.0, 3600.0)
         sequence = topology.snapshot_sequence(epochs, stations)
         schedule = compile_faults(
@@ -300,21 +319,20 @@ class TestMaskedSequences:
             ),
             context,
         )
-        healthy = list(sequence.graphs(copy=True))
-        masked = list(sequence.graphs(copy=True, faults=schedule))
+        healthy = [_links(edges) for edges in sequence.edge_lists()]
+        masked = [_links(edges) for edges in sequence.edge_lists(faults=schedule)]
         down = {node.node_id for node in topology.nodes if node.plane_index == 1}
-        # Step 0 is untouched; step 1 loses every edge of plane 1; step 2
+        # Step 0 is untouched; step 1 loses every link of plane 1; step 2
         # isolates London's ground node.
-        assert set(healthy[0].edges) == set(masked[0].edges)
-        assert any(a in down or b in down for a, b in healthy[1].edges)
-        assert not any(a in down or b in down for a, b in masked[1].edges)
-        assert masked[1].has_node(next(iter(down)))  # node stays, edges go
-        surviving = set(healthy[1].edges) - {
-            (a, b) for a, b in healthy[1].edges if a in down or b in down
-        }
-        assert set(masked[1].edges) == surviving
-        assert masked[2].degree("gs:London") == 0
-        assert healthy[2].degree("gs:London") > 0
+        assert set(healthy[0]) == set(masked[0])
+        assert any(a in down or b in down for a, b in healthy[1])
+        assert not any(a in down or b in down for a, b in masked[1])
+        # The node stays in the label table, its links go.
+        assert next(iter(down)) in sequence.edge_list(1, faults=schedule).labels
+        surviving = {(a, b) for a, b in healthy[1] if a not in down and b not in down}
+        assert set(masked[1]) == surviving
+        assert _degree(masked[2], "gs:London") == 0
+        assert _degree(healthy[2], "gs:London") > 0
 
     def test_masked_edge_list_matches_masked_graph(self, topology, stations, epoch, context):
         epochs = epoch_range(epoch, 4 * 3600.0, 3600.0)
@@ -326,7 +344,7 @@ class TestMaskedSequences:
             ),
             context,
         )
-        for step, graph in enumerate(sequence.graphs(copy=True, faults=schedule)):
+        for step, graph in enumerate(graph_stream(sequence, faults=schedule)):
             edge_list = sequence.edge_list(step, faults=schedule)
             labels = edge_list.labels
             from_arrays = {
@@ -350,21 +368,22 @@ class TestMaskedSequences:
             (FaultSpec("link_degradation", {"satellites": [0], "factor": 0.5}),),
             context,
         )
-        graph = next(sequence.graphs(copy=True, faults=schedule))
-        reference = next(sequence.graphs(copy=True))
-        for a, b, data in graph.edges(data=True):
-            expected = reference.edges[a, b]["capacity_gbps"]
+        degraded = _links(sequence.edge_list(0, faults=schedule))
+        reference = _links(sequence.edge_list(0))
+        assert degraded.keys() == reference.keys()
+        for (a, b), (capacity, delay) in degraded.items():
+            expected = reference[a, b][0]
             if 0 in (a, b):
                 expected *= 0.5
-            assert data["capacity_gbps"] == pytest.approx(expected)
-            assert data["delay_ms"] == reference.edges[a, b]["delay_ms"]
+            assert capacity == pytest.approx(expected)
+            assert delay == reference[a, b][1]
 
     def test_mismatched_schedule_is_rejected(self, topology, stations, epoch):
         epochs = epoch_range(epoch, 3 * 3600.0, 3600.0)
         sequence = topology.snapshot_sequence(epochs, stations)
         wrong_steps = FaultSchedule.healthy(5, topology.satellite_count, STATION_NAMES)
         with pytest.raises(ValueError, match="steps"):
-            next(sequence.graphs(faults=wrong_steps))
+            sequence.edge_list(0, faults=wrong_steps)
         wrong_sats = FaultSchedule.healthy(3, 7, STATION_NAMES)
         with pytest.raises(ValueError, match="satellites"):
             sequence.edge_list(0, faults=wrong_sats)

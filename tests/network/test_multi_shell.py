@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from flow_oracles import graph_stream, snapshot_graph
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network.ground_station import GroundStation
@@ -64,8 +65,8 @@ class TestMultiShellStructure:
 
     def test_single_shell_composition_matches_the_shell(self, shells, epoch):
         alone = MultiShellTopology(shells=[shells[0]])
-        graph = alone.snapshot_graph()
-        reference = shells[0].snapshot_graph()
+        graph = snapshot_graph(alone)
+        reference = snapshot_graph(shells[0])
         assert set(graph.nodes) == set(reference.nodes)
         assert set(map(frozenset, graph.edges)) == set(map(frozenset, reference.edges))
         for a, b, data in reference.edges(data=True):
@@ -75,7 +76,7 @@ class TestMultiShellStructure:
 
 class TestMultiShellGraphs:
     def test_snapshot_contains_both_shells_and_inter_shell_links(self, multi):
-        graph = multi.snapshot_graph()
+        graph = snapshot_graph(multi)
         shells_present = {graph.nodes[n]["shell"] for n in graph.nodes}
         assert shells_present == {0, 1}
         inter = [
@@ -91,8 +92,8 @@ class TestMultiShellGraphs:
         stations = [GroundStation("London", 51.5, -0.1), GroundStation("Tokyo", 35.7, 139.7)]
         epochs = epoch_range(epoch, 3600.0, 900.0)
         sequence = multi.snapshot_sequence(epochs, stations)
-        for at, graph in zip(epochs, sequence.graphs(copy=True)):
-            reference = multi.snapshot_graph(at, stations)
+        for at, graph in zip(epochs, graph_stream(sequence)):
+            reference = snapshot_graph(multi, at, stations)
             assert set(graph.nodes) == set(reference.nodes)
             assert set(map(frozenset, graph.edges)) == set(map(frozenset, reference.edges))
 
@@ -110,8 +111,8 @@ class TestMultiShellGraphs:
         k1 = MultiShellTopology(
             shells=shells, inter_shell_links="k-nearest", inter_shell_k=1
         )
-        graph = k1.snapshot_graph()
-        reference = multi.snapshot_graph()
+        graph = snapshot_graph(k1)
+        reference = snapshot_graph(multi)
         assert set(graph.nodes) == set(reference.nodes)
         assert set(map(frozenset, graph.edges)) == set(map(frozenset, reference.edges))
         for a, b, data in reference.edges(data=True):
@@ -121,8 +122,8 @@ class TestMultiShellGraphs:
         k2 = MultiShellTopology(
             shells=shells, inter_shell_links="k-nearest", inter_shell_k=2
         )
-        graph = k2.snapshot_graph()
-        reference = multi.snapshot_graph()
+        graph = snapshot_graph(k2)
+        reference = snapshot_graph(multi)
 
         def split(g):
             inter, intra = set(), set()
@@ -146,7 +147,7 @@ class TestMultiShellGraphs:
         k2 = MultiShellTopology(
             shells=shells, inter_shell_links="k-nearest", inter_shell_k=2
         )
-        graph = k2.snapshot_graph()
+        graph = snapshot_graph(k2)
         positions = k2.positions_ecef_km()
         lower_count = shells[0].satellite_count
         upper = positions[lower_count:]

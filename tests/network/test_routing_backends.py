@@ -6,9 +6,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from flow_oracles import networkx_routes_from
+from flow_oracles import (
+    edge_list_from_graph,
+    graph_from_edge_list,
+    graph_stream,
+    networkx_routes_from,
+)
 from repro.coverage.walker import WalkerDelta
-from repro.network.backends import EdgeArrays, NodeIndex, edge_arrays_from_graph
+from repro.network.backends import EdgeArrays, NodeIndex, SnapshotEdgeList
 from repro.network.ground_station import GroundStation
 from repro.network.routing import RouteResult, SnapshotRouter, TimeAwareRouter
 from repro.network.topology import ConstellationTopology
@@ -91,8 +96,8 @@ class TestBackendEquivalenceOnRandomSnapshots:
         sequence = topology.snapshot_sequence(epochs, stations)
         sources = ["gs:A", "gs:B", "gs:isolated", 0, satellites // 2]
         saw_unreachable_station = False
-        for step, graph in enumerate(sequence.graphs(copy=True)):
-            candidate = SnapshotRouter(graph, arrays=sequence.edge_arrays(step))
+        for step, graph in enumerate(graph_stream(sequence)):
+            candidate = SnapshotRouter(sequence.edge_arrays(step))
             cs_tables = candidate.routes_from_many(sources)
             for source in sources:
                 nx_table = networkx_routes_from(graph, source)
@@ -111,12 +116,12 @@ class TestBackendEquivalenceOnRandomSnapshots:
         ]
         epochs = epoch_range(epoch, 3600.0, 1200.0)
         sequence = topology.snapshot_sequence(epochs, stations)
-        for step, graph in enumerate(sequence.graphs(copy=True)):
+        for step, graph in enumerate(graph_stream(sequence)):
             reference = networkx_routes_from(graph, "gs:London").get(
                 "gs:Tokyo", RouteResult.unreachable()
             )
             candidate = SnapshotRouter(
-                graph, arrays=sequence.edge_arrays(step)
+                sequence.edge_arrays(step)
             ).route_between_stations(*stations)
             assert candidate.reachable == reference.reachable
             if reference.reachable:
@@ -144,25 +149,20 @@ class TestBackendEquivalenceOnHandBuiltGraphs:
         return graph
 
     @staticmethod
-    def _router(graph, view):
-        """A router over ``graph`` built from the graph itself or, as
-        ``TimeAwareRouter.route_over_time`` builds one, from edge arrays only."""
-        if view == "graph":
-            return SnapshotRouter(graph)
-        return SnapshotRouter(arrays=edge_arrays_from_graph(graph))
+    def _router(graph):
+        """A router over the CSR arrays of a hand-built graph."""
+        return SnapshotRouter(edge_list_from_graph(graph).arrays())
 
-    @pytest.mark.parametrize("view", ["graph", "arrays"])
-    def test_line_graph_routing(self, view):
-        router = self._router(self._line_graph(), view)
+    def test_line_graph_routing(self):
+        router = self._router(self._line_graph())
         result = router.route("gs:src", "gs:dst")
         assert result.reachable
         assert result.path == ("gs:src", 0, 1, 2, "gs:dst")
         assert result.latency_ms == pytest.approx(10.0)
         assert result.hop_count == 4
 
-    @pytest.mark.parametrize("view", ["graph", "arrays"])
-    def test_disconnected_and_unknown_nodes(self, view):
-        router = self._router(self._line_graph(), view)
+    def test_disconnected_and_unknown_nodes(self):
+        router = self._router(self._line_graph())
         assert router.route("gs:src", "gs:island") == RouteResult.unreachable()
         assert router.route("gs:nowhere", "gs:dst") == RouteResult.unreachable()
         assert router.routes_from("gs:nowhere") == {}
@@ -171,15 +171,14 @@ class TestBackendEquivalenceOnHandBuiltGraphs:
         assert table["gs:island"].latency_ms == 0.0
         assert table["gs:island"].path == ("gs:island",)
 
-    @pytest.mark.parametrize("view", ["graph", "arrays"])
-    def test_zero_weight_and_zero_capacity_edges_are_still_links(self, view):
+    def test_zero_weight_and_zero_capacity_edges_are_still_links(self):
         """Degenerate links (zero delay, zero capacity) must stay routable:
         capacity never affects path selection, and an explicit zero weight is
         an edge, not a hole in the sparse matrix."""
         graph = nx.Graph()
         graph.add_edge("gs:src", 0, delay_ms=0.0, capacity_gbps=0.0)
         graph.add_edge(0, "gs:dst", delay_ms=5.0, capacity_gbps=10.0)
-        router = self._router(graph, view)
+        router = self._router(graph)
         result = router.route("gs:src", "gs:dst")
         assert result.reachable
         assert result.path == ("gs:src", 0, "gs:dst")
@@ -188,7 +187,7 @@ class TestBackendEquivalenceOnHandBuiltGraphs:
     def test_lazy_table_matches_dict_semantics(self):
         graph = self._line_graph()
         nx_table = networkx_routes_from(graph, "gs:src")
-        cs_table = SnapshotRouter(graph).routes_from("gs:src")
+        cs_table = self._router(graph).routes_from("gs:src")
         assert len(cs_table) == len(nx_table)
         assert set(cs_table) == set(nx_table)
         assert cs_table.get("gs:island") is None
@@ -202,14 +201,35 @@ class TestBackendEquivalenceOnHandBuiltGraphs:
         ids=["missing", "nan", "negative"],
     )
     def test_bad_edge_weights_rejected_naming_the_edge(self, attributes):
-        """A hand-built graph is the one outside input to the csgraph search:
-        a missing or NaN weight would read as "unreachable" and a negative
-        one never returns, so the export rejects all three up front."""
+        """A hand-built graph is one outside input to the csgraph search: a
+        missing (read as NaN) weight would read as "unreachable" and a
+        negative one never returns, so the router rejects all three up
+        front."""
         graph = self._line_graph()
         del graph.edges[1, 2]["delay_ms"]
         graph.edges[1, 2].update(attributes)
         with pytest.raises(ValueError, match=r"edge \(1, 2\) has delay_ms="):
-            SnapshotRouter(graph)
+            self._router(graph)
+
+    @pytest.mark.parametrize(
+        "weight", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"]
+    )
+    def test_bad_array_weights_rejected_at_construction(self, weight):
+        """Arrays handed straight to the router are checked too: a NaN
+        weight would silently report the destination unreachable and a
+        negative one would make ``route`` spin forever."""
+        edge_list = SnapshotEdgeList(
+            labels=("gs:src", 0, 1, "gs:dst"),
+            a=np.array([0, 1, 2], dtype=np.intp),
+            b=np.array([1, 2, 3], dtype=np.intp),
+            distance_km=np.ones(3),
+            delay_ms=np.array([1.0, weight, 1.0]),
+            capacity_gbps=np.ones(3),
+        )
+        with pytest.raises(
+            ValueError, match=rf"edge \(0, 1\) has delay_ms={weight!r}; every edge"
+        ):
+            SnapshotRouter(arrays=edge_list.arrays())
 
 
 class TestEdgeArrays:
@@ -217,7 +237,7 @@ class TestEdgeArrays:
         topology = _walker(epoch, 60, 5)
         stations = [GroundStation("London", 51.5, -0.1)]
         sequence = topology.snapshot_sequence([epoch], stations)
-        graph = next(sequence.graphs(copy=False))
+        graph = next(graph_stream(sequence))
         arrays = sequence.edge_arrays(0)
         assert isinstance(arrays, EdgeArrays)
         indptr, indices, weights, node_index = arrays  # tuple protocol
@@ -249,8 +269,8 @@ class TestEdgeArrays:
         assert clone.labels == edge_list.labels
         assert np.array_equal(clone.a, edge_list.a)
         assert np.array_equal(clone.delay_ms, edge_list.delay_ms)
-        graph = next(sequence.graphs(copy=False))
-        rebuilt = clone.graph()
+        graph = next(graph_stream(sequence))
+        rebuilt = graph_from_edge_list(clone)
         assert set(rebuilt.nodes) == set(graph.nodes)
         assert set(map(frozenset, rebuilt.edges)) == set(map(frozenset, graph.edges))
         for a, b, data in graph.edges(data=True):
@@ -261,7 +281,7 @@ class TestEdgeArrays:
         graph.add_nodes_from(["gs:x", 0, 1, 9])
         graph.add_edge("gs:x", 0, delay_ms=1.5)
         graph.add_edge(0, 1, delay_ms=2.5)
-        arrays = edge_arrays_from_graph(graph)
+        arrays = edge_list_from_graph(graph).arrays()
         assert arrays.node_index.labels == ("gs:x", 0, 1, 9)
         row = arrays.node_index.index_of
         neighbours = {
@@ -282,7 +302,7 @@ class TestEdgeArrays:
         assert neighbours[9] == {}
 
     def test_router_requires_some_snapshot_view(self):
-        with pytest.raises(ValueError, match="graph or edge arrays"):
+        with pytest.raises(TypeError, match="arrays"):
             SnapshotRouter()
 
 
@@ -299,9 +319,10 @@ class TestTimeAwareRouterBackends:
         results = router.route_over_time(
             stations[0], stations[1], epoch, duration_s=3000.0
         )
-        snapshots = router.snapshots(epoch, duration_s=3000.0)
-        assert len(results) == len(snapshots)
-        for (epoch_a, cs_result), (epoch_b, graph) in zip(results, snapshots):
+        epochs = epoch_range(epoch, 3000.0, 600.0)
+        graphs = graph_stream(topology.snapshot_sequence(epochs, stations))
+        assert len(results) == len(epochs)
+        for (epoch_a, cs_result), epoch_b, graph in zip(results, epochs, graphs):
             nx_result = networkx_routes_from(graph, "gs:London").get(
                 "gs:New York", RouteResult.unreachable()
             )

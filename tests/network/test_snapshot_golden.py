@@ -9,9 +9,10 @@ subset -- the committed record holds SHA-256 digests of:
   ``a``, ``b``, ``distance_km``, ``delay_ms`` and ``capacity_gbps``, so row
   order (which fixes CSR neighbour order and therefore shortest-path
   tie-breaks) and every float are pinned bit for bit;
-* the :meth:`SnapshotSequence.graphs` stream (``copy=True``): the nodes with
-  their attributes and ``list(graph.edges(data=True))`` in iteration order,
-  so the incremental graph diff is pinned too.
+* a copy of each step of the incremental graph stream of the test oracles
+  (``flow_oracles.graph_stream``): the nodes with their attributes and
+  ``list(graph.edges(data=True))`` in iteration order, so the oracle's
+  graph diff is pinned too.
 
 To re-record after a deliberate behaviour change::
 
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flow_oracles import graph_stream
 from repro.coverage.walker import WalkerDelta
 from repro.network.faults import FaultContext, FaultSchedule, FaultSpec, compile_faults
 from repro.network.ground_station import GroundStation
@@ -123,8 +125,8 @@ def _digest(data: bytes | str) -> str:
 def snapshot_digests(sequence, station_names, faults) -> list[dict]:
     """Return one record of edge-list and graph digests per step."""
     records = []
-    graphs = sequence.graphs(copy=True, station_names=station_names, faults=faults)
-    for step, graph in enumerate(graphs):
+    for step, live in enumerate(graph_stream(sequence, station_names, faults)):
+        graph = live.copy()
         edges = sequence.edge_list(step, station_names, faults=faults)
         record = {"labels": _digest(repr(edges.labels))}
         for name in EDGE_LIST_FIELDS:

@@ -1,4 +1,4 @@
-"""Tests of the cached incremental snapshot-graph engine."""
+"""Tests of the cached snapshot-sequence engine."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from flow_oracles import graph_stream, snapshot_graph
 from repro.coverage.walker import WalkerDelta
 from repro.network.ground_station import GroundStation
 from repro.network.isl import isl_feasible
@@ -35,6 +36,15 @@ def stations() -> list[GroundStation]:
     ]
 
 
+def _edge_list(topology, stations=None, at=None):
+    """The topology's links at one epoch (default: its reference epoch)."""
+    return topology.snapshot_sequence([at or topology.epoch], stations).edge_list(0)
+
+
+def _has_link(edges, a, b) -> bool:
+    return bool(edges.link_rows([a], [b])[0] >= 0)
+
+
 def _assert_graphs_identical(graph, reference):
     assert set(graph.nodes) == set(reference.nodes)
     assert set(map(frozenset, graph.edges)) == set(map(frozenset, reference.edges))
@@ -47,58 +57,38 @@ class TestSnapshotSequenceEquivalence:
         self, walker_topology, stations, epoch
     ):
         # ~1.6 orbits at 4-minute steps: link sets churn many times, so the
-        # incremental diff path is exercised through adds, removals and
-        # attribute refreshes.
+        # oracle stream's incremental diff is exercised through adds,
+        # removals and attribute refreshes.
         epochs = epoch_range(epoch, 2.0 * 5760.0, 240.0)
         sequence = walker_topology.snapshot_sequence(epochs, stations)
-        for at, graph in zip(epochs, sequence.graphs(copy=True)):
-            _assert_graphs_identical(graph, walker_topology.snapshot_graph(at, stations))
+        for at, graph in zip(epochs, graph_stream(sequence)):
+            _assert_graphs_identical(graph, snapshot_graph(walker_topology, at, stations))
 
     def test_edge_sets_actually_change_between_steps(
         self, walker_topology, stations, epoch
     ):
         epochs = epoch_range(epoch, 2.0 * 5760.0, 240.0)
         edge_sets = [
-            frozenset(map(frozenset, graph.edges))
-            for graph in walker_topology.snapshot_sequence(epochs, stations).graphs()
+            frozenset(edges.link_codes.tolist())
+            for edges in walker_topology.snapshot_sequence(epochs, stations).edge_lists()
         ]
         assert len(set(edge_sets)) > 1
 
-    def test_wrappers_route_through_sequence(self, walker_topology, stations, epoch):
-        epochs = epoch_range(epoch, 600.0, 300.0)
-        listed = walker_topology.snapshot_graphs(epochs, stations)
-        iterated = list(walker_topology.iter_snapshot_graphs(epochs, stations))
-        assert len(listed) == len(iterated) == 2
-        for a, b in zip(listed, iterated):
-            _assert_graphs_identical(a, b)
-
 
 class TestSnapshotSequenceSemantics:
-    def test_copy_true_yields_independent_graphs(self, walker_topology, stations, epoch):
-        epochs = epoch_range(epoch, 1800.0, 600.0)
-        graphs = list(walker_topology.snapshot_sequence(epochs, stations).graphs(copy=True))
-        assert len({id(graph) for graph in graphs}) == len(graphs)
-        # Stored copies stay valid: each matches its own fresh rebuild.
-        for at, graph in zip(epochs, graphs):
-            _assert_graphs_identical(graph, walker_topology.snapshot_graph(at, stations))
-
-    def test_copy_false_yields_live_graph(self, walker_topology, stations, epoch):
-        epochs = epoch_range(epoch, 1800.0, 600.0)
-        stream = walker_topology.snapshot_sequence(epochs, stations).graphs(copy=False)
-        identities = {id(graph) for graph in stream}
-        assert len(identities) == 1
-
     def test_station_subset_streams(self, walker_topology, stations, epoch):
         epochs = epoch_range(epoch, 1200.0, 600.0)
         sequence = walker_topology.snapshot_sequence(epochs, stations)
         subset = ["London", "Tokyo"]
-        for at, graph in zip(epochs, sequence.graphs(station_names=subset)):
-            reference = walker_topology.snapshot_graph(
-                at, [s for s in stations if s.name in subset]
+        for step, at in enumerate(epochs):
+            edges = sequence.edge_list(step, subset)
+            reference = _edge_list(
+                walker_topology, [s for s in stations if s.name in subset], at
             )
-            _assert_graphs_identical(graph, reference)
+            assert edges.labels == reference.labels
+            assert set(edges.link_codes.tolist()) == set(reference.link_codes.tolist())
         with pytest.raises(ValueError):
-            next(sequence.graphs(station_names=["Atlantis"]))
+            sequence.edge_list(0, ["Atlantis"])
 
     def test_validation(self, walker_topology, stations):
         with pytest.raises(ValueError):
@@ -110,13 +100,55 @@ class TestSnapshotSequenceSemantics:
                 [GroundStation("X", 0.0, 0.0), GroundStation("X", 1.0, 1.0)],
             )
 
-    def test_len_and_iter(self, walker_topology, stations, epoch):
+    def test_len_and_accessors(self, walker_topology, stations, epoch):
         epochs = epoch_range(epoch, 1800.0, 600.0)
         sequence = walker_topology.snapshot_sequence(epochs, stations)
         assert len(sequence) == 3
+        assert sequence.topology is walker_topology
         assert sequence.epochs == epochs
         assert [s.name for s in sequence.ground_stations] == [s.name for s in stations]
-        assert sum(1 for _ in sequence) == 3
+        assert len(sequence.edge_lists()) == 3
+
+    def test_derived_views_route_through_edge_list(
+        self, walker_topology, stations, epoch
+    ):
+        epochs = epoch_range(epoch, 1200.0, 600.0)
+        sequence = walker_topology.snapshot_sequence(epochs, stations)
+        subset = ["Tokyo", "London"]
+        listed = sequence.edge_lists(subset)
+        assert len(listed) == len(epochs)
+        for step, edges in enumerate(listed):
+            reference = sequence.edge_list(step, subset)
+            assert edges.labels == reference.labels
+            assert np.array_equal(edges.link_codes, reference.link_codes)
+            assert np.array_equal(edges.capacity_gbps, reference.capacity_gbps)
+            arrays = sequence.edge_arrays(step, subset)
+            expected = reference.arrays()
+            assert arrays.node_index.labels == expected.node_index.labels
+            assert np.array_equal(arrays.indptr, expected.indptr)
+            assert np.array_equal(arrays.indices, expected.indices)
+            assert np.array_equal(arrays.weights, expected.weights)
+
+    def test_node_labels_follow_sequence_order(self, walker_topology, stations):
+        sequence = walker_topology.snapshot_sequence([walker_topology.epoch], stations)
+        satellites = tuple(range(walker_topology.satellite_count))
+        # Selection order does not matter: stations keep the sequence's order.
+        assert sequence.node_labels(["Tokyo", "London"]) == satellites + (
+            "gs:London",
+            "gs:Tokyo",
+        )
+        assert sequence.node_labels() == satellites + tuple(
+            f"gs:{station.name}" for station in stations
+        )
+        assert sequence.node_labels([]) == satellites
+
+    def test_links_are_canonical_and_unique(self, walker_topology, stations, epoch):
+        epochs = epoch_range(epoch, 2.0 * 5760.0, 960.0)
+        for edges in walker_topology.snapshot_sequence(epochs, stations).edge_lists():
+            assert edges.a.size > 0
+            # Each undirected link appears once, lower endpoint first.
+            assert np.all(edges.a < edges.b)
+            assert np.unique(edges.link_codes).size == edges.a.size
 
 
 def _circular_plane(raan_deg: float, anomalies_deg: list[float]) -> list[OrbitalElements]:
@@ -215,7 +247,7 @@ class TestInterPlaneSymmetry:
     """
 
     def _assert_nearest_links_both_ways(self, topology):
-        graph = topology.snapshot_graph()
+        edges = _edge_list(topology)
         positions = topology.positions_ecef_km()
         offsets, starts = [], 0
         for plane in topology.planes:
@@ -234,7 +266,7 @@ class TestInterPlaneSymmetry:
                     distances = np.linalg.norm(block_b - positions[a], axis=1)
                     b = start_b + int(np.argmin(distances))
                     if isl_feasible(positions[a], positions[b], topology.isl_config):
-                        assert graph.has_edge(a, b), (
+                        assert _has_link(edges, a, b), (
                             f"satellite {a} (plane {plane_index}) is missing the link "
                             f"to its nearest neighbour {b} in plane {neighbour}"
                         )
@@ -265,7 +297,7 @@ class TestInterPlaneSymmetry:
         self._assert_nearest_links_both_ways(topology)
 
     def test_reverse_scan_adds_links_the_forward_scan_misses(self, epoch):
-        """At least one edge of the fixed graph only exists because of the
+        """At least one link of the fixed snapshot only exists because of the
         previous-plane scan (otherwise the fixture would not be a regression
         test at all)."""
         topology = ConstellationTopology(
@@ -293,13 +325,12 @@ class TestInterPlaneSymmetry:
                 if isl_feasible(positions[a], positions[b], topology.isl_config):
                     forward_edges.add(frozenset((a, b)))
 
-        graph = topology.snapshot_graph()
+        edges = _edge_list(topology)
+        plane = [node.plane_index for node in topology.nodes]
         inter_plane_edges = {
             frozenset((a, b))
-            for a, b in graph.edges
-            if isinstance(a, int)
-            and isinstance(b, int)
-            and graph.nodes[a]["plane"] != graph.nodes[b]["plane"]
+            for a, b in zip(edges.a.tolist(), edges.b.tolist())
+            if plane[a] != plane[b]
         }
         assert inter_plane_edges - forward_edges, (
             "expected the previous-plane scan to contribute links the "

@@ -13,9 +13,17 @@ Three layers:
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from flow_oracles import (
+    AllocationResult,
+    Flow,
+    allocate_proportional,
+    compile_flows,
+    graph_from_edge_list,
+)
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network.backends import RouteTables, SnapshotEdgeList
@@ -30,7 +38,6 @@ from repro.network.steering import (
     SteeringPolicy,
     UtilisationWeightedSteering,
     get_steering_policy,
-    path_delays,
     path_delays_from_rows,
 )
 from repro.network.telemetry import LinkTelemetry, get_telemetry
@@ -168,8 +175,8 @@ class TestLinkLookup:
         with pytest.raises(ValueError, match="flow 1 uses a link not present"):
             chain.hop_links(offsets, np.array([0, 1, 2, 2, 0]))
         # A row outside the label table is a missing hop, not an alias.
-        with pytest.raises(ValueError, match="flow 'b' uses a link not present"):
-            chain.hop_links(offsets, np.array([0, 1, 2, 0, 3]), names=("a", "b"))
+        with pytest.raises(ValueError, match="flow 1 uses a link not present"):
+            chain.hop_links(offsets, np.array([0, 1, 2, 0, 3]))
 
     def test_zero_link_edge_list(self):
         empty = SnapshotEdgeList(
@@ -300,20 +307,22 @@ class TestController:
 
 
 class TestPathDelays:
-    def test_label_paths_sum_real_delays(self):
-        edges = _triangle()
-        delays = path_delays(edges, [("X", "Y", "Z"), ("X", "Z"), ()])
+    def test_row_paths_sum_real_delays(self):
+        # X-Y-Z, X-Z and an empty (unreachable) segment.
+        delays = path_delays_from_rows(
+            _triangle(), np.array([0, 3, 5, 5]), np.array([0, 1, 2, 0, 2])
+        )
         assert delays[0] == pytest.approx(3.0)
         assert delays[1] == pytest.approx(10.0)
         assert np.isinf(delays[2])
 
     def test_single_node_path_has_zero_delay(self):
-        delays = path_delays(_triangle(), [("X",)])
+        delays = path_delays_from_rows(_triangle(), np.array([0, 1]), np.array([0]))
         assert delays[0] == pytest.approx(0.0)
 
-    def test_unknown_label_raises(self):
+    def test_row_outside_label_table_raises(self):
         with pytest.raises(ValueError, match="not present"):
-            path_delays(_triangle(), [("X", "Q")])
+            path_delays_from_rows(_triangle(), np.array([0, 2]), np.array([0, 3]))
 
     def test_missing_link_raises(self):
         edges = _triangle()
@@ -326,17 +335,18 @@ class TestPathDelays:
             capacity_gbps=np.array([10.0]),
         )
         with pytest.raises(ValueError, match="link not present"):
-            path_delays(square, [("X", "Z")])
+            path_delays_from_rows(square, np.array([0, 2]), np.array([0, 2]))
         del edges
 
-    def test_row_paths_match_label_paths(self):
+    def test_row_paths_match_graph_path_weights(self):
         edges = _triangle()
-        offsets = np.array([0, 3, 5, 5])
-        rows = np.array([0, 1, 2, 0, 2])
+        offsets = np.array([0, 3, 5, 7])
+        rows = np.array([0, 1, 2, 0, 2, 2, 1])
         by_rows = path_delays_from_rows(edges, offsets, rows)
-        by_labels = path_delays(edges, [("X", "Y", "Z"), ("X", "Z"), ()])
-        assert np.array_equal(by_rows[:2], by_labels[:2])
-        assert np.isinf(by_rows[2]) and np.isinf(by_labels[2])
+        graph = graph_from_edge_list(edges)
+        for index, delay in enumerate(by_rows):
+            path = [edges.labels[row] for row in rows[offsets[index] : offsets[index + 1]]]
+            assert delay == pytest.approx(nx.path_weight(graph, path, "delay_ms"))
 
     def test_delays_read_unsteered_column(self):
         """Steered routing weights never leak into reported latencies."""
@@ -347,7 +357,8 @@ class TestPathDelays:
         controller.observe(edges, np.array([1.0, 0.0, 0.0]))
         steered = controller.steer(edges)
         assert steered.delay_ms[0] == pytest.approx(8.0)
-        assert path_delays(edges, [("X", "Y")])[0] == pytest.approx(1.0)
+        delays = path_delays_from_rows(edges, np.array([0, 2]), np.array([0, 1]))
+        assert delays[0] == pytest.approx(1.0)
 
 
 FAULTS = (
@@ -556,10 +567,8 @@ class TestLinkTelemetry:
 
 class TestUtilisationExportParity:
     def test_dict_and_array_exports_agree(self, simulator, epoch):
-        """Both allocation paths export the same (E,) utilisation layout."""
-        from repro.network.alloc_arrays import compile_flow_link_system
-        from repro.network.capacity import Flow, allocate_proportional
-
+        """The dict oracle and the compiled system export the same (E,)
+        utilisation layout."""
         sequence = simulator.topology.snapshot_sequence(
             [epoch], simulator.ground_stations
         )
@@ -581,9 +590,9 @@ class TestUtilisationExportParity:
                     )
                 )
         assert flows
-        allocation = allocate_proportional(edge_list.graph(), flows)
+        allocation = allocate_proportional(graph_from_edge_list(edge_list), flows)
         by_dict = allocation.link_utilisation_array(edge_list)
-        system = compile_flow_link_system(edge_list, flows)
+        system, _ = compile_flows(edge_list, flows)
         rates = np.array([allocation.allocated_gbps[flow.name] for flow in flows])
         utilisation = system.link_loads(rates) / system.capacity
         by_array = system.link_utilisation_array(utilisation, len(edge_list.a))
@@ -593,8 +602,6 @@ class TestUtilisationExportParity:
     def test_dict_export_on_edge_list_without_links(self):
         """An allocation with link entries exported onto a snapshot with no
         links reads all zeros (the lookup used to index an empty table)."""
-        from repro.network.capacity import AllocationResult
-
         edges = _triangle()
         allocation = AllocationResult(
             allocated_gbps={"f": 1.0},

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.coverage.walker import WalkerDelta
@@ -30,6 +31,15 @@ def stations() -> list[GroundStation]:
     ]
 
 
+def _edge_list(topology, stations=None, at=None):
+    """The topology's links at one epoch (default: its reference epoch)."""
+    return topology.snapshot_sequence([at or topology.epoch], stations).edge_list(0)
+
+
+def _degrees(edges) -> np.ndarray:
+    return np.bincount(np.concatenate([edges.a, edges.b]), minlength=len(edges.labels))
+
+
 class TestTopology:
     def test_node_count(self, walker_topology):
         assert walker_topology.satellite_count == 200
@@ -39,60 +49,57 @@ class TestTopology:
         with pytest.raises(ValueError):
             ConstellationTopology(planes=[[]], epoch=epoch)
 
-    def test_snapshot_graph_basics(self, walker_topology, stations):
-        graph = walker_topology.snapshot_graph(ground_stations=stations)
-        satellite_nodes = [n for n, d in graph.nodes(data=True) if d["kind"] == "satellite"]
-        ground_nodes = [n for n, d in graph.nodes(data=True) if d["kind"] == "ground"]
-        assert len(satellite_nodes) == 200
-        assert len(ground_nodes) == 3
+    def test_snapshot_basics(self, walker_topology, stations):
+        edges = _edge_list(walker_topology, stations)
+        assert edges.labels == tuple(range(200)) + tuple(
+            f"gs:{station.name}" for station in stations
+        )
         # +Grid: every satellite has at least its two intra-plane neighbours.
-        degrees = [graph.degree(n) for n in satellite_nodes]
-        assert min(degrees) >= 2
+        assert _degrees(edges)[:200].min() >= 2
 
     def test_edges_have_attributes(self, walker_topology):
-        graph = walker_topology.snapshot_graph()
-        for _, _, data in list(graph.edges(data=True))[:20]:
-            assert data["distance_km"] > 0
-            assert data["delay_ms"] > 0
-            assert data["capacity_gbps"] > 0
+        edges = _edge_list(walker_topology)
+        assert edges.a.size > 0
+        assert np.all(edges.distance_km > 0)
+        assert np.all(edges.delay_ms > 0)
+        assert np.all(edges.capacity_gbps > 0)
 
     def test_ground_stations_connected(self, walker_topology, stations):
-        graph = walker_topology.snapshot_graph(ground_stations=stations)
-        for station in stations:
-            assert graph.degree(f"gs:{station.name}") >= 1
+        assert np.all(_degrees(_edge_list(walker_topology, stations))[200:] >= 1)
 
 
 class TestSnapshotSequences:
-    def test_snapshot_graphs_match_per_epoch_graphs(self, walker_topology, stations, epoch):
+    def test_sequence_steps_match_per_epoch_snapshots(
+        self, walker_topology, stations, epoch
+    ):
         epochs = [epoch.add_seconds(t) for t in (0.0, 120.0, 240.0)]
-        batched = walker_topology.snapshot_graphs(epochs, stations)
-        for at, graph in zip(epochs, batched):
-            reference = walker_topology.snapshot_graph(at, stations)
-            assert set(graph.nodes) == set(reference.nodes)
-            assert set(map(frozenset, graph.edges)) == set(map(frozenset, reference.edges))
+        batched = walker_topology.snapshot_sequence(epochs, stations).edge_lists()
+        for at, edges in zip(epochs, batched):
+            reference = _edge_list(walker_topology, stations, at)
+            assert edges.labels == reference.labels
+            assert set(edges.link_codes.tolist()) == set(reference.link_codes.tolist())
 
     def test_time_aware_snapshot_count_exact(self, walker_topology, stations, epoch):
         router = TimeAwareRouter(
             topology=walker_topology, ground_stations=stations, step_s=60.0
         )
-        assert len(router.snapshots(epoch, 600.0)) == 10
+        assert len(router.route_over_time(*stations[:2], epoch, 600.0)) == 10
         # Regression: float accumulation used to add an eleventh snapshot
         # when step_s does not sum exactly to the duration.
         router_fractional = TimeAwareRouter(
             topology=walker_topology, ground_stations=stations, step_s=0.1
         )
-        assert len(router_fractional.snapshots(epoch, 1.0)) == 10
+        assert len(router_fractional.route_over_time(*stations[:2], epoch, 1.0)) == 10
 
     def test_snapshot_validation(self, walker_topology, stations, epoch):
         router = TimeAwareRouter(topology=walker_topology, ground_stations=stations)
         with pytest.raises(ValueError):
-            router.snapshots(epoch, 0.0)
+            router.route_over_time(*stations[:2], epoch, 0.0)
 
 
 class TestRouting:
     def test_route_between_stations(self, walker_topology, stations):
-        graph = walker_topology.snapshot_graph(ground_stations=stations)
-        router = SnapshotRouter(graph)
+        router = SnapshotRouter(_edge_list(walker_topology, stations).arrays())
         result = router.route_between_stations(stations[0], stations[1])
         assert result.reachable
         assert result.hop_count >= 2
@@ -100,15 +107,13 @@ class TestRouting:
         assert 15.0 <= result.latency_ms <= 120.0
 
     def test_latency_at_least_geodesic(self, walker_topology, stations):
-        graph = walker_topology.snapshot_graph(ground_stations=stations)
-        router = SnapshotRouter(graph)
+        router = SnapshotRouter(_edge_list(walker_topology, stations).arrays())
         result = router.route_between_stations(stations[0], stations[2])
         # Great-circle London-Tokyo is ~9600 km -> >= 32 ms at light speed.
         assert result.latency_ms >= 30.0
 
     def test_unknown_node_unreachable(self, walker_topology):
-        graph = walker_topology.snapshot_graph()
-        router = SnapshotRouter(graph)
+        router = SnapshotRouter(_edge_list(walker_topology).arrays())
         result = router.route("gs:Nowhere", 0)
         assert not result.reachable
         assert result == RouteResult.unreachable()
@@ -126,7 +131,7 @@ class TestRouting:
     def test_time_aware_router_validation(self, walker_topology, stations, epoch):
         router = TimeAwareRouter(topology=walker_topology, ground_stations=stations)
         with pytest.raises(ValueError):
-            router.snapshots(epoch, duration_s=0.0)
+            router.route_over_time(stations[0], stations[1], epoch, duration_s=0.0)
         with pytest.raises(ValueError):
             TimeAwareRouter.availability([])
         inf, nan = float("inf"), float("nan")

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,25 @@ class TestPublicAPI:
         ):
             assert module.__doc__
             assert hasattr(module, "__all__")
+
+    def test_library_imports_without_networkx(self):
+        """networkx is a test dependency only: a fresh interpreter importing
+        the network layer, the simulator, the design core and the analysis
+        layer must not load it."""
+        source = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+        code = (
+            "import sys\n"
+            "import repro.network, repro.network.simulation, repro.core, repro.analysis\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_all_exports_resolve(self):
         import repro.core as core
