@@ -1,10 +1,12 @@
 """Benchmark: closed-loop congestion-steering overhead and payoff.
 
 Steering adds a control plane to every step of an adaptive scenario: a
-``steer()`` pass over the edge list, a private per-scenario router (the
-shared route tables cannot see per-scenario feedback state), a true-latency
-re-read of every routed path against the unsteered ``delay_ms`` column and
-an ``observe()`` EWMA/hysteresis update.  All of it is whole-array numpy
+``steer()`` pass over the edge list, a re-solve on the steered weights (of
+only the sources whose base paths cross a link steering made more
+expensive, when the scenario shares its snapshot group with an open-loop
+one; of all its sources otherwise), a true-latency re-read of every routed
+path as a sum of the unsteered ``delay_ms`` column over the compiled
+incidence and an ``observe()`` EWMA/hysteresis update.  All of it is whole-array numpy
 over int64 link codes, so the subsystem's acceptance criterion is that an
 adaptive sweep stays within **15%** of the open-loop (``"static"``) sweep
 at full size.

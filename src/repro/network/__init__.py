@@ -54,6 +54,7 @@ from .flows import (
     FlowTable,
     RoutedFlowTable,
     plan_flows,
+    reroute_flows,
     route_flow_table,
     select_flow_table,
     station_rows,
@@ -69,7 +70,6 @@ from .steering import (
     SteeringPolicy,
     UtilisationWeightedSteering,
     get_steering_policy,
-    path_delays_from_rows,
 )
 from .telemetry import (
     TELEMETRY,
@@ -112,6 +112,7 @@ __all__ = [
     "RoutedFlowTable",
     "compile_system_from_rows",
     "plan_flows",
+    "reroute_flows",
     "route_flow_table",
     "select_flow_table",
     "station_rows",
@@ -134,7 +135,6 @@ __all__ = [
     "SteeringPolicy",
     "UtilisationWeightedSteering",
     "get_steering_policy",
-    "path_delays_from_rows",
     "FAULT_MODELS",
     "FaultContext",
     "FaultModel",

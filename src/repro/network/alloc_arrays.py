@@ -110,16 +110,19 @@ class FlowLinkSystem:
             self.link_ids, weights=rates[self.flow_ids], minlength=self.link_count
         )
 
+    def flow_totals(self, link_values: np.ndarray) -> np.ndarray:
+        """Return the per-flow path sums ``A @ link_values``, shape ``(F,)``.
+
+        Each flow's sum runs hop by hop from its source, so per-link delays
+        read back as path latencies (a flow without hops reads 0.0).
+        """
+        return np.bincount(
+            self.flow_ids, weights=link_values[self.link_ids], minlength=self.flow_count
+        )
+
     def flows_touching(self, link_mask: np.ndarray) -> np.ndarray:
         """Return the boolean flow mask ``A @ link_mask > 0``, shape ``(F,)``."""
-        return (
-            np.bincount(
-                self.flow_ids,
-                weights=link_mask[self.link_ids].astype(float),
-                minlength=self.flow_count,
-            )
-            > 0
-        )
+        return self.flow_totals(link_mask.astype(float)) > 0
 
     def link_utilisation_array(
         self, utilisation: np.ndarray, edge_count: int

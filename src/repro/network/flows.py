@@ -19,6 +19,8 @@ columnar end-to-end:
   single batched layer walk (:meth:`~repro.network.backends.RouteTables.paths`)
   straight into one ragged ``(offsets, rows)`` path buffer in table order --
   no per-source loop, no per-source tables, no scatter pass;
+  :func:`reroute_flows` re-walks a subset of an already routed table on
+  other tables and splices the new paths in;
 * :meth:`RoutedFlowTable.compact` -- stage 4 input: the reachable slice of
   the ragged paths feeds
   :func:`repro.network.alloc_arrays.compile_system_from_rows` directly,
@@ -51,6 +53,7 @@ __all__ = [
     "select_flow_table",
     "station_rows",
     "route_flow_table",
+    "reroute_flows",
 ]
 
 
@@ -276,4 +279,44 @@ def route_flow_table(
         latency_ms=latency,
         path_offsets=path_offsets,
         path_rows=path_rows,
+    )
+
+
+def reroute_flows(
+    routed: RoutedFlowTable,
+    tables: RouteTables,
+    station_rows: np.ndarray,
+    flows: np.ndarray,
+) -> RoutedFlowTable:
+    """``routed`` with the flows ``flows`` re-walked on ``tables``.
+
+    ``flows`` are flow indices of ``routed.table``; they are walked in one
+    batched layer walk, as :func:`route_flow_table` walks a whole table, and
+    the new segments replace their old ones in the ragged path buffer.  Every other
+    flow keeps its path and latency, so the result equals walking the whole
+    table on ``tables`` wherever those tables route the other flows the
+    same way.  ``tables`` needs rows only for the sources of ``flows``.
+    """
+    table = routed.table
+    offsets, rows, latency = tables.paths(
+        table.src[flows], station_rows[table.dst[flows]]
+    )
+    lengths = np.diff(routed.path_offsets)
+    lengths[flows] = np.diff(offsets)
+    # Start of every segment in the old buffer followed by the new one.
+    starts = routed.path_offsets[:-1].copy()
+    starts[flows] = routed.path_rows.size + offsets[:-1]
+    path_offsets = np.zeros(lengths.size + 1, dtype=np.intp)
+    np.cumsum(lengths, out=path_offsets[1:])
+    gather = np.repeat(starts - path_offsets[:-1], lengths) + np.arange(
+        path_offsets[-1]
+    )
+    latency_ms = routed.latency_ms.copy()
+    latency_ms[flows] = latency
+    return RoutedFlowTable(
+        table=table,
+        reachable=np.isfinite(latency_ms),
+        latency_ms=latency_ms,
+        path_offsets=path_offsets,
+        path_rows=np.concatenate([routed.path_rows, rows])[gather],
     )

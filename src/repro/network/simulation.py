@@ -8,8 +8,9 @@ The simulator runs one pipeline per scenario and time step:
    whole run); each snapshot group (station subset plus fault schedule)
    gets one :class:`~repro.network.backends.SnapshotEdgeList` per step,
    from which the step kernel builds the group's station rows, the edge
-   list's link lookup and -- when two or more open-loop scenarios route on
-   it -- one shared :class:`~repro.network.backends.RouteTables`;
+   list's link lookup and -- when the group has an open-loop scenario and
+   at least one other scenario -- one shared *base*
+   :class:`~repro.network.backends.RouteTables` on the unsteered weights;
 2. **flow selection** -- the gravity traffic matrix of the step's UTC hour
    (memoised: the diurnal model repeats every 24 h) is filtered to the
    group's ground stations and cut to the largest ``flows_per_step`` flows
@@ -28,9 +29,14 @@ The simulator runs one pipeline per scenario and time step:
    distance and predecessor matrices indexed by station id, and all paths
    are walked at once into ragged row arrays
    (:func:`~repro.network.flows.route_flow_table`).  Paths do not depend
-   on demand, so a plan on the group's shared route tables is walked once
-   by the kernel and reused by every open-loop scenario of the plan;
-   steered scenarios walk their own selection on their own tables;
+   on demand, so a plan on the group's base route tables is walked once
+   by the kernel and reused by every open-loop scenario of the plan.  A
+   steered scenario reuses it too: steering only raises the weights of
+   engaged links, so it re-solves only the sources, and re-walks only the
+   flows, whose base path crosses a changed link, and splices those paths
+   in (:func:`~repro.network.flows.reroute_flows`).  A steered scenario
+   without a routed base plan, or whose weights went down anywhere, solves
+   its own sources on its steered weights;
 4. **capacity allocation** -- the routed paths compile straight into a
    sparse (flow x link) incidence system, their hops matched to links by
    the edge list's lookup
@@ -49,8 +55,9 @@ utilisation vectors.
 :meth:`NetworkSimulator.run_scenarios` evaluates many :class:`Scenario`
 variants (demand multipliers, ground-station subsets, flow budgets,
 allocators, fault specs, steering policies, telemetry) over *one* shared
-snapshot sequence: open-loop scenarios of one snapshot group share each
-step's route tables, and scenarios that differ only in demand multiplier
+snapshot sequence: scenarios of one snapshot group share each step's base
+route tables (steered ones re-solve only what steering can move), and
+scenarios that differ only in demand multiplier
 share each step's flow plan, so a sweep pays the topology, shortest-path,
 selection, path-walk and compile cost once per group (and flow budget)
 instead of once per scenario.  This is the paper's Section 5
@@ -98,16 +105,11 @@ from ..obs import (
 )
 from .alloc_arrays import ARRAY_SOLVERS, compile_system_from_rows
 from ..orbits.time import Epoch, epoch_range
-from .backends import RouteTables, SnapshotEdgeList
+from .backends import EdgeArrays, RouteTables, SnapshotEdgeList
 from .faults import FaultContext, FaultSchedule, FaultSpec, compile_faults, normalise_fault_specs
-from .flows import FlowPlan, plan_flows, route_flow_table, station_rows
+from .flows import FlowPlan, plan_flows, reroute_flows, route_flow_table, station_rows
 from .ground_station import GroundStation
-from .steering import (
-    SteeringController,
-    SteeringPolicy,
-    get_steering_policy,
-    path_delays_from_rows,
-)
+from .steering import SteeringController, SteeringPolicy, get_steering_policy
 from .telemetry import LinkTelemetry, PairTelemetry, get_telemetry
 from .topology import ConstellationTopology, MultiShellTopology
 
@@ -455,9 +457,12 @@ class _GroupSnapshot(NamedTuple):
     edge_list: SnapshotEdgeList
     #: Snapshot row of each of the group's stations, indexed by station id.
     station_rows: np.ndarray
-    #: Open-loop route tables over every station of the group, solved only
-    #: when two or more open-loop scenarios share them (``None`` otherwise:
-    #: every scenario then solves its own sources privately).
+    #: Base (unsteered) route tables over every station of the group, solved
+    #: only when the group has an open-loop scenario and at least one other
+    #: scenario.  Open-loop scenarios route on them as they are; steered
+    #: ones start from them and re-solve only the sources that steering can
+    #: move.  ``None`` otherwise: every scenario then solves its own sources
+    #: privately (a group of steered scenarios only never solves them).
     route_tables: RouteTables | None
 
 
@@ -503,6 +508,69 @@ def _route_plan(plan: FlowPlan, tables: RouteTables, snapshot: _GroupSnapshot) -
     )
 
 
+def _solve_sources(
+    arrays: EdgeArrays, snapshot: _GroupSnapshot, sources: np.ndarray
+) -> RouteTables:
+    """Route tables solved only for the station ids ``sources``."""
+    source_rows = np.full(snapshot.station_rows.size, -1, dtype=np.intp)
+    source_rows[sources] = snapshot.station_rows[sources]
+    return RouteTables.solve(arrays, source_rows)
+
+
+def _reroute_plan(
+    plan: FlowPlan, snapshot: _GroupSnapshot, steered: SnapshotEdgeList
+) -> tuple[FlowPlan, int, int]:
+    """Move a base-routed plan onto weights that only went up.
+
+    Raising the weights of links off a shortest path cannot make another
+    path shorter, so a base path that crosses no changed link stays the
+    steered shortest path.  Only the flows whose base path does cross one
+    are walked again, on tables solved for just their sources.  Returns
+    ``(plan, sources solved, flows walked)``.
+    """
+    system = plan.system
+    if system is None:
+        return plan, 0, 0
+    changed = steered.delay_ms != snapshot.edge_list.delay_ms
+    touched = system.flows_touching(changed[system.link_rows])
+    flows = np.flatnonzero(plan.routed.reachable)[touched]
+    if not flows.size:
+        return plan, 0, 0
+    sources = np.unique(plan.table.src[flows])
+    tables = _solve_sources(steered.arrays(), snapshot, sources)
+    routed = reroute_flows(plan.routed, tables, snapshot.station_rows, flows)
+    plan = plan._replace(routed=routed, system=None)
+    return plan, int(sources.size), int(flows.size)
+
+
+def _route_scenario(
+    plan: FlowPlan, snapshot: _GroupSnapshot, steered: SnapshotEdgeList | None
+) -> tuple[FlowPlan, int, int]:
+    """Route one scenario's plan; ``steered`` is ``None`` for open loop.
+
+    A plan the kernel routed on the group's base tables is kept as it is
+    by an open-loop scenario, and re-routed only where steering moved it
+    when every steered weight is at least its base weight
+    (:func:`_reroute_plan`).  Otherwise an open-loop scenario walks the
+    base tables, or solves its own sources when there are none, and a
+    steered one solves its own sources on its steered weights.  Returns
+    ``(plan, Dijkstra sources solved, flows walked on steered tables)``.
+    """
+    edge_list = snapshot.edge_list
+    if plan.routed is not None:
+        if steered is None:
+            return plan, 0, 0
+        if not np.any(steered.delay_ms < edge_list.delay_ms):
+            return _reroute_plan(plan, snapshot, steered)
+    if steered is None and snapshot.route_tables is not None:
+        return _route_plan(plan, snapshot.route_tables, snapshot), 0, 0
+    sources = np.unique(plan.table.src)
+    weights = edge_list if steered is None else steered
+    tables = _solve_sources(weights.arrays(), snapshot, sources)
+    walked = 0 if steered is None else plan.table.flow_count
+    return _route_plan(plan, tables, snapshot), int(sources.size), walked
+
+
 def _compile_plan(plan: FlowPlan, snapshot: _GroupSnapshot) -> FlowPlan:
     """Compile the plan's reachable paths (no system when none is reachable)."""
     demand, offsets, rows = plan.routed.compact()
@@ -529,24 +597,29 @@ def _evaluate_scenario(
     budget, selected on unscaled demand.  The scenario scales it by its
     demand multiplier; if scaling would merge two of its demands
     (:meth:`~repro.network.flows.FlowPlan.scaled`), it selects its own plan
-    on the scaled demand instead, with the same builder.  An open-loop
-    scenario reuses the plan's paths and incidence when the kernel routed
-    it on the group's shared route tables.  Otherwise it routes the plan
-    itself -- on the shared tables if there are any, else on private tables
-    solved, inside its routing span, for only the stations its flows start
-    at -- and compiles it.  With an adaptive ``controller`` the private
-    tables are solved on the controller-steered snapshot (shared tables and
-    paths must not see per-scenario feedback state); allocation and every
-    reported statistic still run against the unsteered capacities and
-    delays.  ``obs`` records the stage spans (the shared
-    :data:`~repro.obs.NULL_TRACER` when untraced).
+    on the scaled demand instead, with the same builder.  Routing
+    (:func:`_route_scenario`) reuses the paths and incidence the kernel
+    built on the group's base route tables: as they are for an open-loop
+    scenario, and re-solved and re-walked only where a changed link can
+    move them for a scenario whose adaptive ``controller`` only raised
+    weights.  Without a routed plan, or when steering lowered any weight,
+    the scenario solves, inside its routing span, the stations its flows
+    start at -- on the controller-steered snapshot when steered (the base
+    tables and paths never see per-scenario feedback state) -- and walks
+    and compiles the plan itself.  Allocation and every reported statistic
+    run against the unsteered capacities and delays: steered latencies
+    are re-read from the unsteered delay column over the compiled
+    incidence.  ``obs`` records the stage spans (the shared
+    :data:`~repro.obs.NULL_TRACER` when untraced), and the
+    ``route_sources`` / ``flows_rerouted`` counters the Dijkstra sources
+    solved and the flows walked on steered tables in the routing span.
     """
     scenario = spec.scenario
     edge_list = snapshot.edge_list
-    arrays = None
+    steered = None
     if controller is not None:
         with obs.span("steering"):
-            arrays = controller.steer(edge_list).arrays()
+            steered = controller.steer(edge_list)
     if obs.enabled:
         obs.counter("steps")
     with obs.span("flow_selection"):
@@ -567,19 +640,12 @@ def _evaluate_scenario(
         with obs.span("telemetry"):
             telemetry = _pair_telemetry(scenario, table)
     with obs.span("routing"):
-        if plan.routed is None or controller is not None:
-            tables = snapshot.route_tables if controller is None else None
-            if tables is None:
-                sources = np.unique(table.src)
-                source_rows = np.full(snapshot.station_rows.size, -1, dtype=np.intp)
-                source_rows[sources] = snapshot.station_rows[sources]
-                tables = RouteTables.solve(
-                    edge_list.arrays() if arrays is None else arrays, source_rows
-                )
-            plan = _route_plan(plan, tables, snapshot)
+        plan, solved, rerouted = _route_scenario(plan, snapshot, steered)
     routed = plan.routed
     routed_count = int(np.count_nonzero(routed.reachable))
     if obs.enabled:
+        obs.counter("route_sources", solved)
+        obs.counter("flows_rerouted", rerouted)
         obs.counter("flows_routed", routed_count)
         obs.gauge("flow_table_bytes", routed.nbytes)
     delivered = 0.0
@@ -612,9 +678,10 @@ def _evaluate_scenario(
             )
             if controller is not None:
                 # Steered routing distances are preferences, not times:
-                # re-read true latencies from the unsteered delay column.
-                _, offsets, rows = routed.compact()
-                latencies = path_delays_from_rows(edge_list, offsets, rows)
+                # re-read true latencies from the unsteered delay column
+                # (with no system, no flow is reachable: none to re-read).
+                if system is not None:
+                    latencies = system.flow_totals(edge_list.delay_ms[system.link_rows])
                 controller.observe(edge_list, link_utilisation)
                 steering_stats = controller.step_stats()
         if scenario.telemetry is not None:
@@ -669,9 +736,10 @@ def _build_plans(
 ) -> dict[tuple[int, int], FlowPlan]:
     """One :class:`~repro.network.flows.FlowPlan` per (group, flow budget).
 
-    Each plan is selected on unscaled demand.  When the group has shared
-    route tables and the plan has an open-loop user, it is also routed on
-    them and compiled, so those scenarios walk and compile nothing.  With
+    Each plan is selected on unscaled demand.  When the group has base
+    route tables, it is also routed on them and compiled, so open-loop
+    scenarios walk and compile nothing and steered ones start from its
+    paths.  With
     ``tracers``, each user gets an equal share of the plan's selection,
     routing and compile time in the matching stage, without a call count
     (its own spans count the calls), and the key's leading scenario counts
@@ -686,9 +754,7 @@ def _build_plans(
         marks = [time.perf_counter()]
         plan = plan_flows(matrix, members[0].station_names, budget)
         marks.append(time.perf_counter())
-        if snapshot.route_tables is not None and any(
-            member.steering is None for member in members
-        ):
+        if snapshot.route_tables is not None:
             plan = _route_plan(plan, snapshot.route_tables, snapshot)
             marks.append(time.perf_counter())
             plan = _compile_plan(plan, snapshot)
@@ -721,17 +787,20 @@ def _evaluate_step(
     ``edge_lists`` maps each snapshot group to its (already fault-masked)
     edge list of this step.  The kernel builds each group's shared state
     once -- station rows and the edge list's link lookup for every
-    scenario, plus
+    scenario, plus base
     :class:`~repro.network.backends.RouteTables` over all of the group's
-    stations when two or more open-loop scenarios would route on them --
-    and then one :class:`~repro.network.flows.FlowPlan` per (group, flow
-    budget), selected on unscaled demand and, on shared tables, routed and
-    compiled (:func:`_build_plans`).  Then it evaluates the scenarios,
-    through ``pool`` when given.  Every shared value is built before any
-    scenario runs and only read after, so thread workers need no lock; the
-    plans are dropped when the step returns.  A group's sole open-loop
-    scenario, like every steered one, solves only its own sources inside
-    its routing span instead.  Outputs come back in ``specs`` order.
+    stations when the group has an open-loop scenario and at least one
+    other scenario -- and then one :class:`~repro.network.flows.FlowPlan`
+    per (group, flow budget), selected on unscaled demand and, on base
+    tables, routed and compiled (:func:`_build_plans`).  Then it evaluates
+    the scenarios, through ``pool`` when given.  Every shared value is
+    built before any scenario runs and only read after, so thread workers
+    need no lock; the plans are dropped when the step returns.  Steered
+    scenarios re-solve, inside their routing span, only the sources whose
+    base paths their steering can move.  A group's sole scenario, and a
+    group of steered scenarios only, solve their own sources instead
+    (under the process executor, "group" means the part of it in one
+    worker's chunk).  Outputs come back in ``specs`` order.
 
     With ``tracers`` (one per scenario, or none at all) the snapshot stage
     -- the caller's edge-list export (``export_seconds``) plus the shared
@@ -743,6 +812,7 @@ def _evaluate_step(
     shares.
     """
     begin = time.perf_counter() if tracers else 0.0
+    members = Counter(spec.group for spec in specs)
     open_loop = Counter(spec.group for spec in specs if spec.steering is None)
     snapshots: dict[int, _GroupSnapshot] = {}
     for group, names in {spec.group: spec.station_names for spec in specs}.items():
@@ -754,7 +824,7 @@ def _evaluate_step(
             station_rows=rows,
             route_tables=(
                 RouteTables.solve(edge_list.arrays(), rows)
-                if open_loop[group] >= 2
+                if open_loop[group] and members[group] >= 2
                 else None
             ),
         )
@@ -973,12 +1043,16 @@ class NetworkSimulator:
         propagation and one vectorised link-feasibility pass cover the whole
         sweep, and scenarios whose ground-station subsets *and* fault specs
         coincide form one snapshot group sharing each step's edge list.
-        Shortest paths depend only on the snapshot, so when two or more
-        open-loop scenarios share a group, one batched search from every
-        station of the group per step serves them all, whatever their
-        demand multipliers, flow budgets or allocators.  A group's sole
-        open-loop scenario, and every adaptively steered one, instead
-        solves only the stations its flows start at.  Selection, the path
+        Shortest paths depend only on the snapshot, so when a group has an
+        open-loop scenario and at least one other, one batched search from
+        every station of the group per step serves them all, whatever their
+        demand multipliers, flow budgets or allocators.  Adaptively steered
+        scenarios start from it too: steering only raises weights, so each
+        re-solves only the sources, and re-walks only the flows, whose base
+        path crosses a link it made more expensive.  A group's sole
+        scenario, a group of steered scenarios only, and a steered scenario
+        whose policy lowered a weight instead solve only the stations their
+        flows start at.  Selection, the path
         walk and the incidence compile do not depend on the demand
         multiplier either: per step, scenarios of one group and flow budget
         share one flow plan selected on unscaled demand (and, on shared
@@ -1018,10 +1092,15 @@ class NetworkSimulator:
         ``instrument=True`` traces the sweep with :mod:`repro.obs`: every
         result carries a :attr:`SimulationResult.metrics` with per-stage
         durations, call counts, deterministic flow counters and working-set
-        gauges.  Spans only ever read the monotonic clock around stages --
-        they never touch pipeline values -- so instrumented statistics are
-        bit-identical to untraced runs, and the default (off) path keeps
-        the shared :data:`~repro.obs.NULL_TRACER` whose spans are free.
+        gauges.  The ``route_sources`` and ``flows_rerouted`` counters count
+        the Dijkstra sources a scenario solved and the flows it walked on
+        steered tables in its own routing span, so they depend on which
+        scenarios share its snapshot group (within one worker's chunk under
+        the process executor).  Spans only ever read the monotonic clock
+        around stages -- they never touch pipeline values -- so instrumented
+        statistics are bit-identical to untraced runs, and the default (off)
+        path keeps the shared :data:`~repro.obs.NULL_TRACER` whose spans are
+        free.
 
         ``progress`` optionally observes sweep completion: pass a callable
         receiving :class:`~repro.obs.ProgressEvent` (e.g.

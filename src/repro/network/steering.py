@@ -38,8 +38,20 @@ Within a step the ordering is::
 
 Steering only ever scales ``delay_ms`` used for *routing*; capacities,
 real link delays and therefore the reported latency statistics are always
-taken from the unsteered snapshot (:func:`path_delays_from_rows`
-recomputes true path latencies after routing on steered weights).
+taken from the unsteered snapshot: after routing on steered weights the
+simulator re-reads true path latencies as a per-flow sum of the unsteered
+delays over the incidence its allocation just compiled
+(:meth:`~repro.network.alloc_arrays.FlowLinkSystem.flow_totals`).
+
+Multipliers must be finite and positive (:meth:`SteeringController.steer`
+rejects anything else, naming the policy), and every shipped policy's are
+``>= 1``: steering only makes engaged links *more* expensive.  That is what
+lets a steered scenario reuse its snapshot group's open-loop routes.  A
+base shortest path that crosses no changed link is still a shortest path
+on the steered weights, so the simulator re-solves only the sources, and
+re-walks only the flows, whose base path crosses a changed link.  A policy
+that lowers any weight (a multiplier in ``(0, 1)``) takes a full private
+solve on its steered weights instead.
 
 Shipped policies:
 
@@ -86,33 +98,7 @@ __all__ = [
     "LoadSpreadingSteering",
     "STEERING_POLICIES",
     "get_steering_policy",
-    "path_delays_from_rows",
 ]
-
-
-def path_delays_from_rows(
-    edge_list: SnapshotEdgeList, offsets: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """True latency [ms] of ragged row paths against unsteered link delays.
-
-    ``rows[offsets[i]:offsets[i + 1]]`` is path ``i`` (the columnar
-    engine's layout); every hop must exist in ``edge_list``
-    (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links` raises
-    otherwise).  Routing on steered weights returns *steered* distances,
-    which are routing preferences, not times -- latency statistics must be
-    re-read from the real ``delay_ms`` column, which is exactly what this
-    does, fully vectorised.  Empty segments (unreachable flows) read
-    ``inf``.
-    """
-    offsets = np.asarray(offsets, dtype=np.intp)
-    count = offsets.size - 1
-    flow_ids, link_ids, link_rows = edge_list.hop_links(offsets, rows)
-    totals = np.full(count, np.inf)
-    nonempty = np.diff(offsets) > 0
-    totals[nonempty] = np.bincount(
-        flow_ids, weights=edge_list.delay_ms[link_rows][link_ids], minlength=count
-    )[nonempty]
-    return totals
 
 
 def _hash01(codes: np.ndarray, seed: int, step: int) -> np.ndarray:
@@ -168,6 +154,9 @@ class SteeringController:
         zero copies, zero cost.  Connectivity is never modified: penalised
         links stay routable, so steering cannot strand a flow that static
         routing could deliver.
+
+        Raises :class:`ValueError`, naming the policy and the value, when the
+        policy returns a multiplier that is not finite or not positive.
         """
         self._step += 1
         if not self.policy.adaptive or not self._engaged.any():
@@ -179,10 +168,23 @@ class SteeringController:
         engaged = known & self._engaged[positions]
         if not engaged.any():
             return edge_list
-        multiplier = np.ones(codes.size)
-        multiplier[engaged] = self.policy.multipliers(
-            self._ewma[positions[engaged]], codes[engaged], self._step
+        values = np.asarray(
+            self.policy.multipliers(
+                self._ewma[positions[engaged]], codes[engaged], self._step
+            ),
+            dtype=float,
         )
+        # NaN and inf weights would turn links into non-edges (csgraph drops
+        # them) and non-positive ones corrupt the search: reject them here.
+        bad = ~(np.isfinite(values) & (values > 0.0))
+        if bad.any():
+            name = getattr(self.policy, "name", type(self.policy).__name__)
+            raise ValueError(
+                f"steering policy {name!r} returned multiplier "
+                f"{float(values[bad][0])!r}; multipliers must be finite and > 0"
+            )
+        multiplier = np.ones(codes.size)
+        multiplier[engaged] = values
         return replace(edge_list, delay_ms=edge_list.delay_ms * multiplier)
 
     def observe(self, edge_list: SnapshotEdgeList, utilisation: np.ndarray) -> None:
@@ -298,11 +300,17 @@ class SteeringPolicy(ABC):
     def multipliers(
         self, smoothed: np.ndarray, codes: np.ndarray, step: int
     ) -> np.ndarray:
-        """Per-engaged-link routing-weight multipliers (each >= 1).
+        """Per-engaged-link routing-weight multipliers.
 
         ``smoothed`` is the EWMA utilisation of the engaged links,
         ``codes`` their link codes and ``step`` the 1-based step counter
         (for policies that rotate deterministically over time).
+
+        Values must be finite and > 0 (:meth:`SteeringController.steer`
+        raises otherwise).  Values >= 1 only make links more expensive, so
+        the simulator reuses the group's open-loop routes for every flow
+        that avoids a changed link; a step with any value in ``(0, 1)``
+        takes a full shortest-path solve on the steered weights instead.
         """
 
 

@@ -15,7 +15,9 @@ trust by reading:
   snapshot sequence (:func:`graph_stream`, :func:`snapshot_graph`);
 * named label flows (:class:`Flow`), their compile into the library's
   incidence form (:func:`compile_flows`) and the dict allocators
-  (:func:`allocate_proportional`, :func:`allocate_max_min`).
+  (:func:`allocate_proportional`, :func:`allocate_max_min`);
+* true path latencies of ragged row paths, matched hop by hop against the
+  edge list (:func:`path_delays_from_rows`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,28 @@ from repro.network.alloc_arrays import (
 from repro.network.backends import SnapshotEdgeList
 from repro.network.flows import FlowTable
 from repro.network.routing import RouteResult
+
+
+def path_delays_from_rows(
+    edge_list: SnapshotEdgeList, offsets: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """True latency [ms] of ragged row paths against unsteered link delays.
+
+    ``rows[offsets[i]:offsets[i + 1]]`` is path ``i``; every hop must exist
+    in ``edge_list`` (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`
+    raises otherwise).  Matches every hop again, independently of any
+    compiled incidence, and sums the real ``delay_ms`` column per path.
+    Empty segments (unreachable flows) read ``inf``.
+    """
+    offsets = np.asarray(offsets, dtype=np.intp)
+    count = offsets.size - 1
+    flow_ids, link_ids, link_rows = edge_list.hop_links(offsets, rows)
+    totals = np.full(count, np.inf)
+    nonempty = np.diff(offsets) > 0
+    totals[nonempty] = np.bincount(
+        flow_ids, weights=edge_list.delay_ms[link_rows][link_ids], minlength=count
+    )[nonempty]
+    return totals
 
 
 def select_flows(

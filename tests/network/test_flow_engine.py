@@ -11,6 +11,7 @@ a real ordering bug).
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.network.alloc_arrays import compile_system_from_rows
 from repro.network.backends import RouteTables
 from repro.network.flows import (
     plan_flows,
+    reroute_flows,
     route_flow_table,
     select_flow_table,
     station_rows,
@@ -311,6 +313,40 @@ class TestBulkPathExport:
         assert np.array_equal(
             rerouted.reachable[~touches], routed.reachable[~touches]
         )
+
+
+    def test_reroute_flows_splices_rewalked_segments(self, simulator, epoch):
+        """Re-walked flows take the other tables' paths, the rest keep
+        theirs; splicing every flow equals walking the whole table."""
+        edge_list = simulator.topology.snapshot_sequence(
+            [epoch], simulator.ground_stations
+        ).edge_list(0)
+        table = select_flow_table(simulator.traffic_model.matrix_at(12.0), NAMES, 10)
+        rows = station_rows(edge_list.node_index, NAMES)
+        base = route_flow_table(RouteTables.solve(edge_list.arrays(), rows), rows, table)
+        scale = np.random.default_rng(5).uniform(1.0, 5.0, edge_list.delay_ms.size)
+        steered = replace(edge_list, delay_ms=edge_list.delay_ms * scale)
+        tables = RouteTables.solve(steered.arrays(), rows)
+        full = route_flow_table(tables, rows, table)
+
+        def segment(routed, flow):
+            begin, end = routed.path_offsets[flow : flow + 2]
+            return routed.path_rows[begin:end].tolist()
+
+        flows = np.array([1, 4, 5, 9])
+        spliced = reroute_flows(base, tables, rows, flows)
+        assert spliced.table is table
+        for flow in range(table.flow_count):
+            source = full if flow in flows else base
+            assert segment(spliced, flow) == segment(source, flow)
+            assert spliced.latency_ms[flow] == source.latency_ms[flow]
+            assert spliced.reachable[flow] == source.reachable[flow]
+        assert any(segment(base, flow) != segment(full, flow) for flow in flows)
+        everything = reroute_flows(base, tables, rows, np.arange(table.flow_count))
+        nothing = reroute_flows(base, tables, rows, np.empty(0, dtype=np.intp))
+        for expected, got in ((full, everything), (base, nothing)):
+            for name in ("reachable", "latency_ms", "path_offsets", "path_rows"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name))
 
 
 SCENARIOS = [

@@ -150,6 +150,28 @@ class TestMetricsContent:
         for result in traced.values():
             assert result.metrics.counters["flow_plan_fallbacks"] == 0.0
 
+    def test_routing_work_counters(self, simulator, epoch):
+        traced = _sweep(simulator, epoch, instrument=True)
+        steps = len(traced["plain"].steps)
+        # The open-loop scenarios route on the group's base tables, solved
+        # in the snapshot stage: their routing spans solve and walk nothing.
+        for name in ("plain", "max_min", "telemetry"):
+            counters = traced[name].metrics.counters
+            assert counters["route_sources"] == 0.0
+            assert counters["flows_rerouted"] == 0.0
+        # The steered scenario re-solves at most its sources and re-walks at
+        # most its flows.
+        steered = traced["steered"].metrics.counters
+        assert 0.0 <= steered["route_sources"] <= steps * len(simulator.ground_stations)
+        assert 0.0 <= steered["flows_rerouted"] <= steered["flows_selected"]
+        # Alone, an open-loop scenario solves its own sources and walks its
+        # flows on unsteered tables.
+        solo = simulator.run_scenarios(
+            [SCENARIOS[0]], epoch, DURATION_HOURS, instrument=True
+        )["plain"].metrics.counters
+        assert solo["route_sources"] > 0.0
+        assert solo["flows_rerouted"] == 0.0
+
     def test_histogram_counts_match_call_counts(self, simulator, epoch):
         traced = _sweep(simulator, epoch, instrument=True)
         for result in traced.values():

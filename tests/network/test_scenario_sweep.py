@@ -12,7 +12,7 @@ from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network import simulation as simulation_module
 from repro.network.backends import RouteTables
-from repro.network.flows import route_flow_table
+from repro.network.flows import reroute_flows, route_flow_table
 from repro.network.ground_station import GroundStation
 from repro.network.simulation import NetworkSimulator, Scenario, run_grid
 from repro.network.steering import CongestionAwareSteering
@@ -228,6 +228,7 @@ class _RoutingRecorder:
     def __init__(self, monkeypatch):
         self.solves: list = []  # (tables, source_rows); strong references
         self.routes: list = []  # (tables, flow table)
+        self.reroutes: list = []  # (tables, flow table, re-walked flow ids)
         solve = RouteTables.solve.__func__
 
         def recording_solve(cls, arrays, source_rows):
@@ -239,15 +240,28 @@ class _RoutingRecorder:
             self.routes.append((tables, table))
             return route_flow_table(tables, station_rows, table)
 
+        def recording_reroute(routed, tables, station_rows, flows):
+            self.reroutes.append((tables, routed.table, np.array(flows)))
+            return reroute_flows(routed, tables, station_rows, flows)
+
         monkeypatch.setattr(RouteTables, "solve", classmethod(recording_solve))
         monkeypatch.setattr(simulation_module, "route_flow_table", recording_route)
+        monkeypatch.setattr(simulation_module, "reroute_flows", recording_reroute)
+
+
+#: Sticky congestion-aware steering: engages the links the first step
+#: loads past 0.5 and keeps them, so steering moves flows from step 2 on.
+_STICKY_STEERING = CongestionAwareSteering(
+    alpha=1.0, enter_band=0.5, exit_band=0.0, cooldown_steps=0
+)
 
 
 class TestRouteTableSharing:
-    """Route tables are shared only by two or more open-loop scenarios."""
+    """A group's base route tables serve its open-loop scenarios as they are
+    and its steered scenarios as the start of a partial re-solve."""
 
     @pytest.mark.parametrize("max_workers", [None, 3])
-    def test_one_shared_and_one_private_solve_per_step(
+    def test_one_base_solve_per_step_and_partial_steered_resolves(
         self, simulator, epoch, monkeypatch, max_workers
     ):
         recorder = _RoutingRecorder(monkeypatch)
@@ -255,32 +269,69 @@ class TestRouteTableSharing:
             Scenario(name="x1"),
             Scenario(name="x2", demand_multiplier=2.0),
             Scenario(name="budget", flows_per_step=4, allocator="max_min_array"),
-            Scenario(name="steered", steering="congestion-aware"),
+            Scenario(name="steered", steering=_STICKY_STEERING),
         ]
-        steps = 3
+        # Minute steps keep the loaded satellite links in view, so links
+        # engaged on one step are still routed on the next.
+        steps, minute = 3, 1.0 / 60.0
         simulator.run_scenarios(
-            scenarios, epoch, duration_hours=float(steps), max_workers=max_workers
+            scenarios, epoch, steps * minute, step_hours=minute, max_workers=max_workers
         )
-        assert len(recorder.solves) == 2 * steps
-        # One path walk per flow plan per step -- x1 and x2 share the plan of
-        # the default budget, "budget" has its own -- plus the steered
-        # scenario's private walk.
-        assert len(recorder.routes) == 3 * steps
-        consumers = [
-            sum(tables is routed for routed, _ in recorder.routes)
+        # One path walk per flow plan per step -- x1, x2 and the steered
+        # scenario share the plan of the default budget, "budget" has its
+        # own -- on the step's one base solve over every station.
+        assert len(recorder.routes) == 2 * steps
+        walked_on = [
+            any(tables is routed for routed, _ in recorder.routes)
             for tables, _ in recorder.solves
         ]
-        # Per step: one shared solve over every station, walked once by each
-        # of the two plans, and one private solve for the steered scenario.
-        assert sorted(consumers) == [1] * steps + [2] * steps
-        for (tables, source_rows), count in zip(recorder.solves, consumers):
+        base = [entry for entry, walked in zip(recorder.solves, walked_on) if walked]
+        private = [entry for entry, walked in zip(recorder.solves, walked_on) if not walked]
+        assert len(base) == steps
+        for tables, source_rows in base:
+            assert np.all(source_rows >= 0) and source_rows.size == len(CITIES)
             walked = [table for routed, table in recorder.routes if routed is tables]
-            if count == 2:
-                assert np.all(source_rows >= 0) and source_rows.size == len(CITIES)
-                # Plans are selected on unscaled demand, one per budget.
-                assert sorted(table.flow_count for table in walked) == [4, 10]
-            else:
-                assert [table.flow_count for table in walked] == [10]
+            # Plans are selected on unscaled demand, one per budget.
+            assert sorted(table.flow_count for table in walked) == [4, 10]
+        # Every other solve is one steered re-solve, for only the sources of
+        # the flows it re-walks: a subset of the plan, never a whole solve.
+        assert len(private) == len(recorder.reroutes) <= steps
+        assert recorder.reroutes
+        for (tables, source_rows), (rerouted, table, flows) in zip(
+            private, recorder.reroutes
+        ):
+            assert rerouted is tables
+            assert 0 < flows.size < table.flow_count
+            solved = np.flatnonzero(source_rows >= 0)
+            assert np.array_equal(solved, np.unique(table.src[flows]))
+
+    def test_group_of_steered_scenarios_solves_no_base_tables(
+        self, simulator, epoch, monkeypatch
+    ):
+        recorder = _RoutingRecorder(monkeypatch)
+        snapshots = []
+        real_snapshot = simulation_module._GroupSnapshot
+
+        def recording_snapshot(**fields):
+            snapshot = real_snapshot(**fields)
+            snapshots.append(snapshot)
+            return snapshot
+
+        monkeypatch.setattr(simulation_module, "_GroupSnapshot", recording_snapshot)
+        steps = 3
+        simulator.run_scenarios(
+            [
+                Scenario(name="a", steering=_STICKY_STEERING),
+                Scenario(name="b", steering="congestion-aware"),
+            ],
+            epoch,
+            duration_hours=float(steps),
+        )
+        assert len(snapshots) == steps
+        assert all(snapshot.route_tables is None for snapshot in snapshots)
+        # Each scenario solves its own sources and walks its whole plan.
+        assert len(recorder.solves) == len(recorder.routes) == 2 * steps
+        assert recorder.reroutes == []
 
     def test_sole_consumer_solves_only_its_sources(self, simulator, epoch, monkeypatch):
         recorder = _RoutingRecorder(monkeypatch)

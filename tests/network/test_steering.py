@@ -8,10 +8,16 @@ Three layers:
   with no steering under every executor, and that adaptive policies are
   deterministic and executor-independent;
 * an integration test showing a (sticky) congestion-aware policy
-  measurably reduces stranded demand under a correlated fault sweep.
+  measurably reduces stranded demand under a correlated fault sweep;
+* equivalence tests of the open-loop route reuse: a steered scenario
+  sharing its group with an open-loop one (re-solving only what steering
+  moves) matches the same policy run alone (a full private solve).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import ClassVar
 
 import networkx as nx
 import numpy as np
@@ -23,10 +29,12 @@ from flow_oracles import (
     allocate_proportional,
     compile_flows,
     graph_from_edge_list,
+    path_delays_from_rows,
 )
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network.backends import RouteTables, SnapshotEdgeList
+from repro.network import simulation as simulation_module
 from repro.network.ground_station import GroundStation
 from repro.network.routing import SnapshotRouter
 from repro.network.simulation import NetworkSimulator, Scenario
@@ -38,7 +46,6 @@ from repro.network.steering import (
     SteeringPolicy,
     UtilisationWeightedSteering,
     get_steering_policy,
-    path_delays_from_rows,
 )
 from repro.network.telemetry import LinkTelemetry, get_telemetry
 from repro.network.topology import ConstellationTopology
@@ -671,3 +678,156 @@ class TestBulkWalkBatching:
         assert offsets[4] == offsets[3]  # unsolved source row: empty segment
         assert np.isinf(latency[1:]).all()
         assert np.isfinite(latency[0]) and offsets[1] > 0
+
+
+@dataclass(frozen=True)
+class _ConstantSteering(SteeringPolicy):
+    """A policy defined at run time: one constant multiplier, sticky bands."""
+
+    name: ClassVar[str] = "constant"
+
+    value: float = 0.5
+    alpha: float = 0.9
+    enter_band: float = 0.5
+    exit_band: float = 0.0
+    cooldown_steps: int = 0
+
+    def multipliers(
+        self, smoothed: np.ndarray, codes: np.ndarray, step: int
+    ) -> np.ndarray:
+        return np.full(codes.size, self.value)
+
+
+class TestMultiplierValidation:
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 0.0, -0.5]
+    )
+    def test_bad_multiplier_raises_naming_policy_and_value(self, value):
+        edges = _triangle()
+        controller = _ConstantSteering(value=value, alpha=1.0).controller()
+        controller.steer(edges)
+        controller.observe(edges, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match=rf"'constant'.*{value!r}.*finite and > 0"):
+            controller.steer(edges)
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, 3.0])
+    def test_finite_positive_multipliers_pass(self, value):
+        edges = _triangle()
+        controller = _ConstantSteering(value=value, alpha=1.0).controller()
+        controller.steer(edges)
+        controller.observe(edges, np.array([1.0, 0.0, 0.0]))
+        assert controller.steer(edges).delay_ms.tolist() == [value, 2.0, 10.0]
+
+
+#: Sticky constants (instant engagement, no decay-driven release), so the
+#: shipped policies engage the dead links of ``FAULTS`` within a few steps.
+_STICKY = dict(alpha=0.9, enter_band=0.5, exit_band=0.0, cooldown_steps=0)
+
+
+def _routing_work(result) -> tuple[float, float]:
+    counters = result.metrics.counters
+    return counters["route_sources"], counters["flows_rerouted"]
+
+
+class TestOpenLoopRouteReuse:
+    """A steered scenario beside an open-loop one reuses the group's base
+    routes; alone, it takes the full private solve.  Both must agree."""
+
+    HOURS = 4.0
+
+    @pytest.mark.parametrize(
+        "policy_class",
+        [UtilisationWeightedSteering, CongestionAwareSteering, LoadSpreadingSteering],
+    )
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_reuse_matches_solo_run(self, simulator, epoch, policy_class, executor):
+        policy = policy_class(**_STICKY)
+        steered = Scenario(name="steered", faults=FAULTS, steering=policy)
+        # Two workers take every other scenario: "open" and "steered" share
+        # a chunk (and a snapshot group) under the process executor too.
+        scenarios = [
+            Scenario(name="open", faults=FAULTS),
+            Scenario(name="other", faults=FAULTS, demand_multiplier=2.0),
+            steered,
+        ]
+        pooled = {} if executor == "serial" else {"executor": executor, "max_workers": 2}
+        paired = simulator.run_scenarios(
+            scenarios, epoch, self.HOURS, instrument=True, **pooled
+        )["steered"]
+        solo = simulator.run_scenarios([steered], epoch, self.HOURS, instrument=True)[
+            "steered"
+        ]
+        assert paired.steps == solo.steps
+        selected = solo.metrics.counters["flows_selected"]
+        solo_sources, solo_walked = _routing_work(solo)
+        sources, walked = _routing_work(paired)
+        # Alone, every step solves every source and walks every flow.
+        assert solo_walked == selected
+        # Beside the open-loop scenario, only what steering moved: some
+        # flows crossed an engaged link, most did not.
+        assert 0 < walked < solo_walked
+        assert 0 < sources < solo_sources
+
+    def test_lowering_policy_takes_full_solve(self, simulator, epoch, monkeypatch):
+        halving = Scenario(name="half", faults=FAULTS, steering=_ConstantSteering(value=0.5))
+        splices = []
+        real_reroute = simulation_module.reroute_flows
+
+        def recording_reroute(*args):
+            splices.append(args)
+            return real_reroute(*args)
+
+        monkeypatch.setattr(simulation_module, "reroute_flows", recording_reroute)
+        paired = simulator.run_scenarios(
+            [Scenario(name="open", faults=FAULTS), halving], epoch, self.HOURS, instrument=True
+        )["half"]
+        solo = simulator.run_scenarios([halving], epoch, self.HOURS)["half"]
+        assert paired.steps == solo.steps
+        assert any(step.steering_reroutes for step in paired.steps)
+        # Lowered weights never splice into base paths: the steered steps
+        # solved their own sources instead.
+        assert splices == []
+        assert paired.metrics.counters["route_sources"] > 0
+
+    def test_latency_reread_matches_oracle(self, simulator, epoch, monkeypatch):
+        """Steered latencies summed over the compiled incidence equal the
+        hop-by-hop oracle bit for bit, on every step of a faulted sweep."""
+        compiled: list[list] = []  # per step: (edge list, compiled plan)
+        real_build = simulation_module._build_plans
+        real_compile = simulation_module._compile_plan
+
+        def recording_build(*args):
+            compiled.append([])
+            return real_build(*args)
+
+        def recording_compile(plan, snapshot):
+            plan = real_compile(plan, snapshot)
+            compiled[-1].append((snapshot.edge_list, plan))
+            return plan
+
+        monkeypatch.setattr(simulation_module, "_build_plans", recording_build)
+        monkeypatch.setattr(simulation_module, "_compile_plan", recording_compile)
+        policy = CongestionAwareSteering(**_STICKY)
+        result = simulator.run_scenarios(
+            [
+                Scenario(name="open", faults=FAULTS),
+                Scenario(name="steered", faults=FAULTS, steering=policy),
+            ],
+            epoch,
+            6.0,
+        )["steered"]
+        assert len(compiled) == len(result.steps)
+        spliced = 0
+        for step, compiles in zip(result.steps, compiled):
+            # The base plan compiles in the kernel; a steered scenario whose
+            # steering moved some flows compiles its spliced plan after it.
+            spliced += len(compiles) - 1
+            edge_list, plan = compiles[-1]
+            _, offsets, rows = plan.routed.compact()
+            oracle = path_delays_from_rows(edge_list, offsets, rows)
+            system = plan.system
+            assert np.array_equal(
+                system.flow_totals(edge_list.delay_ms[system.link_rows]), oracle
+            )
+            assert step.mean_latency_ms == float(np.mean(oracle))
+        assert spliced > 0

@@ -91,9 +91,10 @@ class TestPublicAPI:
 
     def test_all_exports_resolve(self):
         import repro.core as core
+        import repro.network as network
         import repro.orbits as orbits
 
-        for module in (core, orbits):
+        for module in (core, network, orbits):
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name} missing"
 
