@@ -22,6 +22,7 @@ same way the paper runs it on CESNET data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -69,6 +70,24 @@ DEFAULT_HOURLY_PERCENT: tuple[float, ...] = (
 )
 
 
+def _interpolate(hourly_percent: tuple[float, ...], hours: np.ndarray) -> np.ndarray:
+    """Periodic linear interpolation of an hourly table (hour 24 == hour 0)."""
+    table_hours = np.arange(int(HOURS_PER_DAY) + 1, dtype=float)
+    table_values = np.asarray(hourly_percent + (hourly_percent[0],))
+    return np.interp(np.asarray(hours, dtype=float), table_hours, table_values)
+
+
+@functools.lru_cache(maxsize=64)
+def _median_normalisation(hourly_percent: tuple[float, ...]) -> float:
+    """Median of the interpolated table over 1,440 one-minute samples of a day.
+
+    Keyed on the table itself, so every profile with the same table shares
+    one median, computed once per process.
+    """
+    sample_hours = np.linspace(0.0, HOURS_PER_DAY, 1440, endpoint=False)
+    return float(np.median(_interpolate(hourly_percent, sample_hours)))
+
+
 @dataclass(frozen=True)
 class DiurnalProfile:
     """Median diurnal demand cycle, interpolated from an hourly table.
@@ -80,30 +99,33 @@ class DiurnalProfile:
     The default table has a trough of ~38 % of the median around 04:00 local
     time and an evening peak of ~210 % around 21:00.
 
+    The normalising median (1,440 one-minute samples) is computed once per
+    distinct table and cached, so :meth:`fraction_of_median` costs one
+    interpolation over the hours it is given, whether that is one hour or an
+    array of every city's local time.
+
     Attributes
     ----------
     hourly_percent:
-        24 values, one per hour of local time, in percent of the daily median.
+        24 finite, positive values, one per hour of local time, in percent of
+        the daily median.  Any sequence is accepted and stored as a tuple of
+        floats.
     """
 
     hourly_percent: tuple[float, ...] = DEFAULT_HOURLY_PERCENT
 
     def __post_init__(self) -> None:
-        if len(self.hourly_percent) != int(HOURS_PER_DAY):
-            raise ValueError("hourly_percent must contain exactly 24 values")
-        if any(value <= 0 for value in self.hourly_percent):
-            raise ValueError("hourly_percent values must be positive")
-
-    def _raw(self, hours: np.ndarray) -> np.ndarray:
-        hours = np.asarray(hours, dtype=float)
-        # Periodic linear interpolation: append hour 24 == hour 0.
-        table_hours = np.arange(int(HOURS_PER_DAY) + 1, dtype=float)
-        table_values = np.asarray(self.hourly_percent + (self.hourly_percent[0],))
-        return np.interp(hours, table_hours, table_values)
-
-    def _normalisation(self) -> float:
-        sample_hours = np.linspace(0.0, HOURS_PER_DAY, 1440, endpoint=False)
-        return float(np.median(self._raw(sample_hours)))
+        table = tuple(float(value) for value in self.hourly_percent)
+        if len(table) != int(HOURS_PER_DAY):
+            raise ValueError(
+                f"hourly_percent must contain exactly 24 values, got {len(table)}"
+            )
+        for hour, value in enumerate(table):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"hourly_percent[{hour}] must be finite and positive, got {value!r}"
+                )
+        object.__setattr__(self, "hourly_percent", table)
 
     def fraction_of_median(self, local_time_hours: float | np.ndarray) -> np.ndarray | float:
         """Return demand as a fraction of the daily median at a local time.
@@ -111,7 +133,9 @@ class DiurnalProfile:
         Accepts scalars or arrays; hours outside [0, 24) are wrapped.
         """
         hours = np.mod(np.asarray(local_time_hours, dtype=float), HOURS_PER_DAY)
-        values = self._raw(hours) / self._normalisation()
+        values = _interpolate(self.hourly_percent, hours) / _median_normalisation(
+            self.hourly_percent
+        )
         if np.isscalar(local_time_hours):
             return float(values)
         return values

@@ -11,6 +11,7 @@ network-layer workloads are consistent with the design-layer demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,11 @@ class TrafficMatrix:
         self.demands = np.asarray(self.demands, dtype=float)
         if self.demands.shape != (n, n):
             raise ValueError("demands must be a square matrix matching cities")
+        finite = np.isfinite(self.demands)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            value = float(self.demands[row, col])
+            raise ValueError(f"demands[{row}, {col}] must be finite, got {value!r}")
         if np.any(self.demands < 0):
             raise ValueError("demands must be non-negative")
 
@@ -146,21 +152,45 @@ class GravityTrafficModel:
     instantaneous demand equals ``total_demand`` (in satellite-capacity
     units), which lets network experiments sweep load the same way the design
     experiments sweep the bandwidth multiplier.
+
+    Construction requires at least two cities, every city weight finite and
+    positive, and ``total_demand`` finite and non-negative.
     """
 
     cities: tuple[City, ...] = field(default_factory=_default_cities)
     profile: DiurnalProfile = field(default_factory=DiurnalProfile)
     total_demand: float = 100.0
 
-    def weights_at(self, utc_hour: float) -> np.ndarray:
-        """Return the diurnally modulated weight of each city at a UTC hour."""
-        weights = np.empty(len(self.cities))
-        for index, city in enumerate(self.cities):
-            local_time = (utc_hour + city.longitude_deg / 15.0) % 24.0
-            weights[index] = city.weight * float(
-                self.profile.fraction_of_median(local_time)
+    def __post_init__(self) -> None:
+        if len(self.cities) < 2:
+            raise ValueError(
+                f"cities must hold at least 2 cities, got {len(self.cities)}"
             )
-        return weights
+        for city in self.cities:
+            if not (math.isfinite(city.weight) and city.weight > 0):
+                raise ValueError(
+                    f"city {city.name!r} weight must be finite and positive, "
+                    f"got {city.weight!r}"
+                )
+        if not (math.isfinite(self.total_demand) and self.total_demand >= 0):
+            raise ValueError(
+                f"total_demand must be finite and non-negative, got {self.total_demand!r}"
+            )
+
+    def weights_at(self, utc_hour: float) -> np.ndarray:
+        """Return the diurnally modulated weight of each city at a UTC hour.
+
+        One array pass: every city's local time is ``utc_hour`` plus its
+        longitude over 15 degrees per hour, and one
+        :meth:`DiurnalProfile.fraction_of_median` call turns them all into
+        diurnal fractions.  Raises ``ValueError`` on a non-finite hour.
+        """
+        if not math.isfinite(utc_hour):
+            raise ValueError(f"utc_hour must be finite, got {utc_hour!r}")
+        longitudes = np.array([city.longitude_deg for city in self.cities], dtype=float)
+        weights = np.array([city.weight for city in self.cities], dtype=float)
+        local_times = (utc_hour + longitudes / 15.0) % 24.0
+        return weights * self.profile.fraction_of_median(local_times)
 
     def matrix_at(self, utc_hour: float) -> TrafficMatrix:
         """Return the gravity traffic matrix at a UTC hour."""

@@ -105,7 +105,7 @@ from ..obs import (
 )
 from .alloc_arrays import ARRAY_SOLVERS, compile_system_from_rows
 from ..orbits.time import Epoch, epoch_range
-from .backends import EdgeArrays, RouteTables, SnapshotEdgeList
+from .backends import EdgeArrays, RouteTables, SnapshotEdgeList, load_csgraph
 from .faults import FaultContext, FaultSchedule, FaultSpec, compile_faults, normalise_fault_specs
 from .flows import FlowPlan, plan_flows, reroute_flows, route_flow_table, station_rows
 from .ground_station import GroundStation
@@ -994,6 +994,9 @@ class NetworkSimulator:
 
     def __post_init__(self) -> None:
         self.flows_per_step = _count("flows_per_step", self.flows_per_step)
+        # Load the routing engine with the simulator, not inside the first
+        # timed routing call.
+        load_csgraph()
 
     # -- public entry points -----------------------------------------------------
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from ..constants import EARTH_RADIUS_KM
 from .elements import OrbitalElements
 from .perturbations import nodal_day_s, nodal_period_s
@@ -115,6 +113,10 @@ def repeat_ground_track_altitude_km(
         If no altitude in the LEO search range satisfies the repeat condition
         (e.g. the ratio corresponds to an orbit below 150 km or above 3000 km).
     """
+    # Imported here, not at module level: scipy.optimize costs ~0.6 s to
+    # import and no simulation or design sweep solves for an altitude.
+    from scipy.optimize import brentq
+
     if revolutions <= 0 or days <= 0:
         raise ValueError("revolutions and days must be positive integers")
     inclination_rad = math.radians(inclination_deg)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from ..constants import (
     EARTH_RADIUS_KM,
     HOURS_PER_DAY,
@@ -82,6 +80,10 @@ def sun_synchronous_altitude_km(
     Only retrograde inclinations admit a solution; a ``ValueError`` is raised
     otherwise or when no altitude in the LEO/MEO search range matches.
     """
+    # Imported here, not at module level: scipy.optimize costs ~0.6 s to
+    # import and no simulation or design sweep solves for an altitude.
+    from scipy.optimize import brentq
+
     if inclination_rad <= math.pi / 2.0:
         raise ValueError("sun-synchronous orbits must be retrograde (i > 90 deg)")
 

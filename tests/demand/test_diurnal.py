@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,8 +12,16 @@ from repro.demand.diurnal import (
     DEFAULT_HOURLY_PERCENT,
     DiurnalProfile,
     SyntheticTrafficDataset,
+    _median_normalisation,
     time_of_day_percentiles,
 )
+
+SAMPLES = np.linspace(0.0, 24.0, 1440, endpoint=False)
+
+
+def interpolated(table: tuple[float, ...], hours: np.ndarray) -> np.ndarray:
+    """The table's periodic linear interpolation, computed independently."""
+    return np.interp(hours, np.arange(25, dtype=float), np.asarray(table + (table[0],)))
 
 
 class TestDiurnalProfile:
@@ -53,6 +63,40 @@ class TestDiurnalProfile:
             DiurnalProfile(hourly_percent=(100.0,) * 23)
         with pytest.raises(ValueError):
             DiurnalProfile(hourly_percent=(0.0,) + DEFAULT_HOURLY_PERCENT[1:])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, value):
+        table = DEFAULT_HOURLY_PERCENT[:5] + (value,) + DEFAULT_HOURLY_PERCENT[6:]
+        with pytest.raises(ValueError, match=f"hourly_percent\\[5\\] .* got {value!r}"):
+            DiurnalProfile(hourly_percent=table)
+
+    def test_list_table_stored_as_float_tuple(self):
+        profile = DiurnalProfile(hourly_percent=[int(value) for value in DEFAULT_HOURLY_PERCENT])
+        assert isinstance(profile.hourly_percent, tuple)
+        assert all(type(value) is float for value in profile.hourly_percent)
+        assert profile == DiurnalProfile()
+        assert profile.fraction_of_median(20.5) == DiurnalProfile().fraction_of_median(20.5)
+
+    def test_cached_normalisation_is_the_sample_median(self):
+        table = tuple(float(value) for value in np.linspace(30.0, 250.0, 24))
+        profile = DiurnalProfile(hourly_percent=table)
+        expected = float(np.median(interpolated(table, SAMPLES)))
+        assert _median_normalisation(profile.hourly_percent) == expected
+        assert np.array_equal(
+            profile.fraction_of_median(SAMPLES), interpolated(table, SAMPLES) / expected
+        )
+
+    def test_tables_do_not_share_a_normalisation(self):
+        tables = (DEFAULT_HOURLY_PERCENT, tuple(float(v) for v in np.linspace(250.0, 30.0, 24)))
+        profiles = [DiurnalProfile(hourly_percent=table) for table in tables]
+        medians = [float(np.median(interpolated(table, SAMPLES))) for table in tables]
+        assert medians[0] != medians[1]
+        for _ in range(2):  # interleave, so a shared cache entry would show
+            for profile, table, median in zip(profiles, tables, medians):
+                assert _median_normalisation(profile.hourly_percent) == median
+                assert np.array_equal(
+                    profile.fraction_of_median(SAMPLES), interpolated(table, SAMPLES) / median
+                )
 
     def test_scalar_and_array_agree(self):
         profile = DiurnalProfile()

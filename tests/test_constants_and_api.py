@@ -70,17 +70,11 @@ class TestPublicAPI:
             assert module.__doc__
             assert hasattr(module, "__all__")
 
-    def test_library_imports_without_networkx(self):
-        """networkx is a test dependency only: a fresh interpreter importing
-        the network layer, the simulator, the design core and the analysis
-        layer must not load it."""
+    @staticmethod
+    def run_fresh(code: str) -> None:
+        """Run ``code`` in a fresh interpreter with this checkout's ``src`` first."""
         source = str(Path(repro.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
-        code = (
-            "import sys\n"
-            "import repro.network, repro.network.simulation, repro.core, repro.analysis\n"
-            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
-        )
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -88,6 +82,82 @@ class TestPublicAPI:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0, result.stderr
+
+    def test_library_imports_without_networkx(self):
+        """networkx is a test dependency only: a fresh interpreter importing
+        the network layer, the simulator, the design core and the analysis
+        layer must not load it."""
+        self.run_fresh(
+            "import sys\n"
+            "import repro.network, repro.network.simulation, repro.core, repro.analysis\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        )
+
+    def test_library_imports_without_scipy_optimize(self):
+        """scipy.optimize (~0.6 s to import) serves only the altitude solvers,
+        which import it when called: importing the library loads none of it,
+        nor the csgraph routing engine."""
+        self.run_fresh(
+            "import sys\n"
+            "import repro.network, repro.network.simulation, repro.core, repro.orbits\n"
+            "import repro.analysis\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+            "assert 'scipy.sparse.csgraph' not in sys.modules, 'csgraph was imported'\n"
+        )
+
+    def test_simulator_loads_csgraph_before_the_first_route(self):
+        """Building a NetworkSimulator loads csgraph, so a run that follows
+        imports no scipy module inside its timed stages."""
+        self.run_fresh(
+            "import sys\n"
+            "from repro.coverage.walker import WalkerDelta\n"
+            "from repro.demand.traffic_matrix import City, GravityTrafficModel\n"
+            "from repro.network.ground_station import GroundStation\n"
+            "from repro.network.simulation import NetworkSimulator, Scenario\n"
+            "from repro.network.topology import ConstellationTopology\n"
+            "from repro.orbits.time import Epoch\n"
+            "cities = (City('London', 51.5, -0.1, 9.6), City('New York', 40.7, -74.0, 20.0),\n"
+            "          City('Tokyo', 35.7, 139.7, 37.0))\n"
+            "walker = WalkerDelta(altitude_km=560.0, inclination_deg=65.0,\n"
+            "                     total_satellites=60, planes=5, phasing=1)\n"
+            "elements = walker.satellite_elements()\n"
+            "epoch = Epoch.from_calendar(2025, 3, 20, 12, 0, 0.0)\n"
+            "topology = ConstellationTopology(\n"
+            "    planes=[elements[i * 12:(i + 1) * 12] for i in range(5)], epoch=epoch)\n"
+            "assert 'scipy.sparse.csgraph' not in sys.modules, 'csgraph loaded too early'\n"
+            "simulator = NetworkSimulator(\n"
+            "    topology=topology,\n"
+            "    ground_stations=[GroundStation(c.name, c.latitude_deg, c.longitude_deg)\n"
+            "                     for c in cities],\n"
+            "    traffic_model=GravityTrafficModel(cities=cities, total_demand=30.0),\n"
+            "    flows_per_step=6)\n"
+            "assert 'scipy.sparse.csgraph' in sys.modules, 'csgraph not loaded'\n"
+            "loaded = {name for name in sys.modules if name.startswith('scipy')}\n"
+            "results = simulator.run_scenarios(\n"
+            "    [Scenario(name='plain'),\n"
+            "     Scenario(name='steered', allocator='max_min_array',\n"
+            "              steering='congestion-aware')], epoch, 2.0)\n"
+            "assert all(step.offered_gbps > 0 for result in results.values()\n"
+            "           for step in result.steps)\n"
+            "added = {name for name in sys.modules if name.startswith('scipy')} - loaded\n"
+            "assert not added, f'the run imported {sorted(added)}'\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        )
+
+    def test_altitude_solvers_import_brentq_when_called(self):
+        """The sun-synchronous and repeat-ground-track altitude solvers import
+        brentq on their first call and still return the same altitudes."""
+        self.run_fresh(
+            "import math, sys\n"
+            "from repro.orbits.sunsync import sun_synchronous_altitude_km\n"
+            "from repro.orbits.repeat_ground_track import repeat_ground_track_altitude_km\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+            "altitude = sun_synchronous_altitude_km(math.radians(97.8))\n"
+            "assert abs(altitude - 603.1354481344107) < 1e-6, altitude\n"
+            "altitude = repeat_ground_track_altitude_km(15, 1, 97.0)\n"
+            "assert abs(altitude - 559.8763550683243) < 1e-6, altitude\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
 
     def test_all_exports_resolve(self):
         import repro.core as core
