@@ -31,9 +31,11 @@ def _decode_latency(value: "float | None") -> float:
     return float("inf") if value is None else float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDocument:
     """One loaded ``run_grid`` file: axes, summaries and full results.
+
+    Instances compare by identity: the result dicts are unhashable.
 
     Attributes
     ----------

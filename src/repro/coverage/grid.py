@@ -47,9 +47,11 @@ def _divides_evenly(span: float, step: float, tol: float = 1e-9) -> bool:
     return round(ratio) >= 1 and abs(round(ratio) - ratio) < tol
 
 
-@dataclass
+@dataclass(eq=False)
 class LatLonGrid:
     """A regular Earth-fixed latitude x longitude grid of scalar values.
+
+    Instances compare by identity: array fields have no single truth value.
 
     Attributes
     ----------
@@ -155,9 +157,11 @@ class LatLonGrid:
         return LatLonGrid(resolution_deg=self.resolution_deg, values=self.values.copy())
 
 
-@dataclass
+@dataclass(eq=False)
 class LatLocalTimeGrid:
     """A sun-fixed latitude x local-time-of-day grid of scalar values.
+
+    Instances compare by identity: array fields have no single truth value.
 
     This is the coordinate chart of the paper's Figure 8: the "longitude" axis
     is replaced by local mean solar time in hours.  Because the Earth rotates

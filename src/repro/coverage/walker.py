@@ -20,6 +20,7 @@ This module provides:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +40,20 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value: object) -> int:
+    """Return ``value`` as an ``int``, or raise naming ``name``.
+
+    ``operator.index`` admits Python and numpy integers but not floats
+    (``24.0`` included); ``bool`` is rejected explicitly.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WalkerDelta:
     """A Walker-delta constellation ``inclination: total/planes/phasing``.
@@ -46,15 +61,18 @@ class WalkerDelta:
     Attributes
     ----------
     altitude_km:
-        Common circular altitude of all satellites.
+        Common circular altitude of all satellites (finite, positive).
     inclination_deg:
-        Common inclination in degrees.
+        Common inclination in degrees, in [0, 180].
     total_satellites:
         Total number of satellites ``T``.
     planes:
         Number of equally spaced orbital planes ``P`` (must divide ``T``).
     phasing:
         Walker phasing factor ``F`` in [0, P).
+
+    The three counts must be integers; numpy integers are accepted and
+    stored as ``int``, while ``bool`` and floats (``24.0`` too) are rejected.
     """
 
     altitude_km: float
@@ -64,6 +82,20 @@ class WalkerDelta:
     phasing: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("total_satellites", "planes", "phasing"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if not (math.isfinite(self.altitude_km) and self.altitude_km > 0.0):
+            raise ValueError(
+                f"altitude_km must be finite and positive, got {self.altitude_km!r}"
+            )
+        if not (
+            math.isfinite(self.inclination_deg)
+            and 0.0 <= self.inclination_deg <= 180.0
+        ):
+            raise ValueError(
+                "inclination_deg must be finite and in [0, 180], "
+                f"got {self.inclination_deg!r}"
+            )
         if self.planes <= 0 or self.total_satellites <= 0:
             raise ValueError("planes and total_satellites must be positive")
         if self.total_satellites % self.planes != 0:

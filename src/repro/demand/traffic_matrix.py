@@ -43,9 +43,11 @@ class City:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class TrafficMatrix:
     """A set of directed demands between cities at one instant.
+
+    Instances compare by identity: array fields have no single truth value.
 
     Attributes
     ----------

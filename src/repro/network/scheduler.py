@@ -10,6 +10,7 @@ the deferrable traffic forward in time to minimise the peak load.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,11 @@ import numpy as np
 __all__ = ["ScheduleResult", "PeakShiftScheduler"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleResult:
     """Outcome of a peak-shifting schedule.
+
+    Instances compare by identity: array fields have no single truth value.
 
     Attributes
     ----------
@@ -54,10 +57,20 @@ class PeakShiftScheduler:
     Attributes
     ----------
     max_delay_slots:
-        How many slots a deferrable unit of traffic may be postponed.
+        How many slots a deferrable unit of traffic may be postponed: a
+        non-negative integer (0 serves deferrable traffic only in its own
+        slot).
     """
 
     max_delay_slots: int = 6
+
+    def __post_init__(self) -> None:
+        delay = self.max_delay_slots
+        if isinstance(delay, bool) or not isinstance(delay, numbers.Integral):
+            raise ValueError(f"max_delay_slots must be an integer, got {delay!r}")
+        if delay < 0:
+            raise ValueError(f"max_delay_slots must be non-negative, got {delay!r}")
+        self.max_delay_slots = int(delay)
 
     def schedule(
         self,
@@ -67,20 +80,22 @@ class PeakShiftScheduler:
     ) -> ScheduleResult:
         """Schedule one cyclic day of traffic.
 
-        All inputs are per-slot arrays of equal length (the series is treated
-        as cyclic, matching the diurnal cycle).  Urgent traffic is always
-        served in its own slot (it may exceed capacity -- that excess is what
-        constellation sizing must provision for); deferrable traffic is packed
-        into the earliest following slot with spare capacity, up to
-        ``max_delay_slots`` later, and dropped otherwise.
+        All inputs are non-empty 1-D per-slot arrays of equal length, finite
+        and non-negative (the series is treated as cyclic, matching the
+        diurnal cycle).  Urgent traffic is always served in its own slot (it
+        may exceed capacity -- that excess is what constellation sizing must
+        provision for); deferrable traffic is packed into the earliest
+        following slot with spare capacity, up to ``max_delay_slots`` later,
+        and dropped otherwise.
         """
-        urgent = np.asarray(urgent, dtype=float)
-        deferrable = np.asarray(deferrable, dtype=float)
-        capacity = np.asarray(capacity, dtype=float)
+        urgent = _slot_series("urgent", urgent)
+        deferrable = _slot_series("deferrable", deferrable)
+        capacity = _slot_series("capacity", capacity)
         if not (urgent.shape == deferrable.shape == capacity.shape):
-            raise ValueError("urgent, deferrable and capacity must have the same shape")
-        if np.any(urgent < 0) or np.any(deferrable < 0) or np.any(capacity < 0):
-            raise ValueError("traffic and capacity must be non-negative")
+            raise ValueError(
+                "urgent, deferrable and capacity must have the same shape, got "
+                f"{urgent.shape}, {deferrable.shape} and {capacity.shape}"
+            )
 
         slots = urgent.size
         served = urgent.copy()
@@ -112,3 +127,24 @@ class PeakShiftScheduler:
             peak_before=float(total_before.max()),
             peak_after=float(served.max()),
         )
+
+
+def _slot_series(name: str, values: np.ndarray) -> np.ndarray:
+    """Return ``values`` as a float array, or raise naming ``name``.
+
+    A per-slot series must be a non-empty 1-D array of finite, non-negative
+    values.
+    """
+    series = np.asarray(values, dtype=float)
+    if series.ndim != 1 or series.size == 0:
+        raise ValueError(
+            f"{name} must be a non-empty 1-D array, got shape {series.shape}"
+        )
+    bad = ~np.isfinite(series) | (series < 0)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise ValueError(
+            f"{name}[{index}] must be finite and non-negative, "
+            f"got {float(series[index])!r}"
+        )
+    return series

@@ -50,9 +50,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """An ECI position/velocity pair at a given epoch."""
+    """An ECI position/velocity pair at a given epoch.
+
+    Instances compare by identity: array fields have no single truth value.
+    """
 
     position_km: np.ndarray
     velocity_km_s: np.ndarray

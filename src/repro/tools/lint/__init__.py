@@ -29,12 +29,12 @@ index (:mod:`repro.tools.lint.dataflow`).
 
 Run ``python -m repro.tools.lint src/repro`` (see
 ``CONTRIBUTING.md`` -- "Engine invariants") or use :func:`run_lint`
-programmatically.  Inline suppression::
+programmatically.  Every finding fails the run; a rule whose own docs allow
+it may be silenced on one line with a justified inline suppression::
 
     value = call()  # repro-lint: ignore[RPL001]
 """
 
-from .baseline import compare_with_baseline, load_baseline, write_baseline
 from .cli import main, run_lint
 from .engine import Finding, LintRunner
 from .importgraph import ImportGraph
@@ -49,10 +49,7 @@ __all__ = [
     "RegistrySpec",
     "all_rules",
     "check_registries",
-    "compare_with_baseline",
     "default_registry_specs",
-    "load_baseline",
     "main",
     "run_lint",
-    "write_baseline",
 ]

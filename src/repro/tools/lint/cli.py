@@ -5,14 +5,10 @@ Typical invocations::
     python -m repro.tools.lint src/repro              # lint the library
     python -m repro.tools.lint src tests benchmarks --format=json
     python -m repro.tools.lint src --select RPL001,RPL004
-    python -m repro.tools.lint src tests benchmarks --write-baseline
 
-When ``lint-baseline.json`` exists in the working directory (or is named
-via ``--baseline``) the run compares against it: findings covered by the
-baseline are allowed, new findings fail, and stale baseline entries --
-violations that have since been fixed -- fail as well so the baseline
-shrinks monotonically.  Exit codes: 0 clean, 1 findings/new findings or
-stale entries, 2 usage error.  A timing line goes to stderr.
+Every finding fails the run.  Exit codes: 0 no findings, 1 any finding,
+2 usage error.  A timing line goes to stderr, with the run's seconds split
+by stage (parsing, each rule, the shared project build, the registries).
 """
 
 from __future__ import annotations
@@ -23,14 +19,11 @@ import sys
 import time
 from pathlib import Path
 
-from .baseline import compare_with_baseline, load_baseline, write_baseline
-from .engine import Finding, LintRunner
+from .engine import Finding, LintRunner, _timed
 from .registries import check_registries
 from .rules import all_rules
 
 __all__ = ["main", "run_lint"]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _parse_codes(value: "str | None") -> "set[str] | None":
@@ -59,8 +52,13 @@ def run_lint(
     ignore: "set[str] | None" = None,
     registries: bool = True,
     root: "Path | None" = None,
+    timings: "dict[str, float] | None" = None,
 ) -> list[Finding]:
-    """Programmatic entry point: lint ``paths`` and return the findings."""
+    """Programmatic entry point: lint ``paths`` and return the findings.
+
+    When ``timings`` is given it is filled with the seconds spent per stage
+    (see :attr:`LintRunner.timings`, plus ``registries``).
+    """
     module_rules, project_rules = all_rules()
     enabled = _enabled_predicate(select, ignore)
     runner = LintRunner(
@@ -70,59 +68,26 @@ def run_lint(
     )
     findings = runner.run(paths)
     if registries:
-        findings.extend(
-            finding
-            for finding in check_registries()
-            if enabled(finding.rule)
-        )
+        with _timed(runner.timings, "registries"):
+            findings.extend(
+                finding
+                for finding in check_registries()
+                if enabled(finding.rule)
+            )
+    if timings is not None:
+        timings.update(runner.timings)
     return findings
 
 
-def _render_text(
-    findings: list[Finding],
-    comparison,
-    stream,
-    paths: "list[str] | None" = None,
-) -> None:
-    if comparison is None:
-        for finding in findings:
-            print(finding.render(), file=stream)
-        print(f"{len(findings)} finding(s)", file=stream)
-        return
-    for finding in comparison.new:
+def _render_text(findings: list[Finding], stream) -> None:
+    for finding in findings:
         print(finding.render(), file=stream)
-    for entry in comparison.stale:
-        print(
-            f"{entry.path}: {entry.rule}: stale baseline entry (violation "
-            f"fixed -- regenerate with --write-baseline): {entry.message}",
-            file=stream,
-        )
-    print(
-        f"{len(comparison.new)} new finding(s), "
-        f"{len(comparison.matched)} baselined, "
-        f"{len(comparison.stale)} stale baseline entr(y/ies)",
-        file=stream,
-    )
-    if comparison.stale and paths:
-        shrunk = len(comparison.matched) + len(comparison.new)
-        print(
-            "baseline is stale; regenerate it with:\n"
-            f"    python -m repro.tools.lint {' '.join(paths)} "
-            "--write-baseline\n"
-            f"(the rewritten baseline would hold {shrunk} entr(y/ies), "
-            f"down by {len(comparison.stale)})",
-            file=stream,
-        )
+    print(f"{len(findings)} finding(s)", file=stream)
 
 
-def _render_json(
-    findings: list[Finding],
-    comparison,
-    stream,
-    paths: "list[str] | None" = None,
-) -> None:
-    def records(items: list[Finding]) -> list[dict]:
-        return [
+def _render_json(findings: list[Finding], stream) -> None:
+    document = {
+        "findings": [
             {
                 "rule": finding.rule,
                 "path": finding.path,
@@ -130,51 +95,25 @@ def _render_json(
                 "symbol": finding.symbol,
                 "message": finding.message,
             }
-            for finding in items
+            for finding in findings
         ]
-
-    if comparison is None:
-        document = {"findings": records(findings)}
-    else:
-        document = {
-            "new": records(comparison.new),
-            "baselined": records(comparison.matched),
-            "stale": records(comparison.stale),
-        }
+    }
     json.dump(document, stream, indent=2)
     stream.write("\n")
 
 
-def _render_github(
-    findings: list[Finding],
-    comparison,
-    stream,
-    paths: "list[str] | None" = None,
-) -> None:
+def _render_github(findings: list[Finding], stream) -> None:
     """GitHub Actions workflow commands: findings annotate the PR diff."""
-
-    def annotate(finding: Finding, kind: str = "error") -> None:
+    for finding in findings:
         # Newlines and '::' would terminate the workflow command early.
         message = finding.message.replace("\n", " ").replace("::", ":")
         print(
-            f"::{kind} file={finding.path},line={finding.line},"
+            f"::error file={finding.path},line={finding.line},"
             f"title=repro-lint {finding.rule}::{message}",
             file=stream,
         )
-
-    reported = comparison.new if comparison is not None else findings
-    for finding in reported:
-        annotate(finding)
-    if comparison is not None:
-        for entry in comparison.stale:
-            message = entry.message.replace("\n", " ").replace("::", ":")
-            print(
-                f"::warning title=repro-lint stale baseline::{entry.path}: "
-                f"{entry.rule}: {message} -- regenerate with --write-baseline",
-                file=stream,
-            )
     # The human-readable summary still goes to the job log.
-    _render_text(findings, comparison, stream, paths)
+    _render_text(findings, stream)
 
 
 _RENDERERS = {
@@ -211,23 +150,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        help=(
-            "baseline file to compare against (default: "
-            f"{DEFAULT_BASELINE} in the working directory, if present)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--no-registries",
         action="store_true",
         help="skip the import-and-inspect registry conformance layer",
@@ -239,64 +161,24 @@ def main(argv: "list[str] | None" = None) -> int:
     registries = not args.no_registries
 
     started = time.monotonic()
+    timings: dict[str, float] = {}
     try:
         findings = run_lint(
             args.paths,
             select=select,
             ignore=ignore,
             registries=registries,
+            timings=timings,
         )
     except FileNotFoundError as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started
-    print(f"repro-lint: {elapsed:.2f}s", file=sys.stderr)
+    split = ", ".join(
+        f"{stage} {seconds:.2f}s"
+        for stage, seconds in sorted(timings.items(), key=lambda item: -item[1])
+    )
+    print(f"repro-lint: {elapsed:.2f}s ({split})", file=sys.stderr)
 
-    baseline_path: "Path | None" = None
-    if args.write_baseline or not args.no_baseline:
-        if args.baseline is not None:
-            baseline_path = Path(args.baseline)
-        elif Path(DEFAULT_BASELINE).exists() or args.write_baseline:
-            baseline_path = Path(DEFAULT_BASELINE)
-
-    if args.write_baseline:
-        if baseline_path is None:  # pragma: no cover - defaulted above
-            baseline_path = Path(DEFAULT_BASELINE)
-        write_baseline(baseline_path, findings)
-        print(
-            f"wrote {len(findings)} finding(s) to {baseline_path}",
-            file=sys.stdout,
-        )
-        return 0
-
-    comparison = None
-    if baseline_path is not None and not args.no_baseline:
-        if not baseline_path.exists():
-            print(
-                f"repro-lint: error: baseline {baseline_path} does not exist",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, KeyError, json.JSONDecodeError) as error:
-            print(
-                f"repro-lint: error: malformed baseline {baseline_path}: {error}",
-                file=sys.stderr,
-            )
-            return 2
-        scope = [str(path) for path in args.paths]
-        if registries:
-            scope.append("")  # registry findings are dotted-module scoped
-        comparison = compare_with_baseline(
-            findings,
-            baseline,
-            scope,
-            enabled=_enabled_predicate(select, ignore),
-        )
-
-    render = _RENDERERS[args.format]
-    render(findings, comparison, sys.stdout, paths=list(args.paths))
-    if comparison is not None:
-        return 0 if comparison.clean else 1
+    _RENDERERS[args.format](findings, sys.stdout)
     return 0 if not findings else 1

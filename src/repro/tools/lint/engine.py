@@ -26,7 +26,9 @@ import ast
 import io
 import os
 import re
+import time
 import tokenize
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -59,9 +61,7 @@ class Finding:
     """One rule violation at one site.
 
     ``symbol`` is the enclosing class/function qualname (empty at module
-    level); together with ``rule``, ``path`` and ``message`` it forms the
-    baseline fingerprint, which deliberately excludes the line number so
-    unrelated edits above a tracked finding do not invalidate the baseline.
+    level).
     """
 
     rule: str
@@ -69,10 +69,6 @@ class Finding:
     line: int
     message: str
     symbol: str = ""
-
-    def fingerprint(self) -> str:
-        """Stable identity of the finding for baseline matching."""
-        return f"{self.path}::{self.rule}::{self.symbol}::{self.message}"
 
     def render(self) -> str:
         """One-line human-readable form."""
@@ -249,6 +245,14 @@ def parse_module(path: Path, root: Path) -> "ModuleSource | Finding":
     return ModuleSource(path=path, rel_path=rel, text=text, tree=tree)
 
 
+@contextmanager
+def _timed(timings: dict[str, float], key: str) -> Iterator[None]:
+    """Add the seconds spent in the ``with`` body to ``timings[key]``."""
+    started = time.monotonic()
+    yield
+    timings[key] = timings.get(key, 0.0) + time.monotonic() - started
+
+
 @dataclass
 class LintRunner:
     """Run a set of rules over a set of paths and apply suppressions."""
@@ -257,6 +261,9 @@ class LintRunner:
     project_rules: list[DataflowRule] = field(default_factory=list)
     #: Root that file paths are reported relative to (defaults to cwd).
     root: Path = field(default_factory=Path.cwd)
+    #: Seconds the last :meth:`run` spent per stage: ``parse``, each rule
+    #: code, and ``project`` (the shared call-graph substrate build).
+    timings: dict[str, float] = field(default_factory=dict, init=False)
 
     def enabled_codes(self) -> set[str]:
         codes = {rule.code for rule in self.module_rules}
@@ -265,25 +272,30 @@ class LintRunner:
 
     def run(self, paths: Iterable[str | Path]) -> list[Finding]:
         """Lint ``paths`` and return surviving findings, sorted by site."""
+        self.timings = {}
         findings: list[Finding] = []
-        files = collect_python_files(paths, errors=findings, root=self.root)
         modules: list[ModuleSource] = []
-        for path in files:
-            parsed = parse_module(path, self.root)
-            if isinstance(parsed, Finding):
-                findings.append(parsed)
-            else:
-                modules.append(parsed)
+        with _timed(self.timings, "parse"):
+            files = collect_python_files(paths, errors=findings, root=self.root)
+            for path in files:
+                parsed = parse_module(path, self.root)
+                if isinstance(parsed, Finding):
+                    findings.append(parsed)
+                else:
+                    modules.append(parsed)
 
         for module in modules:
             for rule in self.module_rules:
-                findings.extend(rule.check(module))
+                with _timed(self.timings, rule.code):
+                    findings.extend(rule.check(module))
         if self.project_rules:
             from .dataflow import Project
 
-            project = Project(modules)
+            with _timed(self.timings, "project"):
+                project = Project(modules)
             for rule in self.project_rules:
-                findings.extend(rule.check_dataflow(project))
+                with _timed(self.timings, rule.code):
+                    findings.extend(rule.check_dataflow(project))
         findings = self._apply_suppressions(modules, findings)
         findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
         return findings

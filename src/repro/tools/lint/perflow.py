@@ -15,11 +15,10 @@ wrapped in ``zip``/``enumerate``/``reversed`` -- or that bind a loop
 variable named ``flow``.
 
 The rule is scoped to ``repro/network`` modules: that is where the hot
-paths live, and where the object *reference* implementation survives by
-design.  Those reference sites are recorded in the committed baseline
-(regenerate with ``--write-baseline``), so only **new** per-flow loops
-fail the gate; outside the network layer per-flow Python is fine and the
-rule stays silent.
+paths live.  The per-flow reference implementations are test oracles
+outside ``src/``, so any per-flow loop in the network layer fails the gate;
+outside the network layer per-flow Python is fine and the rule stays
+silent.
 """
 
 from __future__ import annotations

@@ -31,6 +31,39 @@ class TestWalkerDelta:
         with pytest.raises(ValueError):
             WalkerDelta(560.0, 53.0, total_satellites=12, planes=3, phasing=3)
 
+    def test_nan_altitude_rejected(self):
+        with pytest.raises(ValueError, match="altitude_km .* got nan"):
+            WalkerDelta(math.nan, 53.0, total_satellites=24, planes=3)
+
+    def test_nan_inclination_rejected(self):
+        with pytest.raises(ValueError, match=r"inclination_deg .* \[0, 180\], got nan"):
+            WalkerDelta(560.0, math.nan, total_satellites=24, planes=3)
+
+    def test_inclination_outside_range_rejected(self):
+        with pytest.raises(ValueError, match="inclination_deg .* got 181.0"):
+            WalkerDelta(560.0, 181.0, total_satellites=24, planes=3)
+
+    def test_float_total_rejected(self):
+        with pytest.raises(ValueError, match="total_satellites .* got 24.0"):
+            WalkerDelta(560.0, 53.0, total_satellites=24.0, planes=3)
+
+    @pytest.mark.parametrize("name", ["total_satellites", "planes"])
+    def test_bool_count_rejected(self, name):
+        counts = {"total_satellites": 1, "planes": 1, "phasing": 0, name: True}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
+            WalkerDelta(560.0, 53.0, **counts)
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        wd = WalkerDelta(
+            560.0,
+            53.0,
+            total_satellites=np.int64(24),
+            planes=np.int32(3),
+            phasing=np.int64(1),
+        )
+        assert type(wd.total_satellites) is type(wd.planes) is type(wd.phasing) is int
+        assert wd.satellites_per_plane == 8
+
     def test_planes_evenly_spread(self):
         wd = WalkerDelta(560.0, 53.0, total_satellites=12, planes=4, phasing=1)
         raans = sorted({round(e.raan_deg, 6) for e in wd.satellite_elements()})

@@ -144,3 +144,43 @@ class TestScheduler:
             scheduler.schedule(np.ones(3), np.ones(4), np.ones(3))
         with pytest.raises(ValueError):
             scheduler.schedule(-np.ones(3), np.ones(3), np.ones(3))
+
+    def test_negative_max_delay_rejected(self):
+        # range(0) used to skip even the own-slot transmit and drop everything.
+        with pytest.raises(ValueError, match=r"must be non-negative, got -1"):
+            PeakShiftScheduler(max_delay_slots=-1)
+
+    def test_fractional_max_delay_rejected(self):
+        with pytest.raises(ValueError, match=r"max_delay_slots .* got 2\.5"):
+            PeakShiftScheduler(max_delay_slots=2.5)
+
+    def test_bool_max_delay_rejected(self):
+        with pytest.raises(ValueError, match=r"max_delay_slots .* got True"):
+            PeakShiftScheduler(max_delay_slots=True)
+
+    def test_numpy_integer_max_delay_accepted(self):
+        scheduler = PeakShiftScheduler(max_delay_slots=np.int64(3))
+        assert scheduler.max_delay_slots == 3
+        assert type(scheduler.max_delay_slots) is int
+
+    def test_zero_max_delay_serves_own_slot(self):
+        result = PeakShiftScheduler(max_delay_slots=0).schedule(
+            np.zeros(24), np.ones(24), np.ones(24)
+        )
+        assert result.dropped == 0.0
+        assert result.deferred.sum() == 0.0
+
+    def test_nan_traffic_rejected(self):
+        urgent = np.array([1.0, np.nan, 1.0])
+        with pytest.raises(ValueError, match=r"urgent\[1\] must be finite .* got nan"):
+            PeakShiftScheduler().schedule(urgent, np.ones(3), np.ones(3))
+
+    def test_empty_series_rejected(self):
+        empty = np.array([])
+        with pytest.raises(ValueError, match=r"urgent must be .* shape \(0,\)"):
+            PeakShiftScheduler().schedule(empty, empty, empty)
+
+    def test_two_dimensional_series_rejected(self):
+        square = np.ones((2, 2))
+        with pytest.raises(ValueError, match=r"urgent must be .* shape \(2, 2\)"):
+            PeakShiftScheduler().schedule(square, square, square)

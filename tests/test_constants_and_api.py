@@ -190,3 +190,71 @@ class TestCrossModuleConsistency:
             time_resolution_hours=3.0,
         )
         assert designer.demand_grid(7.0).values.max() == pytest.approx(7.0)
+
+
+def _value_type_instances() -> dict:
+    """One small instance of each array- or dict-carrying value type."""
+    import numpy as np
+
+    from repro.analysis.grid import GridDocument
+    from repro.coverage.grid import LatLocalTimeGrid, LatLonGrid
+    from repro.demand.traffic_matrix import City, TrafficMatrix
+    from repro.network.scheduler import ScheduleResult
+    from repro.orbits.propagation import StateVector
+    from repro.orbits.time import Epoch
+
+    return {
+        "StateVector": StateVector(
+            position_km=np.array([7000.0, 0.0, 0.0]),
+            velocity_km_s=np.array([0.0, 7.5, 0.0]),
+            epoch=Epoch(2451545.0),
+        ),
+        "LatLonGrid": LatLonGrid(resolution_deg=30.0),
+        "LatLocalTimeGrid": LatLocalTimeGrid(
+            lat_resolution_deg=30.0, time_resolution_hours=6.0
+        ),
+        "TrafficMatrix": TrafficMatrix(
+            cities=(City("A", 0.0, 0.0, 1.0), City("B", 10.0, 10.0, 2.0)),
+            demands=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        ),
+        "ScheduleResult": ScheduleResult(
+            served=np.ones(3),
+            deferred=np.zeros(3),
+            dropped=0.0,
+            peak_before=1.0,
+            peak_after=1.0,
+        ),
+        "GridDocument": GridDocument(
+            designs=("walker",),
+            scenarios=("base",),
+            start_jd=2451545.0,
+            duration_hours=1.0,
+            step_hours=1.0,
+            cells={},
+            summaries={},
+        ),
+    }
+
+
+class TestValueTypeEquality:
+    """Array- and dict-carrying value types compare and hash by identity."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "StateVector",
+            "LatLonGrid",
+            "LatLocalTimeGrid",
+            "TrafficMatrix",
+            "ScheduleResult",
+            "GridDocument",
+        ],
+    )
+    def test_identity_equality_and_hash(self, name):
+        import copy
+
+        value = _value_type_instances()[name]
+        assert value == value
+        assert (value == copy.deepcopy(value)) is False
+        assert isinstance(hash(value), int)
+        assert value in {value}

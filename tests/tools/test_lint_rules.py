@@ -1,10 +1,9 @@
 """Tests of the ``repro-lint`` static analyzer.
 
 Each AST rule gets a seeded violating fixture and a clean counterpart;
-the registry layer gets a deliberately broken registry; the baseline and
-CLI get workflow tests; unreadable paths surface as RPL099; and a
-self-check asserts that linting the live tree matches the committed
-``lint-baseline.json`` exactly.
+the registry layer gets a deliberately broken registry; the CLI gets
+workflow tests; unreadable paths surface as RPL099; and a self-check
+asserts that linting the live tree finds nothing.
 """
 
 from __future__ import annotations
@@ -21,11 +20,8 @@ from repro.tools.lint import (
     RegistrySpec,
     all_rules,
     check_registries,
-    compare_with_baseline,
-    load_baseline,
     main,
     run_lint,
-    write_baseline,
 )
 import repro.tools.lint.dataflow as dataflow_module
 import repro.tools.lint.engine as engine_module
@@ -1031,73 +1027,6 @@ class TestRegistryConformance:
         assert codes(findings) == ["RPL100"]
 
 
-class TestBaseline:
-    def make_finding(self, path="pkg/mod.py", rule="RPL001", message="m", line=3):
-        return Finding(rule=rule, path=path, line=line, message=message)
-
-    def test_round_trip_and_matching(self, tmp_path):
-        tracked = self.make_finding()
-        baseline_path = tmp_path / "lint-baseline.json"
-        write_baseline(baseline_path, [tracked])
-        baseline = load_baseline(baseline_path)
-
-        moved = self.make_finding(line=30)  # same fingerprint, new line
-        fresh = self.make_finding(message="different")
-        comparison = compare_with_baseline([moved, fresh], baseline)
-        assert comparison.matched == [moved]
-        assert comparison.new == [fresh]
-        assert comparison.stale == []
-        assert not comparison.clean
-
-    def test_fixed_violation_turns_entry_stale(self, tmp_path):
-        tracked = self.make_finding()
-        baseline_path = tmp_path / "lint-baseline.json"
-        write_baseline(baseline_path, [tracked])
-        comparison = compare_with_baseline([], load_baseline(baseline_path))
-        assert comparison.stale == [tracked]
-        assert not comparison.clean
-
-    def test_stale_check_is_scoped_to_linted_paths(self, tmp_path):
-        inside = self.make_finding(path="pkg/a.py")
-        outside = self.make_finding(path="other/b.py")
-        baseline_path = tmp_path / "lint-baseline.json"
-        write_baseline(baseline_path, [inside, outside])
-        comparison = compare_with_baseline(
-            [], load_baseline(baseline_path), scope_prefixes=["pkg"]
-        )
-        assert comparison.stale == [inside]
-
-    def test_registry_entries_scoped_by_registry_layer_marker(self, tmp_path):
-        entry = self.make_finding(path="repro.network.capacity", rule="RPL102")
-        baseline_path = tmp_path / "lint-baseline.json"
-        write_baseline(baseline_path, [entry])
-        baseline = load_baseline(baseline_path)
-        without = compare_with_baseline([], baseline, scope_prefixes=["src"])
-        assert without.stale == []
-        with_registries = compare_with_baseline(
-            [], baseline, scope_prefixes=["src", ""]
-        )
-        assert with_registries.stale == [entry]
-
-    def test_disabled_rules_cannot_turn_entries_stale(self, tmp_path):
-        entry = self.make_finding(rule="RPL005")
-        baseline_path = tmp_path / "lint-baseline.json"
-        write_baseline(baseline_path, [entry])
-        comparison = compare_with_baseline(
-            [],
-            load_baseline(baseline_path),
-            enabled=lambda code: code == "RPL001",
-        )
-        assert comparison.stale == []
-        assert comparison.clean
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        path.write_text('{"version": 99, "entries": []}', encoding="utf-8")
-        with pytest.raises(ValueError, match="version-1"):
-            load_baseline(path)
-
-
 class TestCli:
     VIOLATION = textwrap.dedent(
         """
@@ -1109,13 +1038,10 @@ class TestCli:
         """
     )
 
-    def write_fixture(self, tmp_path, source=None):
+    def write_fixture(self, tmp_path):
         target = tmp_path / "pkg"
         target.mkdir(exist_ok=True)
-        (target / "mod.py").write_text(
-            source if source is not None else self.VIOLATION, encoding="utf-8"
-        )
-        return target
+        (target / "mod.py").write_text(self.VIOLATION, encoding="utf-8")
 
     def test_findings_fail_without_baseline(self, tmp_path, monkeypatch, capsys):
         self.write_fixture(tmp_path)
@@ -1126,37 +1052,6 @@ class TestCli:
     def test_select_narrows_the_rule_set(self, tmp_path, monkeypatch):
         self.write_fixture(tmp_path)
         monkeypatch.chdir(tmp_path)
-        assert main(["pkg", "--select", "RPL004", "--no-registries"]) == 0
-
-    def test_baseline_workflow_tracks_then_fails_stale(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        target = self.write_fixture(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        assert main(["pkg", "--no-registries", "--write-baseline"]) == 0
-        assert (tmp_path / "lint-baseline.json").exists()
-        # Tracked violation is allowed...
-        assert main(["pkg", "--no-registries"]) == 0
-        # ...a new violation is not...
-        (target / "new.py").write_text(
-            "import time\n\n\ndef stamp():\n    return time.time()\n",
-            encoding="utf-8",
-        )
-        assert main(["pkg", "--no-registries"]) == 1
-        (target / "new.py").unlink()
-        # ...and fixing the tracked violation makes the entry stale.
-        self.write_fixture(tmp_path, source="def tidy():\n    return 1\n")
-        capsys.readouterr()
-        assert main(["pkg", "--no-registries"]) == 1
-        assert "stale" in capsys.readouterr().out
-
-    def test_select_does_not_stale_out_other_rules_entries(
-        self, tmp_path, monkeypatch
-    ):
-        self.write_fixture(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        assert main(["pkg", "--no-registries", "--write-baseline"]) == 0
-        # The RPL001 baseline entry is out of scope for an RPL004-only run.
         assert main(["pkg", "--select", "RPL004", "--no-registries"]) == 0
 
     def test_json_format_is_parseable(self, tmp_path, monkeypatch, capsys):
@@ -1175,7 +1070,7 @@ class TestCli:
             encoding="utf-8",
         )
         monkeypatch.chdir(tmp_path)
-        argv = ["pkg", "--no-registries", "--no-baseline", "--format=json"]
+        argv = ["pkg", "--no-registries", "--format=json"]
         outputs = []
         for _ in range(2):
             assert main(argv) == 1
@@ -1184,60 +1079,48 @@ class TestCli:
         rules = [entry["rule"] for entry in json.loads(outputs[0])["findings"]]
         assert rules == ["RPL001", "RPL003"]
 
-    def test_missing_path_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["no_such_dir.txt", "--no-registries"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_stale_baseline_prints_regeneration_hint(
+    def test_timing_line_splits_the_run_by_stage(
         self, tmp_path, monkeypatch, capsys
     ):
         self.write_fixture(tmp_path)
         monkeypatch.chdir(tmp_path)
-        assert main(["pkg", "--no-registries", "--write-baseline"]) == 0
-        # Fix the violation: the baseline entry goes stale and the CLI
-        # must print the exact regeneration command and the new size.
-        self.write_fixture(tmp_path, source="def tidy():\n    return 1\n")
-        capsys.readouterr()
-        assert main(["pkg", "--no-registries"]) == 1
-        out = capsys.readouterr().out
-        assert "python -m repro.tools.lint pkg --write-baseline" in out
-        assert "down by 1" in out
+        assert main(["pkg", "--select", "RPL001,RPL002"]) == 1
+        err = capsys.readouterr().err
+        stages = err.split("(", 1)[1].rstrip().rstrip(")").split(", ")
+        assert sorted(stage.split()[0] for stage in stages) == [
+            "RPL001",
+            "RPL002",
+            "parse",
+            "project",
+            "registries",
+        ]
+
+    def test_missing_path_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["no_such_dir.txt", "--no-registries"]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_github_format_emits_annotations(
         self, tmp_path, monkeypatch, capsys
     ):
         self.write_fixture(tmp_path)
         monkeypatch.chdir(tmp_path)
-        assert (
-            main(
-                [
-                    "pkg",
-                    "--no-registries",
-                    "--no-baseline",
-                    "--format=github",
-                ]
-            )
-            == 1
-        )
+        assert main(["pkg", "--no-registries", "--format=github"]) == 1
         out = capsys.readouterr().out
         assert "::error file=pkg/mod.py,line=" in out
         assert "title=repro-lint RPL001::" in out
 
 
 class TestSelfCheck:
-    def test_live_tree_matches_committed_baseline(self):
+    def test_live_tree_has_no_findings(self):
+        # The same paths CI lints: any finding fails the gate.
         findings = run_lint(
             [
                 str(REPO_ROOT / "src"),
                 str(REPO_ROOT / "tests"),
                 str(REPO_ROOT / "benchmarks"),
+                str(REPO_ROOT / "examples"),
             ],
             root=REPO_ROOT,
         )
-        baseline = load_baseline(REPO_ROOT / "lint-baseline.json")
-        comparison = compare_with_baseline(
-            findings, baseline, ["src", "tests", "benchmarks", ""]
-        )
-        assert [finding.render() for finding in comparison.new] == []
-        assert [entry.render() for entry in comparison.stale] == []
+        assert [finding.render() for finding in findings] == []
