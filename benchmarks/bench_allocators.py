@@ -10,7 +10,10 @@ is mapped to snapshot rows through the edge list's label table
 simulator runs) matches every hop to a link in numpy.
 Proportional scaling is a few ``bincount`` products and
 max-min is incremental waterfilling, whose rounds touch only per-link
-totals and the incidence rows of the flows they freeze.
+totals and the incidence rows of the flows they freeze; each run of
+demand-only rounds between two link saturations is replayed as a scalar
+level recurrence and frozen in one vectorised pass, so a step costs tens
+of Python-level passes rather than one per round.
 
 This benchmark times the **per-step allocation stage** -- allocator calls
 over identical flow sets routed once with ``csgraph`` -- for the dict

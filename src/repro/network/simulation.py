@@ -612,7 +612,9 @@ def _evaluate_scenario(
     incidence.  ``obs`` records the stage spans (the shared
     :data:`~repro.obs.NULL_TRACER` when untraced), and the
     ``route_sources`` / ``flows_rerouted`` counters the Dijkstra sources
-    solved and the flows walked on steered tables in the routing span.
+    solved and the flows walked on steered tables in the routing span, and
+    the solver's own work counters (max-min's ``waterfill_rounds`` /
+    ``waterfill_passes``) in the allocation span.
     """
     scenario = spec.scenario
     edge_list = snapshot.edge_list
@@ -657,7 +659,7 @@ def _evaluate_scenario(
             plan = _compile_plan(plan, snapshot)
         system = plan.system
         if system is not None:
-            rates, utilisation = ARRAY_SOLVERS[scenario.allocator](system)
+            rates, utilisation = ARRAY_SOLVERS[scenario.allocator](system, obs=obs)
             delivered = float(rates.sum())
             if utilisation.size:
                 worst_util = float(utilisation.max())
@@ -1099,11 +1101,14 @@ class NetworkSimulator:
         the Dijkstra sources a scenario solved and the flows it walked on
         steered tables in its own routing span, so they depend on which
         scenarios share its snapshot group (within one worker's chunk under
-        the process executor).  Spans only ever read the monotonic clock
-        around stages -- they never touch pipeline values -- so instrumented
-        statistics are bit-identical to untraced runs, and the default (off)
-        path keeps the shared :data:`~repro.obs.NULL_TRACER` whose spans are
-        free.
+        the process executor).  Max-min scenarios also count
+        ``waterfill_rounds`` (progressive-filling rounds) and
+        ``waterfill_passes`` (the solver passes that ran them: a pass
+        replays a whole run of demand-only rounds).  Spans only ever read
+        the monotonic clock around stages -- they never touch pipeline
+        values -- so instrumented statistics are bit-identical to untraced
+        runs, and the default (off) path keeps the shared
+        :data:`~repro.obs.NULL_TRACER` whose spans are free.
 
         ``progress`` optionally observes sweep completion: pass a callable
         receiving :class:`~repro.obs.ProgressEvent` (e.g.

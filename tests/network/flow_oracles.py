@@ -16,6 +16,8 @@ trust by reading:
 * named label flows (:class:`Flow`), their compile into the library's
   incidence form (:func:`compile_flows`) and the dict allocators
   (:func:`allocate_proportional`, :func:`allocate_max_min`);
+* max-min waterfilling one round per pass (:func:`waterfill_by_rounds`),
+  the bit-for-bit oracle of the library's span-batched solver;
 * true path latencies of ragged row paths, matched hop by hop against the
   edge list (:func:`path_delays_from_rows`).
 """
@@ -32,11 +34,14 @@ from repro.demand.traffic_matrix import TrafficMatrix
 from repro.network.alloc_arrays import (
     ARRAY_SOLVERS,
     FlowLinkSystem,
+    _gather,
+    _group_by,
     compile_system_from_rows,
 )
 from repro.network.backends import SnapshotEdgeList
 from repro.network.flows import FlowTable
 from repro.network.routing import RouteResult
+from repro.obs import NULL_TRACER, Tracer
 
 
 def path_delays_from_rows(
@@ -311,13 +316,112 @@ def compile_flows(capacity, flows: list[Flow]) -> tuple[FlowLinkSystem, tuple]:
         dtype=np.intp,
         count=int(offsets[-1]),
     )
-    demand = [flow.demand_gbps for flow in flows]
-    system = compile_system_from_rows(edge_list, demand, offsets, rows)
-    keys = link_keys(edge_list, system.link_rows)
-    missing = np.flatnonzero(np.isnan(system.capacity))
+    link_rows = edge_list.hop_links(offsets, rows)[2]
+    keys = link_keys(edge_list, link_rows)
+    missing = np.flatnonzero(np.isnan(edge_list.capacity_gbps[link_rows]))
     if missing.size:
         raise ValueError(f"link {keys[missing[0]]} has no capacity_gbps")
-    return system, keys
+    demand = [flow.demand_gbps for flow in flows]
+    return compile_system_from_rows(edge_list, demand, offsets, rows), keys
+
+
+def waterfill_by_rounds(
+    system: FlowLinkSystem, iterations: "int | None" = None, obs: Tracer = NULL_TRACER
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max-min waterfilling one round per loop pass; returns ``(rates, utilisation)``.
+
+    The library solver (``ARRAY_SOLVERS["max_min_array"]``) before it
+    batched demand-only rounds, kept as its bit-for-bit oracle.  Every
+    active flow holds the same rate, the water ``level``, so a link's load
+    is its ``frozen_load`` plus ``active_count * level``; each round raises
+    the level by the least remaining demand or link share, then freezes
+    the flows that met their demand and every flow of a saturated link,
+    updating both per-link quantities from the frozen flows' incidence rows.
+    ``iterations`` caps the number of rounds; the default ``None`` runs to
+    the fixed point.  ``obs`` counts the rounds that froze flows as
+    ``waterfill_rounds``.
+    """
+    demand, capacity = system.demand, system.capacity
+    flow_count, link_count = system.flow_count, system.link_count
+    rates = np.zeros(flow_count)
+    active = demand != 0.0
+    flow_ptr, flow_links = _group_by(system.flow_ids, system.link_ids, flow_count)
+    link_ptr, link_flows = _group_by(system.link_ids, system.flow_ids, link_count)
+    active_count = np.bincount(
+        system.link_ids[active[system.flow_ids]], minlength=link_count
+    ).astype(float)
+    frozen_load = np.zeros(link_count)
+    by_demand = np.argsort(demand, kind="stable")
+    rank = np.empty(flow_count, dtype=np.intp)
+    rank[by_demand] = np.arange(flow_count)
+    # ``demand - 1e-9`` is monotone in ``demand``, so the flows a level
+    # satisfies form a prefix of ``by_demand``: one searchsorted per round.
+    satisfied_at = (demand - 1e-9)[by_demand]
+    active_by_demand = active[by_demand]
+    active_total = int(np.count_nonzero(active))
+    head = 0  # no active flow sorts before ``by_demand[head]``
+    level = 0.0
+    rounds = frozen_rounds = 0
+    while iterations is None or rounds < iterations:
+        rounds += 1
+        if not active_total:
+            break
+        head += int(active_by_demand[head:].argmax())
+        remaining = float(demand[by_demand[head]] - level)
+        increment = remaining
+        binding_link: int | None = None
+        live = active_count.nonzero()[0]
+        if live.size:
+            counts = active_count[live]
+            live_capacity = capacity[live]
+            live_frozen = frozen_load[live]
+            shares = (live_capacity - (live_frozen + counts * level)) / counts
+            candidate = int(shares.argmin())
+            if shares[candidate] < increment:
+                increment = float(shares[candidate])
+                binding_link = int(live[candidate])
+        if increment <= 1e-12:
+            increment = 0.0
+        previous, level = level, level + increment
+        reach = int(satisfied_at.searchsorted(level, side="right"))
+        newly = by_demand[head:reach][active_by_demand[head:reach]]
+        if live.size:
+            saturated = live[live_frozen + counts * level >= live_capacity - 1e-9]
+            if saturated.size:
+                on_links = _gather(link_ptr, link_flows, saturated)
+                newly = np.union1d(newly, on_links[active[on_links]])
+        if not newly.size:
+            # No tolerance fired: freeze the binding constraint directly
+            # (its headroom cannot recover) instead of spinning without
+            # progress.  The binding flow is the lowest-index active flow
+            # of least remaining demand, as a full argmin would pick.
+            if binding_link is not None:
+                on_link = link_flows[link_ptr[binding_link] : link_ptr[binding_link + 1]]
+                newly = np.unique(on_link[active[on_link]])
+            else:
+                tail = by_demand[head:]
+                tied = tail[active[tail] & (demand[tail] - previous == remaining)]
+                newly = np.array([tied.min()])
+        active[newly] = False
+        active_by_demand[rank[newly]] = False
+        active_total -= newly.size
+        rates[newly] = level
+        frozen_rounds += 1
+        hits = np.bincount(_gather(flow_ptr, flow_links, newly), minlength=link_count)
+        active_count -= hits
+        frozen_load += hits * level
+    rates[active] = level
+    obs.counter("waterfill_rounds", frozen_rounds)
+
+    utilisation = np.zeros(link_count)
+    if link_count:
+        load = system.link_loads(rates)
+        positive = capacity > 0.0
+        utilisation[positive] = load[positive] / capacity[positive]
+        # Zero-capacity links with demand trying to cross are saturated,
+        # not idle -- the proportional solver's convention.
+        utilisation[~positive & (system.link_loads(demand) > 0.0)] = 1.0
+    return rates, utilisation
 
 
 def allocate_array(solver: str, capacity, flows: list[Flow], **options) -> AllocationResult:

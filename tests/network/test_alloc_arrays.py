@@ -1,6 +1,6 @@
 """Tests of the array-native allocation engine and the max-min bugfixes.
 
-Four layers of guarantees:
+Six layers of guarantees:
 
 * **equivalence** -- on random graphs (congested, zero-capacity,
   zero-demand, staggered freeze orderings) the array solvers, fed through
@@ -15,16 +15,26 @@ Four layers of guarantees:
   compiled as the simulator compiles a step, must match the dict reference
   (also under an iteration cap) and satisfy the solver certificates;
 * **integration** -- array-solver sweeps must hit congestion and stay
-  bit-identical across serial/thread/process executors.
+  bit-identical across serial/thread/process executors;
+* **batched waterfilling** -- the library max-min solver replays runs of
+  demand-only rounds in one pass; its rates and utilisation must equal
+  the round-by-round oracle bit for bit (random systems, the workload
+  problem, real sweep steps), and a traced sweep counts both the logical
+  rounds and the passes;
+* **validation** -- a :class:`FlowLinkSystem` with NaN, infinite or
+  negative demand or capacity, or incidence indices that do not fit,
+  is rejected naming the parameter and the first bad index.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flow_oracles import (
     Flow,
@@ -37,6 +47,7 @@ from flow_oracles import (
     link_key,
     link_keys,
     named_result,
+    waterfill_by_rounds,
 )
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
@@ -49,6 +60,7 @@ from repro.network.backends import RouteTables, SnapshotEdgeList
 from repro.network.ground_station import GroundStation
 from repro.network.simulation import NetworkSimulator, Scenario
 from repro.network.topology import ConstellationTopology
+from repro.obs import NULL_TRACER, Tracer
 
 allocate_proportional_array = partial(allocate_array, "proportional_array")
 allocate_max_min_array = partial(allocate_array, "max_min_array")
@@ -299,17 +311,19 @@ class TestMaxMinRegressions:
 
     def test_negative_headroom_never_drives_rates_down(self):
         """A (mis)configured negative-capacity link makes the raw increment
-        negative; it must clamp at zero -- flows elsewhere keep filling and
-        no rate ever goes negative."""
+        negative; the reference clamps it at zero -- flows elsewhere keep
+        filling and no rate ever goes negative.  The library rejects such a
+        link when it builds the system, before any solver runs."""
         graph = nx.Graph()
         graph.add_edge(0, 1, capacity_gbps=-5.0)
         graph.add_edge(2, 3, capacity_gbps=10.0)
         flows = [Flow("doomed", (0, 1), 4.0), Flow("fine", (2, 3), 4.0)]
-        for allocator in (allocate_max_min, allocate_max_min_array):
-            result = allocator(graph, flows)
-            assert result.allocated_gbps["doomed"] == 0.0
-            assert result.allocated_gbps["fine"] == pytest.approx(4.0)
-            assert all(rate >= 0.0 for rate in result.allocated_gbps.values())
+        result = allocate_max_min(graph, flows)
+        assert result.allocated_gbps["doomed"] == 0.0
+        assert result.allocated_gbps["fine"] == pytest.approx(4.0)
+        assert all(rate >= 0.0 for rate in result.allocated_gbps.values())
+        with pytest.raises(ValueError, match=r"capacity\[0\] = -5\.0 must be finite"):
+            allocate_max_min_array(graph, flows)
 
     def test_zero_capacity_link_convention(self):
         graph = nx.Graph()
@@ -571,3 +585,285 @@ class TestSweepIntegration:
         single = simulator.run(epoch, duration_hours=2.0, allocator="max_min_array")
         sweep = simulator.run_scenarios([SCENARIOS[1]], epoch, duration_hours=2.0)
         assert single.steps == sweep["mm_array"].steps
+
+
+def _assert_bit_identical(system: FlowLinkSystem, iterations=None) -> None:
+    """The library max-min solver equals the round-by-round oracle exactly."""
+    want_rates, want_utilisation = waterfill_by_rounds(system, iterations)
+    rates, utilisation = ARRAY_SOLVERS["max_min_array"](system, iterations)
+    assert np.array_equal(rates, want_rates)
+    assert np.array_equal(utilisation, want_utilisation)
+
+
+def _sweep_simulator(
+    epoch,
+    satellites: int,
+    planes: int,
+    stations: int,
+    flows: int,
+    total_demand: float = 4000.0,
+) -> NetworkSimulator:
+    """The end-to-end max-min sweep's inputs at a given size.
+
+    A 560 km, 65 degree Walker shell; ``stations`` synthetic stations
+    placed on a golden-ratio lattice within +/-55 degrees latitude with
+    seeded Pareto weights; ``total_demand`` Gbps of gravity demand;
+    ``flows`` flows per step.
+    """
+    rng = np.random.default_rng(3)
+    golden = (1.0 + 5.0**0.5) / 2.0
+    index = np.arange(stations)
+    latitudes = -55.0 + 110.0 * ((index * golden) % 1.0)
+    longitudes = -180.0 + 360.0 * ((index * golden * golden) % 1.0)
+    weights = rng.pareto(1.5, size=stations) + 1.0
+    cities = tuple(
+        City(f"S{i:03d}", float(latitudes[i]), float(longitudes[i]), float(weights[i]))
+        for i in range(stations)
+    )
+    walker = WalkerDelta(
+        altitude_km=560.0,
+        inclination_deg=65.0,
+        total_satellites=satellites,
+        planes=planes,
+        phasing=1,
+    )
+    elements = walker.satellite_elements()
+    per_plane = walker.satellites_per_plane
+    topology = ConstellationTopology(
+        planes=[elements[i * per_plane : (i + 1) * per_plane] for i in range(planes)],
+        epoch=epoch,
+    )
+    return NetworkSimulator(
+        topology=topology,
+        ground_stations=[
+            GroundStation(c.name, c.latitude_deg, c.longitude_deg) for c in cities
+        ],
+        traffic_model=GravityTrafficModel(cities=cities, total_demand=total_demand),
+        flows_per_step=flows,
+    )
+
+
+MAX_MIN = Scenario(name="max-min", allocator="max_min_array")
+
+
+@pytest.fixture(scope="module")
+def sweep_step_systems(epoch):
+    """The systems the first two steps of the full-size max-min sweep solve.
+
+    360 satellites, 335 stations and 5,000 flows per step: about 3,600 and
+    4,900 routed flows over ~850 links, captured as the simulator hands
+    them to the solver.
+    """
+    simulator = _sweep_simulator(epoch, satellites=360, planes=18, stations=335, flows=5000)
+    systems = []
+    solver = ARRAY_SOLVERS["max_min_array"]
+
+    def capture(system, obs=NULL_TRACER):
+        systems.append(system)
+        return solver(system, obs=obs)
+
+    ARRAY_SOLVERS["max_min_array"] = capture
+    try:
+        simulator.run_scenarios([MAX_MIN], epoch, duration_hours=2.0)
+    finally:
+        ARRAY_SOLVERS["max_min_array"] = solver
+    return systems
+
+
+def _random_system(data) -> tuple[FlowLinkSystem, "int | None"]:
+    """A random system plus an iteration cap, drawn from hypothesis ``data``.
+
+    Demands are tied (a few values), continuous or rounded, with zeros
+    mixed in; some links have zero capacity; caps run from 0 to twice the
+    flow count, so many land inside a span of demand-only rounds.
+    """
+    flow_count = data.draw(st.integers(1, 60))
+    link_count = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["tied", "continuous", "rounded"]))
+    if kind == "tied":
+        demand = rng.choice([0.5, 1.0, 2.0, 3.0, 7.5], size=flow_count)
+    elif kind == "continuous":
+        demand = rng.uniform(0.0, 10.0, size=flow_count)
+    else:
+        demand = np.round(rng.uniform(0.0, 5.0, size=flow_count), 1)
+    demand[rng.random(flow_count) < 0.15] = 0.0
+    capacity = rng.uniform(0.0, 30.0, size=link_count) * data.draw(
+        st.sampled_from([0.1, 1.0, 10.0])
+    )
+    capacity[rng.random(link_count) < 0.15] = 0.0
+    hops = rng.integers(0, min(link_count, 5) + 1, size=flow_count)
+    flow_ids = np.repeat(np.arange(flow_count), hops)
+    link_ids = np.concatenate(
+        [rng.choice(link_count, size=k, replace=False) for k in hops]
+    ).astype(np.intp)
+    system = FlowLinkSystem(
+        demand, capacity, flow_ids, link_ids, np.arange(link_count, dtype=np.intp)
+    )
+    iterations = data.draw(st.none() | st.integers(0, 2 * flow_count))
+    return system, iterations
+
+
+class TestBatchedWaterfilling:
+    """The span-batched max-min solver against the round-by-round oracle.
+
+    Equality is ``np.array_equal``, not a tolerance: the batched solver
+    performs every float operation of the oracle in the same order.
+    """
+
+    def test_workload_problem_bit_identical(self, workload_problem):
+        _assert_bit_identical(workload_problem[0])
+
+    @pytest.mark.parametrize("iterations", [1, 2, 5, 20, 60, 300])
+    def test_workload_problem_capped_bit_identical(self, workload_problem, iterations):
+        _assert_bit_identical(workload_problem[0], iterations)
+
+    def test_full_size_sweep_steps_bit_identical(self, sweep_step_systems):
+        assert len(sweep_step_systems) == 2
+        assert max(system.flow_count for system in sweep_step_systems) >= 4500
+        for system in sweep_step_systems:
+            _assert_bit_identical(system)
+
+    def test_full_size_step_batches_its_rounds(self, sweep_step_systems):
+        """Most rounds of a real step are demand-only and share a pass."""
+        for system in sweep_step_systems:
+            batched, oracle = Tracer(), Tracer()
+            ARRAY_SOLVERS["max_min_array"](system, obs=batched)
+            waterfill_by_rounds(system, obs=oracle)
+            rounds = batched.metrics.counters["waterfill_rounds"]
+            assert rounds == oracle.metrics.counters["waterfill_rounds"]
+            assert batched.metrics.counters["waterfill_passes"] * 5 <= rounds
+
+    def test_link_within_saturation_tolerance_ends_the_span(self):
+        """A demand binds the round, but the shared link then sits within
+        the 1e-9 saturation tolerance, so that round must also freeze the
+        link's other flow at the same level (a span running up to the exact
+        link share would let it creep 5e-10 higher)."""
+        system = _system(
+            demand=(1.0, 5.0), capacity=(2.0 + 0.5e-9,), flow_ids=(0, 1), link_ids=(0, 0)
+        )
+        _assert_bit_identical(system)
+        assert np.array_equal(ARRAY_SOLVERS["max_min_array"](system)[0], [1.0, 1.0])
+
+    def test_demand_missed_by_rounding_inside_a_span(self):
+        """``level + (demand - level)`` can stop an ulp short of a large
+        demand's tolerance; the span must end there and leave the binding
+        flow to the single-round fallback, then carry on."""
+        small, large = 212758959.39241698, 530330166.0223189
+        system = _system(
+            demand=(small, large, 2.0 * large, 3.0 * large),
+            capacity=(1e12,),
+            flow_ids=(0, 1, 2, 3),
+            link_ids=(0, 0, 0, 0),
+        )
+        _assert_bit_identical(system)
+        batched, oracle = Tracer(), Tracer()
+        ARRAY_SOLVERS["max_min_array"](system, obs=batched)
+        waterfill_by_rounds(system, obs=oracle)
+        assert batched.metrics.counters == {"waterfill_rounds": 4.0, "waterfill_passes": 3.0}
+        assert oracle.metrics.counters["waterfill_rounds"] == 4.0
+
+    def test_tiny_increment_clamps_inside_a_span(self):
+        """An increment of at most 1e-12 is clamped to 0 in a span as in a
+        single round: the 5e-13 demand freezes at rate 0.0."""
+        system = _system(demand=(5e-13, 1.0, 2.0), capacity=(10.0,))
+        _assert_bit_identical(system)
+        assert ARRAY_SOLVERS["max_min_array"](system)[0][0] == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_systems_bit_identical(self, data):
+        system, iterations = _random_system(data)
+        _assert_bit_identical(system, iterations)
+
+    def test_traced_sweep_counts_rounds_and_passes(self, epoch, monkeypatch):
+        """A traced max-min sweep records the oracle's round count as
+        ``waterfill_rounds`` and fewer ``waterfill_passes``.  Demand is
+        light enough that most rounds only meet demands, yet two of the
+        three steps saturate a link."""
+        simulator = _sweep_simulator(
+            epoch, satellites=120, planes=8, stations=40, flows=200, total_demand=400.0
+        )
+        oracle = Tracer()
+        solver = ARRAY_SOLVERS["max_min_array"]
+
+        def checked(system, obs=NULL_TRACER):
+            waterfill_by_rounds(system, obs=oracle)
+            return solver(system, obs=obs)
+
+        monkeypatch.setitem(ARRAY_SOLVERS, "max_min_array", checked)
+        result = simulator.run_scenarios([MAX_MIN], epoch, 3.0, instrument=True)
+        counters = result["max-min"].metrics.counters
+        assert counters["waterfill_rounds"] == oracle.metrics.counters["waterfill_rounds"]
+        assert 0 < counters["waterfill_passes"] < counters["waterfill_rounds"]
+        assert max(step.worst_link_utilisation for step in result["max-min"].steps) >= 1.0
+
+
+def _system(demand=(1.0, 2.0, 3.0), capacity=(2.0,), flow_ids=(0, 1, 2), link_ids=(0, 0, 0)):
+    """Three flows over one link of capacity 2, with fields overridable."""
+    return FlowLinkSystem(
+        demand=np.array(demand, dtype=float),
+        capacity=np.array(capacity, dtype=float),
+        flow_ids=np.array(flow_ids, dtype=np.intp),
+        link_ids=np.array(link_ids, dtype=np.intp),
+        link_rows=np.arange(len(capacity), dtype=np.intp),
+    )
+
+
+class TestSystemValidation:
+    """Bad input used to allocate silently wrong rates (a NaN-demand flow got
+    0.667 under max-min, a negative demand cancelled link load, a NaN link
+    let every flow through); now construction rejects it."""
+
+    def test_valid_system_accepted(self):
+        system = _system(demand=(0.0, 2.0, 3.0), capacity=(0.0,))
+        rates, utilisation = ARRAY_SOLVERS["max_min_array"](system)
+        assert np.array_equal(rates, np.zeros(3))
+        assert np.array_equal(utilisation, [1.0])
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((1.0, float("nan"), 2.0), r"demand\[1\] = nan must be finite and >= 0"),
+            ((1.0, -1.0, 2.0), r"demand\[1\] = -1\.0 must be finite and >= 0"),
+            ((float("inf"), 1.0, 2.0), r"demand\[0\] = inf must be finite and >= 0"),
+        ],
+    )
+    def test_bad_demand_rejected(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            _system(demand=values)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((float("nan"),), r"capacity\[0\] = nan must be finite and >= 0"),
+            ((2.0, -2.0), r"capacity\[1\] = -2\.0 must be finite and >= 0"),
+            ((2.0, float("inf")), r"capacity\[1\] = inf must be finite and >= 0"),
+        ],
+    )
+    def test_bad_capacity_rejected(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            _system(capacity=values)
+
+    def test_unequal_incidence_lengths_rejected(self):
+        with pytest.raises(
+            ValueError, match="flow_ids and link_ids must have equal length, got 3 and 2"
+        ):
+            _system(link_ids=(0, 0))
+
+    @pytest.mark.parametrize(
+        "field, ids, message",
+        [
+            ("flow_ids", (0, 3, 2), r"flow_ids\[1\] = 3 is out of range for 3 flows"),
+            ("flow_ids", (0, 1, -1), r"flow_ids\[2\] = -1 is out of range for 3 flows"),
+            ("link_ids", (0, 1, 0), r"link_ids\[1\] = 1 is out of range for 1 links"),
+        ],
+    )
+    def test_out_of_range_ids_rejected(self, field, ids, message):
+        with pytest.raises(ValueError, match=message):
+            _system(**{field: ids})
+
+    def test_scaled_plan_revalidates(self):
+        """Replacing a field re-runs the check (flow plans scale demand so)."""
+        with pytest.raises(ValueError, match=r"demand\[0\] = -1\.0"):
+            replace(_system(), demand=-_system().demand)
