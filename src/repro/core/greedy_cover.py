@@ -14,12 +14,18 @@ with a simple greedy loop:
 This module implements that loop, with the plane's LTAN chosen so that either
 its ascending or its descending branch crosses the peak cell (whichever
 branch also relieves more of the remaining demand elsewhere).
+
+The loop runs thousands of iterations at high demand, yet only a handful of
+distinct cells ever become the peak.  :meth:`GreedySSPlaneDesigner.design`
+therefore keeps, per peak cell, the two branch planes and the flat indices
+of the cells each covers, built on the first visit; an iteration is then a
+few array operations on those indices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,9 +97,6 @@ class GreedySSPlaneDesigner:
     street_half_width_fraction: float = 0.5
     demand_floor: float = 0.01
     max_planes: int = 20000
-    _mask_cache: dict[tuple[int, int, int], np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def satellites_per_plane(self) -> int:
         """Return the per-plane satellite count used by this designer."""
@@ -126,23 +129,48 @@ class GreedySSPlaneDesigner:
             street_half_width_fraction=self.street_half_width_fraction,
         )
 
-    def _coverage_mask(self, plane: SSPlane, grid: LatLocalTimeGrid) -> np.ndarray:
-        """Return (and cache) the plane's coverage mask on this grid geometry."""
-        key = (
-            int(round(plane.ltan_hours * 3600.0)),
-            grid.n_lat,
-            grid.n_time,
-        )
-        if key not in self._mask_cache:
-            self._mask_cache[key] = plane.coverage_mask(grid)
-        return self._mask_cache[key]
+    def _branches_through(
+        self,
+        latitude_deg: float,
+        local_time_hours: float,
+        grid: LatLocalTimeGrid,
+        inclination_rad: float,
+        satellite_count: int,
+    ) -> list[tuple[SSPlane, np.ndarray]]:
+        """Return ``(plane, covered flat indices)`` for each branch through a cell.
+
+        The ascending branch comes first; a branch whose path cannot reach the
+        cell's latitude is left out, so the list is empty for a cell no plane
+        of this shell reaches.
+        """
+        options = []
+        for ascending in (True, False):
+            try:
+                plane = self._plane_for(
+                    latitude_deg, local_time_hours, ascending, inclination_rad, satellite_count
+                )
+            except ValueError:
+                continue
+            options.append((plane, np.flatnonzero(plane.coverage_mask(grid))))
+        return options
 
     def design(self, demand: LatLocalTimeGrid) -> GreedyCoverResult:
         """Run the greedy covering loop of Section 4.2 on a demand grid.
 
         The input grid is not modified; demand is expressed in multiples of a
-        single satellite's capacity.
+        single satellite's capacity, and every cell must be finite and
+        non-negative (``ValueError`` names the first bad cell otherwise).
+
+        Each iteration's branch options -- the plane through the peak cell on
+        each branch and the flat indices of the cells it covers -- are built
+        on the first visit to that peak cell and reused on every later one.
+        An iteration is then one full sum (the termination test), one
+        ``argmax``, one clamped sum per branch over its covered cells and one
+        scatter of the chosen plane's update.  ``np.flatnonzero`` lists cells
+        in the order a boolean mask selects them, so every sum and every
+        comparison is the one a mask-indexed loop makes, bit for bit.
         """
+        demand.require_finite_non_negative()
         remaining = demand.copy()
         planes: list[SSPlane] = []
         iterations = 0
@@ -169,41 +197,45 @@ class GreedySSPlaneDesigner:
         remaining.values[unreachable] = 0.0
         satellite_count = self.satellites_per_plane()
 
-        while remaining.total() > 1e-9 and iterations < self.max_planes:
+        values = remaining.values
+        flat = values.reshape(-1)  # a view: writes through it land in ``values``
+        latitudes = remaining.latitudes_deg
+        local_times = remaining.local_times_hours
+        # Flat index of a peak cell -> its branch options.
+        branches: dict[int, list[tuple[SSPlane, np.ndarray]]] = {}
+
+        while float(np.sum(values)) > 1e-9 and iterations < self.max_planes:
             iterations += 1
-            peak_lat, peak_time, peak_value = remaining.peak()
-            if peak_value <= 1e-9:
+            peak = int(np.argmax(flat))
+            if flat[peak] <= 1e-9:
                 break
-            # Try both branches through the peak cell and keep the one that
-            # removes the most remaining demand.
-            best_plane = None
-            best_removed = -1.0
-            for ascending in (True, False):
-                try:
-                    plane = self._plane_for(
-                        peak_lat, peak_time, ascending, probe.inclination_rad, satellite_count
-                    )
-                except ValueError:
-                    continue
-                mask = self._coverage_mask(plane, remaining)
-                removed = float(np.minimum(remaining.values, 1.0)[mask].sum())
-                if removed > best_removed:
-                    best_removed = removed
-                    best_plane = plane
-            if best_plane is None:
+            options = branches.get(peak)
+            if options is None:
+                row, col = divmod(peak, remaining.n_time)
+                options = branches[peak] = self._branches_through(
+                    float(latitudes[row]),
+                    float(local_times[col]),
+                    remaining,
+                    probe.inclination_rad,
+                    satellite_count,
+                )
+            if not options:
                 # Peak cell unreachable (should have been clipped); zero it out.
-                row, col = remaining.index_of(peak_lat, peak_time)
-                clipped_demand += float(remaining.values[row, col])
-                remaining.values[row, col] = 0.0
+                clipped_demand += float(flat[peak])
+                flat[peak] = 0.0
                 continue
+            # Keep the branch that removes the most remaining demand (the
+            # ascending one on a tie: ``max`` keeps the first maximum).
+            best_plane, best_cells = max(
+                options, key=lambda option: float(np.minimum(flat[option[1]], 1.0).sum())
+            )
             planes.append(best_plane)
-            mask = self._coverage_mask(best_plane, remaining)
-            remaining.values[mask] = np.maximum(remaining.values[mask] - 1.0, 0.0)
+            flat[best_cells] = np.maximum(flat[best_cells] - 1.0, 0.0)
 
         total_satellites = sum(plane.satellite_count for plane in planes)
         return GreedyCoverResult(
             planes=tuple(planes),
             total_satellites=total_satellites,
-            residual_demand=float(remaining.total()) + clipped_demand,
+            residual_demand=float(np.sum(values)) + clipped_demand,
             iterations=iterations,
         )

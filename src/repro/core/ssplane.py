@@ -178,46 +178,52 @@ class SSPlane:
         and weighted by ``cos(latitude)`` so that the street has a constant
         *surface* width at every latitude (which is what the satellites'
         footprints actually provide).
+
+        Every row is evaluated at once: each row has up to two pass times
+        (ascending and descending branch; for a latitude beyond the orbit's
+        reach but within the street, the turnaround point's local time) and a
+        half-width along the local-time axis, and a cell is covered if its
+        wrapped local-time distance to either pass is within that half-width.
+        The arithmetic is elementwise, so each cell's verdict is the same as
+        a row-by-row evaluation would give.
         """
-        latitudes_rad = np.radians(grid.latitudes_deg)
-        local_times = grid.local_times_hours
+        latitudes_deg = grid.latitudes_deg
+        latitudes_rad = np.radians(latitudes_deg)
         street_deg = math.degrees(self.street_half_width_rad)
-
         ascending, descending = self.path_local_time_hours(latitudes_rad)
-        mask = np.zeros((grid.n_lat, grid.n_time), dtype=bool)
-        cos_lat = np.cos(latitudes_rad)
-        lat_step_deg = grid.lat_resolution_deg
 
+        margin_deg = street_deg + grid.lat_resolution_deg / 2.0
+        # Width of the street measured along the local-time axis, wider at
+        # high latitude where time-of-day lines converge.
+        half_width_hours = (
+            margin_deg / np.maximum(np.cos(latitudes_rad), 1e-3) * HOURS_PER_DAY / 360.0
+            + grid.time_resolution_hours / 2.0
+        )
+
+        # Latitudes beyond the orbit's reach are covered only within the
+        # street of the appropriate turnaround point: a quarter orbit away
+        # from the ascending node (the sign depends on whether the orbit is
+        # prograde or retrograde).
         max_lat_deg = math.degrees(
             math.asin(min(1.0, abs(math.sin(self.inclination_rad))))
         )
-        # Local times of the northern / southern turnaround points: a quarter
-        # orbit away from the ascending node (the sign depends on whether the
-        # orbit is prograde or retrograde).
         quarter = 6.0 if math.cos(self.inclination_rad) >= 0 else -6.0
         north_turn_time = (self.ltan_hours + quarter) % HOURS_PER_DAY
         south_turn_time = (self.ltan_hours - quarter) % HOURS_PER_DAY
+        turn_time = np.where(latitudes_deg > 0, north_turn_time, south_turn_time)
+        near_turn = np.abs(latitudes_deg) <= max_lat_deg + street_deg
+        first_pass = np.where(
+            np.isnan(ascending), np.where(near_turn, turn_time, np.nan), ascending
+        )
 
-        for row in range(grid.n_lat):
-            margin_deg = street_deg + lat_step_deg / 2.0
-            # Width of the street measured along the local-time axis, wider at
-            # high latitude where time-of-day lines converge.
-            half_width_hours = (
-                margin_deg / max(cos_lat[row], 1e-3) * HOURS_PER_DAY / 360.0
-                + grid.time_resolution_hours / 2.0
+        local_times = grid.local_times_hours
+        mask = np.zeros((grid.n_lat, grid.n_time), dtype=bool)
+        # NaN pass times (no pass on that branch) compare False everywhere.
+        for pass_times in (first_pass, descending):
+            delta = np.abs(
+                (local_times[None, :] - pass_times[:, None] + 12.0) % HOURS_PER_DAY - 12.0
             )
-            pass_times = [t for t in (ascending[row], descending[row]) if not np.isnan(t)]
-            if not pass_times:
-                # Latitudes beyond the orbit's reach are covered only within
-                # the street of the appropriate turnaround point.
-                latitude_deg = grid.latitudes_deg[row]
-                if abs(latitude_deg) <= max_lat_deg + street_deg:
-                    pass_times = [north_turn_time if latitude_deg > 0 else south_turn_time]
-                else:
-                    continue
-            for pass_time in pass_times:
-                delta = np.abs((local_times - pass_time + 12.0) % HOURS_PER_DAY - 12.0)
-                mask[row, :] |= delta <= half_width_hours
+            mask |= delta <= half_width_hours[:, None]
         return mask
 
     def covers(self, latitude_deg: float, local_time_hours: float, grid: LatLocalTimeGrid) -> bool:

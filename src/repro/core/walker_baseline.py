@@ -24,7 +24,7 @@ the SS-plane design removes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -171,13 +171,16 @@ class DemandDrivenWalkerDesigner:
         altitude = self.altitude_km + slot * self.altitude_spacing_km
         return WalkerShell(pattern=pattern, altitude_km=altitude)
 
-    def _covered_latitude_mask(self, shell: WalkerShell, grid: LatLocalTimeGrid) -> np.ndarray:
-        """Return the boolean mask of grid rows (latitudes) the shell serves."""
-        reach_deg = shell.inclination_deg
-        return np.abs(grid.latitudes_deg) <= reach_deg
-
     def design(self, demand: LatLocalTimeGrid) -> WalkerBaselineResult:
-        """Greedily add shells until the demand grid is satisfied."""
+        """Greedily add shells until the demand grid is satisfied.
+
+        Every cell of ``demand`` must be finite and non-negative
+        (``ValueError`` names the first bad cell otherwise).  A shell serves
+        every latitude up to its inclination, a contiguous band of rows
+        centred on the equator, so each iteration updates that band of the
+        remaining grid in place.
+        """
+        demand.require_finite_non_negative()
         remaining = demand.copy()
         shells: list[WalkerShell] = []
         iterations = 0
@@ -186,22 +189,27 @@ class DemandDrivenWalkerDesigner:
         # background (tiny fractions of a satellite's capacity); it never
         # drives real constellation sizing and is excluded up front.
         remaining.values[remaining.values < self.demand_floor] = 0.0
-        clipped = 0.0
 
-        while remaining.total() > 1e-9 and iterations < self.max_shells:
+        values = remaining.values
+        latitudes = remaining.latitudes_deg
+        abs_latitudes = np.abs(latitudes)
+        while float(np.sum(values)) > 1e-9 and iterations < self.max_shells:
             iterations += 1
-            peak_lat, _, peak_value = remaining.peak()
-            if peak_value <= 1e-9:
+            peak = int(np.argmax(values))
+            row = peak // remaining.n_time
+            if values.flat[peak] <= 1e-9:
                 break
-            shell = self._shell_for_latitude(peak_lat, len(shells))
+            shell = self._shell_for_latitude(float(latitudes[row]), len(shells))
             shells.append(shell)
-            rows = self._covered_latitude_mask(shell, remaining)
-            remaining.values[rows, :] = np.maximum(remaining.values[rows, :] - 1.0, 0.0)
+            rows = np.flatnonzero(abs_latitudes <= shell.inclination_deg)
+            if rows.size:
+                band = values[rows[0] : rows[-1] + 1]
+                np.maximum(band - 1.0, 0.0, out=band)
 
         total = sum(shell.satellite_count for shell in shells)
         return WalkerBaselineResult(
             shells=tuple(shells),
             total_satellites=total,
-            residual_demand=float(remaining.total()) + clipped,
+            residual_demand=float(np.sum(values)),
             iterations=iterations,
         )

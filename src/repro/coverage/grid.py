@@ -239,6 +239,20 @@ class LatLocalTimeGrid:
 
     # -- aggregation and arithmetic ---------------------------------------------
 
+    def require_finite_non_negative(self) -> None:
+        """Raise ``ValueError`` naming the first NaN, infinite or negative cell.
+
+        Cells are scanned in row-major order; the message gives the cell's
+        ``(row, col)`` index and its value.
+        """
+        bad = ~(np.isfinite(self.values) & (self.values >= 0.0))
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise ValueError(
+                "grid values must be finite and non-negative; cell "
+                f"(row, col) = ({row}, {col}) holds {float(self.values[row, col])!r}"
+            )
+
     def total(self) -> float:
         """Return the sum of all cell values."""
         return float(np.sum(self.values))

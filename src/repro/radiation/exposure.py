@@ -81,6 +81,12 @@ class ExposureCalculator:
     step_s: float = 60.0
     electron_modulation: float = 1.0
     proton_modulation: float = 1.0
+    # Daily fluence per exact orbit, valid for the settings it was filled
+    # under (see ``_memo``); not part of the calculator's value.
+    _fluences: dict[OrbitalElements, DailyFluence] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _fluence_settings: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def daily_fluence(
         self,
@@ -107,15 +113,37 @@ class ExposureCalculator:
         )
         return self.daily_fluence(elements)
 
+    def _memo(self) -> dict[OrbitalElements, DailyFluence]:
+        """Return the exact-orbit fluence memo, emptied if a setting changed.
+
+        The model is compared by identity, the numeric settings by value, so
+        a memoised fluence is always the one ``daily_fluence`` would return
+        under the current settings.
+        """
+        settings = (self.model, self.step_s, self.electron_modulation, self.proton_modulation)
+        previous = self._fluence_settings
+        if not previous or previous[0] is not settings[0] or previous[1:] != settings[1:]:
+            self._fluences.clear()
+            self._fluence_settings = settings
+        return self._fluences
+
     def constellation_fluences(self, satellites: list[OrbitalElements]) -> list[DailyFluence]:
         """Return per-satellite daily fluences for a whole constellation.
 
         Satellites sharing altitude, inclination and RAAN accumulate identical
         daily fluence (their phase within the plane only shifts *when* they
-        cross the belts, not how often), so results are cached per
-        (altitude, inclination, RAAN) triple to keep constellation-level
-        evaluations cheap.
+        cross the belts, not how often), so within one call results are
+        shared per (altitude, inclination, RAAN) triple, rounded: the first
+        satellite with a triple sets the fluence of every later one.
+
+        Below that per-call cache sits a memo on the calculator, keyed on the
+        exact :class:`OrbitalElements` value, which lives across calls: the
+        designs of a demand sweep reuse a few dozen distinct orbits.  It is
+        consulted only when the per-call cache misses, and it returns what
+        ``daily_fluence`` returned for that exact orbit, so results are
+        bit-identical to evaluating every per-call miss afresh.
         """
+        memo = self._memo()
         cache: dict[tuple[float, float, float], DailyFluence] = {}
         results = []
         for elements in satellites:
@@ -125,7 +153,9 @@ class ExposureCalculator:
                 round(elements.raan_deg, 1),
             )
             if key not in cache:
-                cache[key] = self.daily_fluence(elements)
+                if elements not in memo:
+                    memo[elements] = self.daily_fluence(elements)
+                cache[key] = memo[elements]
             results.append(cache[key])
         return results
 

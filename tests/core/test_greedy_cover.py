@@ -98,3 +98,14 @@ class TestGreedyCover:
         grid.values[row, col] = 2.0
         with pytest.raises(ValueError, match="street_half_width_fraction"):
             GreedySSPlaneDesigner(street_half_width_fraction=1.5).design(grid)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_non_finite_or_negative_demand_rejected(self, designer, bad):
+        # One NaN cell used to return a 0-satellite design with a NaN
+        # residual; one inf cell spun the loop to max_planes.
+        grid = _empty_grid()
+        grid.values[5, 3] = 2.0
+        grid.values[7, 11] = bad
+        grid.values[9, 1] = bad
+        with pytest.raises(ValueError, match=rf"\(7, 11\) holds {bad!r}"):
+            designer.design(grid)

@@ -113,3 +113,12 @@ class TestWalkerBaseline:
         result = bounded.design(grid)
         assert result.shell_count == 1
         assert not result.satisfied
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_non_finite_or_negative_demand_rejected(self, designer, bad):
+        grid = _empty_grid()
+        grid.values[5, 3] = 2.0
+        grid.values[7, 11] = bad
+        grid.values[9, 1] = bad
+        with pytest.raises(ValueError, match=rf"\(7, 11\) holds {bad!r}"):
+            designer.design(grid)

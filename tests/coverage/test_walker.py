@@ -187,3 +187,46 @@ class TestSizing:
         assert minimum_walker_for_coverage(
             altitude_km, inclination_deg, 25.0, **check
         ) == _exhaustive_minimum_walker(altitude_km, inclination_deg, **check)
+
+
+class TestSizingValidation:
+    """Settings that would make a coverage check vacuous are rejected."""
+
+    PATTERN = WalkerDelta(560.0, 65.0, total_satellites=42, planes=2, phasing=1)
+
+    @pytest.mark.parametrize(
+        "settings, match",
+        [
+            ({"time_samples": 0}, "time_samples must be at least 1, got 0"),
+            ({"time_samples": -3}, "time_samples must be at least 1, got -3"),
+            ({"grid_step_deg": -6.0}, "grid_step_deg must be finite and positive, got -6.0"),
+            ({"grid_step_deg": 0.0}, "grid_step_deg must be finite and positive, got 0.0"),
+            ({"grid_step_deg": float("nan")}, "grid_step_deg must be finite and positive, got nan"),
+            ({"grid_step_deg": float("inf")}, "grid_step_deg must be finite and positive, got inf"),
+            ({"lat_limit_deg": 0.0}, "test grid is empty: grid_step_deg=6.0 .* lat_limit_deg=0.0"),
+            ({"lat_limit_deg": 1.0}, "test grid is empty: grid_step_deg=6.0 .* lat_limit_deg=1.0"),
+        ],
+    )
+    def test_vacuous_check_rejected(self, settings, match):
+        # At 560 km / 65 deg these settings used to return a 42-satellite,
+        # 2-plane pattern (the right answer is 462): zero samples or an empty
+        # grid tested nothing, and a NaN mean read as covered.
+        check = {"grid_step_deg": 6.0, "time_samples": 6, **settings}
+        with pytest.raises(ValueError, match=match):
+            minimum_walker_for_coverage(560.0, 65.0, 25.0, **check)
+        with pytest.raises(ValueError, match=match):
+            is_continuously_covered(self.PATTERN, 25.0, **check)
+
+    def test_equatorial_pattern_has_no_default_test_grid(self):
+        equatorial = WalkerDelta(560.0, 0.0, total_satellites=42, planes=2, phasing=1)
+        with pytest.raises(ValueError, match="test grid is empty"):
+            is_continuously_covered(equatorial, 25.0)
+
+    @pytest.mark.parametrize("max_total", [0, -5])
+    def test_non_positive_max_total_rejected(self, max_total):
+        with pytest.raises(ValueError, match=f"max_total must be positive, got {max_total}"):
+            minimum_walker_for_coverage(560.0, 65.0, 25.0, max_total=max_total)
+
+    def test_560_km_65_deg_needs_462_satellites(self):
+        pattern = minimum_walker_for_coverage(560.0, 65.0, 25.0, grid_step_deg=6.0, time_samples=6)
+        assert (pattern.total_satellites, pattern.planes) == (462, 22)
