@@ -14,6 +14,7 @@ import numpy as np
 from ..orbits.elements import OrbitalElements
 from ..radiation.exposure import DailyFluence, ExposureCalculator
 from .greedy_cover import GreedyCoverResult
+from .ssplane import SSPlane
 from .walker_baseline import WalkerBaselineResult
 
 __all__ = ["ConstellationMetrics", "MetricsCalculator"]
@@ -89,8 +90,14 @@ class MetricsCalculator:
     def for_ssplane(self, result: GreedyCoverResult) -> ConstellationMetrics:
         """Return metrics of a greedy SS-plane design."""
         # ``orbit.to_elements()`` is the plane's first satellite (true anomaly 0,
-        # Sun at RA 0), i.e. ``plane.satellite_elements()[0]``.
-        groups = [(plane.orbit.to_elements(), plane.satellite_count) for plane in result.planes]
+        # Sun at RA 0), i.e. ``plane.satellite_elements()[0]``.  A design
+        # repeats a few dozen distinct planes thousands of times, so each
+        # distinct plane's elements are built once.
+        elements: dict[SSPlane, OrbitalElements] = {}
+        for plane in result.planes:
+            if plane not in elements:
+                elements[plane] = plane.orbit.to_elements()
+        groups = [(elements[plane], plane.satellite_count) for plane in result.planes]
         median, mean = self._fluence_stats(groups)
         return ConstellationMetrics(
             design="ss-plane",

@@ -359,11 +359,10 @@ def _witness_rejects(
     slot_spacing = 2.0 * math.pi / (totals // planes)[owner]
 
     cos_raan, sin_raan = np.cos(raan), np.sin(raan)
+    cos_i, sin_i = math.cos(inclination_rad), math.sin(inclination_rad)
     wx, wy, wz = (witnesses[:, axis, None] for axis in range(3))
     along_node = wx * cos_raan + wy * sin_raan
-    across_node = (wy * cos_raan - wx * sin_raan) * math.cos(inclination_rad) + wz * math.sin(
-        inclination_rad
-    )
+    across_node = (wy * cos_raan - wx * sin_raan) * cos_i + wz * sin_i
     slots = (np.arctan2(across_node, along_node) - node_phase) / slot_spacing
     gap = np.abs(slots - np.rint(slots)) * slot_spacing
     best = np.hypot(along_node, across_node) * np.cos(gap)
