@@ -204,9 +204,9 @@ class GreedySSPlaneDesigner:
         # Flat index of a peak cell -> its branch options.
         branches: dict[int, list[tuple[SSPlane, np.ndarray]]] = {}
 
-        while float(np.sum(values)) > 1e-9 and iterations < self.max_planes:
+        while float(values.sum()) > 1e-9 and iterations < self.max_planes:
             iterations += 1
-            peak = int(np.argmax(flat))
+            peak = int(flat.argmax())
             if flat[peak] <= 1e-9:
                 break
             options = branches.get(peak)
@@ -225,10 +225,9 @@ class GreedySSPlaneDesigner:
                 flat[peak] = 0.0
                 continue
             # Keep the branch that removes the most remaining demand (the
-            # ascending one on a tie: ``max`` keeps the first maximum).
-            best_plane, best_cells = max(
-                options, key=lambda option: float(np.minimum(flat[option[1]], 1.0).sum())
-            )
+            # first, ascending one on a tie).
+            removed = [np.minimum(flat[cells], 1.0).sum() for _, cells in options]
+            best_plane, best_cells = options[removed.index(max(removed))]
             planes.append(best_plane)
             flat[best_cells] = np.maximum(flat[best_cells] - 1.0, 0.0)
 
@@ -236,6 +235,6 @@ class GreedySSPlaneDesigner:
         return GreedyCoverResult(
             planes=tuple(planes),
             total_satellites=total_satellites,
-            residual_demand=float(np.sum(values)) + clipped_demand,
+            residual_demand=float(values.sum()) + clipped_demand,
             iterations=iterations,
         )

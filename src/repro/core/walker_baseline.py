@@ -193,12 +193,12 @@ class DemandDrivenWalkerDesigner:
         values = remaining.values
         latitudes = remaining.latitudes_deg
         abs_latitudes = np.abs(latitudes)
-        while float(np.sum(values)) > 1e-9 and iterations < self.max_shells:
+        while float(values.sum()) > 1e-9 and iterations < self.max_shells:
             iterations += 1
-            peak = int(np.argmax(values))
-            row = peak // remaining.n_time
+            peak = int(values.argmax())
             if values.flat[peak] <= 1e-9:
                 break
+            row = peak // remaining.n_time
             shell = self._shell_for_latitude(float(latitudes[row]), len(shells))
             shells.append(shell)
             rows = np.flatnonzero(abs_latitudes <= shell.inclination_deg)
@@ -210,6 +210,6 @@ class DemandDrivenWalkerDesigner:
         return WalkerBaselineResult(
             shells=tuple(shells),
             total_satellites=total,
-            residual_demand=float(np.sum(values)),
+            residual_demand=float(values.sum()),
             iterations=iterations,
         )

@@ -192,15 +192,20 @@ def _grid_unit_vectors(lat_step_deg: float, lat_limit_deg: float) -> np.ndarray:
     return vectors
 
 
-def _test_grid(grid_step_deg: float, lat_limit_deg: float, time_samples: int) -> np.ndarray:
-    """Return the coverage test grid, rejecting settings that make any check vacuous.
-
-    An empty grid or zero time samples would let a coverage check pass
-    without testing a single point, so both raise ``ValueError`` naming the
-    offending parameter and value.
-    """
+def _require_time_samples(time_samples: int) -> None:
+    """Reject a sample count that would let a coverage check test nothing."""
     if _integer("time_samples", time_samples) < 1:
         raise ValueError(f"time_samples must be at least 1, got {time_samples!r}")
+
+
+def _test_grid(grid_step_deg: float, lat_limit_deg: float) -> np.ndarray:
+    """Return the coverage test grid, rejecting settings that leave it empty.
+
+    An empty grid would let a coverage check pass without testing a single
+    point (the mean of nothing is NaN), so a non-finite or non-positive
+    step, a non-finite limit and an empty grid raise ``ValueError`` naming
+    the parameter and its value.
+    """
     if not (math.isfinite(grid_step_deg) and grid_step_deg > 0.0):
         raise ValueError(
             f"grid_step_deg must be finite and positive, got {grid_step_deg!r}"
@@ -227,12 +232,15 @@ def coverage_fraction(
     Coverage is evaluated in the inertial frame: because the test grid spans
     all longitudes uniformly, rotating it into the Earth-fixed frame does not
     change the answer, so the GMST rotation can be skipped.
+
+    Raises ``ValueError`` if ``grid_step_deg`` is not finite and positive or
+    the test grid up to ``lat_limit_deg`` holds no point.
     """
     positions = np.asarray(positions_eci_km, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must have shape (N, 3)")
     sat_units = positions / np.linalg.norm(positions, axis=1, keepdims=True)
-    grid_units = _grid_unit_vectors(grid_step_deg, lat_limit_deg)
+    grid_units = _test_grid(grid_step_deg, lat_limit_deg)
     # Angle between each grid point and each sub-satellite point.
     cosines = grid_units @ sat_units.T
     covered = np.any(cosines >= math.cos(half_angle_rad), axis=1)
@@ -272,7 +280,7 @@ def is_continuously_covered(
         lat_limit_deg = min(
             constellation.inclination_deg, 180.0 - constellation.inclination_deg
         )
-    _test_grid(grid_step_deg, lat_limit_deg, time_samples)
+    _require_time_samples(time_samples)
     raan, phase = constellation.raan_and_phase_rad()
     for sample in range(time_samples):
         advance = 2.0 * math.pi * sample / time_samples
@@ -419,7 +427,8 @@ def minimum_walker_for_coverage(
         raise ValueError(f"max_total must be positive, got {max_total!r}")
     if lat_limit_deg is None:
         lat_limit_deg = min(inclination_deg, 180.0 - inclination_deg)
-    grid_units = _test_grid(grid_step_deg, lat_limit_deg, time_samples)
+    _require_time_samples(time_samples)
+    grid_units = _test_grid(grid_step_deg, lat_limit_deg)
 
     seed_planes, seed_sats = streets_of_coverage_size(
         altitude_km, inclination_deg, min_elevation_deg

@@ -217,6 +217,19 @@ class TestSizingValidation:
         with pytest.raises(ValueError, match=match):
             is_continuously_covered(self.PATTERN, 25.0, **check)
 
+    @pytest.mark.parametrize(
+        "settings, match",
+        [
+            ({"grid_step_deg": -5.0}, "grid_step_deg must be finite and positive, got -5.0"),
+            ({"lat_limit_deg": 1.0, "grid_step_deg": 6.0}, "test grid is empty"),
+        ],
+    )
+    def test_coverage_fraction_of_an_empty_grid_rejected(self, settings, match):
+        # The mean over no grid point used to come back as NaN.
+        positions = np.array([[EARTH_RADIUS_KM + 560.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=match):
+            coverage_fraction(positions, 0.3, **settings)
+
     def test_equatorial_pattern_has_no_default_test_grid(self):
         equatorial = WalkerDelta(560.0, 0.0, total_satellites=42, planes=2, phasing=1)
         with pytest.raises(ValueError, match="test grid is empty"):
