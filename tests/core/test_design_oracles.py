@@ -129,13 +129,6 @@ class TestDesignLoops:
         grid, _, result = sweep[multiplier]
         assert result == walker_design_by_rounds(DemandDrivenWalkerDesigner(), grid)
 
-    def test_inputs_are_not_mutated(self, sweep):
-        grid, _, _ = sweep[10.0]
-        before = grid.values.copy()
-        GreedySSPlaneDesigner().design(grid)
-        DemandDrivenWalkerDesigner().design(grid)
-        np.testing.assert_array_equal(grid.values, before)
-
 
 class TestFluenceMemo:
     @staticmethod
