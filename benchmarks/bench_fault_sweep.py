@@ -131,13 +131,7 @@ def _run_comparison(smoke: bool) -> dict:
     serial = simulator.run_scenarios(SWEEP_SCENARIOS, epoch, duration_hours)
     sweep_serial_s = time.perf_counter() - begin
     begin = time.perf_counter()
-    pooled = simulator.run_scenarios(
-        SWEEP_SCENARIOS,
-        epoch,
-        duration_hours,
-        max_workers=2,
-        executor="process",
-    )
+    pooled = simulator.run_scenarios(SWEEP_SCENARIOS, epoch, duration_hours, max_workers=2)
     sweep_process_s = time.perf_counter() - begin
     executors_identical = all(
         serial[name].steps == pooled[name].steps for name in serial

@@ -22,8 +22,8 @@ Fault specs are declarative ``(model, params)`` pairs resolved against the
 ``repro.network.faults.FAULT_MODELS`` registry, compiled once per sweep
 into vectorised per-step outage masks, and applied on top of the shared
 snapshot sequence -- so the faulted scenarios cost barely more than the
-healthy one, and fixed seeds make the whole sweep reproducible bit for bit
-across executors.
+healthy one, and fixed seeds make the whole sweep reproducible bit for bit,
+serially or over a process pool.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def main() -> None:
         )
     )
     print(
-        "\nEvery fault scenario is seeded: rerunning this sweep -- serially, "
-        "threaded or over a process pool -- reproduces the same numbers."
+        "\nEvery fault scenario is seeded: rerunning this sweep -- serially "
+        "or over a process pool -- reproduces the same numbers."
     )
 
 

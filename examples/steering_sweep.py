@@ -147,8 +147,8 @@ def main() -> None:
             print(f"  {a} -- {b}: summed utilisation {heat:.2f}")
     print(
         "\nAdaptive runs are deterministic: fixed fault seeds and the pure-"
-        "numpy control loop reproduce these numbers bit for bit across the "
-        "serial, thread and process executors."
+        "numpy control loop reproduce these numbers bit for bit, serially "
+        "or over a process pool."
     )
 
 

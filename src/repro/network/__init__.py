@@ -6,7 +6,7 @@ producing per-step edge lists and CSR edge arrays, ground stations,
 snapshot and time-aware routing (one compiled ``csgraph`` Dijkstra per
 snapshot), array-native capacity allocation, demand-aware scheduling, a
 scenario-sweep simulator driven by the gravity traffic model (one
-pipeline: csgraph routing, columnar flows, array solvers) with thread- or
+pipeline: csgraph routing, columnar flows, array solvers) with
 process-pool parallelism and cross-product design/scenario grids, a
 fault-injection subsystem
 (registered fault models compiling to vectorised per-step outage masks) with

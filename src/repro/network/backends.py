@@ -195,7 +195,8 @@ class SnapshotEdgeList:
         """``(sorted link codes, edge row of each)``, the table lookups search.
 
         Built once per snapshot; the simulator's step kernel builds it
-        before any scenario runs, so thread workers only read it.
+        before any scenario runs, as shared group work timed once in the
+        ``snapshot`` span.
         """
         order = np.argsort(self.link_codes)
         return self.link_codes[order], order

@@ -54,8 +54,8 @@ Five models ship with the library:
 
 Because schedules are compiled **once** per sweep by the driver and shipped
 to worker processes as plain numpy arrays (or pre-applied to the shipped
-edge lists), a fixed-seed fault sweep is result-identical across the serial,
-thread and process executors.
+edge lists), a fixed-seed fault sweep is result-identical whether it runs
+serially or in worker processes.
 """
 
 from __future__ import annotations

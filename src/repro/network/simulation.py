@@ -70,13 +70,12 @@ tensors; the per-step statistics then carry stranded demand and node
 up-fractions, and :class:`SimulationResult` offers availability, latency
 stretch and time-to-recover against a healthy baseline run.
 
-Every executor runs the same step kernel (:func:`_evaluate_step`).  The
-serial loop calls it directly, ``executor="thread"`` fans its per-scenario
-evaluations out to a thread pool, and ``executor="process"`` ships each
-worker its slice of the scenarios plus the picklable per-step edge lists,
-and the worker runs the very same loop.  Results are bit-identical across
-executors.  :func:`run_grid` composes a constellation-design axis with the
-scenario axis into a persisted cross-product sweep.
+The serial loop calls the step kernel (:func:`_evaluate_step`) directly;
+with ``max_workers > 1`` each worker process receives its slice of the
+scenarios plus the picklable per-step edge lists and runs the very same
+loop, so results are bit-identical either way.  :func:`run_grid` composes a
+constellation-design axis with the scenario axis into a persisted
+cross-product sweep.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ import os
 import tempfile
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -127,8 +126,8 @@ def _count(name: str, value: "int | None") -> "int | None":
 
     ``bool`` and non-integral values (``2.5``, and ``3.0`` too) are
     rejected here, naming ``name``, rather than failing later mid-sweep
-    (inside the selection's partition, or an executor); numpy integers are
-    accepted.  ``None`` passes through.
+    (inside the selection's partition, or the process pool); numpy integers
+    are accepted.  ``None`` passes through.
     """
     if value is None:
         return None
@@ -417,8 +416,8 @@ class _TrafficMatrixCache:
 class _ScenarioSpec:
     """One scenario's fully resolved evaluation spec.
 
-    Picklable, so process workers receive exactly what the in-process
-    executors evaluate.  ``group`` indexes the scenario's snapshot group
+    Picklable, so process workers receive exactly what the serial loop
+    evaluates.  ``group`` indexes the scenario's snapshot group
     (station subset plus fault schedule): fault masks are compiled by the
     driver and pre-applied to the group's edge lists, so the step kernel
     never runs fault code -- it only carries the per-step up-fractions for
@@ -437,8 +436,8 @@ class _ScenarioSpec:
     steering: SteeringPolicy | None = None
     #: Whether this is the sweep's first scenario of its (group, flow
     #: budget) plan key.  The kernel's ``flow_plans_built`` counter is
-    #: credited to it, so the counter counts each plan once under every
-    #: executor -- even when process workers each rebuild it for their chunk.
+    #: credited to it, so the counter counts each plan once, serial or not
+    #: -- even when process workers each rebuild it for their chunk.
     leads_plan: bool = True
 
     @property
@@ -780,7 +779,6 @@ def _evaluate_step(
     specs: Sequence[_ScenarioSpec],
     controllers: Mapping[str, SteeringController],
     tracers: Mapping[str, Tracer],
-    pool: ThreadPoolExecutor | None = None,
     export_seconds: float = 0.0,
     matrix_seconds: float = 0.0,
 ) -> list[_StepOutput]:
@@ -795,14 +793,12 @@ def _evaluate_step(
     other scenario -- and then one :class:`~repro.network.flows.FlowPlan`
     per (group, flow budget), selected on unscaled demand and, on base
     tables, routed and compiled (:func:`_build_plans`).  Then it evaluates
-    the scenarios, through ``pool`` when given.  Every shared value is
-    built before any scenario runs and only read after, so thread workers
-    need no lock; the plans are dropped when the step returns.  Steered
-    scenarios re-solve, inside their routing span, only the sources whose
-    base paths their steering can move.  A group's sole scenario, and a
-    group of steered scenarios only, solve their own sources instead
-    (under the process executor, "group" means the part of it in one
-    worker's chunk).  Outputs come back in ``specs`` order.
+    the scenarios in ``specs`` order; the plans are dropped when the step
+    returns.  Steered scenarios re-solve, inside their routing span, only
+    the sources whose base paths their steering can move.  A group's sole
+    scenario, and a group of steered scenarios only, solve their own
+    sources instead (in a process worker, "group" means the part of it in
+    the worker's chunk).
 
     With ``tracers`` (one per scenario, or none at all) the snapshot stage
     -- the caller's edge-list export (``export_seconds``) plus the shared
@@ -819,7 +815,7 @@ def _evaluate_step(
     snapshots: dict[int, _GroupSnapshot] = {}
     for group, names in {spec.group: spec.station_names for spec in specs}.items():
         edge_list = edge_lists[group]
-        edge_list.link_lookup  # built here, so thread workers only read it
+        edge_list.link_lookup  # shared group work, timed once in the snapshot span
         rows = station_rows(edge_list.node_index, names)
         snapshots[group] = _GroupSnapshot(
             edge_list=edge_list,
@@ -838,9 +834,8 @@ def _evaluate_step(
             tracer.fold_seconds("flow_selection", matrix_seconds / len(specs))
             tracer.gauge("edge_list_bytes", edge_lists[spec.group].nbytes)
     plans = _build_plans(matrix, specs, snapshots, tracers)
-
-    def evaluate(spec: _ScenarioSpec) -> _StepOutput:
-        return _evaluate_scenario(
+    return [
+        _evaluate_scenario(
             spec,
             snapshots[spec.group],
             plans[spec.group, spec.flows_per_step],
@@ -850,10 +845,8 @@ def _evaluate_step(
             controllers.get(spec.name),
             tracers.get(spec.name, NULL_TRACER),
         )
-
-    if pool is not None:
-        return list(pool.map(evaluate, specs))
-    return [evaluate(spec) for spec in specs]
+        for spec in specs
+    ]
 
 
 def _merge_step(
@@ -883,10 +876,9 @@ def _run_specs(
     utc_hours: Sequence[float],
     traffic_model: GravityTrafficModel,
     trace: bool,
-    pool: ThreadPoolExecutor | None = None,
     on_step: "Callable[[list[RunMetrics]], None] | None" = None,
 ) -> dict[str, SimulationResult]:
-    """Run ``specs`` over every step: the sweep loop of every executor.
+    """Run ``specs`` over every step: the sweep loop, serial or in a worker.
 
     ``edge_lists_at(step)`` returns that step's per-group edge lists.  One
     steering controller per adaptive scenario carries the control loop's
@@ -915,7 +907,6 @@ def _run_specs(
             specs,
             controllers,
             tracers,
-            pool=pool,
             export_seconds=time.perf_counter() - fetched if trace else 0.0,
             matrix_seconds=fetched - begin,
         )
@@ -938,8 +929,8 @@ def _sweep_process_worker(
 
     Module-level so it pickles under every multiprocessing start method.
     ``edge_lists`` holds every step's edge list of each group the slice
-    uses; the worker runs the same loop and step kernel as the in-process
-    executors, so its results are bit-identical.  Tracers are built here
+    uses; the worker runs the same loop and step kernel as the serial path,
+    so its results are bit-identical.  Tracers are built here
     (they hold a lock and are never shipped); their plain
     :class:`~repro.obs.RunMetrics` travel back on the results.
     """
@@ -1036,7 +1027,6 @@ class NetworkSimulator:
         step_hours: float = 1.0,
         max_workers: int | None = None,
         backend: str = "csgraph",
-        executor: str = "thread",
         flow_engine: str = "columnar",
         steering: str | None = None,
         instrument: bool = False,
@@ -1076,13 +1066,14 @@ class NetworkSimulator:
         accepted for existing callers and must be ``"csgraph"`` and
         ``"columnar"``.
 
-        ``max_workers`` (a positive integer) optionally fans the scenario
-        evaluations out to a pool.  With ``executor="thread"`` (the default)
-        workers share the in-process snapshot stream; with
-        ``executor="process"`` each worker process receives its slice of the
-        scenarios plus the picklable per-step edge lists and evaluates them
-        on a separate core.  Every executor runs the same step kernel, so
-        results are bit-identical under all of them.
+        ``max_workers`` (a positive integer) optionally fans the scenarios
+        out to worker processes: with ``min(max_workers, len(scenarios)) >
+        1`` each worker receives its slice of the scenarios plus the
+        picklable per-step edge lists and evaluates them on a separate
+        core; otherwise the sweep runs serially in this process.  Both run
+        the same step kernel, so results are bit-identical.  Starting the
+        workers costs tens of milliseconds, so leave ``max_workers`` unset
+        for small sweeps.
 
         ``steering`` selects the sweep's default congestion-steering policy
         by registry name (:data:`repro.network.steering.STEERING_POLICIES`;
@@ -1100,8 +1091,8 @@ class NetworkSimulator:
         gauges.  The ``route_sources`` and ``flows_rerouted`` counters count
         the Dijkstra sources a scenario solved and the flows it walked on
         steered tables in its own routing span, so they depend on which
-        scenarios share its snapshot group (within one worker's chunk under
-        the process executor).  Max-min scenarios also count
+        scenarios share its snapshot group (within one worker's chunk when
+        run in worker processes).  Max-min scenarios also count
         ``waterfill_rounds`` (progressive-filling rounds) and
         ``waterfill_passes`` (the solver passes that ran them: a pass
         replays a whole run of demand-only rounds).  Spans only ever read
@@ -1119,10 +1110,6 @@ class NetworkSimulator:
         with EWMA-smoothed throughput and ETA.
         """
         _check_sweep_arguments(duration_hours, step_hours, max_workers)
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         _check_pipeline_keywords(backend, flow_engine)
         if steering is not None:
             get_steering_policy(steering)  # validate the sweep default early
@@ -1149,9 +1136,9 @@ class NetworkSimulator:
 
         # Fault schedules are compiled exactly once per snapshot group
         # (station subset, spec tuple) -- by the driver, never by a worker --
-        # so every executor applies bit-identical masks.  Compiling against
-        # the scenario's *own* subset (not the sweep union) keeps every
-        # result identical to an independent simulator's: adding an
+        # so serial and worker runs apply bit-identical masks.  Compiling
+        # against the scenario's *own* subset (not the sweep union) keeps
+        # every result identical to an independent simulator's: adding an
         # unrelated scenario to a sweep can never shift another scenario's
         # station-outage windows or random draws.  The expensive derived
         # caches (position stack, group keys) are shared across subsets.
@@ -1226,7 +1213,7 @@ class NetworkSimulator:
             )
         trace = bool(instrument) or tracker is not None
 
-        if max_workers is not None and max_workers > 1 and executor == "process":
+        if max_workers is not None and min(max_workers, len(specs)) > 1:
             payloads = {
                 group: sequence.edge_lists(subset, faults=schedules[group])
                 for group, subset in enumerate(group_stations)
@@ -1244,24 +1231,14 @@ class NetworkSimulator:
             def on_step(metrics: list[RunMetrics]) -> None:
                 tracker.advance(len(specs), stage_means=combined_stage_means(metrics))
 
-            pool = (
-                ThreadPoolExecutor(max_workers=max_workers)
-                if max_workers is not None and max_workers > 1
-                else None
+            results = _run_specs(
+                specs,
+                edge_lists_at,
+                utc_hours,
+                self.traffic_model,
+                trace,
+                on_step=on_step if tracker is not None else None,
             )
-            try:
-                results = _run_specs(
-                    specs,
-                    edge_lists_at,
-                    utc_hours,
-                    self.traffic_model,
-                    trace,
-                    pool=pool,
-                    on_step=on_step if tracker is not None else None,
-                )
-            finally:
-                if pool is not None:
-                    pool.shutdown()
         if not instrument:
             for result in results.values():
                 result.metrics = None
@@ -1346,7 +1323,6 @@ def run_grid(
     step_hours: float = 1.0,
     flows_per_step: int = 50,
     max_workers: int | None = None,
-    executor: str = "thread",
     steering: str | None = None,
     instrument: bool = False,
     progress=None,
@@ -1369,7 +1345,7 @@ def run_grid(
     target only once it is complete, so a failed write never leaves a
     truncated or half-updated grid behind.
 
-    ``max_workers`` / ``executor`` / ``steering`` / ``instrument`` are
+    ``max_workers`` / ``steering`` / ``instrument`` are
     forwarded to every per-design sweep, so a large grid can scale over
     processes, close the congestion-steering loop and attach per-stage
     :class:`~repro.obs.RunMetrics` per cell.  ``progress`` observes the
@@ -1407,7 +1383,6 @@ def run_grid(
             duration_hours,
             step_hours,
             max_workers=max_workers,
-            executor=executor,
             steering=steering,
             instrument=instrument,
             progress=tracker,

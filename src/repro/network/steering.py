@@ -28,7 +28,7 @@ link encoding, owned by the edge list):
   :class:`SteeringController` holding the sorted code table, EWMA vector,
   engagement mask and cooldown counters; controllers are created per run
   (and per process worker, which replays every step in order, so results
-  are bit-identical across serial/thread/process executors).
+  are bit-identical between serial and worker-process sweeps).
 
 Within a step the ordering is::
 
@@ -105,7 +105,7 @@ def _hash01(codes: np.ndarray, seed: int, step: int) -> np.ndarray:
     """Deterministic per-(code, seed, step) uniforms in [0, 1).
 
     The same multiply-shift 64-bit mixing family the count-min sketch
-    uses: stateless, endian-stable, identical on every executor.
+    uses: stateless, endian-stable, identical in every process.
     """
     mask = (1 << 64) - 1
     salt = np.uint64((0x9E3779B97F4A7C15 * (2 * int(seed) + 1)) & mask)

@@ -14,7 +14,7 @@ so scenario definitions select them declaratively
 
 Every store supports ``merge``: per-step stores fold into a per-scenario
 aggregate, and -- because stores are plain numpy containers -- they pickle
-cheaply, so ``executor="process"`` sweeps ship each worker's aggregates
+cheaply, so sweeps run in worker processes ship each worker's aggregates
 back to the coordinator and combine them there.  Count-min addition is
 commutative, which keeps merged results independent of worker scheduling.
 

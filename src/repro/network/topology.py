@@ -39,6 +39,7 @@ implications this layer lets users explore.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -617,31 +618,26 @@ class MultiShellTopology(_SnapshotTopologyMixin):
         linked); each propagates from its own reference epoch.
     isl_config:
         Link parameters of the inter-shell links and of ground up/down links.
-    inter_shell_links:
-        Stitching policy between adjacent shells: ``"nearest"`` (the default,
-        one nearest-feasible-neighbour link per satellite per direction) or
-        ``"k-nearest"`` (each satellite links to its ``inter_shell_k``
-        nearest feasible neighbours in the adjacent shell, giving the
-        inter-shell cut redundancy against handoffs).
     inter_shell_k:
-        Number of neighbours per satellite under the ``"k-nearest"`` policy.
+        Stitching between adjacent shells: each satellite links to its
+        ``inter_shell_k`` nearest feasible neighbours in the adjacent shell,
+        in both directions.  The default, 1, is one nearest-neighbour link
+        per satellite per direction; more gives the inter-shell cut
+        redundancy against handoffs.  A positive integer (``bool`` is
+        rejected).
     """
 
     shells: list[ConstellationTopology]
     isl_config: ISLConfig = field(default_factory=ISLConfig)
-    inter_shell_links: str = "nearest"
-    inter_shell_k: int = 2
+    inter_shell_k: int = 1
 
     def __post_init__(self) -> None:
         if not self.shells:
             raise ValueError("multi-shell topology requires at least one shell")
-        if self.inter_shell_links not in ("nearest", "k-nearest"):
-            raise ValueError(
-                "inter_shell_links must be 'nearest' or 'k-nearest', "
-                f"got {self.inter_shell_links!r}"
-            )
-        if self.inter_shell_k < 1:
-            raise ValueError("inter_shell_k must be at least 1")
+        k = self.inter_shell_k
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"inter_shell_k must be an integer >= 1, got {k!r}")
+        self.inter_shell_k = int(k)
         self._shell_offsets: list[int] = []
         offset = 0
         for shell in self.shells:
@@ -734,7 +730,6 @@ class MultiShellTopology(_SnapshotTopologyMixin):
                             config=group.config,
                         )
                     )
-        neighbours = 1 if self.inter_shell_links == "nearest" else self.inter_shell_k
         for shell_index in range(self.shell_count - 1):
             lower = np.arange(
                 self._shell_offsets[shell_index],
@@ -752,7 +747,7 @@ class MultiShellTopology(_SnapshotTopologyMixin):
                     a_indices=lower,
                     b_indices=upper,
                     config=self.isl_config,
-                    k=neighbours,
+                    k=self.inter_shell_k,
                 )
             )
             groups.append(
@@ -760,7 +755,7 @@ class MultiShellTopology(_SnapshotTopologyMixin):
                     a_indices=upper,
                     b_indices=lower,
                     config=self.isl_config,
-                    k=neighbours,
+                    k=self.inter_shell_k,
                 )
             )
         return groups

@@ -15,7 +15,7 @@ Three pieces, each usable on its own:
   histograms into a :class:`~repro.obs.metrics.RunMetrics`;
 * :class:`~repro.obs.metrics.RunMetrics` -- the mergeable metric container
   (counters, high-watermark gauges, per-stage duration accumulators) that
-  pickles cheaply and folds elementwise across thread/process workers,
+  pickles cheaply and folds elementwise across worker processes,
   exactly like ``PairTelemetry``; exported through the
   :data:`~repro.obs.exporters.OBS_EXPORTERS` registry (``json`` /
   ``table`` / ``null``);

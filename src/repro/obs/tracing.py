@@ -3,9 +3,9 @@
 A :class:`Tracer` hands out ``with tracer.span("routing"):`` contexts whose
 enter/exit are two monotonic ``perf_counter`` reads (RPL001-clean -- never a
 wall clock) folded into the tracer's :class:`~repro.obs.metrics.RunMetrics`.
-Recording is guarded by one lock so a thread-pool sweep can drive one
-tracer from many workers without losing counts; the lock is held only for
-the O(1) accumulator update.
+Recording is guarded by one lock, so a caller may drive one tracer from
+many threads without losing counts; the lock is held only for the O(1)
+accumulator update.
 
 The disabled discipline mirrors ``steering="static"``: a disabled tracer
 (and the shared :data:`NULL_TRACER`) returns one preallocated no-op span

@@ -145,8 +145,12 @@ class ExposureCalculator:
         """
         memo = self._memo()
         cache: dict[tuple[float, float, float], DailyFluence] = {}
-        results = []
+        # Each distinct orbit's rounded key is resolved once, in first-seen
+        # order, so the first orbit with a triple still wins.
+        resolved: dict[OrbitalElements, DailyFluence] = {}
         for elements in satellites:
+            if elements in resolved:
+                continue
             key = (
                 round(elements.altitude_km, 3),
                 round(elements.inclination_deg, 3),
@@ -156,8 +160,8 @@ class ExposureCalculator:
                 if elements not in memo:
                     memo[elements] = self.daily_fluence(elements)
                 cache[key] = memo[elements]
-            results.append(cache[key])
-        return results
+            resolved[elements] = cache[key]
+        return [resolved[elements] for elements in satellites]
 
     def median_constellation_fluence(self, satellites: list[OrbitalElements]) -> DailyFluence:
         """Return the median per-satellite fluence of a constellation (Figure 10)."""

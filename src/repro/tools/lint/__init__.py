@@ -1,7 +1,7 @@
 """``repro-lint``: project-specific static analysis for engine invariants.
 
-The engine's contract -- fixed-seed sweeps bit-identical across the
-serial, thread and process executors -- rests on rules no general-purpose
+The engine's contract -- fixed-seed sweeps bit-identical whether they run
+serially or in worker processes -- rests on rules no general-purpose
 linter knows about.  This package checks them statically, before anything
 runs:
 
@@ -15,8 +15,8 @@ RPL005    dataclass compare/hash hygiene (arrays, frozen specs)
 RPL006    per-flow Python loops on hot paths (use the flow engine)
 RPL007    seed provenance: every RNG seed traces to a literal,
           spec field, or deterministic derivation (interprocedural)
-RPL008    executor races: no unlocked shared-state writes reachable
-          from submit/map sites (interprocedural)
+RPL008    executor sites: process pools only, and no module-global
+          writes reachable from submit/map sites (interprocedural)
 RPL009    merge-safety: ``merge()`` targets carry only mergeable,
           picklable fields (no locks, handles, tracers)
 RPL10x    registry conformance (FAULT_MODELS / STEERING_POLICIES /

@@ -18,9 +18,9 @@ on; the runner builds one :class:`Project` per run:
   provenance (RPL007) walks this upward from RNG constructors.
 * **Executor roots** (:meth:`Project.submit_sites`) -- every
   ``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` ``submit``/``map``
-  call, with the submitted target and the pool kind.  Race detection
-  (RPL008) walks the forward call graph downward from these, and the
-  picklability walk (RPL002) starts at the process-pool ones.
+  call, with the submitted target and the pool kind.  RPL008 flags the
+  thread-pool ones and walks the forward call graph downward from every
+  one, and the picklability walk (RPL002) starts at the process-pool ones.
 
 Resolution is deliberately best-effort and *optimistic*: a name that
 cannot be resolved inside the linted set produces no edge and no finding.
@@ -553,6 +553,10 @@ class Project:
         sites: list[SubmitSite] = []
         for rel_path in sorted(self.modules):
             module = self.modules[rel_path]
+            # A pool is constructed by its class name, so a module that
+            # never spells one out has no site (and is not walked).
+            if not any(name in module.source.text for name in _EXECUTOR_KINDS):
+                continue
             for function in ast.walk(module.source.tree):
                 if not isinstance(
                     function, (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -3,7 +3,7 @@
 The engine's parallel contract is build-local-then-merge: each worker
 accumulates into its own ``RunMetrics`` / ``PairTelemetry`` /
 ``LinkTelemetry`` instance and the driver folds the results elementwise.
-Process pools additionally pickle these objects across the boundary.
+Worker processes pickle these objects across the boundary.
 That contract breaks silently when a merge target grows a field that is
 neither elementwise-mergeable nor picklable:
 
@@ -130,7 +130,7 @@ class MergeSafetyRule(ModuleRule):
                 self.code,
                 site,
                 f"merge target {class_name!r} field {field_name!r} holds "
-                f"{why}; merge() results cross thread/process boundaries "
+                f"{why}; merge() results cross process boundaries "
                 "and must carry only elementwise-mergeable, picklable state",
             )
 

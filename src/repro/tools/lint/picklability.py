@@ -1,6 +1,6 @@
 """RPL002 -- worker-payload picklability on process-executor paths.
 
-``executor="process"`` sweeps ship their work to
+Parallel sweeps ship their work to
 :class:`concurrent.futures.ProcessPoolExecutor` workers, so everything
 submitted -- the worker function and every object reachable from its
 arguments -- must pickle.  A lambda, a nested function, a ``threading.Lock``
@@ -11,7 +11,7 @@ The rule walks a static call graph on the shared
 :class:`~repro.tools.lint.dataflow.Project` substrate:
 
 1. **Roots**: every process-pool site from :meth:`Project.submit_sites`
-   (thread pools are exempt -- closures are fine there).  Submitting a
+   (thread-pool sites are RPL008 findings in themselves).  Submitting a
    lambda or a function nested in the enclosing scope is flagged
    immediately.
 2. **Reachability**: from each root function, every project-local function

@@ -2,13 +2,14 @@
 
 A module-level dict/list/set mutated from function bodies is cross-scenario
 shared state: results then depend on evaluation order, which the
-serial/thread/process equivalence guarantee forbids.  Registration at
+serial/process equivalence guarantee forbids.  Registration at
 import time (the ``FAULT_MODELS``/``TELEMETRY`` registry idiom -- module-level
 statements) is allowed; mutation from inside a ``def`` is flagged.
 
-The ``_SharedRouteCache`` bug class -- a cache object written from
-executor workers without a lock -- is caught interprocedurally by RPL008
-(:mod:`repro.tools.lint.executor_races`).
+The interprocedural twin is RPL008
+(:mod:`repro.tools.lint.executor_races`): it follows module-global writes
+through the call graph of every executor worker, and it flags thread pools,
+whose shared objects were the ``_SharedRouteCache`` bug class.
 """
 
 from __future__ import annotations

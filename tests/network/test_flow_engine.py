@@ -3,14 +3,13 @@
 Selection is checked against a per-flow oracle (``flow_oracles``), flow
 plans scaled by a demand multiplier against selecting on the scaled
 matrix, bulk path export against lazy per-destination reconstruction, and
-sweeps for exact equality across executors (no tolerances: every executor
-runs the same step kernel over identically ordered arrays, so any drift is
-a real ordering bug).
+sweeps for exact equality between serial and worker-process runs (no
+tolerances: both run the same step kernel over identically ordered arrays,
+so any drift is a real ordering bug).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -362,11 +361,10 @@ SCENARIOS = [
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_executors_agree_with_serial_columnar(self, simulator, epoch, executor):
+    def test_executors_agree_with_serial_columnar(self, simulator, epoch):
         serial = simulator.run_scenarios(SCENARIOS, epoch, duration_hours=2.0)
         pooled = simulator.run_scenarios(
-            SCENARIOS, epoch, duration_hours=2.0, executor=executor, max_workers=2
+            SCENARIOS, epoch, duration_hours=2.0, max_workers=2
         )
         for scenario in SCENARIOS:
             assert pooled[scenario.name].steps == serial[scenario.name].steps
@@ -420,32 +418,13 @@ class TestMixedMultiplierSweep:
 
     def test_bit_identical_across_executors(self, tied, epoch):
         serial = self._sweep(tied, epoch)
-        thread = self._sweep(tied, epoch, max_workers=3)
-        process = self._sweep(tied, epoch, max_workers=3, executor="process")
+        process = self._sweep(tied, epoch, max_workers=3)
         for scenario in self.SCENARIOS:
             name = scenario.name
-            assert serial[name].steps == thread[name].steps == process[name].steps
-            for other in (thread[name].metrics, process[name].metrics):
-                assert other.counters == serial[name].metrics.counters, name
+            assert serial[name].steps == process[name].steps
+            assert process[name].metrics.counters == serial[name].metrics.counters, name
             alone = tied.run_scenarios([scenario], epoch, float(self.STEPS))[name]
             assert alone.steps == serial[name].steps
-
-    def test_thread_stress_reads_shared_plans_safely(self, tied, epoch):
-        # More workers than cores and a tiny switch interval: a worker that
-        # wrote to a shared plan (or raced on a tracer) would show up here.
-        serial = self._sweep(tied, epoch)
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = self._sweep(tied, epoch, max_workers=8)
-        finally:
-            sys.setswitchinterval(previous)
-        for name, result in serial.items():
-            assert threaded[name].steps == result.steps
-            assert threaded[name].metrics.counters == result.metrics.counters
-            assert np.array_equal(
-                threaded[name].metrics.stage_calls, result.metrics.stage_calls
-            )
 
     def test_fallback_engages_only_for_the_tied_multiplier(self, tied, epoch):
         results = self._sweep(tied, epoch)
@@ -497,7 +476,13 @@ class TestSweepTelemetry:
 
     def test_executors_agree_on_telemetry(self, simulator, epoch):
         serial = self._sweep(simulator, epoch)["t"]
-        process = self._sweep(simulator, epoch, executor="process", max_workers=2)["t"]
+        # A second scenario, so the sweep really runs in two workers.
+        process = simulator.run_scenarios(
+            [Scenario(name="t", telemetry="exact", allocator="max_min_array"), Scenario(name="u")],
+            epoch,
+            duration_hours=3.0,
+            max_workers=2,
+        )["t"]
         assert process.telemetry.top_pairs(5) == serial.telemetry.top_pairs(5)
         assert process.telemetry.total_gbps() == serial.telemetry.total_gbps()
 

@@ -2,7 +2,7 @@
 
 A small sweep covering both array solvers, a fault scenario (plane outage
 plus dead links), an adaptive steering policy and sketch telemetry is run
-under the serial, thread and process executors, and every
+serially and in two worker processes, and every
 :class:`StepStatistics` field must match the committed record bit for bit.
 This is the bit-identity guard of the sweep engine: a refactor that changes
 any float of any step fails here.
@@ -68,8 +68,7 @@ SCENARIOS = [
 
 EXECUTORS = {
     "serial": {},
-    "thread": {"max_workers": 2},
-    "process": {"max_workers": 2, "executor": "process"},
+    "process": {"max_workers": 2},
 }
 
 

@@ -7,7 +7,7 @@ The two contracts under test:
   untraced run;
 * **metrics are executor-invariant** -- the deterministic slices of
   :class:`~repro.obs.RunMetrics` (stage call counts, counters, gauges)
-  are exactly equal across serial, thread and process sweeps of the same
+  are exactly equal across serial and worker-process sweeps of the same
   fixed-seed scenario set, because worker-side metrics merge elementwise
   like telemetry.
 """
@@ -184,20 +184,17 @@ class TestMetricsContent:
 class TestExecutorInvariance:
     def test_deterministic_metrics_equal_across_executors(self, simulator, epoch):
         serial = _sweep(simulator, epoch, instrument=True)
-        threaded = _sweep(simulator, epoch, instrument=True, max_workers=2)
-        processes = _sweep(
-            simulator, epoch, instrument=True, max_workers=2, executor="process"
-        )
+        processes = _sweep(simulator, epoch, instrument=True, max_workers=2)
         for name in serial:
             reference = serial[name].metrics
-            for other in (threaded[name].metrics, processes[name].metrics):
-                # Durations are machine noise; everything the pipeline
-                # *counts* must merge to exactly the serial values.
-                assert np.array_equal(reference.stage_calls, other.stage_calls), name
-                assert reference.counters == other.counters, name
-                assert reference.gauges == other.gauges, name
+            other = processes[name].metrics
+            # Durations are machine noise; everything the pipeline
+            # *counts* must merge to exactly the serial values.
+            assert np.array_equal(reference.stage_calls, other.stage_calls), name
+            assert reference.counters == other.counters, name
+            assert reference.gauges == other.gauges, name
             # And the statistics themselves stay executor-invariant.
-            assert serial[name].steps == threaded[name].steps == processes[name].steps
+            assert serial[name].steps == processes[name].steps
 
 
 class TestSweepProgress:
@@ -222,7 +219,6 @@ class TestSweepProgress:
             epoch,
             progress=events.append,
             max_workers=2,
-            executor="process",
         )
         total = len(SCENARIOS) * int(DURATION_HOURS)
         assert events  # one event per completed worker chunk

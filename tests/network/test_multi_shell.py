@@ -97,20 +97,21 @@ class TestMultiShellGraphs:
             assert set(graph.nodes) == set(reference.nodes)
             assert set(map(frozenset, graph.edges)) == set(map(frozenset, reference.edges))
 
-    def test_validation_of_link_policy(self, shells):
-        with pytest.raises(ValueError):
-            MultiShellTopology(shells=shells, inter_shell_links="mesh")
-        with pytest.raises(ValueError):
-            MultiShellTopology(
-                shells=shells, inter_shell_links="k-nearest", inter_shell_k=0
-            )
+    @pytest.mark.parametrize("k", [0, -1, 2.5, 2.0, True, "2", None])
+    def test_validation_of_inter_shell_k(self, shells, k):
+        # Before, 2.5 and True constructed and then failed with a TypeError
+        # inside snapshot_sequence.
+        with pytest.raises(ValueError, match="inter_shell_k"):
+            MultiShellTopology(shells=shells, inter_shell_k=k)
+
+    def test_numpy_integer_k_is_accepted(self, shells):
+        topology = MultiShellTopology(shells=shells, inter_shell_k=np.int64(2))
+        assert topology.inter_shell_k == 2 and type(topology.inter_shell_k) is int
 
     def test_k_nearest_with_k1_matches_default_nearest(self, shells, multi):
-        """Regression: the default policy is untouched, and k-nearest with
-        k=1 degenerates to exactly the nearest-neighbour stitching."""
-        k1 = MultiShellTopology(
-            shells=shells, inter_shell_links="k-nearest", inter_shell_k=1
-        )
+        """Regression: the default stitching is one nearest link per
+        satellite per direction, exactly ``inter_shell_k=1``."""
+        k1 = MultiShellTopology(shells=shells, inter_shell_k=1)
         graph = snapshot_graph(k1)
         reference = snapshot_graph(multi)
         assert set(graph.nodes) == set(reference.nodes)
@@ -119,9 +120,7 @@ class TestMultiShellGraphs:
             assert graph.edges[a, b] == data
 
     def test_k_nearest_adds_redundant_inter_shell_links(self, shells, multi):
-        k2 = MultiShellTopology(
-            shells=shells, inter_shell_links="k-nearest", inter_shell_k=2
-        )
+        k2 = MultiShellTopology(shells=shells, inter_shell_k=2)
         graph = snapshot_graph(k2)
         reference = snapshot_graph(multi)
 
@@ -144,9 +143,7 @@ class TestMultiShellGraphs:
     def test_k_nearest_links_are_the_nearest_feasible_neighbours(self, shells):
         from repro.network.isl import isl_feasible
 
-        k2 = MultiShellTopology(
-            shells=shells, inter_shell_links="k-nearest", inter_shell_k=2
-        )
+        k2 = MultiShellTopology(shells=shells, inter_shell_k=2)
         graph = snapshot_graph(k2)
         positions = k2.positions_ecef_km()
         lower_count = shells[0].satellite_count

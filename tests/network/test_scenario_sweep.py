@@ -120,10 +120,6 @@ class TestScenarioValidation:
         reference = simulator.run_scenarios([Scenario(name="np", flows_per_step=4)], epoch, 2.0)
         assert swept.steps == reference["np"].steps
 
-    def test_rejects_unknown_executor(self, simulator, epoch):
-        with pytest.raises(ValueError, match="executor"):
-            simulator.run_scenarios([Scenario(name="a")], epoch, 1.0, executor="fleet")
-
     def test_station_names_normalised_to_tuple(self):
         scenario = Scenario(name="x", ground_station_names=["London", "Tokyo"])
         assert scenario.ground_station_names == ("London", "Tokyo")
@@ -147,9 +143,7 @@ class TestScenarioValidation:
             ({"step_hours": inf}, "step_hours"),
             ({"max_workers": 0}, "max_workers"),
             ({"max_workers": -3}, "max_workers"),
-            ({"max_workers": 0, "executor": "process"}, "max_workers"),
             ({"max_workers": 2.5}, "max_workers"),
-            ({"max_workers": 2.5, "executor": "process"}, "max_workers"),
             ({"max_workers": 2.0}, "max_workers"),
             ({"max_workers": True}, "max_workers"),
         ):
@@ -200,11 +194,11 @@ class TestSweepEquivalence:
 
     def test_parallel_sweep_matches_serial(self, simulator, epoch):
         serial = simulator.run_scenarios(SCENARIOS, epoch, duration_hours=2.0)
-        threaded = simulator.run_scenarios(
+        pooled = simulator.run_scenarios(
             SCENARIOS, epoch, duration_hours=2.0, max_workers=4
         )
         for name in serial:
-            assert serial[name].steps == threaded[name].steps
+            assert serial[name].steps == pooled[name].steps
 
     def test_demand_multiplier_scales_offered_traffic(self, simulator, epoch):
         sweep = simulator.run_scenarios(
@@ -260,9 +254,8 @@ class TestRouteTableSharing:
     """A group's base route tables serve its open-loop scenarios as they are
     and its steered scenarios as the start of a partial re-solve."""
 
-    @pytest.mark.parametrize("max_workers", [None, 3])
     def test_one_base_solve_per_step_and_partial_steered_resolves(
-        self, simulator, epoch, monkeypatch, max_workers
+        self, simulator, epoch, monkeypatch
     ):
         recorder = _RoutingRecorder(monkeypatch)
         scenarios = [
@@ -274,9 +267,7 @@ class TestRouteTableSharing:
         # Minute steps keep the loaded satellite links in view, so links
         # engaged on one step are still routed on the next.
         steps, minute = 3, 1.0 / 60.0
-        simulator.run_scenarios(
-            scenarios, epoch, steps * minute, step_hours=minute, max_workers=max_workers
-        )
+        simulator.run_scenarios(scenarios, epoch, steps * minute, step_hours=minute)
         # One path walk per flow plan per step -- x1, x2 and the steered
         # scenario share the plan of the default budget, "budget" has its
         # own -- on the step's one base solve over every station.
@@ -361,11 +352,11 @@ class _FailingSteering(CongestionAwareSteering):
 
 class TestProcessExecutor:
     def test_process_sweep_matches_serial_csgraph_exactly(self, simulator, epoch):
-        """Every executor runs the same step kernel on identical inputs, so
-        the process pool must reproduce the serial sweep bit for bit."""
+        """Workers run the serial step kernel on identical inputs, so the
+        process pool must reproduce the serial sweep bit for bit."""
         serial = simulator.run_scenarios(SCENARIOS, epoch, duration_hours=2.0)
         pooled = simulator.run_scenarios(
-            SCENARIOS, epoch, duration_hours=2.0, max_workers=2, executor="process"
+            SCENARIOS, epoch, duration_hours=2.0, max_workers=2
         )
         for name in serial:
             assert pooled[name].steps == serial[name].steps
@@ -405,9 +396,7 @@ class TestProcessExecutor:
         ]
         # Two workers take every other scenario: broken shares with ok-c.
         with pytest.raises(RuntimeError, match=r"\['broken', 'ok-c'\]") as caught:
-            simulator.run_scenarios(
-                scenarios, epoch, duration_hours=1.0, max_workers=2, executor="process"
-            )
+            simulator.run_scenarios(scenarios, epoch, duration_hours=1.0, max_workers=2)
         assert "ok-a" not in str(caught.value)
         assert isinstance(caught.value.__cause__, ZeroDivisionError)
         assert "steering state exploded" in str(caught.value.__cause__)
@@ -416,14 +405,25 @@ class TestProcessExecutor:
         self, simulator, epoch
     ):
         result = simulator.run_scenarios(
-            [Scenario(name="only")],
-            epoch,
-            duration_hours=1.0,
-            max_workers=1,
-            executor="process",
+            [Scenario(name="only")], epoch, duration_hours=1.0, max_workers=1
         )
         reference = simulator.run(epoch, duration_hours=1.0)
         assert result["only"].steps == reference.steps
+
+    def test_one_scenario_never_starts_a_pool(self, simulator, epoch, monkeypatch):
+        """With one scenario there is nothing to spread, so more workers
+        than scenarios runs serially instead of shipping every step's edge
+        lists to a single child."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-scenario sweep started a process pool")
+
+        monkeypatch.setattr(simulation_module, "ProcessPoolExecutor", no_pool)
+        scenario = Scenario(name="only", steering="congestion-aware", telemetry="exact")
+        pooled = simulator.run_scenarios([scenario], epoch, 2.0, max_workers=4)
+        serial = simulator.run_scenarios([scenario], epoch, 2.0)
+        assert pooled["only"].steps == serial["only"].steps
+        assert pooled["only"].link_telemetry.total() == serial["only"].link_telemetry.total()
 
 
 class TestRunGrid:

@@ -95,7 +95,7 @@ def build_cases() -> dict:
     single = _walker_shell(start, 560.0, 120, 8)
     shells = [_walker_shell(start, 550.0, 60, 5), _walker_shell(start, 1100.0, 40, 4)]
     nearest = MultiShellTopology(shells=shells)
-    k_nearest = MultiShellTopology(shells=shells, inter_shell_links="k-nearest", inter_shell_k=2)
+    k_nearest = MultiShellTopology(shells=shells, inter_shell_k=2)
     single_seq = single.snapshot_sequence(epochs, STATIONS)
     nearest_seq = nearest.snapshot_sequence(epochs, STATIONS)
     names = tuple(station.name for station in STATIONS)

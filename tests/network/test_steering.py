@@ -5,8 +5,8 @@ Three layers:
 * unit tests of the control loop (EWMA, hysteresis, cooldown, pruning) and
   the latency re-read helpers on hand-built edge lists;
 * exactness tests that ``steering="static"`` is bit-identical to running
-  with no steering under every executor, and that adaptive policies are
-  deterministic and executor-independent;
+  with no steering, serially or in worker processes, and that adaptive
+  policies are deterministic and the same in worker processes;
 * an integration test showing a (sticky) congestion-aware policy
   measurably reduces stranded demand under a correlated fault sweep;
 * equivalence tests of the open-loop route reuse: a steered scenario
@@ -400,16 +400,15 @@ class TestStaticBitIdentity:
         static = simulator.run_scenarios(scenarios, epoch, 3.0, steering="static")["s"]
         assert base.steps == static.steps
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_static_matches_no_steering_across_executors(
-        self, simulator, epoch, executor
-    ):
-        scenarios = [Scenario(name="s", faults=FAULTS, steering="static")]
+    def test_static_matches_no_steering_across_executors(self, simulator, epoch):
+        # Two scenarios, so each of the two workers runs one.
+        scenarios = [
+            Scenario(name="s", faults=FAULTS, steering="static"),
+            Scenario(name="t", faults=FAULTS),
+        ]
         serial = simulator.run_scenarios(scenarios, epoch, 2.0)
-        pooled = simulator.run_scenarios(
-            scenarios, epoch, 2.0, executor=executor, max_workers=2
-        )
-        assert serial["s"].steps == pooled["s"].steps
+        pooled = simulator.run_scenarios(scenarios, epoch, 2.0, max_workers=2)
+        assert serial["s"].steps == pooled["s"].steps == pooled["t"].steps
 
     def test_scenario_override_beats_sweep_default(self, simulator, epoch):
         """A per-scenario ``static`` opts out of the sweep's adaptive default."""
@@ -436,16 +435,13 @@ class TestAdaptiveDeterminism:
         second = simulator.run_scenarios(scenarios, epoch, 3.0)
         assert _steps(first["a"]) == _steps(second["a"])
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_executors_are_bit_identical(self, simulator, epoch, executor):
+    def test_executors_are_bit_identical(self, simulator, epoch):
         scenarios = [
             Scenario(name="a", faults=FAULTS, steering="congestion-aware"),
             Scenario(name="b", faults=FAULTS),
         ]
         serial = simulator.run_scenarios(scenarios, epoch, 3.0)
-        pooled = simulator.run_scenarios(
-            scenarios, epoch, 3.0, executor=executor, max_workers=2
-        )
+        pooled = simulator.run_scenarios(scenarios, epoch, 3.0, max_workers=2)
         for name in ("a", "b"):
             assert _steps(serial[name]) == _steps(pooled[name])
 
@@ -556,15 +552,14 @@ class TestLinkTelemetry:
         assert result.link_telemetry is None
         assert result.sustained_hot_links() == ()
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_link_telemetry_consistent_across_executors(
-        self, simulator, epoch, executor
-    ):
-        scenarios = [Scenario(name="s", telemetry="exact", steering="congestion-aware")]
+    def test_link_telemetry_consistent_across_executors(self, simulator, epoch):
+        # Two scenarios, so each of the two workers runs one.
+        scenarios = [
+            Scenario(name="s", telemetry="exact", steering="congestion-aware"),
+            Scenario(name="t", telemetry="exact"),
+        ]
         serial = simulator.run_scenarios(scenarios, epoch, 2.0)
-        pooled = simulator.run_scenarios(
-            scenarios, epoch, 2.0, executor=executor, max_workers=2
-        )
+        pooled = simulator.run_scenarios(scenarios, epoch, 2.0, max_workers=2)
         assert serial["s"].link_telemetry is not None
         assert (
             serial["s"].sustained_hot_links(5) == pooled["s"].sustained_hot_links(5)
@@ -739,18 +734,18 @@ class TestOpenLoopRouteReuse:
         "policy_class",
         [UtilisationWeightedSteering, CongestionAwareSteering, LoadSpreadingSteering],
     )
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_reuse_matches_solo_run(self, simulator, epoch, policy_class, executor):
         policy = policy_class(**_STICKY)
         steered = Scenario(name="steered", faults=FAULTS, steering=policy)
         # Two workers take every other scenario: "open" and "steered" share
-        # a chunk (and a snapshot group) under the process executor too.
+        # a chunk (and a snapshot group) in worker processes too.
         scenarios = [
             Scenario(name="open", faults=FAULTS),
             Scenario(name="other", faults=FAULTS, demand_multiplier=2.0),
             steered,
         ]
-        pooled = {} if executor == "serial" else {"executor": executor, "max_workers": 2}
+        pooled = {} if executor == "serial" else {"max_workers": 2}
         paired = simulator.run_scenarios(
             scenarios, epoch, self.HOURS, instrument=True, **pooled
         )["steered"]

@@ -4,7 +4,8 @@ substrate and the RPL007/008/009 rules that ride on it.
 Every rule gets a violating fixture and a clean counterpart, including the
 two reconstructions the layer exists for: a seed derived from
 ``time.time()`` three calls away from the executor submit site (RPL007)
-and the historical ``_SharedRouteCache`` unlocked-write bug (RPL008).
+and the historical ``_SharedRouteCache`` unlocked-write bug, whose thread
+pool RPL008 flags at the submit site.
 """
 
 from __future__ import annotations
@@ -288,9 +289,11 @@ class TestExecutorRaces:
         )
         races = by_code(findings, "RPL008")
         assert races, [finding.render() for finding in findings]
-        assert any("'self'" in finding.message for finding in races)
+        assert any("ThreadPoolExecutor.map" in finding.message for finding in races)
 
-    def test_lock_guarded_cache_is_clean(self, tmp_path):
+    def test_lock_guarded_thread_cache_is_flagged_too(self, tmp_path):
+        # The site is the finding: the library parallelises over processes
+        # only, so a lock does not make a thread pool acceptable.
         findings = lint_tree(
             tmp_path,
             {
@@ -305,7 +308,9 @@ class TestExecutorRaces:
                 )
             },
         )
-        assert "RPL008" not in codes(findings)
+        races = by_code(findings, "RPL008")
+        assert [finding.symbol for finding in races] == ["sweep"]
+        assert "ThreadPoolExecutor.map" in races[0].message
 
     def test_direct_write_to_captured_container_is_flagged(self, tmp_path):
         findings = lint_tree(
@@ -329,14 +334,14 @@ class TestExecutorRaces:
             },
         )
         races = by_code(findings, "RPL008")
-        assert any("'results'" in finding.message for finding in races)
+        assert any("ThreadPoolExecutor.map" in finding.message for finding in races)
 
     def test_worker_local_accumulator_is_merge_pattern_clean(self, tmp_path):
         findings = lint_tree(
             tmp_path,
             {
                 "engine.py": """
-                from concurrent.futures import ThreadPoolExecutor
+                from concurrent.futures import ProcessPoolExecutor
 
 
                 def evaluate(scenario):
@@ -346,7 +351,7 @@ class TestExecutorRaces:
 
 
                 def sweep(scenarios):
-                    with ThreadPoolExecutor() as pool:
+                    with ProcessPoolExecutor() as pool:
                         partials = list(pool.map(evaluate, scenarios))
                     merged = {}
                     for partial in partials:
@@ -383,6 +388,65 @@ class TestExecutorRaces:
         )
         races = by_code(findings, "RPL008")
         assert any("'REGISTRY'" in finding.message for finding in races)
+
+    def test_lock_guarded_cross_module_process_write_is_flagged(self, tmp_path):
+        # Each worker process writes its own copy of SEEN, lock or no lock.
+        findings = lint_tree(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/registry.py": "SEEN = {}\n",
+                "pkg/work.py": """
+                import threading
+                from concurrent.futures import ProcessPoolExecutor
+
+                from pkg.registry import SEEN
+
+                _LOCK = threading.Lock()
+
+
+                def worker(item):
+                    with _LOCK:
+                        SEEN[item] = True
+                    return item
+
+
+                def sweep(items):
+                    with ProcessPoolExecutor() as pool:
+                        return list(pool.map(worker, items))
+                """,
+            },
+        )
+        races = by_code(findings, "RPL008")
+        assert [(finding.path, finding.symbol) for finding in races] == [
+            ("pkg/work.py", "worker")
+        ]
+        assert "module global 'SEEN'" in races[0].message
+        assert "lock" not in races[0].message
+
+    def test_thread_pool_without_shared_state_is_flagged(self, tmp_path):
+        # The lock-guarded and unguarded cache fixtures above are flagged at
+        # the site too; here nothing is shared at all.
+        findings = lint_tree(
+            tmp_path,
+            {
+                "work.py": """
+                from concurrent.futures import ThreadPoolExecutor
+
+
+                def worker(item):
+                    return item * 2
+
+
+                def sweep(items):
+                    with ThreadPoolExecutor() as pool:
+                        return [pool.submit(worker, i) for i in items]
+                """
+            },
+        )
+        races = by_code(findings, "RPL008")
+        assert [finding.symbol for finding in races] == ["sweep"]
+        assert "ThreadPoolExecutor.submit in sweep" in races[0].message
 
 
 class TestMergeSafety:
