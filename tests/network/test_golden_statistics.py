@@ -2,7 +2,7 @@
 
 A small sweep covering both array solvers, a fault scenario (plane outage
 plus dead links), an adaptive steering policy and sketch telemetry is run
-serially and in two worker processes, and every
+serially and in two and three worker processes, and every
 :class:`StepStatistics` field must match the committed record bit for bit.
 This is the bit-identity guard of the sweep engine: a refactor that changes
 any float of any step fails here.
@@ -69,6 +69,7 @@ SCENARIOS = [
 EXECUTORS = {
     "serial": {},
     "process": {"max_workers": 2},
+    "process-3": {"max_workers": 3},
 }
 
 

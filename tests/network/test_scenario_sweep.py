@@ -120,6 +120,15 @@ class TestScenarioValidation:
         reference = simulator.run_scenarios([Scenario(name="np", flows_per_step=4)], epoch, 2.0)
         assert swept.steps == reference["np"].steps
 
+    def test_rejects_unknown_executor(self, simulator, epoch):
+        # Worker processes are the only pool: an executor choice, even a
+        # formerly valid one, is an unknown keyword rather than ignored.
+        for executor in ("fleet", "thread", "process"):
+            with pytest.raises(TypeError, match="executor"):
+                simulator.run_scenarios(
+                    [Scenario(name="a")], epoch, 1.0, max_workers=2, executor=executor
+                )
+
     def test_station_names_normalised_to_tuple(self):
         scenario = Scenario(name="x", ground_station_names=["London", "Tokyo"])
         assert scenario.ground_station_names == ("London", "Tokyo")
