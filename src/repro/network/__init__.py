@@ -17,6 +17,7 @@ hysteresis and anti-flap cooldowns).
 
 from .backends import (
     EdgeArrays,
+    GatewayRouteTables,
     NodeIndex,
     RouteTables,
     SnapshotEdgeList,
@@ -103,6 +104,7 @@ __all__ = [
     "EdgeArrays",
     "NodeIndex",
     "RouteTables",
+    "GatewayRouteTables",
     "SnapshotEdgeList",
     "run_grid",
     "ARRAY_SOLVERS",

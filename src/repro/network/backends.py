@@ -16,12 +16,23 @@ rows) and of matching path hops to its rows
 :mod:`repro.network.alloc_arrays`, congestion steering, true-latency re-reads
 and link telemetry all look links up through it.
 
-The search result is kept in its native matrix form, :class:`RouteTables`:
-``(S, N)`` distance and predecessor matrices plus the ``S`` source rows.  The
-simulator routes on it directly -- :meth:`RouteTables.paths` walks every
-flow's path in one batched layer walk -- and the
-:class:`~repro.network.routing.SnapshotRouter` analysis API reads
-``{destination: RouteResult}`` mappings as lazy row views of it.
+The station-sourced search result is kept in its native matrix form,
+:class:`RouteTables`: ``(S, N)`` distance and predecessor matrices plus the
+``S`` source rows; :meth:`RouteTables.paths` walks many queries' paths in
+one batched layer walk, and the :class:`~repro.network.routing.SnapshotRouter`
+analysis API reads ``{destination: RouteResult}`` mappings as lazy row views
+of it.
+
+The simulator routes on :class:`GatewayRouteTables` instead, with the same
+``paths`` contract.  Stations reach the network through few satellites, so
+it searches once from those *gateways* (on the full graph) and routes each
+query through its best gateway.  A query takes that path only under a
+uniqueness certificate: its best gateway wins by :data:`CERTIFICATE_MARGIN`
+and no node of the path is near-tied in the gateway's search, which proves
+a station-sourced search returns the same path.  The source of every other
+query is solved exactly by :meth:`RouteTables.solve`.  So every path and
+latency is bit-identical to the station-sourced tables, at a fraction of
+their search cost.
 
 Because :class:`EdgeArrays` and :class:`SnapshotEdgeList` are plain numpy
 containers they pickle cheaply, which is what lets
@@ -39,6 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "CERTIFICATE_MARGIN",
+    "GatewayRouteTables",
     "RouteResult",
     "RouteTables",
     "NodeIndex",
@@ -381,6 +394,269 @@ class RouteTables(NamedTuple):
         for step, (where, nodes) in enumerate(layers):
             buffer[offsets[:-1][where] + depth[where] - step] = nodes
         return offsets, buffer, latency
+
+
+#: Relative margin by which a gateway route must beat every alternative
+#: before :class:`GatewayRouteTables` walks it.  A path sum carries ~1e-16
+#: relative float error per hop, so a path that wins by this margin is the
+#: one any tie-break of a station-sourced search returns.
+CERTIFICATE_MARGIN = 1e-9
+
+
+@dataclass(eq=False)
+class GatewayRouteTables:
+    """Station-sourced shortest paths, searched from the stations' gateways.
+
+    Every path out of a source station starts on one of its links, so its
+    shortest path to ``t`` runs through ``argmin over gateways g of
+    w(s, g) + D[g, t]``, where the gateways are the station's CSR
+    neighbours and ``D`` comes from a search on the full graph (other
+    stations stay transit nodes).  When a snapshot's stations share their
+    gateways, one multi-source Dijkstra from the distinct gateways replaces
+    one from every station.
+
+    A query takes its gateway's tree path only under a uniqueness
+    certificate: (a) its best gateway beats every other gateway of the
+    source by :data:`CERTIFICATE_MARGIN`, and (b) no node on the tree path
+    (the gateway included) has a near-tied second in-link in the gateway's
+    search.  Together they make the source's shortest path unique by a
+    margin far above float error, so a station-sourced
+    :meth:`RouteTables.solve` returns that same path, with the path's
+    in-order hop sum as its distance -- which is the latency reported here.
+    The sources of all other reachable queries are solved exactly by
+    :meth:`RouteTables.solve` (the *fallback*), so :meth:`paths` equals the
+    station-sourced :meth:`RouteTables.paths` bit for bit.  When the
+    sources share too few gateways for the search to pay (at least half as
+    many gateways as sources), :meth:`solve` searches nothing and every
+    query takes the fallback.
+
+    The per-node facts of the gateway trees are node-major ``(N, G)``
+    arrays, indexed flat as ``v * G + g``.
+    """
+
+    arrays: EdgeArrays
+    source_rows: np.ndarray  # (S,)
+    #: Distinct gateway node rows: the sources of the Dijkstra search.
+    gateway_rows: np.ndarray  # (G,)
+    #: Each source's gateways as indices into ``gateway_rows`` (0 where padded).
+    gateways: np.ndarray  # (S, K)
+    #: Weight of each source-to-gateway link (``inf`` where padded).
+    gateway_weights: np.ndarray  # (S, K)
+    distances: np.ndarray  # (G, N)
+    #: Flat index of the node's predecessor in the gateway's tree.
+    parent: np.ndarray  # (N, G)
+    #: Hops from the gateway.
+    depth: np.ndarray  # (N, G)
+    #: Weight of the link in from the predecessor.
+    hop_weight: np.ndarray  # (N, G)
+    #: Whether any node on the tree path, the gateway included, has a near
+    #: tie: certificate (b) fails.
+    ambiguous: np.ndarray  # (N, G) bool
+    #: Sources :meth:`paths` has solved exactly so far.
+    fallback_sources: int = 0
+
+    @property
+    def node_index(self) -> NodeIndex:
+        return self.arrays.node_index
+
+    @classmethod
+    def solve(cls, arrays: EdgeArrays, source_rows) -> "GatewayRouteTables":
+        """Search from the gateways of every non-negative source row."""
+        source_rows = np.asarray(source_rows, dtype=np.intp)
+        indptr, indices, weights = arrays.indptr, arrays.indices, arrays.weights
+        known = source_rows >= 0
+        safe = np.where(known, source_rows, 0)
+        first = indptr[safe]
+        degree = np.where(known, indptr[safe + 1] - first, 0)
+        slot = np.arange(max(int(degree.max(initial=0)), 1))
+        padded = slot < degree[:, None]
+        position = (first[:, None] + slot)[padded]
+        gateway_rows, gateway_of = np.unique(indices[position], return_inverse=True)
+        gateways = np.zeros(padded.shape, dtype=np.intp)
+        gateways[padded] = gateway_of
+        gateway_weights = np.full(padded.shape, np.inf)
+        gateway_weights[padded] = weights[position]
+        if 2 * gateway_rows.size >= np.count_nonzero(known):
+            gateway_rows = gateway_rows[:0]  # the search would not pay
+        distances, predecessors = (
+            _dijkstra(arrays, gateway_rows)
+            if gateway_rows.size
+            else (
+                np.empty((0, arrays.node_count)),
+                np.empty((0, arrays.node_count), dtype=np.int32),
+            )
+        )
+        # A source adds at most its heaviest gateway link in front of a
+        # gateway's distances; near ties are judged on that whole sum.
+        lead = float(gateway_weights[padded].max(initial=0.0))
+        return cls(
+            arrays,
+            source_rows,
+            gateway_rows,
+            gateways,
+            gateway_weights,
+            distances,
+            *_search_trees(arrays, distances, predecessors, lead),
+        )
+
+    def paths(
+        self, group_of: np.ndarray, dest_rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Same contract and result as :meth:`RouteTables.paths`.
+
+        Query ``i`` routes from ``source_rows[group_of[i]]`` to node row
+        ``dest_rows[i]``.  Certified queries are walked on their best
+        gateway's tree in one batched layer walk; the sources of the other
+        reachable queries are solved exactly and walked there.
+        """
+        group_of = np.asarray(group_of, dtype=np.intp)
+        dest_rows = np.asarray(dest_rows, dtype=np.intp)
+        count = dest_rows.size
+        known = (group_of >= 0) & (dest_rows >= 0)
+        safe_group = np.where(known, group_of, 0)
+        source = self.source_rows[safe_group]
+        known &= source >= 0
+        dest = np.where(known, dest_rows, 0)
+        at_source = known & (dest == source)
+        latency = np.where(at_source, 0.0, np.inf)
+        lengths = at_source.astype(np.intp)
+        walk, gateway, hop0, fallback = self._certify(
+            np.flatnonzero(known & ~at_source), safe_group, dest
+        )
+        width = self.gateway_rows.size
+        flat = dest[walk] * width + gateway
+        depth = np.take(self.depth, flat)
+        lengths[walk] = depth + 2
+        if fallback.size:
+            rows, table_of = np.unique(source[fallback], return_inverse=True)
+            self.fallback_sources += int(rows.size)
+            exact_offsets, exact_rows, latency[fallback] = RouteTables.solve(
+                self.arrays, rows
+            ).paths(table_of, dest[fallback])
+            lengths[fallback] = np.diff(exact_offsets)
+        offsets = np.zeros(count + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        buffer = np.empty(int(offsets[-1]), dtype=np.intp)
+        start = offsets[:-1]
+        buffer[start[at_source]] = source[at_source]
+        buffer[start[walk]] = source[walk]
+        buffer[start[walk] + 1] = self.gateway_rows[gateway]
+        # Walked queries come deepest first, so each layer's pending queries
+        # are a prefix.  Layer k writes the node depth - k hops past the
+        # gateway, which hop depth - k enters (hop 0 is source -> gateway).
+        layer_size = np.searchsorted(-depth, -np.arange(int(depth.max(initial=0))))
+        hops = np.empty((layer_size.size + 1, walk.size))
+        hops[0] = hop0
+        position = start[walk] + 1 + depth
+        cursor = flat
+        for step, size in enumerate(layer_size):
+            at = cursor[:size]
+            buffer[position[:size] - step] = at // width
+            hops[depth[:size] - step, np.arange(size)] = np.take(self.hop_weight, at)
+            cursor = np.take(self.parent, at)
+        # In-order hop sums from the source, as Dijkstra accumulates them.
+        total = hop0.copy()
+        for hop, size in enumerate(layer_size, start=1):
+            total[:size] += hops[hop, :size]
+        latency[walk] = total
+        if fallback.size:
+            buffer[
+                np.repeat(start[fallback] - exact_offsets[:-1], lengths[fallback])
+                + np.arange(exact_rows.size)
+            ] = exact_rows
+        return offsets, buffer, latency
+
+    def _certify(
+        self, asked: np.ndarray, group_of: np.ndarray, dest: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Split the queries ``asked`` by their certificates.
+
+        Returns ``(walk, gateway, hop0, fallback)``: the certified queries,
+        deepest tree path first, with their best gateway (an index into
+        ``gateway_rows``) and the weight of the link to it, and the
+        reachable queries to solve exactly.  Unreachable queries are in
+        neither.  Without a gateway search every query is a fallback.
+        """
+        if not self.gateway_rows.size:
+            return asked[:0], asked[:0], np.empty(0), asked
+        group = group_of[asked]
+        candidates = self.gateway_weights[group] + self.distances[
+            self.gateways[group], dest[asked, None]
+        ]
+        choice = candidates.argmin(axis=1)
+        picked = (np.arange(asked.size), choice)
+        best = candidates[picked]
+        candidates[picked] = np.inf
+        # Certificate (a), then (b) read off the tree path's flag.
+        unique = candidates.min(axis=1) > best + CERTIFICATE_MARGIN * best
+        reached = np.isfinite(best)
+        gateway = self.gateways[group, choice]
+        flat = dest[asked] * self.gateway_rows.size + gateway
+        certified = reached & unique & ~np.take(self.ambiguous, flat)
+        order = np.flatnonzero(certified)
+        order = order[np.argsort(-np.take(self.depth, flat[order]), kind="stable")]
+        return (
+            asked[order],
+            gateway[order],
+            self.gateway_weights[group[order], choice[order]],
+            asked[reached & ~certified],
+        )
+
+
+def _search_trees(
+    arrays: EdgeArrays, distances: np.ndarray, predecessors: np.ndarray, lead: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(parent, depth, hop_weight, ambiguous)`` of a multi-source search.
+
+    All four are node-major ``(N, G)``, as documented on
+    :class:`GatewayRouteTables`.  An in-link ``u -> v`` is tight when
+    ``D[u] + w(u, v)`` is within ``CERTIFICATE_MARGIN * (D[v] + lead)`` of
+    ``D[v]``.  A reached node other than the source always has one tight
+    in-link, its predecessor's; a second one (or any at the source) is a
+    near tie.  The CSR export is symmetric, so row ``v`` lists ``v``'s
+    in-links.  Depths and near-tie flags are summed down each tree by
+    pointer jumping, one round per doubling of the tree depth.
+    """
+    indptr, indices, weights = arrays.indptr, arrays.indices, arrays.weights
+    count, n = distances.shape
+    degree = np.diff(indptr)
+    linked = np.flatnonzero(degree)
+    reach = np.ascontiguousarray(distances.T)
+    offer = reach[indices]
+    offer += weights[:, None]
+    reach += CERTIFICATE_MARGIN * (reach + lead)
+    tight = offer <= np.repeat(reach, degree, axis=0)
+    tight_links = np.zeros((n, count), dtype=np.intp)
+    tight_links[linked] = np.add.reduceat(tight, indptr[linked], axis=0, dtype=np.intp)
+    # Where the predecessor's link is the only tight one, the sum is its weight.
+    hop_weight = np.zeros((n, count))
+    hop_weight[linked] = np.add.reduceat(
+        np.where(tight, weights[:, None], 0.0), indptr[linked], axis=0
+    )
+    has_parent = predecessors.T >= 0
+    # Flat (N + 1, G) layout: row n is a sentinel above every root and
+    # unreached node, with no depth and no flag.
+    search = np.arange(count)
+    above = np.where(has_parent, predecessors.T, n) * count + search
+    parent = above.astype(np.intp)
+    above = np.append(above.ravel(), n * count + search)
+    depth = np.append(has_parent.ravel(), np.zeros(count, dtype=bool)).astype(np.intp)
+    ambiguous = np.append(
+        (tight_links > has_parent).ravel(), np.zeros(count, dtype=bool)
+    )
+    while True:
+        jump = above[above]
+        if np.array_equal(jump, above):
+            break
+        depth += depth[above]
+        ambiguous |= ambiguous[above]
+        above = jump
+    return (
+        parent,
+        depth[: n * count].reshape(n, count),
+        hop_weight,
+        ambiguous[: n * count].reshape(n, count),
+    )
 
 
 def _dijkstra(arrays: EdgeArrays, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,12 +13,17 @@ columnar end-to-end:
   (:meth:`~repro.demand.traffic_matrix.TrafficMatrix.entry_arrays`),
   an :func:`np.argpartition` top-k cut, and a deterministic
   :func:`np.lexsort` tie-break ordering by ``(-demand, src, dst)``;
-* :func:`route_flow_table` -- stage 3 as gather ops: the step's
-  :class:`~repro.network.backends.RouteTables` (one ``(S, N)`` multi-source
-  Dijkstra result, indexed by station id) are walked for *every* flow in a
-  single batched layer walk (:meth:`~repro.network.backends.RouteTables.paths`)
-  straight into one ragged ``(offsets, rows)`` path buffer in table order --
-  no per-source loop, no per-source tables, no scatter pass;
+* :func:`route_flow_table` -- stage 3 as gather ops: the step's route
+  tables (indexed by station id) are walked for *every* flow in a single
+  batched layer walk straight into one ragged ``(offsets, rows)`` path
+  buffer in table order -- no per-source loop, no scatter pass.  The
+  simulator's tables are
+  :class:`~repro.network.backends.GatewayRouteTables`: one multi-source
+  Dijkstra from the satellites the stations link to, each flow walked on
+  its best gateway's tree when a uniqueness certificate proves that is the
+  station-sourced path, and the sources of the other flows solved exactly
+  by :class:`~repro.network.backends.RouteTables`.  Either kind has the
+  same ``paths`` method and gives the same bits;
   :func:`reroute_flows` re-walks a subset of an already routed table on
   other tables and splices the new paths in;
 * :meth:`RoutedFlowTable.compact` -- stage 4 input: the reachable slice of
@@ -40,7 +45,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ..demand.traffic_matrix import TrafficMatrix
-from .backends import NodeIndex, RouteTables
+from .backends import GatewayRouteTables, NodeIndex, RouteTables
 
 if TYPE_CHECKING:
     from .alloc_arrays import FlowLinkSystem
@@ -262,7 +267,9 @@ def station_rows(node_index: NodeIndex, station_names: tuple[str, ...]) -> np.nd
 
 
 def route_flow_table(
-    tables: RouteTables, station_rows: np.ndarray, table: FlowTable
+    tables: "RouteTables | GatewayRouteTables",
+    station_rows: np.ndarray,
+    table: FlowTable,
 ) -> RoutedFlowTable:
     """Columnar stage 3: route every flow in one batched predecessor walk.
 
@@ -284,7 +291,7 @@ def route_flow_table(
 
 def reroute_flows(
     routed: RoutedFlowTable,
-    tables: RouteTables,
+    tables: "RouteTables | GatewayRouteTables",
     station_rows: np.ndarray,
     flows: np.ndarray,
 ) -> RoutedFlowTable:

@@ -10,7 +10,8 @@ The simulator runs one pipeline per scenario and time step:
    from which the step kernel builds the group's station rows, the edge
    list's link lookup and -- when the group has an open-loop scenario and
    at least one other scenario -- one shared *base*
-   :class:`~repro.network.backends.RouteTables` on the unsteered weights;
+   :class:`~repro.network.backends.GatewayRouteTables` on the unsteered
+   weights;
 2. **flow selection** -- the gravity traffic matrix of the step's UTC hour
    (memoised: the diurnal model repeats every 24 h) is filtered to the
    group's ground stations and cut to the largest ``flows_per_step`` flows
@@ -24,11 +25,16 @@ The simulator runs one pipeline per scenario and time step:
    strictly ordered adjacent pair of the selection, or the last selected
    demand with the largest one left out below it, selects its own plan
    on its scaled demand instead (the *tie rule*);
-3. **routing** -- every source station is solved in one batched
-   multi-source Dijkstra over the snapshot's CSR arrays, kept as ``(S, N)``
-   distance and predecessor matrices indexed by station id, and all paths
-   are walked at once into ragged row arrays
-   (:func:`~repro.network.flows.route_flow_table`).  Paths do not depend
+3. **routing** -- route tables indexed by station id
+   (:class:`~repro.network.backends.GatewayRouteTables`) run one batched
+   multi-source Dijkstra over the snapshot's CSR arrays from the
+   satellites the source stations link to (their *gateways*), and all
+   paths are walked at once into ragged row arrays
+   (:func:`~repro.network.flows.route_flow_table`).  A flow takes its best
+   gateway's tree path only when a uniqueness certificate proves a search
+   from its station would return the same path; the stations of all other
+   flows are solved exactly, so every path and latency equals a
+   station-sourced Dijkstra's bit for bit.  Paths do not depend
    on demand, so a plan on the group's base route tables is walked once
    by the kernel and reused by every open-loop scenario of the plan.  A
    steered scenario reuses it too: steering only raises the weights of
@@ -104,7 +110,7 @@ from ..obs import (
 )
 from .alloc_arrays import ARRAY_SOLVERS, compile_system_from_rows
 from ..orbits.time import Epoch, epoch_range
-from .backends import EdgeArrays, RouteTables, SnapshotEdgeList, load_csgraph
+from .backends import EdgeArrays, GatewayRouteTables, SnapshotEdgeList, load_csgraph
 from .faults import FaultContext, FaultSchedule, FaultSpec, compile_faults, normalise_fault_specs
 from .flows import FlowPlan, plan_flows, reroute_flows, route_flow_table, station_rows
 from .ground_station import GroundStation
@@ -450,19 +456,23 @@ class _GroupSnapshot(NamedTuple):
 
     The step's :class:`~repro.network.flows.FlowPlan` of each flow budget
     sits beside it (see :func:`_build_plans`); when ``route_tables`` exist,
-    those plans are already routed on them and compiled.
+    those plans are already routed on them and compiled.  Every route
+    table of the step, shared or private, is a
+    :class:`~repro.network.backends.GatewayRouteTables`: one search from
+    the stations' gateway satellites, with the uncertified sources
+    re-solved exactly, so its paths are the station-sourced ones.
     """
 
     edge_list: SnapshotEdgeList
     #: Snapshot row of each of the group's stations, indexed by station id.
     station_rows: np.ndarray
-    #: Base (unsteered) route tables over every station of the group, solved
-    #: only when the group has an open-loop scenario and at least one other
-    #: scenario.  Open-loop scenarios route on them as they are; steered
-    #: ones start from them and re-solve only the sources that steering can
-    #: move.  ``None`` otherwise: every scenario then solves its own sources
+    #: Base (unsteered) route tables over every station of the group,
+    #: solved only when the group has an open-loop scenario and at least
+    #: one other scenario.  Open-loop scenarios route on them as they are;
+    #: steered ones start from them and re-solve only the sources that
+    #: steering can move.  ``None`` otherwise: every scenario then solves its own sources
     #: privately (a group of steered scenarios only never solves them).
-    route_tables: RouteTables | None
+    route_tables: GatewayRouteTables | None
 
 
 #: One scenario's step output: statistics plus station-pair and per-link
@@ -500,7 +510,9 @@ def _link_telemetry(
     return telemetry
 
 
-def _route_plan(plan: FlowPlan, tables: RouteTables, snapshot: _GroupSnapshot) -> FlowPlan:
+def _route_plan(
+    plan: FlowPlan, tables: GatewayRouteTables, snapshot: _GroupSnapshot
+) -> FlowPlan:
     """Walk the plan's paths on ``tables``, dropping an incidence of other paths."""
     return plan._replace(
         routed=route_flow_table(tables, snapshot.station_rows, plan.table), system=None
@@ -509,42 +521,66 @@ def _route_plan(plan: FlowPlan, tables: RouteTables, snapshot: _GroupSnapshot) -
 
 def _solve_sources(
     arrays: EdgeArrays, snapshot: _GroupSnapshot, sources: np.ndarray
-) -> RouteTables:
+) -> GatewayRouteTables:
     """Route tables solved only for the station ids ``sources``."""
     source_rows = np.full(snapshot.station_rows.size, -1, dtype=np.intp)
     source_rows[sources] = snapshot.station_rows[sources]
-    return RouteTables.solve(arrays, source_rows)
+    return GatewayRouteTables.solve(arrays, source_rows)
+
+
+class _RoutingWork(NamedTuple):
+    """What one scenario's routing span solved and walked."""
+
+    #: Station sources routed on tables solved in the span.
+    sources: int = 0
+    #: Gateways those tables searched (the Dijkstra sources).
+    gateways: int = 0
+    #: Sources re-solved exactly because a certificate failed.
+    fallbacks: int = 0
+    #: Flows walked on steered tables.
+    rerouted: int = 0
+
+    @classmethod
+    def of(
+        cls, tables: GatewayRouteTables, sources: np.ndarray, rerouted: int
+    ) -> "_RoutingWork":
+        """The work of tables solved for ``sources`` and already walked."""
+        return cls(
+            int(sources.size),
+            int(tables.gateway_rows.size),
+            tables.fallback_sources,
+            rerouted,
+        )
 
 
 def _reroute_plan(
     plan: FlowPlan, snapshot: _GroupSnapshot, steered: SnapshotEdgeList
-) -> tuple[FlowPlan, int, int]:
+) -> tuple[FlowPlan, _RoutingWork]:
     """Move a base-routed plan onto weights that only went up.
 
     Raising the weights of links off a shortest path cannot make another
     path shorter, so a base path that crosses no changed link stays the
     steered shortest path.  Only the flows whose base path does cross one
-    are walked again, on tables solved for just their sources.  Returns
-    ``(plan, sources solved, flows walked)``.
+    are walked again, on tables solved for just their sources.
     """
     system = plan.system
     if system is None:
-        return plan, 0, 0
+        return plan, _RoutingWork()
     changed = steered.delay_ms != snapshot.edge_list.delay_ms
     touched = system.flows_touching(changed[system.link_rows])
     flows = np.flatnonzero(plan.routed.reachable)[touched]
     if not flows.size:
-        return plan, 0, 0
+        return plan, _RoutingWork()
     sources = np.unique(plan.table.src[flows])
     tables = _solve_sources(steered.arrays(), snapshot, sources)
     routed = reroute_flows(plan.routed, tables, snapshot.station_rows, flows)
     plan = plan._replace(routed=routed, system=None)
-    return plan, int(sources.size), int(flows.size)
+    return plan, _RoutingWork.of(tables, sources, int(flows.size))
 
 
 def _route_scenario(
     plan: FlowPlan, snapshot: _GroupSnapshot, steered: SnapshotEdgeList | None
-) -> tuple[FlowPlan, int, int]:
+) -> tuple[FlowPlan, _RoutingWork]:
     """Route one scenario's plan; ``steered`` is ``None`` for open loop.
 
     A plan the kernel routed on the group's base tables is kept as it is
@@ -552,22 +588,22 @@ def _route_scenario(
     when every steered weight is at least its base weight
     (:func:`_reroute_plan`).  Otherwise an open-loop scenario walks the
     base tables, or solves its own sources when there are none, and a
-    steered one solves its own sources on its steered weights.  Returns
-    ``(plan, Dijkstra sources solved, flows walked on steered tables)``.
+    steered one solves its own sources on its steered weights.
     """
     edge_list = snapshot.edge_list
     if plan.routed is not None:
         if steered is None:
-            return plan, 0, 0
+            return plan, _RoutingWork()
         if not np.any(steered.delay_ms < edge_list.delay_ms):
             return _reroute_plan(plan, snapshot, steered)
     if steered is None and snapshot.route_tables is not None:
-        return _route_plan(plan, snapshot.route_tables, snapshot), 0, 0
+        return _route_plan(plan, snapshot.route_tables, snapshot), _RoutingWork()
     sources = np.unique(plan.table.src)
     weights = edge_list if steered is None else steered
     tables = _solve_sources(weights.arrays(), snapshot, sources)
+    plan = _route_plan(plan, tables, snapshot)
     walked = 0 if steered is None else plan.table.flow_count
-    return _route_plan(plan, tables, snapshot), int(sources.size), walked
+    return plan, _RoutingWork.of(tables, sources, walked)
 
 
 def _compile_plan(plan: FlowPlan, snapshot: _GroupSnapshot) -> FlowPlan:
@@ -609,10 +645,10 @@ def _evaluate_scenario(
     run against the unsteered capacities and delays: steered latencies
     are re-read from the unsteered delay column over the compiled
     incidence.  ``obs`` records the stage spans (the shared
-    :data:`~repro.obs.NULL_TRACER` when untraced), and the
-    ``route_sources`` / ``flows_rerouted`` counters the Dijkstra sources
-    solved and the flows walked on steered tables in the routing span, and
-    the solver's own work counters (max-min's ``waterfill_rounds`` /
+    :data:`~repro.obs.NULL_TRACER` when untraced), the routing span's work
+    (:class:`_RoutingWork`) as the ``route_sources``, ``route_gateways``,
+    ``route_fallbacks`` and ``flows_rerouted`` counters, and the solver's
+    own work counters (max-min's ``waterfill_rounds`` /
     ``waterfill_passes``) in the allocation span.
     """
     scenario = spec.scenario
@@ -641,12 +677,14 @@ def _evaluate_scenario(
         with obs.span("telemetry"):
             telemetry = _pair_telemetry(scenario, table)
     with obs.span("routing"):
-        plan, solved, rerouted = _route_scenario(plan, snapshot, steered)
+        plan, work = _route_scenario(plan, snapshot, steered)
     routed = plan.routed
     routed_count = int(np.count_nonzero(routed.reachable))
     if obs.enabled:
-        obs.counter("route_sources", solved)
-        obs.counter("flows_rerouted", rerouted)
+        obs.counter("route_sources", work.sources)
+        obs.counter("route_gateways", work.gateways)
+        obs.counter("route_fallbacks", work.fallbacks)
+        obs.counter("flows_rerouted", work.rerouted)
         obs.counter("flows_routed", routed_count)
         obs.gauge("flow_table_bytes", routed.nbytes)
     delivered = 0.0
@@ -788,8 +826,8 @@ def _evaluate_step(
     edge list of this step.  The kernel builds each group's shared state
     once -- station rows and the edge list's link lookup for every
     scenario, plus base
-    :class:`~repro.network.backends.RouteTables` over all of the group's
-    stations when the group has an open-loop scenario and at least one
+    :class:`~repro.network.backends.GatewayRouteTables` over all of the
+    group's stations when the group has an open-loop scenario and at least one
     other scenario -- and then one :class:`~repro.network.flows.FlowPlan`
     per (group, flow budget), selected on unscaled demand and, on base
     tables, routed and compiled (:func:`_build_plans`).  Then it evaluates
@@ -821,7 +859,7 @@ def _evaluate_step(
             edge_list=edge_list,
             station_rows=rows,
             route_tables=(
-                RouteTables.solve(edge_list.arrays(), rows)
+                GatewayRouteTables.solve(edge_list.arrays(), rows)
                 if open_loop[group] and members[group] >= 2
                 else None
             ),
@@ -1040,7 +1078,8 @@ class NetworkSimulator:
         coincide form one snapshot group sharing each step's edge list.
         Shortest paths depend only on the snapshot, so when a group has an
         open-loop scenario and at least one other, one batched search from
-        every station of the group per step serves them all, whatever their
+        the satellites the group's stations link to (their gateways) per
+        step serves them all, whatever their
         demand multipliers, flow budgets or allocators.  Adaptively steered
         scenarios start from it too: steering only raises weights, so each
         re-solves only the sources, and re-walks only the flows, whose base
@@ -1088,11 +1127,16 @@ class NetworkSimulator:
         ``instrument=True`` traces the sweep with :mod:`repro.obs`: every
         result carries a :attr:`SimulationResult.metrics` with per-stage
         durations, call counts, deterministic flow counters and working-set
-        gauges.  The ``route_sources`` and ``flows_rerouted`` counters count
-        the Dijkstra sources a scenario solved and the flows it walked on
-        steered tables in its own routing span, so they depend on which
-        scenarios share its snapshot group (within one worker's chunk when
-        run in worker processes).  Max-min scenarios also count
+        gauges.  Four counters describe the route tables a scenario solved
+        in its own routing span: ``route_sources`` counts the station
+        sources it routed on them, ``route_gateways`` the gateway
+        satellites their Dijkstra searched
+        (:class:`~repro.network.backends.GatewayRouteTables`), and
+        ``route_fallbacks`` the sources re-solved exactly because a path's
+        uniqueness certificate failed (never more than ``route_sources``);
+        ``flows_rerouted`` counts the flows it walked on steered tables.
+        They depend on which scenarios share its snapshot group (within
+        one worker's chunk when run in worker processes).  Max-min scenarios also count
         ``waterfill_rounds`` (progressive-filling rounds) and
         ``waterfill_passes`` (the solver passes that ran them: a pass
         replays a whole run of demand-only rounds).  Spans only ever read

@@ -13,7 +13,7 @@ from flow_oracles import graph_stream
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network import simulation as simulation_module
-from repro.network.backends import RouteTables
+from repro.network.backends import GatewayRouteTables
 from repro.network.faults import (
     FAULT_MODELS,
     FaultContext,
@@ -453,7 +453,7 @@ class TestFaultSweeps:
         next step or into another group."""
         solved: list = []  # strong references, so ids stay unique
         consumed: list = []
-        solve = RouteTables.solve.__func__
+        solve = GatewayRouteTables.solve.__func__
 
         def recording_solve(cls, arrays, source_rows):
             tables = solve(cls, arrays, source_rows)
@@ -464,7 +464,7 @@ class TestFaultSweeps:
             consumed.append(tables)
             return route_flow_table(tables, station_rows, table)
 
-        monkeypatch.setattr(RouteTables, "solve", classmethod(recording_solve))
+        monkeypatch.setattr(GatewayRouteTables, "solve", classmethod(recording_solve))
         monkeypatch.setattr(simulation_module, "route_flow_table", recording_route)
         scenarios = [
             FAULT_SCENARIOS[0],

@@ -11,7 +11,7 @@ import pytest
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network import simulation as simulation_module
-from repro.network.backends import RouteTables
+from repro.network.backends import GatewayRouteTables
 from repro.network.flows import reroute_flows, route_flow_table
 from repro.network.ground_station import GroundStation
 from repro.network.simulation import NetworkSimulator, Scenario, run_grid
@@ -232,7 +232,7 @@ class _RoutingRecorder:
         self.solves: list = []  # (tables, source_rows); strong references
         self.routes: list = []  # (tables, flow table)
         self.reroutes: list = []  # (tables, flow table, re-walked flow ids)
-        solve = RouteTables.solve.__func__
+        solve = GatewayRouteTables.solve.__func__
 
         def recording_solve(cls, arrays, source_rows):
             tables = solve(cls, arrays, source_rows)
@@ -247,7 +247,7 @@ class _RoutingRecorder:
             self.reroutes.append((tables, routed.table, np.array(flows)))
             return reroute_flows(routed, tables, station_rows, flows)
 
-        monkeypatch.setattr(RouteTables, "solve", classmethod(recording_solve))
+        monkeypatch.setattr(GatewayRouteTables, "solve", classmethod(recording_solve))
         monkeypatch.setattr(simulation_module, "route_flow_table", recording_route)
         monkeypatch.setattr(simulation_module, "reroute_flows", recording_reroute)
 
