@@ -476,8 +476,11 @@ class GatewayRouteTables:
         gateways[padded] = gateway_of
         gateway_weights = np.full(padded.shape, np.inf)
         gateway_weights[padded] = weights[position]
+        # Per gateway, the search and its tree facts cost about two
+        # station-sourced searches, so fewer than two sources per gateway
+        # is cheaper to solve exactly, source by queried source.
         if 2 * gateway_rows.size >= np.count_nonzero(known):
-            gateway_rows = gateway_rows[:0]  # the search would not pay
+            gateway_rows = gateway_rows[:0]
         distances, predecessors = (
             _dijkstra(arrays, gateway_rows)
             if gateway_rows.size
@@ -637,9 +640,8 @@ def _search_trees(
     # Flat (N + 1, G) layout: row n is a sentinel above every root and
     # unreached node, with no depth and no flag.
     search = np.arange(count)
-    above = np.where(has_parent, predecessors.T, n) * count + search
-    parent = above.astype(np.intp)
-    above = np.append(above.ravel(), n * count + search)
+    parent = np.where(has_parent, predecessors.T.astype(np.intp), n) * count + search
+    above = np.append(parent.ravel(), n * count + search)
     depth = np.append(has_parent.ravel(), np.zeros(count, dtype=bool)).astype(np.intp)
     ambiguous = np.append(
         (tight_links > has_parent).ravel(), np.zeros(count, dtype=bool)

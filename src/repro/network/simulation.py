@@ -466,11 +466,11 @@ class _GroupSnapshot(NamedTuple):
     edge_list: SnapshotEdgeList
     #: Snapshot row of each of the group's stations, indexed by station id.
     station_rows: np.ndarray
-    #: Base (unsteered) route tables over every station of the group,
-    #: solved only when the group has an open-loop scenario and at least
-    #: one other scenario.  Open-loop scenarios route on them as they are;
-    #: steered ones start from them and re-solve only the sources that
-    #: steering can move.  ``None`` otherwise: every scenario then solves its own sources
+    #: Base (unsteered) route tables over every station of the group, solved
+    #: only when the group has an open-loop scenario and at least one other
+    #: scenario.  Open-loop scenarios route on them as they are; steered
+    #: ones start from them and re-solve only the sources that steering can
+    #: move.  ``None`` otherwise: every scenario then solves its own sources
     #: privately (a group of steered scenarios only never solves them).
     route_tables: GatewayRouteTables | None
 
@@ -535,7 +535,8 @@ class _RoutingWork(NamedTuple):
     sources: int = 0
     #: Gateways those tables searched (the Dijkstra sources).
     gateways: int = 0
-    #: Sources re-solved exactly because a certificate failed.
+    #: Sources those tables solved exactly, station-sourced (a certificate
+    #: failed, or the sources shared too few gateways to search from).
     fallbacks: int = 0
     #: Flows walked on steered tables.
     rerouted: int = 0
@@ -827,8 +828,8 @@ def _evaluate_step(
     once -- station rows and the edge list's link lookup for every
     scenario, plus base
     :class:`~repro.network.backends.GatewayRouteTables` over all of the
-    group's stations when the group has an open-loop scenario and at least one
-    other scenario -- and then one :class:`~repro.network.flows.FlowPlan`
+    group's stations when the group has an open-loop scenario and at least
+    one other scenario -- and then one :class:`~repro.network.flows.FlowPlan`
     per (group, flow budget), selected on unscaled demand and, on base
     tables, routed and compiled (:func:`_build_plans`).  Then it evaluates
     the scenarios in ``specs`` order; the plans are dropped when the step
@@ -1127,17 +1128,18 @@ class NetworkSimulator:
         ``instrument=True`` traces the sweep with :mod:`repro.obs`: every
         result carries a :attr:`SimulationResult.metrics` with per-stage
         durations, call counts, deterministic flow counters and working-set
-        gauges.  Four counters describe the route tables a scenario solved
-        in its own routing span: ``route_sources`` counts the station
-        sources it routed on them, ``route_gateways`` the gateway
-        satellites their Dijkstra searched
-        (:class:`~repro.network.backends.GatewayRouteTables`), and
-        ``route_fallbacks`` the sources re-solved exactly because a path's
-        uniqueness certificate failed (never more than ``route_sources``);
-        ``flows_rerouted`` counts the flows it walked on steered tables.
-        They depend on which scenarios share its snapshot group (within
-        one worker's chunk when run in worker processes).  Max-min scenarios also count
-        ``waterfill_rounds`` (progressive-filling rounds) and
+        gauges.  Four counters describe a scenario's own routing span:
+        ``route_sources`` counts the station sources it routed on tables
+        solved in the span, ``route_gateways`` the gateway satellites
+        their Dijkstra searched
+        (:class:`~repro.network.backends.GatewayRouteTables`),
+        ``route_fallbacks`` the sources they solved exactly from the
+        station, because a path's uniqueness certificate failed or the
+        sources shared too few gateways to search from (never more than
+        ``route_sources``), and ``flows_rerouted`` the flows it walked on
+        steered tables.  They depend on which scenarios share its snapshot
+        group (within one worker's chunk when run in worker processes).
+        Max-min scenarios also count ``waterfill_rounds`` (progressive-filling rounds) and
         ``waterfill_passes`` (the solver passes that ran them: a pass
         replays a whole run of demand-only rounds).  Spans only ever read
         the monotonic clock around stages -- they never touch pipeline

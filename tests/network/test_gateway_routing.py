@@ -20,7 +20,7 @@ from repro.network.backends import (
     GatewayRouteTables,
     NodeIndex,
     RouteTables,
-    _csr_from_undirected,
+    SnapshotEdgeList,
 )
 from repro.network.faults import FaultSpec
 from repro.network.ground_station import GroundStation
@@ -41,6 +41,14 @@ def _assert_same_paths(arrays: EdgeArrays, source_rows, dest_rows) -> GatewayRou
         assert got.dtype.kind == want.dtype.kind
         assert np.array_equal(got, want)
     return gateway
+
+
+def _arrays(labels: tuple, a, b, delay_ms) -> EdgeArrays:
+    """The CSR routing view of undirected links ``a[i] - b[i]``."""
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    delay_ms = np.asarray(delay_ms, dtype=float)
+    ones = np.ones(a.size)
+    return SnapshotEdgeList(labels, a, b, ones, delay_ms, ones).arrays()
 
 
 def _station_rows(node_index: NodeIndex) -> np.ndarray:
@@ -138,11 +146,7 @@ class TestHandBuiltGraph:
 
     @pytest.fixture()
     def arrays(self) -> EdgeArrays:
-        a, b, w = (np.array(column) for column in zip(*self.EDGES))
-        return EdgeArrays(
-            *_csr_from_undirected(a.astype(np.intp), b.astype(np.intp), w, len(self.LABELS)),
-            NodeIndex(self.LABELS),
-        )
+        return _arrays(self.LABELS, *zip(*self.EDGES))
 
     def test_every_pair_matches(self, arrays):
         # Row -1 is a source absent from the snapshot; destination -1 too.
@@ -180,6 +184,41 @@ class TestHandBuiltGraph:
         tables = _assert_same_paths(arrays, [0, 3], self.STATIONS)
         assert tables.gateway_rows.size == 0
         assert tables.fallback_sources == 2
+
+
+@pytest.mark.parametrize("weights", ["integer", "uniform", "tenths"])
+def test_random_graphs_match(weights):
+    """Random cores with stations hung off shared gateways, some linked to
+    each other; integer and rounded weights make exact ties common."""
+    rng = np.random.default_rng(["integer", "uniform", "tenths"].index(weights))
+    searched = 0
+    for _ in range(40):
+        satellites, stations = int(rng.integers(5, 40)), int(rng.integers(10, 60))
+        n = satellites + stations
+        links = {
+            (min(u, v), max(u, v))
+            for u, v in rng.integers(0, satellites, (2 * satellites, 2))
+            if u != v
+        }
+        for station in range(satellites, n):
+            for gateway in rng.choice(6, size=int(rng.integers(0, 3)), replace=False):
+                links.add((int(gateway), station))
+        u, v = rng.integers(satellites, n, 2)
+        if u != v:
+            links.add((min(u, v), max(u, v)))
+        a, b = (np.array(column, dtype=np.intp) for column in zip(*sorted(links)))
+        w = {
+            "integer": lambda: rng.integers(1, 4, a.size).astype(float),
+            "uniform": lambda: rng.uniform(0.1, 10.0, a.size),
+            "tenths": lambda: np.round(rng.uniform(0.1, 3.0, a.size), 1),
+        }[weights]()
+        labels = tuple(range(satellites)) + tuple(f"gs:{i}" for i in range(stations))
+        arrays = _arrays(labels, a, b, w)
+        sources = np.arange(satellites, n)
+        sources[rng.random(stations) < 0.1] = -1
+        tables = _assert_same_paths(arrays, sources, np.arange(n))
+        searched += tables.gateway_rows.size > 0
+    assert searched > 20
 
 
 class TestFullSizeSnapshots:
