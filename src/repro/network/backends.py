@@ -24,15 +24,16 @@ analysis API reads ``{destination: RouteResult}`` mappings as lazy row views
 of it.
 
 The simulator routes on :class:`GatewayRouteTables` instead, with the same
-``paths`` contract.  Stations reach the network through few satellites, so
-it searches once from those *gateways* (on the full graph) and routes each
-query through its best gateway.  A query takes that path only under a
-uniqueness certificate: its best gateway wins by :data:`CERTIFICATE_MARGIN`
-and no node of the path is near-tied in the gateway's search, which proves
-a station-sourced search returns the same path.  The source of every other
-query is solved exactly by :meth:`RouteTables.solve`.  So every path and
-latency is bit-identical to the station-sourced tables, at a fraction of
-their search cost.
+``paths`` contract.  Stations that share the satellites they link to (their
+*gateways*) are searched once from those gateways, on the full graph, and
+each query is routed through its best gateway.  A query takes that path
+only under a uniqueness certificate: its best gateway wins by
+:data:`CERTIFICATE_MARGIN` and no node of the path is near-tied in the
+gateway's search, which proves a station-sourced search returns the same
+path.  The source of every other query -- of every query, when the
+stations share too few gateways for the search to pay -- is solved exactly
+by :meth:`RouteTables.solve`.  So every path and latency is bit-identical
+to the station-sourced tables.
 
 Because :class:`EdgeArrays` and :class:`SnapshotEdgeList` are plain numpy
 containers they pickle cheaply, which is what lets
@@ -454,10 +455,6 @@ class GatewayRouteTables:
     ambiguous: np.ndarray  # (N, G) bool
     #: Sources :meth:`paths` has solved exactly so far.
     fallback_sources: int = 0
-
-    @property
-    def node_index(self) -> NodeIndex:
-        return self.arrays.node_index
 
     @classmethod
     def solve(cls, arrays: EdgeArrays, source_rows) -> "GatewayRouteTables":
