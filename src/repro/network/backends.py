@@ -431,6 +431,8 @@ class GatewayRouteTables:
     many gateways as sources), :meth:`solve` searches nothing and every
     query takes the fallback.
 
+    ``arrays`` must be symmetric, as every snapshot's :class:`EdgeArrays`
+    is: the near-tie check reads a node's in-links from its own CSR row.
     The per-node facts of the gateway trees are node-major ``(N, G)``
     arrays, indexed flat as ``v * G + g``.
     """
