@@ -17,7 +17,6 @@ hysteresis and anti-flap cooldowns).
 
 from .backends import (
     EdgeArrays,
-    GatewayRouteTables,
     NodeIndex,
     RouteTables,
     SnapshotEdgeList,
@@ -104,7 +103,6 @@ __all__ = [
     "EdgeArrays",
     "NodeIndex",
     "RouteTables",
-    "GatewayRouteTables",
     "SnapshotEdgeList",
     "run_grid",
     "ARRAY_SOLVERS",

@@ -30,10 +30,10 @@ each query is routed through its best gateway.  A query takes that path
 only under a uniqueness certificate: its best gateway wins by
 :data:`CERTIFICATE_MARGIN` and no node of the path is near-tied in the
 gateway's search, which proves a station-sourced search returns the same
-path.  The source of every other query -- of every query, when the
-stations share too few gateways for the search to pay -- is solved exactly
-by :meth:`RouteTables.solve`.  So every path and latency is bit-identical
-to the station-sourced tables.
+path.  The source of every other query is solved exactly by
+:meth:`RouteTables.solve`.  So every path and latency is bit-identical to
+the station-sourced tables.  Both tables walk their predecessor rows with
+the same batched layer walk.
 
 Because :class:`EdgeArrays` and :class:`SnapshotEdgeList` are plain numpy
 containers they pickle cheaply, which is what lets
@@ -51,8 +51,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "CERTIFICATE_MARGIN",
-    "GatewayRouteTables",
     "RouteResult",
     "RouteTables",
     "NodeIndex",
@@ -356,44 +354,29 @@ class RouteTables(NamedTuple):
         Returns ``(offsets, rows_buffer, latency_ms)`` in query order: path
         ``i`` occupies ``rows_buffer[offsets[i]:offsets[i + 1]]`` (source
         first, destination last -- the rows of
-        :meth:`_PredecessorRoutes._reconstruct`).  Every pending query steps
-        one hop per iteration, so the Python-level work is O(longest path)
-        across the whole batch.
+        :meth:`_PredecessorRoutes._reconstruct`), walked by
+        :func:`_walk_layers`.
         """
         group_of = np.asarray(group_of, dtype=np.intp)
         dest_rows = np.asarray(dest_rows, dtype=np.intp)
-        count = dest_rows.size
-        latency = np.full(count, np.inf)
-        lengths = np.zeros(count, dtype=np.intp)
+        latency = np.full(dest_rows.size, np.inf)
         known = (group_of >= 0) & (dest_rows >= 0)
         safe_group = np.where(known, group_of, 0)
         safe_rows = np.where(known, dest_rows, 0)
         reachable = known & np.isfinite(self.distances[safe_group, safe_rows])
         latency[reachable] = self.distances[safe_group[reachable], safe_rows[reachable]]
-        # Walk predecessors for all reachable queries at once, recording each
-        # layer; depth[i] counts hops from destination i back to its source.
-        source_of = self.source_rows[safe_group]
-        cursor = safe_rows.copy()
-        depth = np.zeros(count, dtype=np.intp)
-        pending = reachable.copy()
-        layers: list[tuple[np.ndarray, np.ndarray]] = []
-        while True:
-            pending = pending & (cursor != source_of)
-            if not pending.any():
-                break
-            layers.append((np.flatnonzero(pending), cursor[pending].copy()))
-            depth[pending] += 1
-            cursor[pending] = self.predecessors[safe_group[pending], cursor[pending]]
-        lengths[reachable] = depth[reachable] + 1
-        offsets = np.zeros(count + 1, dtype=np.intp)
+        walk = np.flatnonzero(reachable)
+        roots = self.source_rows[safe_group[walk]]
+        layers, depth = _walk_layers(
+            self.predecessors, safe_group[walk], roots, safe_rows[walk]
+        )
+        lengths = np.zeros(dest_rows.size, dtype=np.intp)
+        lengths[walk] = depth + 1
+        offsets = np.zeros(dest_rows.size + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
         buffer = np.empty(int(offsets[-1]), dtype=np.intp)
-        # Each source sits at its segment's start; the layer recorded at walk
-        # step k holds the node depth[i]-k hops along path i, i.e. position
-        # offsets[i] + depth[i] - k (destination itself at k=0).
-        buffer[offsets[:-1][reachable]] = source_of[reachable]
-        for step, (where, nodes) in enumerate(layers):
-            buffer[offsets[:-1][where] + depth[where] - step] = nodes
+        buffer[offsets[walk]] = roots
+        _place_layers(buffer, offsets[walk] + depth, layers)
         return offsets, buffer, latency
 
 
@@ -404,7 +387,7 @@ class RouteTables(NamedTuple):
 CERTIFICATE_MARGIN = 1e-9
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GatewayRouteTables:
     """Station-sourced shortest paths, searched from the stations' gateways.
 
@@ -426,15 +409,10 @@ class GatewayRouteTables:
     in-order hop sum as its distance -- which is the latency reported here.
     The sources of all other reachable queries are solved exactly by
     :meth:`RouteTables.solve` (the *fallback*), so :meth:`paths` equals the
-    station-sourced :meth:`RouteTables.paths` bit for bit.  When the
-    sources share too few gateways for the search to pay (at least half as
-    many gateways as sources), :meth:`solve` searches nothing and every
-    query takes the fallback.
+    station-sourced :meth:`RouteTables.paths` bit for bit.
 
     ``arrays`` must be symmetric, as every snapshot's :class:`EdgeArrays`
     is: the near-tie check reads a node's in-links from its own CSR row.
-    The per-node facts of the gateway trees are node-major ``(N, G)``
-    arrays, indexed flat as ``v * G + g``.
     """
 
     arrays: EdgeArrays
@@ -446,17 +424,11 @@ class GatewayRouteTables:
     #: Weight of each source-to-gateway link (``inf`` where padded).
     gateway_weights: np.ndarray  # (S, K)
     distances: np.ndarray  # (G, N)
-    #: Flat index of the node's predecessor in the gateway's tree.
-    parent: np.ndarray  # (N, G)
-    #: Hops from the gateway.
-    depth: np.ndarray  # (N, G)
-    #: Weight of the link in from the predecessor.
-    hop_weight: np.ndarray  # (N, G)
-    #: Whether any node on the tree path, the gateway included, has a near
-    #: tie: certificate (b) fails.
-    ambiguous: np.ndarray  # (N, G) bool
-    #: Sources :meth:`paths` has solved exactly so far.
-    fallback_sources: int = 0
+    predecessors: np.ndarray  # (G, N)
+    #: Weight of the link into each node from its predecessor.
+    hop_weight: np.ndarray  # (G, N)
+    #: Whether the node has a near-tied in-link in the search.
+    near_tie: np.ndarray  # (G, N) bool
 
     @classmethod
     def solve(cls, arrays: EdgeArrays, source_rows) -> "GatewayRouteTables":
@@ -475,19 +447,7 @@ class GatewayRouteTables:
         gateways[padded] = gateway_of
         gateway_weights = np.full(padded.shape, np.inf)
         gateway_weights[padded] = weights[position]
-        # Per gateway, the search and its tree facts cost about two
-        # station-sourced searches, so fewer than two sources per gateway
-        # is cheaper to solve exactly, source by queried source.
-        if 2 * gateway_rows.size >= np.count_nonzero(known):
-            gateway_rows = gateway_rows[:0]
-        distances, predecessors = (
-            _dijkstra(arrays, gateway_rows)
-            if gateway_rows.size
-            else (
-                np.empty((0, arrays.node_count)),
-                np.empty((0, arrays.node_count), dtype=np.int32),
-            )
-        )
+        distances, predecessors = _dijkstra(arrays, gateway_rows)
         # A source adds at most its heaviest gateway link in front of a
         # gateway's distances; near ties are judged on that whole sum.
         lead = float(gateway_weights[padded].max(initial=0.0))
@@ -498,7 +458,8 @@ class GatewayRouteTables:
             gateways,
             gateway_weights,
             distances,
-            *_search_trees(arrays, distances, predecessors, lead),
+            predecessors,
+            *_tight_in_links(arrays, distances, predecessors, lead),
         )
 
     def paths(
@@ -507,9 +468,11 @@ class GatewayRouteTables:
         """Same contract and result as :meth:`RouteTables.paths`.
 
         Query ``i`` routes from ``source_rows[group_of[i]]`` to node row
-        ``dest_rows[i]``.  Certified queries are walked on their best
-        gateway's tree in one batched layer walk; the sources of the other
-        reachable queries are solved exactly and walked there.
+        ``dest_rows[i]``.  The queries that pass certificate (a) are walked
+        on their best gateway's tree in one batched layer walk, and
+        certificate (b) and the hop weights are read along the walked
+        paths; the sources of the other reachable queries are solved
+        exactly and walked there.
         """
         group_of = np.asarray(group_of, dtype=np.intp)
         dest_rows = np.asarray(dest_rows, dtype=np.intp)
@@ -522,65 +485,60 @@ class GatewayRouteTables:
         at_source = known & (dest == source)
         latency = np.where(at_source, 0.0, np.inf)
         lengths = at_source.astype(np.intp)
-        walk, gateway, hop0, fallback = self._certify(
+        walk, gateway, hop0, rejected = self._best_gateways(
             np.flatnonzero(known & ~at_source), safe_group, dest
         )
-        width = self.gateway_rows.size
-        flat = dest[walk] * width + gateway
-        depth = np.take(self.depth, flat)
-        lengths[walk] = depth + 2
-        if fallback.size:
-            rows, table_of = np.unique(source[fallback], return_inverse=True)
-            self.fallback_sources += int(rows.size)
-            exact_offsets, exact_rows, latency[fallback] = RouteTables.solve(
-                self.arrays, rows
-            ).paths(table_of, dest[fallback])
-            lengths[fallback] = np.diff(exact_offsets)
+        roots = self.gateway_rows[gateway]
+        layers, depth = _walk_layers(self.predecessors, gateway, roots, dest[walk])
+        # Certificate (b) and the hop weights along every tree path: layer
+        # k holds the node k hops back from the destination, which hop
+        # depth - k enters (hop 0 is source -> gateway).
+        tied = np.take(self.near_tie, gateway * self.arrays.node_count + roots)
+        hops = np.zeros((len(layers), walk.size))
+        for k, (where, _, at) in enumerate(layers):
+            tied[where] |= np.take(self.near_tie, at)
+            hops[k, where] = np.take(self.hop_weight, at)
+        # In-order hop sums from the source, as Dijkstra accumulates them:
+        # the deepest layer first, so the zeros past a path's end add nothing.
+        total = hop0.copy()
+        for hop in hops[::-1]:
+            total += hop
+        certified = ~tied
+        latency[walk[certified]] = total[certified]
+        lengths[walk[certified]] = depth[certified] + 2
+        fallback = np.concatenate([rejected, walk[tied]])
+        sources, table_of = np.unique(source[fallback], return_inverse=True)
+        exact = RouteTables.solve(self.arrays, sources)
+        latency[fallback] = exact.distances[table_of, dest[fallback]]
+        exact_layers, exact_depth = _walk_layers(
+            exact.predecessors, table_of, sources[table_of], dest[fallback]
+        )
+        lengths[fallback] = exact_depth + 1
         offsets = np.zeros(count + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
         buffer = np.empty(int(offsets[-1]), dtype=np.intp)
         start = offsets[:-1]
         buffer[start[at_source]] = source[at_source]
-        buffer[start[walk]] = source[walk]
-        buffer[start[walk] + 1] = self.gateway_rows[gateway]
-        # Walked queries come deepest first, so each layer's pending queries
-        # are a prefix.  Layer k writes the node depth - k hops past the
-        # gateway, which hop depth - k enters (hop 0 is source -> gateway).
-        layer_size = np.searchsorted(-depth, -np.arange(int(depth.max(initial=0))))
-        hops = np.empty((layer_size.size + 1, walk.size))
-        hops[0] = hop0
-        position = start[walk] + 1 + depth
-        cursor = flat
-        for step, size in enumerate(layer_size):
-            at = cursor[:size]
-            buffer[position[:size] - step] = at // width
-            hops[depth[:size] - step, np.arange(size)] = np.take(self.hop_weight, at)
-            cursor = np.take(self.parent, at)
-        # In-order hop sums from the source, as Dijkstra accumulates them.
-        total = hop0.copy()
-        for hop, size in enumerate(layer_size, start=1):
-            total[:size] += hops[hop, :size]
-        latency[walk] = total
-        if fallback.size:
-            buffer[
-                np.repeat(start[fallback] - exact_offsets[:-1], lengths[fallback])
-                + np.arange(exact_rows.size)
-            ] = exact_rows
+        buffer[start[walk[certified]]] = source[walk[certified]]
+        buffer[start[walk[certified]] + 1] = roots[certified]
+        _place_layers(buffer, start[walk] + 1 + depth, layers, certified)
+        buffer[start[fallback]] = source[fallback]
+        _place_layers(buffer, start[fallback] + exact_depth, exact_layers)
         return offsets, buffer, latency
 
-    def _certify(
+    def _best_gateways(
         self, asked: np.ndarray, group_of: np.ndarray, dest: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Split the queries ``asked`` by their certificates.
+        """Each query of ``asked``'s best gateway, under certificate (a).
 
-        Returns ``(walk, gateway, hop0, fallback)``: the certified queries,
-        deepest tree path first, with their best gateway (an index into
+        Returns ``(walk, gateway, hop0, rejected)``: the queries whose best
+        gateway wins by the margin, that gateway (an index into
         ``gateway_rows``) and the weight of the link to it, and the
-        reachable queries to solve exactly.  Unreachable queries are in
-        neither.  Without a gateway search every query is a fallback.
+        reachable queries whose best gateway does not win.  Unreachable
+        queries are in neither; without gateways every query is.
         """
         if not self.gateway_rows.size:
-            return asked[:0], asked[:0], np.empty(0), asked
+            return asked[:0], asked[:0], np.empty(0), asked[:0]
         group = group_of[asked]
         candidates = self.gateway_weights[group] + self.distances[
             self.gateways[group], dest[asked, None]
@@ -589,35 +547,84 @@ class GatewayRouteTables:
         picked = (np.arange(asked.size), choice)
         best = candidates[picked]
         candidates[picked] = np.inf
-        # Certificate (a), then (b) read off the tree path's flag.
         unique = candidates.min(axis=1) > best + CERTIFICATE_MARGIN * best
         reached = np.isfinite(best)
-        gateway = self.gateways[group, choice]
-        flat = dest[asked] * self.gateway_rows.size + gateway
-        certified = reached & unique & ~np.take(self.ambiguous, flat)
-        order = np.flatnonzero(certified)
-        order = order[np.argsort(-np.take(self.depth, flat[order]), kind="stable")]
+        walk = reached & unique
         return (
-            asked[order],
-            gateway[order],
-            self.gateway_weights[group[order], choice[order]],
-            asked[reached & ~certified],
+            asked[walk],
+            self.gateways[group, choice][walk],
+            self.gateway_weights[group, choice][walk],
+            asked[reached & ~unique],
         )
 
 
-def _search_trees(
-    arrays: EdgeArrays, distances: np.ndarray, predecessors: np.ndarray, lead: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(parent, depth, hop_weight, ambiguous)`` of a multi-source search.
+def _walk_layers(
+    predecessors: np.ndarray,
+    table_of: np.ndarray,
+    roots: np.ndarray,
+    dest_rows: np.ndarray,
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
+    """One layer walk up many queries' predecessor rows at once.
 
-    All four are node-major ``(N, G)``, as documented on
-    :class:`GatewayRouteTables`.  An in-link ``u -> v`` is tight when
-    ``D[u] + w(u, v)`` is within ``CERTIFICATE_MARGIN * (D[v] + lead)`` of
-    ``D[v]``.  A reached node other than the source always has one tight
-    in-link, its predecessor's; a second one (or any at the source) is a
-    near tie.  The CSR export is symmetric, so row ``v`` lists ``v``'s
-    in-links.  Depths and near-tie flags are summed down each tree by
-    pointer jumping, one round per doubling of the tree depth.
+    Query ``i`` follows row ``table_of[i]`` of ``predecessors`` from node
+    row ``dest_rows[i]`` up to its search root ``roots[i]``, ``depth[i]``
+    hops.  Returns ``(layers, depth)``: ``layers[k]`` is ``(queries, nodes,
+    at)``, the queries still walking at step ``k``, their nodes ``k`` hops
+    back from the destination, and those nodes' flat index into
+    ``predecessors``.  Every walking query steps one hop per iteration, so
+    the Python-level work is O(longest path) across the whole batch.
+    """
+    flat = predecessors.ravel()
+    where = np.arange(dest_rows.size)
+    base = table_of * predecessors.shape[1]
+    node = dest_rows
+    root = roots
+    depth = np.zeros(dest_rows.size, dtype=np.intp)
+    layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    while True:
+        moving = node != root
+        if not moving.all():
+            where, base, node, root = where[moving], base[moving], node[moving], root[moving]
+        if not where.size:
+            break
+        at = base + node
+        layers.append((where, node, at))
+        depth[where] = len(layers)
+        node = np.take(flat, at)
+    return layers, depth
+
+
+def _place_layers(
+    buffer: np.ndarray,
+    ends: np.ndarray,
+    layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    keep: np.ndarray | None = None,
+) -> None:
+    """Write the walked layers of :func:`_walk_layers` into a path buffer.
+
+    Query ``i``'s destination goes to ``buffer[ends[i]]`` and the node
+    ``k`` hops back from it to ``buffer[ends[i] - k]``; only the queries
+    where ``keep`` is set are written, when it is given.
+    """
+    for k, (where, nodes, _) in enumerate(layers):
+        if keep is not None:
+            kept = keep[where]
+            where, nodes = where[kept], nodes[kept]
+        buffer[ends[where] - k] = nodes
+
+
+def _tight_in_links(
+    arrays: EdgeArrays, distances: np.ndarray, predecessors: np.ndarray, lead: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(hop_weight, near_tie)`` of a multi-source search, each ``(G, N)``.
+
+    An in-link ``u -> v`` is tight when ``D[u] + w(u, v)`` is within
+    ``CERTIFICATE_MARGIN * (D[v] + lead)`` of ``D[v]``.  A reached node
+    other than the source always has one tight in-link, its predecessor's;
+    a second one (or any at the source) is a near tie.  Where the
+    predecessor's link is the only tight one, the tight links' weights sum
+    to its weight.  The CSR export is symmetric, so row ``v`` lists ``v``'s
+    in-links.
     """
     indptr, indices, weights = arrays.indptr, arrays.indices, arrays.weights
     count, n = distances.shape
@@ -630,34 +637,12 @@ def _search_trees(
     tight = offer <= np.repeat(reach, degree, axis=0)
     tight_links = np.zeros((n, count), dtype=np.intp)
     tight_links[linked] = np.add.reduceat(tight, indptr[linked], axis=0, dtype=np.intp)
-    # Where the predecessor's link is the only tight one, the sum is its weight.
     hop_weight = np.zeros((n, count))
     hop_weight[linked] = np.add.reduceat(
         np.where(tight, weights[:, None], 0.0), indptr[linked], axis=0
     )
-    has_parent = predecessors.T >= 0
-    # Flat (N + 1, G) layout: row n is a sentinel above every root and
-    # unreached node, with no depth and no flag.
-    search = np.arange(count)
-    parent = np.where(has_parent, predecessors.T.astype(np.intp), n) * count + search
-    above = np.append(parent.ravel(), n * count + search)
-    depth = np.append(has_parent.ravel(), np.zeros(count, dtype=bool)).astype(np.intp)
-    ambiguous = np.append(
-        (tight_links > has_parent).ravel(), np.zeros(count, dtype=bool)
-    )
-    while True:
-        jump = above[above]
-        if np.array_equal(jump, above):
-            break
-        depth += depth[above]
-        ambiguous |= ambiguous[above]
-        above = jump
-    return (
-        parent,
-        depth[: n * count].reshape(n, count),
-        hop_weight,
-        ambiguous[: n * count].reshape(n, count),
-    )
+    near_tie = tight_links > (predecessors.T >= 0)
+    return np.ascontiguousarray(hop_weight.T), np.ascontiguousarray(near_tie.T)
 
 
 def _dijkstra(arrays: EdgeArrays, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -535,9 +535,6 @@ class _RoutingWork(NamedTuple):
     sources: int = 0
     #: Gateways those tables searched (the Dijkstra sources).
     gateways: int = 0
-    #: Sources those tables solved exactly, station-sourced (a certificate
-    #: failed, or the sources shared too few gateways to search from).
-    fallbacks: int = 0
     #: Flows walked on steered tables.
     rerouted: int = 0
 
@@ -546,12 +543,7 @@ class _RoutingWork(NamedTuple):
         cls, tables: GatewayRouteTables, sources: np.ndarray, rerouted: int
     ) -> "_RoutingWork":
         """The work of tables solved for ``sources`` and already walked."""
-        return cls(
-            int(sources.size),
-            int(tables.gateway_rows.size),
-            tables.fallback_sources,
-            rerouted,
-        )
+        return cls(int(sources.size), int(tables.gateway_rows.size), rerouted)
 
 
 def _reroute_plan(
@@ -647,8 +639,8 @@ def _evaluate_scenario(
     are re-read from the unsteered delay column over the compiled
     incidence.  ``obs`` records the stage spans (the shared
     :data:`~repro.obs.NULL_TRACER` when untraced), the routing span's work
-    (:class:`_RoutingWork`) as the ``route_sources``, ``route_gateways``,
-    ``route_fallbacks`` and ``flows_rerouted`` counters, and the solver's
+    (:class:`_RoutingWork`) as the ``route_sources``, ``route_gateways``
+    and ``flows_rerouted`` counters, and the solver's
     own work counters (max-min's ``waterfill_rounds`` /
     ``waterfill_passes``) in the allocation span.
     """
@@ -684,7 +676,6 @@ def _evaluate_scenario(
     if obs.enabled:
         obs.counter("route_sources", work.sources)
         obs.counter("route_gateways", work.gateways)
-        obs.counter("route_fallbacks", work.fallbacks)
         obs.counter("flows_rerouted", work.rerouted)
         obs.counter("flows_routed", routed_count)
         obs.gauge("flow_table_bytes", routed.nbytes)
@@ -1128,16 +1119,12 @@ class NetworkSimulator:
         ``instrument=True`` traces the sweep with :mod:`repro.obs`: every
         result carries a :attr:`SimulationResult.metrics` with per-stage
         durations, call counts, deterministic flow counters and working-set
-        gauges.  Four counters describe a scenario's own routing span:
+        gauges.  Three counters describe a scenario's own routing span:
         ``route_sources`` counts the station sources it routed on tables
         solved in the span, ``route_gateways`` the gateway satellites
         their Dijkstra searched
-        (:class:`~repro.network.backends.GatewayRouteTables`),
-        ``route_fallbacks`` the sources they solved exactly from the
-        station, because a path's uniqueness certificate failed or the
-        sources shared too few gateways to search from (never more than
-        ``route_sources``), and ``flows_rerouted`` the flows it walked on
-        steered tables.  They depend on which scenarios share its snapshot
+        (:class:`~repro.network.backends.GatewayRouteTables`), and
+        ``flows_rerouted`` the flows it walked on steered tables.  They depend on which scenarios share its snapshot
         group (within one worker's chunk when run in worker processes).
         Max-min scenarios also count ``waterfill_rounds`` (progressive-filling rounds) and
         ``waterfill_passes`` (the solver passes that ran them: a pass
