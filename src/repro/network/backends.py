@@ -387,6 +387,29 @@ class RouteTables(NamedTuple):
 CERTIFICATE_MARGIN = 1e-9
 
 
+class _TreeWalk(NamedTuple):
+    """The gateway-tree side of :meth:`GatewayRouteTables.paths`.
+
+    Per query: its source and destination rows (0 where unknown) and
+    whether it asks for its own source.  Per walked query (the ones that
+    pass certificate (a), in query order): the query index, its gateway's
+    node row, whether certificate (b) failed and its in-order latency,
+    plus the :func:`_walk_layers` layers and depth of its tree path.  The
+    queries whose sources are solved exactly close the list.
+    """
+
+    source: np.ndarray
+    dest: np.ndarray
+    at_source: np.ndarray
+    walk: np.ndarray
+    roots: np.ndarray
+    layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    depth: np.ndarray
+    tied: np.ndarray
+    latency: np.ndarray
+    fallback: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class GatewayRouteTables:
     """Station-sourced shortest paths, searched from the stations' gateways.
@@ -474,17 +497,50 @@ class GatewayRouteTables:
         paths; the sources of the other reachable queries are solved
         exactly and walked there.
         """
+        tree = self._tree_walk(group_of, dest_rows)
+        walk, certified, fallback = tree.walk, ~tree.tied, tree.fallback
+        source, dest = tree.source, tree.dest
+        latency = np.where(tree.at_source, 0.0, np.inf)
+        latency[walk[certified]] = tree.latency[certified]
+        lengths = tree.at_source.astype(np.intp)
+        lengths[walk[certified]] = tree.depth[certified] + 2
+        sources, table_of = np.unique(source[fallback], return_inverse=True)
+        exact = RouteTables.solve(self.arrays, sources)
+        latency[fallback] = exact.distances[table_of, dest[fallback]]
+        exact_layers, exact_depth = _walk_layers(
+            exact.predecessors, table_of, sources[table_of], dest[fallback]
+        )
+        lengths[fallback] = exact_depth + 1
+        offsets = np.zeros(dest.size + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        buffer = np.empty(int(offsets[-1]), dtype=np.intp)
+        start = offsets[:-1]
+        buffer[start[tree.at_source]] = source[tree.at_source]
+        buffer[start[walk[certified]]] = source[walk[certified]]
+        buffer[start[walk[certified]] + 1] = tree.roots[certified]
+        _place_layers(buffer, start[walk] + 1 + tree.depth, tree.layers, certified)
+        buffer[start[fallback]] = source[fallback]
+        _place_layers(buffer, start[fallback] + exact_depth, exact_layers)
+        return offsets, buffer, latency
+
+    def exact_sources(self, group_of: np.ndarray, dest_rows: np.ndarray) -> int:
+        """How many sources :meth:`paths` solves exactly for these queries.
+
+        The fallback's share of the work; the tables stay as they are.
+        """
+        tree = self._tree_walk(group_of, dest_rows)
+        return int(np.unique(tree.source[tree.fallback]).size)
+
+    def _tree_walk(self, group_of: np.ndarray, dest_rows: np.ndarray) -> "_TreeWalk":
+        """Check both certificates and walk the gateway trees of the queries."""
         group_of = np.asarray(group_of, dtype=np.intp)
         dest_rows = np.asarray(dest_rows, dtype=np.intp)
-        count = dest_rows.size
         known = (group_of >= 0) & (dest_rows >= 0)
         safe_group = np.where(known, group_of, 0)
         source = self.source_rows[safe_group]
         known &= source >= 0
         dest = np.where(known, dest_rows, 0)
         at_source = known & (dest == source)
-        latency = np.where(at_source, 0.0, np.inf)
-        lengths = at_source.astype(np.intp)
         walk, gateway, hop0, rejected = self._best_gateways(
             np.flatnonzero(known & ~at_source), safe_group, dest
         )
@@ -500,31 +556,13 @@ class GatewayRouteTables:
             hops[k, where] = np.take(self.hop_weight, at)
         # In-order hop sums from the source, as Dijkstra accumulates them:
         # the deepest layer first, so the zeros past a path's end add nothing.
-        total = hop0.copy()
+        latency = hop0.copy()
         for hop in hops[::-1]:
-            total += hop
-        certified = ~tied
-        latency[walk[certified]] = total[certified]
-        lengths[walk[certified]] = depth[certified] + 2
+            latency += hop
         fallback = np.concatenate([rejected, walk[tied]])
-        sources, table_of = np.unique(source[fallback], return_inverse=True)
-        exact = RouteTables.solve(self.arrays, sources)
-        latency[fallback] = exact.distances[table_of, dest[fallback]]
-        exact_layers, exact_depth = _walk_layers(
-            exact.predecessors, table_of, sources[table_of], dest[fallback]
+        return _TreeWalk(
+            source, dest, at_source, walk, roots, layers, depth, tied, latency, fallback
         )
-        lengths[fallback] = exact_depth + 1
-        offsets = np.zeros(count + 1, dtype=np.intp)
-        np.cumsum(lengths, out=offsets[1:])
-        buffer = np.empty(int(offsets[-1]), dtype=np.intp)
-        start = offsets[:-1]
-        buffer[start[at_source]] = source[at_source]
-        buffer[start[walk[certified]]] = source[walk[certified]]
-        buffer[start[walk[certified]] + 1] = roots[certified]
-        _place_layers(buffer, start[walk] + 1 + depth, layers, certified)
-        buffer[start[fallback]] = source[fallback]
-        _place_layers(buffer, start[fallback] + exact_depth, exact_layers)
-        return offsets, buffer, latency
 
     def _best_gateways(
         self, asked: np.ndarray, group_of: np.ndarray, dest: np.ndarray

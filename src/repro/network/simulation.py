@@ -112,7 +112,14 @@ from .alloc_arrays import ARRAY_SOLVERS, compile_system_from_rows
 from ..orbits.time import Epoch, epoch_range
 from .backends import EdgeArrays, GatewayRouteTables, SnapshotEdgeList, load_csgraph
 from .faults import FaultContext, FaultSchedule, FaultSpec, compile_faults, normalise_fault_specs
-from .flows import FlowPlan, plan_flows, reroute_flows, route_flow_table, station_rows
+from .flows import (
+    FlowPlan,
+    FlowTable,
+    plan_flows,
+    reroute_flows,
+    route_flow_table,
+    station_rows,
+)
 from .ground_station import GroundStation
 from .steering import SteeringController, SteeringPolicy, get_steering_policy
 from .telemetry import LinkTelemetry, PairTelemetry, get_telemetry
@@ -535,19 +542,31 @@ class _RoutingWork(NamedTuple):
     sources: int = 0
     #: Gateways those tables searched (the Dijkstra sources).
     gateways: int = 0
+    #: Sources those tables solved exactly, because a certificate failed;
+    #: counted only when asked for, since counting walks the trees again.
+    fallbacks: int = 0
     #: Flows walked on steered tables.
     rerouted: int = 0
 
     @classmethod
     def of(
-        cls, tables: GatewayRouteTables, sources: np.ndarray, rerouted: int
+        cls,
+        tables: GatewayRouteTables,
+        sources: np.ndarray,
+        rerouted: int,
+        queries: tuple[np.ndarray, np.ndarray] | None,
     ) -> "_RoutingWork":
-        """The work of tables solved for ``sources`` and already walked."""
-        return cls(int(sources.size), int(tables.gateway_rows.size), rerouted)
+        """The work of tables solved for ``sources`` and already walked.
+
+        ``queries`` are the ``(group_of, dest_rows)`` the tables walked,
+        given when the exact solves should be counted.
+        """
+        fallbacks = 0 if queries is None else tables.exact_sources(*queries)
+        return cls(int(sources.size), int(tables.gateway_rows.size), fallbacks, rerouted)
 
 
 def _reroute_plan(
-    plan: FlowPlan, snapshot: _GroupSnapshot, steered: SnapshotEdgeList
+    plan: FlowPlan, snapshot: _GroupSnapshot, steered: SnapshotEdgeList, counted: bool
 ) -> tuple[FlowPlan, _RoutingWork]:
     """Move a base-routed plan onto weights that only went up.
 
@@ -567,14 +586,28 @@ def _reroute_plan(
     sources = np.unique(plan.table.src[flows])
     tables = _solve_sources(steered.arrays(), snapshot, sources)
     routed = reroute_flows(plan.routed, tables, snapshot.station_rows, flows)
+    queries = _queries(plan.table, snapshot, flows) if counted else None
     plan = plan._replace(routed=routed, system=None)
-    return plan, _RoutingWork.of(tables, sources, int(flows.size))
+    return plan, _RoutingWork.of(tables, sources, int(flows.size), queries)
+
+
+def _queries(
+    table: FlowTable, snapshot: _GroupSnapshot, flows: np.ndarray | slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(group_of, dest_rows)`` route-table queries of the flows ``flows``."""
+    return table.src[flows], snapshot.station_rows[table.dst[flows]]
 
 
 def _route_scenario(
-    plan: FlowPlan, snapshot: _GroupSnapshot, steered: SnapshotEdgeList | None
+    plan: FlowPlan,
+    snapshot: _GroupSnapshot,
+    steered: SnapshotEdgeList | None,
+    counted: bool = False,
 ) -> tuple[FlowPlan, _RoutingWork]:
     """Route one scenario's plan; ``steered`` is ``None`` for open loop.
+
+    ``counted`` also counts the sources the scenario's own tables solved
+    exactly (:attr:`_RoutingWork.fallbacks`).
 
     A plan the kernel routed on the group's base tables is kept as it is
     by an open-loop scenario, and re-routed only where steering moved it
@@ -588,7 +621,7 @@ def _route_scenario(
         if steered is None:
             return plan, _RoutingWork()
         if not np.any(steered.delay_ms < edge_list.delay_ms):
-            return _reroute_plan(plan, snapshot, steered)
+            return _reroute_plan(plan, snapshot, steered, counted)
     if steered is None and snapshot.route_tables is not None:
         return _route_plan(plan, snapshot.route_tables, snapshot), _RoutingWork()
     sources = np.unique(plan.table.src)
@@ -596,7 +629,8 @@ def _route_scenario(
     tables = _solve_sources(weights.arrays(), snapshot, sources)
     plan = _route_plan(plan, tables, snapshot)
     walked = 0 if steered is None else plan.table.flow_count
-    return plan, _RoutingWork.of(tables, sources, walked)
+    queries = _queries(plan.table, snapshot) if counted else None
+    return plan, _RoutingWork.of(tables, sources, walked, queries)
 
 
 def _compile_plan(plan: FlowPlan, snapshot: _GroupSnapshot) -> FlowPlan:
@@ -639,8 +673,8 @@ def _evaluate_scenario(
     are re-read from the unsteered delay column over the compiled
     incidence.  ``obs`` records the stage spans (the shared
     :data:`~repro.obs.NULL_TRACER` when untraced), the routing span's work
-    (:class:`_RoutingWork`) as the ``route_sources``, ``route_gateways``
-    and ``flows_rerouted`` counters, and the solver's
+    (:class:`_RoutingWork`) as the ``route_sources``, ``route_gateways``,
+    ``route_fallbacks`` and ``flows_rerouted`` counters, and the solver's
     own work counters (max-min's ``waterfill_rounds`` /
     ``waterfill_passes``) in the allocation span.
     """
@@ -670,12 +704,13 @@ def _evaluate_scenario(
         with obs.span("telemetry"):
             telemetry = _pair_telemetry(scenario, table)
     with obs.span("routing"):
-        plan, work = _route_scenario(plan, snapshot, steered)
+        plan, work = _route_scenario(plan, snapshot, steered, obs.enabled)
     routed = plan.routed
     routed_count = int(np.count_nonzero(routed.reachable))
     if obs.enabled:
         obs.counter("route_sources", work.sources)
         obs.counter("route_gateways", work.gateways)
+        obs.counter("route_fallbacks", work.fallbacks)
         obs.counter("flows_rerouted", work.rerouted)
         obs.counter("flows_routed", routed_count)
         obs.gauge("flow_table_bytes", routed.nbytes)
@@ -1119,12 +1154,16 @@ class NetworkSimulator:
         ``instrument=True`` traces the sweep with :mod:`repro.obs`: every
         result carries a :attr:`SimulationResult.metrics` with per-stage
         durations, call counts, deterministic flow counters and working-set
-        gauges.  Three counters describe a scenario's own routing span:
+        gauges.  Four counters describe a scenario's own routing span:
         ``route_sources`` counts the station sources it routed on tables
         solved in the span, ``route_gateways`` the gateway satellites
         their Dijkstra searched
-        (:class:`~repro.network.backends.GatewayRouteTables`), and
-        ``flows_rerouted`` the flows it walked on steered tables.  They depend on which scenarios share its snapshot
+        (:class:`~repro.network.backends.GatewayRouteTables`),
+        ``route_fallbacks`` the sources they solved exactly from the
+        station because a path's uniqueness certificate failed (never more
+        than ``route_sources``; counting it walks those tables a second
+        time, inside the span), and ``flows_rerouted`` the flows it walked
+        on steered tables.  They depend on which scenarios share its snapshot
         group (within one worker's chunk when run in worker processes).
         Max-min scenarios also count ``waterfill_rounds`` (progressive-filling rounds) and
         ``waterfill_passes`` (the solver passes that ran them: a pass

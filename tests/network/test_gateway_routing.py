@@ -52,6 +52,7 @@ def _exact_sources(tables: GatewayRouteTables, group_of, dest_rows) -> int:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RouteTables, "solve", classmethod(recording_solve))
         tables.paths(np.asarray(group_of), np.asarray(dest_rows))
+    assert tables.exact_sources(np.asarray(group_of), np.asarray(dest_rows)) == sum(solved)
     return sum(solved)
 
 
@@ -298,8 +299,9 @@ class TestSweepSnapshots:
 
 
 def test_routing_counters(epoch):
-    """A solo scenario searches fewer gateways than it routes sources."""
+    """A solo scenario searches gateways; fallbacks never exceed its sources."""
     counters = _tiny_simulator(epoch).run_scenarios(
         [Scenario(name="solo")], epoch, duration_hours=3.0, instrument=True
     )["solo"].metrics.counters
     assert 0 < counters["route_gateways"] < counters["route_sources"]
+    assert 0 <= counters["route_fallbacks"] <= counters["route_sources"]
