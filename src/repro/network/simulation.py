@@ -606,15 +606,14 @@ def _route_scenario(
 ) -> tuple[FlowPlan, _RoutingWork]:
     """Route one scenario's plan; ``steered`` is ``None`` for open loop.
 
-    ``counted`` also counts the sources the scenario's own tables solved
-    exactly (:attr:`_RoutingWork.fallbacks`).
-
     A plan the kernel routed on the group's base tables is kept as it is
     by an open-loop scenario, and re-routed only where steering moved it
     when every steered weight is at least its base weight
     (:func:`_reroute_plan`).  Otherwise an open-loop scenario walks the
     base tables, or solves its own sources when there are none, and a
     steered one solves its own sources on its steered weights.
+    ``counted`` also counts the sources the scenario's own tables solved
+    exactly (:attr:`_RoutingWork.fallbacks`).
     """
     edge_list = snapshot.edge_list
     if plan.routed is not None:
