@@ -133,9 +133,19 @@ class TimeAwareRouter:
         number of steps is an exact integer count (``duration_s=1.0,
         step_s=0.1`` gives 10, not 11), the whole window shares one snapshot
         sequence, and each step routes on the sequence's CSR export.
+        ``source`` and ``destination`` must be among :attr:`ground_stations`
+        (matched by name): any other station is attached to no snapshot, so
+        it would look unreachable at every step, like a coverage gap.
         """
         if not (0 < duration_s < math.inf and 0 < self.step_s < math.inf):
             raise ValueError("duration_s and step_s must be positive")
+        attached = {station.name for station in self.ground_stations}
+        for role, station in (("source", source), ("destination", destination)):
+            if station.name not in attached:
+                raise ValueError(
+                    f"{role} station {station.name!r} is not one of the router's "
+                    "ground_stations"
+                )
         epochs = epoch_range(start, duration_s, self.step_s)
         sequence = self.topology.snapshot_sequence(epochs, self.ground_stations)
         results = []

@@ -8,10 +8,9 @@ The simulator runs one pipeline per scenario and time step:
    whole run); each snapshot group (station subset plus fault schedule)
    gets one :class:`~repro.network.backends.SnapshotEdgeList` per step,
    from which the step kernel builds the group's station rows, the edge
-   list's link lookup and -- when the group has an open-loop scenario and
-   at least one other scenario -- one shared *base*
-   :class:`~repro.network.backends.GatewayRouteTables` on the unsteered
-   weights;
+   list's link lookup and one shared *base*
+   :class:`~repro.network.backends.GatewayRouteTables` over all of the
+   group's stations on the unsteered weights, whoever is in the group;
 2. **flow selection** -- the gravity traffic matrix of the step's UTC hour
    (memoised: the diurnal model repeats every 24 h) is filtered to the
    group's ground stations and cut to the largest ``flows_per_step`` flows
@@ -34,15 +33,15 @@ The simulator runs one pipeline per scenario and time step:
    gateway's tree path only when a uniqueness certificate proves a search
    from its station would return the same path; the stations of all other
    flows are solved exactly, so every path and latency equals a
-   station-sourced Dijkstra's bit for bit.  Paths do not depend
-   on demand, so a plan on the group's base route tables is walked once
-   by the kernel and reused by every open-loop scenario of the plan.  A
-   steered scenario reuses it too: steering only raises the weights of
-   engaged links, so it re-solves only the sources, and re-walks only the
-   flows, whose base path crosses a changed link, and splices those paths
-   in (:func:`~repro.network.flows.reroute_flows`).  A steered scenario
-   without a routed base plan, or whose weights went down anywhere, solves
-   its own sources on its steered weights;
+   station-sourced Dijkstra's bit for bit, whichever stations the tables
+   were solved for.  Paths do not depend on demand, so every plan is
+   walked once, by the kernel, on the group's base route tables and
+   reused by every open-loop scenario of the plan.  A steered scenario
+   starts from those paths: it re-solves only the sources, and re-walks
+   only the flows, that its steering can move -- those whose base path
+   crosses a changed link when no weight went down, every reachable one
+   otherwise -- and splices the new paths in
+   (:func:`~repro.network.flows.reroute_flows`);
 4. **capacity allocation** -- the routed paths compile straight into a
    sparse (flow x link) incidence system, their hops matched to links by
    the edge list's lookup
@@ -62,7 +61,7 @@ utilisation vectors.
 variants (demand multipliers, ground-station subsets, flow budgets,
 allocators, fault specs, steering policies, telemetry) over *one* shared
 snapshot sequence: scenarios of one snapshot group share each step's base
-route tables (steered ones re-solve only what steering can move), and
+route tables (steered ones re-solve only what steering moved), and
 scenarios that differ only in demand multiplier
 share each step's flow plan, so a sweep pays the topology, shortest-path,
 selection, path-walk and compile cost once per group (and flow budget)
@@ -92,7 +91,6 @@ import numbers
 import os
 import tempfile
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -110,7 +108,7 @@ from ..obs import (
 )
 from .alloc_arrays import ARRAY_SOLVERS, compile_system_from_rows
 from ..orbits.time import Epoch, epoch_range
-from .backends import EdgeArrays, GatewayRouteTables, SnapshotEdgeList, load_csgraph
+from .backends import GatewayRouteTables, SnapshotEdgeList, load_csgraph
 from .faults import FaultContext, FaultSchedule, FaultSpec, compile_faults, normalise_fault_specs
 from .flows import (
     FlowPlan,
@@ -165,7 +163,8 @@ class Scenario:
         ``float``.
     ground_station_names:
         Restrict traffic endpoints (and snapshot attachment) to this subset of
-        the simulator's stations; ``None`` uses all of them.
+        the simulator's stations, a non-empty sequence of names (a bare
+        ``str`` is rejected); ``None`` uses all of them.
     flows_per_step:
         Per-step flow budget; ``None`` uses the simulator's default.
     allocator:
@@ -222,10 +221,15 @@ class Scenario:
         object.__setattr__(
             self, "flows_per_step", _count("flows_per_step", self.flows_per_step)
         )
-        if self.ground_station_names is not None:
-            object.__setattr__(
-                self, "ground_station_names", tuple(self.ground_station_names)
-            )
+        names = self.ground_station_names
+        if names is not None:
+            # A bare string would iterate into one-letter station names.
+            if isinstance(names, str) or not (names := tuple(names)):
+                raise ValueError(
+                    "ground_station_names must be a non-empty sequence of station "
+                    f"names, got {self.ground_station_names!r}"
+                )
+            object.__setattr__(self, "ground_station_names", names)
         if self.allocator not in ARRAY_SOLVERS:
             raise ValueError(
                 f"allocator must be one of {sorted(ARRAY_SOLVERS)}, "
@@ -448,9 +452,10 @@ class _ScenarioSpec:
     #: the instance, so policies registered at run time reach workers too.
     steering: SteeringPolicy | None = None
     #: Whether this is the sweep's first scenario of its (group, flow
-    #: budget) plan key.  The kernel's ``flow_plans_built`` counter is
-    #: credited to it, so the counter counts each plan once, serial or not
-    #: -- even when process workers each rebuild it for their chunk.
+    #: budget) plan key.  The kernel credits the plan's ``flow_plans_built``
+    #: count and its base walk's routing counters to it, so they count each
+    #: plan once, serial or not -- even when process workers each rebuild
+    #: it for their chunk.
     leads_plan: bool = True
 
     @property
@@ -462,9 +467,9 @@ class _GroupSnapshot(NamedTuple):
     """One snapshot group's shared per-step state, built by the step kernel.
 
     The step's :class:`~repro.network.flows.FlowPlan` of each flow budget
-    sits beside it (see :func:`_build_plans`); when ``route_tables`` exist,
-    those plans are already routed on them and compiled.  Every route
-    table of the step, shared or private, is a
+    sits beside it (see :func:`_build_plans`), already routed on
+    ``route_tables`` and compiled.  Every route table of the step, base or
+    steered, is a
     :class:`~repro.network.backends.GatewayRouteTables`: one search from
     the stations' gateway satellites, with the uncertified sources
     re-solved exactly, so its paths are the station-sourced ones.
@@ -473,13 +478,11 @@ class _GroupSnapshot(NamedTuple):
     edge_list: SnapshotEdgeList
     #: Snapshot row of each of the group's stations, indexed by station id.
     station_rows: np.ndarray
-    #: Base (unsteered) route tables over every station of the group, solved
-    #: only when the group has an open-loop scenario and at least one other
-    #: scenario.  Open-loop scenarios route on them as they are; steered
-    #: ones start from them and re-solve only the sources that steering can
-    #: move.  ``None`` otherwise: every scenario then solves its own sources
-    #: privately (a group of steered scenarios only never solves them).
-    route_tables: GatewayRouteTables | None
+    #: Base (unsteered) route tables over every station of the group,
+    #: solved at every step whoever is in the group.  Every plan is walked
+    #: on them; steered scenarios start from those paths and re-solve only
+    #: the sources of the flows that steering can move.
+    route_tables: GatewayRouteTables
 
 
 #: One scenario's step output: statistics plus station-pair and per-link
@@ -517,119 +520,93 @@ def _link_telemetry(
     return telemetry
 
 
-def _route_plan(
-    plan: FlowPlan, tables: GatewayRouteTables, snapshot: _GroupSnapshot
-) -> FlowPlan:
-    """Walk the plan's paths on ``tables``, dropping an incidence of other paths."""
+def _route_plan(plan: FlowPlan, snapshot: _GroupSnapshot) -> FlowPlan:
+    """Walk the plan's paths on the group's base route tables."""
     return plan._replace(
-        routed=route_flow_table(tables, snapshot.station_rows, plan.table), system=None
+        routed=route_flow_table(snapshot.route_tables, snapshot.station_rows, plan.table)
     )
 
 
-def _solve_sources(
-    arrays: EdgeArrays, snapshot: _GroupSnapshot, sources: np.ndarray
-) -> GatewayRouteTables:
-    """Route tables solved only for the station ids ``sources``."""
-    source_rows = np.full(snapshot.station_rows.size, -1, dtype=np.intp)
-    source_rows[sources] = snapshot.station_rows[sources]
-    return GatewayRouteTables.solve(arrays, source_rows)
+#: The counters of :func:`_count_walk`, registered on every traced scenario.
+_ROUTING_COUNTERS = ("route_sources", "route_gateways", "route_fallbacks", "flows_rerouted")
 
 
-class _RoutingWork(NamedTuple):
-    """What one scenario's routing span solved and walked."""
+def _count_walk(
+    obs: Tracer,
+    tables: GatewayRouteTables,
+    table: FlowTable,
+    snapshot: _GroupSnapshot,
+    flows: np.ndarray | slice = slice(None),
+    rerouted: int = 0,
+) -> None:
+    """Credit one walk of the flows ``flows`` of ``table`` on ``tables`` to ``obs``.
 
-    #: Station sources routed on tables solved in the span.
-    sources: int = 0
-    #: Gateways those tables searched (the Dijkstra sources).
-    gateways: int = 0
-    #: Sources those tables solved exactly, because a certificate failed;
-    #: counted only when asked for, since counting walks the trees again.
-    fallbacks: int = 0
-    #: Flows walked on steered tables.
-    rerouted: int = 0
-
-    @classmethod
-    def of(
-        cls,
-        tables: GatewayRouteTables,
-        sources: np.ndarray,
-        rerouted: int,
-        queries: tuple[np.ndarray, np.ndarray] | None,
-    ) -> "_RoutingWork":
-        """The work of tables solved for ``sources`` and already walked.
-
-        ``queries`` are the ``(group_of, dest_rows)`` the tables walked,
-        given when the exact solves should be counted.
-        """
-        fallbacks = 0 if queries is None else tables.exact_sources(*queries)
-        return cls(int(sources.size), int(tables.gateway_rows.size), fallbacks, rerouted)
+    Counts the walk's distinct source stations (``route_sources``), the
+    gateways the tables searched (``route_gateways``), the sources the walk
+    solved exactly because a certificate failed (``route_fallbacks``, a
+    second certificate pass over the same queries) and the flows it walked
+    on steered tables (``flows_rerouted``).  Untraced runs count nothing.
+    """
+    if not obs.enabled:
+        return
+    group_of, dest_rows = table.src[flows], snapshot.station_rows[table.dst[flows]]
+    obs.counter("route_sources", np.unique(group_of).size)
+    obs.counter("route_gateways", tables.gateway_rows.size)
+    obs.counter("route_fallbacks", tables.exact_sources(group_of, dest_rows))
+    obs.counter("flows_rerouted", rerouted)
 
 
 def _reroute_plan(
-    plan: FlowPlan, snapshot: _GroupSnapshot, steered: SnapshotEdgeList, counted: bool
-) -> tuple[FlowPlan, _RoutingWork]:
-    """Move a base-routed plan onto weights that only went up.
+    plan: FlowPlan, snapshot: _GroupSnapshot, steered: SnapshotEdgeList, obs: Tracer
+) -> FlowPlan:
+    """Move a base-routed, compiled plan onto steered weights.
 
-    Raising the weights of links off a shortest path cannot make another
-    path shorter, so a base path that crosses no changed link stays the
-    steered shortest path.  Only the flows whose base path does cross one
-    are walked again, on tables solved for just their sources.
+    Steering multiplies weights by finite positive factors, so every flow
+    stays reachable or unreachable as on the base weights.  When no weight
+    went down, a base path that crosses no changed link stays the steered
+    shortest path (raising the weights of links off a shortest path cannot
+    make another path shorter), so only the flows whose base path crosses
+    one are walked again.  When any weight went down, every reachable flow
+    is.  Either way the walk runs on tables solved for just those flows'
+    sources, and the new paths are spliced in
+    (:func:`~repro.network.flows.reroute_flows`).
     """
-    system = plan.system
-    if system is None:
-        return plan, _RoutingWork()
-    changed = steered.delay_ms != snapshot.edge_list.delay_ms
-    touched = system.flows_touching(changed[system.link_rows])
-    flows = np.flatnonzero(plan.routed.reachable)[touched]
+    base = snapshot.edge_list.delay_ms
+    flows = np.flatnonzero(plan.routed.reachable)
+    system = plan.system  # None only when no flow is reachable
+    if system is not None and not np.any(steered.delay_ms < base):
+        flows = flows[system.flows_touching((steered.delay_ms != base)[system.link_rows])]
     if not flows.size:
-        return plan, _RoutingWork()
-    sources = np.unique(plan.table.src[flows])
-    tables = _solve_sources(steered.arrays(), snapshot, sources)
+        return plan
+    source_rows = np.full(snapshot.station_rows.size, -1, dtype=np.intp)
+    sources = plan.table.src[flows]
+    source_rows[sources] = snapshot.station_rows[sources]
+    tables = GatewayRouteTables.solve(steered.arrays(), source_rows)
     routed = reroute_flows(plan.routed, tables, snapshot.station_rows, flows)
-    queries = _queries(plan.table, snapshot, flows) if counted else None
-    plan = plan._replace(routed=routed, system=None)
-    return plan, _RoutingWork.of(tables, sources, int(flows.size), queries)
-
-
-def _queries(
-    table: FlowTable, snapshot: _GroupSnapshot, flows: np.ndarray | slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(group_of, dest_rows)`` route-table queries of the flows ``flows``."""
-    return table.src[flows], snapshot.station_rows[table.dst[flows]]
+    _count_walk(obs, tables, plan.table, snapshot, flows, int(flows.size))
+    return plan._replace(routed=routed, system=None)
 
 
 def _route_scenario(
     plan: FlowPlan,
     snapshot: _GroupSnapshot,
     steered: SnapshotEdgeList | None,
-    counted: bool = False,
-) -> tuple[FlowPlan, _RoutingWork]:
+    obs: Tracer,
+) -> FlowPlan:
     """Route one scenario's plan; ``steered`` is ``None`` for open loop.
 
-    A plan the kernel routed on the group's base tables is kept as it is
-    by an open-loop scenario, and re-routed only where steering moved it
-    when every steered weight is at least its base weight
-    (:func:`_reroute_plan`).  Otherwise an open-loop scenario walks the
-    base tables, or solves its own sources when there are none, and a
-    steered one solves its own sources on its steered weights.
-    ``counted`` also counts the sources the scenario's own tables solved
-    exactly (:attr:`_RoutingWork.fallbacks`).
+    The kernel's plans arrive walked on the group's base tables and
+    compiled; a tie-rule plan of the scenario's own is walked there and
+    compiled here, and its walk is credited to ``obs``.  An open-loop
+    scenario keeps the plan as it is; a steered one moves it onto its
+    steered weights (:func:`_reroute_plan`).
     """
-    edge_list = snapshot.edge_list
-    if plan.routed is not None:
-        if steered is None:
-            return plan, _RoutingWork()
-        if not np.any(steered.delay_ms < edge_list.delay_ms):
-            return _reroute_plan(plan, snapshot, steered, counted)
-    if steered is None and snapshot.route_tables is not None:
-        return _route_plan(plan, snapshot.route_tables, snapshot), _RoutingWork()
-    sources = np.unique(plan.table.src)
-    weights = edge_list if steered is None else steered
-    tables = _solve_sources(weights.arrays(), snapshot, sources)
-    plan = _route_plan(plan, tables, snapshot)
-    walked = 0 if steered is None else plan.table.flow_count
-    queries = _queries(plan.table, snapshot) if counted else None
-    return plan, _RoutingWork.of(tables, sources, walked, queries)
+    if plan.routed is None:
+        plan = _compile_plan(_route_plan(plan, snapshot), snapshot)
+        _count_walk(obs, snapshot.route_tables, plan.table, snapshot)
+    if steered is None:
+        return plan
+    return _reroute_plan(plan, snapshot, steered, obs)
 
 
 def _compile_plan(plan: FlowPlan, snapshot: _GroupSnapshot) -> FlowPlan:
@@ -658,21 +635,19 @@ def _evaluate_scenario(
     budget, selected on unscaled demand.  The scenario scales it by its
     demand multiplier; if scaling would merge two of its demands
     (:meth:`~repro.network.flows.FlowPlan.scaled`), it selects its own plan
-    on the scaled demand instead, with the same builder.  Routing
-    (:func:`_route_scenario`) reuses the paths and incidence the kernel
-    built on the group's base route tables: as they are for an open-loop
-    scenario, and re-solved and re-walked only where a changed link can
-    move them for a scenario whose adaptive ``controller`` only raised
-    weights.  Without a routed plan, or when steering lowered any weight,
-    the scenario solves, inside its routing span, the stations its flows
-    start at -- on the controller-steered snapshot when steered (the base
-    tables and paths never see per-scenario feedback state) -- and walks
-    and compiles the plan itself.  Allocation and every reported statistic
+    on the scaled demand instead, with the same builder, and walks and
+    compiles it on the group's base route tables in its routing span.
+    Routing (:func:`_route_scenario`) otherwise reuses the paths and
+    incidence the kernel built on those tables: as they are for an
+    open-loop scenario, and re-solved and re-walked, on the
+    controller-steered snapshot, only for the flows its steering moved
+    (:func:`_reroute_plan`; the base tables and paths never see
+    per-scenario feedback state).  Allocation and every reported statistic
     run against the unsteered capacities and delays: steered latencies
     are re-read from the unsteered delay column over the compiled
     incidence.  ``obs`` records the stage spans (the shared
-    :data:`~repro.obs.NULL_TRACER` when untraced), the routing span's work
-    (:class:`_RoutingWork`) as the ``route_sources``, ``route_gateways``,
+    :data:`~repro.obs.NULL_TRACER` when untraced), the routing span's walks
+    (:func:`_count_walk`) in the ``route_sources``, ``route_gateways``,
     ``route_fallbacks`` and ``flows_rerouted`` counters, and the solver's
     own work counters (max-min's ``waterfill_rounds`` /
     ``waterfill_passes``) in the allocation span.
@@ -698,19 +673,17 @@ def _evaluate_scenario(
         obs.counter("flow_plans_built", float(fallback))
         obs.counter("flows_selected", table.flow_count)
         obs.gauge("flow_table_bytes", table.nbytes)
+        for name in _ROUTING_COUNTERS:
+            obs.counter(name, 0.0)
     telemetry = None
     if scenario.telemetry is not None:
         with obs.span("telemetry"):
             telemetry = _pair_telemetry(scenario, table)
     with obs.span("routing"):
-        plan, work = _route_scenario(plan, snapshot, steered, obs.enabled)
+        plan = _route_scenario(plan, snapshot, steered, obs)
     routed = plan.routed
     routed_count = int(np.count_nonzero(routed.reachable))
     if obs.enabled:
-        obs.counter("route_sources", work.sources)
-        obs.counter("route_gateways", work.gateways)
-        obs.counter("route_fallbacks", work.fallbacks)
-        obs.counter("flows_rerouted", work.rerouted)
         obs.counter("flows_routed", routed_count)
         obs.gauge("flow_table_bytes", routed.nbytes)
     delivered = 0.0
@@ -801,14 +774,15 @@ def _build_plans(
 ) -> dict[tuple[int, int], FlowPlan]:
     """One :class:`~repro.network.flows.FlowPlan` per (group, flow budget).
 
-    Each plan is selected on unscaled demand.  When the group has base
-    route tables, it is also routed on them and compiled, so open-loop
-    scenarios walk and compile nothing and steered ones start from its
-    paths.  With
-    ``tracers``, each user gets an equal share of the plan's selection,
-    routing and compile time in the matching stage, without a call count
-    (its own spans count the calls), and the key's leading scenario counts
-    the plan in ``flow_plans_built``.
+    Each plan is selected on unscaled demand, routed on the group's base
+    route tables and compiled, so open-loop scenarios walk and compile
+    nothing and steered ones start from its paths.  With ``tracers``, each
+    user gets an equal share of the plan's selection, routing and compile
+    time in the matching stage, without a call count (its own spans count
+    the calls), and the key's leading scenario counts the plan in
+    ``flow_plans_built`` and its walk in the routing counters
+    (:func:`_count_walk`), so each counts once per plan, serial or not --
+    even when process workers each rebuild the plan for their chunk.
     """
     users: dict[tuple[int, int], list[_ScenarioSpec]] = {}
     for spec in specs:
@@ -819,11 +793,13 @@ def _build_plans(
         marks = [time.perf_counter()]
         plan = plan_flows(matrix, members[0].station_names, budget)
         marks.append(time.perf_counter())
-        if snapshot.route_tables is not None:
-            plan = _route_plan(plan, snapshot.route_tables, snapshot)
-            marks.append(time.perf_counter())
-            plan = _compile_plan(plan, snapshot)
-            marks.append(time.perf_counter())
+        plan = _route_plan(plan, snapshot)
+        if members[0].leads_plan:
+            leader = tracers.get(members[0].name, NULL_TRACER)
+            _count_walk(leader, snapshot.route_tables, plan.table, snapshot)
+        marks.append(time.perf_counter())
+        plan = _compile_plan(plan, snapshot)
+        marks.append(time.perf_counter())
         plans[group, budget] = plan
         if tracers:
             spent = np.diff(marks) / len(members)
@@ -850,19 +826,15 @@ def _evaluate_step(
 
     ``edge_lists`` maps each snapshot group to its (already fault-masked)
     edge list of this step.  The kernel builds each group's shared state
-    once -- station rows and the edge list's link lookup for every
-    scenario, plus base
+    once -- station rows, the edge list's link lookup and base
     :class:`~repro.network.backends.GatewayRouteTables` over all of the
-    group's stations when the group has an open-loop scenario and at least
-    one other scenario -- and then one :class:`~repro.network.flows.FlowPlan`
-    per (group, flow budget), selected on unscaled demand and, on base
-    tables, routed and compiled (:func:`_build_plans`).  Then it evaluates
-    the scenarios in ``specs`` order; the plans are dropped when the step
-    returns.  Steered scenarios re-solve, inside their routing span, only
-    the sources whose base paths their steering can move.  A group's sole
-    scenario, and a group of steered scenarios only, solve their own
-    sources instead (in a process worker, "group" means the part of it in
-    the worker's chunk).
+    group's stations, whoever is in the group or the worker's chunk -- and
+    then one :class:`~repro.network.flows.FlowPlan` per (group, flow
+    budget), selected on unscaled demand, routed on the base tables and
+    compiled (:func:`_build_plans`).  Then it evaluates the scenarios in
+    ``specs`` order; the plans are dropped when the step returns.  Steered
+    scenarios re-solve, inside their routing span, only the sources whose
+    base paths their steering moved.
 
     With ``tracers`` (one per scenario, or none at all) the snapshot stage
     -- the caller's edge-list export (``export_seconds``) plus the shared
@@ -874,8 +846,6 @@ def _evaluate_step(
     shares.
     """
     begin = time.perf_counter() if tracers else 0.0
-    members = Counter(spec.group for spec in specs)
-    open_loop = Counter(spec.group for spec in specs if spec.steering is None)
     snapshots: dict[int, _GroupSnapshot] = {}
     for group, names in {spec.group: spec.station_names for spec in specs}.items():
         edge_list = edge_lists[group]
@@ -884,11 +854,7 @@ def _evaluate_step(
         snapshots[group] = _GroupSnapshot(
             edge_list=edge_list,
             station_rows=rows,
-            route_tables=(
-                GatewayRouteTables.solve(edge_list.arrays(), rows)
-                if open_loop[group] and members[group] >= 2
-                else None
-            ),
+            route_tables=GatewayRouteTables.solve(edge_list.arrays(), rows),
         )
     if tracers:
         share = (export_seconds + time.perf_counter() - begin) / len(specs)
@@ -1017,6 +983,19 @@ def _check_sweep_arguments(
     _count("max_workers", max_workers)
 
 
+def _progress_tracker(progress, cells: int) -> "ProgressTracker | None":
+    """The tracker a sweep's ``progress`` argument asks for.
+
+    ``None`` observes nothing, a :class:`~repro.obs.ProgressTracker` is used
+    as it is (its owner sized it, e.g. over a whole grid), and any other
+    callable receives the events of a new tracker over ``cells``
+    scenario-step evaluations.
+    """
+    if progress is None or isinstance(progress, ProgressTracker):
+        return progress
+    return ProgressTracker(total=cells, callback=progress)
+
+
 def _check_pipeline_keywords(backend: str, flow_engine: str) -> None:
     """Validate the compatibility keywords that no longer select anything."""
     if backend != "csgraph":
@@ -1102,17 +1081,14 @@ class NetworkSimulator:
         propagation and one vectorised link-feasibility pass cover the whole
         sweep, and scenarios whose ground-station subsets *and* fault specs
         coincide form one snapshot group sharing each step's edge list.
-        Shortest paths depend only on the snapshot, so when a group has an
-        open-loop scenario and at least one other, one batched search from
-        the satellites the group's stations link to (their gateways) per
-        step serves them all, whatever their
-        demand multipliers, flow budgets or allocators.  Adaptively steered
-        scenarios start from it too: steering only raises weights, so each
-        re-solves only the sources, and re-walks only the flows, whose base
-        path crosses a link it made more expensive.  A group's sole
-        scenario, a group of steered scenarios only, and a steered scenario
-        whose policy lowered a weight instead solve only the stations their
-        flows start at.  Selection, the path
+        Shortest paths depend only on the snapshot, so one batched search
+        per group and step, from the satellites the group's stations link
+        to (their gateways), serves every scenario of the group, whatever
+        their demand multipliers, flow budgets or allocators.  Adaptively
+        steered scenarios start from it too: each re-solves only the
+        sources, and re-walks only the flows, that its steering moved --
+        those whose base path crosses a link it made more expensive, or
+        every reachable flow once it lowered a weight.  Selection, the path
         walk and the incidence compile do not depend on the demand
         multiplier either: per step, scenarios of one group and flow budget
         share one flow plan selected on unscaled demand (and, on shared
@@ -1153,18 +1129,18 @@ class NetworkSimulator:
         ``instrument=True`` traces the sweep with :mod:`repro.obs`: every
         result carries a :attr:`SimulationResult.metrics` with per-stage
         durations, call counts, deterministic flow counters and working-set
-        gauges.  Four counters describe a scenario's own routing span:
-        ``route_sources`` counts the station sources it routed on tables
-        solved in the span, ``route_gateways`` the gateway satellites
-        their Dijkstra searched
+        gauges.  Four counters describe the route walks credited to a
+        scenario -- each flow plan's walk on its group's base tables to the
+        plan's leading scenario, a scenario's own tie-rule plan and steered
+        re-walks to itself: ``route_sources`` counts the distinct station
+        sources walked, ``route_gateways`` the gateway satellites the
+        walked tables searched
         (:class:`~repro.network.backends.GatewayRouteTables`),
-        ``route_fallbacks`` the sources they solved exactly from the
-        station because a path's uniqueness certificate failed (never more
-        than ``route_sources``; counting it walks those tables a second
-        time, inside the span), and ``flows_rerouted`` the flows it walked
-        on steered tables.  They depend on which scenarios share its snapshot
-        group (within one worker's chunk when run in worker processes).
-        Max-min scenarios also count ``waterfill_rounds`` (progressive-filling rounds) and
+        ``route_fallbacks`` the sources solved exactly from the station
+        because a path's uniqueness certificate failed (never more than
+        ``route_sources``; counting it walks the tables a second time), and
+        ``flows_rerouted`` the flows walked on steered tables.  They are the
+        same in serial and worker-process sweeps.  Max-min scenarios also count ``waterfill_rounds`` (progressive-filling rounds) and
         ``waterfill_passes`` (the solver passes that ran them: a pass
         replays a whole run of demand-only rounds).  Spans only ever read
         the monotonic clock around stages -- they never touch pipeline
@@ -1274,14 +1250,7 @@ class NetworkSimulator:
         # Observation plumbing: tracers exist only when asked for (progress
         # needs per-stage means, so it implies tracing too); otherwise every
         # stage sees the shared NULL_TRACER and pays nothing.
-        if progress is None:
-            tracker = None
-        elif isinstance(progress, ProgressTracker):
-            tracker = progress
-        else:
-            tracker = ProgressTracker(
-                total=len(scenarios) * len(epochs), callback=progress
-            )
+        tracker = _progress_tracker(progress, len(scenarios) * len(epochs))
         trace = bool(instrument) or tracker is not None
 
         if max_workers is not None and min(max_workers, len(specs)) > 1:
@@ -1427,17 +1396,8 @@ def run_grid(
     if not designs:
         raise ValueError("at least one design is required")
     _check_sweep_arguments(duration_hours, step_hours, max_workers)
-    tracker = None
-    if progress is not None:
-        if isinstance(progress, ProgressTracker):
-            tracker = progress
-        else:
-            steps = len(
-                epoch_range(start, duration_hours * 3600.0, step_hours * 3600.0)
-            )
-            tracker = ProgressTracker(
-                total=len(designs) * len(scenarios) * steps, callback=progress
-            )
+    steps = len(epoch_range(start, duration_hours * 3600.0, step_hours * 3600.0))
+    tracker = _progress_tracker(progress, len(designs) * len(scenarios) * steps)
     cells: dict[tuple[str, str], SimulationResult] = {}
     for design_name, topology in designs.items():
         simulator = NetworkSimulator(

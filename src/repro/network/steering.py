@@ -50,8 +50,8 @@ lets a steered scenario reuse its snapshot group's open-loop routes.  A
 base shortest path that crosses no changed link is still a shortest path
 on the steered weights, so the simulator re-solves only the sources, and
 re-walks only the flows, whose base path crosses a changed link.  A policy
-that lowers any weight (a multiplier in ``(0, 1)``) takes a full private
-solve on its steered weights instead.
+that lowers any weight (a multiplier in ``(0, 1)``) re-walks every
+reachable flow on its steered weights instead.
 
 Shipped policies:
 

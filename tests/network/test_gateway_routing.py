@@ -298,10 +298,24 @@ class TestSweepSnapshots:
             _assert_same_paths(arrays, rows, rows)
 
 
-def test_routing_counters(epoch):
-    """A solo scenario searches gateways; fallbacks never exceed its sources."""
-    counters = _tiny_simulator(epoch).run_scenarios(
+def test_routing_counters(epoch, monkeypatch):
+    """A sole scenario is credited its plan's walk on every step's base
+    tables: the plan's sources, the gateways those tables searched, and at
+    most that many sources solved exactly."""
+    solved: list[GatewayRouteTables] = []
+    solve = GatewayRouteTables.solve.__func__
+
+    def recording_solve(cls, arrays, source_rows):
+        solved.append(solve(cls, arrays, source_rows))
+        return solved[-1]
+
+    monkeypatch.setattr(GatewayRouteTables, "solve", classmethod(recording_solve))
+    result = _tiny_simulator(epoch).run_scenarios(
         [Scenario(name="solo")], epoch, duration_hours=3.0, instrument=True
-    )["solo"].metrics.counters
+    )["solo"]
+    counters = result.metrics.counters
+    assert len(solved) == len(result.steps)
+    assert counters["route_gateways"] == sum(tables.gateway_rows.size for tables in solved)
     assert 0 < counters["route_gateways"] < counters["route_sources"]
     assert 0 <= counters["route_fallbacks"] <= counters["route_sources"]
+    assert counters["flows_rerouted"] == 0

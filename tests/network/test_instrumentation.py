@@ -66,6 +66,14 @@ def simulator(topology) -> NetworkSimulator:
     )
 
 
+#: The counters of the route walks credited to a scenario.
+ROUTING_COUNTERS = ("route_sources", "route_gateways", "route_fallbacks", "flows_rerouted")
+
+
+def _routing_counters(result) -> dict[str, float]:
+    return {name: result.metrics.counters[name] for name in ROUTING_COUNTERS}
+
+
 def _sweep(simulator, epoch, **kwargs):
     return simulator.run_scenarios(SCENARIOS, epoch, DURATION_HOURS, 1.0, **kwargs)
 
@@ -153,24 +161,27 @@ class TestMetricsContent:
     def test_routing_work_counters(self, simulator, epoch):
         traced = _sweep(simulator, epoch, instrument=True)
         steps = len(traced["plain"].steps)
-        # The open-loop scenarios route on the group's base tables, solved
-        # in the snapshot stage: their routing spans solve and walk nothing.
-        for name in ("plain", "max_min", "telemetry"):
-            counters = traced[name].metrics.counters
-            assert counters["route_sources"] == 0.0
-            assert counters["flows_rerouted"] == 0.0
+        # The kernel walks the shared plan on the group's base tables and
+        # credits that walk to the plan's leading scenario.
+        plain = _routing_counters(traced["plain"])
+        assert 0.0 < plain["route_sources"] <= steps * len(CITIES)
+        assert plain["route_gateways"] > 0.0
+        assert 0.0 <= plain["route_fallbacks"] <= plain["route_sources"]
+        assert plain["flows_rerouted"] == 0.0
+        # The other open-loop scenarios reuse the walked plan as it is.
+        for name in ("max_min", "telemetry"):
+            assert set(_routing_counters(traced[name]).values()) == {0.0}
         # The steered scenario re-solves at most its sources and re-walks at
         # most its flows.
         steered = traced["steered"].metrics.counters
-        assert 0.0 <= steered["route_sources"] <= steps * len(simulator.ground_stations)
+        assert 0.0 <= steered["route_sources"] <= steps * len(CITIES)
         assert 0.0 <= steered["flows_rerouted"] <= steered["flows_selected"]
-        # Alone, an open-loop scenario solves its own sources and walks its
-        # flows on unsteered tables.
+        # Alone, an open-loop scenario leads its plan and reports the same
+        # base walks.
         solo = simulator.run_scenarios(
             [SCENARIOS[0]], epoch, DURATION_HOURS, instrument=True
-        )["plain"].metrics.counters
-        assert solo["route_sources"] > 0.0
-        assert solo["flows_rerouted"] == 0.0
+        )["plain"]
+        assert _routing_counters(solo) == plain
 
     def test_histogram_counts_match_call_counts(self, simulator, epoch):
         traced = _sweep(simulator, epoch, instrument=True)
@@ -195,6 +206,26 @@ class TestExecutorInvariance:
             assert reference.gauges == other.gauges, name
             # And the statistics themselves stay executor-invariant.
             assert serial[name].steps == processes[name].steps
+
+
+    def test_routing_counters_equal_across_executors(self, simulator, epoch):
+        # Two workers take every other scenario, so one chunk holds only the
+        # steered scenarios, and "subset" is its snapshot group's sole member.
+        scenarios = [
+            Scenario(name="open"),
+            Scenario(name="steered", steering="congestion-aware"),
+            Scenario(name="open-2x", demand_multiplier=2.0),
+            Scenario(name="steered-2x", steering="utilisation-weighted", demand_multiplier=2.0),
+            Scenario(name="subset", ground_station_names=("London", "Tokyo", "New York")),
+        ]
+        serial = simulator.run_scenarios(scenarios, epoch, DURATION_HOURS, instrument=True)
+        processes = simulator.run_scenarios(
+            scenarios, epoch, DURATION_HOURS, instrument=True, max_workers=2
+        )
+        for name in serial:
+            assert _routing_counters(processes[name]) == _routing_counters(serial[name])
+            assert processes[name].steps == serial[name].steps
+        assert _routing_counters(serial["subset"])["route_sources"] > 0.0
 
 
 class TestSweepProgress:

@@ -83,6 +83,11 @@ class TestScenarioValidation:
             Scenario(name="x", faults="nope")
         with pytest.raises(ValueError):
             Scenario(name="x", faults=("random_satellite", {"rate": 2.0}))
+        # A bare string used to become one-letter station names, and an
+        # empty subset ran a sweep that offered nothing and delivered "all".
+        for names in ("London", "", (), []):
+            with pytest.raises(ValueError, match="ground_station_names"):
+                Scenario(name="x", ground_station_names=names)
 
     def test_simulator_rejects_non_positive_flow_budget(self, topology, stations):
         # A budget of -3 used to keep all but 3 flows (``order[:-3]``) and a
@@ -305,50 +310,70 @@ class TestRouteTableSharing:
             solved = np.flatnonzero(source_rows >= 0)
             assert np.array_equal(solved, np.unique(table.src[flows]))
 
-    def test_group_of_steered_scenarios_solves_no_base_tables(
-        self, simulator, epoch, monkeypatch
+    @pytest.mark.parametrize(
+        "scenarios, groups",
+        [
+            ([Scenario(name="solo", flows_per_step=2)], 1),
+            (
+                [
+                    Scenario(name="a", steering=_STICKY_STEERING),
+                    Scenario(name="b", steering="congestion-aware"),
+                ],
+                1,
+            ),
+            ([Scenario(name="open"), Scenario(name="steered", steering=_STICKY_STEERING)], 1),
+            (
+                [
+                    Scenario(name="open", flows_per_step=2),
+                    Scenario(
+                        name="subset",
+                        ground_station_names=("London", "Tokyo"),
+                        steering=_STICKY_STEERING,
+                    ),
+                ],
+                2,
+            ),
+        ],
+        ids=["sole-open-loop", "steered-only", "mixed", "two-groups"],
+    )
+    def test_one_base_solve_per_group_per_step(
+        self, simulator, epoch, monkeypatch, scenarios, groups
     ):
         recorder = _RoutingRecorder(monkeypatch)
-        snapshots = []
-        real_snapshot = simulation_module._GroupSnapshot
+        steps, minute = 3, 1.0 / 60.0
+        simulator.run_scenarios(scenarios, epoch, steps * minute, step_hours=minute)
+        steered_tables = [tables for tables, _, _ in recorder.reroutes]
+        base = [
+            (tables, source_rows)
+            for tables, source_rows in recorder.solves
+            if not any(tables is other for other in steered_tables)
+        ]
+        # Whoever is in the group, each step solves one base table over all
+        # of the group's stations and walks every plan on it; every other
+        # solve is a steered re-solve.
+        assert len(base) == groups * steps
+        assert len(recorder.solves) == len(base) + len(recorder.reroutes)
+        assert {rows.size for _, rows in base} == {
+            len(simulator._station_subset(scenario)) for scenario in scenarios
+        }
+        for _, source_rows in base:
+            assert np.all(source_rows >= 0)
+        assert len(recorder.routes) == groups * steps
+        for routed, _ in recorder.routes:
+            assert any(routed is tables for tables, _ in base)
 
-        def recording_snapshot(**fields):
-            snapshot = real_snapshot(**fields)
-            snapshots.append(snapshot)
-            return snapshot
-
-        monkeypatch.setattr(simulation_module, "_GroupSnapshot", recording_snapshot)
-        steps = 3
-        simulator.run_scenarios(
-            [
-                Scenario(name="a", steering=_STICKY_STEERING),
-                Scenario(name="b", steering="congestion-aware"),
-            ],
-            epoch,
-            duration_hours=float(steps),
-        )
-        assert len(snapshots) == steps
-        assert all(snapshot.route_tables is None for snapshot in snapshots)
-        # Each scenario solves its own sources and walks its whole plan.
-        assert len(recorder.solves) == len(recorder.routes) == 2 * steps
-        assert recorder.reroutes == []
-
-    def test_sole_consumer_solves_only_its_sources(self, simulator, epoch, monkeypatch):
-        recorder = _RoutingRecorder(monkeypatch)
-        steps = 4
-        simulator.run_scenarios(
-            [Scenario(name="solo", flows_per_step=2)], epoch, duration_hours=float(steps)
-        )
-        assert len(recorder.solves) == len(recorder.routes) == steps
-        solved_fewer = False
-        for (tables, source_rows), (routed, table) in zip(
-            recorder.solves, recorder.routes
-        ):
-            assert routed is tables
-            solved = np.flatnonzero(source_rows >= 0)
-            assert np.array_equal(solved, np.unique(table.src))
-            solved_fewer |= solved.size < len(CITIES)
-        assert solved_fewer
+    def test_steered_only_group_matches_runs_beside_open_loop(self, simulator, epoch):
+        steered = [
+            Scenario(name="a", steering=_STICKY_STEERING),
+            Scenario(name="b", steering="congestion-aware", demand_multiplier=2.0),
+        ]
+        steps, minute = 3, 1.0 / 60.0
+        alone = simulator.run_scenarios(steered, epoch, steps * minute, step_hours=minute)
+        for scenario in steered:
+            beside = simulator.run_scenarios(
+                [Scenario(name="open"), scenario], epoch, steps * minute, step_hours=minute
+            )[scenario.name]
+            assert beside.steps == alone[scenario.name].steps
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ Three layers:
   policies are deterministic and the same in worker processes;
 * an integration test showing a (sticky) congestion-aware policy
   measurably reduces stranded demand under a correlated fault sweep;
-* equivalence tests of the open-loop route reuse: a steered scenario
-  sharing its group with an open-loop one (re-solving only what steering
-  moves) matches the same policy run alone (a full private solve).
+* equivalence tests of the route reuse: a steered scenario re-solves only
+  what its steering moved on its group's base paths, and matches the same
+  policy run beside an open-loop scenario.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network.backends import RouteTables, SnapshotEdgeList
 from repro.network import simulation as simulation_module
+from repro.network.flows import route_flow_table
 from repro.network.ground_station import GroundStation
 from repro.network.routing import SnapshotRouter
 from repro.network.simulation import NetworkSimulator, Scenario
@@ -725,8 +726,8 @@ def _routing_work(result) -> tuple[float, float]:
 
 
 class TestOpenLoopRouteReuse:
-    """A steered scenario beside an open-loop one reuses the group's base
-    routes; alone, it takes the full private solve.  Both must agree."""
+    """A steered scenario starts from its group's base routes, alone or
+    beside an open-loop one, and re-walks only what its steering moved."""
 
     HOURS = 4.0
 
@@ -753,36 +754,51 @@ class TestOpenLoopRouteReuse:
             "steered"
         ]
         assert paired.steps == solo.steps
-        selected = solo.metrics.counters["flows_selected"]
         solo_sources, solo_walked = _routing_work(solo)
         sources, walked = _routing_work(paired)
-        # Alone, every step solves every source and walks every flow.
-        assert solo_walked == selected
-        # Beside the open-loop scenario, only what steering moved: some
-        # flows crossed an engaged link, most did not.
-        assert 0 < walked < solo_walked
-        assert 0 < sources < solo_sources
+        # Alone or not, only what steering moved is re-walked: some flows
+        # crossed an engaged link, most did not.
+        assert walked == solo_walked
+        assert 0 < walked < solo.metrics.counters["flows_selected"]
+        # Alone, the scenario also leads its plan, so the plan's base walk
+        # is credited to it on top of the same re-solves.
+        assert solo_sources > sources > 0
 
-    def test_lowering_policy_takes_full_solve(self, simulator, epoch, monkeypatch):
+    def test_lowering_policy_rewalks_every_reachable_flow(
+        self, simulator, epoch, monkeypatch
+    ):
         halving = Scenario(name="half", faults=FAULTS, steering=_ConstantSteering(value=0.5))
         splices = []
         real_reroute = simulation_module.reroute_flows
 
-        def recording_reroute(*args):
-            splices.append(args)
-            return real_reroute(*args)
+        def recording_reroute(routed, tables, station_rows, flows):
+            spliced = real_reroute(routed, tables, station_rows, flows)
+            # The oracle: every flow walked on tables solved from every
+            # station of the steered snapshot.
+            full = route_flow_table(
+                RouteTables.solve(tables.arrays, station_rows), station_rows, routed.table
+            )
+            splices.append((routed, flows, spliced, full))
+            return spliced
 
         monkeypatch.setattr(simulation_module, "reroute_flows", recording_reroute)
         paired = simulator.run_scenarios(
             [Scenario(name="open", faults=FAULTS), halving], epoch, self.HOURS, instrument=True
         )["half"]
+        rerouted = sum(flows.size for _, flows, _, _ in splices)
         solo = simulator.run_scenarios([halving], epoch, self.HOURS)["half"]
         assert paired.steps == solo.steps
         assert any(step.steering_reroutes for step in paired.steps)
-        # Lowered weights never splice into base paths: the steered steps
-        # solved their own sources instead.
-        assert splices == []
-        assert paired.metrics.counters["route_sources"] > 0
+        assert rerouted and paired.metrics.counters["flows_rerouted"] == rerouted
+        # Lowered weights re-walk every reachable flow, and the splice equals
+        # a whole walk on station-sourced tables bit for bit: steering never
+        # changes which flows are reachable.
+        for routed, flows, spliced, full in splices:
+            assert np.array_equal(flows, np.flatnonzero(routed.reachable))
+            assert np.array_equal(spliced.reachable, full.reachable)
+            assert np.array_equal(spliced.latency_ms, full.latency_ms)
+            assert np.array_equal(spliced.path_offsets, full.path_offsets)
+            assert np.array_equal(spliced.path_rows, full.path_rows)
 
     def test_latency_reread_matches_oracle(self, simulator, epoch, monkeypatch):
         """Steered latencies summed over the compiled incidence equal the

@@ -141,3 +141,17 @@ class TestRouting:
             )
             with pytest.raises(ValueError, match="duration_s and step_s"):
                 router.route_over_time(stations[0], stations[1], epoch, duration_s)
+
+    def test_time_aware_router_rejects_unattached_stations(
+        self, walker_topology, stations, epoch
+    ):
+        # An unattached endpoint used to be unreachable at every step
+        # (availability 0.0), indistinguishable from a real coverage gap.
+        router = TimeAwareRouter(topology=walker_topology, ground_stations=stations[:2])
+        with pytest.raises(ValueError, match="destination station 'Tokyo'"):
+            router.route_over_time(stations[0], stations[2], epoch, 600.0)
+        with pytest.raises(ValueError, match="source station 'Tokyo'"):
+            router.route_over_time(stations[2], stations[0], epoch, 600.0)
+        empty = TimeAwareRouter(topology=walker_topology)
+        with pytest.raises(ValueError, match="source station 'London'.*ground_stations"):
+            empty.route_over_time(stations[0], stations[1], epoch, 600.0)
