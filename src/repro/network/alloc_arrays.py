@@ -36,13 +36,14 @@ freezes) and a step of a few thousand flows takes tens of passes rather
 than hundreds of rounds, with rates bit-identical to round-by-round
 filling.
 
-There is one compile, :func:`compile_system_from_rows`: ragged row-index
-paths (the columnar engine's ``(offsets, rows)`` layout) go through
-:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`, which matches
-every hop to an edge-list row and numbers the distinct links in link-code
-order.  The simulator calls the solver cores through :data:`ARRAY_SOLVERS`,
-the table of allocator names a :class:`~repro.network.simulation.Scenario`
-accepts.
+There is one compile, :func:`compile_system_from_rows`: ragged paths in
+the columnar engine's layout, with the edge-list row of every hop that the
+route walk recorded, become the incidence directly.  The distinct links
+are numbered in link-code order through the edge list's sorted link
+table, with one mark and one running count over its links; no hop is
+sorted or searched.  The simulator calls the solver cores through
+:data:`ARRAY_SOLVERS`, the table of allocator names a
+:class:`~repro.network.simulation.Scenario` accepts.
 """
 
 from __future__ import annotations
@@ -172,25 +173,53 @@ def compile_system_from_rows(
     edge_list: SnapshotEdgeList,
     demand: np.ndarray,
     offsets: np.ndarray,
-    rows: np.ndarray,
+    links: np.ndarray,
 ) -> FlowLinkSystem:
-    """Compile ragged row-index paths into the incidence form of their allocation.
+    """Compile ragged edge-row paths into the incidence form of their allocation.
 
-    Flow ``i`` follows ``rows[offsets[i]:offsets[i + 1]]`` (empty segments
-    -- unreachable or zero-hop flows -- contribute no traversals) and
-    demands ``demand[i]``.  A hop the snapshot has no link for raises
-    :class:`ValueError` naming the flow's index.
+    Flow ``i`` demands ``demand[i]`` and its path's nodes are the segment
+    ``offsets[i]:offsets[i + 1]``; ``links`` holds, beside each node, the
+    edge-list row of the hop into it (``-1`` at each segment's first node),
+    as :attr:`~repro.network.flows.RoutedFlowTable.path_links` does.
+    Empty and one-node segments -- unreachable or zero-hop flows --
+    contribute no traversals.  The distinct links are numbered in ascending
+    link-code order, read from the edge list's
+    :attr:`~repro.network.backends.SnapshotEdgeList.link_lookup` with one
+    mark and one running count over its links, so no hop is sorted or
+    searched.  A hop without a link (a negative or out-of-range edge row)
+    raises :class:`ValueError` naming the flow's index.
     """
     demand = np.asarray(demand, dtype=float)
     offsets = np.asarray(offsets, dtype=np.intp)
+    links = np.asarray(links, dtype=np.intp)
     if offsets.size != demand.size + 1:
         raise ValueError("offsets must have one entry more than demand")
-    flow_ids, link_ids, link_rows = edge_list.hop_links(offsets, rows)
+    lengths = np.diff(offsets)
+    # Every node but each segment's first is entered by a hop, so the hops
+    # stay flow by flow, hop by hop.
+    entered = np.ones(links.size, dtype=bool)
+    entered[offsets[:-1][lengths > 0]] = False
+    hop_rows = links[entered]
+    flow_ids = np.repeat(
+        np.arange(lengths.size, dtype=np.intp), np.maximum(lengths - 1, 0)
+    )
+    edge_count = edge_list.a.size
+    if hop_rows.size and not (0 <= hop_rows.min() and hop_rows.max() < edge_count):
+        missing = (hop_rows < 0) | (hop_rows >= edge_count)
+        flow = int(flow_ids[np.flatnonzero(missing)[0]])
+        raise ValueError(f"flow {flow} uses a link not present in the snapshot")
+    order = edge_list.link_lookup[1]
+    used = np.zeros(edge_count, dtype=bool)
+    used[hop_rows] = True
+    in_order = used[order]
+    column = np.empty(edge_count, dtype=np.intp)
+    column[order] = np.cumsum(in_order) - 1
+    link_rows = order[in_order]
     return FlowLinkSystem(
         demand=demand,
         capacity=edge_list.capacity_gbps[link_rows].astype(float),
         flow_ids=flow_ids,
-        link_ids=link_ids,
+        link_ids=column[hop_rows],
         link_rows=link_rows,
     )
 

@@ -2,26 +2,28 @@
 
 Every route in the library comes from one engine: a multi-source
 :func:`scipy.sparse.csgraph.dijkstra` over a snapshot's compressed-sparse-row
-(CSR) export, :class:`EdgeArrays` (``indptr``, ``indices``, ``weights`` plus a
-:class:`NodeIndex` mapping node labels to row numbers).  Snapshot sequences
-produce the arrays straight from their link tensors
-(:meth:`repro.network.topology.SnapshotSequence.edge_arrays`), and
+(CSR) export, :class:`EdgeArrays` (``indptr``, ``indices``, ``weights``, a
+:class:`NodeIndex` mapping node labels to row numbers, and the edge row of
+every entry).  Snapshot sequences produce the arrays straight from their
+link tensors (:meth:`repro.network.topology.SnapshotSequence.edge_arrays`),
+a steered snapshot re-weights its base arrays through the entries' edge
+rows (:meth:`EdgeArrays.reweighted`), and
 :class:`~repro.network.routing.SnapshotRouter` validates the weights of
 arrays handed to it from outside.
 
 :class:`SnapshotEdgeList` is also the one owner of the link encoding
 (:attr:`SnapshotEdgeList.link_codes`, ``min(a, b) * n + max(a, b)`` over node
-rows) and of matching path hops to its rows
-(:meth:`SnapshotEdgeList.hop_links`): the incidence compile of
-:mod:`repro.network.alloc_arrays`, congestion steering, true-latency re-reads
-and link telemetry all look links up through it.
+rows, sorted in :attr:`SnapshotEdgeList.link_lookup`): the incidence compile
+of :mod:`repro.network.alloc_arrays`, congestion steering, true-latency
+re-reads and link telemetry all index links through it.
 
 The station-sourced search result is kept in its native matrix form,
 :class:`RouteTables`: ``(S, N)`` distance and predecessor matrices plus the
 ``S`` source rows; :meth:`RouteTables.paths` walks many queries' paths in
-one batched layer walk, and the :class:`~repro.network.routing.SnapshotRouter`
-analysis API reads ``{destination: RouteResult}`` mappings as lazy row views
-of it.
+one batched layer walk into :class:`Paths`, ragged node rows with the edge
+row of every hop beside them, and the
+:class:`~repro.network.routing.SnapshotRouter` analysis API reads
+``{destination: RouteResult}`` mappings as lazy row views of it.
 
 The simulator routes on :class:`GatewayRouteTables` instead, with the same
 ``paths`` contract.  Stations that share the satellites they link to (their
@@ -33,7 +35,10 @@ gateway's search, which proves a station-sourced search returns the same
 path.  The source of every other query is solved exactly by
 :meth:`RouteTables.solve`.  So every path and latency is bit-identical to
 the station-sourced tables.  Both tables walk their predecessor rows with
-the same batched layer walk.
+the same batched layer walk.  The gateway search records the CSR entry of
+every node's in-link as it checks for near ties, so a certified path's
+hops read their edge rows by gather; exactly solved paths find theirs in
+their nodes' CSR rows.  No hop is ever sorted or searched.
 
 Because :class:`EdgeArrays` and :class:`SnapshotEdgeList` are plain numpy
 containers they pickle cheaply, which is what lets
@@ -51,6 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "Paths",
     "RouteResult",
     "RouteTables",
     "NodeIndex",
@@ -116,12 +122,16 @@ class EdgeArrays(NamedTuple):
     ``node_index.label_of(i)``; the matrix is explicitly symmetric (both
     directions of every undirected link are stored), so consumers should
     treat it as a directed graph and skip any symmetrisation pass.
+    ``edge_rows`` maps every entry back to its link's row of the
+    :class:`SnapshotEdgeList` the arrays came from, so a route search can
+    report the links its paths use without searching for them.
     """
 
     indptr: np.ndarray  # (n_nodes + 1,)
     indices: np.ndarray  # (nnz,)
     weights: np.ndarray  # (nnz,) delay_ms
     node_index: NodeIndex
+    edge_rows: np.ndarray  # (nnz,)
 
     @property
     def node_count(self) -> int:
@@ -134,19 +144,27 @@ class EdgeArrays(NamedTuple):
         n = self.node_count
         return csr_matrix((self.weights, self.indices, self.indptr), shape=(n, n))
 
+    def reweighted(self, delay_ms: np.ndarray) -> "EdgeArrays":
+        """The same CSR, each entry weighted by its edge row of ``delay_ms``.
+
+        A steered snapshot changes only its edge list's ``delay_ms``, so its
+        routing view is this gather, bit-identical to exporting it afresh.
+        """
+        return self._replace(weights=delay_ms[self.edge_rows])
+
 
 def _csr_from_undirected(
     a: np.ndarray, b: np.ndarray, weights: np.ndarray, node_count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build symmetric CSR arrays from undirected edge endpoint arrays."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric CSR arrays of undirected edges, plus each entry's edge row."""
     u = np.concatenate([a, b])
     v = np.concatenate([b, a])
-    w = np.concatenate([weights, weights])
     order = np.argsort(u, kind="stable")
+    edge_rows = np.concatenate([np.arange(a.size), np.arange(a.size)])[order]
     counts = np.bincount(u, minlength=node_count)
     indptr = np.zeros(node_count + 1, dtype=np.intp)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, v[order], w[order]
+    return indptr, v[order], weights[edge_rows], edge_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,9 +177,9 @@ class SnapshotEdgeList:
     compare by identity: array fields have no single truth value.
 
     The edge list is also the one owner of the link encoding
-    (:attr:`link_codes`) and of matching path hops to its rows
-    (:meth:`hop_links`, :meth:`link_rows`): allocation, steering, latency
-    re-reads and link telemetry all index links through it.
+    (:attr:`link_codes`, sorted in :attr:`link_lookup`) and of matching
+    node pairs to its rows (:meth:`link_rows`): allocation, steering,
+    latency re-reads and link telemetry all index links through it.
     """
 
     labels: tuple
@@ -204,9 +222,11 @@ class SnapshotEdgeList:
 
     @cached_property
     def link_lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted link codes, edge row of each)``, the table lookups search.
+        """``(sorted link codes, edge row of each)``, in link-code order.
 
-        Built once per snapshot; the simulator's step kernel builds it
+        The table :meth:`link_rows` searches, the order the incidence
+        compile numbers links in, and the sorted codes steering merges its
+        state into.  Built once per snapshot; the simulator's step kernel builds it
         before any scenario runs, as shared group work timed once in the
         ``snapshot`` span.
         """
@@ -238,52 +258,12 @@ class SnapshotEdgeList:
         """
         return self._rows_of_codes(self._codes(np.asarray(u), np.asarray(v)))
 
-    def hop_links(
-        self, offsets: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Match every hop of ragged row paths to an edge-list row.
-
-        Path ``i`` follows ``rows[offsets[i]:offsets[i + 1]]``; a segment
-        shorter than two rows has no hops.  Returns ``(flow_ids, link_ids,
-        link_rows)``, one ``flow_ids``/``link_ids`` entry per hop, flow by
-        flow and hop by hop: hop ``h`` of path ``flow_ids[h]`` uses edge row
-        ``link_rows[link_ids[h]]``.  ``link_rows`` holds each distinct link
-        once, in ascending link-code order, so ``link_ids`` are the columns
-        of the paths' (flow x link) incidence matrix.
-
-        Raises :class:`ValueError` on a hop the snapshot has no link for
-        (or whose endpoint row is outside the label table), naming the path
-        by its index.
-        """
-        offsets = np.asarray(offsets, dtype=np.intp)
-        rows = np.asarray(rows, dtype=np.intp)
-        lengths = np.diff(offsets)
-        # Hop endpoints: every row except each segment's last (u) / first
-        # (v), selected by masks so hops stay flow by flow, hop by hop.
-        keep_u = np.ones(rows.size, dtype=bool)
-        keep_v = np.ones(rows.size, dtype=bool)
-        nonempty = lengths > 0
-        keep_u[offsets[1:][nonempty] - 1] = False
-        keep_v[offsets[:-1][nonempty]] = False
-        flow_ids = np.repeat(
-            np.arange(lengths.size, dtype=np.intp), np.maximum(lengths - 1, 0)
-        )
-        codes, link_ids = np.unique(
-            self._codes(rows[keep_u], rows[keep_v]), return_inverse=True
-        )
-        link_rows = self._rows_of_codes(codes)
-        missing = link_rows < 0
-        if missing.any():
-            path = int(flow_ids[np.flatnonzero(missing[link_ids])[0]])
-            raise ValueError(f"flow {path} uses a link not present in the snapshot")
-        return flow_ids, link_ids, link_rows
-
     def arrays(self) -> EdgeArrays:
         """Return the CSR routing view (``delay_ms`` weighted)."""
-        indptr, indices, weights = _csr_from_undirected(
+        indptr, indices, weights, edge_rows = _csr_from_undirected(
             self.a, self.b, self.delay_ms, len(self.labels)
         )
-        return EdgeArrays(indptr, indices, weights, self.node_index)
+        return EdgeArrays(indptr, indices, weights, self.node_index, edge_rows)
 
 
 def load_csgraph():
@@ -301,6 +281,25 @@ def load_csgraph():
     return scipy.sparse
 
 
+class Paths(NamedTuple):
+    """Many queries' walked paths as ragged arrays, in query order.
+
+    Path ``i`` occupies ``rows[offsets[i]:offsets[i + 1]]`` (source first,
+    destination last); an unreachable query has an empty segment and
+    ``inf`` latency.  ``links`` runs beside ``rows``: ``links[j]`` is the
+    edge row (:attr:`EdgeArrays.edge_rows`) of the hop into ``rows[j]``,
+    ``-1`` at every path's source.
+    """
+
+    offsets: np.ndarray  # (Q + 1,)
+    rows: np.ndarray  # (offsets[-1],) node rows
+    links: np.ndarray  # (offsets[-1],) edge rows
+    latency_ms: np.ndarray  # (Q,)
+    #: Sources the walk solved exactly because a certificate failed
+    #: (:class:`GatewayRouteTables`); :class:`RouteTables` solve up front.
+    exact_sources: int = 0
+
+
 class RouteTables(NamedTuple):
     """Multi-source shortest-path tables of one snapshot, as matrices.
 
@@ -314,10 +313,15 @@ class RouteTables(NamedTuple):
     analysis APIs read single rows through :class:`_PredecessorRoutes`.
     """
 
-    node_index: NodeIndex
+    arrays: EdgeArrays
     source_rows: np.ndarray  # (S,)
     distances: np.ndarray  # (S, N)
     predecessors: np.ndarray  # (S, N)
+
+    @property
+    def node_index(self) -> NodeIndex:
+        """Label table of the searched snapshot."""
+        return self.arrays.node_index
 
     @classmethod
     def solve(cls, arrays: EdgeArrays, source_rows) -> "RouteTables":
@@ -339,23 +343,18 @@ class RouteTables(NamedTuple):
                 distances[known], predecessors[known] = _dijkstra(
                     arrays, source_rows[known]
                 )
-        return cls(arrays.node_index, source_rows, distances, predecessors)
+        return cls(arrays, source_rows, distances, predecessors)
 
-    def paths(
-        self, group_of: np.ndarray, dest_rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def paths(self, group_of: np.ndarray, dest_rows: np.ndarray) -> Paths:
         """One layer walk over many queries' predecessor rows at once.
 
         Query ``i`` walks table row ``group_of[i]`` toward node row
         ``dest_rows[i]``.  Negative ``group_of`` or ``dest_rows`` entries,
         like unreachable destinations, yield an empty segment with ``inf``
-        latency.
-
-        Returns ``(offsets, rows_buffer, latency_ms)`` in query order: path
-        ``i`` occupies ``rows_buffer[offsets[i]:offsets[i + 1]]`` (source
-        first, destination last -- the rows of
-        :meth:`_PredecessorRoutes._reconstruct`), walked by
-        :func:`_walk_layers`.
+        latency.  The rows of path ``i`` are those of
+        :meth:`_PredecessorRoutes._reconstruct`, walked by
+        :func:`_walk_layers`; each hop's link is found in its node's CSR row
+        (:func:`_layer_links`).
         """
         group_of = np.asarray(group_of, dtype=np.intp)
         dest_rows = np.asarray(dest_rows, dtype=np.intp)
@@ -374,10 +373,17 @@ class RouteTables(NamedTuple):
         lengths[walk] = depth + 1
         offsets = np.zeros(dest_rows.size + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
-        buffer = np.empty(int(offsets[-1]), dtype=np.intp)
-        buffer[offsets[walk]] = roots
-        _place_layers(buffer, offsets[walk] + depth, layers)
-        return offsets, buffer, latency
+        rows = np.empty(int(offsets[-1]), dtype=np.intp)
+        links = np.full(int(offsets[-1]), -1, dtype=np.intp)
+        rows[offsets[walk]] = roots
+        _place_layers(
+            rows,
+            links,
+            offsets[walk] + depth,
+            layers,
+            _layer_links(self.arrays, self.predecessors, layers),
+        )
+        return Paths(offsets, rows, links, latency)
 
 
 #: Relative margin by which a gateway route must beat every alternative
@@ -393,9 +399,10 @@ class _TreeWalk(NamedTuple):
     Per query: its source and destination rows (0 where unknown) and
     whether it asks for its own source.  Per walked query (the ones that
     pass certificate (a), in query order): the query index, its gateway's
-    node row, whether certificate (b) failed and its in-order latency,
-    plus the :func:`_walk_layers` layers and depth of its tree path.  The
-    queries whose sources are solved exactly close the list.
+    node row and the edge row of the link to it, whether certificate (b)
+    failed and its in-order latency, plus the :func:`_walk_layers` layers
+    and depth of its tree path and, per layer, the edge row of each node's
+    in-link.  The queries whose sources are solved exactly close the list.
     """
 
     source: np.ndarray
@@ -403,7 +410,9 @@ class _TreeWalk(NamedTuple):
     at_source: np.ndarray
     walk: np.ndarray
     roots: np.ndarray
+    gateway_links: np.ndarray
     layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    layer_links: list[np.ndarray]
     depth: np.ndarray
     tied: np.ndarray
     latency: np.ndarray
@@ -446,10 +455,13 @@ class GatewayRouteTables:
     gateways: np.ndarray  # (S, K)
     #: Weight of each source-to-gateway link (``inf`` where padded).
     gateway_weights: np.ndarray  # (S, K)
+    #: Edge row of each source-to-gateway link (``-1`` where padded).
+    gateway_links: np.ndarray  # (S, K)
     distances: np.ndarray  # (G, N)
     predecessors: np.ndarray  # (G, N)
-    #: Weight of the link into each node from its predecessor.
-    hop_weight: np.ndarray  # (G, N)
+    #: CSR entry of the link into each node from its predecessor, on every
+    #: reached node that is not near-tied (0 elsewhere).
+    in_entry: np.ndarray  # (G, N)
     #: Whether the node has a near-tied in-link in the search.
     near_tie: np.ndarray  # (G, N) bool
 
@@ -470,6 +482,8 @@ class GatewayRouteTables:
         gateways[padded] = gateway_of
         gateway_weights = np.full(padded.shape, np.inf)
         gateway_weights[padded] = weights[position]
+        gateway_links = np.full(padded.shape, -1, dtype=np.intp)
+        gateway_links[padded] = arrays.edge_rows[position]
         distances, predecessors = _dijkstra(arrays, gateway_rows)
         # A source adds at most its heaviest gateway link in front of a
         # gateway's distances; near ties are judged on that whole sum.
@@ -480,22 +494,23 @@ class GatewayRouteTables:
             gateway_rows,
             gateways,
             gateway_weights,
+            gateway_links,
             distances,
             predecessors,
             *_tight_in_links(arrays, distances, predecessors, lead),
         )
 
-    def paths(
-        self, group_of: np.ndarray, dest_rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def paths(self, group_of: np.ndarray, dest_rows: np.ndarray) -> Paths:
         """Same contract and result as :meth:`RouteTables.paths`.
 
         Query ``i`` routes from ``source_rows[group_of[i]]`` to node row
         ``dest_rows[i]``.  The queries that pass certificate (a) are walked
         on their best gateway's tree in one batched layer walk, and
-        certificate (b) and the hop weights are read along the walked
-        paths; the sources of the other reachable queries are solved
-        exactly and walked there.
+        certificate (b), the hop weights and the hops' edge rows are read
+        along the walked paths from ``near_tie`` and ``in_entry``; the
+        sources of the other reachable queries are solved exactly and walked
+        there (no solve runs when there are none), and their count is
+        :attr:`Paths.exact_sources`.
         """
         tree = self._tree_walk(group_of, dest_rows)
         walk, certified, fallback = tree.walk, ~tree.tied, tree.fallback
@@ -505,31 +520,40 @@ class GatewayRouteTables:
         lengths = tree.at_source.astype(np.intp)
         lengths[walk[certified]] = tree.depth[certified] + 2
         sources, table_of = np.unique(source[fallback], return_inverse=True)
-        exact = RouteTables.solve(self.arrays, sources)
-        latency[fallback] = exact.distances[table_of, dest[fallback]]
-        exact_layers, exact_depth = _walk_layers(
-            exact.predecessors, table_of, sources[table_of], dest[fallback]
-        )
+        exact_layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        exact_links: list[np.ndarray] = []
+        exact_depth = np.zeros(0, dtype=np.intp)
+        if sources.size:
+            exact = RouteTables.solve(self.arrays, sources)
+            latency[fallback] = exact.distances[table_of, dest[fallback]]
+            exact_layers, exact_depth = _walk_layers(
+                exact.predecessors, table_of, sources[table_of], dest[fallback]
+            )
+            exact_links = _layer_links(self.arrays, exact.predecessors, exact_layers)
         lengths[fallback] = exact_depth + 1
         offsets = np.zeros(dest.size + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
-        buffer = np.empty(int(offsets[-1]), dtype=np.intp)
+        rows = np.empty(int(offsets[-1]), dtype=np.intp)
+        links = np.full(int(offsets[-1]), -1, dtype=np.intp)
         start = offsets[:-1]
-        buffer[start[tree.at_source]] = source[tree.at_source]
-        buffer[start[walk[certified]]] = source[walk[certified]]
-        buffer[start[walk[certified]] + 1] = tree.roots[certified]
-        _place_layers(buffer, start[walk] + 1 + tree.depth, tree.layers, certified)
-        buffer[start[fallback]] = source[fallback]
-        _place_layers(buffer, start[fallback] + exact_depth, exact_layers)
-        return offsets, buffer, latency
-
-    def exact_sources(self, group_of: np.ndarray, dest_rows: np.ndarray) -> int:
-        """How many sources :meth:`paths` solves exactly for these queries.
-
-        The fallback's share of the work; the tables stay as they are.
-        """
-        tree = self._tree_walk(group_of, dest_rows)
-        return int(np.unique(tree.source[tree.fallback]).size)
+        rows[start[tree.at_source]] = source[tree.at_source]
+        walked = start[walk[certified]]
+        rows[walked] = source[walk[certified]]
+        rows[walked + 1] = tree.roots[certified]
+        links[walked + 1] = tree.gateway_links[certified]
+        _place_layers(
+            rows,
+            links,
+            start[walk] + 1 + tree.depth,
+            tree.layers,
+            tree.layer_links,
+            certified,
+        )
+        rows[start[fallback]] = source[fallback]
+        _place_layers(
+            rows, links, start[fallback] + exact_depth, exact_layers, exact_links
+        )
+        return Paths(offsets, rows, links, latency, int(sources.size))
 
     def _tree_walk(self, group_of: np.ndarray, dest_rows: np.ndarray) -> "_TreeWalk":
         """Check both certificates and walk the gateway trees of the queries."""
@@ -541,19 +565,25 @@ class GatewayRouteTables:
         known &= source >= 0
         dest = np.where(known, dest_rows, 0)
         at_source = known & (dest == source)
-        walk, gateway, hop0, rejected = self._best_gateways(
+        walk, gateway, hop0, gateway_links, rejected = self._best_gateways(
             np.flatnonzero(known & ~at_source), safe_group, dest
         )
         roots = self.gateway_rows[gateway]
         layers, depth = _walk_layers(self.predecessors, gateway, roots, dest[walk])
-        # Certificate (b) and the hop weights along every tree path: layer
-        # k holds the node k hops back from the destination, which hop
-        # depth - k enters (hop 0 is source -> gateway).
+        # Certificate (b), the hop weights and the edge rows along every
+        # tree path: layer k holds the node k hops back from the
+        # destination, which hop depth - k enters (hop 0 is source ->
+        # gateway).  A certified path's nodes are not near-tied, so each
+        # one's in_entry is its predecessor's link.
+        weights, edge_rows = self.arrays.weights, self.arrays.edge_rows
         tied = np.take(self.near_tie, gateway * self.arrays.node_count + roots)
         hops = np.zeros((len(layers), walk.size))
+        layer_links = []
         for k, (where, _, at) in enumerate(layers):
             tied[where] |= np.take(self.near_tie, at)
-            hops[k, where] = np.take(self.hop_weight, at)
+            entry = np.take(self.in_entry, at)
+            hops[k, where] = weights[entry]
+            layer_links.append(edge_rows[entry])
         # In-order hop sums from the source, as Dijkstra accumulates them:
         # the deepest layer first, so the zeros past a path's end add nothing.
         latency = hop0.copy()
@@ -561,22 +591,33 @@ class GatewayRouteTables:
             latency += hop
         fallback = np.concatenate([rejected, walk[tied]])
         return _TreeWalk(
-            source, dest, at_source, walk, roots, layers, depth, tied, latency, fallback
+            source,
+            dest,
+            at_source,
+            walk,
+            roots,
+            gateway_links,
+            layers,
+            layer_links,
+            depth,
+            tied,
+            latency,
+            fallback,
         )
 
     def _best_gateways(
         self, asked: np.ndarray, group_of: np.ndarray, dest: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Each query of ``asked``'s best gateway, under certificate (a).
 
-        Returns ``(walk, gateway, hop0, rejected)``: the queries whose best
-        gateway wins by the margin, that gateway (an index into
-        ``gateway_rows``) and the weight of the link to it, and the
-        reachable queries whose best gateway does not win.  Unreachable
-        queries are in neither; without gateways every query is.
+        Returns ``(walk, gateway, hop0, link, rejected)``: the queries whose
+        best gateway wins by the margin, that gateway (an index into
+        ``gateway_rows``) and the weight and edge row of the link to it,
+        and the reachable queries whose best gateway does not win.
+        Unreachable queries are in neither; without gateways every query is.
         """
         if not self.gateway_rows.size:
-            return asked[:0], asked[:0], np.empty(0), asked[:0]
+            return asked[:0], asked[:0], np.empty(0), asked[:0], asked[:0]
         group = group_of[asked]
         candidates = self.gateway_weights[group] + self.distances[
             self.gateways[group], dest[asked, None]
@@ -592,6 +633,7 @@ class GatewayRouteTables:
             asked[walk],
             self.gateways[group, choice][walk],
             self.gateway_weights[group, choice][walk],
+            self.gateway_links[group, choice][walk],
             asked[reached & ~unique],
         )
 
@@ -633,36 +675,70 @@ def _walk_layers(
 
 
 def _place_layers(
-    buffer: np.ndarray,
+    rows: np.ndarray,
+    links: np.ndarray,
     ends: np.ndarray,
     layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    layer_links: list[np.ndarray],
     keep: np.ndarray | None = None,
 ) -> None:
-    """Write the walked layers of :func:`_walk_layers` into a path buffer.
+    """Write the walked layers of :func:`_walk_layers` into path buffers.
 
-    Query ``i``'s destination goes to ``buffer[ends[i]]`` and the node
-    ``k`` hops back from it to ``buffer[ends[i] - k]``; only the queries
-    where ``keep`` is set are written, when it is given.
+    Query ``i``'s destination goes to ``rows[ends[i]]`` and the node ``k``
+    hops back from it to ``rows[ends[i] - k]``, with the edge row of its
+    in-link (``layer_links[k]``) at the same place of ``links``; only the
+    queries where ``keep`` is set are written, when it is given.
     """
-    for k, (where, nodes, _) in enumerate(layers):
+    for k, ((where, nodes, _), link) in enumerate(zip(layers, layer_links)):
         if keep is not None:
             kept = keep[where]
-            where, nodes = where[kept], nodes[kept]
-        buffer[ends[where] - k] = nodes
+            where, nodes, link = where[kept], nodes[kept], link[kept]
+        rows[ends[where] - k] = nodes
+        links[ends[where] - k] = link
+
+
+def _layer_links(
+    arrays: EdgeArrays,
+    predecessors: np.ndarray,
+    layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> list[np.ndarray]:
+    """Edge row of every walked node's in-link, layer by layer.
+
+    For tables without in-link facts: each node's CSR row is scanned for its
+    predecessor, so the work is the walked nodes' degrees, with no sort or
+    search.
+    """
+    indptr, indices, edge_rows = arrays.indptr, arrays.indices, arrays.edge_rows
+    flat = predecessors.ravel()
+    found = []
+    for _, nodes, at in layers:
+        first = indptr[nodes]
+        degree = indptr[nodes + 1] - first
+        hop = np.repeat(np.arange(nodes.size), degree)
+        entry = np.arange(hop.size) + np.repeat(
+            first - np.cumsum(degree) + degree, degree
+        )
+        hit = indices[entry] == np.take(flat, at)[hop]
+        link = np.full(nodes.size, -1, dtype=np.intp)
+        link[hop[hit]] = edge_rows[entry[hit]]
+        found.append(link)
+    return found
 
 
 def _tight_in_links(
     arrays: EdgeArrays, distances: np.ndarray, predecessors: np.ndarray, lead: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(hop_weight, near_tie)`` of a multi-source search, each ``(G, N)``.
+    """``(in_entry, near_tie)`` of a multi-source search, each ``(G, N)``.
 
     An in-link ``u -> v`` is tight when ``D[u] + w(u, v)`` is within
     ``CERTIFICATE_MARGIN * (D[v] + lead)`` of ``D[v]``.  A reached node
     other than the source always has one tight in-link, its predecessor's;
     a second one (or any at the source) is a near tie.  Where the
-    predecessor's link is the only tight one, the tight links' weights sum
-    to its weight.  The CSR export is symmetric, so row ``v`` lists ``v``'s
-    in-links.
+    predecessor's link is the only tight one, the sum of the tight links'
+    CSR entries is its entry; ``in_entry`` reads 0 on near-tied nodes.  The
+    CSR export is symmetric, so row ``v`` lists ``v``'s in-links.  One
+    reduction gives both facts: each tight entry adds ``2**shift`` plus its
+    index, and a node's indices sum to less than ``2**shift``.
     """
     indptr, indices, weights = arrays.indptr, arrays.indices, arrays.weights
     count, n = distances.shape
@@ -673,14 +749,16 @@ def _tight_in_links(
     offer += weights[:, None]
     reach += CERTIFICATE_MARGIN * (reach + lead)
     tight = offer <= np.repeat(reach, degree, axis=0)
-    tight_links = np.zeros((n, count), dtype=np.intp)
-    tight_links[linked] = np.add.reduceat(tight, indptr[linked], axis=0, dtype=np.intp)
-    hop_weight = np.zeros((n, count))
-    hop_weight[linked] = np.add.reduceat(
-        np.where(tight, weights[:, None], 0.0), indptr[linked], axis=0
+    shift = (indices.size * int(degree.max(initial=0))).bit_length()
+    tagged = np.arange(indices.size, dtype=np.int64) + (1 << shift)
+    sums = np.zeros((n, count), dtype=np.int64)
+    sums[linked] = np.add.reduceat(
+        np.where(tight, tagged[:, None], 0), indptr[linked], axis=0
     )
-    near_tie = tight_links > (predecessors.T >= 0)
-    return np.ascontiguousarray(hop_weight.T), np.ascontiguousarray(near_tie.T)
+    near_tie = (sums >> shift) > (predecessors.T >= 0)
+    in_entry = sums & ((1 << shift) - 1)
+    in_entry[near_tie] = 0
+    return np.ascontiguousarray(in_entry.T), np.ascontiguousarray(near_tie.T)
 
 
 def _dijkstra(arrays: EdgeArrays, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

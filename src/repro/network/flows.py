@@ -16,7 +16,8 @@ columnar end-to-end:
 * :func:`route_flow_table` -- stage 3 as gather ops: the step's route
   tables (indexed by station id) are walked for *every* flow in a single
   batched layer walk straight into one ragged ``(offsets, rows)`` path
-  buffer in table order -- no per-source loop, no scatter pass.  The
+  buffer in table order, with the edge-list row of every hop beside it
+  (``links``) -- no per-source loop, no scatter pass.  The
   simulator's tables are
   :class:`~repro.network.backends.GatewayRouteTables`: one multi-source
   Dijkstra from the satellites the stations link to, each flow walked on
@@ -27,10 +28,9 @@ columnar end-to-end:
   :func:`reroute_flows` re-walks a subset of an already routed table on
   other tables and splices the new paths in;
 * :meth:`RoutedFlowTable.compact` -- stage 4 input: the reachable slice of
-  the ragged paths feeds
+  the ragged paths' edge rows feeds
   :func:`repro.network.alloc_arrays.compile_system_from_rows` directly,
-  whose hops the snapshot's edge list matches to links
-  (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`);
+  which numbers the links without sorting or searching any hop;
 * :class:`FlowPlan` -- the demand-independent part of stages 2-4, kept so
   that scenarios differing only in demand multiplier share it:
   :func:`plan_flows` selects once, and :meth:`FlowPlan.scaled` rescales the
@@ -96,7 +96,8 @@ class RoutedFlowTable:
     Flow ``i`` of ``table`` follows the snapshot rows
     ``path_rows[path_offsets[i]:path_offsets[i + 1]]`` (source first,
     destination last); unreachable flows have an empty segment and ``inf``
-    latency.
+    latency.  ``path_links`` runs beside ``path_rows``: the edge-list row
+    of the hop into each node, ``-1`` at each path's source.
     """
 
     table: FlowTable
@@ -108,6 +109,11 @@ class RoutedFlowTable:
     path_offsets: np.ndarray = field(compare=False)
     #: Concatenated snapshot-row paths of every reachable flow.
     path_rows: np.ndarray = field(compare=False)
+    #: Edge-list row of the hop into each entry of ``path_rows``.
+    path_links: np.ndarray = field(compare=False)
+    #: Sources the walk that produced the latest paths solved exactly
+    #: (:attr:`~repro.network.backends.Paths.exact_sources`).
+    exact_sources: int = field(compare=False)
 
     @property
     def nbytes(self) -> int:
@@ -118,12 +124,13 @@ class RoutedFlowTable:
             + self.latency_ms.nbytes
             + self.path_offsets.nbytes
             + self.path_rows.nbytes
+            + self.path_links.nbytes
         )
 
     def compact(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(demand, offsets, rows)`` of the reachable flows only.
+        """Return ``(demand, offsets, links)`` of the reachable flows only.
 
-        Unreachable segments are empty, so the rows buffer is shared as-is;
+        Unreachable segments are empty, so the links buffer is shared as-is;
         only the demand vector and offsets are re-indexed.  This triple is
         the direct input of
         :func:`repro.network.alloc_arrays.compile_system_from_rows`.
@@ -132,7 +139,7 @@ class RoutedFlowTable:
         lengths = np.diff(self.path_offsets)[reachable]
         offsets = np.zeros(lengths.size + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
-        return self.table.demand[reachable], offsets, self.path_rows
+        return self.table.demand[reachable], offsets, self.path_links
 
 
 class FlowPlan(NamedTuple):
@@ -279,13 +286,15 @@ def route_flow_table(
     already in table order; flows from or to a station absent from the
     snapshot are unreachable.
     """
-    path_offsets, path_rows, latency = tables.paths(table.src, station_rows[table.dst])
+    paths = tables.paths(table.src, station_rows[table.dst])
     return RoutedFlowTable(
         table=table,
-        reachable=np.isfinite(latency),
-        latency_ms=latency,
-        path_offsets=path_offsets,
-        path_rows=path_rows,
+        reachable=np.isfinite(paths.latency_ms),
+        latency_ms=paths.latency_ms,
+        path_offsets=paths.offsets,
+        path_rows=paths.rows,
+        path_links=paths.links,
+        exact_sources=paths.exact_sources,
     )
 
 
@@ -299,31 +308,32 @@ def reroute_flows(
 
     ``flows`` are flow indices of ``routed.table``; they are walked in one
     batched layer walk, as :func:`route_flow_table` walks a whole table, and
-    the new segments replace their old ones in the ragged path buffer.  Every other
-    flow keeps its path and latency, so the result equals walking the whole
-    table on ``tables`` wherever those tables route the other flows the
-    same way.  ``tables`` needs rows only for the sources of ``flows``.
+    the new segments (rows and links) replace their old ones in the ragged
+    path buffers.  Every other flow keeps its path and latency, so the
+    result equals walking the whole table on ``tables`` wherever those
+    tables route the other flows the same way.  ``tables`` needs rows only
+    for the sources of ``flows``.
     """
     table = routed.table
-    offsets, rows, latency = tables.paths(
-        table.src[flows], station_rows[table.dst[flows]]
-    )
+    paths = tables.paths(table.src[flows], station_rows[table.dst[flows]])
     lengths = np.diff(routed.path_offsets)
-    lengths[flows] = np.diff(offsets)
+    lengths[flows] = np.diff(paths.offsets)
     # Start of every segment in the old buffer followed by the new one.
     starts = routed.path_offsets[:-1].copy()
-    starts[flows] = routed.path_rows.size + offsets[:-1]
+    starts[flows] = routed.path_rows.size + paths.offsets[:-1]
     path_offsets = np.zeros(lengths.size + 1, dtype=np.intp)
     np.cumsum(lengths, out=path_offsets[1:])
     gather = np.repeat(starts - path_offsets[:-1], lengths) + np.arange(
         path_offsets[-1]
     )
     latency_ms = routed.latency_ms.copy()
-    latency_ms[flows] = latency
+    latency_ms[flows] = paths.latency_ms
     return RoutedFlowTable(
         table=table,
         reachable=np.isfinite(latency_ms),
         latency_ms=latency_ms,
         path_offsets=path_offsets,
-        path_rows=np.concatenate([routed.path_rows, rows])[gather],
+        path_rows=np.concatenate([routed.path_rows, paths.rows])[gather],
+        path_links=np.concatenate([routed.path_links, paths.links])[gather],
+        exact_sources=paths.exact_sources,
     )

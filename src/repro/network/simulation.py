@@ -28,24 +28,26 @@ The simulator runs one pipeline per scenario and time step:
    (:class:`~repro.network.backends.GatewayRouteTables`) run one batched
    multi-source Dijkstra over the snapshot's CSR arrays from the
    satellites the source stations link to (their *gateways*), and all
-   paths are walked at once into ragged row arrays
-   (:func:`~repro.network.flows.route_flow_table`).  A flow takes its best
-   gateway's tree path only when a uniqueness certificate proves a search
-   from its station would return the same path; the stations of all other
-   flows are solved exactly, so every path and latency equals a
-   station-sourced Dijkstra's bit for bit, whichever stations the tables
-   were solved for.  Paths do not depend on demand, so every plan is
-   walked once, by the kernel, on the group's base route tables and
-   reused by every open-loop scenario of the plan.  A steered scenario
-   starts from those paths: it re-solves only the sources, and re-walks
+   paths are walked at once into ragged row arrays that carry the edge
+   row of every hop (:func:`~repro.network.flows.route_flow_table`).  A
+   flow takes its best gateway's tree path only when a uniqueness
+   certificate proves a search from its station would return the same
+   path; the stations of all other flows are solved exactly, so every
+   path and latency equals a station-sourced Dijkstra's bit for bit,
+   whichever stations the tables were solved for.  Paths do not depend on
+   demand, so every plan is walked once, by the kernel, on the group's
+   base route tables and reused by every open-loop scenario of the plan.
+   A steered scenario starts from those paths: it re-solves, on the base
+   CSR re-weighted by its steered delays, only the sources, and re-walks
    only the flows, that its steering can move -- those whose base path
    crosses a changed link when no weight went down, every reachable one
    otherwise -- and splices the new paths in
    (:func:`~repro.network.flows.reroute_flows`);
 4. **capacity allocation** -- the routed paths compile straight into a
-   sparse (flow x link) incidence system, their hops matched to links by
-   the edge list's lookup
-   (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`) -- once
+   sparse (flow x link) incidence system from the edge rows the walk
+   recorded for every hop, numbered in link-code order without sorting
+   or searching any hop
+   (:func:`~repro.network.alloc_arrays.compile_system_from_rows`) -- once
    per shared plan, each scenario swapping in its scaled demand vector --
    and the scenario's array solver
    (:data:`repro.network.alloc_arrays.ARRAY_SOLVERS`) splits link
@@ -113,6 +115,7 @@ from .faults import FaultContext, FaultSchedule, FaultSpec, compile_faults, norm
 from .flows import (
     FlowPlan,
     FlowTable,
+    RoutedFlowTable,
     plan_flows,
     reroute_flows,
     route_flow_table,
@@ -534,25 +537,23 @@ _ROUTING_COUNTERS = ("route_sources", "route_gateways", "route_fallbacks", "flow
 def _count_walk(
     obs: Tracer,
     tables: GatewayRouteTables,
-    table: FlowTable,
-    snapshot: _GroupSnapshot,
-    flows: np.ndarray | slice = slice(None),
+    routed: RoutedFlowTable,
+    sources: np.ndarray,
     rerouted: int = 0,
 ) -> None:
-    """Credit one walk of the flows ``flows`` of ``table`` on ``tables`` to ``obs``.
+    """Credit one walk on ``tables``, from the stations ``sources``, to ``obs``.
 
     Counts the walk's distinct source stations (``route_sources``), the
     gateways the tables searched (``route_gateways``), the sources the walk
-    solved exactly because a certificate failed (``route_fallbacks``, a
-    second certificate pass over the same queries) and the flows it walked
-    on steered tables (``flows_rerouted``).  Untraced runs count nothing.
+    solved exactly because a certificate failed (``route_fallbacks``, which
+    the walk itself reports in ``routed``) and the flows it walked on
+    steered tables (``flows_rerouted``).  Untraced runs count nothing.
     """
     if not obs.enabled:
         return
-    group_of, dest_rows = table.src[flows], snapshot.station_rows[table.dst[flows]]
-    obs.counter("route_sources", np.unique(group_of).size)
+    obs.counter("route_sources", np.unique(sources).size)
     obs.counter("route_gateways", tables.gateway_rows.size)
-    obs.counter("route_fallbacks", tables.exact_sources(group_of, dest_rows))
+    obs.counter("route_fallbacks", routed.exact_sources)
     obs.counter("flows_rerouted", rerouted)
 
 
@@ -581,9 +582,10 @@ def _reroute_plan(
     source_rows = np.full(snapshot.station_rows.size, -1, dtype=np.intp)
     sources = plan.table.src[flows]
     source_rows[sources] = snapshot.station_rows[sources]
-    tables = GatewayRouteTables.solve(steered.arrays(), source_rows)
+    arrays = snapshot.route_tables.arrays.reweighted(steered.delay_ms)
+    tables = GatewayRouteTables.solve(arrays, source_rows)
     routed = reroute_flows(plan.routed, tables, snapshot.station_rows, flows)
-    _count_walk(obs, tables, plan.table, snapshot, flows, int(flows.size))
+    _count_walk(obs, tables, routed, sources, int(flows.size))
     return plan._replace(routed=routed, system=None)
 
 
@@ -603,7 +605,7 @@ def _route_scenario(
     """
     if plan.routed is None:
         plan = _compile_plan(_route_plan(plan, snapshot), snapshot)
-        _count_walk(obs, snapshot.route_tables, plan.table, snapshot)
+        _count_walk(obs, snapshot.route_tables, plan.routed, plan.table.src)
     if steered is None:
         return plan
     return _reroute_plan(plan, snapshot, steered, obs)
@@ -611,11 +613,11 @@ def _route_scenario(
 
 def _compile_plan(plan: FlowPlan, snapshot: _GroupSnapshot) -> FlowPlan:
     """Compile the plan's reachable paths (no system when none is reachable)."""
-    demand, offsets, rows = plan.routed.compact()
+    demand, offsets, links = plan.routed.compact()
     if not demand.size:
         return plan
     return plan._replace(
-        system=compile_system_from_rows(snapshot.edge_list, demand, offsets, rows)
+        system=compile_system_from_rows(snapshot.edge_list, demand, offsets, links)
     )
 
 
@@ -796,7 +798,7 @@ def _build_plans(
         plan = _route_plan(plan, snapshot)
         if members[0].leads_plan:
             leader = tracers.get(members[0].name, NULL_TRACER)
-            _count_walk(leader, snapshot.route_tables, plan.table, snapshot)
+            _count_walk(leader, snapshot.route_tables, plan.routed, plan.table.src)
         marks.append(time.perf_counter())
         plan = _compile_plan(plan, snapshot)
         marks.append(time.perf_counter())

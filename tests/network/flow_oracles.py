@@ -19,7 +19,11 @@ trust by reading:
 * max-min waterfilling one round per pass (:func:`waterfill_by_rounds`),
   the bit-for-bit oracle of the library's span-batched solver;
 * true path latencies of ragged row paths, matched hop by hop against the
-  edge list (:func:`path_delays_from_rows`).
+  edge list (:func:`path_delays_from_rows`);
+* matching every hop of ragged row paths to a link by sorting and
+  searching their link codes (:func:`hop_links`), the oracle of the
+  library's compile from the edge rows a route walk records, and those
+  edge rows looked up pair by pair (:func:`path_links`).
 """
 
 from __future__ import annotations
@@ -44,20 +48,86 @@ from repro.network.routing import RouteResult
 from repro.obs import NULL_TRACER, Tracer
 
 
+def hop_links(
+    edge_list: SnapshotEdgeList, offsets: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Match every hop of ragged row paths to an edge-list row.
+
+    Path ``i`` follows ``rows[offsets[i]:offsets[i + 1]]``; a segment
+    shorter than two rows has no hops.  Returns ``(flow_ids, link_ids,
+    link_rows)``, one ``flow_ids``/``link_ids`` entry per hop, flow by
+    flow and hop by hop: hop ``h`` of path ``flow_ids[h]`` uses edge row
+    ``link_rows[link_ids[h]]``.  ``link_rows`` holds each distinct link
+    once, in ascending link-code order: every hop's code is sorted with
+    ``np.unique`` and searched in the edge list's ``link_lookup``.
+
+    Raises :class:`ValueError` on a hop the snapshot has no link for
+    (or whose endpoint row is outside the label table), naming the path
+    by its index.
+    """
+    offsets = np.asarray(offsets, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
+    lengths = np.diff(offsets)
+    keep_u = np.ones(rows.size, dtype=bool)
+    keep_v = np.ones(rows.size, dtype=bool)
+    nonempty = lengths > 0
+    keep_u[offsets[1:][nonempty] - 1] = False
+    keep_v[offsets[:-1][nonempty]] = False
+    flow_ids = np.repeat(
+        np.arange(lengths.size, dtype=np.intp), np.maximum(lengths - 1, 0)
+    )
+    n = len(edge_list.labels)
+    u, v = rows[keep_u], rows[keep_v]
+    lo, hi = np.minimum(u, v).astype(np.int64), np.maximum(u, v).astype(np.int64)
+    codes, link_ids = np.unique(
+        np.where((lo >= 0) & (hi < n), lo * n + hi, -1), return_inverse=True
+    )
+    sorted_codes, order = edge_list.link_lookup
+    link_rows = np.full(codes.size, -1, dtype=np.intp)
+    if sorted_codes.size:
+        found = np.minimum(np.searchsorted(sorted_codes, codes), sorted_codes.size - 1)
+        link_rows = np.where(sorted_codes[found] == codes, order[found], -1)
+    missing = link_rows < 0
+    if missing.any():
+        path = int(flow_ids[np.flatnonzero(missing[link_ids])[0]])
+        raise ValueError(f"flow {path} uses a link not present in the snapshot")
+    return flow_ids, link_ids, link_rows
+
+
+def path_links(
+    edge_list: SnapshotEdgeList, offsets: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """The edge-row column of ragged row paths, looked up pair by pair.
+
+    Beside every node, the edge-list row of the hop into it
+    (:meth:`~repro.network.backends.SnapshotEdgeList.link_rows`, ``-1``
+    where the snapshot lacks the link), and ``-1`` at each segment's first
+    node: the ``links`` a route walk records, and the input of
+    :func:`~repro.network.alloc_arrays.compile_system_from_rows`.
+    """
+    offsets = np.asarray(offsets, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
+    links = np.full(rows.size, -1, dtype=np.intp)
+    if rows.size > 1:
+        links[1:] = edge_list.link_rows(rows[:-1], rows[1:])
+    links[offsets[:-1][np.diff(offsets) > 0]] = -1
+    return links
+
+
 def path_delays_from_rows(
     edge_list: SnapshotEdgeList, offsets: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """True latency [ms] of ragged row paths against unsteered link delays.
 
     ``rows[offsets[i]:offsets[i + 1]]`` is path ``i``; every hop must exist
-    in ``edge_list`` (:meth:`~repro.network.backends.SnapshotEdgeList.hop_links`
-    raises otherwise).  Matches every hop again, independently of any
-    compiled incidence, and sums the real ``delay_ms`` column per path.
+    in ``edge_list`` (:func:`hop_links` raises otherwise).  Matches every
+    hop again, independently of any compiled incidence, and sums the real
+    ``delay_ms`` column per path.
     Empty segments (unreachable flows) read ``inf``.
     """
     offsets = np.asarray(offsets, dtype=np.intp)
     count = offsets.size - 1
-    flow_ids, link_ids, link_rows = edge_list.hop_links(offsets, rows)
+    flow_ids, link_ids, link_rows = hop_links(edge_list, offsets, rows)
     totals = np.full(count, np.inf)
     nonempty = np.diff(offsets) > 0
     totals[nonempty] = np.bincount(
@@ -296,8 +366,10 @@ def compile_flows(capacity, flows: list[Flow]) -> tuple[FlowLinkSystem, tuple]:
     ``capacity_gbps`` edge attributes (converted by
     :func:`edge_list_from_graph`).  Labels map to rows through the
     snapshot's label table -- an unknown label to ``-1``, which no link
-    has -- and :func:`compile_system_from_rows` does the rest, so a flow
-    crossing a missing link raises naming its index.  Returns ``(system,
+    has -- each hop to its link (:func:`hop_links`, so a flow crossing a
+    missing link raises naming its index), and
+    :func:`compile_system_from_rows` does the rest on the hops' edge rows
+    (:func:`path_links`).  Returns ``(system,
     keys)`` with ``keys[l]`` the :func:`link_key` of system link ``l``.
     """
     names = [flow.name for flow in flows]
@@ -316,13 +388,14 @@ def compile_flows(capacity, flows: list[Flow]) -> tuple[FlowLinkSystem, tuple]:
         dtype=np.intp,
         count=int(offsets[-1]),
     )
-    link_rows = edge_list.hop_links(offsets, rows)[2]
+    link_rows = hop_links(edge_list, offsets, rows)[2]
     keys = link_keys(edge_list, link_rows)
     missing = np.flatnonzero(np.isnan(edge_list.capacity_gbps[link_rows]))
     if missing.size:
         raise ValueError(f"link {keys[missing[0]]} has no capacity_gbps")
     demand = [flow.demand_gbps for flow in flows]
-    return compile_system_from_rows(edge_list, demand, offsets, rows), keys
+    links = path_links(edge_list, offsets, rows)
+    return compile_system_from_rows(edge_list, demand, offsets, links), keys
 
 
 def waterfill_by_rounds(

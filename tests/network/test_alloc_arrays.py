@@ -44,9 +44,11 @@ from flow_oracles import (
     compile_flows,
     edge_list_from_graph,
     graph_from_edge_list,
+    hop_links,
     link_key,
     link_keys,
     named_result,
+    path_links,
     waterfill_by_rounds,
 )
 from repro.coverage.walker import WalkerDelta
@@ -426,6 +428,98 @@ class TestCompilation:
             allocate_max_min_array(graph, [Flow("f", (0, 1, 2), 1.0)])
 
 
+def _random_ragged_paths(rng) -> tuple[SnapshotEdgeList, np.ndarray, np.ndarray]:
+    """A random edge list and ragged walks on it.
+
+    Links are stored in random order and orientation.  Segments are empty,
+    single-node or random walks, which on a small graph cross some links
+    more than once.
+    """
+    n = int(rng.integers(2, 25))
+    pairs = sorted(
+        {(min(u, v), max(u, v)) for u, v in rng.integers(0, n, (2 * n, 2)) if u != v}
+    )
+    rng.shuffle(pairs)
+    a = np.array([pair[0] for pair in pairs], dtype=np.intp)
+    b = np.array([pair[1] for pair in pairs], dtype=np.intp)
+    flip = rng.random(a.size) < 0.5
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    ones = np.ones(a.size)
+    edge_list = SnapshotEdgeList(
+        tuple(range(n)), a, b, ones, ones, rng.uniform(0.0, 10.0, a.size)
+    )
+    neighbours = [[] for _ in range(n)]
+    for u, v in zip(a.tolist(), b.tolist()):
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    segments = []
+    for _ in range(int(rng.integers(0, 12))):
+        length = int(rng.choice([0, 1, rng.integers(2, 10)]))
+        walk = [int(rng.integers(0, n))] if length else []
+        while 0 < len(walk) < length and neighbours[walk[-1]]:
+            walk.append(int(rng.choice(neighbours[walk[-1]])))
+        segments.append(walk)
+    offsets = np.zeros(len(segments) + 1, dtype=np.intp)
+    np.cumsum([len(walk) for walk in segments], out=offsets[1:])
+    rows = np.array([row for walk in segments for row in walk], dtype=np.intp)
+    return edge_list, offsets, rows
+
+
+class TestCompileFromEdgeRows:
+    """The compile from per-hop edge rows equals the oracle that sorts and
+    searches every hop's link code (:func:`flow_oracles.hop_links`)."""
+
+    def test_matches_the_sorting_oracle(self):
+        rng = np.random.default_rng(21)
+        repeated = 0
+        for _ in range(300):
+            edge_list, offsets, rows = _random_ragged_paths(rng)
+            demand = rng.uniform(0.0, 5.0, offsets.size - 1)
+            links = path_links(edge_list, offsets, rows)
+            system = compile_system_from_rows(edge_list, demand, offsets, links)
+            flow_ids, link_ids, link_rows = hop_links(edge_list, offsets, rows)
+            for name, want in (
+                ("flow_ids", flow_ids),
+                ("link_ids", link_ids),
+                ("link_rows", link_rows),
+            ):
+                got = getattr(system, name)
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+            assert np.array_equal(system.capacity, edge_list.capacity_gbps[link_rows])
+            repeated += link_ids.size > np.unique(link_ids).size
+        assert repeated > 50
+
+    def test_hop_without_link_names_the_flow(self):
+        rng = np.random.default_rng(22)
+        checked = 0
+        for _ in range(300):
+            edge_list, offsets, rows = _random_ragged_paths(rng)
+            lengths = np.diff(offsets)
+            walks = np.flatnonzero(lengths >= 2)
+            if not walks.size:
+                continue
+            flow = int(rng.choice(walks))
+            hop = int(offsets[flow] + rng.integers(1, lengths[flow]))
+            # A node the previous one has no link to, or one outside the
+            # label table.
+            linked = set(edge_list.b[edge_list.a == rows[hop - 1]].tolist())
+            linked |= set(edge_list.a[edge_list.b == rows[hop - 1]].tolist())
+            strangers = sorted(set(range(len(edge_list.labels))) - linked)
+            rows = rows.copy()
+            rows[hop] = rng.choice(strangers + [len(edge_list.labels)])
+            message = f"flow {flow} uses a link not present in the snapshot"
+            with pytest.raises(ValueError, match=message):
+                hop_links(edge_list, offsets, rows)
+            links = path_links(edge_list, offsets, rows)
+            with pytest.raises(ValueError, match=message):
+                compile_system_from_rows(
+                    edge_list, np.ones(offsets.size - 1), offsets, links
+                )
+            checked += 1
+        assert checked > 100
+
+
 CITIES = (
     City("London", 51.5, -0.1, 9.6),
     City("New York", 40.7, -74.0, 20.0),
@@ -460,9 +554,9 @@ def simulator(epoch) -> NetworkSimulator:
 def workload_routes(simulator, epoch):
     """About 2,400 random node pairs routed by csgraph on a real snapshot.
 
-    Returns ``(edge_list, demand, offsets, rows, flows)``: the ragged
-    row-index paths the simulator compiles, plus the equivalent ``Flow``
-    objects with label paths.  Demands take a few
+    Returns ``(edge_list, demand, offsets, links, flows)``: the ragged
+    paths' edge rows the simulator compiles, as the walk records them,
+    plus the equivalent ``Flow`` objects with label paths.  Demands take a few
     values only, so tied flows freeze together, and are scaled so that many
     links saturate while other flows freeze at their demand.
     """
@@ -476,7 +570,8 @@ def workload_routes(simulator, epoch):
     src, dst = src[src != dst], dst[src != dst]
     sources = np.unique(src)
     tables = RouteTables.solve(edge_list.arrays(), sources)
-    offsets, rows, _ = tables.paths(np.searchsorted(sources, src), dst)
+    paths = tables.paths(np.searchsorted(sources, src), dst)
+    offsets, rows, links = paths.offsets, paths.rows, paths.links
     assert np.all(np.diff(offsets) >= 2), "every pair must be routed"
     demand = rng.choice([0.0, 0.1, 0.2, 0.5, 1.0, 4.0], size=src.size)
     flows = []
@@ -485,7 +580,7 @@ def workload_routes(simulator, epoch):
         flows.append(
             Flow(f"f{index}", tuple(labels[row] for row in path), float(demand[index]))
         )
-    return edge_list, demand, offsets, rows, flows
+    return edge_list, demand, offsets, links, flows
 
 
 @pytest.fixture(scope="module")
@@ -497,8 +592,8 @@ def workload_problem(workload_routes):
     step, each link's label key for the result dict, plus the ``Flow``
     objects and capacity graph for the dict reference.
     """
-    edge_list, demand, offsets, rows, flows = workload_routes
-    system = compile_system_from_rows(edge_list, demand, offsets, rows)
+    edge_list, demand, offsets, links, flows = workload_routes
+    system = compile_system_from_rows(edge_list, demand, offsets, links)
     keys = link_keys(edge_list, system.link_rows)
     return system, keys, graph_from_edge_list(edge_list), flows
 
@@ -533,9 +628,9 @@ class TestWorkloadScale:
         """Label-only ``Flow`` objects, compiled by the oracles on the edge
         list or on its graph view, give exactly the system the simulator's
         ragged-row compile builds."""
-        edge_list, demand, offsets, rows, flows = workload_routes
+        edge_list, demand, offsets, links, flows = workload_routes
         graph = graph_from_edge_list(edge_list)
-        ragged = compile_system_from_rows(edge_list, demand, offsets, rows)
+        ragged = compile_system_from_rows(edge_list, demand, offsets, links)
         on_edge_list, edge_list_keys = compile_flows(edge_list, flows)
         on_graph, graph_keys = compile_flows(graph, flows)
         for objects in (on_edge_list, on_graph):

@@ -223,9 +223,9 @@ class TestFlowPlans:
         tables = RouteTables.solve(edge_list.arrays(), rows)
         plan = plan_flows(matrix, NAMES, 10)
         plan = plan._replace(routed=route_flow_table(tables, rows, plan.table))
-        demand, offsets, path_rows = plan.routed.compact()
+        demand, offsets, links = plan.routed.compact()
         plan = plan._replace(
-            system=compile_system_from_rows(edge_list, demand, offsets, path_rows)
+            system=compile_system_from_rows(edge_list, demand, offsets, links)
         )
         scaled = plan.scaled(2.5)
         assert scaled is not None
@@ -234,8 +234,8 @@ class TestFlowPlans:
         assert scaled.routed.table is scaled.table
         reference = select_flow_table(matrix, NAMES, 10, 2.5)
         routed = route_flow_table(tables, rows, reference)
-        demand, offsets, path_rows = routed.compact()
-        system = compile_system_from_rows(edge_list, demand, offsets, path_rows)
+        demand, offsets, links = routed.compact()
+        system = compile_system_from_rows(edge_list, demand, offsets, links)
         assert _same_bytes(scaled.system.demand, system.demand)
         assert _same_bytes(scaled.system.link_ids, system.link_ids)
         assert _same_bytes(scaled.system.capacity, system.capacity)
@@ -257,7 +257,7 @@ class TestBulkPathExport:
         labels = [f"gs:{name}" for name in ("New York", "Tokyo", "Sao Paulo")]
         dest_rows = [node_index.index_of(label) for label in labels]
         dest_rows.append(-1)  # unknown destination: empty segment, inf latency
-        offsets, rows, latency = tables.paths(
+        offsets, rows, _, latency, _ = tables.paths(
             np.zeros(len(dest_rows), dtype=np.intp),
             np.asarray(dest_rows, dtype=np.int64),
         )
@@ -330,7 +330,8 @@ class TestBulkPathExport:
 
         def segment(routed, flow):
             begin, end = routed.path_offsets[flow : flow + 2]
-            return routed.path_rows[begin:end].tolist()
+            rows, links = routed.path_rows[begin:end], routed.path_links[begin:end]
+            return rows.tolist(), links.tolist()
 
         flows = np.array([1, 4, 5, 9])
         spliced = reroute_flows(base, tables, rows, flows)
@@ -344,7 +345,13 @@ class TestBulkPathExport:
         everything = reroute_flows(base, tables, rows, np.arange(table.flow_count))
         nothing = reroute_flows(base, tables, rows, np.empty(0, dtype=np.intp))
         for expected, got in ((full, everything), (base, nothing)):
-            for name in ("reachable", "latency_ms", "path_offsets", "path_rows"):
+            for name in (
+                "reachable",
+                "latency_ms",
+                "path_offsets",
+                "path_rows",
+                "path_links",
+            ):
                 assert np.array_equal(getattr(got, name), getattr(expected, name))
 
 

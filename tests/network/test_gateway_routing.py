@@ -29,19 +29,50 @@ from repro.network.topology import ConstellationTopology
 from repro.orbits.time import epoch_range
 
 
-def _assert_same_paths(arrays: EdgeArrays, source_rows, dest_rows) -> GatewayRouteTables:
-    """Compare both tables on every (source row, destination row) pair."""
+def _assert_same_paths(
+    arrays: EdgeArrays, source_rows, dest_rows, edge_list: SnapshotEdgeList | None = None
+) -> GatewayRouteTables:
+    """Compare both tables on every (source row, destination row) pair.
+
+    Also checks every walked hop's edge row against ``link_rows`` of its
+    node-row pair in ``edge_list`` (by default the edge list the arrays'
+    entries describe, :func:`_edge_list_of`).
+    """
     group_of, dests = _every_pair(source_rows, dest_rows)
     gateway = GatewayRouteTables.solve(arrays, source_rows)
-    exact = RouteTables.solve(arrays, source_rows).paths(group_of, dests)
-    for got, want in zip(gateway.paths(group_of, dests), exact):
-        assert got.dtype.kind == want.dtype.kind
-        assert np.array_equal(got, want)
+    got = gateway.paths(group_of, dests)
+    want = RouteTables.solve(arrays, source_rows).paths(group_of, dests)
+    for name in ("offsets", "rows", "links", "latency_ms"):
+        assert getattr(got, name).dtype.kind == getattr(want, name).dtype.kind, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    entered = np.ones(got.rows.size, dtype=bool)
+    entered[got.offsets[:-1][np.diff(got.offsets) > 0]] = False
+    assert np.all(got.links[~entered] == -1)
+    hops = np.flatnonzero(entered)
+    if edge_list is None:
+        edge_list = _edge_list_of(arrays)
+    pairs = edge_list.link_rows(got.rows[hops - 1], got.rows[hops])
+    assert np.all(pairs >= 0)
+    assert np.array_equal(got.links[hops], pairs)
     return gateway
 
 
+def _edge_list_of(arrays: EdgeArrays) -> SnapshotEdgeList:
+    """The links the arrays' entries describe, numbered by ``edge_rows``."""
+    heads = np.repeat(np.arange(arrays.node_count), np.diff(arrays.indptr))
+    a = np.zeros(arrays.indices.size // 2, dtype=np.intp)
+    b = np.zeros_like(a)
+    a[arrays.edge_rows], b[arrays.edge_rows] = heads, arrays.indices
+    ones = np.ones(a.size)
+    return SnapshotEdgeList(arrays.node_index.labels, a, b, ones, ones, ones)
+
+
 def _exact_sources(tables: GatewayRouteTables, group_of, dest_rows) -> int:
-    """How many sources ``tables.paths`` solves exactly for these queries."""
+    """How many sources ``tables.paths`` solves exactly for these queries.
+
+    A walk solves its fallback sources in one call, and makes none when
+    nothing falls back; it reports the count itself.
+    """
     solved: list[int] = []
     solve = RouteTables.solve.__func__
 
@@ -51,8 +82,9 @@ def _exact_sources(tables: GatewayRouteTables, group_of, dest_rows) -> int:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RouteTables, "solve", classmethod(recording_solve))
-        tables.paths(np.asarray(group_of), np.asarray(dest_rows))
-    assert tables.exact_sources(np.asarray(group_of), np.asarray(dest_rows)) == sum(solved)
+        paths = tables.paths(np.asarray(group_of), np.asarray(dest_rows))
+    assert len(solved) <= 1 and all(solved)
+    assert paths.exact_sources == sum(solved)
     return sum(solved)
 
 
@@ -181,16 +213,19 @@ class TestHandBuiltGraph:
         # inside gateway 10's search (certificate (b)).
         for source, dest in ((0, 1), (3, 4)):
             assert _exact_sources(tables, [source], [dest]) == 1
-            offsets, rows, latency = tables.paths(np.array([source]), np.array([dest]))
+            got = tables.paths(np.array([source]), np.array([dest]))
             want = RouteTables.solve(arrays, [source]).paths(np.array([0]), np.array([dest]))
-            assert np.array_equal(offsets, want[0])
-            assert np.array_equal(rows, want[1])
-            assert np.array_equal(latency, want[2])
+            assert np.array_equal(got.offsets, want.offsets)
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.links, want.links)
+            assert np.array_equal(got.latency_ms, want.latency_ms)
 
     def test_latency_is_the_in_order_hop_sum(self, arrays):
         tables = GatewayRouteTables.solve(arrays, self.STATIONS)
-        offsets, rows, latency = tables.paths(np.array([0]), np.array([5]))
+        offsets, rows, links, latency, _ = tables.paths(np.array([0]), np.array([5]))
         assert rows.tolist() == [0, 14, 15, 5]
+        # EDGES rows 11-13: A-14, 14-15, 15-F.
+        assert links.tolist() == [-1, 11, 12, 13]
         assert latency[0] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
         assert _exact_sources(tables, [0], [5]) == 0
 
@@ -250,7 +285,7 @@ class TestFullSizeSnapshots:
         assert len(snapshots) == 2
         for edge_list in snapshots:
             rows = _station_rows(edge_list.node_index)
-            tables = _assert_same_paths(edge_list.arrays(), rows, rows)
+            tables = _assert_same_paths(edge_list.arrays(), rows, rows, edge_list)
             # Stations at one site share gateways.
             assert 0 < tables.gateway_rows.size < rows.size // 2
             assert 0 < _exact_sources(tables, *_every_pair(rows, rows)) < rows.size
@@ -258,7 +293,7 @@ class TestFullSizeSnapshots:
     def test_unshared_gateways_match(self, epoch):
         edge_list = self._snapshots(epoch, per_site=1)[0]
         rows = _station_rows(edge_list.node_index)
-        tables = _assert_same_paths(edge_list.arrays(), rows, rows)
+        tables = _assert_same_paths(edge_list.arrays(), rows, rows, edge_list)
         # Stations spread one per site share few gateways.
         assert tables.gateway_rows.size > rows.size // 2
 

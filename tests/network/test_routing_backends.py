@@ -240,10 +240,15 @@ class TestEdgeArrays:
         graph = next(graph_stream(sequence))
         arrays = sequence.edge_arrays(0)
         assert isinstance(arrays, EdgeArrays)
-        indptr, indices, weights, node_index = arrays  # tuple protocol
+        indptr, indices, weights, node_index, edge_rows = arrays  # tuple protocol
         assert isinstance(node_index, NodeIndex)
         assert len(indptr) == arrays.node_count + 1
         assert indptr[0] == 0 and indptr[-1] == len(indices) == len(weights)
+        # Every entry maps back to the edge-list row of its own link.
+        edge_list = sequence.edge_list(0)
+        heads = np.repeat(np.arange(arrays.node_count), np.diff(indptr))
+        assert np.array_equal(edge_rows, edge_list.link_rows(heads, indices))
+        assert np.array_equal(weights, edge_list.delay_ms[edge_rows])
         assert set(node_index.labels) == set(graph.nodes)
         adjacency = {
             (node_index.label_of(row), node_index.label_of(int(indices[pos]))): float(

@@ -30,11 +30,13 @@ from flow_oracles import (
     compile_flows,
     graph_from_edge_list,
     path_delays_from_rows,
+    path_links,
 )
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network.backends import RouteTables, SnapshotEdgeList
 from repro.network import simulation as simulation_module
+from repro.network.alloc_arrays import compile_system_from_rows
 from repro.network.flows import route_flow_table
 from repro.network.ground_station import GroundStation
 from repro.network.routing import SnapshotRouter
@@ -46,6 +48,7 @@ from repro.network.steering import (
     StaticSteering,
     SteeringPolicy,
     UtilisationWeightedSteering,
+    _merge_codes,
     get_steering_policy,
 )
 from repro.network.telemetry import LinkTelemetry, get_telemetry
@@ -141,8 +144,15 @@ class TestPolicyRegistry:
 
 
 class TestLinkLookup:
-    """The edge list's link codes and hop lookup, shared by allocation,
+    """The edge list's link codes and link lookup, shared by allocation,
     steering, latency re-reads and link telemetry."""
+
+    @staticmethod
+    def _compile(edges, offsets, rows):
+        """The incidence of ragged row paths, from their edge rows."""
+        links = path_links(edges, offsets, rows)
+        demand = np.ones(offsets.size - 1)
+        return compile_system_from_rows(edges, demand, offsets, links)
 
     def test_codes_and_hops_are_endpoint_order_invariant(self):
         edges = _triangle()
@@ -157,11 +167,11 @@ class TestLinkLookup:
         assert np.array_equal(edges.link_codes, flipped.link_codes)
         offsets, rows = np.array([0, 3, 5]), np.array([0, 1, 2, 2, 0])
         for table in (edges, flipped):
-            flow_ids, link_ids, link_rows = table.hop_links(offsets, rows)
-            assert flow_ids.tolist() == [0, 0, 1]
+            system = self._compile(table, offsets, rows)
+            assert system.flow_ids.tolist() == [0, 0, 1]
             # X-Y, Y-Z, Z-X: edge rows 0, 1, 2, numbered in link-code order.
-            assert link_rows[link_ids].tolist() == [0, 1, 2]
-            assert np.all(np.diff(table.link_codes[link_rows]) > 0)
+            assert system.link_rows[system.link_ids].tolist() == [0, 1, 2]
+            assert np.all(np.diff(table.link_codes[system.link_rows]) > 0)
             assert table.link_rows(rows[1:], rows[:-1]).tolist() == [0, 1, -1, 2]
 
     def test_codes_are_unique_per_link(self):
@@ -181,10 +191,10 @@ class TestLinkLookup:
         )
         offsets = np.array([0, 3, 5])
         with pytest.raises(ValueError, match="flow 1 uses a link not present"):
-            chain.hop_links(offsets, np.array([0, 1, 2, 2, 0]))
+            self._compile(chain, offsets, np.array([0, 1, 2, 2, 0]))
         # A row outside the label table is a missing hop, not an alias.
         with pytest.raises(ValueError, match="flow 1 uses a link not present"):
-            chain.hop_links(offsets, np.array([0, 1, 2, 0, 3]))
+            self._compile(chain, offsets, np.array([0, 1, 2, 0, 3]))
 
     def test_zero_link_edge_list(self):
         empty = SnapshotEdgeList(
@@ -196,13 +206,40 @@ class TestLinkLookup:
             capacity_gbps=np.empty(0),
         )
         assert empty.link_codes.size == 0
-        flow_ids, link_ids, link_rows = empty.hop_links(
-            np.array([0, 1, 1]), np.array([0])
-        )
-        assert flow_ids.size == link_ids.size == link_rows.size == 0
+        system = self._compile(empty, np.array([0, 1, 1]), np.array([0]))
+        assert system.flow_ids.size == system.link_ids.size == system.link_rows.size == 0
         assert empty.link_rows(np.array([0]), np.array([1])).tolist() == [-1]
         with pytest.raises(ValueError, match="link not present"):
-            empty.hop_links(np.array([0, 2]), np.array([0, 1]))
+            self._compile(empty, np.array([0, 2]), np.array([0, 1]))
+
+
+class TestMergeCodes:
+    """The controller's state merge equals ``np.union1d`` of the codes."""
+
+    def test_matches_union1d_on_random_states(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            snapshot = np.unique(rng.integers(0, 400, int(rng.integers(0, 60))))
+            case = int(rng.integers(0, 4))
+            if case == 0:  # empty state
+                state = np.empty(0, dtype=np.int64)
+            elif case == 1:  # disjoint from the snapshot
+                state = np.setdiff1d(rng.integers(0, 400, 30), snapshot)
+            elif case == 2:  # full overlap
+                state = snapshot[rng.random(snapshot.size) < 0.5]
+            else:  # some codes absent from the snapshot
+                state = np.unique(rng.integers(0, 400, int(rng.integers(0, 40))))
+            state = state.astype(np.int64)
+            merged = _merge_codes(state, snapshot.astype(np.int64))
+            want = np.union1d(state, snapshot)
+            assert merged.dtype == want.dtype
+            assert np.array_equal(merged, want)
+
+    def test_snapshot_order_is_the_edge_lists(self):
+        edges = _triangle()
+        state = np.array([-5, edges.link_codes[1], 10**9], dtype=np.int64)
+        merged = _merge_codes(state, edges.link_lookup[0])
+        assert np.array_equal(merged, np.union1d(state, edges.link_codes))
 
 
 class TestController:
@@ -636,12 +673,12 @@ class TestBulkWalkBatching:
         views = SnapshotRouter(arrays=arrays).routes_from_many(names)
         group_of = np.repeat(np.arange(len(names)), len(names))
         dest_rows = np.tile(rows, len(names))
-        offsets, path_rows, latency = tables.paths(group_of, dest_rows)
+        paths = tables.paths(group_of, dest_rows)
+        offsets, path_rows, latency = paths.offsets, paths.rows, paths.latency_ms
         for source_group, source in enumerate(names):
             solo = RouteTables.solve(arrays, rows[source_group : source_group + 1])
-            solo_offsets, solo_rows, solo_latency = solo.paths(
-                np.zeros(len(names), dtype=np.intp), rows
-            )
+            solo_paths = solo.paths(np.zeros(len(names), dtype=np.intp), rows)
+            solo_rows, solo_latency = solo_paths.rows, solo_paths.latency_ms
             cursor = source_group * len(names)
             begin, end = offsets[cursor], offsets[cursor + len(names)]
             assert np.array_equal(path_rows[begin:end], solo_rows)
@@ -665,7 +702,7 @@ class TestBulkWalkBatching:
         tokyo = edge_list.node_index.index_of("gs:Tokyo")
         tables = RouteTables.solve(edge_list.arrays(), [london, -1])
         assert np.isinf(tables.distances[1]).all()
-        offsets, rows, latency = tables.paths(
+        offsets, rows, _, latency, _ = tables.paths(
             np.array([0, -1, 0, 1], dtype=np.intp),
             np.array([tokyo, 0, -1, tokyo], dtype=np.intp),
         )
@@ -834,8 +871,8 @@ class TestOpenLoopRouteReuse:
             # steering moved some flows compiles its spliced plan after it.
             spliced += len(compiles) - 1
             edge_list, plan = compiles[-1]
-            _, offsets, rows = plan.routed.compact()
-            oracle = path_delays_from_rows(edge_list, offsets, rows)
+            _, offsets, _ = plan.routed.compact()
+            oracle = path_delays_from_rows(edge_list, offsets, plan.routed.path_rows)
             system = plan.system
             assert np.array_equal(
                 system.flow_totals(edge_list.delay_ms[system.link_rows]), oracle
