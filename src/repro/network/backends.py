@@ -34,11 +34,11 @@ only under a uniqueness certificate: its best gateway wins by
 gateway's search, which proves a station-sourced search returns the same
 path.  The source of every other query is solved exactly by
 :meth:`RouteTables.solve`.  So every path and latency is bit-identical to
-the station-sourced tables.  Both tables walk their predecessor rows with
-the same batched layer walk.  The gateway search records the CSR entry of
-every node's in-link as it checks for near ties, so a certified path's
-hops read their edge rows by gather; exactly solved paths find theirs in
-their nodes' CSR rows.  No hop is ever sorted or searched.
+the station-sourced tables.  A solve is only the Dijkstra.  Both tables
+walk their predecessor rows with the same batched layer walk and then
+scan the CSR row of each distinct walked node once, for its in-link from
+its predecessor (whose weight and edge row are the hop's) and, on gateway
+tables, for a near-tied second one.  No hop is ever sorted or searched.
 
 Because :class:`EdgeArrays` and :class:`SnapshotEdgeList` are plain numpy
 containers they pickle cheaply, which is what lets
@@ -353,8 +353,8 @@ class RouteTables(NamedTuple):
         like unreachable destinations, yield an empty segment with ``inf``
         latency.  The rows of path ``i`` are those of
         :meth:`_PredecessorRoutes._reconstruct`, walked by
-        :func:`_walk_layers`; each hop's link is found in its node's CSR row
-        (:func:`_layer_links`).
+        :func:`_walk_layers`; each hop's link is its node's in-link from
+        its predecessor (:func:`_in_links`).
         """
         group_of = np.asarray(group_of, dtype=np.intp)
         dest_rows = np.asarray(dest_rows, dtype=np.intp)
@@ -369,6 +369,9 @@ class RouteTables(NamedTuple):
         layers, depth = _walk_layers(
             self.predecessors, safe_group[walk], roots, safe_rows[walk]
         )
+        entries, _ = _in_links(
+            self.arrays, self.distances, self.predecessors, [at for *_, at in layers], None
+        )
         lengths = np.zeros(dest_rows.size, dtype=np.intp)
         lengths[walk] = depth + 1
         offsets = np.zeros(dest_rows.size + 1, dtype=np.intp)
@@ -376,12 +379,9 @@ class RouteTables(NamedTuple):
         rows = np.empty(int(offsets[-1]), dtype=np.intp)
         links = np.full(int(offsets[-1]), -1, dtype=np.intp)
         rows[offsets[walk]] = roots
+        edge_rows = self.arrays.edge_rows
         _place_layers(
-            rows,
-            links,
-            offsets[walk] + depth,
-            layers,
-            _layer_links(self.arrays, self.predecessors, layers),
+            rows, links, offsets[walk] + depth, layers, [edge_rows[e] for e in entries]
         )
         return Paths(offsets, rows, links, latency)
 
@@ -391,32 +391,6 @@ class RouteTables(NamedTuple):
 #: relative float error per hop, so a path that wins by this margin is the
 #: one any tie-break of a station-sourced search returns.
 CERTIFICATE_MARGIN = 1e-9
-
-
-class _TreeWalk(NamedTuple):
-    """The gateway-tree side of :meth:`GatewayRouteTables.paths`.
-
-    Per query: its source and destination rows (0 where unknown) and
-    whether it asks for its own source.  Per walked query (the ones that
-    pass certificate (a), in query order): the query index, its gateway's
-    node row and the edge row of the link to it, whether certificate (b)
-    failed and its in-order latency, plus the :func:`_walk_layers` layers
-    and depth of its tree path and, per layer, the edge row of each node's
-    in-link.  The queries whose sources are solved exactly close the list.
-    """
-
-    source: np.ndarray
-    dest: np.ndarray
-    at_source: np.ndarray
-    walk: np.ndarray
-    roots: np.ndarray
-    gateway_links: np.ndarray
-    layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    layer_links: list[np.ndarray]
-    depth: np.ndarray
-    tied: np.ndarray
-    latency: np.ndarray
-    fallback: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,8 +417,10 @@ class GatewayRouteTables:
     :meth:`RouteTables.solve` (the *fallback*), so :meth:`paths` equals the
     station-sourced :meth:`RouteTables.paths` bit for bit.
 
-    ``arrays`` must be symmetric, as every snapshot's :class:`EdgeArrays`
-    is: the near-tie check reads a node's in-links from its own CSR row.
+    Certificate (b) is checked as :meth:`paths` walks, on the walked nodes
+    only, so a solve is the one gateway search.  ``arrays`` must be
+    symmetric, as every snapshot's :class:`EdgeArrays` is: the near-tie
+    check reads a node's in-links from its own CSR row.
     """
 
     arrays: EdgeArrays
@@ -459,11 +435,6 @@ class GatewayRouteTables:
     gateway_links: np.ndarray  # (S, K)
     distances: np.ndarray  # (G, N)
     predecessors: np.ndarray  # (G, N)
-    #: CSR entry of the link into each node from its predecessor, on every
-    #: reached node that is not near-tied (0 elsewhere).
-    in_entry: np.ndarray  # (G, N)
-    #: Whether the node has a near-tied in-link in the search.
-    near_tie: np.ndarray  # (G, N) bool
 
     @classmethod
     def solve(cls, arrays: EdgeArrays, source_rows) -> "GatewayRouteTables":
@@ -484,10 +455,6 @@ class GatewayRouteTables:
         gateway_weights[padded] = weights[position]
         gateway_links = np.full(padded.shape, -1, dtype=np.intp)
         gateway_links[padded] = arrays.edge_rows[position]
-        distances, predecessors = _dijkstra(arrays, gateway_rows)
-        # A source adds at most its heaviest gateway link in front of a
-        # gateway's distances; near ties are judged on that whole sum.
-        lead = float(gateway_weights[padded].max(initial=0.0))
         return cls(
             arrays,
             source_rows,
@@ -495,9 +462,7 @@ class GatewayRouteTables:
             gateways,
             gateway_weights,
             gateway_links,
-            distances,
-            predecessors,
-            *_tight_in_links(arrays, distances, predecessors, lead),
+            *_dijkstra(arrays, gateway_rows),
         )
 
     def paths(self, group_of: np.ndarray, dest_rows: np.ndarray) -> Paths:
@@ -505,58 +470,13 @@ class GatewayRouteTables:
 
         Query ``i`` routes from ``source_rows[group_of[i]]`` to node row
         ``dest_rows[i]``.  The queries that pass certificate (a) are walked
-        on their best gateway's tree in one batched layer walk, and
-        certificate (b), the hop weights and the hops' edge rows are read
-        along the walked paths from ``near_tie`` and ``in_entry``; the
-        sources of the other reachable queries are solved exactly and walked
-        there (no solve runs when there are none), and their count is
-        :attr:`Paths.exact_sources`.
+        on their best gateway's tree in one batched layer walk, and one scan
+        of the walked nodes' in-links (:func:`_in_links`) checks certificate
+        (b) and gives each hop's weight and edge row.  The sources of the
+        other reachable queries are solved exactly and walked by
+        :meth:`RouteTables.paths` (no solve runs when there are none), and
+        their count is :attr:`Paths.exact_sources`.
         """
-        tree = self._tree_walk(group_of, dest_rows)
-        walk, certified, fallback = tree.walk, ~tree.tied, tree.fallback
-        source, dest = tree.source, tree.dest
-        latency = np.where(tree.at_source, 0.0, np.inf)
-        latency[walk[certified]] = tree.latency[certified]
-        lengths = tree.at_source.astype(np.intp)
-        lengths[walk[certified]] = tree.depth[certified] + 2
-        sources, table_of = np.unique(source[fallback], return_inverse=True)
-        exact_layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        exact_links: list[np.ndarray] = []
-        exact_depth = np.zeros(0, dtype=np.intp)
-        if sources.size:
-            exact = RouteTables.solve(self.arrays, sources)
-            latency[fallback] = exact.distances[table_of, dest[fallback]]
-            exact_layers, exact_depth = _walk_layers(
-                exact.predecessors, table_of, sources[table_of], dest[fallback]
-            )
-            exact_links = _layer_links(self.arrays, exact.predecessors, exact_layers)
-        lengths[fallback] = exact_depth + 1
-        offsets = np.zeros(dest.size + 1, dtype=np.intp)
-        np.cumsum(lengths, out=offsets[1:])
-        rows = np.empty(int(offsets[-1]), dtype=np.intp)
-        links = np.full(int(offsets[-1]), -1, dtype=np.intp)
-        start = offsets[:-1]
-        rows[start[tree.at_source]] = source[tree.at_source]
-        walked = start[walk[certified]]
-        rows[walked] = source[walk[certified]]
-        rows[walked + 1] = tree.roots[certified]
-        links[walked + 1] = tree.gateway_links[certified]
-        _place_layers(
-            rows,
-            links,
-            start[walk] + 1 + tree.depth,
-            tree.layers,
-            tree.layer_links,
-            certified,
-        )
-        rows[start[fallback]] = source[fallback]
-        _place_layers(
-            rows, links, start[fallback] + exact_depth, exact_layers, exact_links
-        )
-        return Paths(offsets, rows, links, latency, int(sources.size))
-
-    def _tree_walk(self, group_of: np.ndarray, dest_rows: np.ndarray) -> "_TreeWalk":
-        """Check both certificates and walk the gateway trees of the queries."""
         group_of = np.asarray(group_of, dtype=np.intp)
         dest_rows = np.asarray(dest_rows, dtype=np.intp)
         known = (group_of >= 0) & (dest_rows >= 0)
@@ -570,40 +490,68 @@ class GatewayRouteTables:
         )
         roots = self.gateway_rows[gateway]
         layers, depth = _walk_layers(self.predecessors, gateway, roots, dest[walk])
-        # Certificate (b), the hop weights and the edge rows along every
-        # tree path: layer k holds the node k hops back from the
+        # A source adds at most its heaviest gateway link in front of a
+        # gateway's distances; near ties are judged on that whole sum.
+        lead = np.max(self.gateway_weights, where=self.gateway_links >= 0, initial=0.0)
+        entries, ties = _in_links(
+            self.arrays,
+            self.distances,
+            self.predecessors,
+            [gateway * self.arrays.node_count + roots] + [at for *_, at in layers],
+            float(lead),
+        )
+        # Certificate (b) and the hop weights along every tree path, the
+        # gateway included: layer k holds the node k hops back from the
         # destination, which hop depth - k enters (hop 0 is source ->
-        # gateway).  A certified path's nodes are not near-tied, so each
-        # one's in_entry is its predecessor's link.
-        weights, edge_rows = self.arrays.weights, self.arrays.edge_rows
-        tied = np.take(self.near_tie, gateway * self.arrays.node_count + roots)
+        # gateway).  A node that is not near-tied has one tight in-link,
+        # its predecessor's, so a certified path is the only shortest one.
+        tied = ties[0]
         hops = np.zeros((len(layers), walk.size))
-        layer_links = []
-        for k, (where, _, at) in enumerate(layers):
-            tied[where] |= np.take(self.near_tie, at)
-            entry = np.take(self.in_entry, at)
-            hops[k, where] = weights[entry]
-            layer_links.append(edge_rows[entry])
+        for k, (where, _, _) in enumerate(layers):
+            tied[where] |= ties[k + 1]
+            hops[k, where] = self.arrays.weights[entries[k + 1]]
         # In-order hop sums from the source, as Dijkstra accumulates them:
         # the deepest layer first, so the zeros past a path's end add nothing.
-        latency = hop0.copy()
+        tree_latency = hop0.copy()
         for hop in hops[::-1]:
-            latency += hop
+            tree_latency += hop
+        certified = ~tied
         fallback = np.concatenate([rejected, walk[tied]])
-        return _TreeWalk(
-            source,
-            dest,
-            at_source,
-            walk,
-            roots,
-            gateway_links,
+        sources, table_of = np.unique(source[fallback], return_inverse=True)
+        exact = Paths(np.zeros(1, dtype=np.intp), walk[:0], walk[:0], np.empty(0))
+        if sources.size:
+            exact = RouteTables.solve(self.arrays, sources).paths(table_of, dest[fallback])
+        latency = np.where(at_source, 0.0, np.inf)
+        latency[walk[certified]] = tree_latency[certified]
+        latency[fallback] = exact.latency_ms
+        lengths = at_source.astype(np.intp)
+        lengths[walk[certified]] = depth[certified] + 2
+        lengths[fallback] = np.diff(exact.offsets)
+        offsets = np.zeros(dest.size + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        rows = np.empty(int(offsets[-1]), dtype=np.intp)
+        links = np.full(int(offsets[-1]), -1, dtype=np.intp)
+        start = offsets[:-1]
+        rows[start[at_source]] = source[at_source]
+        walked = start[walk[certified]]
+        rows[walked] = source[walk[certified]]
+        rows[walked + 1] = roots[certified]
+        links[walked + 1] = gateway_links[certified]
+        edge_rows = self.arrays.edge_rows
+        _place_layers(
+            rows,
+            links,
+            start[walk] + 1 + depth,
             layers,
-            layer_links,
-            depth,
-            tied,
-            latency,
-            fallback,
+            [edge_rows[entry] for entry in entries[1:]],
+            certified,
         )
+        spliced = np.arange(exact.rows.size) + np.repeat(
+            start[fallback] - exact.offsets[:-1], lengths[fallback]
+        )
+        rows[spliced] = exact.rows
+        links[spliced] = exact.links
+        return Paths(offsets, rows, links, latency, int(sources.size))
 
     def _best_gateways(
         self, asked: np.ndarray, group_of: np.ndarray, dest: np.ndarray
@@ -697,68 +645,57 @@ def _place_layers(
         links[ends[where] - k] = link
 
 
-def _layer_links(
+def _in_links(
     arrays: EdgeArrays,
+    distances: np.ndarray,
     predecessors: np.ndarray,
-    layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> list[np.ndarray]:
-    """Edge row of every walked node's in-link, layer by layer.
+    walked: list[np.ndarray],
+    lead: float | None,
+) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
+    """The in-link facts of walked nodes, each distinct one scanned once.
 
-    For tables without in-link facts: each node's CSR row is scanned for its
-    predecessor, so the work is the walked nodes' degrees, with no sort or
-    search.
+    Every array of ``walked`` holds flat indices into ``predecessors``
+    (``table * N + node``).  Returns ``(entries, ties)``, aligned with each
+    of them: the CSR entry of the link from the node's predecessor, whose
+    weight and edge row are its hop's (0 at a search root), and whether
+    the node is near-tied (``ties`` is ``None`` when ``lead`` is: the
+    station-sourced tables read only the entries).  An in-link ``u -> v``
+    is tight when ``D[u] + w(u, v)`` is within ``CERTIFICATE_MARGIN * (D[v]
+    + lead)`` of ``D[v]``; a reached node other than the root always has
+    one, its predecessor's, so a second one (or any at the root) is a near
+    tie.  The CSR export is symmetric, so row ``v`` lists ``v``'s in-links.
+    The walked nodes are marked in one boolean table and each is scanned
+    once, since walks share many of their nodes; the work is the distinct
+    nodes' degrees, with no sort or search.
     """
-    indptr, indices, edge_rows = arrays.indptr, arrays.indices, arrays.edge_rows
-    flat = predecessors.ravel()
-    found = []
-    for _, nodes, at in layers:
-        first = indptr[nodes]
-        degree = indptr[nodes + 1] - first
-        hop = np.repeat(np.arange(nodes.size), degree)
-        entry = np.arange(hop.size) + np.repeat(
-            first - np.cumsum(degree) + degree, degree
-        )
-        hit = indices[entry] == np.take(flat, at)[hop]
-        link = np.full(nodes.size, -1, dtype=np.intp)
-        link[hop[hit]] = edge_rows[entry[hit]]
-        found.append(link)
-    return found
-
-
-def _tight_in_links(
-    arrays: EdgeArrays, distances: np.ndarray, predecessors: np.ndarray, lead: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(in_entry, near_tie)`` of a multi-source search, each ``(G, N)``.
-
-    An in-link ``u -> v`` is tight when ``D[u] + w(u, v)`` is within
-    ``CERTIFICATE_MARGIN * (D[v] + lead)`` of ``D[v]``.  A reached node
-    other than the source always has one tight in-link, its predecessor's;
-    a second one (or any at the source) is a near tie.  Where the
-    predecessor's link is the only tight one, the sum of the tight links'
-    CSR entries is its entry; ``in_entry`` reads 0 on near-tied nodes.  The
-    CSR export is symmetric, so row ``v`` lists ``v``'s in-links.  One
-    reduction gives both facts: each tight entry adds ``2**shift`` plus its
-    index, and a node's indices sum to less than ``2**shift``.
-    """
-    indptr, indices, weights = arrays.indptr, arrays.indices, arrays.weights
-    count, n = distances.shape
-    degree = np.diff(indptr)
-    linked = np.flatnonzero(degree)
-    reach = np.ascontiguousarray(distances.T)
-    offer = reach[indices]
-    offer += weights[:, None]
+    indptr, indices = arrays.indptr, arrays.indices
+    marked = np.zeros(predecessors.size, dtype=bool)
+    for at in walked:
+        marked[at] = True
+    at = np.flatnonzero(marked)
+    node = at % predecessors.shape[1]
+    first = indptr[node]
+    # Every walked node has a link (to its predecessor, or at a gateway root
+    # from its station), so no segment of the tie count below is empty.
+    degree = indptr[node + 1] - first
+    start = np.cumsum(degree) - degree
+    entry = np.arange(int(degree.sum())) + np.repeat(first - start, degree)
+    neighbour = indices[entry]
+    before = np.take(predecessors, at)
+    found = np.flatnonzero(neighbour == np.repeat(before, degree))
+    in_entry = np.zeros(predecessors.size, dtype=np.intp)
+    in_entry[np.repeat(at, degree)[found]] = entry[found]
+    entries = [np.take(in_entry, positions) for positions in walked]
+    if lead is None:
+        return entries, None
+    offer = np.take(distances, np.repeat(at - node, degree) + neighbour)
+    offer += arrays.weights[entry]
+    reach = np.take(distances, at)
     reach += CERTIFICATE_MARGIN * (reach + lead)
-    tight = offer <= np.repeat(reach, degree, axis=0)
-    shift = (indices.size * int(degree.max(initial=0))).bit_length()
-    tagged = np.arange(indices.size, dtype=np.int64) + (1 << shift)
-    sums = np.zeros((n, count), dtype=np.int64)
-    sums[linked] = np.add.reduceat(
-        np.where(tight, tagged[:, None], 0), indptr[linked], axis=0
-    )
-    near_tie = (sums >> shift) > (predecessors.T >= 0)
-    in_entry = sums & ((1 << shift) - 1)
-    in_entry[near_tie] = 0
-    return np.ascontiguousarray(in_entry.T), np.ascontiguousarray(near_tie.T)
+    tight = np.add.reduceat(offer <= np.repeat(reach, degree), start, dtype=np.intp)
+    near_tie = marked
+    near_tie[at] = tight > (before >= 0)
+    return entries, [np.take(near_tie, positions) for positions in walked]
 
 
 def _dijkstra(arrays: EdgeArrays, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1140,9 +1140,10 @@ class NetworkSimulator:
         (:class:`~repro.network.backends.GatewayRouteTables`),
         ``route_fallbacks`` the sources solved exactly from the station
         because a path's uniqueness certificate failed (never more than
-        ``route_sources``; counting it walks the tables a second time), and
-        ``flows_rerouted`` the flows walked on steered tables.  They are the
-        same in serial and worker-process sweeps.  Max-min scenarios also count ``waterfill_rounds`` (progressive-filling rounds) and
+        ``route_sources``; the walk reports it, so counting costs nothing),
+        and ``flows_rerouted`` the flows walked on steered tables.  They are
+        the same in serial and worker-process sweeps.  Max-min scenarios
+        also count ``waterfill_rounds`` (progressive-filling rounds) and
         ``waterfill_passes`` (the solver passes that ran them: a pass
         replays a whole run of demand-only rounds).  Spans only ever read
         the monotonic clock around stages -- they never touch pipeline

@@ -23,7 +23,11 @@ trust by reading:
 * matching every hop of ragged row paths to a link by sorting and
   searching their link codes (:func:`hop_links`), the oracle of the
   library's compile from the edge rows a route walk records, and those
-  edge rows looked up pair by pair (:func:`path_links`).
+  edge rows looked up pair by pair (:func:`path_links`);
+* the near-tie flag and predecessor in-link entry of every (gateway, node)
+  pair of a gateway search, computed eagerly for all of them in one
+  reduction (:func:`_tight_in_links`), the oracle of the library's scan of
+  walked nodes only.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.network.alloc_arrays import (
     _group_by,
     compile_system_from_rows,
 )
-from repro.network.backends import SnapshotEdgeList
+from repro.network.backends import CERTIFICATE_MARGIN, EdgeArrays, SnapshotEdgeList
 from repro.network.flows import FlowTable
 from repro.network.routing import RouteResult
 from repro.obs import NULL_TRACER, Tracer
@@ -92,6 +96,42 @@ def hop_links(
         path = int(flow_ids[np.flatnonzero(missing[link_ids])[0]])
         raise ValueError(f"flow {path} uses a link not present in the snapshot")
     return flow_ids, link_ids, link_rows
+
+
+def _tight_in_links(
+    arrays: EdgeArrays, distances: np.ndarray, predecessors: np.ndarray, lead: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(in_entry, near_tie)`` of a multi-source search, each ``(G, N)``.
+
+    An in-link ``u -> v`` is tight when ``D[u] + w(u, v)`` is within
+    ``CERTIFICATE_MARGIN * (D[v] + lead)`` of ``D[v]``.  A reached node
+    other than the source always has one tight in-link, its predecessor's;
+    a second one (or any at the source) is a near tie.  Where the
+    predecessor's link is the only tight one, the sum of the tight links'
+    CSR entries is its entry; ``in_entry`` reads 0 on near-tied nodes.  The
+    CSR export is symmetric, so row ``v`` lists ``v``'s in-links.  One
+    reduction gives both facts: each tight entry adds ``2**shift`` plus its
+    index, and a node's indices sum to less than ``2**shift``.
+    """
+    indptr, indices, weights = arrays.indptr, arrays.indices, arrays.weights
+    count, n = distances.shape
+    degree = np.diff(indptr)
+    linked = np.flatnonzero(degree)
+    reach = np.ascontiguousarray(distances.T)
+    offer = reach[indices]
+    offer += weights[:, None]
+    reach += CERTIFICATE_MARGIN * (reach + lead)
+    tight = offer <= np.repeat(reach, degree, axis=0)
+    shift = (indices.size * int(degree.max(initial=0))).bit_length()
+    tagged = np.arange(indices.size, dtype=np.int64) + (1 << shift)
+    sums = np.zeros((n, count), dtype=np.int64)
+    sums[linked] = np.add.reduceat(
+        np.where(tight, tagged[:, None], 0), indptr[linked], axis=0
+    )
+    near_tie = (sums >> shift) > (predecessors.T >= 0)
+    in_entry = sums & ((1 << shift) - 1)
+    in_entry[near_tie] = 0
+    return np.ascontiguousarray(in_entry.T), np.ascontiguousarray(near_tie.T)
 
 
 def path_links(
