@@ -97,7 +97,7 @@ def main() -> None:
     )
     print("aggregate heavy hitters over the whole run (count-min estimates):")
     for src, dst, gbps in telemetry.top_pairs(10):
-        share = gbps / telemetry.total_gbps()
+        share = gbps / telemetry.total()
         print(f"  {src} -> {dst}: {gbps:8.1f} Gbps  ({share:5.1%} of offered)")
 
 

@@ -73,16 +73,13 @@ from .steering import (
 )
 from .telemetry import (
     TELEMETRY,
-    AutoTelemetry,
     CountMinPairStore,
     ExactPairStore,
     ExactTelemetry,
-    LinkTelemetry,
     PairTelemetry,
     SketchTelemetry,
     TelemetryModel,
     get_telemetry,
-    merge_stores,
 )
 from .simulation import (
     NetworkSimulator,
@@ -117,16 +114,13 @@ __all__ = [
     "select_flow_table",
     "station_rows",
     "TELEMETRY",
-    "AutoTelemetry",
     "CountMinPairStore",
     "ExactPairStore",
     "ExactTelemetry",
-    "LinkTelemetry",
     "PairTelemetry",
     "SketchTelemetry",
     "TelemetryModel",
     "get_telemetry",
-    "merge_stores",
     "STEERING_POLICIES",
     "CongestionAwareSteering",
     "LoadSpreadingSteering",

@@ -444,7 +444,9 @@ def _solve_max_min(
             saturated = live[live_frozen + counts * level >= live_capacity - 1e-9]
             if saturated.size:
                 on_links = _gather(link_ptr, link_flows, saturated)
-                newly = np.union1d(newly, on_links[active[on_links]])
+                # Neither side is sorted or distinct, so this is a full
+                # sort-and-dedup, not the sorted ``backends.merge_codes``.
+                newly = np.unique(np.concatenate([newly, on_links[active[on_links]]]))
         if not newly.size:
             # No tolerance fired: freeze the binding constraint directly
             # (its headroom cannot recover) instead of spinning without

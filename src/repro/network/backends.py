@@ -62,6 +62,7 @@ __all__ = [
     "NodeIndex",
     "EdgeArrays",
     "SnapshotEdgeList",
+    "merge_codes",
 ]
 
 
@@ -214,9 +215,9 @@ class SnapshotEdgeList:
     def link_codes(self) -> np.ndarray:
         """Each row's undirected link as one int64, ``min(a, b) * n + max(a, b)``.
 
-        The key space of the whole feedback path: steering state and
-        :class:`~repro.network.telemetry.LinkTelemetry` agree on it, so
-        signals line up by plain integer comparison.
+        The key space of the whole feedback path: steering state and the
+        link :class:`~repro.network.telemetry.PairTelemetry` agree on it,
+        so signals line up by plain integer comparison.
         """
         return self._codes(self.a, self.b)
 
@@ -264,6 +265,24 @@ class SnapshotEdgeList:
             self.a, self.b, self.delay_ms, len(self.labels)
         )
         return EdgeArrays(indptr, indices, weights, self.node_index, edge_rows)
+
+
+def merge_codes(state: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
+    """Sorted union of two sorted arrays of distinct codes, without a sort.
+
+    ``snapshot`` is the larger side (an edge list's sorted link codes, or a
+    batch's consolidated pair keys); only the ``state`` codes it lacks are
+    inserted at their sorted places, so nothing is re-sorted.  The result
+    is ``snapshot`` or ``state`` itself when the other adds nothing, so
+    callers must not write into it.
+    """
+    if not snapshot.size:
+        return state
+    found = np.minimum(np.searchsorted(snapshot, state), snapshot.size - 1)
+    absent = state[snapshot[found] != state]
+    if not absent.size:
+        return snapshot
+    return np.insert(snapshot, np.searchsorted(snapshot, absent), absent)
 
 
 def load_csgraph():

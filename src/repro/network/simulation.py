@@ -123,7 +123,7 @@ from .flows import (
 )
 from .ground_station import GroundStation
 from .steering import SteeringController, SteeringPolicy, get_steering_policy
-from .telemetry import LinkTelemetry, PairTelemetry, get_telemetry
+from .telemetry import PairTelemetry, get_telemetry
 from .topology import ConstellationTopology, MultiShellTopology
 
 __all__ = [
@@ -184,10 +184,11 @@ class Scenario:
         malformed fault scenario fails immediately instead of mid-sweep.
     telemetry:
         Station-pair telemetry model name, looked up in
-        :data:`repro.network.telemetry.TELEMETRY` (``"exact"``,
-        ``"sketch"``, ``"auto"``); enables per-step top-pair summaries on
-        :class:`StepStatistics` and mergeable per-run pair and link
-        aggregates on :class:`SimulationResult`.  ``None`` collects nothing.
+        :data:`repro.network.telemetry.TELEMETRY` (``"exact"`` or
+        ``"sketch"``); enables per-step top-pair summaries on
+        :class:`StepStatistics` and mergeable per-run station-pair and link
+        :class:`~repro.network.telemetry.PairTelemetry` aggregates on
+        :class:`SimulationResult`.  ``None`` collects nothing.
     steering:
         Congestion-steering policy name, looked up in
         :data:`repro.network.steering.STEERING_POLICIES`; adaptive policies
@@ -299,8 +300,11 @@ class SimulationResult:
     telemetry: PairTelemetry | None = None
     #: Whole-run per-link utilisation aggregate (per-step utilisation summed
     #: across steps -- "sustained heat"), sharing the steering feedback's
-    #: signal; present only when the scenario enabled a telemetry model.
-    link_telemetry: LinkTelemetry | None = None
+    #: signal: a :class:`PairTelemetry` over the snapshot group's node
+    #: labels, keyed by link codes, so ``top_pairs`` returns
+    #: ``(node_a, node_b, summed utilisation)``.  Present only when the
+    #: scenario enabled a telemetry model.
+    link_telemetry: PairTelemetry | None = None
     #: Per-stage durations, call counts, counters and memory gauges of this
     #: scenario's run (:mod:`repro.obs`), present only when the sweep ran
     #: with ``instrument=True``.  Shared per-step snapshot work is
@@ -320,7 +324,7 @@ class SimulationResult:
         """
         if self.link_telemetry is None:
             return ()
-        return self.link_telemetry.top_links(count)
+        return self.link_telemetry.top_pairs(count)
 
     def _require_steps(self) -> None:
         if not self.steps:
@@ -490,22 +494,20 @@ class _GroupSnapshot(NamedTuple):
 
 #: One scenario's step output: statistics plus station-pair and per-link
 #: telemetry (``None`` when telemetry is off).
-_StepOutput = tuple[StepStatistics, PairTelemetry | None, LinkTelemetry | None]
+_StepOutput = tuple[StepStatistics, PairTelemetry | None, PairTelemetry | None]
 
 
 def _pair_telemetry(scenario: Scenario, table) -> PairTelemetry:
     """Collect the step's station-pair offered-demand summary."""
-    model = get_telemetry(scenario.telemetry)
-    telemetry = PairTelemetry(
-        labels=tuple(table.station_names), store=model.store(table.flow_count)
-    )
+    store = get_telemetry(scenario.telemetry).store()
+    telemetry = PairTelemetry(labels=tuple(table.station_names), store=store)
     telemetry.observe_pairs(table.src, table.dst, table.demand)
     return telemetry
 
 
 def _link_telemetry(
     scenario: Scenario, edge_list: SnapshotEdgeList, utilisation: np.ndarray
-) -> LinkTelemetry:
+) -> PairTelemetry:
     """Fold one step's per-link utilisation into telemetry.
 
     Consumes the same link-index-order utilisation export the steering
@@ -513,13 +515,10 @@ def _link_telemetry(
     observed, so the store tracks the hot set, and summed-over-steps values
     rank links by *sustained* heat.
     """
-    model = get_telemetry(scenario.telemetry)
     hot = utilisation > 0.0
-    telemetry = LinkTelemetry(
-        labels=edge_list.labels,
-        store=model.store(int(np.count_nonzero(hot))),
-    )
-    telemetry.observe_links(edge_list.link_codes[hot], utilisation[hot])
+    store = get_telemetry(scenario.telemetry).store()
+    telemetry = PairTelemetry(labels=edge_list.labels, store=store)
+    telemetry.observe(edge_list.link_codes[hot], utilisation[hot])
     return telemetry
 
 
@@ -887,19 +886,15 @@ def _merge_step(
     outputs: list[_StepOutput],
 ) -> None:
     """Append one step's kernel outputs to the per-scenario results."""
-    for spec, (stats, pair_telemetry, link_telemetry) in zip(specs, outputs):
+    for spec, (stats, *summaries) in zip(specs, outputs):
         result = results[spec.name]
         result.steps.append(stats)
-        if pair_telemetry is not None:
-            if result.telemetry is None:
-                result.telemetry = pair_telemetry
-            else:
-                result.telemetry.merge(pair_telemetry)
-        if link_telemetry is not None:
-            if result.link_telemetry is None:
-                result.link_telemetry = link_telemetry
-            else:
-                result.link_telemetry.merge(link_telemetry)
+        for name, summary in zip(("telemetry", "link_telemetry"), summaries):
+            aggregate = getattr(result, name)
+            if aggregate is None:
+                setattr(result, name, summary)
+            elif summary is not None:
+                aggregate.merge(summary)
 
 
 def _run_specs(

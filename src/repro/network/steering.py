@@ -87,7 +87,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .backends import SnapshotEdgeList
+from .backends import SnapshotEdgeList, merge_codes
 
 __all__ = [
     "SteeringPolicy",
@@ -202,7 +202,7 @@ class SteeringController:
         policy = self.policy
         codes = edge_list.link_codes
         utilisation = np.asarray(utilisation, dtype=float)
-        merged = _merge_codes(self._codes, edge_list.link_lookup[0])
+        merged = merge_codes(self._codes, edge_list.link_lookup[0])
         ewma = np.zeros(merged.size)
         engaged = np.zeros(merged.size, dtype=bool)
         cooldown = np.zeros(merged.size, dtype=np.int64)
@@ -256,22 +256,6 @@ class SteeringController:
             + self._engaged.nbytes
             + self._cooldown.nbytes
         )
-
-
-def _merge_codes(state: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
-    """Sorted union of sorted, distinct link codes, as :func:`np.union1d`.
-
-    ``snapshot`` is an edge list's sorted code table; only the state codes
-    it lacks join it before one sort, which costs a fraction of the hash
-    pass ``np.union1d``'s de-duplication makes.
-    """
-    if not snapshot.size:
-        return state
-    found = np.minimum(np.searchsorted(snapshot, state), snapshot.size - 1)
-    absent = state[snapshot[found] != state]
-    if not absent.size:
-        return snapshot
-    return np.sort(np.concatenate([snapshot, absent]))
 
 
 @dataclass(frozen=True)

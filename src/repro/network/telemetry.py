@@ -1,22 +1,31 @@
-"""Streaming step telemetry: exact and sketch station-pair summaries.
+"""Streaming step telemetry: exact and sketch summaries keyed by label pairs.
 
 At ~10^2 flows per step per-flow statistics are free; at the 10^5-10^6
 flows per step the columnar simulator handles, an exact per-pair
 breakdown costs O(distinct pairs) memory per step -- the same order as the
 flow store itself.  This module makes that cost a policy: a
-:class:`TelemetryModel` decides, per step, whether the station-pair demand
-summary is collected **exactly** (consolidated key/value arrays) or
-**approximately** in fixed memory (a count-min sketch with a bounded
-heavy-hitter candidate set).  Models are registered by name in
-:data:`TELEMETRY`, mirroring ``FAULT_MODELS``/``STEERING_POLICIES``,
-so scenario definitions select them declaratively
+:class:`TelemetryModel` builds each step's store, either **exact**
+(consolidated key/value arrays, :class:`ExactPairStore`) or
+**approximate** in fixed memory (a count-min sketch with a bounded
+heavy-hitter candidate set, :class:`CountMinPairStore`).  Models are
+registered by name in :data:`TELEMETRY` (``"exact"`` and ``"sketch"``),
+mirroring ``FAULT_MODELS``/``STEERING_POLICIES``, so scenario definitions
+select them declaratively
 (:attr:`repro.network.simulation.Scenario.telemetry`).
 
-Every store supports ``merge``: per-step stores fold into a per-scenario
-aggregate, and -- because stores are plain numpy containers -- they pickle
-cheaply, so sweeps run in worker processes ship each worker's aggregates
-back to the coordinator and combine them there.  Count-min addition is
-commutative, which keeps merged results independent of worker scheduling.
+:class:`PairTelemetry` is the one summary the simulator keeps: a store plus
+the label table its keys decode against, ``a * len(labels) + b`` for the
+pair ``(labels[a], labels[b])``.  Station-pair demand is keyed by
+``(source, destination)`` station ids; link utilisation by the snapshot's
+own link codes (``min * n + max`` over the same node labels), which are
+such keys already.
+
+Every store merges with a store of its own kind, and only with one:
+per-step stores fold into a per-scenario aggregate, and -- because stores
+are plain numpy containers -- they pickle cheaply, so sweeps run in worker
+processes ship each worker's aggregates back to the coordinator.
+Count-min addition is commutative, which keeps merged results independent
+of worker scheduling.
 
 The count-min estimate never under-counts: for non-negative values the
 sketch returns ``true <= estimate <= true + eps * total`` with high
@@ -24,31 +33,28 @@ probability, where ``eps ~ e / width``.  Heavy hitters are tracked as a
 bounded candidate set refreshed on every observation batch; a pair's
 estimate includes all of its past contributions (the sketch remembers what
 the candidate set may have evicted), so a pair that becomes heavy late
-still surfaces with its full count.
-
-Below a model's size threshold (``"auto"``) the exact store is used and the
-summaries are bit-identical to brute force -- the equivalence anchor of the
-sketch tests.
+still surfaces with its full count.  The exact store is the sketch tests'
+brute-force anchor.
 """
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .backends import merge_codes
+
 __all__ = [
     "PairStore",
     "ExactPairStore",
     "CountMinPairStore",
-    "merge_stores",
     "PairTelemetry",
-    "LinkTelemetry",
     "TelemetryModel",
     "ExactTelemetry",
     "SketchTelemetry",
-    "AutoTelemetry",
     "TELEMETRY",
     "get_telemetry",
 ]
@@ -92,6 +98,19 @@ class PairStore(ABC):
     @abstractmethod
     def memory_bytes(self) -> int:
         """Bytes held by the store's numpy state (constant for sketches)."""
+
+    @abstractmethod
+    def _fold(self, other: "PairStore") -> None:
+        """Add ``other``, a store of this store's own type, into this one."""
+
+    def merge(self, other: "PairStore") -> None:
+        """Fold ``other`` into this store in place; both must be one kind."""
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot merge {type(self).__name__} with {type(other).__name__}: "
+                "stores merge only with their own kind"
+            )
+        self._fold(other)
 
     def estimate(self, key: int) -> float:
         return float(self.estimate_many(np.array([key], dtype=np.int64))[0])
@@ -143,14 +162,10 @@ class ExactPairStore(PairStore):
 
     def estimate_many(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys, dtype=np.int64)
-        positions = np.searchsorted(self._keys, keys)
-        positions = np.minimum(positions, max(self._keys.size - 1, 0))
-        found = (
-            self._keys[positions] == keys
-            if self._keys.size
-            else np.zeros(keys.shape, dtype=bool)
-        )
-        return np.where(found, self._values[positions], 0.0)
+        if not self._keys.size:
+            return np.zeros(keys.shape)
+        positions = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        return np.where(self._keys[positions] == keys, self._values[positions], 0.0)
 
     def top(self, count: int) -> tuple:
         return _top_of(self._keys, self._values, count)
@@ -160,6 +175,9 @@ class ExactPairStore(PairStore):
 
     def memory_bytes(self) -> int:
         return int(self._keys.nbytes + self._values.nbytes)
+
+    def _fold(self, other: "ExactPairStore") -> None:
+        self.observe(other.keys, other.values)
 
 
 class CountMinPairStore(PairStore):
@@ -171,6 +189,9 @@ class CountMinPairStore(PairStore):
     non-negative values never under-counts.  The candidate set keeps the
     ``top_capacity`` keys with the largest sketch estimates seen so far,
     refreshed on every batch -- fixed memory however many pairs stream by.
+    It is sorted and distinct, and may share memory with an observed
+    batch's consolidated keys or a merged sketch's candidates, so it is
+    replaced, never written in place.
 
     Two sketches merge by elementwise table addition, valid only when their
     shapes and hash salts agree (same ``seed``/geometry -- the registry
@@ -184,12 +205,18 @@ class CountMinPairStore(PairStore):
         seed: int = 0,
         top_capacity: int = 64,
     ) -> None:
-        if width <= 0 or width & (width - 1):
+        geometry = {"width": width, "depth": depth, "top_capacity": top_capacity}
+        for name, value in geometry.items():
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value <= 0
+            ):
+                raise ValueError(
+                    f"sketch {name} must be a positive integer, got {value!r}"
+                )
+        if width & (width - 1):
             raise ValueError(f"sketch width must be a power of two, got {width}")
-        if depth <= 0:
-            raise ValueError("sketch depth must be positive")
-        if top_capacity <= 0:
-            raise ValueError("top_capacity must be positive")
         self._width = width
         self._depth = depth
         self._seed = seed
@@ -230,7 +257,9 @@ class CountMinPairStore(PairStore):
         self._refresh_candidates(keys)
 
     def _refresh_candidates(self, fresh_keys: np.ndarray) -> None:
-        pool = np.union1d(self._candidates, fresh_keys)
+        # Both sides are sorted and distinct (consolidated batch keys or a
+        # sketch's candidates), so the sorted merge is their union.
+        pool = merge_codes(self._candidates, fresh_keys)
         if pool.size > self._top_capacity:
             estimates = self.estimate_many(pool)
             # Preselect with argpartition (O(pool)), widened to ties at the
@@ -264,7 +293,7 @@ class CountMinPairStore(PairStore):
             self._table.nbytes + self._salts.nbytes + self._candidates.nbytes
         )
 
-    def merge(self, other: "CountMinPairStore") -> None:
+    def _fold(self, other: "CountMinPairStore") -> None:
         if (
             self._table.shape != other._table.shape
             or not np.array_equal(self._salts, other._salts)
@@ -278,113 +307,68 @@ class CountMinPairStore(PairStore):
         self._refresh_candidates(other._candidates)
 
 
-def merge_stores(left: PairStore, right: PairStore) -> PairStore:
-    """Fold ``right`` into ``left`` (or promote) and return the result.
-
-    Exact+exact and sketch+sketch merge in place; a mixed pair promotes the
-    exact side into the sketch (the sketch's history cannot be exactified),
-    so an ``"auto"`` scenario whose steps straddle the threshold still
-    aggregates into a single fixed-memory summary.
-    """
-    if isinstance(left, ExactPairStore) and isinstance(right, ExactPairStore):
-        left.observe(right.keys, right.values)
-        return left
-    if isinstance(left, CountMinPairStore) and isinstance(right, CountMinPairStore):
-        left.merge(right)
-        return left
-    if isinstance(left, CountMinPairStore) and isinstance(right, ExactPairStore):
-        left.observe(right.keys, right.values)
-        return left
-    if isinstance(left, ExactPairStore) and isinstance(right, CountMinPairStore):
-        right.observe(left.keys, left.values)
-        return right
-    raise TypeError(
-        f"cannot merge {type(left).__name__} with {type(right).__name__}"
-    )
-
-
 @dataclass
 class PairTelemetry:
-    """A station-pair summary: a :class:`PairStore` plus its label space.
+    """A summary keyed by label pairs: a :class:`PairStore` plus its labels.
 
-    Pairs are encoded as ``src_id * len(labels) + dst_id`` with ids indexing
-    ``labels`` (a scenario's station subset, in simulator order).  The
-    wrapper owns encoding/decoding so stores stay label-free and two
-    summaries merge only when their label spaces agree.
-    """
+    The pair ``(labels[a], labels[b])`` is keyed ``a * len(labels) + b``.
+    The simulator keeps two of these per scenario:
 
-    labels: tuple[str, ...]
-    store: PairStore
+    * station-pair offered demand, labelled by the scenario's stations (in
+      simulator order) and observed through :meth:`observe_pairs`;
+    * per-link utilisation, labelled by the snapshot group's node labels
+      and observed through :meth:`observe` with the edge list's
+      :attr:`~repro.network.backends.SnapshotEdgeList.link_codes` -- the
+      keys steering's EWMA state uses.  Each step adds that step's
+      utilisation, so a link at 0.9 for ten steps scores 9.0 while one
+      that spiked to 1.0 once scores 1.0 (*sustained heat*).
 
-    def observe_pairs(self, src_ids, dst_ids, values) -> None:
-        src_ids = np.asarray(src_ids, dtype=np.int64)
-        dst_ids = np.asarray(dst_ids, dtype=np.int64)
-        self.store.observe(src_ids * len(self.labels) + dst_ids, values)
-
-    def merge(self, other: "PairTelemetry") -> None:
-        if self.labels != other.labels:
-            raise ValueError("pair telemetry merges only within one station subset")
-        self.store = merge_stores(self.store, other.store)
-
-    def top_pairs(self, count: int) -> tuple[tuple[str, str, float], ...]:
-        """Largest ``count`` (src, dst, value) summaries, deterministic order."""
-        size = len(self.labels)
-        return tuple(
-            (self.labels[key // size], self.labels[key % size], value)
-            for key, value in self.store.top(count)
-        )
-
-    def estimate_pair(self, src: str, dst: str) -> float:
-        size = len(self.labels)
-        return self.store.estimate(
-            self.labels.index(src) * size + self.labels.index(dst)
-        )
-
-    def total_gbps(self) -> float:
-        return self.store.total()
-
-
-@dataclass
-class LinkTelemetry:
-    """A per-link utilisation summary: a :class:`PairStore` keyed by links.
-
-    The link-space sibling of :class:`PairTelemetry`, sharing one signal
-    source with congestion steering: the per-link utilisation array the
-    allocation stage exports in link-index order.  Links are keyed by the
-    snapshot edge list's own link codes
-    (:attr:`~repro.network.backends.SnapshotEdgeList.link_codes`) -- the
-    same keys steering's EWMA state uses -- so the summary is stable across
-    steps of one scenario group (labels are fixed within a group) and
-    merges across process workers like any other store.
-
-    Each step contributes that step's utilisation per link, so the
-    aggregate is *sustained heat*: a link at 0.9 utilisation for ten steps
-    scores 9.0, while a link that spiked to 1.0 once scores 1.0.
-    :meth:`top_links` surfaces the sustained-hot links of a simulation.
+    The wrapper owns encoding and decoding, so stores stay label-free and
+    two summaries merge only when their label tables agree.
     """
 
     labels: tuple
     store: PairStore
 
-    def observe_links(self, codes, utilisation) -> None:
-        """Add one step's (link code, utilisation) arrays."""
-        self.store.observe(codes, utilisation)
+    def observe(self, keys, values) -> None:
+        """Add one batch of (pair key, value) arrays."""
+        self.store.observe(keys, values)
 
-    def merge(self, other: "LinkTelemetry") -> None:
+    def observe_pairs(self, src_ids, dst_ids, values) -> None:
+        """Add one batch of (first label id, second label id, value) arrays."""
+        src_ids = np.asarray(src_ids, dtype=np.int64)
+        dst_ids = np.asarray(dst_ids, dtype=np.int64)
+        self.observe(src_ids * len(self.labels) + dst_ids, values)
+
+    def merge(self, other: "PairTelemetry") -> None:
         if self.labels != other.labels:
-            raise ValueError("link telemetry merges only within one snapshot group")
-        self.store = merge_stores(self.store, other.store)
+            raise ValueError(
+                "telemetry summaries merge only over one label table "
+                "(one station subset or snapshot group)"
+            )
+        self.store.merge(other.store)
 
-    def top_links(self, count: int) -> tuple[tuple[object, object, float], ...]:
-        """Largest ``count`` (label_a, label_b, summed utilisation) links."""
+    def top_pairs(self, count: int) -> tuple[tuple[object, object, float], ...]:
+        """Largest ``count`` (label_a, label_b, value) pairs, deterministic order."""
         size = len(self.labels)
         return tuple(
             (self.labels[key // size], self.labels[key % size], value)
             for key, value in self.store.top(count)
         )
 
+    def estimate_pair(self, src, dst) -> float:
+        """Accumulated value of the pair ``(src, dst)`` of labels (0.0 if unseen)."""
+        for label in (src, dst):
+            if label not in self.labels:
+                raise ValueError(
+                    f"label {label!r} is not in this summary; its labels are "
+                    f"{self.labels!r}"
+                )
+        src_id, dst_id = self.labels.index(src), self.labels.index(dst)
+        return self.store.estimate(src_id * len(self.labels) + dst_id)
+
     def total(self) -> float:
-        """Sum of every observed per-step link utilisation."""
+        """Sum of every observed value."""
         return self.store.total()
 
 
@@ -396,8 +380,8 @@ class TelemetryModel(ABC):
     summary_pairs: int = 5
 
     @abstractmethod
-    def store(self, expected_pairs: int) -> PairStore:
-        """Return a fresh store sized for ``expected_pairs`` candidates."""
+    def store(self) -> PairStore:
+        """Return a fresh, empty store."""
 
 
 @dataclass
@@ -406,7 +390,7 @@ class ExactTelemetry(TelemetryModel):
 
     name: str = field(default="exact", init=False)
 
-    def store(self, expected_pairs: int) -> PairStore:
+    def store(self) -> PairStore:
         return ExactPairStore()
 
 
@@ -420,7 +404,7 @@ class SketchTelemetry(TelemetryModel):
     seed: int = 0
     top_capacity: int = 64
 
-    def store(self, expected_pairs: int) -> PairStore:
+    def store(self) -> PairStore:
         return CountMinPairStore(
             width=self.width,
             depth=self.depth,
@@ -429,29 +413,10 @@ class SketchTelemetry(TelemetryModel):
         )
 
 
-@dataclass
-class AutoTelemetry(SketchTelemetry):
-    """Exact below ``threshold`` expected pairs, count-min sketch above.
-
-    The default model: small steps keep bit-exact summaries (and anchor the
-    sketch equivalence tests), while columnar-scale steps switch to fixed
-    memory.  Mixed aggregates promote to the sketch on merge.
-    """
-
-    name: str = field(default="auto", init=False)
-    threshold: int = 8192
-
-    def store(self, expected_pairs: int) -> PairStore:
-        if expected_pairs <= self.threshold:
-            return ExactPairStore()
-        return SketchTelemetry.store(self, expected_pairs)
-
-
 #: Telemetry models addressable by name (scenario definitions use these),
 #: mirroring :data:`repro.network.faults.FAULT_MODELS`.
 TELEMETRY: dict[str, TelemetryModel] = {
-    model.name: model
-    for model in (ExactTelemetry(), SketchTelemetry(), AutoTelemetry())
+    model.name: model for model in (ExactTelemetry(), SketchTelemetry())
 }
 
 

@@ -1,8 +1,8 @@
 """RPL009 -- merge-safety for classes exposing ``merge()``.
 
 The engine's parallel contract is build-local-then-merge: each worker
-accumulates into its own ``RunMetrics`` / ``PairTelemetry`` /
-``LinkTelemetry`` instance and the driver folds the results elementwise.
+accumulates into its own ``RunMetrics`` / ``PairTelemetry`` instance (and
+the ``PairStore`` inside it) and the driver folds the results elementwise.
 Worker processes pickle these objects across the boundary.
 That contract breaks silently when a merge target grows a field that is
 neither elementwise-mergeable nor picklable:

@@ -223,7 +223,7 @@ def _telemetry_check(key: str, value: object) -> list[str]:
     if not callable(bound):
         problems.append("telemetry model lacks store()")
     else:
-        problem = _callable_accepts(bound, 1)
+        problem = _callable_accepts(bound, 0)
         if problem:
             problems.append(f"store: {problem}")
     return problems

@@ -362,7 +362,7 @@ SCENARIOS = [
     Scenario(
         name="subset",
         ground_station_names=("London", "Tokyo", "New York"),
-        telemetry="auto",
+        telemetry="sketch",
     ),
 ]
 
@@ -375,6 +375,15 @@ class TestEngineEquivalence:
         )
         for scenario in SCENARIOS:
             assert pooled[scenario.name].steps == serial[scenario.name].steps
+            # Telemetry aggregates, the "subset" sketch included, merge to
+            # the same summary in worker processes.
+            for name in ("telemetry", "link_telemetry"):
+                want = getattr(serial[scenario.name], name)
+                got = getattr(pooled[scenario.name], name)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.top_pairs(64) == want.top_pairs(64)
+                    assert got.total() == want.total()
 
     def test_invalid_flow_engine_rejected(self, simulator, epoch):
         with pytest.raises(ValueError):
@@ -474,7 +483,7 @@ class TestSweepTelemetry:
         result = self._sweep(simulator, epoch)["t"]
         assert result.telemetry is not None
         offered = sum(step.offered_gbps for step in result.steps)
-        assert result.telemetry.total_gbps() == pytest.approx(offered)
+        assert result.telemetry.total() == pytest.approx(offered)
         assert result.telemetry.top_pairs(3)
         for step in result.steps:
             assert step.top_pairs
@@ -491,7 +500,7 @@ class TestSweepTelemetry:
             max_workers=2,
         )["t"]
         assert process.telemetry.top_pairs(5) == serial.telemetry.top_pairs(5)
-        assert process.telemetry.total_gbps() == serial.telemetry.total_gbps()
+        assert process.telemetry.total() == serial.telemetry.total()
 
     def test_scenario_without_telemetry_has_none(self, simulator, epoch):
         result = simulator.run_scenarios([Scenario(name="quiet")], epoch, 1.0)["quiet"]

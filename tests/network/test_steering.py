@@ -34,7 +34,7 @@ from flow_oracles import (
 )
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
-from repro.network.backends import RouteTables, SnapshotEdgeList
+from repro.network.backends import RouteTables, SnapshotEdgeList, merge_codes
 from repro.network import simulation as simulation_module
 from repro.network.alloc_arrays import compile_system_from_rows
 from repro.network.flows import route_flow_table
@@ -48,10 +48,9 @@ from repro.network.steering import (
     StaticSteering,
     SteeringPolicy,
     UtilisationWeightedSteering,
-    _merge_codes,
     get_steering_policy,
 )
-from repro.network.telemetry import LinkTelemetry, get_telemetry
+from repro.network.telemetry import PairTelemetry, get_telemetry
 from repro.network.topology import ConstellationTopology
 
 CITIES = (
@@ -230,7 +229,7 @@ class TestMergeCodes:
             else:  # some codes absent from the snapshot
                 state = np.unique(rng.integers(0, 400, int(rng.integers(0, 40))))
             state = state.astype(np.int64)
-            merged = _merge_codes(state, snapshot.astype(np.int64))
+            merged = merge_codes(state, snapshot.astype(np.int64))
             want = np.union1d(state, snapshot)
             assert merged.dtype == want.dtype
             assert np.array_equal(merged, want)
@@ -238,8 +237,25 @@ class TestMergeCodes:
     def test_snapshot_order_is_the_edge_lists(self):
         edges = _triangle()
         state = np.array([-5, edges.link_codes[1], 10**9], dtype=np.int64)
-        merged = _merge_codes(state, edges.link_lookup[0])
+        merged = merge_codes(state, edges.link_lookup[0])
         assert np.array_equal(merged, np.union1d(state, edges.link_codes))
+
+    def test_empty_state_returns_the_snapshot(self):
+        snapshot = _triangle().link_lookup[0]
+        merged = merge_codes(np.empty(0, dtype=np.int64), snapshot)
+        assert merged is snapshot
+        assert np.array_equal(merged, np.union1d([], snapshot))
+
+    def test_empty_snapshot_returns_the_state(self):
+        state = np.array([-5, 3, 10**9], dtype=np.int64)
+        merged = merge_codes(state, np.empty(0, dtype=np.int64))
+        assert merged is state
+        both_empty = merge_codes(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert both_empty.size == 0 and both_empty.dtype == np.int64
+
+    def test_state_inside_the_snapshot_adds_nothing(self):
+        snapshot = np.array([1, 4, 9, 16], dtype=np.int64)
+        assert merge_codes(snapshot[[0, 2]], snapshot) is snapshot
 
 
 class TestController:
@@ -544,34 +560,37 @@ class TestStrandedSemantics:
 
 
 class TestLinkTelemetry:
+    """Link summaries: a :class:`PairTelemetry` keyed by the edge list's link codes."""
+
     def test_observe_and_top_links(self):
         edges = _triangle()
-        telemetry = LinkTelemetry(edges.labels, get_telemetry("exact").store(4))
+        telemetry = PairTelemetry(edges.labels, get_telemetry("exact").store())
         codes = edges.link_codes
-        telemetry.observe_links(codes, np.array([0.9, 0.1, 0.0]))
-        telemetry.observe_links(codes, np.array([0.8, 0.2, 0.0]))
-        top = telemetry.top_links(2)
+        telemetry.observe(codes, np.array([0.9, 0.1, 0.0]))
+        telemetry.observe(codes, np.array([0.8, 0.2, 0.0]))
+        top = telemetry.top_pairs(2)
         assert top[0] == ("X", "Y", pytest.approx(1.7))
         assert top[1] == ("Y", "Z", pytest.approx(0.3))
         assert telemetry.total() == pytest.approx(2.0)
 
     def test_merge_requires_matching_labels(self):
         edges = _triangle()
-        left = LinkTelemetry(edges.labels, get_telemetry("exact").store(4))
-        right = LinkTelemetry(("A", "B"), get_telemetry("exact").store(4))
-        with pytest.raises(ValueError, match="one snapshot group"):
+        left = PairTelemetry(edges.labels, get_telemetry("exact").store())
+        right = PairTelemetry(("A", "B"), get_telemetry("exact").store())
+        with pytest.raises(ValueError, match="one label table"):
             left.merge(right)
 
     def test_merge_accumulates(self):
         edges = _triangle()
         codes = edges.link_codes
-        left = LinkTelemetry(edges.labels, get_telemetry("exact").store(4))
-        right = LinkTelemetry(edges.labels, get_telemetry("exact").store(4))
-        left.observe_links(codes, np.array([0.5, 0.0, 0.0]))
-        right.observe_links(codes, np.array([0.25, 1.0, 0.0]))
+        left = PairTelemetry(edges.labels, get_telemetry("exact").store())
+        right = PairTelemetry(edges.labels, get_telemetry("exact").store())
+        left.observe(codes, np.array([0.5, 0.0, 0.0]))
+        right.observe(codes, np.array([0.25, 1.0, 0.0]))
         left.merge(right)
         assert left.total() == pytest.approx(1.75)
-        assert left.top_links(1)[0] == ("Y", "Z", pytest.approx(1.0))
+        assert left.top_pairs(1)[0] == ("Y", "Z", pytest.approx(1.0))
+        assert left.estimate_pair("Y", "Z") == pytest.approx(1.0)
 
     def test_simulation_collects_link_telemetry(self, simulator, epoch):
         result = simulator.run_scenarios(

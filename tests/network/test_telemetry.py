@@ -1,9 +1,13 @@
-"""Tests of the station-pair telemetry stores, models and registry.
+"""Tests of the telemetry stores, the label-pair summary, models and registry.
 
 The sketch contract is probabilistic in general but deterministic here:
 every stream is generated from a fixed seed, so the count-min assertions
 (never under-count, ``eps * total`` over-count bound, heavy-hitter
 recovery) are exact regression checks, not flaky statistics.
+
+:class:`UnionRefreshStore` keeps the candidate refresh the sketch used
+before it merged sorted keys without a sort (``np.union1d`` of the
+candidates and the fresh keys); it is the oracle of the sorted merge.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import pytest
 
 from repro.network.telemetry import (
     TELEMETRY,
-    AutoTelemetry,
     CountMinPairStore,
     ExactPairStore,
     ExactTelemetry,
@@ -23,7 +26,6 @@ from repro.network.telemetry import (
     PairTelemetry,
     SketchTelemetry,
     get_telemetry,
-    merge_stores,
 )
 
 
@@ -33,6 +35,21 @@ def skewed_stream(seed: int, size: int, distinct: int):
     keys = rng.zipf(1.3, size=size).astype(np.int64) % distinct
     values = rng.uniform(0.1, 2.0, size=size)
     return keys, values
+
+
+class UnionRefreshStore(CountMinPairStore):
+    """A count-min store whose candidate refresh sorts the union again."""
+
+    def _refresh_candidates(self, fresh_keys):
+        pool = np.union1d(self._candidates, fresh_keys)
+        if pool.size > self._top_capacity:
+            estimates = self.estimate_many(pool)
+            cut = pool.size - self._top_capacity
+            threshold = np.partition(estimates, cut)[cut]
+            keep = np.flatnonzero(estimates >= threshold)
+            order = np.lexsort((pool[keep], -estimates[keep]))[: self._top_capacity]
+            pool = np.sort(pool[keep][order])
+        self._candidates = pool
 
 
 class TestExactPairStore:
@@ -62,6 +79,12 @@ class TestExactPairStore:
         store.observe([], [])  # empty batch is a no-op
         assert store.distinct == 0
 
+    def test_estimates_from_an_empty_store_are_zero(self):
+        store = ExactPairStore()
+        assert store.estimate(3) == 0.0
+        np.testing.assert_array_equal(store.estimate_many([0, 7, 2**40]), np.zeros(3))
+        assert store.estimate_many(np.empty(0, dtype=np.int64)).shape == (0,)
+
 
 class TestCountMinPairStore:
     def test_geometry_validation(self):
@@ -71,6 +94,13 @@ class TestCountMinPairStore:
             CountMinPairStore(depth=0)
         with pytest.raises(ValueError):
             CountMinPairStore(top_capacity=0)
+        # Non-integers and bools fail as ValueErrors naming the parameter.
+        for name in ("width", "depth", "top_capacity"):
+            for bad in (4096.0, 4.5, True, False, "64", None):
+                with pytest.raises(ValueError, match=f"sketch {name} "):
+                    CountMinPairStore(**{name: bad})
+        # NumPy integers are integers.
+        assert CountMinPairStore(width=np.int64(1024), depth=np.int32(2)).width == 1024
 
     def test_never_undercounts_and_meets_eps_bound(self):
         keys, values = skewed_stream(seed=42, size=50_000, distinct=20_000)
@@ -151,6 +181,75 @@ class TestCountMinPairStore:
         assert clone.top(5) == sketch.top(5)
 
 
+class TestRefreshCandidates:
+    """The sorted-merge refresh keeps exactly the candidates the union kept."""
+
+    @staticmethod
+    def _pair(capacity):
+        # A narrow table makes keys collide, so estimates tie at the cut.
+        geometry = dict(width=256, depth=3, seed=0, top_capacity=capacity)
+        return CountMinPairStore(**geometry), UnionRefreshStore(**geometry)
+
+    @staticmethod
+    def _batch(rng):
+        size = int(rng.integers(0, 80))
+        keys = rng.integers(0, int(rng.integers(1, 200)), size)
+        # Few distinct values: many estimates tie, at the cut too.
+        return keys, rng.integers(0, 3, size).astype(float)
+
+    @staticmethod
+    def _assert_same(store, oracle):
+        assert store._candidates.dtype == oracle._candidates.dtype
+        np.testing.assert_array_equal(store._candidates, oracle._candidates)
+        assert store.top(store._top_capacity) == oracle.top(oracle._top_capacity)
+
+    def test_random_batches_with_ties_at_the_cut(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            store, oracle = self._pair(int(rng.integers(1, 24)))
+            for _ in range(int(rng.integers(1, 6))):
+                keys, values = self._batch(rng)
+                store.observe(keys, values)
+                oracle.observe(keys, values)
+                self._assert_same(store, oracle)
+
+    def test_empty_candidates_and_an_empty_batch(self):
+        store, oracle = self._pair(8)
+        empty = np.empty(0, dtype=np.int64)
+        for side in (store, oracle):
+            side._refresh_candidates(empty)  # empty candidates, empty batch
+            side.observe([], [])
+        self._assert_same(store, oracle)
+        assert store._candidates.size == 0
+        keys, values = skewed_stream(seed=4, size=300, distinct=60)
+        for side in (store, oracle):
+            side.observe(keys, values)  # empty candidates, full batch
+            side._refresh_candidates(empty)  # full candidates, empty batch
+        self._assert_same(store, oracle)
+        assert store._candidates.size == 8
+
+    def test_sketch_merges(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            capacity = int(rng.integers(1, 24))
+            stores, oracles = zip(*(self._pair(capacity) for _ in range(2)))
+            for store, oracle in zip(stores, oracles):
+                for _ in range(int(rng.integers(0, 3))):  # may stay empty
+                    keys, values = self._batch(rng)
+                    store.observe(keys, values)
+                    oracle.observe(keys, values)
+            stores[0].merge(stores[1])
+            oracles[0].merge(oracles[1])
+            self._assert_same(stores[0], oracles[0])
+
+    def test_candidates_do_not_share_the_callers_keys(self):
+        store = CountMinPairStore(width=256, depth=3, top_capacity=16)
+        keys = np.array([5, 3, 9], dtype=np.int64)
+        store.observe(keys, np.ones(3))
+        keys[:] = 0
+        np.testing.assert_array_equal(store._candidates, [3, 5, 9])
+
+
 class TestMergeStores:
     def _streams(self):
         keys, values = skewed_stream(seed=23, size=8_000, distinct=1_000)
@@ -161,30 +260,20 @@ class TestMergeStores:
         left, right = ExactPairStore(), ExactPairStore()
         left.observe(k1, v1)
         right.observe(k2, v2)
-        merged = merge_stores(left, right)
-        assert merged is left
+        left.merge(right)
         whole = ExactPairStore()
         whole.observe(np.concatenate([k1, k2]), np.concatenate([v1, v2]))
-        np.testing.assert_allclose(merged.estimate_many(whole.keys), whole.values)
+        np.testing.assert_array_equal(left.keys, whole.keys)
+        np.testing.assert_allclose(left.estimate_many(whole.keys), whole.values)
 
     @pytest.mark.parametrize("exact_side", ["left", "right"])
-    def test_mixed_merge_promotes_to_the_sketch(self, exact_side):
-        (k1, v1), (k2, v2) = self._streams()
+    def test_mixed_merge_raises_type_error(self, exact_side):
         exact = ExactPairStore()
-        exact.observe(k1, v1)
         sketch = CountMinPairStore(width=2048, depth=4, seed=0)
-        sketch.observe(k2, v2)
-        if exact_side == "left":
-            merged = merge_stores(exact, sketch)
-        else:
-            merged = merge_stores(sketch, exact)
-        assert isinstance(merged, CountMinPairStore)
-        assert merged.total() == pytest.approx(float(v1.sum() + v2.sum()))
-        # The promoted result still never under-counts either stream.
-        whole = ExactPairStore()
-        whole.observe(np.concatenate([k1, k2]), np.concatenate([v1, v2]))
-        estimates = merged.estimate_many(whole.keys)
-        assert (estimates >= whole.values - 1e-9).all()
+        left, right = (exact, sketch) if exact_side == "left" else (sketch, exact)
+        with pytest.raises(TypeError, match=type(left).__name__) as raised:
+            left.merge(right)
+        assert type(right).__name__ in str(raised.value)
 
     def test_unknown_store_type_rejected(self):
         class Odd(PairStore):
@@ -203,8 +292,13 @@ class TestMergeStores:
             def memory_bytes(self):  # pragma: no cover - stub
                 return 0
 
-        with pytest.raises(TypeError):
-            merge_stores(Odd(), ExactPairStore())
+            def _fold(self, other):  # pragma: no cover - stub
+                pass
+
+        with pytest.raises(TypeError, match="Odd"):
+            ExactPairStore().merge(Odd())
+        with pytest.raises(TypeError, match="ExactPairStore"):
+            Odd().merge(ExactPairStore())
 
 
 class TestPairTelemetry:
@@ -221,7 +315,29 @@ class TestPairTelemetry:
             ("London", "New York", 6.0),
             ("London", "Tokyo", 3.0),
         )
-        assert telemetry.total_gbps() == pytest.approx(11.0)
+        assert telemetry.total() == pytest.approx(11.0)
+
+    def test_estimate_pair_on_an_empty_store(self):
+        for model in TELEMETRY.values():
+            telemetry = PairTelemetry(labels=self.LABELS, store=model.store())
+            assert telemetry.estimate_pair("London", "Tokyo") == 0.0
+            assert telemetry.top_pairs(3) == ()
+            assert telemetry.total() == 0.0
+
+    def test_estimate_pair_rejects_an_unknown_label(self):
+        telemetry = PairTelemetry(labels=self.LABELS, store=ExactPairStore())
+        with pytest.raises(ValueError, match="'Paris'") as raised:
+            telemetry.estimate_pair("London", "Paris")
+        assert "New York" in str(raised.value)
+        with pytest.raises(ValueError, match="'Paris'"):
+            telemetry.estimate_pair("Paris", "London")
+
+    def test_observe_takes_encoded_keys(self):
+        by_ids = PairTelemetry(labels=self.LABELS, store=ExactPairStore())
+        by_keys = PairTelemetry(labels=self.LABELS, store=ExactPairStore())
+        by_ids.observe_pairs([0, 2], [1, 0], [5.0, 2.0])
+        by_keys.observe([0 * 3 + 1, 2 * 3 + 0], [5.0, 2.0])
+        assert by_keys.top_pairs(5) == by_ids.top_pairs(5)
 
     def test_merge_requires_matching_labels(self):
         a = PairTelemetry(labels=self.LABELS, store=ExactPairStore())
@@ -241,7 +357,7 @@ class TestPairTelemetry:
 
 class TestTelemetryRegistry:
     def test_registry_names_match_models(self):
-        assert set(TELEMETRY) == {"exact", "sketch", "auto"}
+        assert set(TELEMETRY) == {"exact", "sketch"}
         for name, model in TELEMETRY.items():
             assert model.name == name
             assert get_telemetry(name) is model
@@ -251,17 +367,5 @@ class TestTelemetryRegistry:
             get_telemetry("census")
 
     def test_model_store_types(self):
-        assert isinstance(ExactTelemetry().store(10**6), ExactPairStore)
-        assert isinstance(SketchTelemetry().store(10), CountMinPairStore)
-        auto = AutoTelemetry()
-        assert isinstance(auto.store(auto.threshold), ExactPairStore)
-        assert isinstance(auto.store(auto.threshold + 1), CountMinPairStore)
-
-    def test_auto_below_threshold_is_bit_identical_to_exact(self):
-        keys, values = skewed_stream(seed=2, size=2_000, distinct=300)
-        auto = AutoTelemetry().store(keys.size)
-        exact = ExactTelemetry().store(keys.size)
-        auto.observe(keys, values)
-        exact.observe(keys, values)
-        assert auto.top(10) == exact.top(10)
-        assert auto.total() == exact.total()
+        assert isinstance(ExactTelemetry().store(), ExactPairStore)
+        assert isinstance(SketchTelemetry().store(), CountMinPairStore)
