@@ -27,12 +27,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroundStation:
-    """A ground station or aggregated user-terminal site."""
+    """A ground station or aggregated user-terminal site.
+
+    Coordinates and the elevation mask must be finite, with
+    ``|latitude_deg| <= 90`` and ``min_elevation_deg`` in [-90, 90]; a
+    negative mask (seeing below the horizon plane) is allowed.
+    """
 
     name: str
     latitude_deg: float
     longitude_deg: float
     min_elevation_deg: float = 25.0
+
+    def __post_init__(self) -> None:
+        for name in ("latitude_deg", "longitude_deg", "min_elevation_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if abs(self.latitude_deg) > 90.0:
+            raise ValueError(f"latitude_deg must be in [-90, 90], got {self.latitude_deg!r}")
+        if abs(self.min_elevation_deg) > 90.0:
+            raise ValueError(
+                f"min_elevation_deg must be in [-90, 90], got {self.min_elevation_deg!r}"
+            )
 
     def position_ecef_km(self) -> np.ndarray:
         """Return the station's Earth-fixed position [km]."""
@@ -88,7 +104,8 @@ def visibility_mask(
     axes broadcast.  ``visible`` is the boolean elevation-above-mask array and
     ``distances`` the slant range [km], both of the input shape minus the
     trailing axis.  This is the single definition of the visibility model,
-    shared by :func:`visible_satellites` and the snapshot-sequence engine.
+    shared by :func:`visible_satellites` and the snapshot-sequence engine
+    (which passes one station's candidate positions of every step).
     """
     positions = np.asarray(satellite_positions_ecef_km, dtype=float)
     if positions.shape[-1] != 3:

@@ -13,12 +13,16 @@ is organised in three tiers:
 * **Vectorised kinematics** -- :class:`SnapshotSequence` takes a topology and
   an epoch sequence, obtains the batched ``(T, N, 3)`` Earth-fixed position
   array from the topology's :class:`~repro.orbits.propagation.BatchPropagator`
-  shards, and evaluates distances, ISL feasibility masks, nearest-neighbour
-  selections and ground-station visibility for *all candidate pairs of all
-  steps* in numpy array operations -- no per-edge Python feasibility calls.
+  shards, and evaluates distances, ISL feasibility masks and
+  nearest-neighbour selections for *all candidate pairs of all steps* in
+  numpy array operations -- no per-edge Python feasibility calls.  Ground
+  visibility is kept sparse: a station sees a few satellites of many, so
+  only the visible (step, station, satellite) triples are stored, with
+  their slant ranges, and the exact elevation test runs only on satellites
+  above a station's horizon plane.
 
 * **One link producer** -- :meth:`SnapshotSequence.edge_list` is the only
-  place that turns the precomputed tensors into links.  It applies the
+  place that turns the precomputed arrays into links.  It applies the
   feasibility masks and, optionally, a compiled
   :class:`~repro.network.faults.FaultSchedule` in one vectorised pass -- a
   link exists while it is feasible and both endpoints are up, and carries
@@ -165,6 +169,59 @@ def _nearest_scan_arrays(
     )
 
 
+def _ground_visibility(
+    stations: Sequence[GroundStation], positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Return the visible (step, station, satellite) triples of a ``(T, N, 3)`` stack.
+
+    The result is a step-indexed CSR ``(offsets, station_rows, satellites,
+    slant_km)``: step ``t``'s triples are ``offsets[t]:offsets[t + 1]``, in
+    (station, satellite) order.  A satellite below a station's horizon
+    plane (``position . zenith < |site|``) cannot clear a non-negative
+    elevation mask, so each step's candidates come from one ``(K, N)``
+    product with the stations' zenith directions, kept with 1 km of slack
+    for rounding; a station with a negative mask takes every satellite as a
+    candidate.  :func:`~repro.network.ground_station.visibility_mask` then
+    decides each station's candidates of all steps in one call.
+    """
+    steps, satellite_count = positions.shape[:2]
+    sites = np.array([station.position_ecef_km() for station in stations]).reshape(-1, 3)
+    radii = np.linalg.norm(sites, axis=1)
+    zenith = sites / radii[:, None]
+    floor = np.where(
+        [station.min_elevation_deg >= 0.0 for station in stations], radii - 1.0, -np.inf
+    )
+    # Candidates as flat indices into the (T, K, N) triple space, which is
+    # never materialised: each step's (K, N) mask is scanned and dropped.
+    block = floor.size * satellite_count
+    candidates = np.concatenate(
+        [
+            np.flatnonzero(zenith @ positions[step].T >= floor[:, None]) + step * block
+            for step in range(steps)
+        ]
+    )
+    candidate_step, candidates = np.divmod(candidates, block)
+    candidate_station, candidate_satellite = np.divmod(candidates, satellite_count)
+
+    # The exact test, one call per station over its candidates of every step.
+    visible = np.empty(candidate_step.size, dtype=bool)
+    slant_km = np.empty(candidate_step.size)
+    by_station = np.argsort(candidate_station, kind="stable")
+    bounds = np.searchsorted(candidate_station[by_station], np.arange(len(stations) + 1))
+    for row, station in enumerate(stations):
+        picks = by_station[bounds[row] : bounds[row + 1]]
+        visible[picks], slant_km[picks] = visibility_mask(
+            station, positions[candidate_step[picks], candidate_satellite[picks]]
+        )
+    offsets = np.searchsorted(candidate_step[visible], np.arange(steps + 1))
+    return (
+        offsets,
+        candidate_station[visible],
+        candidate_satellite[visible],
+        slant_km[visible],
+    )
+
+
 class SnapshotSequence:
     """Precomputed per-step links of a topology, as edge lists.
 
@@ -172,7 +229,10 @@ class SnapshotSequence:
     batched ``(T, N, 3)`` propagation, distances and feasibility masks of all
     static candidate pairs, nearest-neighbour selections toward adjacent
     planes/shells, and ground-station visibility for every supplied station.
-    :meth:`edge_list` turns one step of these tensors into links, applying
+    Ground visibility is stored sparsely, as a step-indexed CSR of the
+    visible (step, station, satellite) triples and their slant ranges, in
+    (step, station, satellite) order; no ``(T, K, N)`` array is built.
+    :meth:`edge_list` turns one step of these arrays into links, applying
     the masks and any fault schedule; :meth:`edge_arrays` and
     :meth:`edge_lists` are derived from it.
 
@@ -230,15 +290,14 @@ class SnapshotSequence:
                 raise TypeError(f"unknown edge group {type(group).__name__}")
         self._links = static + scans
 
-        # Ground visibility: (T, K, N) elevation masks and slant ranges of
-        # every station, filled one station at a time.
-        shape = (positions.shape[0], len(self._stations), positions.shape[1])
-        self._visible = np.empty(shape, dtype=bool)
-        self._slant_km = np.empty(shape)
-        for row, station in enumerate(self._stations):
-            self._visible[:, row], self._slant_km[:, row] = visibility_mask(
-                station, positions
-            )
+        # Ground visibility: a step-indexed CSR of the visible (station,
+        # satellite) pairs and their slant ranges.
+        (
+            self._ground_offsets,
+            self._ground_station,
+            self._ground_satellite,
+            self._ground_slant_km,
+        ) = _ground_visibility(self._stations, positions)
         self._station_rows = {
             station.name: row for row, station in enumerate(self._stations)
         }
@@ -300,8 +359,9 @@ class SnapshotSequence:
         """Return one step's links as flat, picklable endpoint/attribute arrays.
 
         The single link producer of the sequence: :meth:`edge_arrays` is
-        derived from it, and this is where the masks apply.  The export is assembled purely from slices
-        of the precomputed feasibility/distance tensors -- no per-edge Python
+        derived from it, and this is where the masks apply.  The export is
+        assembled purely from slices of the precomputed feasibility/distance
+        arrays and the step's visible ground triples -- no per-edge Python
         work.  Rows come in a fixed order (static pairs, then nearest-
         neighbour picks, then ground links station by station with
         satellites ascending), which fixes the CSR neighbour order and so
@@ -326,16 +386,20 @@ class SnapshotSequence:
             for a, b, distance, feasible, capacity in self._links
         ]
         if rows:
-            # Ground links: station-major, satellites ascending per station.
+            # Ground links: the step's visible triples of the selected
+            # stations, station-major (sequence order) with satellites
+            # ascending per station.
+            begin, end = self._ground_offsets[step], self._ground_offsets[step + 1]
+            label_rows = np.full(len(self._stations), -1, dtype=np.intp)
+            label_rows[rows] = np.arange(satellite_count, len(labels), dtype=np.intp)
+            ground = label_rows[self._ground_station[begin:end]]
+            selected = np.flatnonzero(ground >= 0)
             blocks.append(
                 (
-                    np.tile(np.arange(satellite_count, dtype=np.intp), len(rows)),
-                    np.repeat(
-                        np.arange(satellite_count, len(labels), dtype=np.intp),
-                        satellite_count,
-                    ),
-                    self._slant_km[step, rows].ravel(),
-                    self._visible[step, rows].ravel(),
+                    self._ground_satellite[begin:end][selected],
+                    ground[selected],
+                    self._ground_slant_km[begin:end][selected],
+                    np.ones(selected.size, dtype=bool),
                     self._ground_capacity,
                 )
             )

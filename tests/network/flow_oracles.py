@@ -13,6 +13,10 @@ trust by reading:
 * networkx Dijkstra routing (:func:`networkx_routes_from`);
 * edge-list <-> graph converters and the incremental graph stream of a
   snapshot sequence (:func:`graph_stream`, :func:`snapshot_graph`);
+* ground visibility of every (step, station, satellite) triple in dense
+  ``(T, K, N)`` arrays (:func:`dense_ground_visibility`) and the edge list
+  built from them (:func:`dense_edge_list`), the oracles of the sequence's
+  sparse store (:func:`sparse_ground_triples`);
 * named label flows (:class:`Flow`), their compile into the library's
   incidence form (:func:`compile_flows`) and the dict allocators
   (:func:`allocate_proportional`, :func:`allocate_max_min`);
@@ -48,6 +52,8 @@ from repro.network.alloc_arrays import (
 )
 from repro.network.backends import CERTIFICATE_MARGIN, EdgeArrays, SnapshotEdgeList
 from repro.network.flows import FlowTable
+from repro.network.ground_station import visibility_mask
+from repro.network.isl import propagation_delay_ms
 from repro.network.routing import RouteResult
 from repro.obs import NULL_TRACER, Tracer
 
@@ -312,6 +318,81 @@ def snapshot_graph(topology, at=None, ground_stations=None) -> nx.Graph:
     """The topology's links at one epoch (default: its reference epoch) as a graph."""
     sequence = topology.snapshot_sequence([at or topology.epoch], ground_stations)
     return next(graph_stream(sequence))
+
+
+# -- dense ground visibility -------------------------------------------------------
+
+
+def dense_ground_visibility(stations, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, K, N)`` visibility mask and slant ranges [km] of every station.
+
+    The loop :class:`~repro.network.topology.SnapshotSequence` ran before it
+    kept ground visibility sparse: every (step, station, satellite) triple
+    through :func:`~repro.network.ground_station.visibility_mask`, one
+    station at a time, with no candidate filter.
+    """
+    shape = (positions.shape[0], len(stations), positions.shape[1])
+    visible = np.empty(shape, dtype=bool)
+    slant_km = np.empty(shape)
+    for row, station in enumerate(stations):
+        visible[:, row], slant_km[:, row] = visibility_mask(station, positions)
+    return visible, slant_km
+
+
+def sparse_ground_triples(sequence) -> tuple[np.ndarray, ...]:
+    """A sequence's visible ``(step, station, satellite, slant_km)`` rows, CSR expanded."""
+    offsets = sequence._ground_offsets
+    steps = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    return (
+        steps,
+        sequence._ground_station,
+        sequence._ground_satellite,
+        sequence._ground_slant_km,
+    )
+
+
+def dense_edge_list(
+    sequence, visible, slant_km, step, station_names=None, faults=None
+) -> SnapshotEdgeList:
+    """One step's edge list with the ground block read from dense ``(T, K, N)`` arrays.
+
+    The satellite links are the sequence's own (its edge list with no
+    station selected); the ground links follow them station-major, in
+    sequence order, with satellites ascending, and obey the fault rule: a
+    link exists while it is visible and both endpoints are up, and carries
+    the ground capacity scaled by the worse endpoint's factor.
+    """
+    satellites = sequence.edge_list(step, (), faults=faults)
+    wanted = None if station_names is None else set(station_names)
+    rows = [
+        row
+        for row, station in enumerate(sequence.ground_stations)
+        if wanted is None or station.name in wanted
+    ]
+    names = [sequence.ground_stations[row].name for row in rows]
+    count = sequence.topology.satellite_count
+    a = np.tile(np.arange(count, dtype=np.intp), len(rows))
+    b = np.repeat(np.arange(count, count + len(rows), dtype=np.intp), count)
+    keep = visible[step, rows].ravel()
+    factor = np.ones(a.size)
+    if faults is not None:
+        columns = [faults.station_column(name) for name in names]
+        station_up = np.repeat(faults.station_up[step, columns], count)
+        keep = keep & np.tile(faults.satellite_up[step], len(rows)) & station_up
+        factor = np.minimum(
+            np.tile(faults.satellite_factor[step], len(rows)),
+            np.repeat(faults.station_factor[step, columns], count),
+        )
+    capacity = sequence.topology.isl_config.capacity_gbps * factor[keep]
+    distances = np.concatenate((satellites.distance_km, slant_km[step, rows].ravel()[keep]))
+    return SnapshotEdgeList(
+        labels=sequence.node_labels(station_names),
+        a=np.concatenate((satellites.a, a[keep])),
+        b=np.concatenate((satellites.b, b[keep])),
+        distance_km=distances,
+        delay_ms=np.asarray(propagation_delay_ms(distances), dtype=float),
+        capacity_gbps=np.concatenate((satellites.capacity_gbps, capacity)),
+    )
 
 
 # -- named flows and the dict allocators -----------------------------------------

@@ -89,3 +89,31 @@ class TestGroundStation:
         station = GroundStation("test", 0.0, 0.0)
         with pytest.raises(ValueError):
             visible_satellites(station, np.zeros(3))
+
+    @pytest.mark.parametrize("field", ["latitude_deg", "longitude_deg", "min_elevation_deg"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_field(self, field, value):
+        fields = {"latitude_deg": 10.0, "longitude_deg": 20.0, "min_elevation_deg": 25.0}
+        with pytest.raises(ValueError, match=field):
+            GroundStation("test", **{**fields, field: value})
+
+    @pytest.mark.parametrize("latitude", [90.5, -91.0])
+    def test_rejects_latitude_beyond_a_pole(self, latitude):
+        with pytest.raises(ValueError, match="latitude_deg"):
+            GroundStation("test", latitude, 0.0)
+
+    @pytest.mark.parametrize("mask", [90.1, -95.0])
+    def test_rejects_mask_outside_a_quarter_turn(self, mask):
+        with pytest.raises(ValueError, match="min_elevation_deg"):
+            GroundStation("test", 0.0, 0.0, mask)
+
+    def test_negative_mask_is_accepted(self):
+        station = GroundStation("test", 0.0, 0.0, -5.0)
+        # 2 degrees below the horizon plane, 1,000 km out.
+        site = station.position_ecef_km()
+        east, up = np.array([0.0, 1.0, 0.0]), site / np.linalg.norm(site)
+        dip = math.radians(2.0)
+        below = site + 1000.0 * (math.cos(dip) * east - math.sin(dip) * up)
+        assert station.min_elevation_deg == -5.0
+        assert station.can_see(below)
+        assert not GroundStation("test", 0.0, 0.0, 0.0).can_see(below)
