@@ -49,7 +49,7 @@ from flow_oracles import (
 )
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
-from repro.network.flows import select_flow_table
+from repro.network.flows import plan_flows
 from repro.network.routing import SnapshotRouter
 from repro.network.ground_station import GroundStation
 from repro.network.topology import ConstellationTopology
@@ -142,9 +142,9 @@ def _run_comparison(smoke: bool, size: str):
     # Stage inputs: per-step flows routed once with csgraph (label paths),
     # plus the graph / edge-list pair the dict and array allocators read
     # their capacities from.
-    table = select_flow_table(
+    table = plan_flows(
         model.matrix_at(12.0), tuple(station.name for station in stations), flows_per_step
-    )
+    ).table
     names = table.station_names
     pairs = [
         (f"gs:{names[src]}", f"gs:{names[dst]}", demand)

@@ -80,54 +80,64 @@ class TrafficMatrix:
         """Return the sum of all entries."""
         return float(self.demands.sum())
 
-    def entry_arrays(
+    def entry_codes(
         self, names: "tuple[str, ...] | None" = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised export of the non-zero off-diagonal entries.
+        """The non-zero off-diagonal entries as flat codes, in one array pass.
 
-        Returns ``(src_ids, dst_ids, demand)`` where the id arrays index
-        ``names`` (or ``self.cities`` when ``names`` is None).  Names with no
-        matching city contribute no entries, mirroring how the per-object
-        path skips endpoints absent from the matrix.  This is the columnar
-        flow engine's entry point: one boolean mask over the demand
-        submatrix instead of an n^2 Python loop.
+        Returns ``(ids, codes, demand)``.  ``ids`` lists, in ``names`` order
+        (``self.cities`` when ``names`` is None), the index into ``names`` of
+        every name with a matching city; names with none contribute no
+        entries.  Entry ``k`` is the demand ``demand[k]`` from
+        ``ids[codes[k] // ids.size]`` to ``ids[codes[k] % ids.size]``, in
+        row-major order of the named submatrix.  Decoding is left to the
+        caller, so a selection can cut on demand before it decodes.
+
+        The submatrix is gathered only when the names are not the matrix's
+        own city order.  Raises ``ValueError`` naming the first name that
+        ``names`` repeats.
         """
         if names is None:
-            names = tuple(city.name for city in self.cities)
-            positions = np.arange(len(self.cities))
-            ids = positions
+            ids = np.arange(len(self.cities), dtype=np.int64)
+            sub = self.demands
         else:
+            seen: set[str] = set()
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"names must be distinct, {name!r} is repeated")
+                seen.add(name)
             by_name = {city.name: row for row, city in enumerate(self.cities)}
             located = [
                 (index, by_name[name])
                 for index, name in enumerate(names)
                 if name in by_name
             ]
-            if not located:
-                empty_ids = np.empty(0, dtype=np.int64)
-                return empty_ids, empty_ids.copy(), np.empty(0, dtype=float)
             ids = np.array([index for index, _ in located], dtype=np.int64)
-            positions = np.array([row for _, row in located], dtype=np.int64)
-        sub = self.demands[np.ix_(positions, positions)]
-        mask = sub > 0.0
-        np.fill_diagonal(mask, False)
-        src_local, dst_local = np.nonzero(mask)
-        return (
-            ids[src_local].astype(np.int64),
-            ids[dst_local].astype(np.int64),
-            sub[src_local, dst_local].astype(float),
-        )
+            positions = [row for _, row in located]
+            if positions == list(range(len(self.cities))):
+                sub = self.demands
+            else:
+                sub = self.demands[np.ix_(positions, positions)]
+        flat = sub.ravel()
+        mask = flat > 0.0
+        mask[:: ids.size + 1] = False
+        codes = np.flatnonzero(mask)
+        return ids, codes, flat[codes]
 
-    def top_flows(self, count: int = 10) -> list[tuple[str, str, float]]:
-        """Return the ``count`` largest (source, destination, demand) flows."""
-        flat = [
-            (self.cities[i].name, self.cities[j].name, float(self.demands[i, j]))
-            for i in range(len(self.cities))
-            for j in range(len(self.cities))
-            if i != j
-        ]
-        flat.sort(key=lambda item: item[2], reverse=True)
-        return flat[:count]
+    def entry_arrays(
+        self, names: "tuple[str, ...] | None" = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorised export of the non-zero off-diagonal entries.
+
+        Returns ``(src_ids, dst_ids, demand)`` (``int64``, ``int64``,
+        ``float64``) where the id arrays index ``names`` (or ``self.cities``
+        when ``names`` is None), in row-major order: :meth:`entry_codes`,
+        decoded.  Names with no matching city contribute no entries; a
+        repeated name raises ``ValueError``.
+        """
+        ids, codes, demand = self.entry_codes(names)
+        src, dst = np.divmod(codes, ids.size)
+        return ids[src], ids[dst], demand
 
 
 def _default_cities() -> tuple[City, ...]:

@@ -56,7 +56,6 @@ from .flows import (
     plan_flows,
     reroute_flows,
     route_flow_table,
-    select_flow_table,
     station_rows,
 )
 from .routing import RouteResult, SnapshotRouter, TimeAwareRouter
@@ -76,6 +75,7 @@ from .telemetry import (
     CountMinPairStore,
     ExactPairStore,
     ExactTelemetry,
+    KeyBatch,
     PairTelemetry,
     SketchTelemetry,
     TelemetryModel,
@@ -111,12 +111,12 @@ __all__ = [
     "plan_flows",
     "reroute_flows",
     "route_flow_table",
-    "select_flow_table",
     "station_rows",
     "TELEMETRY",
     "CountMinPairStore",
     "ExactPairStore",
     "ExactTelemetry",
+    "KeyBatch",
     "PairTelemetry",
     "SketchTelemetry",
     "TelemetryModel",

@@ -8,11 +8,12 @@ array-native stage around it.  The simulator of
 :mod:`repro.network.simulation` therefore keeps the whole flow population
 columnar end-to-end:
 
-* :func:`select_flow_table` -- stage 2 as array ops: the traffic matrix's
-  vectorised entry export
-  (:meth:`~repro.demand.traffic_matrix.TrafficMatrix.entry_arrays`),
-  an :func:`np.argpartition` top-k cut, and a deterministic
-  :func:`np.lexsort` tie-break ordering by ``(-demand, src, dst)``;
+* :func:`plan_flows` -- stage 2 as array ops: the traffic matrix's
+  non-zero off-diagonal entries as flat codes in one boolean pass
+  (:meth:`~repro.demand.traffic_matrix.TrafficMatrix.entry_codes`), an
+  :func:`np.partition` top-k cut on demand, station ids decoded for the
+  kept candidates only, and a deterministic order by ``-demand`` and a
+  pair key that sorts as ``(src name, dst name)``;
 * :func:`route_flow_table` -- stage 3 as gather ops: the step's route
   tables (indexed by station id) are walked for *every* flow in a single
   batched layer walk straight into one ragged ``(offsets, rows)`` path
@@ -35,10 +36,14 @@ columnar end-to-end:
   that scenarios differing only in demand multiplier share it:
   :func:`plan_flows` selects once, and :meth:`FlowPlan.scaled` rescales the
   demand with the same elementwise product selection would have used.
+  The plan also carries its station-pair telemetry keys
+  (:class:`~repro.network.telemetry.KeyBatch`), so every user's store
+  sums its scaled demand over keys consolidated and hashed once.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -49,13 +54,13 @@ from .backends import GatewayRouteTables, NodeIndex, RouteTables
 
 if TYPE_CHECKING:
     from .alloc_arrays import FlowLinkSystem
+    from .telemetry import KeyBatch
 
 __all__ = [
     "FlowTable",
     "RoutedFlowTable",
     "FlowPlan",
     "plan_flows",
-    "select_flow_table",
     "station_rows",
     "route_flow_table",
     "reroute_flows",
@@ -147,10 +152,11 @@ class FlowPlan(NamedTuple):
 
     ``table`` is the selection of :func:`plan_flows`.  ``routed`` (its
     paths) and ``system`` (their compiled incidence, ``None`` when no flow
-    is reachable) are attached by whoever routes the plan.  None of the
-    three changes when every demand is multiplied by the same positive
-    factor, *except* where the product rounds two different demands to one
-    value: :meth:`scaled` detects exactly that case.
+    is reachable) are attached by whoever routes the plan, and
+    ``pair_keys`` by whoever keeps its telemetry.  None of them changes
+    when every demand is multiplied by the same positive factor, *except*
+    where the product rounds two different demands to one value:
+    :meth:`scaled` detects exactly that case.
     """
 
     table: FlowTable
@@ -159,20 +165,26 @@ class FlowPlan(NamedTuple):
     boundary: "float | None"
     routed: "RoutedFlowTable | None" = None
     system: "FlowLinkSystem | None" = None
+    #: The table's station-pair telemetry keys, consolidated and hashed
+    #: once for every user of the plan; attached by the step kernel only
+    #: when a user keeps telemetry.
+    pair_keys: "KeyBatch | None" = None
 
     def scaled(self, multiplier: float) -> "FlowPlan | None":
         """This plan with every demand multiplied by ``multiplier``.
 
-        The products are the ones :func:`select_flow_table` computes, so
-        the result equals selecting on the scaled matrix bit for bit --
-        provided scaling keeps the selection's order.  A positive product
-        is monotone but may round two adjacent demands to the same value,
-        which the name tie-break could then reorder or swap across the
-        budget.  So every strictly ordered adjacent pair of the selection,
-        and the last selected demand against :attr:`boundary`, must stay
-        distinct (if those do, every pair does); otherwise this returns
-        ``None`` and the caller must select on the scaled demand itself.
-        O(flows); paths and incidence are shared, not copied.
+        The products are the ones :func:`plan_flows` computes with
+        ``demand_multiplier=multiplier``, so the result's table equals
+        selecting on the scaled matrix bit for bit -- provided scaling
+        keeps the selection's order.  A positive product is monotone but
+        may round two adjacent demands to the same value, which the name
+        tie-break could then reorder or swap across the budget.  So every
+        strictly ordered adjacent pair of the selection, and the last
+        selected demand against :attr:`boundary`, must stay distinct (if
+        those do, every pair does); otherwise this returns ``None`` and the
+        caller must select on the scaled demand itself.
+        O(flows); paths, incidence and :attr:`pair_keys` (the stations
+        of every flow are unchanged) are shared, not copied.
         """
         if multiplier == 1.0:
             return self
@@ -186,7 +198,7 @@ class FlowPlan(NamedTuple):
             if unscaled.size and demand[-1] == boundary:
                 return None
         table = replace(self.table, demand=demand)
-        return FlowPlan(
+        return self._replace(
             table=table,
             boundary=boundary,
             routed=None if self.routed is None else replace(self.routed, table=table),
@@ -198,6 +210,46 @@ class FlowPlan(NamedTuple):
         )
 
 
+def _count(name: str, value: "int | None", minimum: int = 1) -> "int | None":
+    """Validate a count (a flow budget, a worker count) as an ``int``.
+
+    ``bool`` and non-integral values (``2.5``, and ``3.0`` too) are
+    rejected here, naming ``name``, rather than failing later mid-sweep
+    (inside the selection's partition, or the process pool), as are values
+    below ``minimum``; numpy integers are accepted.  ``None`` passes
+    through.
+    """
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "positive" if minimum == 1 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
+
+
+def _selection_order(
+    demand: np.ndarray, pair_key: np.ndarray, key_count: int
+) -> np.ndarray:
+    """The order of ``np.lexsort((pair_key, -demand))``, by two unstable sorts.
+
+    ``pair_key`` is unique per candidate and below ``key_count``.  A stable
+    sort of floats costs several unstable ones, so this sorts by
+    ``-demand`` unstably, numbers the runs of equal demand in that order,
+    and sorts once more by ``(run, pair key)`` packed into one int64: the
+    packed keys are unique, so the second sort is exact however it breaks
+    ties.  Falls back to the lexsort where the packed key could overflow.
+    """
+    if demand.size * key_count >= 2**63:
+        return np.lexsort((pair_key, -demand))
+    first = np.argsort(-demand)
+    ranked = demand[first]
+    run = np.zeros(ranked.size, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=run[1:])
+    return first[np.argsort(run * key_count + pair_key[first])]
+
+
 def plan_flows(
     matrix: TrafficMatrix,
     station_names: tuple[str, ...],
@@ -206,37 +258,44 @@ def plan_flows(
 ) -> FlowPlan:
     """Columnar stage 2: filter, scale and budget one step's flows.
 
-    ``flows_per_step=None`` selects every positive entry ("all flows" mode).
-    With a budget the top-k cut runs as an :func:`np.argpartition` over
-    demands, widened to include every candidate tied with the k-th value so
-    the boundary is decided by the deterministic ``(-demand, src name,
-    dst name)`` order, so the cut never depends on matrix iteration order.
-    Returns an unrouted :class:`FlowPlan` that also records the largest
-    demand the cut left out below the k-th value.
+    ``flows_per_step=None`` selects every positive entry ("all flows" mode);
+    ``0`` selects none, and a negative, non-integral or ``bool`` budget
+    raises ``ValueError``.  The matrix's entries arrive as flat codes
+    (:meth:`~repro.demand.traffic_matrix.TrafficMatrix.entry_codes`).  With
+    a budget the top-k cut runs first: an :func:`np.partition` finds the
+    k-th largest demand, and every candidate at or above it is kept, ties
+    included; only the kept candidates are decoded into station ids.  They
+    are ordered by ``-demand`` and then a pair key, ``rank(src) * n +
+    rank(dst)`` over the names' sorted ranks, which is unique per pair and
+    sorts as ``(src name, dst name)`` (:func:`_selection_order`): the
+    boundary is decided by that deterministic order, never by matrix
+    iteration order.  Returns an unrouted :class:`FlowPlan` that also
+    records the largest demand the cut left out below the k-th value.
     """
-    src, dst, demand = matrix.entry_arrays(station_names)
+    flows_per_step = _count("flows_per_step", flows_per_step, minimum=0)
+    ids, codes, demand = matrix.entry_codes(station_names)
     if demand_multiplier != 1.0:
         demand = demand * demand_multiplier
-    keep = np.arange(src.size)
     boundary = None
-    if flows_per_step is not None and 0 < flows_per_step < src.size:
-        top = np.argpartition(-demand, flows_per_step - 1)[:flows_per_step]
-        threshold = demand[top].min()
+    if flows_per_step is not None and 0 < flows_per_step < codes.size:
+        cut = codes.size - flows_per_step
+        threshold = np.partition(demand, cut)[cut]  # the k-th largest demand
         # Everyone above the k-th value is in; ties *at* the value are kept
-        # for the lexsort below to cut deterministically.
+        # for the ordering below to cut deterministically.
         above = demand >= threshold
-        keep = np.flatnonzero(above)
-        if keep.size < src.size:
-            boundary = float(np.max(demand, where=~above, initial=-np.inf))
+        if not above.all():
+            boundary = float(np.where(above, -np.inf, demand).max())
+            codes = codes[above]
+            demand = demand[above]
+    rows, columns = np.divmod(codes, ids.size)
+    src, dst = ids[rows], ids[columns]
     # Rank of each station id in name order, so integer keys reproduce
     # string comparisons of the names.
-    name_rank = np.empty(len(station_names), dtype=np.intp)
-    name_rank[np.argsort(np.asarray(station_names, dtype=object))] = np.arange(
-        len(station_names)
-    )
-    order = keep[
-        np.lexsort((name_rank[dst[keep]], name_rank[src[keep]], -demand[keep]))
-    ]
+    size = len(station_names)
+    name_rank = np.empty(size, dtype=np.int64)
+    name_rank[np.argsort(np.asarray(station_names, dtype=object))] = np.arange(size)
+    pair_key = name_rank[src] * size + name_rank[dst]
+    order = _selection_order(demand, pair_key, size * size)
     if flows_per_step is not None:
         order = order[:flows_per_step]
     table = FlowTable(
@@ -246,16 +305,6 @@ def plan_flows(
         demand=demand[order],
     )
     return FlowPlan(table=table, boundary=boundary)
-
-
-def select_flow_table(
-    matrix: TrafficMatrix,
-    station_names: tuple[str, ...],
-    flows_per_step: "int | None",
-    demand_multiplier: float = 1.0,
-) -> FlowTable:
-    """The flows :func:`plan_flows` selects, without the plan around them."""
-    return plan_flows(matrix, station_names, flows_per_step, demand_multiplier).table
 
 
 def station_rows(node_index: NodeIndex, station_names: tuple[str, ...]) -> np.ndarray:

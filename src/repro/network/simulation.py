@@ -66,8 +66,8 @@ snapshot sequence: scenarios of one snapshot group share each step's base
 route tables (steered ones re-solve only what steering moved), and
 scenarios that differ only in demand multiplier
 share each step's flow plan, so a sweep pays the topology, shortest-path,
-selection, path-walk and compile cost once per group (and flow budget)
-instead of once per scenario.  This is the paper's Section 5
+selection, path-walk, compile and telemetry-key cost once per group (and
+flow budget) instead of once per scenario.  This is the paper's Section 5
 evaluation methodology -- many traffic scenarios over one constellation --
 as a first-class API.
 
@@ -116,6 +116,7 @@ from .flows import (
     FlowPlan,
     FlowTable,
     RoutedFlowTable,
+    _count,
     plan_flows,
     reroute_flows,
     route_flow_table,
@@ -123,7 +124,7 @@ from .flows import (
 )
 from .ground_station import GroundStation
 from .steering import SteeringController, SteeringPolicy, get_steering_policy
-from .telemetry import PairTelemetry, get_telemetry
+from .telemetry import KeyBatch, PairTelemetry, get_telemetry
 from .topology import ConstellationTopology, MultiShellTopology
 
 __all__ = [
@@ -133,23 +134,6 @@ __all__ = [
     "NetworkSimulator",
     "run_grid",
 ]
-
-
-def _count(name: str, value: "int | None") -> "int | None":
-    """Validate a positive count (a flow budget, a worker count) as an ``int``.
-
-    ``bool`` and non-integral values (``2.5``, and ``3.0`` too) are
-    rejected here, naming ``name``, rather than failing later mid-sweep
-    (inside the selection's partition, or the process pool); numpy integers
-    are accepted.  ``None`` passes through.
-    """
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -497,12 +481,22 @@ class _GroupSnapshot(NamedTuple):
 _StepOutput = tuple[StepStatistics, PairTelemetry | None, PairTelemetry | None]
 
 
-def _pair_telemetry(scenario: Scenario, table) -> PairTelemetry:
-    """Collect the step's station-pair offered-demand summary."""
+def _pair_keys(table: FlowTable) -> KeyBatch:
+    """The station-pair telemetry keys of a plan's table, consolidated once."""
+    return KeyBatch.from_pairs(table.src, table.dst, len(table.station_names))
+
+
+def _pair_telemetry(scenario: Scenario, plan: FlowPlan) -> PairTelemetry:
+    """Collect the step's station-pair offered-demand summary.
+
+    The store sums the plan's (scaled) demand over the plan's prepared
+    keys; a plan without them (a tie-rule plan) prepares its own.
+    """
+    table = plan.table
+    keys = plan.pair_keys if plan.pair_keys is not None else _pair_keys(table)
     store = get_telemetry(scenario.telemetry).store()
-    telemetry = PairTelemetry(labels=tuple(table.station_names), store=store)
-    telemetry.observe_pairs(table.src, table.dst, table.demand)
-    return telemetry
+    store.observe_batch(keys, table.demand)
+    return PairTelemetry(labels=table.station_names, store=store)
 
 
 def _link_telemetry(
@@ -679,7 +673,7 @@ def _evaluate_scenario(
     telemetry = None
     if scenario.telemetry is not None:
         with obs.span("telemetry"):
-            telemetry = _pair_telemetry(scenario, table)
+            telemetry = _pair_telemetry(scenario, plan)
     with obs.span("routing"):
         plan = _route_scenario(plan, snapshot, steered, obs)
     routed = plan.routed
@@ -777,13 +771,19 @@ def _build_plans(
 
     Each plan is selected on unscaled demand, routed on the group's base
     route tables and compiled, so open-loop scenarios walk and compile
-    nothing and steered ones start from its paths.  With ``tracers``, each
+    nothing and steered ones start from its paths.  When any user keeps
+    telemetry, the plan also carries its station-pair keys
+    (:class:`~repro.network.telemetry.KeyBatch`), consolidated once and
+    hashed by the first sketch that observes them, for every user's store;
+    they go with the plan when the step returns.  With ``tracers``, each
     user gets an equal share of the plan's selection, routing and compile
     time in the matching stage, without a call count (its own spans count
     the calls), and the key's leading scenario counts the plan in
     ``flow_plans_built`` and its walk in the routing counters
     (:func:`_count_walk`), so each counts once per plan, serial or not --
-    even when process workers each rebuild the plan for their chunk.
+    even when process workers each rebuild the plan for their chunk.  The
+    keys' preparation is shared the same way in ``telemetry``, among the
+    users that keep telemetry.
     """
     users: dict[tuple[int, int], list[_ScenarioSpec]] = {}
     for spec in specs:
@@ -801,14 +801,22 @@ def _build_plans(
         marks.append(time.perf_counter())
         plan = _compile_plan(plan, snapshot)
         marks.append(time.perf_counter())
+        keepers = [member for member in members if member.scenario.telemetry is not None]
+        if keepers:
+            plan = plan._replace(pair_keys=_pair_keys(plan.table))
+        marks.append(time.perf_counter())
         plans[group, budget] = plan
         if tracers:
-            spent = np.diff(marks) / len(members)
+            *spent, keys_seconds = np.diff(marks)
             for member in members:
                 tracer = tracers[member.name]
                 for stage, seconds in zip(_PLAN_STAGES, spent):
-                    tracer.fold_seconds(stage, float(seconds))
+                    tracer.fold_seconds(stage, float(seconds) / len(members))
                 tracer.counter("flow_plans_built", float(member.leads_plan))
+            for member in keepers:
+                tracers[member.name].fold_seconds(
+                    "telemetry", float(keys_seconds) / len(keepers)
+                )
     return plans
 
 

@@ -20,6 +20,17 @@ pair ``(labels[a], labels[b])``.  Station-pair demand is keyed by
 own link codes (``min * n + max`` over the same node labels), which are
 such keys already.
 
+Every store observes through a :class:`KeyBatch`: the batch's keys
+consolidated once (``np.unique``) and, for a sketch, hashed to table cells
+once per hash geometry.  ``observe(keys, values)`` builds the batch and
+takes the same path as ``observe_batch``, so a caller holding many value
+vectors over the same keys prepares the keys once.  The simulator does
+that per flow plan: the scenarios sharing a plan (one per demand
+multiplier) observe the same station pairs, so only the per-key sums
+(``np.bincount``) and the sketch updates (``np.add.at``) see each
+scenario's values -- a fixed cost per update whatever the key work was.
+The batch checks pair ids against the labels once, when it is built.
+
 Every store merges with a store of its own kind, and only with one:
 per-step stores fold into a per-scenario aggregate, and -- because stores
 are plain numpy containers -- they pickle cheaply, so sweeps run in worker
@@ -48,6 +59,7 @@ import numpy as np
 from .backends import merge_codes
 
 __all__ = [
+    "KeyBatch",
     "PairStore",
     "ExactPairStore",
     "CountMinPairStore",
@@ -60,14 +72,61 @@ __all__ = [
 ]
 
 
-def _as_observation(keys, values) -> tuple[np.ndarray, np.ndarray]:
-    keys = np.asarray(keys, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
-    if keys.shape != values.shape or keys.ndim != 1:
-        raise ValueError("keys and values must be matching 1-D arrays")
-    if values.size and values.min() < 0:
-        raise ValueError("telemetry values must be non-negative")
-    return keys, values
+class KeyBatch:
+    """Observation keys consolidated once, for any number of value vectors.
+
+    ``keys`` holds the batch's sorted distinct keys and ``inverse`` the
+    position in ``keys`` of each observation (``np.unique`` with
+    ``return_inverse``).  Every store observes through a batch: it sums its
+    values into ``keys`` order (:meth:`sums`) and, for a sketch, hashes
+    ``keys`` to table cells once per hash geometry (cached in ``cells``).
+    So value vectors over the same keys -- a flow plan's demand under each
+    scenario's multiplier -- share the key work, and only the sums and the
+    table updates see each vector.  Nothing in a batch is written after
+    it is built, and stores may keep ``keys`` itself.
+    """
+
+    __slots__ = ("size", "keys", "inverse", "cells")
+
+    def __init__(self, keys) -> None:
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.ndim != 1:
+            raise ValueError("keys and values must be matching 1-D arrays")
+        #: Observations in the batch (``keys`` may hold fewer, distinct).
+        self.size = keys.size
+        self.keys, self.inverse = np.unique(keys, return_inverse=True)
+        #: Sketch table cells of ``keys``, per (width, salts) geometry.
+        self.cells: dict[tuple[int, bytes], np.ndarray] = {}
+
+    @classmethod
+    def from_pairs(cls, src_ids, dst_ids, labels: int) -> "KeyBatch":
+        """The batch of pair keys ``src * labels + dst`` over ``labels`` labels.
+
+        Raises ``ValueError`` naming the first id outside ``[0, labels)``,
+        which would otherwise decode as another pair.
+        """
+        src_ids = np.asarray(src_ids, dtype=np.int64)
+        dst_ids = np.asarray(dst_ids, dtype=np.int64)
+        if src_ids.shape != dst_ids.shape:
+            raise ValueError("source and destination ids must be matching arrays")
+        for side, ids in (("source", src_ids), ("destination", dst_ids)):
+            outside = (ids < 0) | (ids >= labels)
+            if outside.any():
+                position = int(np.argmax(outside))
+                raise ValueError(
+                    f"{side} id {int(ids[position])} (observation {position}) is "
+                    f"outside [0, {labels})"
+                )
+        return cls(src_ids * labels + dst_ids)
+
+    def sums(self, values) -> np.ndarray:
+        """Each key's sum of ``values`` (one non-negative value per observation)."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.size,):
+            raise ValueError("keys and values must be matching 1-D arrays")
+        if values.size and values.min() < 0:
+            raise ValueError("telemetry values must be non-negative")
+        return np.bincount(self.inverse, weights=values, minlength=self.keys.size)
 
 
 def _consolidate(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,9 +138,17 @@ def _consolidate(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
 class PairStore(ABC):
     """Accumulator of non-negative values keyed by int64 pair codes."""
 
-    @abstractmethod
     def observe(self, keys, values) -> None:
         """Add a batch of (key, value) observations (arrays of equal length)."""
+        self.observe_batch(KeyBatch(keys), values)
+
+    @abstractmethod
+    def observe_batch(self, batch: KeyBatch, values) -> None:
+        """Add one value per observation of a prepared :class:`KeyBatch`.
+
+        The batch's values are summed per key first, then added to the
+        store.
+        """
 
     @abstractmethod
     def estimate_many(self, keys: np.ndarray) -> np.ndarray:
@@ -133,6 +200,9 @@ class ExactPairStore(PairStore):
 
     Every operation is whole-array numpy; memory grows with the number of
     *distinct* pairs observed, which is what the sketch bound trades away.
+    A batch is summed per key before it is added, and an empty store takes
+    the batch's (or a merged store's) arrays as they are, so the arrays
+    are replaced, never written in place.
     """
 
     def __init__(self) -> None:
@@ -151,9 +221,15 @@ class ExactPairStore(PairStore):
     def values(self) -> np.ndarray:
         return self._values
 
-    def observe(self, keys, values) -> None:
-        keys, values = _as_observation(keys, values)
+    def observe_batch(self, batch: KeyBatch, values) -> None:
+        self._add(batch.keys, batch.sums(values))
+
+    def _add(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Add sorted distinct ``keys`` with their ``values``."""
         if not keys.size:
+            return
+        if not self._keys.size:
+            self._keys, self._values = keys, values
             return
         self._keys, self._values = _consolidate(
             np.concatenate([self._keys, keys]),
@@ -177,18 +253,20 @@ class ExactPairStore(PairStore):
         return int(self._keys.nbytes + self._values.nbytes)
 
     def _fold(self, other: "ExactPairStore") -> None:
-        self.observe(other.keys, other.values)
+        self._add(other.keys, other.values)
 
 
 class CountMinPairStore(PairStore):
     """Count-min sketch plus a bounded heavy-hitter candidate set.
 
-    ``depth`` rows of ``width`` counters (width must be a power of two:
-    row hashes are multiply-shift over the full 64-bit key mix).  ``add`` is
-    ``np.add.at`` per row; ``estimate`` is the minimum over rows, which for
-    non-negative values never under-counts.  The candidate set keeps the
-    ``top_capacity`` keys with the largest sketch estimates seen so far,
-    refreshed on every batch -- fixed memory however many pairs stream by.
+    ``depth`` rows of ``width`` counters, stored flat (width must be a
+    power of two: row hashes are multiply-shift over the full 64-bit key
+    mix, and a key's cell in row ``r`` is ``r * width`` plus its column).
+    ``add`` is ``np.add.at`` per row; ``estimate`` is the minimum over
+    rows, which for non-negative values never under-counts.  The candidate
+    set keeps the ``top_capacity`` keys with the largest sketch estimates
+    seen so far, refreshed on every batch -- fixed memory however many
+    pairs stream by.
     It is sorted and distinct, and may share memory with an observed
     batch's consolidated keys or a merged sketch's candidates, so it is
     replaced, never written in place.
@@ -223,7 +301,7 @@ class CountMinPairStore(PairStore):
         self._shift = np.uint64(64 - int(width).bit_length() + 1)
         rng = np.random.default_rng(seed)
         self._salts = rng.integers(1, 2**63, size=depth, dtype=np.uint64) | np.uint64(1)
-        self._table = np.zeros((depth, width), dtype=float)
+        self._table = np.zeros(depth * width, dtype=float)
         self._candidates = np.empty(0, dtype=np.int64)
         self._top_capacity = top_capacity
         self._total = 0.0
@@ -240,28 +318,38 @@ class CountMinPairStore(PairStore):
     def seed(self) -> int:
         return self._seed
 
-    def _columns(self, keys: np.ndarray) -> np.ndarray:
-        """(depth, n) table columns of each key, by multiply-shift hashing."""
+    def _cells(self, keys: np.ndarray) -> np.ndarray:
+        """(depth, n) flat table cells of each key, by multiply-shift hashing."""
         mixed = keys.astype(np.uint64)[None, :] * self._salts[:, None]
-        return (mixed >> self._shift).astype(np.intp)
+        rows = np.arange(self._depth, dtype=np.intp)[:, None] * self._width
+        return (mixed >> self._shift).astype(np.intp) + rows
 
-    def observe(self, keys, values) -> None:
-        keys, values = _as_observation(keys, values)
-        if not keys.size:
+    def observe_batch(self, batch: KeyBatch, values) -> None:
+        values = batch.sums(values)
+        if not batch.keys.size:
             return
-        keys, values = _consolidate(keys, values)
-        columns = self._columns(keys)
-        for row in range(self._depth):
-            np.add.at(self._table[row], columns[row], values)
+        geometry = (int(self._width), self._salts.tobytes())
+        cells = batch.cells.get(geometry)
+        if cells is None:
+            cells = batch.cells[geometry] = self._cells(batch.keys)
+        for row in cells:
+            np.add.at(self._table, row, values)
         self._total += float(values.sum())
-        self._refresh_candidates(keys)
+        self._refresh_candidates(batch.keys, cells)
 
-    def _refresh_candidates(self, fresh_keys: np.ndarray) -> None:
+    def _refresh_candidates(
+        self, fresh_keys: np.ndarray, fresh_cells: "np.ndarray | None" = None
+    ) -> None:
         # Both sides are sorted and distinct (consolidated batch keys or a
-        # sketch's candidates), so the sorted merge is their union.
+        # sketch's candidates), so the sorted merge is their union.  When
+        # it is the fresh keys themselves (no candidate is missing from
+        # them), their table cells, if given, are the pool's.
         pool = merge_codes(self._candidates, fresh_keys)
         if pool.size > self._top_capacity:
-            estimates = self.estimate_many(pool)
+            if pool is fresh_keys and fresh_cells is not None:
+                estimates = self._estimates(fresh_cells)
+            else:
+                estimates = self.estimate_many(pool)
             # Preselect with argpartition (O(pool)), widened to ties at the
             # cut so the small lexsort below returns exactly what a full
             # (value desc, key asc) sort of the pool would.
@@ -276,9 +364,11 @@ class CountMinPairStore(PairStore):
         keys = np.asarray(keys, dtype=np.int64)
         if not keys.size:
             return np.empty(0, dtype=float)
-        columns = self._columns(keys)
-        rows = np.arange(self._depth)[:, None]
-        return self._table[rows, columns].min(axis=0)
+        return self._estimates(self._cells(keys))
+
+    def _estimates(self, cells: np.ndarray) -> np.ndarray:
+        """Count-min estimate of the keys whose table cells are ``cells``."""
+        return self._table[cells].min(axis=0)
 
     def top(self, count: int) -> tuple:
         if not self._candidates.size:
@@ -295,7 +385,7 @@ class CountMinPairStore(PairStore):
 
     def _fold(self, other: "CountMinPairStore") -> None:
         if (
-            self._table.shape != other._table.shape
+            (self._width, self._depth) != (other._width, other._depth)
             or not np.array_equal(self._salts, other._salts)
         ):
             raise ValueError(
@@ -335,10 +425,13 @@ class PairTelemetry:
         self.store.observe(keys, values)
 
     def observe_pairs(self, src_ids, dst_ids, values) -> None:
-        """Add one batch of (first label id, second label id, value) arrays."""
-        src_ids = np.asarray(src_ids, dtype=np.int64)
-        dst_ids = np.asarray(dst_ids, dtype=np.int64)
-        self.observe(src_ids * len(self.labels) + dst_ids, values)
+        """Add one batch of (first label id, second label id, value) arrays.
+
+        Raises ``ValueError`` naming the first id outside
+        ``[0, len(labels))``.
+        """
+        batch = KeyBatch.from_pairs(src_ids, dst_ids, len(self.labels))
+        self.store.observe_batch(batch, values)
 
     def merge(self, other: "PairTelemetry") -> None:
         if self.labels != other.labels:

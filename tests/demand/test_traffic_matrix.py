@@ -10,6 +10,19 @@ import pytest
 from repro.coverage.grid import LatLonGrid
 from repro.demand.diurnal import DiurnalProfile
 from repro.demand.traffic_matrix import City, GravityTrafficModel, TrafficMatrix
+from repro.network.flows import plan_flows
+
+
+def largest_flows(matrix: TrafficMatrix, count: int) -> list[tuple[str, str, float]]:
+    """The ``count`` largest ``(source, destination, demand)`` flows of ``matrix``."""
+    names = tuple(city.name for city in matrix.cities)
+    table = plan_flows(matrix, names, count).table
+    return [
+        (names[src], names[dst], demand)
+        for src, dst, demand in zip(
+            table.src.tolist(), table.dst.tolist(), table.demand.tolist()
+        )
+    ]
 
 
 def per_city_weights(model: GravityTrafficModel, utc_hour: float) -> np.ndarray:
@@ -71,7 +84,7 @@ class TestTrafficMatrix:
         with pytest.raises(ValueError, match=rf"demands\[1, 0\] must be finite, got {value!r}"):
             TrafficMatrix(cities=cities, demands=demands)
 
-    def test_top_flows_sorted(self):
+    def test_largest_flows_are_selected_first(self):
         cities = (
             City("a", 0.0, 0.0, 1.0),
             City("b", 10.0, 10.0, 2.0),
@@ -79,9 +92,34 @@ class TestTrafficMatrix:
         )
         demands = np.array([[0.0, 5.0, 1.0], [2.0, 0.0, 7.0], [0.5, 0.2, 0.0]])
         matrix = TrafficMatrix(cities=cities, demands=demands)
-        flows = matrix.top_flows(2)
-        assert flows[0] == ("b", "c", 7.0)
-        assert flows[1] == ("a", "b", 5.0)
+        assert largest_flows(matrix, 2) == [("b", "c", 7.0), ("a", "b", 5.0)]
+
+    def test_entry_arrays_export_in_row_major_order(self):
+        cities = tuple(City(name, 0.0, 0.0, 1.0) for name in ("x", "y", "z"))
+        demands = np.array([[9.0, 1.0, 0.0], [2.0, 9.0, 3.0], [0.0, 4.0, 9.0]])
+        matrix = TrafficMatrix(cities=cities, demands=demands)
+        src, dst, demand = matrix.entry_arrays()
+        assert (src.dtype, dst.dtype, demand.dtype) == (np.int64, np.int64, np.float64)
+        assert list(zip(src.tolist(), dst.tolist(), demand.tolist())) == [
+            (0, 1, 1.0),
+            (1, 0, 2.0),
+            (1, 2, 3.0),
+            (2, 1, 4.0),
+        ]
+        # A subset in another order is gathered; absent names get no entries.
+        src, dst, demand = matrix.entry_arrays(("z", "w", "y"))
+        assert list(zip(src.tolist(), dst.tolist(), demand.tolist())) == [
+            (0, 2, 4.0),
+            (2, 0, 3.0),
+        ]
+
+    def test_entry_arrays_rejects_repeated_names(self):
+        # Without the check, ('x', 'x', 'y') exported x's diagonal demand as
+        # a flow from id 0 to id 1.
+        cities = tuple(City(name, 0.0, 0.0, 1.0) for name in ("x", "y"))
+        matrix = TrafficMatrix(cities=cities, demands=np.array([[4.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(ValueError, match="'x' is repeated"):
+            matrix.entry_arrays(("x", "x", "y"))
 
 
 class TestGravityModel:
@@ -99,9 +137,8 @@ class TestGravityModel:
 
     def test_large_cities_exchange_most_traffic(self, model):
         matrix = model.matrix_at(12.0)
-        names = {flow[0] for flow in matrix.top_flows(10)} | {
-            flow[1] for flow in matrix.top_flows(10)
-        }
+        flows = largest_flows(matrix, 10)
+        names = {flow[0] for flow in flows} | {flow[1] for flow in flows}
         # The biggest flows involve the biggest metros.
         assert names & {"Tokyo", "Delhi", "Shanghai", "Sao Paulo", "Mexico City"}
 

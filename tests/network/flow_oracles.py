@@ -9,7 +9,10 @@ named label-path flows and dicts keyed by flow name and link -- so tests and
 benchmarks can check the library against implementations simple enough to
 trust by reading:
 
-* flow selection one entry at a time (:func:`select_flows`);
+* flow selection one entry at a time (:func:`select_flows`), and the
+  array selection the flat-code pass replaced: the entry export by a 2-D
+  mask over a gathered submatrix (:func:`mask_entry_arrays`) and the
+  three-key sort of the decoded candidates (:func:`three_key_selection`);
 * networkx Dijkstra routing (:func:`networkx_routes_from`);
 * edge-list <-> graph converters and the incremental graph stream of a
   snapshot sequence (:func:`graph_stream`, :func:`snapshot_graph`);
@@ -202,6 +205,76 @@ def select_flows(
                 candidates.append((source.name, destination.name, demand * demand_multiplier))
     candidates.sort(key=lambda item: (-item[2], item[0], item[1]))
     return candidates[:flows_per_step]
+
+
+def mask_entry_arrays(
+    matrix: TrafficMatrix, names: "tuple[str, ...] | None" = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``TrafficMatrix.entry_arrays`` by a 2-D mask over an ``np.ix_`` copy.
+
+    Every entry is decoded before anything is cut; names with no matching
+    city contribute no entries.
+    """
+    if names is None:
+        positions = ids = np.arange(len(matrix.cities))
+    else:
+        by_name = {city.name: row for row, city in enumerate(matrix.cities)}
+        located = [
+            (index, by_name[name]) for index, name in enumerate(names) if name in by_name
+        ]
+        if not located:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy(), np.empty(0, dtype=float)
+        ids = np.array([index for index, _ in located], dtype=np.int64)
+        positions = np.array([row for _, row in located], dtype=np.int64)
+    sub = matrix.demands[np.ix_(positions, positions)]
+    mask = sub > 0.0
+    np.fill_diagonal(mask, False)
+    src_local, dst_local = np.nonzero(mask)
+    return (
+        ids[src_local].astype(np.int64),
+        ids[dst_local].astype(np.int64),
+        sub[src_local, dst_local].astype(float),
+    )
+
+
+def three_key_selection(
+    matrix: TrafficMatrix,
+    station_names: tuple[str, ...],
+    flows_per_step: "int | None",
+    demand_multiplier: float = 1.0,
+) -> tuple[FlowTable, "float | None"]:
+    """``plan_flows``' table and boundary, by a three-key sort of decoded entries.
+
+    Every entry is decoded (:func:`mask_entry_arrays`); the top-k cut keeps
+    the candidates at or above the k-th demand and orders them by
+    ``np.lexsort`` on ``(-demand, src name rank, dst name rank)``.
+    """
+    src, dst, demand = mask_entry_arrays(matrix, station_names)
+    if demand_multiplier != 1.0:
+        demand = demand * demand_multiplier
+    keep = np.arange(src.size)
+    boundary = None
+    if flows_per_step is not None and 0 < flows_per_step < src.size:
+        top = np.argpartition(-demand, flows_per_step - 1)[:flows_per_step]
+        above = demand >= demand[top].min()
+        keep = np.flatnonzero(above)
+        if keep.size < src.size:
+            boundary = float(np.max(demand, where=~above, initial=-np.inf))
+    name_rank = np.empty(len(station_names), dtype=np.intp)
+    name_rank[np.argsort(np.asarray(station_names, dtype=object))] = np.arange(
+        len(station_names)
+    )
+    order = keep[np.lexsort((name_rank[dst[keep]], name_rank[src[keep]], -demand[keep]))]
+    if flows_per_step is not None:
+        order = order[:flows_per_step]
+    table = FlowTable(
+        station_names=tuple(station_names),
+        src=src[order],
+        dst=dst[order],
+        demand=demand[order],
+    )
+    return table, boundary
 
 
 def table_candidates(table: FlowTable) -> list[tuple[str, str, float]]:

@@ -23,7 +23,6 @@ from repro.network.flows import (
     plan_flows,
     reroute_flows,
     route_flow_table,
-    select_flow_table,
     station_rows,
 )
 from repro.network.ground_station import GroundStation
@@ -68,9 +67,9 @@ class TestSelection:
                 reference = select_flows(
                     matrix, NAMES, budget, demand_multiplier=multiplier
                 )
-                table = select_flow_table(
+                table = plan_flows(
                     matrix, NAMES, budget, demand_multiplier=multiplier
-                )
+                ).table
                 assert table_candidates(table) == reference
 
     def test_tie_break_at_budget_boundary_is_deterministic(self):
@@ -86,14 +85,14 @@ class TestSelection:
         )[:5]
         reference = select_flows(matrix, NAMES, 5, 1.0)
         assert [(src, dst) for src, dst, _ in reference] == expected
-        table = select_flow_table(matrix, NAMES, 5)
+        table = plan_flows(matrix, NAMES, 5).table
         assert table_candidates(table) == reference
 
     def test_station_subset_and_missing_names_handled(self):
         matrix = GravityTrafficModel(cities=CITIES, total_demand=40.0).matrix_at(0.0)
         subset = ("Tokyo", "London", "Atlantis")
         reference = select_flows(matrix, subset, 10, 1.0)
-        table = select_flow_table(matrix, subset, 10)
+        table = plan_flows(matrix, subset, 10).table
         assert table_candidates(table) == reference
         assert {src for src, _, _ in table_candidates(table)} <= {"Tokyo", "London"}
 
@@ -163,7 +162,7 @@ class TestFlowPlans:
         matrix = TrafficMatrix(cities=cities, demands=demands)
         for budget in (1, 17, 100, 551, 552, 1000, None):
             for multiplier in MULTIPLIERS:
-                expected = select_flow_table(matrix, names, budget, multiplier)
+                expected = plan_flows(matrix, names, budget, multiplier).table
                 table = _plan_table(matrix, names, budget, multiplier)
                 if table is None:
                     table = plan_flows(matrix, names, budget, multiplier).table
@@ -179,7 +178,7 @@ class TestFlowPlans:
         matrix = _tie_matrix(x, up, boundary)
         plan = plan_flows(matrix, NAMES, budget)
         assert plan.scaled(3.0) is None
-        expected = select_flow_table(matrix, NAMES, budget, 3.0)
+        expected = plan_flows(matrix, NAMES, budget, 3.0).table
         # Scaling without the check would put the wrong flow first (or the
         # wrong flow across the budget): the fallback is what keeps it exact.
         naive = plan.table.demand * 3.0
@@ -190,7 +189,7 @@ class TestFlowPlans:
         # An exact multiplier keeps the order, so the plan is reused.
         for multiplier in (0.5, 2.0, 4.0):
             table = plan.scaled(multiplier).table
-            reference = select_flow_table(matrix, NAMES, budget, multiplier)
+            reference = plan_flows(matrix, NAMES, budget, multiplier).table
             assert _same_bytes(table.src, reference.src)
             assert _same_bytes(table.demand, reference.demand)
 
@@ -207,7 +206,7 @@ class TestFlowPlans:
                 merges = x * 3.0 == up * 3.0
                 assert (table is None) == merges
                 if table is not None:
-                    expected = select_flow_table(matrix, NAMES, budget, 3.0)
+                    expected = plan_flows(matrix, NAMES, budget, 3.0).table
                     assert _same_bytes(table.src, expected.src)
                     assert _same_bytes(table.dst, expected.dst)
                     assert _same_bytes(table.demand, expected.demand)
@@ -232,7 +231,7 @@ class TestFlowPlans:
         assert scaled.routed.path_rows is plan.routed.path_rows
         assert scaled.system.flow_ids is plan.system.flow_ids
         assert scaled.routed.table is scaled.table
-        reference = select_flow_table(matrix, NAMES, 10, 2.5)
+        reference = plan_flows(matrix, NAMES, 10, 2.5).table
         routed = route_flow_table(tables, rows, reference)
         demand, offsets, links = routed.compact()
         system = compile_system_from_rows(edge_list, demand, offsets, links)
@@ -280,7 +279,7 @@ class TestBulkPathExport:
         edge_list = simulator.topology.snapshot_sequence(
             [epoch], simulator.ground_stations
         ).edge_list(0)
-        table = select_flow_table(simulator.traffic_model.matrix_at(12.0), NAMES, 8)
+        table = plan_flows(simulator.traffic_model.matrix_at(12.0), NAMES, 8).table
         rows = station_rows(edge_list.node_index, NAMES)
         sources = np.unique(table.src)
         source_rows = np.full(rows.size, -1, dtype=np.intp)
@@ -320,7 +319,7 @@ class TestBulkPathExport:
         edge_list = simulator.topology.snapshot_sequence(
             [epoch], simulator.ground_stations
         ).edge_list(0)
-        table = select_flow_table(simulator.traffic_model.matrix_at(12.0), NAMES, 10)
+        table = plan_flows(simulator.traffic_model.matrix_at(12.0), NAMES, 10).table
         rows = station_rows(edge_list.node_index, NAMES)
         base = route_flow_table(RouteTables.solve(edge_list.arrays(), rows), rows, table)
         scale = np.random.default_rng(5).uniform(1.0, 5.0, edge_list.delay_ms.size)
@@ -463,7 +462,7 @@ class TestMixedMultiplierSweep:
         assert sum(built.values()) == 3 * self.STEPS
         # The tied scenario runs the flows selected on its scaled demand:
         # London -> New York wins the tie at the budget boundary.
-        expected = select_flow_table(tied.traffic_model.matrix, NAMES, 5, 3.0)
+        expected = plan_flows(tied.traffic_model.matrix, NAMES, 5, 3.0).table
         pairs = {(NAMES[s], NAMES[d]) for s, d in zip(expected.src, expected.dst)}
         assert ("London", "New York") in pairs and ("Tokyo", "Sao Paulo") not in pairs
         for step in results["x3"].steps:

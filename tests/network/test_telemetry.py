@@ -7,7 +7,8 @@ recovery) are exact regression checks, not flaky statistics.
 
 :class:`UnionRefreshStore` keeps the candidate refresh the sketch used
 before it merged sorted keys without a sort (``np.union1d`` of the
-candidates and the fresh keys); it is the oracle of the sorted merge.
+candidates and the fresh keys) and before it reused a batch's table
+cells; it is the oracle of the sorted merge and of that reuse.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.network.telemetry import (
     CountMinPairStore,
     ExactPairStore,
     ExactTelemetry,
+    KeyBatch,
     PairStore,
     PairTelemetry,
     SketchTelemetry,
@@ -40,7 +42,8 @@ def skewed_stream(seed: int, size: int, distinct: int):
 class UnionRefreshStore(CountMinPairStore):
     """A count-min store whose candidate refresh sorts the union again."""
 
-    def _refresh_candidates(self, fresh_keys):
+    def _refresh_candidates(self, fresh_keys, fresh_cells=None):
+        # Hashes the pool again, whatever cells the batch brought.
         pool = np.union1d(self._candidates, fresh_keys)
         if pool.size > self._top_capacity:
             estimates = self.estimate_many(pool)
@@ -277,7 +280,7 @@ class TestMergeStores:
 
     def test_unknown_store_type_rejected(self):
         class Odd(PairStore):
-            def observe(self, keys, values):  # pragma: no cover - stub
+            def observe_batch(self, batch, values):  # pragma: no cover - stub
                 pass
 
             def estimate_many(self, keys):  # pragma: no cover - stub
@@ -339,6 +342,27 @@ class TestPairTelemetry:
         by_keys.observe([0 * 3 + 1, 2 * 3 + 0], [5.0, 2.0])
         assert by_keys.top_pairs(5) == by_ids.top_pairs(5)
 
+    @pytest.mark.parametrize(
+        "src, dst, bad",
+        [([0, 3], [1, 0], "source id 3 "), ([1, 0], [1, -1], "destination id -1 ")],
+    )
+    def test_observe_pairs_rejects_ids_outside_the_labels(self, src, dst, bad):
+        # Encoded unchecked, (0, 3) would count as the pair (1, 0) and
+        # (1, -1) as (0, 2).
+        for model in TELEMETRY.values():
+            telemetry = PairTelemetry(labels=self.LABELS, store=model.store())
+            with pytest.raises(ValueError, match=rf"{bad}.*\[0, 3\)"):
+                telemetry.observe_pairs(src, dst, [1.0, 1.0])
+            assert telemetry.total() == 0.0
+
+    def test_pair_batches_are_checked_once_when_built(self):
+        with pytest.raises(ValueError, match="source id -1 "):
+            KeyBatch.from_pairs([-1, 1], [1, 2], 3)
+        with pytest.raises(ValueError, match="matching"):
+            KeyBatch.from_pairs([0, 1], [1], 3)
+        batch = KeyBatch.from_pairs([2, 0], [1, 2], 3)
+        np.testing.assert_array_equal(batch.keys, [2, 7])
+
     def test_merge_requires_matching_labels(self):
         a = PairTelemetry(labels=self.LABELS, store=ExactPairStore())
         b = PairTelemetry(labels=("London", "Tokyo"), store=ExactPairStore())
@@ -369,3 +393,90 @@ class TestTelemetryRegistry:
     def test_model_store_types(self):
         assert isinstance(ExactTelemetry().store(), ExactPairStore)
         assert isinstance(SketchTelemetry().store(), CountMinPairStore)
+
+
+class TestPreparedBatches:
+    """One batch observed by many stores equals each store observing fresh keys.
+
+    The simulator consolidates (and a sketch hashes) a flow plan's pair keys
+    once and lets every scenario's store sum its own scaled demand over
+    them; each store must end up bit-identical to one that observed the
+    raw keys itself, with the sketch's refresh checked against the oracle
+    that re-hashes its pool.
+    """
+
+    SKETCH = dict(width=512, depth=3, seed=0, top_capacity=24)
+
+    @staticmethod
+    def _steps(rng, distinct: bool):
+        """Per step: keys (distinct like a plan's pairs, or repeating) and
+        one value vector per scenario multiplier."""
+        steps = []
+        for _ in range(4):
+            size = int(rng.integers(30, 300))
+            if distinct:
+                keys = rng.choice(5000, size=size, replace=False)
+            else:
+                keys = rng.integers(0, 200, size=size)
+            base = rng.lognormal(0.0, 1.5, size=size)
+            steps.append((keys, [base * m for m in (1.0, 0.3, 3.0, 1.0 / 3.0)]))
+        return steps
+
+    @staticmethod
+    def _assert_same(store, other):
+        assert store.total() == other.total()
+        assert store.top(64) == other.top(64)
+        probe = np.arange(5000)
+        estimates = store.estimate_many(probe)
+        assert estimates.tobytes() == other.estimate_many(probe).tobytes()
+
+    @pytest.mark.parametrize("distinct", [True, False])
+    @pytest.mark.parametrize("kind", ["exact", "sketch"])
+    def test_shared_batch_equals_fresh_observation(self, kind, distinct):
+        def fresh(oracle=False):
+            if kind == "exact":
+                return ExactPairStore()
+            return (UnionRefreshStore if oracle else CountMinPairStore)(**self.SKETCH)
+
+        rng = np.random.default_rng(31 + distinct)
+        steps = self._steps(rng, distinct)
+        multipliers = len(steps[0][1])
+        aggregates = [None] * multipliers
+        oracles = [None] * multipliers
+        for keys, vectors in steps:
+            batch = KeyBatch(keys)
+            for index, values in enumerate(vectors):
+                shared, oracle = fresh(), fresh(oracle=True)
+                shared.observe_batch(batch, values)
+                oracle.observe(keys, values)
+                self._assert_same(shared, oracle)
+                if aggregates[index] is None:
+                    aggregates[index], oracles[index] = shared, oracle
+                else:
+                    aggregates[index].merge(shared)
+                    oracles[index].merge(oracle)
+                    self._assert_same(aggregates[index], oracles[index])
+            if kind == "sketch":
+                assert len(batch.cells) == 1  # hashed once for every store
+
+    def test_a_batch_hashes_once_per_sketch_geometry(self):
+        keys, values = skewed_stream(seed=3, size=400, distinct=150)
+        batch = KeyBatch(keys)
+        for seed in (0, 1, 0):
+            shared = CountMinPairStore(**dict(self.SKETCH, seed=seed))
+            oracle = UnionRefreshStore(**dict(self.SKETCH, seed=seed))
+            shared.observe_batch(batch, values)
+            oracle.observe(keys, values)
+            self._assert_same(shared, oracle)
+        assert len(batch.cells) == 2
+
+    def test_batch_values_are_checked_per_observation(self):
+        batch = KeyBatch([4, 1, 4])
+        np.testing.assert_array_equal(batch.keys, [1, 4])
+        for store in (ExactPairStore(), CountMinPairStore(**self.SKETCH)):
+            with pytest.raises(ValueError, match="matching"):
+                store.observe_batch(batch, [1.0, 2.0])
+            with pytest.raises(ValueError, match="non-negative"):
+                store.observe_batch(batch, [1.0, -2.0, 0.0])
+            store.observe_batch(batch, [1.0, 2.0, 0.5])
+            assert store.estimate(4) == 1.5 and store.total() == 3.5
