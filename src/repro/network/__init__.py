@@ -75,7 +75,6 @@ from .telemetry import (
     CountMinPairStore,
     ExactPairStore,
     ExactTelemetry,
-    KeyBatch,
     PairTelemetry,
     SketchTelemetry,
     TelemetryModel,
@@ -116,7 +115,6 @@ __all__ = [
     "CountMinPairStore",
     "ExactPairStore",
     "ExactTelemetry",
-    "KeyBatch",
     "PairTelemetry",
     "SketchTelemetry",
     "TelemetryModel",

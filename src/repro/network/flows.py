@@ -229,27 +229,6 @@ def _count(name: str, value: "int | None", minimum: int = 1) -> "int | None":
     return int(value)
 
 
-def _selection_order(
-    demand: np.ndarray, pair_key: np.ndarray, key_count: int
-) -> np.ndarray:
-    """The order of ``np.lexsort((pair_key, -demand))``, by two unstable sorts.
-
-    ``pair_key`` is unique per candidate and below ``key_count``.  A stable
-    sort of floats costs several unstable ones, so this sorts by
-    ``-demand`` unstably, numbers the runs of equal demand in that order,
-    and sorts once more by ``(run, pair key)`` packed into one int64: the
-    packed keys are unique, so the second sort is exact however it breaks
-    ties.  Falls back to the lexsort where the packed key could overflow.
-    """
-    if demand.size * key_count >= 2**63:
-        return np.lexsort((pair_key, -demand))
-    first = np.argsort(-demand)
-    ranked = demand[first]
-    run = np.zeros(ranked.size, dtype=np.int64)
-    np.cumsum(ranked[1:] != ranked[:-1], out=run[1:])
-    return first[np.argsort(run * key_count + pair_key[first])]
-
-
 def plan_flows(
     matrix: TrafficMatrix,
     station_names: tuple[str, ...],
@@ -267,7 +246,7 @@ def plan_flows(
     included; only the kept candidates are decoded into station ids.  They
     are ordered by ``-demand`` and then a pair key, ``rank(src) * n +
     rank(dst)`` over the names' sorted ranks, which is unique per pair and
-    sorts as ``(src name, dst name)`` (:func:`_selection_order`): the
+    sorts as ``(src name, dst name)``, in one two-key ``np.lexsort``: the
     boundary is decided by that deterministic order, never by matrix
     iteration order.  Returns an unrouted :class:`FlowPlan` that also
     records the largest demand the cut left out below the k-th value.
@@ -295,7 +274,7 @@ def plan_flows(
     name_rank = np.empty(size, dtype=np.int64)
     name_rank[np.argsort(np.asarray(station_names, dtype=object))] = np.arange(size)
     pair_key = name_rank[src] * size + name_rank[dst]
-    order = _selection_order(demand, pair_key, size * size)
+    order = np.lexsort((pair_key, -demand))
     if flows_per_step is not None:
         order = order[:flows_per_step]
     table = FlowTable(

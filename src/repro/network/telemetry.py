@@ -79,11 +79,14 @@ class KeyBatch:
     position in ``keys`` of each observation (``np.unique`` with
     ``return_inverse``).  Every store observes through a batch: it sums its
     values into ``keys`` order (:meth:`sums`) and, for a sketch, hashes
-    ``keys`` to table cells once per hash geometry (cached in ``cells``).
+    ``keys`` to table cells once per hash geometry.
     So value vectors over the same keys -- a flow plan's demand under each
     scenario's multiplier -- share the key work, and only the sums and the
-    table updates see each vector.  Nothing in a batch is written after
-    it is built, and stores may keep ``keys`` itself.
+    table updates see each vector.  ``keys`` and ``inverse`` are never
+    written after the batch is built, so stores may keep ``keys`` itself;
+    ``cells`` is a cache, filled by the first sketch of each (width,
+    salts) geometry that observes the batch and read by every later one
+    (the scenarios sharing a flow plan share its batch).
     """
 
     __slots__ = ("size", "keys", "inverse", "cells")

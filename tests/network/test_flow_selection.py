@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.demand.traffic_matrix import City, TrafficMatrix
-from repro.network.flows import _selection_order, plan_flows
+from repro.network.flows import plan_flows
 
 from flow_oracles import mask_entry_arrays, three_key_selection
 
@@ -110,17 +110,3 @@ def test_plan_flows_rejects_repeated_names():
     matrix = TrafficMatrix(cities=cities, demands=np.array([[4.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError, match="'x' is repeated"):
         plan_flows(matrix, ("y", "x", "x"), None)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_selection_order_equals_the_two_key_lexsort(seed):
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(0, 400))
-    # Few distinct demands: long runs of ties for the pair key to order.
-    demand = rng.integers(1, 8, size).astype(float) * 0.1
-    key_count = int(rng.integers(size, 4 * size + 2))
-    pair_key = rng.permutation(key_count)[:size].astype(np.int64)
-    want = np.lexsort((pair_key, -demand))
-    assert np.array_equal(_selection_order(demand, pair_key, key_count), want)
-    # A key range whose packed keys would overflow takes the lexsort itself.
-    assert np.array_equal(_selection_order(demand, pair_key, 2**62), want)

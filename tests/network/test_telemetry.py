@@ -9,6 +9,12 @@ recovery) are exact regression checks, not flaky statistics.
 before it merged sorted keys without a sort (``np.union1d`` of the
 candidates and the fresh keys) and before it reused a batch's table
 cells; it is the oracle of the sorted merge and of that reuse.
+:class:`ConsolidatingExactStore` and :class:`RowTableSketch` keep the
+observation the stores had before keys were prepared in batches:
+validate, consolidate the raw keys with ``np.unique``, then concatenate
+(exact) or hash them into a per-row ``(depth, width)`` table (sketch).
+They share no code with the stores under test and are the oracles of
+prepared-batch observation.
 """
 
 from __future__ import annotations
@@ -53,6 +59,121 @@ class UnionRefreshStore(CountMinPairStore):
             order = np.lexsort((pool[keep], -estimates[keep]))[: self._top_capacity]
             pool = np.sort(pool[keep][order])
         self._candidates = pool
+
+
+def _oracle_observation(keys, values):
+    """Validate and consolidate raw observations: sorted keys, summed values."""
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    if keys.shape != values.shape or keys.ndim != 1:
+        raise ValueError("keys and values must be matching 1-D arrays")
+    if values.size and values.min() < 0:
+        raise ValueError("telemetry values must be non-negative")
+    unique, inverse = np.unique(keys, return_inverse=True)
+    return unique, np.bincount(inverse, weights=values, minlength=unique.size)
+
+
+def _oracle_top(keys, values, count):
+    if count <= 0 or not keys.size:
+        return ()
+    order = np.lexsort((keys, -values))[:count]
+    return tuple(
+        (int(key), float(value))
+        for key, value in zip(keys[order], values[order])
+        if value > 0.0
+    )
+
+
+class ConsolidatingExactStore:
+    """Exact totals that re-consolidate everything on each observation."""
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, dtype=np.int64)
+        self.values = np.empty(0, dtype=float)
+
+    def observe(self, keys, values) -> None:
+        keys, values = _oracle_observation(keys, values)
+        if keys.size:
+            self.keys, self.values = _oracle_observation(
+                np.concatenate([self.keys, keys]),
+                np.concatenate([self.values, values]),
+            )
+
+    def merge(self, other: "ConsolidatingExactStore") -> None:
+        self.observe(other.keys, other.values)
+
+    def estimate_many(self, keys) -> np.ndarray:
+        keys = np.asarray(keys, dtype=np.int64)
+        if not self.keys.size:
+            return np.zeros(keys.shape)
+        positions = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        return np.where(self.keys[positions] == keys, self.values[positions], 0.0)
+
+    def top(self, count: int) -> tuple:
+        return _oracle_top(self.keys, self.values, count)
+
+    def total(self) -> float:
+        return float(self.values.sum())
+
+
+class RowTableSketch:
+    """A count-min sketch with a ``(depth, width)`` table, hashing every call."""
+
+    def __init__(
+        self, width: int = 4096, depth: int = 4, seed: int = 0, top_capacity: int = 64
+    ) -> None:
+        self.width, self.depth, self.top_capacity = width, depth, top_capacity
+        self.shift = np.uint64(64 - int(width).bit_length() + 1)
+        rng = np.random.default_rng(seed)
+        self.salts = rng.integers(1, 2**63, size=depth, dtype=np.uint64) | np.uint64(1)
+        self.table = np.zeros((depth, width), dtype=float)
+        self.candidates = np.empty(0, dtype=np.int64)
+        self.sum = 0.0
+
+    def _columns(self, keys):
+        mixed = keys.astype(np.uint64)[None, :] * self.salts[:, None]
+        return (mixed >> self.shift).astype(np.intp)
+
+    def observe(self, keys, values) -> None:
+        keys, values = _oracle_observation(keys, values)
+        if not keys.size:
+            return
+        columns = self._columns(keys)
+        for row in range(self.depth):
+            np.add.at(self.table[row], columns[row], values)
+        self.sum += float(values.sum())
+        self._refresh(keys)
+
+    def merge(self, other: "RowTableSketch") -> None:
+        self.table += other.table
+        self.sum += other.sum
+        self._refresh(other.candidates)
+
+    def _refresh(self, fresh_keys) -> None:
+        pool = np.union1d(self.candidates, fresh_keys)
+        if pool.size > self.top_capacity:
+            estimates = self.estimate_many(pool)
+            cut = pool.size - self.top_capacity
+            threshold = np.partition(estimates, cut)[cut]
+            keep = np.flatnonzero(estimates >= threshold)
+            order = np.lexsort((pool[keep], -estimates[keep]))[: self.top_capacity]
+            pool = np.sort(pool[keep][order])
+        self.candidates = pool
+
+    def estimate_many(self, keys) -> np.ndarray:
+        keys = np.asarray(keys, dtype=np.int64)
+        if not keys.size:
+            return np.empty(0, dtype=float)
+        rows = np.arange(self.depth)[:, None]
+        return self.table[rows, self._columns(keys)].min(axis=0)
+
+    def top(self, count: int) -> tuple:
+        if not self.candidates.size:
+            return ()
+        return _oracle_top(self.candidates, self.estimate_many(self.candidates), count)
+
+    def total(self) -> float:
+        return self.sum
 
 
 class TestExactPairStore:
@@ -396,13 +517,14 @@ class TestTelemetryRegistry:
 
 
 class TestPreparedBatches:
-    """One batch observed by many stores equals each store observing fresh keys.
+    """One batch observed by many stores equals the raw-key observation.
 
     The simulator consolidates (and a sketch hashes) a flow plan's pair keys
     once and lets every scenario's store sum its own scaled demand over
-    them; each store must end up bit-identical to one that observed the
-    raw keys itself, with the sketch's refresh checked against the oracle
-    that re-hashes its pool.
+    them.  Each store must end up bit-identical to the oracle store that
+    consolidates and hashes the raw keys itself, whether it observed the
+    shared batch or called ``observe`` on the raw keys, before and after
+    merges.
     """
 
     SKETCH = dict(width=512, depth=3, seed=0, top_capacity=24)
@@ -423,39 +545,47 @@ class TestPreparedBatches:
         return steps
 
     @staticmethod
-    def _assert_same(store, other):
-        assert store.total() == other.total()
-        assert store.top(64) == other.top(64)
+    def _assert_same(store, oracle):
+        assert store.total() == oracle.total()
+        assert store.top(64) == oracle.top(64)
         probe = np.arange(5000)
         estimates = store.estimate_many(probe)
-        assert estimates.tobytes() == other.estimate_many(probe).tobytes()
+        assert estimates.tobytes() == oracle.estimate_many(probe).tobytes()
 
     @pytest.mark.parametrize("distinct", [True, False])
     @pytest.mark.parametrize("kind", ["exact", "sketch"])
-    def test_shared_batch_equals_fresh_observation(self, kind, distinct):
-        def fresh(oracle=False):
+    def test_shared_batch_equals_raw_key_oracle(self, kind, distinct):
+        def fresh():
             if kind == "exact":
                 return ExactPairStore()
-            return (UnionRefreshStore if oracle else CountMinPairStore)(**self.SKETCH)
+            return CountMinPairStore(**self.SKETCH)
+
+        def oracle():
+            if kind == "exact":
+                return ConsolidatingExactStore()
+            return RowTableSketch(**self.SKETCH)
 
         rng = np.random.default_rng(31 + distinct)
         steps = self._steps(rng, distinct)
         multipliers = len(steps[0][1])
+        # Per multiplier: (batch-fed, observe-fed, oracle) aggregates.
         aggregates = [None] * multipliers
-        oracles = [None] * multipliers
         for keys, vectors in steps:
             batch = KeyBatch(keys)
             for index, values in enumerate(vectors):
-                shared, oracle = fresh(), fresh(oracle=True)
-                shared.observe_batch(batch, values)
-                oracle.observe(keys, values)
-                self._assert_same(shared, oracle)
+                stores = (fresh(), fresh(), oracle())
+                stores[0].observe_batch(batch, values)
+                stores[1].observe(keys, values)
+                stores[2].observe(keys, values)
+                self._assert_same(stores[0], stores[2])
+                self._assert_same(stores[1], stores[2])
                 if aggregates[index] is None:
-                    aggregates[index], oracles[index] = shared, oracle
-                else:
-                    aggregates[index].merge(shared)
-                    oracles[index].merge(oracle)
-                    self._assert_same(aggregates[index], oracles[index])
+                    aggregates[index] = stores
+                    continue
+                for aggregate, store in zip(aggregates[index], stores):
+                    aggregate.merge(store)
+                self._assert_same(aggregates[index][0], aggregates[index][2])
+                self._assert_same(aggregates[index][1], aggregates[index][2])
             if kind == "sketch":
                 assert len(batch.cells) == 1  # hashed once for every store
 
@@ -464,7 +594,7 @@ class TestPreparedBatches:
         batch = KeyBatch(keys)
         for seed in (0, 1, 0):
             shared = CountMinPairStore(**dict(self.SKETCH, seed=seed))
-            oracle = UnionRefreshStore(**dict(self.SKETCH, seed=seed))
+            oracle = RowTableSketch(**dict(self.SKETCH, seed=seed))
             shared.observe_batch(batch, values)
             oracle.observe(keys, values)
             self._assert_same(shared, oracle)
