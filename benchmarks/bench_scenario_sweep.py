@@ -6,7 +6,7 @@ edge by edge in Python, per-scenario routing and a fresh gravity matrix per
 step.  The sweep engine amortises one batched propagation, one vectorised
 feasibility pass, per-step edge lists sliced from those tensors, shared
 per-step Dijkstra results, per-step flow plans shared across demand multipliers and
-a 24-hour traffic-matrix cache across all scenarios.
+one traffic matrix per step shared by all scenarios.
 
 This benchmark times a 5-scenario sweep three ways --
 

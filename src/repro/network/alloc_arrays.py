@@ -37,7 +37,7 @@ than hundreds of rounds, with rates bit-identical to round-by-round
 filling.
 
 There is one compile, :func:`compile_system_from_rows`: ragged paths in
-the columnar engine's layout, with the edge-list row of every hop that the
+the columnar engine's layout, the edge-list row of every hop that the
 route walk recorded, become the incidence directly.  The distinct links
 are numbered in link-code order through the edge list's sorted link
 table, with one mark and one running count over its links; no hop is
@@ -177,11 +177,10 @@ def compile_system_from_rows(
 ) -> FlowLinkSystem:
     """Compile ragged edge-row paths into the incidence form of their allocation.
 
-    Flow ``i`` demands ``demand[i]`` and its path's nodes are the segment
-    ``offsets[i]:offsets[i + 1]``; ``links`` holds, beside each node, the
-    edge-list row of the hop into it (``-1`` at each segment's first node),
-    as :attr:`~repro.network.flows.RoutedFlowTable.path_links` does.
-    Empty and one-node segments -- unreachable or zero-hop flows --
+    Flow ``i`` demands ``demand[i]`` and crosses the edge-list rows
+    ``links[offsets[i]:offsets[i + 1]]``, one per hop in order from its
+    source, as :attr:`~repro.network.flows.RoutedFlowTable.path_links`
+    holds them.  Empty segments -- unreachable or zero-hop flows --
     contribute no traversals.  The distinct links are numbered in ascending
     link-code order, read from the edge list's
     :attr:`~repro.network.backends.SnapshotEdgeList.link_lookup` with one
@@ -194,23 +193,17 @@ def compile_system_from_rows(
     links = np.asarray(links, dtype=np.intp)
     if offsets.size != demand.size + 1:
         raise ValueError("offsets must have one entry more than demand")
-    lengths = np.diff(offsets)
-    # Every node but each segment's first is entered by a hop, so the hops
-    # stay flow by flow, hop by hop.
-    entered = np.ones(links.size, dtype=bool)
-    entered[offsets[:-1][lengths > 0]] = False
-    hop_rows = links[entered]
-    flow_ids = np.repeat(
-        np.arange(lengths.size, dtype=np.intp), np.maximum(lengths - 1, 0)
-    )
+    if offsets[-1] != links.size:
+        raise ValueError(f"offsets end at {int(offsets[-1])}, not at {links.size} hops")
+    flow_ids = np.repeat(np.arange(demand.size, dtype=np.intp), np.diff(offsets))
     edge_count = edge_list.a.size
-    if hop_rows.size and not (0 <= hop_rows.min() and hop_rows.max() < edge_count):
-        missing = (hop_rows < 0) | (hop_rows >= edge_count)
+    if links.size and not (0 <= links.min() and links.max() < edge_count):
+        missing = (links < 0) | (links >= edge_count)
         flow = int(flow_ids[np.flatnonzero(missing)[0]])
         raise ValueError(f"flow {flow} uses a link not present in the snapshot")
     order = edge_list.link_lookup[1]
     used = np.zeros(edge_count, dtype=bool)
-    used[hop_rows] = True
+    used[links] = True
     in_order = used[order]
     column = np.empty(edge_count, dtype=np.intp)
     column[order] = np.cumsum(in_order) - 1
@@ -219,7 +212,7 @@ def compile_system_from_rows(
         demand=demand,
         capacity=edge_list.capacity_gbps[link_rows].astype(float),
         flow_ids=flow_ids,
-        link_ids=column[hop_rows],
+        link_ids=column[links],
         link_rows=link_rows,
     )
 

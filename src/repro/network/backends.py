@@ -20,8 +20,8 @@ re-reads and link telemetry all index links through it.
 The station-sourced search result is kept in its native matrix form,
 :class:`RouteTables`: ``(S, N)`` distance and predecessor matrices plus the
 ``S`` source rows; :meth:`RouteTables.paths` walks many queries' paths in
-one batched layer walk into :class:`Paths`, ragged node rows with the edge
-row of every hop beside them, and the
+one batched layer walk into :class:`Paths`, the ragged edge rows of every
+path's hops, and the
 :class:`~repro.network.routing.SnapshotRouter` analysis API reads
 ``{destination: RouteResult}`` mappings as lazy row views of it.
 
@@ -301,17 +301,17 @@ def load_csgraph():
 
 
 class Paths(NamedTuple):
-    """Many queries' walked paths as ragged arrays, in query order.
+    """Many queries' walked paths as ragged hop arrays, in query order.
 
-    Path ``i`` occupies ``rows[offsets[i]:offsets[i + 1]]`` (source first,
-    destination last); an unreachable query has an empty segment and
-    ``inf`` latency.  ``links`` runs beside ``rows``: ``links[j]`` is the
-    edge row (:attr:`EdgeArrays.edge_rows`) of the hop into ``rows[j]``,
-    ``-1`` at every path's source.
+    Path ``i``'s hops occupy ``links[offsets[i]:offsets[i + 1]]``: the edge
+    row (:attr:`EdgeArrays.edge_rows`) of each hop, in order from the
+    source, so a segment's length is the path's hop count.  A zero-hop
+    query (source equals destination) and an unreachable one both have an
+    empty segment; ``latency_ms`` tells them apart, 0 for the first and
+    ``inf`` for the second.
     """
 
     offsets: np.ndarray  # (Q + 1,)
-    rows: np.ndarray  # (offsets[-1],) node rows
     links: np.ndarray  # (offsets[-1],) edge rows
     latency_ms: np.ndarray  # (Q,)
     #: Sources the walk solved exactly because a certificate failed
@@ -370,7 +370,7 @@ class RouteTables(NamedTuple):
         Query ``i`` walks table row ``group_of[i]`` toward node row
         ``dest_rows[i]``.  Negative ``group_of`` or ``dest_rows`` entries,
         like unreachable destinations, yield an empty segment with ``inf``
-        latency.  The rows of path ``i`` are those of
+        latency.  Path ``i``'s hops join the rows of
         :meth:`_PredecessorRoutes._reconstruct`, walked by
         :func:`_walk_layers`; each hop's link is its node's in-link from
         its predecessor (:func:`_in_links`).
@@ -389,20 +389,18 @@ class RouteTables(NamedTuple):
             self.predecessors, safe_group[walk], roots, safe_rows[walk]
         )
         entries, _ = _in_links(
-            self.arrays, self.distances, self.predecessors, [at for *_, at in layers], None
+            self.arrays, self.distances, self.predecessors, [at for _, at in layers], None
         )
         lengths = np.zeros(dest_rows.size, dtype=np.intp)
-        lengths[walk] = depth + 1
+        lengths[walk] = depth
         offsets = np.zeros(dest_rows.size + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
-        rows = np.empty(int(offsets[-1]), dtype=np.intp)
-        links = np.full(int(offsets[-1]), -1, dtype=np.intp)
-        rows[offsets[walk]] = roots
+        links = np.empty(int(offsets[-1]), dtype=np.intp)
         edge_rows = self.arrays.edge_rows
         _place_layers(
-            rows, links, offsets[walk] + depth, layers, [edge_rows[e] for e in entries]
+            links, offsets[walk] + depth - 1, layers, [edge_rows[e] for e in entries]
         )
-        return Paths(offsets, rows, links, latency)
+        return Paths(offsets, links, latency)
 
 
 #: Relative margin by which a gateway route must beat every alternative
@@ -516,61 +514,51 @@ class GatewayRouteTables:
             self.arrays,
             self.distances,
             self.predecessors,
-            [gateway * self.arrays.node_count + roots] + [at for *_, at in layers],
+            [gateway * self.arrays.node_count + roots] + [at for _, at in layers],
             float(lead),
         )
-        # Certificate (b) and the hop weights along every tree path, the
-        # gateway included: layer k holds the node k hops back from the
-        # destination, which hop depth - k enters (hop 0 is source ->
-        # gateway).  A node that is not near-tied has one tight in-link,
+        # Certificate (b) on every tree node, the gateway included, and the
+        # in-order hop sums from the source, as Dijkstra accumulates them:
+        # layer k holds the node k hops back from the destination, which hop
+        # depth - k enters (hop 0 is source -> gateway), so the deepest layer
+        # adds first.  A node that is not near-tied has one tight in-link,
         # its predecessor's, so a certified path is the only shortest one.
         tied = ties[0]
-        hops = np.zeros((len(layers), walk.size))
-        for k, (where, _, _) in enumerate(layers):
-            tied[where] |= ties[k + 1]
-            hops[k, where] = self.arrays.weights[entries[k + 1]]
-        # In-order hop sums from the source, as Dijkstra accumulates them:
-        # the deepest layer first, so the zeros past a path's end add nothing.
         tree_latency = hop0.copy()
-        for hop in hops[::-1]:
-            tree_latency += hop
+        for k in range(len(layers) - 1, -1, -1):
+            where = layers[k][0]
+            tied[where] |= ties[k + 1]
+            tree_latency[where] += self.arrays.weights[entries[k + 1]]
         certified = ~tied
         fallback = np.concatenate([rejected, walk[tied]])
         sources, table_of = np.unique(source[fallback], return_inverse=True)
-        exact = Paths(np.zeros(1, dtype=np.intp), walk[:0], walk[:0], np.empty(0))
+        exact = Paths(np.zeros(1, dtype=np.intp), walk[:0], np.empty(0))
         if sources.size:
             exact = RouteTables.solve(self.arrays, sources).paths(table_of, dest[fallback])
         latency = np.where(at_source, 0.0, np.inf)
         latency[walk[certified]] = tree_latency[certified]
         latency[fallback] = exact.latency_ms
-        lengths = at_source.astype(np.intp)
-        lengths[walk[certified]] = depth[certified] + 2
+        lengths = np.zeros(dest.size, dtype=np.intp)
+        lengths[walk[certified]] = depth[certified] + 1
         lengths[fallback] = np.diff(exact.offsets)
         offsets = np.zeros(dest.size + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
-        rows = np.empty(int(offsets[-1]), dtype=np.intp)
-        links = np.full(int(offsets[-1]), -1, dtype=np.intp)
+        links = np.empty(int(offsets[-1]), dtype=np.intp)
         start = offsets[:-1]
-        rows[start[at_source]] = source[at_source]
-        walked = start[walk[certified]]
-        rows[walked] = source[walk[certified]]
-        rows[walked + 1] = roots[certified]
-        links[walked + 1] = gateway_links[certified]
+        links[start[walk[certified]]] = gateway_links[certified]
         edge_rows = self.arrays.edge_rows
         _place_layers(
-            rows,
             links,
-            start[walk] + 1 + depth,
+            start[walk] + depth,
             layers,
             [edge_rows[entry] for entry in entries[1:]],
             certified,
         )
-        spliced = np.arange(exact.rows.size) + np.repeat(
+        spliced = np.arange(exact.links.size) + np.repeat(
             start[fallback] - exact.offsets[:-1], lengths[fallback]
         )
-        rows[spliced] = exact.rows
         links[spliced] = exact.links
-        return Paths(offsets, rows, links, latency, int(sources.size))
+        return Paths(offsets, links, latency, int(sources.size))
 
     def _best_gateways(
         self, asked: np.ndarray, group_of: np.ndarray, dest: np.ndarray
@@ -610,16 +598,16 @@ def _walk_layers(
     table_of: np.ndarray,
     roots: np.ndarray,
     dest_rows: np.ndarray,
-) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """One layer walk up many queries' predecessor rows at once.
 
     Query ``i`` follows row ``table_of[i]`` of ``predecessors`` from node
     row ``dest_rows[i]`` up to its search root ``roots[i]``, ``depth[i]``
-    hops.  Returns ``(layers, depth)``: ``layers[k]`` is ``(queries, nodes,
-    at)``, the queries still walking at step ``k``, their nodes ``k`` hops
-    back from the destination, and those nodes' flat index into
-    ``predecessors``.  Every walking query steps one hop per iteration, so
-    the Python-level work is O(longest path) across the whole batch.
+    hops.  Returns ``(layers, depth)``: ``layers[k]`` is ``(queries, at)``,
+    the queries still walking at step ``k`` and the flat index into
+    ``predecessors`` of their nodes ``k`` hops back from the destination.
+    Every walking query steps one hop per iteration, so the Python-level
+    work is O(longest path) across the whole batch.
     """
     flat = predecessors.ravel()
     where = np.arange(dest_rows.size)
@@ -627,7 +615,7 @@ def _walk_layers(
     node = dest_rows
     root = roots
     depth = np.zeros(dest_rows.size, dtype=np.intp)
-    layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    layers: list[tuple[np.ndarray, np.ndarray]] = []
     while True:
         moving = node != root
         if not moving.all():
@@ -635,32 +623,30 @@ def _walk_layers(
         if not where.size:
             break
         at = base + node
-        layers.append((where, node, at))
+        layers.append((where, at))
         depth[where] = len(layers)
         node = np.take(flat, at)
     return layers, depth
 
 
 def _place_layers(
-    rows: np.ndarray,
     links: np.ndarray,
     ends: np.ndarray,
-    layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    layers: list[tuple[np.ndarray, np.ndarray]],
     layer_links: list[np.ndarray],
     keep: np.ndarray | None = None,
 ) -> None:
-    """Write the walked layers of :func:`_walk_layers` into path buffers.
+    """Write the walked layers of :func:`_walk_layers` into a hop buffer.
 
-    Query ``i``'s destination goes to ``rows[ends[i]]`` and the node ``k``
-    hops back from it to ``rows[ends[i] - k]``, with the edge row of its
-    in-link (``layer_links[k]``) at the same place of ``links``; only the
+    The edge row of the hop into query ``i``'s destination goes to
+    ``links[ends[i]]`` and that of the hop into the node ``k`` hops back
+    from it (``layer_links[k]``) to ``links[ends[i] - k]``; only the
     queries where ``keep`` is set are written, when it is given.
     """
-    for k, ((where, nodes, _), link) in enumerate(zip(layers, layer_links)):
+    for k, ((where, _), link) in enumerate(zip(layers, layer_links)):
         if keep is not None:
             kept = keep[where]
-            where, nodes, link = where[kept], nodes[kept], link[kept]
-        rows[ends[where] - k] = nodes
+            where, link = where[kept], link[kept]
         links[ends[where] - k] = link
 
 

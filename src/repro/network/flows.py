@@ -16,10 +16,10 @@ columnar end-to-end:
   pair key that sorts as ``(src name, dst name)``;
 * :func:`route_flow_table` -- stage 3 as gather ops: the step's route
   tables (indexed by station id) are walked for *every* flow in a single
-  batched layer walk straight into one ragged ``(offsets, rows)`` path
-  buffer in table order, with the edge-list row of every hop beside it
-  (``links``) -- no per-source loop, no scatter pass.  The
-  simulator's tables are
+  batched layer walk straight into one ragged ``(offsets, links)`` buffer
+  in table order, the edge-list row of every hop of every path -- no
+  per-source loop, no scatter pass, and no node rows, which nothing
+  downstream reads.  The simulator's tables are
   :class:`~repro.network.backends.GatewayRouteTables`: one multi-source
   Dijkstra from the satellites the stations link to, each flow walked on
   its best gateway's tree when a uniqueness certificate proves that is the
@@ -29,7 +29,7 @@ columnar end-to-end:
   :func:`reroute_flows` re-walks a subset of an already routed table on
   other tables and splices the new paths in;
 * :meth:`RoutedFlowTable.compact` -- stage 4 input: the reachable slice of
-  the ragged paths' edge rows feeds
+  the ragged hop edge rows feeds
   :func:`repro.network.alloc_arrays.compile_system_from_rows` directly,
   which numbers the links without sorting or searching any hop;
 * :class:`FlowPlan` -- the demand-independent part of stages 2-4, kept so
@@ -96,13 +96,13 @@ class FlowTable:
 
 @dataclass(frozen=True)
 class RoutedFlowTable:
-    """A :class:`FlowTable` plus its routing outcome as ragged path arrays.
+    """A :class:`FlowTable` plus its routing outcome as ragged hop arrays.
 
-    Flow ``i`` of ``table`` follows the snapshot rows
-    ``path_rows[path_offsets[i]:path_offsets[i + 1]]`` (source first,
-    destination last); unreachable flows have an empty segment and ``inf``
-    latency.  ``path_links`` runs beside ``path_rows``: the edge-list row
-    of the hop into each node, ``-1`` at each path's source.
+    Flow ``i`` of ``table`` crosses the edge-list rows
+    ``path_links[path_offsets[i]:path_offsets[i + 1]]``, one per hop, in
+    order from its source (:class:`~repro.network.backends.Paths`).  An
+    unreachable flow has an empty segment and ``inf`` latency; so would a
+    zero-hop one, with latency 0.
     """
 
     table: FlowTable
@@ -112,9 +112,7 @@ class RoutedFlowTable:
     latency_ms: np.ndarray = field(compare=False)
     #: Ragged path index, shape ``(F + 1,)``.
     path_offsets: np.ndarray = field(compare=False)
-    #: Concatenated snapshot-row paths of every reachable flow.
-    path_rows: np.ndarray = field(compare=False)
-    #: Edge-list row of the hop into each entry of ``path_rows``.
+    #: Concatenated edge-list rows of every flow's hops.
     path_links: np.ndarray = field(compare=False)
     #: Sources the walk that produced the latest paths solved exactly
     #: (:attr:`~repro.network.backends.Paths.exact_sources`).
@@ -128,7 +126,6 @@ class RoutedFlowTable:
             + self.reachable.nbytes
             + self.latency_ms.nbytes
             + self.path_offsets.nbytes
-            + self.path_rows.nbytes
             + self.path_links.nbytes
         )
 
@@ -320,7 +317,6 @@ def route_flow_table(
         reachable=np.isfinite(paths.latency_ms),
         latency_ms=paths.latency_ms,
         path_offsets=paths.offsets,
-        path_rows=paths.rows,
         path_links=paths.links,
         exact_sources=paths.exact_sources,
     )
@@ -336,11 +332,11 @@ def reroute_flows(
 
     ``flows`` are flow indices of ``routed.table``; they are walked in one
     batched layer walk, as :func:`route_flow_table` walks a whole table, and
-    the new segments (rows and links) replace their old ones in the ragged
-    path buffers.  Every other flow keeps its path and latency, so the
-    result equals walking the whole table on ``tables`` wherever those
-    tables route the other flows the same way.  ``tables`` needs rows only
-    for the sources of ``flows``.
+    their new hop segments replace the old ones in the ragged hop buffer.
+    Every other flow keeps its path and latency, so the result equals
+    walking the whole table on ``tables`` wherever those tables route the
+    other flows the same way.  ``tables`` needs rows only for the sources
+    of ``flows``.
     """
     table = routed.table
     paths = tables.paths(table.src[flows], station_rows[table.dst[flows]])
@@ -348,7 +344,7 @@ def reroute_flows(
     lengths[flows] = np.diff(paths.offsets)
     # Start of every segment in the old buffer followed by the new one.
     starts = routed.path_offsets[:-1].copy()
-    starts[flows] = routed.path_rows.size + paths.offsets[:-1]
+    starts[flows] = routed.path_links.size + paths.offsets[:-1]
     path_offsets = np.zeros(lengths.size + 1, dtype=np.intp)
     np.cumsum(lengths, out=path_offsets[1:])
     gather = np.repeat(starts - path_offsets[:-1], lengths) + np.arange(
@@ -361,7 +357,6 @@ def reroute_flows(
         reachable=np.isfinite(latency_ms),
         latency_ms=latency_ms,
         path_offsets=path_offsets,
-        path_rows=np.concatenate([routed.path_rows, paths.rows])[gather],
         path_links=np.concatenate([routed.path_links, paths.links])[gather],
         exact_sources=paths.exact_sources,
     )

@@ -12,9 +12,9 @@ The simulator runs one pipeline per scenario and time step:
    :class:`~repro.network.backends.GatewayRouteTables` over all of the
    group's stations on the unsteered weights, whoever is in the group;
 2. **flow selection** -- the gravity traffic matrix of the step's UTC hour
-   (memoised: the diurnal model repeats every 24 h) is filtered to the
-   group's ground stations and cut to the largest ``flows_per_step`` flows
-   as a columnar :class:`~repro.network.flows.FlowTable`.  The step kernel
+   (built afresh at every step: no hour's matrix is memoised) is filtered
+   to the group's ground stations and cut to the largest ``flows_per_step``
+   flows as a columnar :class:`~repro.network.flows.FlowTable`.  The step kernel
    does this once per (snapshot group, flow budget), on *unscaled* demand,
    as a :class:`~repro.network.flows.FlowPlan`; each scenario multiplies
    the plan's demand by its multiplier -- the same elementwise product
@@ -28,8 +28,8 @@ The simulator runs one pipeline per scenario and time step:
    (:class:`~repro.network.backends.GatewayRouteTables`) run one batched
    multi-source Dijkstra over the snapshot's CSR arrays from the
    satellites the source stations link to (their *gateways*), and all
-   paths are walked at once into ragged row arrays that carry the edge
-   row of every hop (:func:`~repro.network.flows.route_flow_table`).  A
+   paths are walked at once into one ragged array of the edge rows of
+   every path's hops (:func:`~repro.network.flows.route_flow_table`).  A
    flow takes its best gateway's tree path only when a uniqueness
    certificate proves a search from its station would return the same
    path; the stations of all other flows are solved exactly, so every
@@ -396,28 +396,6 @@ class SimulationResult:
             else:
                 current = 0
         return worst
-
-
-class _TrafficMatrixCache:
-    """Memoise ``matrix_at`` by UTC hour.
-
-    The diurnal model repeats every 24 hours, so a multi-day simulation
-    revisits the same hours; each distinct hour's O(cities^2) gravity matrix
-    is built once.  Keys are rounded to nanosecond-of-hour precision so
-    float-modulo jitter between nominally equal hours still hits the cache.
-    """
-
-    def __init__(self, model: GravityTrafficModel):
-        self._model = model
-        self._matrices: dict[float, TrafficMatrix] = {}
-
-    def matrix_at(self, utc_hour: float) -> TrafficMatrix:
-        key = round(utc_hour % 24.0, 9)
-        matrix = self._matrices.get(key)
-        if matrix is None:
-            matrix = self._model.matrix_at(utc_hour)
-            self._matrices[key] = matrix
-        return matrix
 
 
 @dataclass(frozen=True)
@@ -915,13 +893,15 @@ def _run_specs(
 ) -> dict[str, SimulationResult]:
     """Run ``specs`` over every step: the sweep loop, serial or in a worker.
 
-    ``edge_lists_at(step)`` returns that step's per-group edge lists.  One
+    ``edge_lists_at(step)`` returns that step's per-group edge lists, and
+    ``traffic_model`` builds the step's traffic matrix when the step
+    starts; it is released once the next step's matrix replaces it, so at
+    most one earlier matrix is alive while a step builds its own.  One
     steering controller per adaptive scenario carries the control loop's
     state across steps; with ``trace`` each scenario gets a tracer whose
     :class:`~repro.obs.RunMetrics` land on its result.  ``on_step`` is
     called after every step with the tracers' metrics (progress reporting).
     """
-    matrix_cache = _TrafficMatrixCache(traffic_model)
     controllers = {
         spec.name: spec.steering.controller()
         for spec in specs
@@ -931,7 +911,7 @@ def _run_specs(
     results = {spec.name: SimulationResult() for spec in specs}
     for step, utc_hour in enumerate(utc_hours):
         begin = time.perf_counter() if trace else 0.0
-        matrix = matrix_cache.matrix_at(utc_hour)
+        matrix = traffic_model.matrix_at(utc_hour)
         fetched = time.perf_counter() if trace else 0.0
         edge_lists = edge_lists_at(step)
         outputs = _evaluate_step(

@@ -50,6 +50,7 @@ brute-force anchor.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -259,6 +260,19 @@ class ExactPairStore(PairStore):
         self._add(other.keys, other.values)
 
 
+@functools.cache
+def _salts(seed: int, depth: int) -> np.ndarray:
+    """The odd 64-bit hash salts of every sketch with this ``seed`` and ``depth``.
+
+    Drawn once per geometry, however many stores a sweep builds, and
+    read-only because they all share the one array.
+    """
+    rng = np.random.default_rng(seed)
+    salts = rng.integers(1, 2**63, size=depth, dtype=np.uint64) | np.uint64(1)
+    salts.flags.writeable = False
+    return salts
+
+
 class CountMinPairStore(PairStore):
     """Count-min sketch plus a bounded heavy-hitter candidate set.
 
@@ -302,8 +316,7 @@ class CountMinPairStore(PairStore):
         self._depth = depth
         self._seed = seed
         self._shift = np.uint64(64 - int(width).bit_length() + 1)
-        rng = np.random.default_rng(seed)
-        self._salts = rng.integers(1, 2**63, size=depth, dtype=np.uint64) | np.uint64(1)
+        self._salts = _salts(seed, int(depth))
         self._table = np.zeros(depth * width, dtype=float)
         self._candidates = np.empty(0, dtype=np.int64)
         self._top_capacity = top_capacity

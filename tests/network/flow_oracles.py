@@ -2,12 +2,12 @@
 
 The library knows a snapshot only as arrays
 (:class:`repro.network.backends.SnapshotEdgeList` and its CSR view), a flow
-only as a row of ragged ``(offsets, rows)`` paths, and an allocation only as
-rate and utilisation vectors.  These plain-Python versions spell the same
-contracts out in the forms a reader checks by eye -- ``networkx`` graphs,
-named label-path flows and dicts keyed by flow name and link -- so tests and
-benchmarks can check the library against implementations simple enough to
-trust by reading:
+only as a segment of ragged ``(offsets, links)`` hop paths, and an
+allocation only as rate and utilisation vectors.  These plain-Python
+versions spell the same contracts out in the forms a reader checks by eye
+-- ``networkx`` graphs, named label-path flows and dicts keyed by flow
+name and link -- so tests and benchmarks can check the library against
+implementations simple enough to trust by reading:
 
 * flow selection one entry at a time (:func:`select_flows`), and the
   array selection the flat-code pass replaced: the entry export by a 2-D
@@ -29,8 +29,11 @@ trust by reading:
   edge list (:func:`path_delays_from_rows`);
 * matching every hop of ragged row paths to a link by sorting and
   searching their link codes (:func:`hop_links`), the oracle of the
-  library's compile from the edge rows a route walk records, and those
-  edge rows looked up pair by pair (:func:`path_links`);
+  library's compile from the edge rows a route walk records, those hop
+  segments looked up pair by pair from node-row paths (:func:`path_links`),
+  and the node rows rebuilt from a source row and its hop links
+  (:func:`rows_from_links`), which lets walked paths be compared with
+  :attr:`~repro.network.backends.RouteResult.path_rows`;
 * the near-tie flag and predecessor in-link entry of every (gateway, node)
   pair of a gateway search, computed eagerly for all of them in one
   reduction (:func:`_tight_in_links`), the oracle of the library's scan of
@@ -145,22 +148,65 @@ def _tight_in_links(
 
 def path_links(
     edge_list: SnapshotEdgeList, offsets: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """The edge-row column of ragged row paths, looked up pair by pair.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged row paths as hop segments, their edge rows looked up pair by pair.
 
-    Beside every node, the edge-list row of the hop into it
+    Path ``i`` follows ``rows[offsets[i]:offsets[i + 1]]``.  Returns
+    ``(hop_offsets, links)``: its hops are
+    ``links[hop_offsets[i]:hop_offsets[i + 1]]``, the edge-list row of each
     (:meth:`~repro.network.backends.SnapshotEdgeList.link_rows`, ``-1``
-    where the snapshot lacks the link), and ``-1`` at each segment's first
-    node: the ``links`` a route walk records, and the input of
+    where the snapshot lacks the link) in order from the first row, so a
+    segment shorter than two rows has none.  The form a route walk records
+    and the input of
     :func:`~repro.network.alloc_arrays.compile_system_from_rows`.
     """
     offsets = np.asarray(offsets, dtype=np.intp)
     rows = np.asarray(rows, dtype=np.intp)
-    links = np.full(rows.size, -1, dtype=np.intp)
-    if rows.size > 1:
-        links[1:] = edge_list.link_rows(rows[:-1], rows[1:])
-    links[offsets[:-1][np.diff(offsets) > 0]] = -1
-    return links
+    lengths = np.diff(offsets)
+    entered = np.ones(rows.size, dtype=bool)
+    entered[offsets[:-1][lengths > 0]] = False
+    hops = np.flatnonzero(entered)
+    hop_offsets = np.zeros(offsets.size, dtype=np.intp)
+    np.cumsum(np.maximum(lengths - 1, 0), out=hop_offsets[1:])
+    return hop_offsets, edge_list.link_rows(rows[hops - 1], rows[hops])
+
+
+def rows_from_links(
+    edge_list: SnapshotEdgeList,
+    sources: np.ndarray,
+    offsets: np.ndarray,
+    links: np.ndarray,
+    latency_ms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node rows of hop-segment paths, rebuilt from each path's source row.
+
+    Path ``i`` starts at row ``sources[i]`` and crosses the edge rows
+    ``links[offsets[i]:offsets[i + 1]]`` in order; each hop moves to the
+    other end (``a`` or ``b``) of its link.  Returns ``(row_offsets,
+    rows)``, the form :func:`path_links` reads: a reachable path (finite
+    ``latency_ms``) has its source first and one row per hop after it, so
+    a zero-hop one is its source alone, and an unreachable path is empty.
+    Asserts that unreachable paths have no hops and that every hop's link
+    touches the row before it.
+    """
+    offsets = np.asarray(offsets, dtype=np.intp)
+    lengths = np.diff(offsets)
+    reachable = np.isfinite(latency_ms)
+    assert not lengths[~reachable].any(), "an unreachable path has hops"
+    row_offsets = np.zeros(offsets.size, dtype=np.intp)
+    np.cumsum(np.where(reachable, lengths + 1, 0), out=row_offsets[1:])
+    reached = np.flatnonzero(reachable)
+    rows = np.empty(int(row_offsets[-1]), dtype=np.intp)
+    node = np.asarray(sources, dtype=np.intp)[reached]
+    rows[row_offsets[reached]] = node
+    for hop in range(int(lengths.max(initial=0))):
+        going = lengths[reached] > hop
+        link = links[offsets[reached[going]] + hop]
+        a, b, before = edge_list.a[link], edge_list.b[link], node[going]
+        assert np.all((a == before) | (b == before)), "a hop leaves from elsewhere"
+        node[going] = np.where(a == before, b, a)
+        rows[row_offsets[reached[going]] + hop + 1] = node[going]
+    return row_offsets, rows
 
 
 def path_delays_from_rows(
@@ -588,8 +634,8 @@ def compile_flows(capacity, flows: list[Flow]) -> tuple[FlowLinkSystem, tuple]:
     if missing.size:
         raise ValueError(f"link {keys[missing[0]]} has no capacity_gbps")
     demand = [flow.demand_gbps for flow in flows]
-    links = path_links(edge_list, offsets, rows)
-    return compile_system_from_rows(edge_list, demand, offsets, links), keys
+    hop_offsets, links = path_links(edge_list, offsets, rows)
+    return compile_system_from_rows(edge_list, demand, hop_offsets, links), keys
 
 
 def waterfill_by_rounds(

@@ -49,6 +49,7 @@ from flow_oracles import (
     link_keys,
     named_result,
     path_links,
+    rows_from_links,
     waterfill_by_rounds,
 )
 from repro.coverage.walker import WalkerDelta
@@ -475,8 +476,8 @@ class TestCompileFromEdgeRows:
         for _ in range(300):
             edge_list, offsets, rows = _random_ragged_paths(rng)
             demand = rng.uniform(0.0, 5.0, offsets.size - 1)
-            links = path_links(edge_list, offsets, rows)
-            system = compile_system_from_rows(edge_list, demand, offsets, links)
+            hop_offsets, links = path_links(edge_list, offsets, rows)
+            system = compile_system_from_rows(edge_list, demand, hop_offsets, links)
             flow_ids, link_ids, link_rows = hop_links(edge_list, offsets, rows)
             for name, want in (
                 ("flow_ids", flow_ids),
@@ -511,13 +512,41 @@ class TestCompileFromEdgeRows:
             message = f"flow {flow} uses a link not present in the snapshot"
             with pytest.raises(ValueError, match=message):
                 hop_links(edge_list, offsets, rows)
-            links = path_links(edge_list, offsets, rows)
+            hop_offsets, links = path_links(edge_list, offsets, rows)
             with pytest.raises(ValueError, match=message):
                 compile_system_from_rows(
-                    edge_list, np.ones(offsets.size - 1), offsets, links
+                    edge_list, np.ones(offsets.size - 1), hop_offsets, links
                 )
             checked += 1
         assert checked > 100
+
+    def test_negative_hop_row_names_the_flow(self):
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(200):
+            edge_list, offsets, rows = _random_ragged_paths(rng)
+            hop_offsets, links = path_links(edge_list, offsets, rows)
+            walks = np.flatnonzero(np.diff(hop_offsets))
+            if not walks.size:
+                continue
+            flow = int(rng.choice(walks))
+            links = links.copy()
+            links[rng.integers(hop_offsets[flow], hop_offsets[flow + 1])] = -1
+            with pytest.raises(
+                ValueError, match=f"flow {flow} uses a link not present in the snapshot"
+            ):
+                compile_system_from_rows(
+                    edge_list, np.ones(offsets.size - 1), hop_offsets, links
+                )
+            checked += 1
+        assert checked > 100
+
+    def test_offsets_must_end_at_the_hop_count(self):
+        edge_list, offsets, rows = _random_ragged_paths(np.random.default_rng(24))
+        hop_offsets, links = path_links(edge_list, offsets, rows)
+        demand = np.ones(offsets.size - 1)
+        with pytest.raises(ValueError, match="offsets end at"):
+            compile_system_from_rows(edge_list, demand, hop_offsets, np.append(links, 0))
 
 
 CITIES = (
@@ -571,12 +600,13 @@ def workload_routes(simulator, epoch):
     sources = np.unique(src)
     tables = RouteTables.solve(edge_list.arrays(), sources)
     paths = tables.paths(np.searchsorted(sources, src), dst)
-    offsets, rows, links = paths.offsets, paths.rows, paths.links
-    assert np.all(np.diff(offsets) >= 2), "every pair must be routed"
+    offsets, links = paths.offsets, paths.links
+    assert np.all(np.diff(offsets) >= 1), "every pair must be routed"
+    row_offsets, rows = rows_from_links(edge_list, src, offsets, links, paths.latency_ms)
     demand = rng.choice([0.0, 0.1, 0.2, 0.5, 1.0, 4.0], size=src.size)
     flows = []
     for index in range(demand.size):
-        path = rows[offsets[index] : offsets[index + 1]].tolist()
+        path = rows[row_offsets[index] : row_offsets[index + 1]].tolist()
         flows.append(
             Flow(f"f{index}", tuple(labels[row] for row in path), float(demand[index]))
         )

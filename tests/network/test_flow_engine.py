@@ -30,7 +30,7 @@ from repro.network.routing import SnapshotRouter
 from repro.network.simulation import NetworkSimulator, Scenario
 from repro.network.topology import ConstellationTopology
 
-from flow_oracles import select_flows, table_candidates
+from flow_oracles import rows_from_links, select_flows, table_candidates
 
 CITIES = (
     City("London", 51.5, -0.1, 9.6),
@@ -228,7 +228,7 @@ class TestFlowPlans:
         )
         scaled = plan.scaled(2.5)
         assert scaled is not None
-        assert scaled.routed.path_rows is plan.routed.path_rows
+        assert scaled.routed.path_links is plan.routed.path_links
         assert scaled.system.flow_ids is plan.system.flow_ids
         assert scaled.routed.table is scaled.table
         reference = plan_flows(matrix, NAMES, 10, 2.5).table
@@ -256,12 +256,13 @@ class TestBulkPathExport:
         labels = [f"gs:{name}" for name in ("New York", "Tokyo", "Sao Paulo")]
         dest_rows = [node_index.index_of(label) for label in labels]
         dest_rows.append(-1)  # unknown destination: empty segment, inf latency
-        offsets, rows, _, latency, _ = tables.paths(
+        hop_offsets, links, latency, _ = tables.paths(
             np.zeros(len(dest_rows), dtype=np.intp),
             np.asarray(dest_rows, dtype=np.int64),
         )
-
-        assert offsets[0] == 0 and offsets[-1] == rows.size
+        assert hop_offsets[0] == 0 and hop_offsets[-1] == links.size
+        sources = np.full(len(dest_rows), tables.source_rows[0])
+        offsets, rows = rows_from_links(edge_list, sources, hop_offsets, links, latency)
         for position, label in enumerate(labels):
             segment = rows[offsets[position] : offsets[position + 1]]
             reference = oracle[label]
@@ -269,7 +270,7 @@ class TestBulkPathExport:
                 reference.path
             )
             assert latency[position] == reference.latency_ms
-        assert offsets[-2] == offsets[-1]  # the unknown destination
+        assert hop_offsets[-2] == hop_offsets[-1]  # the unknown destination
         assert np.isinf(latency[-1])
 
     def test_route_flow_table_matches_row_views(self, simulator, epoch):
@@ -286,6 +287,13 @@ class TestBulkPathExport:
         source_rows[sources] = rows[sources]
         tables = RouteTables.solve(edge_list.arrays(), source_rows)
         routed = route_flow_table(tables, rows, table)
+        offsets, path_rows = rows_from_links(
+            edge_list,
+            rows[table.src],
+            routed.path_offsets,
+            routed.path_links,
+            routed.latency_ms,
+        )
         router = SnapshotRouter(arrays=edge_list.arrays())
         views = router.routes_from_many([f"gs:{name}" for name in NAMES])
         assert routed.reachable.any()
@@ -297,7 +305,9 @@ class TestBulkPathExport:
             if route is None:
                 assert not routed.reachable[flow] and begin == end
             else:
-                assert tuple(routed.path_rows[begin:end].tolist()) == route.path_rows
+                segment = path_rows[offsets[flow] : offsets[flow + 1]]
+                assert tuple(segment.tolist()) == route.path_rows
+                assert end - begin == route.hop_count
                 assert routed.latency_ms[flow] == route.latency_ms
 
         missing = rows.copy()
@@ -329,8 +339,7 @@ class TestBulkPathExport:
 
         def segment(routed, flow):
             begin, end = routed.path_offsets[flow : flow + 2]
-            rows, links = routed.path_rows[begin:end], routed.path_links[begin:end]
-            return rows.tolist(), links.tolist()
+            return routed.path_links[begin:end].tolist()
 
         flows = np.array([1, 4, 5, 9])
         spliced = reroute_flows(base, tables, rows, flows)
@@ -348,7 +357,6 @@ class TestBulkPathExport:
                 "reachable",
                 "latency_ms",
                 "path_offsets",
-                "path_rows",
                 "path_links",
             ):
                 assert np.array_equal(getattr(got, name), getattr(expected, name))

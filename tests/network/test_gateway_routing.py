@@ -5,7 +5,7 @@ satellites the stations link to and walks a query on its best gateway's
 tree only under a uniqueness certificate; every other source is solved by
 :class:`~repro.network.backends.RouteTables`.  These tests hold its
 ``paths`` to the station-sourced tables with ``np.array_equal`` -- offsets,
-rows and latency, no tolerance -- over every station pair.
+hop edge rows and latency, no tolerance -- over every station pair.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from flow_oracles import path_links, rows_from_links
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
 from repro.network.backends import (
@@ -34,26 +35,29 @@ def _assert_same_paths(
 ) -> GatewayRouteTables:
     """Compare both tables on every (source row, destination row) pair.
 
-    Also checks every walked hop's edge row against ``link_rows`` of its
-    node-row pair in ``edge_list`` (by default the edge list the arrays'
-    entries describe, :func:`_edge_list_of`).
+    Also rebuilds every walked path's node rows from its source and hop
+    links in ``edge_list`` (by default the edge list the arrays' entries
+    describe, :func:`_edge_list_of`): each path must end at its
+    destination, and each hop's edge row must be ``link_rows`` of its
+    node-row pair.
     """
     group_of, dests = _every_pair(source_rows, dest_rows)
     gateway = GatewayRouteTables.solve(arrays, source_rows)
     got = gateway.paths(group_of, dests)
     want = RouteTables.solve(arrays, source_rows).paths(group_of, dests)
-    for name in ("offsets", "rows", "links", "latency_ms"):
+    for name in ("offsets", "links", "latency_ms"):
         assert getattr(got, name).dtype.kind == getattr(want, name).dtype.kind, name
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    entered = np.ones(got.rows.size, dtype=bool)
-    entered[got.offsets[:-1][np.diff(got.offsets) > 0]] = False
-    assert np.all(got.links[~entered] == -1)
-    hops = np.flatnonzero(entered)
     if edge_list is None:
         edge_list = _edge_list_of(arrays)
-    pairs = edge_list.link_rows(got.rows[hops - 1], got.rows[hops])
-    assert np.all(pairs >= 0)
-    assert np.array_equal(got.links[hops], pairs)
+    sources = np.asarray(source_rows, dtype=np.intp)[group_of]
+    offsets, rows = rows_from_links(
+        edge_list, sources, got.offsets, got.links, got.latency_ms
+    )
+    reached = np.isfinite(got.latency_ms)
+    assert np.array_equal(rows[offsets[1:][reached] - 1], dests[reached])
+    assert np.all(got.links >= 0)
+    assert np.array_equal(path_links(edge_list, offsets, rows)[1], got.links)
     return gateway
 
 
@@ -216,18 +220,50 @@ class TestHandBuiltGraph:
             got = tables.paths(np.array([source]), np.array([dest]))
             want = RouteTables.solve(arrays, [source]).paths(np.array([0]), np.array([dest]))
             assert np.array_equal(got.offsets, want.offsets)
-            assert np.array_equal(got.rows, want.rows)
             assert np.array_equal(got.links, want.links)
             assert np.array_equal(got.latency_ms, want.latency_ms)
 
     def test_latency_is_the_in_order_hop_sum(self, arrays):
         tables = GatewayRouteTables.solve(arrays, self.STATIONS)
-        offsets, rows, links, latency, _ = tables.paths(np.array([0]), np.array([5]))
-        assert rows.tolist() == [0, 14, 15, 5]
+        offsets, links, latency, _ = tables.paths(np.array([0]), np.array([5]))
         # EDGES rows 11-13: A-14, 14-15, 15-F.
-        assert links.tolist() == [-1, 11, 12, 13]
+        assert offsets.tolist() == [0, 3]
+        assert links.tolist() == [11, 12, 13]
+        _, rows = rows_from_links(_edge_list_of(arrays), [0], offsets, links, latency)
+        assert rows.tolist() == [0, 14, 15, 5]
         assert latency[0] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
         assert _exact_sources(tables, [0], [5]) == 0
+
+    @pytest.mark.parametrize("kind", [RouteTables, GatewayRouteTables])
+    def test_zero_hop_and_unreachable_segments_are_empty(self, arrays, kind):
+        """A zero-hop query reads latency 0 and is reachable; an
+        unreachable one reads ``inf``.  Both have empty segments between
+        walked ones."""
+        tables = kind.solve(arrays, self.STATIONS)
+        # A -> F, A -> A (zero hops), A -> H (H's island), C -> C (C has no
+        # links, still zero hops), A -> F.
+        paths = tables.paths(np.array([0, 0, 0, 2, 0]), np.array([5, 0, 6, 2, 5]))
+        assert np.diff(paths.offsets).tolist() == [3, 0, 0, 0, 3]
+        assert paths.links.tolist() == [11, 12, 13, 11, 12, 13]
+        assert paths.latency_ms[[1, 3]].tolist() == [0.0, 0.0]
+        assert np.isfinite(paths.latency_ms[[0, 1, 3, 4]]).all()
+        assert np.isinf(paths.latency_ms[2])
+
+    def test_fallback_segments_are_spliced_between_walked_ones(self, arrays):
+        """A -> B ties and is solved exactly; the certified A -> F walks
+        around it keep their places in the hop buffer."""
+        tables = GatewayRouteTables.solve(arrays, self.STATIONS)
+        dests = np.array([5, 1, 5, 1])
+        got = tables.paths(np.zeros(4, dtype=np.intp), dests)
+        assert got.exact_sources == 1
+        want = RouteTables.solve(arrays, [0]).paths(np.zeros(4, dtype=np.intp), dests)
+        assert np.diff(got.offsets).tolist() == [3, 3, 3, 3]
+        assert got.links[:3].tolist() == got.links[6:9].tolist() == [11, 12, 13]
+        # EDGES rows 0-4: A-7, A-8, 7-9, 8-9, 9-B; either tied gateway.
+        assert got.links[3:6].tolist() in ([0, 2, 4], [1, 3, 4])
+        assert np.array_equal(got.links[3:6], got.links[9:])
+        for name in ("offsets", "links", "latency_ms"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_sources_without_links_match(self, arrays):
         # C has no gateway and absent sources have none, so nothing is

@@ -151,7 +151,7 @@ def test_near_ties_are_judged_with_the_gateway_link(scans):
     tables = GatewayRouteTables.solve(_arrays(labels, *zip(*edges)), [0])
     paths = tables.paths(np.array([0]), np.array([1]))
     assert paths.exact_sources == 1
-    assert paths.rows.tolist() == [0, 2, 3, 1]
+    assert paths.links.tolist() == [0, 1, 4]  # edges S-2, 2-3 and 3-T: S, 2, 3, T
     (scan,) = [scan for scan in scans if scan[1] is tables.distances]
     walked, (_, ties) = scan[3], scan[5]
     flags = {int(at): bool(tie) for w, t in zip(walked, ties) for at, tie in zip(w, t)}

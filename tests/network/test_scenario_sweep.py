@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -603,14 +605,20 @@ class TestRunGrid:
         assert [path.name for path in tmp_path.iterdir()] == ["grid.json"]
 
 
-class TestTrafficMatrixCache:
-    def test_diurnal_matrices_built_once_per_distinct_hour(self, topology, stations, epoch):
-        class CountingModel(GravityTrafficModel):
-            calls = 0
+class TestTrafficMatrixLifetime:
+    def test_no_step_keeps_an_earlier_matrix(self, topology, stations, epoch):
+        """Every step builds its hour's matrix and drops it: when a step asks
+        for its matrix, at most one earlier one is alive, and none is once
+        the run has returned."""
+        returned: list[weakref.ref] = []
+        alive_at_call: list[int] = []
 
+        class CountingModel(GravityTrafficModel):
             def matrix_at(self, utc_hour):
-                type(self).calls += 1
-                return super().matrix_at(utc_hour)
+                alive_at_call.append(sum(ref() is not None for ref in returned))
+                matrix = super().matrix_at(utc_hour)
+                returned.append(weakref.ref(matrix))
+                return matrix
 
         model = CountingModel(cities=CITIES, total_demand=40.0)
         simulator = NetworkSimulator(
@@ -619,6 +627,10 @@ class TestTrafficMatrixCache:
             traffic_model=model,
             flows_per_step=4,
         )
-        # Two full days at 1-hour steps: 48 steps but only 24 distinct hours.
-        simulator.run(epoch, duration_hours=48.0, step_hours=1.0)
-        assert CountingModel.calls == 24
+        # Two full days at 1-hour steps: each of the 48 steps builds its
+        # own matrix, although only 24 hours are distinct.
+        result = simulator.run(epoch, duration_hours=48.0, step_hours=1.0)
+        assert len(result.steps) == len(returned) == 48
+        assert max(alive_at_call) <= 1
+        gc.collect()
+        assert all(ref() is None for ref in returned)

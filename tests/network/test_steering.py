@@ -31,6 +31,7 @@ from flow_oracles import (
     graph_from_edge_list,
     path_delays_from_rows,
     path_links,
+    rows_from_links,
 )
 from repro.coverage.walker import WalkerDelta
 from repro.demand.traffic_matrix import City, GravityTrafficModel
@@ -148,10 +149,10 @@ class TestLinkLookup:
 
     @staticmethod
     def _compile(edges, offsets, rows):
-        """The incidence of ragged row paths, from their edge rows."""
-        links = path_links(edges, offsets, rows)
+        """The incidence of ragged row paths, from their hops' edge rows."""
+        hop_offsets, links = path_links(edges, offsets, rows)
         demand = np.ones(offsets.size - 1)
-        return compile_system_from_rows(edges, demand, offsets, links)
+        return compile_system_from_rows(edges, demand, hop_offsets, links)
 
     def test_codes_and_hops_are_endpoint_order_invariant(self):
         edges = _triangle()
@@ -693,14 +694,17 @@ class TestBulkWalkBatching:
         group_of = np.repeat(np.arange(len(names)), len(names))
         dest_rows = np.tile(rows, len(names))
         paths = tables.paths(group_of, dest_rows)
-        offsets, path_rows, latency = paths.offsets, paths.rows, paths.latency_ms
+        latency = paths.latency_ms
+        offsets, path_rows = rows_from_links(
+            edge_list, rows[group_of], paths.offsets, paths.links, latency
+        )
         for source_group, source in enumerate(names):
             solo = RouteTables.solve(arrays, rows[source_group : source_group + 1])
             solo_paths = solo.paths(np.zeros(len(names), dtype=np.intp), rows)
-            solo_rows, solo_latency = solo_paths.rows, solo_paths.latency_ms
+            solo_latency = solo_paths.latency_ms
             cursor = source_group * len(names)
-            begin, end = offsets[cursor], offsets[cursor + len(names)]
-            assert np.array_equal(path_rows[begin:end], solo_rows)
+            begin, end = paths.offsets[cursor], paths.offsets[cursor + len(names)]
+            assert np.array_equal(paths.links[begin:end], solo_paths.links)
             assert np.array_equal(latency[cursor : cursor + len(names)], solo_latency)
             for position, destination in enumerate(names):
                 query = cursor + position
@@ -721,7 +725,7 @@ class TestBulkWalkBatching:
         tokyo = edge_list.node_index.index_of("gs:Tokyo")
         tables = RouteTables.solve(edge_list.arrays(), [london, -1])
         assert np.isinf(tables.distances[1]).all()
-        offsets, rows, _, latency, _ = tables.paths(
+        offsets, _, latency, _ = tables.paths(
             np.array([0, -1, 0, 1], dtype=np.intp),
             np.array([tokyo, 0, -1, tokyo], dtype=np.intp),
         )
@@ -854,12 +858,12 @@ class TestOpenLoopRouteReuse:
             assert np.array_equal(spliced.reachable, full.reachable)
             assert np.array_equal(spliced.latency_ms, full.latency_ms)
             assert np.array_equal(spliced.path_offsets, full.path_offsets)
-            assert np.array_equal(spliced.path_rows, full.path_rows)
+            assert np.array_equal(spliced.path_links, full.path_links)
 
     def test_latency_reread_matches_oracle(self, simulator, epoch, monkeypatch):
         """Steered latencies summed over the compiled incidence equal the
         hop-by-hop oracle bit for bit, on every step of a faulted sweep."""
-        compiled: list[list] = []  # per step: (edge list, compiled plan)
+        compiled: list[list] = []  # per step: (snapshot, compiled plan)
         real_build = simulation_module._build_plans
         real_compile = simulation_module._compile_plan
 
@@ -869,7 +873,7 @@ class TestOpenLoopRouteReuse:
 
         def recording_compile(plan, snapshot):
             plan = real_compile(plan, snapshot)
-            compiled[-1].append((snapshot.edge_list, plan))
+            compiled[-1].append((snapshot, plan))
             return plan
 
         monkeypatch.setattr(simulation_module, "_build_plans", recording_build)
@@ -889,9 +893,16 @@ class TestOpenLoopRouteReuse:
             # The base plan compiles in the kernel; a steered scenario whose
             # steering moved some flows compiles its spliced plan after it.
             spliced += len(compiles) - 1
-            edge_list, plan = compiles[-1]
-            _, offsets, _ = plan.routed.compact()
-            oracle = path_delays_from_rows(edge_list, offsets, plan.routed.path_rows)
+            snapshot, plan = compiles[-1]
+            edge_list, routed = snapshot.edge_list, plan.routed
+            offsets, rows = rows_from_links(
+                edge_list,
+                snapshot.station_rows[plan.table.src],
+                routed.path_offsets,
+                routed.path_links,
+                routed.latency_ms,
+            )
+            oracle = path_delays_from_rows(edge_list, offsets, rows)[routed.reachable]
             system = plan.system
             assert np.array_equal(
                 system.flow_totals(edge_list.delay_ms[system.link_rows]), oracle

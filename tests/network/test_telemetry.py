@@ -293,6 +293,28 @@ class TestCountMinPairStore:
         with pytest.raises(ValueError):
             base.merge(CountMinPairStore(width=1024, depth=4, seed=1))
 
+    def test_salts_are_drawn_once_per_geometry_and_read_only(self):
+        first = CountMinPairStore(width=1024, depth=4, seed=3)
+        second = CountMinPairStore(width=2048, depth=4, seed=3)
+        drawn = np.random.default_rng(3).integers(1, 2**63, size=4, dtype=np.uint64)
+        assert np.array_equal(first._salts, drawn | np.uint64(1))
+        assert np.array_equal(second._salts, first._salts)
+        with pytest.raises(ValueError, match="read-only"):
+            first._salts[0] = 1
+        assert not np.array_equal(
+            CountMinPairStore(depth=4, seed=4)._salts, first._salts
+        )
+        assert CountMinPairStore(depth=3, seed=3)._salts.size == 3
+        assert first.memory_bytes() == 4 * 1024 * 8 + 4 * 8
+        keys, values = skewed_stream(seed=6, size=2_000, distinct=300)
+        first.observe(keys, values)
+        merged = CountMinPairStore(width=1024, depth=4, seed=3)
+        merged.merge(first)
+        probe = np.unique(keys)
+        np.testing.assert_array_equal(
+            merged.estimate_many(probe), first.estimate_many(probe)
+        )
+
     def test_pickle_round_trip_preserves_estimates(self):
         keys, values = skewed_stream(seed=5, size=5_000, distinct=500)
         sketch = CountMinPairStore(width=1024, depth=4, seed=0)
