@@ -8,33 +8,7 @@ single round to keep the full harness in the minutes range.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import pytest
-
-# The reference implementations benchmarks time the library against (dict
-# allocators, label flows, the networkx graph stream) live with the tests
-# as oracles; make ``from flow_oracles import ...`` resolve here too.
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "network"))
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--smoke",
-        action="store_true",
-        default=False,
-        help=(
-            "shrink benchmark problem sizes and relax speedup floors so the "
-            "harness doubles as a fast CI correctness check"
-        ),
-    )
-
-
-@pytest.fixture()
-def smoke(request) -> bool:
-    """Whether the harness runs in CI smoke mode (small sizes, lax floors)."""
-    return request.config.getoption("--smoke")
 
 
 def run_once(benchmark, function, *args, **kwargs):

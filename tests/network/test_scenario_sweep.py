@@ -182,9 +182,15 @@ class TestScenarioValidation:
 
 class TestSweepEquivalence:
     def test_sweep_matches_independent_runs(self, simulator, topology, stations, epoch):
-        """Four scenarios through one sweep == four independent run() calls."""
-        sweep = simulator.run_scenarios(SCENARIOS, epoch, duration_hours=3.0)
-        assert list(sweep) == [scenario.name for scenario in SCENARIOS]
+        """Five scenarios through one sweep == five independent runs.
+
+        ``off_peak``'s multiplier is not a power of two, so its scaled
+        demands round and the shared flow plan's tie rule runs.
+        """
+        off_peak = Scenario(name="off_peak", demand_multiplier=0.3)
+        scenarios = [*SCENARIOS, off_peak]
+        sweep = simulator.run_scenarios(scenarios, epoch, duration_hours=3.0)
+        assert list(sweep) == [scenario.name for scenario in scenarios]
 
         model = simulator.traffic_model
         independent = {
@@ -204,6 +210,7 @@ class TestSweepEquivalence:
                 traffic_model=model,
                 flows_per_step=10,
             ).run(epoch, 3.0),
+            "off_peak": simulator.run_scenarios([off_peak], epoch, 3.0)["off_peak"],
         }
         for name, reference in independent.items():
             assert sweep[name].steps == reference.steps
