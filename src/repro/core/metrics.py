@@ -7,6 +7,7 @@ satellite counts (Figure 9), the median per-satellite daily radiation fluence
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,33 @@ from .ssplane import SSPlane
 from .walker_baseline import WalkerBaselineResult
 
 __all__ = ["ConstellationMetrics", "MetricsCalculator"]
+
+
+def _group_median(values: np.ndarray, counts: np.ndarray) -> float:
+    """Return ``np.median(np.repeat(values, counts))`` without the repeat.
+
+    The counted groups are sorted by value and their cumulative counts locate
+    the middle order statistics (one for an odd total, two for an even one,
+    averaged as ``(lower + upper) / 2``): the values and the arithmetic
+    ``np.median`` uses, so the same float.  A NaN in a counted group makes
+    the median NaN, as in ``np.median``; a zero total gives NaN explicitly,
+    without the warnings of a median over nothing.
+    """
+    counted = counts > 0
+    values, counts = values[counted], counts[counted]
+    if not len(values):
+        return math.nan
+    order = np.argsort(values)
+    values = values[order]
+    if math.isnan(values[-1]):  # NaN sorts last
+        return float(values[-1])
+    ends = np.cumsum(counts[order])
+    middle = int(ends[-1]) // 2
+    upper = float(values[np.searchsorted(ends, middle, side="right")])
+    if ends[-1] % 2:
+        return upper
+    lower = float(values[np.searchsorted(ends, middle - 1, side="right")])
+    return (lower + upper) / 2.0
 
 
 @dataclass(frozen=True)
@@ -67,22 +95,40 @@ class MetricsCalculator:
     ever built.  Radiation fluence only depends on a satellite's altitude,
     inclination and (weakly, through SAA sampling) RAAN, which every
     satellite of a plane or shell shares, so one fluence per group is
-    evaluated and repeated ``count`` times before the median and mean.  The
-    repeated arrays equal the per-satellite arrays element for element, so
-    the statistics are exactly those of the expanded constellation.
+    evaluated; a design repeats a few dozen distinct orbits thousands of
+    times, and each is built and looked up once.  The median is taken over
+    the ``(fluence, count)`` groups (sorted values and cumulative counts
+    pick the middle order statistics), and the mean over the fluences
+    repeated ``count`` times, so it is the same pairwise sum as over the
+    per-satellite array.  Both are exactly those of the expanded
+    constellation.  A design without satellites has NaN median and mean
+    fluences and emits no warning.
     """
 
     exposure: ExposureCalculator = field(default_factory=ExposureCalculator)
 
     def _fluence_stats(
-        self, groups: list[tuple[OrbitalElements, int]]
+        self, orbits: list[OrbitalElements], orbit_of_group: list[int], counts: list[int]
     ) -> tuple[DailyFluence, DailyFluence]:
-        fluences = self.exposure.constellation_fluences([elements for elements, _ in groups])
-        counts = [count for _, count in groups]
-        electrons = np.repeat([f.electron for f in fluences], counts)
-        protons = np.repeat([f.proton for f in fluences], counts)
-        median = DailyFluence(float(np.median(electrons)), float(np.median(protons)))
-        mean = DailyFluence(float(np.mean(electrons)), float(np.mean(protons)))
+        """Return the median and mean fluence over ``(orbit, count)`` groups.
+
+        Group ``g`` has ``counts[g]`` satellites on ``orbits[orbit_of_group[g]]``.
+        ``orbits`` lists each distinct orbit once, in the order the groups
+        first use it, so the exposure calculator's first-seen rule resolves
+        it as it would over the per-group list.
+        """
+        fluences = self.exposure.constellation_fluences(orbits)
+        orbit_of_group = np.asarray(orbit_of_group, dtype=np.intp)
+        counts = np.asarray(counts, dtype=int)
+        electrons = np.array([f.electron for f in fluences], dtype=float)[orbit_of_group]
+        protons = np.array([f.proton for f in fluences], dtype=float)[orbit_of_group]
+        median = DailyFluence(_group_median(electrons, counts), _group_median(protons, counts))
+        if not counts.sum():
+            return median, DailyFluence(math.nan, math.nan)
+        mean = DailyFluence(
+            float(np.mean(np.repeat(electrons, counts))),
+            float(np.mean(np.repeat(protons, counts))),
+        )
         return median, mean
 
     # -- per-design entry points --------------------------------------------------
@@ -92,13 +138,14 @@ class MetricsCalculator:
         # ``orbit.to_elements()`` is the plane's first satellite (true anomaly 0,
         # Sun at RA 0), i.e. ``plane.satellite_elements()[0]``.  A design
         # repeats a few dozen distinct planes thousands of times, so each
-        # distinct plane's elements are built once.
-        elements: dict[SSPlane, OrbitalElements] = {}
-        for plane in result.planes:
-            if plane not in elements:
-                elements[plane] = plane.orbit.to_elements()
-        groups = [(elements[plane], plane.satellite_count) for plane in result.planes]
-        median, mean = self._fluence_stats(groups)
+        # distinct plane's elements are built, and its fluence looked up, once.
+        distinct: dict[SSPlane, int] = {}
+        orbit_of_plane = [distinct.setdefault(plane, len(distinct)) for plane in result.planes]
+        median, mean = self._fluence_stats(
+            [plane.orbit.to_elements() for plane in distinct],
+            orbit_of_plane,
+            [plane.satellite_count for plane in result.planes],
+        )
         return ConstellationMetrics(
             design="ss-plane",
             total_satellites=result.total_satellites,
@@ -110,16 +157,21 @@ class MetricsCalculator:
 
     def for_walker(self, result: WalkerBaselineResult) -> ConstellationMetrics:
         """Return metrics of a demand-driven Walker baseline design."""
-        groups = [
-            (
-                OrbitalElements.circular(
-                    altitude_km=shell.altitude_km, inclination_deg=shell.inclination_deg
-                ),
-                shell.satellite_count,
-            )
+        # A shell's fluence is that of its RAAN-0 orbit, fixed by its altitude
+        # and inclination; a design repeats a few dozen such pairs.
+        distinct: dict[tuple[float, float], int] = {}
+        orbit_of_shell = [
+            distinct.setdefault((shell.altitude_km, shell.inclination_deg), len(distinct))
             for shell in result.shells
         ]
-        median, mean = self._fluence_stats(groups)
+        median, mean = self._fluence_stats(
+            [
+                OrbitalElements.circular(altitude_km=altitude, inclination_deg=inclination)
+                for altitude, inclination in distinct
+            ],
+            orbit_of_shell,
+            [shell.satellite_count for shell in result.shells],
+        )
         return ConstellationMetrics(
             design="walker",
             total_satellites=result.total_satellites,

@@ -327,6 +327,10 @@ _WITNESS_MARGIN = 1e-9
 #: Sizing candidates whose witness bounds are evaluated in one array pass.
 _WITNESS_WINDOW = 128
 
+#: Every ``_FIRST_CHECK_STRIDE``-th test grid point forms the grid a screened
+#: candidate is checked on first, before its full sample-0 check.
+_FIRST_CHECK_STRIDE = 4
+
 
 def _start_unit_vectors(constellation: WalkerDelta) -> np.ndarray:
     """Return the (N, 3) sub-satellite unit vectors at the first time sample."""
@@ -339,11 +343,12 @@ def _start_unit_vectors(constellation: WalkerDelta) -> np.ndarray:
 
 def _witness_rejects(
     witnesses: np.ndarray,
-    candidates: list[tuple[int, int]],
+    totals: np.ndarray,
+    planes: np.ndarray,
     inclination_rad: float,
     cos_floor: float,
 ) -> np.ndarray:
-    """Return, per ``(total, planes)`` candidate, whether a witness rejects it.
+    """Return, per candidate ``(totals[j], planes[j])``, whether a witness rejects it.
 
     Candidates have phasing 1.  Satellite ``k`` of plane ``p`` sits at the
     unit vector ``cos(u) a_p + sin(u) b_p`` with ``a_p = (cos W, sin W, 0)``,
@@ -356,11 +361,10 @@ def _witness_rejects(
     The candidate's best cosine is the maximum over its planes; a witness
     rejects it when that falls below ``cos_floor``.
     """
-    if not len(witnesses) or not candidates:
-        return np.zeros(len(candidates), dtype=bool)
-    totals, planes = (np.array(column) for column in zip(*candidates))
+    if not len(witnesses) or not len(totals):
+        return np.zeros(len(totals), dtype=bool)
     starts = np.cumsum(planes) - planes
-    owner = np.repeat(np.arange(len(candidates)), planes)
+    owner = np.repeat(np.arange(len(totals)), planes)
     plane_index = np.arange(int(planes.sum())) - starts[owner]
     raan = 2.0 * math.pi * plane_index / planes[owner]
     node_phase = 2.0 * math.pi * plane_index / totals[owner]
@@ -376,6 +380,16 @@ def _witness_rejects(
     best = np.hypot(along_node, across_node) * np.cos(gap)
     best_per_candidate = np.maximum.reduceat(best, starts, axis=1)
     return np.any(best_per_candidate < cos_floor, axis=0)
+
+
+def _uncovered_point(
+    points: np.ndarray, sat_units: np.ndarray, cos_floor: float
+) -> np.ndarray | None:
+    """Return the ``(1, 3)`` point worst covered by the ``(3, N)`` satellite
+    unit vectors if its best cosine is below ``cos_floor``, else ``None``."""
+    best = (points @ sat_units).max(axis=1)
+    worst = int(np.argmin(best))
+    return points[worst : worst + 1] if best[worst] < cos_floor else None
 
 
 def minimum_walker_for_coverage(
@@ -394,7 +408,8 @@ def minimum_walker_for_coverage(
     bounded around the analytic streets-of-coverage seed, and returns the
     first configuration that passes :func:`is_continuously_covered`.
 
-    Candidates are ``(total, planes)`` pairs.  Almost every failing candidate
+    Candidates are ``(total, planes)`` pairs, held as two integer arrays put
+    in search order by one stable sort.  Almost every failing candidate
     already leaves some grid point uncovered at the first time sample, so
     the search keeps *witnesses*: grid points that earlier candidates left
     uncovered at that sample.  A witness's best cosine to a candidate's
@@ -406,12 +421,19 @@ def minimum_walker_for_coverage(
     candidate it puts below ``cos(half_angle) - _WITNESS_MARGIN`` leaves the
     witness uncovered in the full check too, so rejection is sound.
 
-    A candidate that survives the screen gets its satellites built.  Its
-    grid-to-satellite cosines at the first time sample are exactly sample 0
-    of the full check, so if they leave a point uncovered the candidate
-    fails and that point becomes a witness, without running the full check.
-    Otherwise the full check runs, and it alone accepts, so the returned
-    pattern is the one the exhaustive search in this order would return.
+    A candidate that survives the screen gets its satellites built, and its
+    first-sample cosines are computed on a strided quarter of the test grid
+    (every ``_FIRST_CHECK_STRIDE``-th point).  Those are the dot products
+    sample 0 of the full check computes at the same points, up to the
+    rounding of a differently shaped product, far inside
+    ``_WITNESS_MARGIN``: a point below ``cos(half_angle) - _WITNESS_MARGIN``
+    there is uncovered in the full check too, so the candidate fails and the
+    point becomes a witness.  Most failing candidates are caught this way at
+    a quarter of the cost.  Otherwise the same cosines are computed on the
+    whole grid, which are exactly sample 0 of the full check: a point they
+    leave uncovered fails the candidate and becomes a witness.  Only then
+    does the full check run, and it alone accepts, so the returned pattern
+    is the one the exhaustive search in this order would return.
 
     Raises
     ------
@@ -429,6 +451,7 @@ def minimum_walker_for_coverage(
         lat_limit_deg = min(inclination_deg, 180.0 - inclination_deg)
     _require_time_samples(time_samples)
     grid_units = _test_grid(grid_step_deg, lat_limit_deg)
+    first_units = np.ascontiguousarray(grid_units[::_FIRST_CHECK_STRIDE])
 
     seed_planes, seed_sats = streets_of_coverage_size(
         altitude_km, inclination_deg, min_elevation_deg
@@ -436,25 +459,27 @@ def minimum_walker_for_coverage(
     lam = coverage_half_angle_rad(altitude_km, min_elevation_deg)
     min_sats_per_plane = max(3, int(math.ceil(math.pi / lam)))
 
-    candidates: list[tuple[int, int]] = []
-    max_planes = max(seed_planes * 3, 8)
-    max_sats_per_plane = max(seed_sats * 3, min_sats_per_plane + 10)
-    for planes in range(2, max_planes + 1):
-        for sats_per_plane in range(min_sats_per_plane, max_sats_per_plane + 1):
-            total = planes * sats_per_plane
-            if total <= max_total:
-                candidates.append((total, planes))
-    candidates.sort(key=lambda item: item[0])
+    # Plane counts outer, satellites per plane inner; a stable sort on the
+    # total keeps equal totals in plane-count order.
+    plane_axis = np.arange(2, max(seed_planes * 3, 8) + 1)
+    sats_axis = np.arange(min_sats_per_plane, max(seed_sats * 3, min_sats_per_plane + 10) + 1)
+    all_totals = np.outer(plane_axis, sats_axis)
+    kept = all_totals <= max_total
+    all_planes = np.broadcast_to(plane_axis[:, None], all_totals.shape)[kept]
+    all_totals = all_totals[kept]
+    order = np.argsort(all_totals, kind="stable")
+    all_totals, all_planes = all_totals[order], all_planes[order]
 
     inclination_rad = math.radians(inclination_deg)
     cos_half_angle = math.cos(lam)
     cos_floor = cos_half_angle - _WITNESS_MARGIN
     witnesses = np.empty((0, 3))
 
-    for window_start in range(0, len(candidates), _WITNESS_WINDOW):
-        window = candidates[window_start : window_start + _WITNESS_WINDOW]
-        rejected = _witness_rejects(witnesses, window, inclination_rad, cos_floor)
-        for index, (total, planes) in enumerate(window):
+    for window_start in range(0, len(all_totals), _WITNESS_WINDOW):
+        window = slice(window_start, window_start + _WITNESS_WINDOW)
+        totals, plane_counts = all_totals[window], all_planes[window]
+        rejected = _witness_rejects(witnesses, totals, plane_counts, inclination_rad, cos_floor)
+        for index, (total, planes) in enumerate(zip(totals.tolist(), plane_counts.tolist())):
             if rejected[index]:
                 continue
             # Plane counts start at 2, so phasing factor 1 is always valid.
@@ -465,13 +490,18 @@ def minimum_walker_for_coverage(
                 planes=planes,
                 phasing=1,
             )
-            best = (grid_units @ _start_unit_vectors(constellation).T).max(axis=1)
-            worst = int(np.argmin(best))
-            if best[worst] < cos_half_angle:
-                witness = grid_units[worst : worst + 1]
+            sat_units = _start_unit_vectors(constellation).T
+            witness = _uncovered_point(first_units, sat_units, cos_floor)
+            if witness is None:
+                witness = _uncovered_point(grid_units, sat_units, cos_half_angle)
+            if witness is not None:
                 witnesses = np.vstack([witnesses, witness])
                 rejected[index + 1 :] |= _witness_rejects(
-                    witness, window[index + 1 :], inclination_rad, cos_floor
+                    witness,
+                    totals[index + 1 :],
+                    plane_counts[index + 1 :],
+                    inclination_rad,
+                    cos_floor,
                 )
                 continue
             if is_continuously_covered(

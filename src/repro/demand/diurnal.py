@@ -82,10 +82,15 @@ def _median_normalisation(hourly_percent: tuple[float, ...]) -> float:
     """Median of the interpolated table over 1,440 one-minute samples of a day.
 
     Keyed on the table itself, so every profile with the same table shares
-    one median, computed once per process.
+    one median, computed once per process.  The samples are sorted and the
+    two middle ones averaged as ``(lower + upper) / 2``, the order statistics
+    and arithmetic of ``np.median``, which is not called: its first call
+    imports ``numpy.ma``.
     """
     sample_hours = np.linspace(0.0, HOURS_PER_DAY, 1440, endpoint=False)
-    return float(np.median(_interpolate(hourly_percent, sample_hours)))
+    samples = np.sort(_interpolate(hourly_percent, sample_hours))
+    middle = len(samples) // 2
+    return (float(samples[middle - 1]) + float(samples[middle])) / 2.0
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ in multiples of a single satellite's capacity), mirroring Section 4.3.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,21 @@ from .diurnal import DiurnalProfile
 from .population import synthetic_population_grid
 
 __all__ = ["SpatiotemporalDemandModel", "demand_snapshot", "build_demand_grid"]
+
+
+def _require_bandwidth_multiplier(multiplier: object) -> None:
+    """Reject a multiplier that is not a finite, non-negative real number.
+
+    ``bool`` and non-real values raise ``TypeError``; NaN, infinities and
+    negative values raise ``ValueError``.  Zero is legal (an empty grid).
+    """
+    if isinstance(multiplier, (bool, np.bool_)) or not isinstance(multiplier, numbers.Real):
+        raise TypeError(f"bandwidth_multiplier must be a real number, got {multiplier!r}")
+    # ``isfinite`` rejects NaN and inf, which ``x < 0`` lets through.
+    if not (math.isfinite(multiplier) and multiplier >= 0):
+        raise ValueError(
+            f"bandwidth_multiplier must be finite and non-negative, got {multiplier!r}"
+        )
 
 
 @dataclass
@@ -87,7 +104,12 @@ class SpatiotemporalDemandModel:
         rescaled so that the grid peak equals ``bandwidth_multiplier``
         satellite-capacity units.  With the default multiplier of 1 the grid
         is the normalised "percent of peak" view shown in the paper.
+
+        ``bandwidth_multiplier`` must be a finite, non-negative real number:
+        ``TypeError`` for ``bool`` and non-real values, ``ValueError`` for
+        NaN, infinities and negative values, raised before any grid is built.
         """
+        _require_bandwidth_multiplier(bandwidth_multiplier)
         grid = LatLocalTimeGrid(
             lat_resolution_deg=lat_resolution_deg,
             time_resolution_hours=time_resolution_hours,

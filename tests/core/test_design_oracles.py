@@ -21,10 +21,11 @@ from design_oracles import (
     walker_design_by_rounds,
 )
 from repro.core.designer import ConstellationDesigner
-from repro.core.greedy_cover import GreedySSPlaneDesigner
+from repro.core.greedy_cover import GreedySSPlaneDesigner, _peak_branches
 from repro.core.metrics import MetricsCalculator
 from repro.core.ssplane import SSPlane
 from repro.core.walker_baseline import DemandDrivenWalkerDesigner
+from repro.coverage import walker
 from repro.coverage.grid import LatLocalTimeGrid
 from repro.coverage.walker import minimum_walker_for_coverage
 from repro.orbits.elements import OrbitalElements
@@ -117,6 +118,47 @@ class TestWalkerSizing:
             altitude, inclination, 25.0, **check
         ) == minimum_walker_by_candidates(altitude, inclination, 25.0, **check)
 
+    def test_both_first_check_outcomes_equal_candidate_loop(self, monkeypatch):
+        """This search rejects some built candidates on the strided quarter of
+        the test grid, and others whose only uncovered first-sample points
+        lie off that quarter, so the full grid rejects them; the pattern it
+        returns is the per-candidate oracle's."""
+        checks = []
+        uncovered_point = walker._uncovered_point
+
+        def spy(points, sat_units, cos_floor):
+            witness = uncovered_point(points, sat_units, cos_floor)
+            checks.append((len(points), witness))
+            return witness
+
+        monkeypatch.setattr(walker, "_uncovered_point", spy)
+        check = {"grid_step_deg": 6.0, "time_samples": 6}
+        found = minimum_walker_for_coverage(560.0, 40.0, 25.0, **check)
+        assert found == minimum_walker_by_candidates(560.0, 40.0, 25.0, **check)
+
+        grid = walker._test_grid(6.0, 40.0)
+        quarter = grid[:: walker._FIRST_CHECK_STRIDE]
+        assert 0 < len(quarter) < len(grid)
+        assert {size for size, _ in checks} == {len(quarter), len(grid)}
+        assert any(size == len(quarter) and w is not None for size, w in checks)
+        off_quarter = [w for size, w in checks if size == len(grid) and w is not None]
+        assert off_quarter
+        for witness in off_quarter:
+            assert not (quarter == witness).all(axis=1).any()
+        # The full grid is only checked after the quarter passed.
+        for (size, witness), (next_size, _) in zip(checks, checks[1:]):
+            if next_size == len(grid):
+                assert size == len(quarter) and witness is None
+
+
+class AscendingOnlyDesigner(GreedySSPlaneDesigner):
+    """A designer with no descending branch, so every peak has one branch."""
+
+    def _plane_for(self, latitude_deg, local_time_hours, ascending, *args):
+        if not ascending:
+            raise ValueError("no descending branch")
+        return super()._plane_for(latitude_deg, local_time_hours, ascending, *args)
+
 
 class TestDesignLoops:
     @pytest.mark.parametrize("multiplier", MULTIPLIERS)
@@ -128,6 +170,80 @@ class TestDesignLoops:
     def test_walker_equals_round_loop(self, sweep, multiplier):
         grid, _, result = sweep[multiplier]
         assert result == walker_design_by_rounds(DemandDrivenWalkerDesigner(), grid)
+
+    def test_greedy_peak_branches_are_shared_across_designs(self, sweep, monkeypatch):
+        """Designs with the same shell and grid build each peak cell's masks
+        once: a repeated design builds none, and the whole sweep visits only
+        a handful of peak cells, two masks each."""
+        masks = []
+        coverage_mask = SSPlane.coverage_mask
+
+        def counting(plane, grid):
+            masks.append(plane)
+            return coverage_mask(plane, grid)
+
+        monkeypatch.setattr(SSPlane, "coverage_mask", counting)
+        _peak_branches.cache_clear()
+        for multiplier in MULTIPLIERS:
+            grid, expected, _ = sweep[multiplier]
+            assert GreedySSPlaneDesigner().design(grid) == expected
+        built = len(masks)
+        assert 0 < built <= 2 * 12
+        assert GreedySSPlaneDesigner().design(sweep[1000.0][0]) == sweep[1000.0][1]
+        assert len(masks) == built
+        # Another shell has other planes.
+        GreedySSPlaneDesigner(altitude_km=600.0).design(sweep[10.0][0])
+        assert len(masks) > built
+
+    def test_greedy_stop_on_a_tiny_peak_with_a_larger_sum(self):
+        """Three cells a hair above one unit, all on one plane's street: that
+        plane leaves each below 1e-9 but their sum above it.  The round loop
+        runs one more iteration (its sum test passes, its peak test stops
+        it); the library, which sums only once the peak is that small, must
+        count it too."""
+        designer = GreedySSPlaneDesigner()
+        grid = LatLocalTimeGrid(2.0, 1.0)
+        peak_row, peak_col = grid.index_of(30.0, 20.5)
+        plane = designer._plane_for(
+            30.0, 20.5, True, SSPlane(560.0, 0.0, 1).inclination_rad, 1
+        )
+        covered = np.flatnonzero(plane.coverage_mask(grid))
+        others = [cell for cell in covered if cell != peak_row * grid.n_time + peak_col][:2]
+        grid.values.reshape(-1)[others] = 1.0 + 6e-10
+        grid.values[peak_row, peak_col] = 1.0 + 7e-10
+        result = designer.design(grid)
+        assert result == greedy_design_by_rounds(GreedySSPlaneDesigner(), grid)
+        assert (result.plane_count, result.iterations) == (1, 2)
+        assert 1e-9 < result.residual_demand < 3e-9 and not result.satisfied
+
+    def test_greedy_single_branch_peaks_equal_round_loop(self, sweep):
+        grid = sweep[30.0][0]
+        result = AscendingOnlyDesigner().design(grid)
+        assert result.satisfied and result.plane_count > 0
+        assert result == greedy_design_by_rounds(AscendingOnlyDesigner(), grid)
+        assert result != sweep[30.0][1]
+
+    def test_greedy_peak_with_no_branch_equals_round_loop(self):
+        """A cell past the orbit's turnaround latitude but inside its street
+        (83 and 85 deg here) is not clipped up front, yet no plane's path
+        crosses it: as a peak it has no branch and is zeroed as residual."""
+        designer = GreedySSPlaneDesigner()
+        grid = LatLocalTimeGrid(2.0, 1.0)
+        cells = ((85.0, 3.5, 4.0), (83.0, 20.5, 2.5), (30.0, 20.5, 3.0))
+        for latitude, local_time, demand in cells:
+            row, col = grid.index_of(latitude, local_time)
+            grid.values[row, col] = demand
+        for latitude in (83.0, 85.0):
+            for ascending in (True, False):
+                with pytest.raises(ValueError):
+                    designer._plane_for(
+                        latitude, 0.5, ascending, SSPlane(560.0, 0.0, 1).inclination_rad, 1
+                    )
+        result = designer.design(grid)
+        assert result == greedy_design_by_rounds(GreedySSPlaneDesigner(), grid)
+        assert result.residual_demand == 6.5
+        assert result.plane_count == 3
+        assert result.iterations == 5
 
 
 class TestFluenceMemo:

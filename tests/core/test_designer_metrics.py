@@ -6,12 +6,15 @@ on small/coarse instances (the benchmarks run the full-size versions).
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core.comparison import run_comparison_sweep
 from repro.core.designer import ConstellationDesigner
-from repro.core.metrics import MetricsCalculator
+from repro.core.metrics import MetricsCalculator, _group_median
 from repro.core.rgt_baseline import rgt_vs_walker_sweep
 from repro.core.walker_baseline import WalkerBaselineResult, WalkerShell
 from repro.coverage.walker import WalkerDelta
@@ -129,6 +132,80 @@ class TestGroupNativeMetrics:
         assert len(satellites) == metrics.total_satellites
         oracle = _per_satellite_stats(calculator.exposure, satellites)
         assert (metrics.median_fluence, metrics.mean_fluence) == oracle
+
+
+def _same_float(left: float, right: float) -> bool:
+    """Equal bits, with every NaN equal to every NaN."""
+    if math.isnan(left) or math.isnan(right):
+        return math.isnan(left) and math.isnan(right)
+    return np.float64(left).tobytes() == np.float64(right).tobytes()
+
+
+class TestGroupMedian:
+    """The median over ``(value, count)`` groups is ``np.median`` of the
+    expanded array, bit for bit."""
+
+    @staticmethod
+    def expanded(values, counts) -> float:
+        return float(np.median(np.repeat(values, counts)))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_groups_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        groups = int(rng.integers(1, 30))
+        # Few distinct values, so groups tie; a few zero counts.
+        values = rng.choice(rng.lognormal(20.0, 1.0, size=max(1, groups // 3)), size=groups)
+        counts = rng.integers(0, 6, size=groups)
+        counts[0] = max(counts[0], 1)
+        assert _same_float(_group_median(values, counts), self.expanded(values, counts))
+
+    @pytest.mark.parametrize(
+        "counts", [(1, 1, 1), (1, 1, 1, 1), (2, 3), (2, 2), (5, 0, 4), (0, 7, 1)]
+    )
+    def test_odd_and_even_totals(self, counts):
+        values = np.array([3.5, 1.25, 9.0, 0.1][: len(counts)])
+        counts = np.array(counts)
+        assert _same_float(_group_median(values, counts), self.expanded(values, counts))
+
+    def test_even_total_averages_the_two_middle_values(self):
+        values, counts = np.array([1.0, 2.0]), np.array([1, 1])
+        assert _group_median(values, counts) == 1.5 == self.expanded(values, counts)
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 462])
+    def test_single_group(self, count):
+        values, counts = np.array([7676108155.921414]), np.array([count])
+        assert _same_float(_group_median(values, counts), self.expanded(values, counts))
+
+    @pytest.mark.parametrize("counts", [(1, 1, 1), (2, 1, 4), (1, 3)])
+    def test_nan_in_a_counted_group(self, counts):
+        values = np.array([2.0, np.nan, 5.0][: len(counts)])
+        counts = np.array(counts)
+        assert math.isnan(_group_median(values, counts))
+        assert math.isnan(self.expanded(values, counts))
+
+    def test_nan_in_an_empty_group_is_not_counted(self):
+        values, counts = np.array([2.0, np.nan, 5.0]), np.array([1, 0, 2])
+        assert _group_median(values, counts) == 5.0 == self.expanded(values, counts)
+
+    @pytest.mark.parametrize("counts", [(), (0,), (0, 0)])
+    def test_no_satellites_is_nan_without_a_warning(self, counts):
+        values = np.arange(len(counts), dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(_group_median(values, np.array(counts, dtype=int)))
+
+
+class TestZeroSatelliteDesign:
+    def test_nan_fluences_and_no_warning(self, coarse_designer):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = coarse_designer.design_both(0.0)
+        for outcome in outcomes:
+            metrics = outcome.metrics
+            assert metrics.total_satellites == 0
+            assert metrics.satisfied
+            for fluence in (metrics.median_fluence, metrics.mean_fluence):
+                assert math.isnan(fluence.electron) and math.isnan(fluence.proton)
 
 
 class TestComparisonSweep:

@@ -86,6 +86,18 @@ class TestDiurnalProfile:
             profile.fraction_of_median(SAMPLES), interpolated(table, SAMPLES) / expected
         )
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_normalisation_is_np_median_bit_for_bit(self, seed):
+        """The sorted-middle median equals ``np.median`` of the 1,440 samples,
+        on tables with runs of equal hours (tied samples) and without."""
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(20.0, 300.0, size=24)
+        if seed % 2:
+            table = np.repeat(table[::4], 4)
+        table = tuple(float(value) for value in table)
+        expected = np.median(interpolated(table, SAMPLES))
+        assert np.float64(_median_normalisation(table)).tobytes() == expected.tobytes()
+
     def test_tables_do_not_share_a_normalisation(self):
         tables = (DEFAULT_HOURLY_PERCENT, tuple(float(v) for v in np.linspace(250.0, 30.0, 24)))
         profiles = [DiurnalProfile(hourly_percent=table) for table in tables]

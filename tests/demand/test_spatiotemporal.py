@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.designer import ConstellationDesigner
 from repro.demand.spatiotemporal import SpatiotemporalDemandModel, build_demand_grid
 
 
@@ -79,3 +80,54 @@ class TestConvenienceBuilders:
         )
         assert grid.values.shape == (30, 12)
         assert grid.values.max() == pytest.approx(5.0)
+
+
+class TestBandwidthMultiplierValidation:
+    """A bad multiplier fails at the boundary, naming the argument, before any
+    grid is built (a negative one used to fail later as a negative cell, inf
+    as a NaN cell, ``True`` designed for 1x and ``'3'`` raised numpy's
+    ``UFuncTypeError``)."""
+
+    @staticmethod
+    def no_grid(monkeypatch):
+        """Make building the density profile fail, so a check that runs too
+        late shows up as the wrong error."""
+
+        def fail(self, latitudes_deg):
+            raise AssertionError("the grid was built before the multiplier was checked")
+
+        monkeypatch.setattr(SpatiotemporalDemandModel, "_max_density_at", fail)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_or_negative_rejected(self, demand_model, monkeypatch, bad):
+        self.no_grid(monkeypatch)
+        with pytest.raises(ValueError, match="bandwidth_multiplier must be finite"):
+            demand_model.latitude_time_grid(bandwidth_multiplier=bad)
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "3", None, 1.0 + 2.0j])
+    def test_bool_or_non_real_rejected(self, demand_model, monkeypatch, bad):
+        self.no_grid(monkeypatch)
+        with pytest.raises(TypeError, match="bandwidth_multiplier must be a real number"):
+            demand_model.latitude_time_grid(bandwidth_multiplier=bad)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda value: build_demand_grid(value, population_resolution_deg=2.0),
+            lambda value: ConstellationDesigner().demand_grid(value),
+            lambda value: ConstellationDesigner().design_ssplane(value),
+            lambda value: ConstellationDesigner().design_walker(value),
+            lambda value: ConstellationDesigner().design_both(value),
+        ],
+        ids=["build_demand_grid", "demand_grid", "design_ssplane", "design_walker", "design_both"],
+    )
+    def test_every_entry_point_checks(self, entry):
+        with pytest.raises(ValueError, match="bandwidth_multiplier"):
+            entry(-1.0)
+        with pytest.raises(TypeError, match="bandwidth_multiplier"):
+            entry(True)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 3, np.float64(2.5), np.int64(4)])
+    def test_finite_non_negative_reals_accepted(self, demand_model, value):
+        grid = demand_model.latitude_time_grid(bandwidth_multiplier=value)
+        assert grid.values.max() == pytest.approx(float(value))

@@ -159,6 +159,17 @@ class TestPublicAPI:
             "assert 'scipy.optimize' in sys.modules\n"
         )
 
+    def test_design_leaves_numpy_ma_unimported(self):
+        """``np.median`` imports ``numpy.ma`` on its first call (~15 ms
+        cold); the design path takes its medians (fluences, the diurnal
+        normalisation) without it, so no import lands in a timed design."""
+        self.run_fresh(
+            "import sys\n"
+            "from repro.core.designer import ConstellationDesigner\n"
+            "ConstellationDesigner().design_both(10.0)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+
     def test_all_exports_resolve(self):
         import repro.core as core
         import repro.network as network
