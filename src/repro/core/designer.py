@@ -66,25 +66,31 @@ class ConstellationDesigner:
 
     def design_ssplane(self, bandwidth_multiplier: float) -> DesignOutcome:
         """Design an SS-plane constellation for the given demand level."""
-        designer = GreedySSPlaneDesigner(
-            altitude_km=self.altitude_km, min_elevation_deg=self.min_elevation_deg
-        )
-        result = designer.design(self.demand_grid(bandwidth_multiplier))
-        metrics = self.metrics_calculator.for_ssplane(result)
-        return DesignOutcome(result=result, metrics=metrics)
+        return self._design_ssplane(self.demand_grid(bandwidth_multiplier))
 
     def design_walker(self, bandwidth_multiplier: float) -> DesignOutcome:
         """Design the Walker-delta baseline for the given demand level."""
+        return self._design_walker(self.demand_grid(bandwidth_multiplier))
+
+    def design_both(self, bandwidth_multiplier: float) -> tuple[DesignOutcome, DesignOutcome]:
+        """Design both constellations for the given demand level.
+
+        The demand grid is built once and read by both designers (each
+        designs on its own copy).
+        """
+        grid = self.demand_grid(bandwidth_multiplier)
+        return self._design_ssplane(grid), self._design_walker(grid)
+
+    def _design_ssplane(self, grid: LatLocalTimeGrid) -> DesignOutcome:
+        designer = GreedySSPlaneDesigner(
+            altitude_km=self.altitude_km, min_elevation_deg=self.min_elevation_deg
+        )
+        result = designer.design(grid)
+        return DesignOutcome(result=result, metrics=self.metrics_calculator.for_ssplane(result))
+
+    def _design_walker(self, grid: LatLocalTimeGrid) -> DesignOutcome:
         designer = DemandDrivenWalkerDesigner(
             altitude_km=self.altitude_km, min_elevation_deg=self.min_elevation_deg
         )
-        result = designer.design(self.demand_grid(bandwidth_multiplier))
-        metrics = self.metrics_calculator.for_walker(result)
-        return DesignOutcome(result=result, metrics=metrics)
-
-    def design_both(self, bandwidth_multiplier: float) -> tuple[DesignOutcome, DesignOutcome]:
-        """Design both constellations for the given demand level."""
-        return (
-            self.design_ssplane(bandwidth_multiplier),
-            self.design_walker(bandwidth_multiplier),
-        )
+        result = designer.design(grid)
+        return DesignOutcome(result=result, metrics=self.metrics_calculator.for_walker(result))

@@ -29,7 +29,13 @@ from ..orbits.elements import OrbitalElements
 from ..orbits.perturbations import nodal_period_s, raan_drift_rate
 from ..orbits.repeat_ground_track import RepeatGroundTrack
 from .footprint import coverage_half_angle_rad
-from .walker import circular_positions_eci
+from .walker import (
+    _best_cosines,
+    _integer,
+    _require_time_samples,
+    _test_grid,
+    circular_positions_eci,
+)
 
 __all__ = [
     "RGTTrain",
@@ -162,6 +168,29 @@ def _track_sample_points(track: RepeatGroundTrack, samples_per_rev: int) -> np.n
     return fixed / np.linalg.norm(fixed, axis=1, keepdims=True)
 
 
+def _points_near_track(
+    track: RepeatGroundTrack,
+    half_width_rad: float,
+    grid_step_deg: float,
+    samples_per_rev: int,
+) -> np.ndarray:
+    """Return the global test grid points within ``half_width_rad`` of the
+    track centreline (sampled ``samples_per_rev`` times per revolution).
+
+    The grid is the Walker checks' test grid up to the poles, so a
+    non-finite or non-positive ``grid_step_deg`` raises ``ValueError``, as
+    does a ``samples_per_rev`` below 1.  Each point's best cosine to the
+    track samples comes from :func:`_best_cosines`, one block of grid rows
+    at a time.
+    """
+    if _integer("samples_per_rev", samples_per_rev) < 1:
+        raise ValueError(f"samples_per_rev must be at least 1, got {samples_per_rev!r}")
+    grid_units = _test_grid(grid_step_deg, 90.0)
+    track_units = _track_sample_points(track, samples_per_rev)
+    near = _best_cosines(grid_units, track_units.T) >= math.cos(half_width_rad)
+    return grid_units[near]
+
+
 def swath_sample_points(
     track: RepeatGroundTrack,
     min_elevation_deg: float = 25.0,
@@ -174,25 +203,14 @@ def swath_sample_points(
     the red region of the paper's Figure 2.  It is what an RGT constellation
     is meant to serve, so it is the coverage target used when sizing the
     train.  Points are drawn from a regular latitude/longitude grid and kept
-    if they lie within one footprint half-angle of the track centreline.
+    if they lie within one footprint half-angle of the track centreline;
+    the grid x track product is formed one block of grid rows at a time.
+
+    Raises ``ValueError`` if ``grid_step_deg`` is not finite and positive or
+    ``samples_per_rev`` is below 1, naming the parameter and its value.
     """
     half_angle = coverage_half_angle_rad(track.altitude_km, min_elevation_deg)
-    track_units = _track_sample_points(track, samples_per_rev)
-
-    latitudes = np.arange(-90.0 + grid_step_deg / 2, 90.0, grid_step_deg)
-    longitudes = np.arange(-180.0 + grid_step_deg / 2, 180.0, grid_step_deg)
-    lat_grid, lon_grid = np.meshgrid(
-        np.radians(latitudes), np.radians(longitudes), indexing="ij"
-    )
-    cos_lat = np.cos(lat_grid)
-    grid_units = np.stack(
-        [cos_lat * np.cos(lon_grid), cos_lat * np.sin(lon_grid), np.sin(lat_grid)],
-        axis=-1,
-    ).reshape(-1, 3)
-
-    cosines = grid_units @ track_units.T
-    in_swath = np.max(cosines, axis=1) >= math.cos(half_angle)
-    return grid_units[in_swath]
+    return _points_near_track(track, half_angle, grid_step_deg, samples_per_rev)
 
 
 def _train_covers_points(
@@ -206,7 +224,8 @@ def _train_covers_points(
     The Earth-fixed position *set* of an ``N``-satellite train is periodic
     with period ``repeat_period / N`` (satellite ``j`` moves onto the former
     position of satellite ``j-1``), so sampling that short interval suffices
-    to establish continuous coverage.
+    to establish continuous coverage.  Each sample's best cosines come from
+    :func:`_best_cosines`, one block of target points at a time.
     """
     cos_threshold = math.cos(half_angle_rad)
     pattern_period_fraction = 1.0 / train.count
@@ -220,8 +239,7 @@ def _train_covers_points(
         y = sin_r * positions[:, 0] + cos_r * positions[:, 1]
         fixed = np.stack([x, y, positions[:, 2]], axis=-1)
         sat_units = fixed / np.linalg.norm(fixed, axis=1, keepdims=True)
-        cosines = target_units @ sat_units.T
-        if not bool(np.all(np.max(cosines, axis=1) >= cos_threshold)):
+        if _best_cosines(target_units, sat_units.T).min() < cos_threshold:
             return False
     return True
 
@@ -293,27 +311,37 @@ def train_covers_region(
     :func:`required_street_half_width_rad`) of the track centreline.  The
     Earth-fixed position *set* of an ``N``-satellite train is periodic with
     period ``repeat_period / N``, so only that short interval is sampled.
+    Every points x satellites (or points x track) product is formed one
+    block of grid rows at a time, so memory does not grow with the grid.
+
+    Raises
+    ------
+    ValueError
+        If ``time_samples`` or ``samples_per_rev`` is below 1,
+        ``grid_step_deg`` or ``street_half_width_rad`` is not finite and
+        positive, or the street holds no test grid point: the check would
+        otherwise pass without testing anything.  Each message names the
+        parameter and its value.
     """
+    _require_time_samples(time_samples)
     half_angle = coverage_half_angle_rad(train.track.altitude_km, min_elevation_deg)
     if street_half_width_rad is None:
         street_half_width_rad = required_street_half_width_rad(
             train.track, min_elevation_deg
         )
-    track_units = _track_sample_points(train.track, samples_per_rev)
-
-    latitudes = np.arange(-90.0 + grid_step_deg / 2, 90.0, grid_step_deg)
-    longitudes = np.arange(-180.0 + grid_step_deg / 2, 180.0, grid_step_deg)
-    lat_grid, lon_grid = np.meshgrid(
-        np.radians(latitudes), np.radians(longitudes), indexing="ij"
+    if not (math.isfinite(street_half_width_rad) and street_half_width_rad > 0.0):
+        raise ValueError(
+            "street_half_width_rad must be finite and positive, "
+            f"got {street_half_width_rad!r}"
+        )
+    target_units = _points_near_track(
+        train.track, street_half_width_rad, grid_step_deg, samples_per_rev
     )
-    cos_lat = np.cos(lat_grid)
-    grid_units = np.stack(
-        [cos_lat * np.cos(lon_grid), cos_lat * np.sin(lon_grid), np.sin(lat_grid)],
-        axis=-1,
-    ).reshape(-1, 3)
-    cosines = grid_units @ track_units.T
-    in_street = np.max(cosines, axis=1) >= math.cos(street_half_width_rad)
-    target_units = grid_units[in_street]
+    if not len(target_units):
+        raise ValueError(
+            f"street_half_width_rad={street_half_width_rad!r} holds no test grid "
+            f"point at grid_step_deg={grid_step_deg!r}"
+        )
     return _train_covers_points(train, target_units, half_angle, time_samples)
 
 

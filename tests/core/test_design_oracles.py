@@ -9,6 +9,8 @@ cache levels of ``ExposureCalculator.constellation_fluences``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,10 +28,12 @@ from repro.core.metrics import MetricsCalculator
 from repro.core.ssplane import SSPlane
 from repro.core.walker_baseline import DemandDrivenWalkerDesigner
 from repro.coverage import walker
+from repro.coverage.footprint import coverage_half_angle_rad
 from repro.coverage.grid import LatLocalTimeGrid
 from repro.coverage.walker import minimum_walker_for_coverage
 from repro.orbits.elements import OrbitalElements
 from repro.radiation.exposure import ExposureCalculator
+from test_design_order import SWEEP_INCLINATIONS_DEG
 
 MULTIPLIERS = (10.0, 30.0, 100.0, 300.0, 1000.0)
 GOLDEN_ALTITUDES_KM = (560.0, 800.0, 1215.0)
@@ -149,6 +153,36 @@ class TestWalkerSizing:
         for (size, witness), (next_size, _) in zip(checks, checks[1:]):
             if next_size == len(grid):
                 assert size == len(quarter) and witness is None
+
+
+    @pytest.mark.parametrize("inclination", SWEEP_INCLINATIONS_DEG)
+    def test_blocked_cosines_keep_every_sweep_verdict(self, monkeypatch, inclination):
+        """Every row-blocked best cosine a sweep sizing search computes gives
+        each point the verdict the whole product gives, at the coverage
+        threshold and at the witness floor, and the search returns the
+        per-candidate oracle's pattern."""
+        calls = []
+        best_cosines = walker._best_cosines
+
+        def spy(points, units):
+            best = best_cosines(points, units)
+            calls.append((points, units, best))
+            return best
+
+        monkeypatch.setattr(walker, "_best_cosines", spy)
+        check = {"grid_step_deg": 6.0, "time_samples": 6}
+        found = minimum_walker_for_coverage(560.0, inclination, 25.0, **check)
+        monkeypatch.undo()
+        assert found == minimum_walker_by_candidates(560.0, inclination, 25.0, **check)
+
+        cos_half_angle = math.cos(coverage_half_angle_rad(560.0, 25.0))
+        thresholds = (cos_half_angle, cos_half_angle - walker._WITNESS_MARGIN)
+        assert any(len(points) > walker._COSINE_BLOCK_ROWS for points, _, _ in calls)
+        for points, units, best in calls:
+            whole = (points @ units).max(axis=1)
+            np.testing.assert_allclose(best, whole, rtol=0, atol=1e-15)
+            for threshold in thresholds:
+                np.testing.assert_array_equal(best >= threshold, whole >= threshold)
 
 
 class AscendingOnlyDesigner(GreedySSPlaneDesigner):

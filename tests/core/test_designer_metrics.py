@@ -54,6 +54,19 @@ class TestConstellationDesigner:
         assert outcome.metrics.total_satellites > 0
         assert outcome.metrics.design == "walker"
 
+    def test_design_both_builds_the_demand_grid_once(self, coarse_designer, monkeypatch):
+        built = []
+        latitude_time_grid = SpatiotemporalDemandModel.latitude_time_grid
+
+        def counting(model, *args, **kwargs):
+            built.append(kwargs["bandwidth_multiplier"])
+            return latitude_time_grid(model, *args, **kwargs)
+
+        monkeypatch.setattr(SpatiotemporalDemandModel, "latitude_time_grid", counting)
+        both = coarse_designer.design_both(5.0)
+        assert built == [5.0]
+        assert both == (coarse_designer.design_ssplane(5.0), coarse_designer.design_walker(5.0))
+
     def test_ss_uses_fewer_satellites_than_walker(self, coarse_designer):
         # The paper's Figure 9 headline: SS-plane designs need fewer
         # satellites than the Walker baseline at the same demand.

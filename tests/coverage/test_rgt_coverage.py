@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,3 +125,59 @@ class TestSimulationCheck:
         # The 15:1 track does not cover the whole globe, so the swath is a
         # strict subset of the full grid.
         assert 0 < points.shape[0] < (180 // 6) * (360 // 6)
+
+    def test_one_degree_check_memory_is_bounded(self, tracks):
+        # 64,800 grid points against 1,080 track samples: the whole product
+        # is 560 MB, and the check traced 774 MB before it was formed one
+        # block of rows at a time.
+        track = next(t for t in tracks if t.revolutions == 12)
+        train = RGTTrain(track=track, count=satellites_to_cover_track(track))
+        tracemalloc.start()
+        try:
+            covered = train_covers_region(train, grid_step_deg=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert covered
+        assert peak < 50e6
+
+
+class TestVacuousChecksRejected:
+    """Settings under which an RGT check would test nothing raise ValueError."""
+
+    @pytest.mark.parametrize(
+        "settings, match",
+        [
+            (
+                {"street_half_width_rad": 1e-6},
+                r"street_half_width_rad=1e-06 holds no test grid point at grid_step_deg=4.0",
+            ),
+            (
+                {"street_half_width_rad": -0.1},
+                "street_half_width_rad must be finite and positive, got -0.1",
+            ),
+            ({"grid_step_deg": -4.0}, "grid_step_deg must be finite and positive, got -4.0"),
+            ({"grid_step_deg": 0.0}, "grid_step_deg must be finite and positive, got 0.0"),
+            ({"time_samples": 0}, "time_samples must be at least 1, got 0"),
+            ({"samples_per_rev": 0}, "samples_per_rev must be at least 1, got 0"),
+        ],
+    )
+    def test_train_check(self, tracks, settings, match):
+        # Each of these used to return True, even for a 1-satellite train
+        # (a zero grid step raised a bare ZeroDivisionError).  The 13:1 track
+        # passes no 4-degree grid point within 1e-6 rad.
+        train = RGTTrain(track=next(t for t in tracks if t.revolutions == 13), count=1)
+        with pytest.raises(ValueError, match=match):
+            train_covers_region(train, **settings)
+
+    @pytest.mark.parametrize(
+        "settings, match",
+        [
+            ({"grid_step_deg": -1.0}, "grid_step_deg must be finite and positive, got -1.0"),
+            ({"samples_per_rev": 0}, "samples_per_rev must be at least 1, got 0"),
+        ],
+    )
+    def test_swath_points(self, tracks, settings, match):
+        # A negative grid step used to return no point at all.
+        with pytest.raises(ValueError, match=match):
+            swath_sample_points(tracks[0], **settings)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.constants import EARTH_RADIUS_KM
+from repro.coverage import walker
 from repro.coverage.footprint import coverage_half_angle_rad
 from repro.coverage.walker import (
     WalkerDelta,
@@ -133,6 +135,55 @@ class TestCoverage:
         assert is_continuously_covered(big, 25.0, grid_step_deg=8.0, time_samples=4)
         assert not is_continuously_covered(tiny, 25.0, grid_step_deg=8.0, time_samples=4)
 
+    @pytest.mark.parametrize(
+        "position", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]]
+    )
+    def test_degenerate_position_rejected(self, position):
+        # A zero or non-finite position has no direction: its cosines are NaN.
+        positions = np.array([[EARTH_RADIUS_KM + 560.0, 0.0, 0.0], position])
+        with pytest.raises(ValueError, match="positions must be finite and non-zero, got row 1"):
+            coverage_fraction(positions, 0.3)
+
+    def test_no_satellite_covers_nothing(self):
+        assert coverage_fraction(np.empty((0, 3)), 0.3) == 0.0
+
+    def test_one_degree_check_memory_is_bounded(self):
+        # A 1,584-satellite shell on a 1-degree grid (38,160 points): the
+        # whole grid x satellites product is 483 MB, and the check traced
+        # 520 MB before it was formed one block of rows at a time.
+        shell = WalkerDelta(550.0, 53.0, total_satellites=1584, planes=72, phasing=1)
+        tracemalloc.start()
+        try:
+            covered = is_continuously_covered(shell, 25.0, grid_step_deg=1.0, time_samples=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert covered
+        assert peak < 50e6
+
+
+class TestBestCosines:
+    """The row-blocked best cosine against the whole product it replaces."""
+
+    UNITS = walker._sample_unit_vectors(WalkerDelta(560.0, 55.0, 462, 22, phasing=1), 0, 6)
+
+    @pytest.mark.parametrize("rows", [1, 37, walker._COSINE_BLOCK_ROWS])
+    def test_one_block_is_bit_identical(self, rows):
+        points = walker._test_grid(6.0, 55.0)[:rows]
+        best = walker._best_cosines(points, self.UNITS)
+        np.testing.assert_array_equal(best, (points @ self.UNITS).max(axis=1))
+
+    @pytest.mark.parametrize("step_deg", [6.0, 2.0])
+    def test_many_blocks_agree_to_last_bits(self, step_deg):
+        points = walker._test_grid(step_deg, 55.0)
+        assert len(points) > walker._COSINE_BLOCK_ROWS
+        best = walker._best_cosines(points, self.UNITS)
+        np.testing.assert_allclose(best, (points @ self.UNITS).max(axis=1), rtol=0, atol=1e-15)
+
+    def test_no_unit_vector_gives_minus_infinity(self):
+        points = walker._test_grid(6.0, 55.0)
+        assert np.all(walker._best_cosines(points, np.empty((3, 0))) == -np.inf)
+
 
 def _exhaustive_minimum_walker(altitude_km, inclination_deg, **check) -> WalkerDelta:
     """The sizing search without witness pruning: every candidate runs the full check."""
@@ -239,6 +290,27 @@ class TestSizingValidation:
     def test_non_positive_max_total_rejected(self, max_total):
         with pytest.raises(ValueError, match=f"max_total must be positive, got {max_total}"):
             minimum_walker_for_coverage(560.0, 65.0, 25.0, max_total=max_total)
+
+    def test_sample_zero_is_computed_once_for_the_returned_pattern(self, monkeypatch):
+        calls = []
+        best_cosines = walker._best_cosines
+
+        def spy(points, units):
+            calls.append((points, units.copy()))
+            return best_cosines(points, units)
+
+        monkeypatch.setattr(walker, "_best_cosines", spy)
+        pattern = minimum_walker_for_coverage(560.0, 65.0, 25.0, grid_step_deg=6.0, time_samples=6)
+        grid = walker._test_grid(6.0, 65.0)
+        full_grid = [units for points, units in calls if points is grid]
+        snapshots = [walker._sample_unit_vectors(pattern, sample, 6) for sample in range(6)]
+        # The accepted pattern's checks come last: each snapshot once, in order.
+        assert len(calls[-6:]) == len(full_grid[-6:]) == 6
+        for units, snapshot in zip(full_grid[-6:], snapshots):
+            np.testing.assert_array_equal(units, snapshot)
+        assert sum(np.array_equal(units, snapshots[0]) for units in full_grid) == 1
+        monkeypatch.undo()
+        assert is_continuously_covered(pattern, 25.0, grid_step_deg=6.0, time_samples=6)
 
     def test_560_km_65_deg_needs_462_satellites(self):
         pattern = minimum_walker_for_coverage(560.0, 65.0, 25.0, grid_step_deg=6.0, time_samples=6)
