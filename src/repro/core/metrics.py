@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..numerics import _pairwise_sum
 from ..orbits.elements import OrbitalElements
 from ..radiation.exposure import DailyFluence, ExposureCalculator
 from .greedy_cover import GreedyCoverResult
@@ -46,6 +47,28 @@ def _group_median(values: np.ndarray, counts: np.ndarray) -> float:
         return upper
     lower = float(values[np.searchsorted(ends, middle - 1, side="right")])
     return (lower + upper) / 2.0
+
+
+def _group_mean(values: np.ndarray, counts: np.ndarray) -> float:
+    """Return ``np.mean(np.repeat(values, counts))`` without the repeat.
+
+    ``np.mean`` divides ``np.add.reduce`` of the repeated array by its
+    length; the sum is taken by :func:`repro.numerics._pairwise_sum` over
+    runs of the repeated array built one at a time, so it is the same float
+    while memory stays bounded however many satellites the groups hold.
+    ``counts`` must not sum to zero.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+
+    def repeated(lo: int, hi: int) -> np.ndarray:
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        taken = np.minimum(ends[first:last], hi) - np.maximum(starts[first:last], lo)
+        return np.repeat(values[first:last], taken)
+
+    size = int(ends[-1])
+    return _pairwise_sum(repeated, size) / size
 
 
 @dataclass(frozen=True)
@@ -98,11 +121,12 @@ class MetricsCalculator:
     evaluated; a design repeats a few dozen distinct orbits thousands of
     times, and each is built and looked up once.  The median is taken over
     the ``(fluence, count)`` groups (sorted values and cumulative counts
-    pick the middle order statistics), and the mean over the fluences
-    repeated ``count`` times, so it is the same pairwise sum as over the
-    per-satellite array.  Both are exactly those of the expanded
-    constellation.  A design without satellites has NaN median and mean
-    fluences and emits no warning.
+    pick the middle order statistics), and the mean is numpy's pairwise sum
+    of the fluences repeated ``count`` times, walked over short runs of that
+    virtual per-satellite array, so its memory does not grow with the
+    constellation.  Both are exactly those of the expanded constellation.
+    A design without satellites has NaN median and mean fluences and emits
+    no warning.
     """
 
     exposure: ExposureCalculator = field(default_factory=ExposureCalculator)
@@ -125,10 +149,7 @@ class MetricsCalculator:
         median = DailyFluence(_group_median(electrons, counts), _group_median(protons, counts))
         if not counts.sum():
             return median, DailyFluence(math.nan, math.nan)
-        mean = DailyFluence(
-            float(np.mean(np.repeat(electrons, counts))),
-            float(np.mean(np.repeat(protons, counts))),
-        )
+        mean = DailyFluence(_group_mean(electrons, counts), _group_mean(protons, counts))
         return median, mean
 
     # -- per-design entry points --------------------------------------------------

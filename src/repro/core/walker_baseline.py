@@ -50,6 +50,36 @@ def _cached_minimum_walker(
     )
 
 
+def _repeats_on_peak(peak: float, before: np.ndarray, after: np.ndarray) -> int:
+    """Return how many more shells the peak cell draws once one has lowered it.
+
+    ``peak`` is the peak cell's value before its first shell; ``before`` and
+    ``after`` are the rows outside that shell's band, below and above it in
+    flat order.  The shell lowers only its band, uniformly, so after ``j``
+    shells the peak (``peak - j``) is still ``argmax``'s pick while it stays
+    above ``1e-9``, above every cell before the band, and at least every
+    cell after it (``argmax`` takes the lowest index on ties).  Returns 0
+    when ``peak`` is ``2**53`` or more, where ``peak - j`` is not exact.
+    """
+    if peak >= 2.0**53:
+        return 0
+    floor = max(float(before.max(initial=0.0)), 1e-9)
+    ceiling = float(after.max(initial=0.0))
+
+    def holds(repeats: int) -> bool:
+        lowered = peak - repeats
+        return lowered > floor and lowered >= ceiling
+
+    # An estimate within one or two of the answer, then exact steps on the
+    # predicate itself, which only gets false as ``repeats`` grows.
+    repeats = max(int(peak - max(floor, ceiling)) - 1, 0)
+    while repeats and not holds(repeats):
+        repeats -= 1
+    while holds(repeats + 1):
+        repeats += 1
+    return repeats
+
+
 @dataclass(frozen=True)
 class WalkerShell:
     """One Walker-delta shell of the baseline constellation."""
@@ -179,6 +209,14 @@ class DemandDrivenWalkerDesigner:
         every latitude up to its inclination, a contiguous band of rows
         centred on the equator, so each iteration updates that band of the
         remaining grid in place.
+
+        A shell lowers every cell of its band by one unit and leaves the
+        rest alone, so the peak cell stays the peak, and draws the same
+        shell, for as long as it beats the best cell outside the band.
+        Those repeats are counted up front (:func:`_repeats_on_peak`) and
+        their shells added at once, each in its own altitude slot, and the
+        band is lowered once by all of them: ``x - j`` is exact for
+        ``j <= x < 2**53``, so this equals stepping one shell at a time.
         """
         demand.require_finite_non_negative()
         remaining = demand.copy()
@@ -193,18 +231,37 @@ class DemandDrivenWalkerDesigner:
         values = remaining.values
         latitudes = remaining.latitudes_deg
         abs_latitudes = np.abs(latitudes)
-        while float(values.sum()) > 1e-9 and iterations < self.max_shells:
+        # The shell cap is checked in the body: a pass may add many shells.
+        while float(values.sum()) > 1e-9:
+            if iterations >= self.max_shells:
+                break
             iterations += 1
             peak = int(values.argmax())
             if values.flat[peak] <= 1e-9:
                 break
             row = peak // remaining.n_time
             shell = self._shell_for_latitude(float(latitudes[row]), len(shells))
-            shells.append(shell)
             rows = np.flatnonzero(abs_latitudes <= shell.inclination_deg)
+            repeats = 0
+            if rows.size and rows[0] <= row <= rows[-1]:
+                repeats = min(
+                    _repeats_on_peak(
+                        float(values.flat[peak]),
+                        values[: rows[0]],
+                        values[rows[-1] + 1 :],
+                    ),
+                    self.max_shells - iterations,
+                )
+            first = len(shells)
+            shells.append(shell)
+            shells.extend(
+                self._shell_for_latitude(float(latitudes[row]), index)
+                for index in range(first + 1, first + 1 + repeats)
+            )
+            iterations += repeats
             if rows.size:
                 band = values[rows[0] : rows[-1] + 1]
-                np.maximum(band - 1.0, 0.0, out=band)
+                np.maximum(band - float(1 + repeats), 0.0, out=band)
 
         total = sum(shell.satellite_count for shell in shells)
         return WalkerBaselineResult(

@@ -101,19 +101,25 @@ class LatLonGrid:
         """Cell-centre longitudes, West to East [deg]."""
         return _cell_centres(-180.0, 180.0, self.resolution_deg)
 
-    def cell_area_km2(self) -> np.ndarray:
-        """Return the surface area of each cell [km^2], shape (n_lat, n_lon)."""
+    def row_cell_area_km2(self) -> np.ndarray:
+        """Return the surface area of one cell of each row [km^2], shape (n_lat,).
+
+        Every cell of a latitude row has the same area.
+        """
         lat_edges = np.radians(
             np.linspace(-90.0, 90.0, self.n_lat + 1)
         )
-        band_area = (
+        return (
             2.0
             * math.pi
             * EARTH_MEAN_RADIUS_KM**2
             * (np.sin(lat_edges[1:]) - np.sin(lat_edges[:-1]))
             / self.n_lon
         )
-        return np.repeat(band_area[:, None], self.n_lon, axis=1)
+
+    def cell_area_km2(self) -> np.ndarray:
+        """Return the surface area of each cell [km^2], shape (n_lat, n_lon)."""
+        return np.repeat(self.row_cell_area_km2()[:, None], self.n_lon, axis=1)
 
     # -- indexing ---------------------------------------------------------------
 

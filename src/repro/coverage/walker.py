@@ -389,7 +389,10 @@ def streets_of_coverage_size(
 _WITNESS_MARGIN = 1e-9
 
 #: Sizing candidates whose witness bounds are evaluated in one array pass.
-_WITNESS_WINDOW = 128
+#: The pass holds (witnesses x the window's planes) arrays, which grow with
+#: the witnesses found; at 128 they set the design sweep's peak RSS, 2 MB
+#: above that at 32.  Verdicts do not depend on the window.
+_WITNESS_WINDOW = 32
 
 #: Every ``_FIRST_CHECK_STRIDE``-th test grid point forms the grid a screened
 #: candidate is checked on first, before its full sample-0 check.

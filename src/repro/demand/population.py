@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..coverage.grid import LatLonGrid
+from ..numerics import _PAIRWISE_CHUNK, _pairwise_sum
 
 __all__ = ["MetroArea", "METRO_AREAS", "PopulationModel", "synthetic_population_grid"]
 
@@ -347,13 +348,22 @@ class PopulationModel:
         self.world_population_billions = world_population_billions
 
     def density_grid(self) -> LatLonGrid:
-        """Return the population density grid [people / km^2]."""
+        """Return the population density grid [people / km^2].
+
+        People are counted straight into the returned grid's array: each
+        metro's kernel over its +-4 sigma window, then the rural background
+        in blocks of rows (see :meth:`_add_rural_background`).  The counts are
+        then divided in place by each row's cell area.  So the build holds one
+        full-size array plus blocks of a few thousand cells, and every cell
+        goes through the same float operations as summing whole-grid layers
+        would.
+        """
         grid = LatLonGrid(resolution_deg=self.resolution_deg)
         lat_centres = grid.latitudes_deg
         lon_centres = grid.longitudes_deg
         lat_rad = np.radians(lat_centres)
         km_per_deg_lat = 111.32
-        counts = np.zeros_like(grid.values)
+        counts = grid.values
 
         for metro in METRO_AREAS:
             sigma_km = self.metro_sigma_km * (
@@ -377,17 +387,24 @@ class PopulationModel:
             metro_people = metro.population_millions * 1e6
             counts[np.ix_(lat_mask, lon_mask)] += metro_people * kernel
 
-        counts += self._rural_background(lat_rad, lon_centres)
-        grid.values = counts / grid.cell_area_km2()
+        self._add_rural_background(counts, lat_rad, lon_centres)
+        counts /= grid.row_cell_area_km2()[:, None]
         return grid
 
-    def _rural_background(self, lat_rad: np.ndarray, lon_centres: np.ndarray) -> np.ndarray:
-        """Return the smooth rural population counts per cell.
+    def _add_rural_background(
+        self, counts: np.ndarray, lat_rad: np.ndarray, lon_centres: np.ndarray
+    ) -> None:
+        """Add the smooth rural population counts per cell to ``counts``.
 
         The background carries everything not attributed to a metro cluster.
         It follows a latitudinal envelope peaking in the Northern
         mid-latitudes (where most habitable land lies) and is modulated in
         longitude by broad "continental" bumps so oceans stay mostly empty.
+
+        A cell's weight is ``envelope[row] * continents[col]``, normalised by
+        the sum of all weights.  That sum is numpy's pairwise sum of the
+        whole weight grid, taken over short runs of it; the weights are then
+        built, normalised and added a block of rows at a time.
         """
         metro_total = sum(m.population_millions for m in METRO_AREAS) * 1e6
         total_rural = max(0.0, self.world_population_billions * 1e9 - metro_total)
@@ -412,9 +429,20 @@ class PopulationModel:
             - 0.5 * np.exp(-0.5 * ((_wrap(lon_centres + 40.0)) / 15.0) ** 2)  # Atlantic
         )
         continents = np.clip(continents, 0.05, None)
-        weights = np.outer(envelope, continents)
-        weights /= weights.sum()
-        return total_rural * weights
+        n_lon = continents.size
+
+        def weights_at(lo: int, hi: int) -> np.ndarray:
+            first, last = lo // n_lon, (hi - 1) // n_lon + 1
+            rows = np.outer(envelope[first:last], continents).reshape(-1)
+            return rows[lo - first * n_lon : hi - first * n_lon]
+
+        total = _pairwise_sum(weights_at, envelope.size * n_lon)
+        block = max(1, _PAIRWISE_CHUNK // n_lon)
+        for start in range(0, envelope.size, block):
+            weights = np.outer(envelope[start : start + block], continents)
+            weights /= total
+            weights *= total_rural
+            counts[start : start + block] += weights
 
 
 def _wrap(longitudes_deg: np.ndarray) -> np.ndarray:

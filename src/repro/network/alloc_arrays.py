@@ -228,7 +228,10 @@ def _solve_proportional(
     demand, capacity = system.demand, system.capacity
     load = system.link_loads(demand)
     starved_links = (capacity <= 0.0) & (load > 0.0)
-    starved_flows = system.flows_touching(starved_links)
+    # With no starved link no flow touches one; skip the incidence pass.
+    starved_flows = np.zeros(system.flow_count, dtype=bool)
+    if starved_links.any():
+        starved_flows = system.flows_touching(starved_links)
     if starved_flows.any():
         load = system.link_loads(np.where(starved_flows, 0.0, demand))
     scale = 1.0

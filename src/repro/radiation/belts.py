@@ -69,6 +69,12 @@ class BeltComponent:
 class TrappedParticleModel:
     """Trapped electron and proton flux model in adiabatic coordinates.
 
+    Every entry point evaluates the position-only terms (``L``, ``B``,
+    ``B_eq``, ``B_cut`` and the clipped visible fraction) once per call and
+    lets each component apply its own exponent and ``L`` profile to them;
+    :meth:`electron_and_proton_flux` shares one such pass between both
+    species.
+
     Attributes
     ----------
     dipole:
@@ -94,27 +100,40 @@ class TrappedParticleModel:
 
     # -- core evaluation ---------------------------------------------------------
 
-    def _visible_fraction(
-        self, l_shell: np.ndarray, b_local: np.ndarray, exponent: float
-    ) -> np.ndarray:
-        """Return the fraction of the trapped population visible at (L, B)."""
+    def _adiabatic_terms(self, positions_ecef_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(L, visible fraction)`` at each position, each computed once.
+
+        The fraction ``clip((B_cut - B) / (B_cut - B_eq), 0, 1)`` depends on
+        the position only; each component raises it to its own cutoff
+        exponent.  Every flux entry point reads these terms, so ``L``, ``B``,
+        ``B_eq`` and ``B_cut`` come from one dipole-coordinate pass however
+        many components and species are evaluated.
+        """
+        l_shell, b_local = self.dipole._l_and_field(positions_ecef_km)
         b_eq = self.dipole.equatorial_field_gauss(l_shell)
         b_cut = self.dipole.cutoff_field_gauss(l_shell, self.cutoff_altitude_km)
         span = np.maximum(b_cut - b_eq, 1e-12)
-        fraction = np.clip((b_cut - b_local) / span, 0.0, 1.0)
-        return fraction**exponent
+        return l_shell, np.clip((b_cut - b_local) / span, 0.0, 1.0)
 
-    def _species_flux(
-        self, components: tuple[BeltComponent, ...], positions_ecef_km: np.ndarray
+    @staticmethod
+    def _components_flux(
+        components: tuple[BeltComponent, ...], terms: tuple[np.ndarray, np.ndarray]
     ) -> np.ndarray:
-        positions = np.atleast_2d(np.asarray(positions_ecef_km, dtype=float))
-        l_shell = self.dipole.mcilwain_l(positions)
-        b_local = self.dipole.field_magnitude_gauss(positions)
-        flux = np.zeros(positions.shape[0])
+        """Return the summed flux of ``components`` from their adiabatic terms."""
+        l_shell, fraction = terms
+        flux = np.zeros(l_shell.shape[0])
         for component in components:
-            visible = self._visible_fraction(l_shell, b_local, component.cutoff_exponent)
+            visible = fraction**component.cutoff_exponent
             flux += component.amplitude * component.profile(l_shell) * visible
         return flux
+
+    def _electron(self, terms: tuple[np.ndarray, np.ndarray], modulation: float) -> np.ndarray:
+        inner = self._components_flux(self.electron_components[:1], terms)
+        outer = self._components_flux(self.electron_components[1:], terms)
+        return inner + modulation * outer
+
+    def _proton(self, terms: tuple[np.ndarray, np.ndarray], modulation: float) -> np.ndarray:
+        return modulation * self._components_flux(self.proton_components, terms)
 
     # -- public API --------------------------------------------------------------
 
@@ -127,10 +146,7 @@ class TrappedParticleModel:
         components only: outer-belt electron content tracks solar activity
         while the inner belt is comparatively stable.
         """
-        positions = np.atleast_2d(np.asarray(positions_ecef_km, dtype=float))
-        inner = self._species_flux(self.electron_components[:1], positions)
-        outer = self._species_flux(self.electron_components[1:], positions)
-        return inner + solar_modulation * outer
+        return self._electron(self._adiabatic_terms(positions_ecef_km), solar_modulation)
 
     def proton_flux(
         self, positions_ecef_km: np.ndarray, solar_modulation: float = 1.0
@@ -141,7 +157,22 @@ class TrappedParticleModel:
         pass the value from :class:`repro.radiation.solar_cycle.SolarCycle`
         to capture its weak anti-correlation with activity.
         """
-        return solar_modulation * self._species_flux(self.proton_components, positions_ecef_km)
+        return self._proton(self._adiabatic_terms(positions_ecef_km), solar_modulation)
+
+    def electron_and_proton_flux(
+        self,
+        positions_ecef_km: np.ndarray,
+        electron_modulation: float = 1.0,
+        proton_modulation: float = 1.0,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(electron_flux, proton_flux)`` from one pass over the positions.
+
+        Equal bit for bit to ``electron_flux(positions, electron_modulation)``
+        and ``proton_flux(positions, proton_modulation)``, at the cost of one
+        evaluation of the adiabatic terms instead of two.
+        """
+        terms = self._adiabatic_terms(positions_ecef_km)
+        return self._electron(terms, electron_modulation), self._proton(terms, proton_modulation)
 
     def flux(
         self,

@@ -94,10 +94,16 @@ class ExposureCalculator:
         duration_s: float = SOLAR_DAY_S,
         gmst0_rad: float = 0.0,
     ) -> DailyFluence:
-        """Return the fluence a satellite on ``elements`` accumulates in a day."""
+        """Return the fluence a satellite on ``elements`` accumulates in a day.
+
+        Both species come from one :meth:`TrappedParticleModel.electron_and_proton_flux`
+        call over the orbit's sampled positions, so the field terms along the
+        orbit are evaluated once.
+        """
         positions = _ecef_positions_over_day(elements, duration_s, self.step_s, gmst0_rad)
-        electron = self.model.electron_flux(positions, self.electron_modulation)
-        proton = self.model.proton_flux(positions, self.proton_modulation)
+        electron, proton = self.model.electron_and_proton_flux(
+            positions, self.electron_modulation, self.proton_modulation
+        )
         scale = self.step_s * SOLAR_DAY_S / duration_s  # normalise to one full day
         return DailyFluence(
             electron=float(np.sum(electron) * scale),

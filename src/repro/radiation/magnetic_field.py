@@ -109,7 +109,9 @@ class DipoleModel:
         Dipole field magnitude: ``B = B0 / r^3 * sqrt(1 + 3 sin^2(maglat))``
         with ``r`` in Earth radii measured from the (offset) dipole centre.
         """
-        r, maglat = self._dipole_coordinates(positions_ecef_km)
+        return self._field_at(*self._dipole_coordinates(positions_ecef_km))
+
+    def _field_at(self, r: np.ndarray, maglat: np.ndarray) -> np.ndarray:
         return self.surface_field_gauss / r**3 * np.sqrt(1.0 + 3.0 * np.sin(maglat) ** 2)
 
     def magnetic_latitude_rad(self, positions_ecef_km: np.ndarray) -> np.ndarray:
@@ -124,12 +126,25 @@ class DipoleModel:
         and magnetic latitude ``lambda_m`` crosses the magnetic equator at
         ``L = r / cos^2(lambda_m)``.
         """
-        r, maglat = self._dipole_coordinates(positions_ecef_km)
+        return self._mcilwain_l_at(*self._dipole_coordinates(positions_ecef_km))
+
+    @staticmethod
+    def _mcilwain_l_at(r: np.ndarray, maglat: np.ndarray) -> np.ndarray:
         cos_maglat = np.cos(maglat)
         # Field lines through the (near-)polar region formally have enormous
         # L; cap the cosine to keep the result finite and meaningful.
         cos_maglat = np.maximum(cos_maglat, 1e-3)
         return r / cos_maglat**2
+
+    def _l_and_field(self, positions_ecef_km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(mcilwain_l, field_magnitude_gauss)`` from one coordinate pass.
+
+        Both are evaluated exactly as the public methods evaluate them, on the
+        same dipole coordinates, so they equal those methods' results bit for
+        bit.
+        """
+        r, maglat = self._dipole_coordinates(positions_ecef_km)
+        return self._mcilwain_l_at(r, maglat), self._field_at(r, maglat)
 
     def equatorial_field_gauss(self, l_shell: np.ndarray) -> np.ndarray:
         """Return the field strength [Gauss] at the equator of an L shell."""
@@ -138,9 +153,8 @@ class DipoleModel:
 
     def b_over_b_equator(self, positions_ecef_km: np.ndarray) -> np.ndarray:
         """Return B / B_eq, the mirror-ratio coordinate of trapped-particle models."""
-        b_local = self.field_magnitude_gauss(positions_ecef_km)
-        b_eq = self.equatorial_field_gauss(self.mcilwain_l(positions_ecef_km))
-        return b_local / b_eq
+        l_shell, b_local = self._l_and_field(positions_ecef_km)
+        return b_local / self.equatorial_field_gauss(l_shell)
 
     def cutoff_field_gauss(
         self, l_shell: np.ndarray, cutoff_altitude_km: float = 100.0

@@ -10,6 +10,7 @@ cache levels of ``ExposureCalculator.constellation_fluences``.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.core.designer import ConstellationDesigner
 from repro.core.greedy_cover import GreedySSPlaneDesigner, _peak_branches
 from repro.core.metrics import MetricsCalculator
 from repro.core.ssplane import SSPlane
-from repro.core.walker_baseline import DemandDrivenWalkerDesigner
+from repro.core.walker_baseline import DemandDrivenWalkerDesigner, WalkerBaselineResult
 from repro.coverage import walker
 from repro.coverage.footprint import coverage_half_angle_rad
 from repro.coverage.grid import LatLocalTimeGrid
@@ -278,6 +279,81 @@ class TestDesignLoops:
         assert result.residual_demand == 6.5
         assert result.plane_count == 3
         assert result.iterations == 5
+
+
+class FixedInclinationDesigner(DemandDrivenWalkerDesigner):
+    """Every shell at one inclination, however high the peak cell lies."""
+
+    inclination = 30.0
+
+    def _shell_for_latitude(self, latitude_deg, shell_index):
+        shell = super()._shell_for_latitude(self.inclination, shell_index)
+        return replace(shell, pattern=replace(shell.pattern, inclination_deg=self.inclination))
+
+
+class TestWalkerFastForward:
+    """Repeats on one peak are added at once, equal to stepping shell by shell."""
+
+    @staticmethod
+    def grid_with(cells, lat_resolution_deg=4.0) -> LatLocalTimeGrid:
+        grid = LatLocalTimeGrid(lat_resolution_deg, 2.0)
+        for latitude, local_time, value in cells:
+            row, col = grid.index_of(latitude, local_time)
+            grid.values[row, col] = value
+        return grid
+
+    def assert_equals_step_loop(self, designer, grid) -> WalkerBaselineResult:
+        result = designer.design(grid)
+        assert result == walker_design_by_rounds(designer, grid)
+        return result
+
+    @pytest.mark.parametrize("outside", [2.0, 2.25, 3.0, 5.0, 5.5])
+    @pytest.mark.parametrize("side", [-62.0, 62.0])
+    def test_ties_with_a_cell_outside_the_band(self, outside, side):
+        """The peak at 30 deg (band up to 32.5 deg) against a cell at -62 deg
+        (lower flat index: wins ties) or +62 deg (higher: loses them)."""
+        grid = self.grid_with([(30.0, 21.0, 5.0), (side, 3.0, outside), (10.0, 9.0, 5.0)])
+        result = self.assert_equals_step_loop(DemandDrivenWalkerDesigner(), grid)
+        assert result.satisfied and result.shell_count >= 5
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_grids_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = LatLocalTimeGrid(4.0, 2.0)
+        cells = rng.random(grid.values.shape) < 0.04
+        # Quarter units collide often, so peaks tie across rows and bands.
+        grid.values[cells] = rng.integers(1, 48, int(cells.sum())) / 4.0
+        grid.values[rng.random(grid.values.shape) < 0.01] += 1e-9
+        self.assert_equals_step_loop(DemandDrivenWalkerDesigner(), grid)
+
+    @pytest.mark.parametrize("max_shells", [1, 2, 3, 5, 6])
+    def test_shell_cap_stops_inside_a_run_of_repeats(self, max_shells):
+        grid = self.grid_with([(30.0, 21.0, 6.5), (50.0, 3.0, 2.0)])
+        designer = DemandDrivenWalkerDesigner(max_shells=max_shells)
+        result = self.assert_equals_step_loop(designer, grid)
+        assert result.shell_count == result.iterations == max_shells
+        assert not result.satisfied
+
+    def test_tiny_remainder_ends_with_an_empty_iteration(self):
+        """Three shells leave each cell ~6e-10: the sum passes the loop test,
+        the peak test stops the fourth iteration."""
+        grid = self.grid_with([(30.0, hour, 3.0 + 6e-10) for hour in (1.0, 5.0, 9.0)])
+        result = self.assert_equals_step_loop(DemandDrivenWalkerDesigner(), grid)
+        assert (result.shell_count, result.iterations) == (3, 4)
+
+    def test_empty_band_steps_one_shell_at_a_time(self):
+        """Rows at +-45 deg only, shells at 30 deg: no row is served, so the
+        peak draws shells until the cap."""
+        designer = FixedInclinationDesigner(max_shells=6)
+        grid = self.grid_with([(45.0, 21.0, 2.0)], lat_resolution_deg=90.0)
+        result = self.assert_equals_step_loop(designer, grid)
+        assert result.shell_count == 6 and result.residual_demand == 2.0
+
+    def test_peak_outside_a_non_empty_band(self):
+        designer = FixedInclinationDesigner(max_shells=5)
+        grid = self.grid_with([(45.0, 21.0, 2.0), (15.0, 9.0, 3.0)], lat_resolution_deg=30.0)
+        result = self.assert_equals_step_loop(designer, grid)
+        assert result.shell_count == 5 and result.residual_demand == 2.0
 
 
 class TestFluenceMemo:

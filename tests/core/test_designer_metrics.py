@@ -7,6 +7,7 @@ on small/coarse instances (the benchmarks run the full-size versions).
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.comparison import run_comparison_sweep
 from repro.core.designer import ConstellationDesigner
-from repro.core.metrics import MetricsCalculator, _group_median
+from repro.core.metrics import MetricsCalculator, _group_mean, _group_median
 from repro.core.rgt_baseline import rgt_vs_walker_sweep
 from repro.core.walker_baseline import WalkerBaselineResult, WalkerShell
 from repro.coverage.walker import WalkerDelta
@@ -206,6 +207,49 @@ class TestGroupMedian:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isnan(_group_median(values, np.array(counts, dtype=int)))
+
+
+class TestGroupMean:
+    """The mean over ``(value, count)`` groups is ``np.mean`` of the expanded
+    array, bit for bit, without building it."""
+
+    @staticmethod
+    def expanded(values, counts) -> float:
+        return float(np.mean(np.repeat(values, counts)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_groups(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(120):
+            groups = int(rng.integers(1, 80))
+            values = rng.lognormal(20.0, 2.0, size=groups)
+            counts = rng.integers(0, int(rng.choice([2, 40, 3000, 60000])), size=groups)
+            counts[rng.random(groups) < 0.2] = 0
+            counts[int(rng.integers(groups))] += 1
+            assert _same_float(_group_mean(values, counts), self.expanded(values, counts))
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 4095, 4097, 396_202])
+    def test_single_group(self, count):
+        values, counts = np.array([7676108155.921414]), np.array([count])
+        assert _same_float(_group_mean(values, counts), self.expanded(values, counts))
+
+    def test_zero_counts_at_the_ends_and_between_runs(self):
+        values = np.array([1.5, 2.0**40 + 3.0, 0.1, 7.0, 3.3, 9.9])
+        counts = np.array([0, 4096, 0, 0, 8193, 0])
+        assert _same_float(_group_mean(values, counts), self.expanded(values, counts))
+
+    def test_ten_million_satellites_trace_under_a_megabyte(self):
+        # The expanded array alone would be 80 MB.
+        values = np.array([6.1e9, 7.3e9, 8.9e9, 5.5e9])
+        counts = np.array([2_500_001, 3_000_000, 1_499_999, 3_000_000])
+        tracemalloc.start()
+        try:
+            mean = _group_mean(values, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert _same_float(mean, self.expanded(values, counts))
 
 
 class TestZeroSatelliteDesign:

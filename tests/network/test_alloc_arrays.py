@@ -341,6 +341,72 @@ class TestMaxMinRegressions:
             assert result.link_utilisation[(1, 2)] == 1.0
 
 
+def _proportional_with_full_scan(system: FlowLinkSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The proportional solver scanning for starved flows even when no link
+    is starved: the oracle of the solver's skip."""
+    demand, capacity = system.demand, system.capacity
+    load = system.link_loads(demand)
+    starved_links = (capacity <= 0.0) & (load > 0.0)
+    starved_flows = system.flows_touching(starved_links)
+    if starved_flows.any():
+        load = system.link_loads(np.where(starved_flows, 0.0, demand))
+    scale = 1.0
+    congested = (load > capacity) & (capacity > 0.0)
+    if congested.any():
+        scale = min(1.0, float((capacity[congested] / load[congested]).min()))
+    allocated = np.where(starved_flows, 0.0, demand * scale)
+    utilisation = np.zeros(system.link_count)
+    positive = capacity > 0.0
+    utilisation[positive] = load[positive] * scale / capacity[positive]
+    utilisation[starved_links] = 1.0
+    return allocated, utilisation
+
+
+class TestProportionalStarvedScan:
+    """The starved-flow scan runs only when some link is starved."""
+
+    @staticmethod
+    def solve_counting_scans(system, monkeypatch):
+        scans = []
+        flows_touching = FlowLinkSystem.flows_touching
+
+        def counting(self, link_mask):
+            scans.append(int(link_mask.sum()))
+            return flows_touching(self, link_mask)
+
+        monkeypatch.setattr(FlowLinkSystem, "flows_touching", counting)
+        solved = ARRAY_SOLVERS["proportional_array"](system)
+        monkeypatch.undo()
+        return solved, scans
+
+    @pytest.mark.parametrize("dead_capacity", [0.0, 10.0])
+    def test_with_and_without_a_starved_link(self, dead_capacity, monkeypatch):
+        graph = nx.Graph()
+        for a, b in ((0, 1), (1, 2), (2, 3)):
+            graph.add_edge(a, b, capacity_gbps=8.0)
+        graph.edges[1, 2]["capacity_gbps"] = dead_capacity
+        flows = [Flow("through", (0, 1, 2, 3), 4.0), Flow("near", (0, 1), 6.0)]
+        system, _ = compile_flows(graph, flows)
+        (rates, utilisation), scans = self.solve_counting_scans(system, monkeypatch)
+        expected = _proportional_with_full_scan(system)
+        np.testing.assert_array_equal(rates, expected[0])
+        np.testing.assert_array_equal(utilisation, expected[1])
+        assert scans == ([1] if dead_capacity == 0.0 else [])
+        assert (rates[0] == 0.0) == (dead_capacity == 0.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("congestion", [0.3, 6.0])
+    def test_random_problems_equal_the_full_scan(self, seed, congestion, monkeypatch):
+        graph, flows = _random_problem(seed, congestion)
+        system, _ = compile_flows(graph, flows)
+        (rates, utilisation), scans = self.solve_counting_scans(system, monkeypatch)
+        expected = _proportional_with_full_scan(system)
+        np.testing.assert_array_equal(rates, expected[0])
+        np.testing.assert_array_equal(utilisation, expected[1])
+        starved = (system.capacity <= 0.0) & (system.link_loads(system.demand) > 0.0)
+        assert len(scans) == int(starved.any())
+
+
 class TestLinkKeyNormalisation:
     def test_numeric_pairs_order_numerically(self):
         # str-ordering placed 10 before 2 ("10" < "2"); the normalised key
