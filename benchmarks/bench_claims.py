@@ -21,8 +21,8 @@ def test_headline_claims(benchmark, once):
 
     # Directional reproduction: SS wins on both axes.  The measured satellite
     # reduction factor (~2-3x with this Walker baseline model) is smaller than
-    # the paper's "up to an order of magnitude"; see EXPERIMENTS.md for the
-    # sensitivity discussion.
+    # the paper's "up to an order of magnitude"; `pytest benchmarks/ -s` and
+    # `python -m repro.analysis.experiments --all` print the measured values.
     assert data["max_satellite_reduction_factor"] > 1.5
     assert data["max_electron_reduction_percent"] > 10.0
     assert data["max_proton_reduction_percent"] > 10.0

@@ -1,8 +1,9 @@
 """Shared configuration for the benchmark harness.
 
 Each benchmark regenerates the data behind one figure of the paper and prints
-the series it produces, so `pytest benchmarks/ --benchmark-only` doubles as
-the reproduction run recorded in EXPERIMENTS.md.  Heavy sweeps run with a
+the series it produces, so `pytest benchmarks/ -s` doubles as the
+reproduction run (`python -m repro.analysis.experiments --all` prints the
+same tables without the harness).  Heavy sweeps run with a
 single round to keep the full harness in the minutes range.
 """
 

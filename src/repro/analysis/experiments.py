@@ -4,8 +4,8 @@ Every figure of the paper maps to one registered experiment.  Running
 
     python -m repro.analysis.experiments --all
 
-regenerates all of them and prints the series/tables recorded in
-EXPERIMENTS.md; individual experiments can be selected by id (``fig01`` ...
+regenerates all of them and prints their series/tables (``pytest
+benchmarks/ -s`` prints the same data from the benchmark harness); individual experiments can be selected by id (``fig01`` ...
 ``fig10``, ``claims``).  A ``--quick`` flag uses coarser grids and smaller
 sweeps so the full suite finishes in a couple of minutes on a laptop.
 """

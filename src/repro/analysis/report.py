@@ -1,7 +1,8 @@
 """Plain-text rendering of experiment results.
 
 Formats the figure data produced by :mod:`repro.analysis.figures` into the
-ASCII tables and series recorded in EXPERIMENTS.md.  No plotting libraries
+ASCII tables and series that ``python -m repro.analysis.experiments --all``
+prints.  No plotting libraries
 are used: the evaluation quantities of the paper are all one-dimensional
 series or small grids, which render fine as text.
 """

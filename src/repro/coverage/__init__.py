@@ -24,13 +24,7 @@ from .rgt_coverage import (
     swath_sample_points,
     train_covers_region,
 )
-from .visibility import (
-    VisibilityWindow,
-    elevation_angle_rad,
-    is_visible,
-    slant_range_to_km,
-    visibility_windows,
-)
+from .visibility import VisibilityWindow, elevation_and_slant_range, visibility_windows
 from .walker import (
     WalkerDelta,
     circular_positions_eci,
@@ -57,9 +51,7 @@ __all__ = [
     "swath_sample_points",
     "train_covers_region",
     "VisibilityWindow",
-    "elevation_angle_rad",
-    "is_visible",
-    "slant_range_to_km",
+    "elevation_and_slant_range",
     "visibility_windows",
     "WalkerDelta",
     "circular_positions_eci",

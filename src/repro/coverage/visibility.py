@@ -1,9 +1,11 @@
 """Satellite-to-ground visibility.
 
-Provides elevation-angle computation between an Earth-fixed ground point and a
-satellite ECI position, plus visibility-window extraction over a time span.
-These are the primitives the network layer uses to decide which satellites a
-ground station or user terminal can currently reach.
+:func:`elevation_and_slant_range` is the one visibility model of the
+library: the elevation angle of Earth-fixed satellite positions above a
+site's horizon, with their slant ranges, in one array pass.  The network
+layer's ground stations (``visibility_mask``, ``visible_satellites``,
+``GroundStation.elevation_to_rad`` and ``can_see``, hence every snapshot
+sequence) and :func:`visibility_windows` all decide visibility through it.
 """
 
 from __future__ import annotations
@@ -13,70 +15,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..constants import SOLAR_DAY_S
 from ..orbits.elements import OrbitalElements
-from ..orbits.frames import ecef_to_eci, geodetic_to_ecef
-from ..orbits.propagation import J2Propagator
+from ..orbits.frames import eci_to_ecef, geodetic_to_ecef
+from ..orbits.propagation import sample_positions_eci
 from ..orbits.time import Epoch
 
 __all__ = [
-    "elevation_angle_rad",
-    "slant_range_to_km",
-    "is_visible",
+    "elevation_and_slant_range",
     "VisibilityWindow",
     "visibility_windows",
 ]
 
 
-def _site_vectors(
-    latitude_rad: float, longitude_rad: float, epoch: Epoch
+def elevation_and_slant_range(
+    site_ecef_km: np.ndarray, satellite_positions_ecef_km: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (site ECI position, local zenith unit vector in ECI)."""
-    site_ecef = geodetic_to_ecef(latitude_rad, longitude_rad, 0.0)
-    site_eci = ecef_to_eci(site_ecef, epoch)
-    zenith = site_eci / np.linalg.norm(site_eci)
-    return site_eci, zenith
+    """Return (elevation [rad], slant range [km]) of satellites seen from a site.
 
-
-def elevation_angle_rad(
-    satellite_position_eci: np.ndarray,
-    latitude_rad: float,
-    longitude_rad: float,
-    epoch: Epoch,
-) -> float:
-    """Return the elevation angle [rad] of a satellite above a site's horizon.
-
-    Negative values mean the satellite is below the horizon.
+    ``site_ecef_km`` is the site's Earth-fixed position, shape ``(3,)``;
+    ``satellite_positions_ecef_km`` has shape ``(..., 3)`` -- e.g. ``(N, 3)``
+    for one instant or ``(T, N, 3)`` for a whole trajectory stack.  Both
+    results have the input shape minus the trailing axis.  Negative
+    elevations are below the horizon plane.  A position on the site itself
+    (zero slant range) gets a finite elevation here; callers that need to
+    reject it test the returned range.
     """
-    site_eci, zenith = _site_vectors(latitude_rad, longitude_rad, epoch)
-    line_of_sight = np.asarray(satellite_position_eci) - site_eci
-    los_norm = np.linalg.norm(line_of_sight)
-    if los_norm == 0.0:
-        raise ValueError("satellite position coincides with the ground site")
-    sin_elevation = float(np.dot(line_of_sight, zenith) / los_norm)
-    return math.asin(max(-1.0, min(1.0, sin_elevation)))
-
-
-def slant_range_to_km(
-    satellite_position_eci: np.ndarray,
-    latitude_rad: float,
-    longitude_rad: float,
-    epoch: Epoch,
-) -> float:
-    """Return the slant range [km] between a site and a satellite."""
-    site_eci, _ = _site_vectors(latitude_rad, longitude_rad, epoch)
-    return float(np.linalg.norm(np.asarray(satellite_position_eci) - site_eci))
-
-
-def is_visible(
-    satellite_position_eci: np.ndarray,
-    latitude_rad: float,
-    longitude_rad: float,
-    epoch: Epoch,
-    min_elevation_deg: float = 25.0,
-) -> bool:
-    """Return whether a satellite is visible above ``min_elevation_deg``."""
-    elevation = elevation_angle_rad(satellite_position_eci, latitude_rad, longitude_rad, epoch)
-    return elevation >= math.radians(min_elevation_deg)
+    positions = np.asarray(satellite_positions_ecef_km, dtype=float)
+    if positions.shape[-1:] != (3,):
+        raise ValueError("satellite positions must have a trailing axis of length 3")
+    site = np.asarray(site_ecef_km, dtype=float)
+    zenith = site / np.linalg.norm(site)
+    lines_of_sight = positions - site
+    norms = np.linalg.norm(lines_of_sight, axis=-1)
+    sin_elevation = (lines_of_sight @ zenith) / np.maximum(norms, 1e-9)
+    return np.arcsin(np.clip(sin_elevation, -1.0, 1.0)), norms
 
 
 @dataclass(frozen=True)
@@ -103,32 +76,26 @@ def visibility_windows(
 ) -> list[VisibilityWindow]:
     """Return the visibility windows of one satellite from one ground site.
 
-    The satellite is propagated with the secular-J2 propagator and sampled
-    every ``step_s`` seconds over ``duration_s``; consecutive visible samples
-    are merged into windows.  Window edges are therefore quantised to the
-    sampling step, which is fine for the pass-statistics purposes of the
-    network layer.
+    The satellite's trajectory is sampled every ``step_s`` seconds over
+    ``duration_s`` in one batch pass
+    (:func:`~repro.orbits.propagation.sample_positions_eci`, which rejects a
+    non-finite or non-positive step and a non-finite or negative duration),
+    rotated into the Earth-fixed frame and tested against the elevation
+    mask.  A window opens at its first visible sample and closes at the
+    first invisible one, or at the last sample if it is still open there, so
+    window edges are quantised to the sampling step, which is fine for the
+    pass-statistics purposes of the network layer.
     """
-    if step_s <= 0:
-        raise ValueError("step_s must be positive")
-    latitude_rad = math.radians(latitude_deg)
-    longitude_rad = math.radians(longitude_deg)
-    propagator = J2Propagator(elements, epoch)
-
-    windows: list[VisibilityWindow] = []
-    window_start: float | None = None
-    times = np.arange(0.0, duration_s + step_s / 2.0, step_s)
-    for t in times:
-        current_epoch = epoch.add_seconds(float(t))
-        state = propagator.state_at(current_epoch)
-        visible = is_visible(
-            state.position_km, latitude_rad, longitude_rad, current_epoch, min_elevation_deg
-        )
-        if visible and window_start is None:
-            window_start = float(t)
-        elif not visible and window_start is not None:
-            windows.append(VisibilityWindow(start_s=window_start, end_s=float(t)))
-            window_start = None
-    if window_start is not None:
-        windows.append(VisibilityWindow(start_s=window_start, end_s=float(times[-1])))
-    return windows
+    times, positions = sample_positions_eci(elements, epoch, duration_s, step_s)
+    positions_ecef = eci_to_ecef(positions, epoch.jd + times / SOLAR_DAY_S)
+    site = geodetic_to_ecef(math.radians(latitude_deg), math.radians(longitude_deg), 0.0)
+    elevation, _ = elevation_and_slant_range(site, positions_ecef)
+    visible = elevation >= math.radians(min_elevation_deg)
+    # +1 where a run of visible samples starts, -1 one past where it ends.
+    edges = np.diff(visible.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges == 1)
+    ends = np.minimum(np.flatnonzero(edges == -1), times.size - 1)
+    return [
+        VisibilityWindow(start_s=float(times[start]), end_s=float(times[end]))
+        for start, end in zip(starts, ends)
+    ]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..coverage.visibility import elevation_and_slant_range
 from ..demand.population import METRO_AREAS
 from ..orbits.frames import geodetic_to_ecef
 from .isl import propagation_delay_ms
@@ -57,14 +58,16 @@ class GroundStation:
         )
 
     def elevation_to_rad(self, satellite_ecef_km: np.ndarray) -> float:
-        """Return the elevation angle [rad] of a satellite (ECEF position)."""
-        site = self.position_ecef_km()
-        zenith = site / np.linalg.norm(site)
-        line_of_sight = np.asarray(satellite_ecef_km, dtype=float) - site
-        norm = np.linalg.norm(line_of_sight)
-        if norm == 0.0:
+        """Return the elevation angle [rad] of a satellite (ECEF position).
+
+        Raises ``ValueError`` if the position coincides with the station.
+        """
+        elevation, slant_km = elevation_and_slant_range(
+            self.position_ecef_km(), satellite_ecef_km
+        )
+        if slant_km == 0.0:
             raise ValueError("satellite position coincides with the station")
-        return math.asin(float(np.clip(np.dot(line_of_sight, zenith) / norm, -1.0, 1.0)))
+        return float(elevation)
 
     def can_see(self, satellite_ecef_km: np.ndarray) -> bool:
         """Return whether the satellite is above the station's elevation mask."""
@@ -103,20 +106,15 @@ def visibility_mask(
     for one instant or ``(T, N, 3)`` for a whole snapshot sequence; leading
     axes broadcast.  ``visible`` is the boolean elevation-above-mask array and
     ``distances`` the slant range [km], both of the input shape minus the
-    trailing axis.  This is the single definition of the visibility model,
-    shared by :func:`visible_satellites` and the snapshot-sequence engine
-    (which passes one station's candidate positions of every step).
+    trailing axis, from the library's one visibility model
+    (:func:`~repro.coverage.visibility.elevation_and_slant_range`).  The
+    snapshot-sequence engine passes one station's candidate positions of
+    every step.
     """
-    positions = np.asarray(satellite_positions_ecef_km, dtype=float)
-    if positions.shape[-1] != 3:
-        raise ValueError("satellite positions must have a trailing axis of length 3")
-    site = station.position_ecef_km()
-    zenith = site / np.linalg.norm(site)
-    lines_of_sight = positions - site
-    norms = np.linalg.norm(lines_of_sight, axis=-1)
-    sin_elevation = (lines_of_sight @ zenith) / np.maximum(norms, 1e-9)
-    elevation = np.arcsin(np.clip(sin_elevation, -1.0, 1.0))
-    return elevation >= math.radians(station.min_elevation_deg), norms
+    elevation, distances = elevation_and_slant_range(
+        station.position_ecef_km(), satellite_positions_ecef_km
+    )
+    return elevation >= math.radians(station.min_elevation_deg), distances
 
 
 def visible_satellites(

@@ -20,7 +20,7 @@ from .frames import (
     local_time_to_sunfixed_longitude,
     sunfixed_longitude_to_local_time,
 )
-from .groundtrack import GroundTrack, GroundTrackPoint, compute_ground_track, compute_sunfixed_track
+from .groundtrack import GroundTrack, compute_ground_track, compute_sunfixed_track
 from .kepler import (
     eccentric_to_mean_anomaly,
     eccentric_to_true_anomaly,
@@ -39,13 +39,7 @@ from .perturbations import (
     nodal_period_s,
     raan_drift_rate,
 )
-from .propagation import (
-    BatchPropagator,
-    J2Propagator,
-    StateVector,
-    elements_to_state,
-    sample_positions_eci,
-)
+from .propagation import BatchPropagator, sample_positions_eci
 from .repeat_ground_track import (
     RepeatGroundTrack,
     enumerate_leo_repeat_ground_tracks,
@@ -84,7 +78,6 @@ __all__ = [
     "local_time_to_sunfixed_longitude",
     "sunfixed_longitude_to_local_time",
     "GroundTrack",
-    "GroundTrackPoint",
     "compute_ground_track",
     "compute_sunfixed_track",
     "eccentric_to_mean_anomaly",
@@ -102,9 +95,6 @@ __all__ = [
     "nodal_period_s",
     "raan_drift_rate",
     "BatchPropagator",
-    "J2Propagator",
-    "StateVector",
-    "elements_to_state",
     "sample_positions_eci",
     "RepeatGroundTrack",
     "enumerate_leo_repeat_ground_tracks",

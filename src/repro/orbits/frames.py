@@ -10,8 +10,10 @@ Three frames matter for SS-plane constellation design:
   is the frame in which both Internet demand and SS-plane supply are static.
 
 All vector functions accept and return ``numpy`` arrays of shape (3,) or
-(N, 3); scalar angle helpers take and return floats (radians unless the name
-says otherwise).
+``(..., 3)``; the geodetic and sun-fixed conversions return floats for one
+position and arrays for many, and take one :class:`Epoch` or an array of
+Julian dates (one per leading-axis row, so a whole trajectory converts in one
+pass).  Angles are in radians unless the name says otherwise.
 """
 
 from __future__ import annotations
@@ -96,24 +98,33 @@ def ecef_to_eci(position_ecef: np.ndarray, epoch: Epoch | np.ndarray) -> np.ndar
     return rotate_rows_about_z(position_ecef, np.negative(gmst_rad(epoch)))
 
 
-def ecef_to_geodetic(position_ecef: np.ndarray) -> tuple[float, float, float]:
-    """Convert an ECEF position [km] to (latitude, longitude, altitude).
+def ecef_to_geodetic(position_ecef: np.ndarray):
+    """Convert ECEF positions [km] to (latitude, longitude, altitude).
 
     Latitude and longitude are geocentric-spherical in radians, altitude is
     above the equatorial radius in km.  The spherical approximation (rather
     than the WGS-84 ellipsoid) introduces sub-0.2 degree latitude error, which
     is negligible at the 0.5-degree resolution of the demand and radiation
-    grids used by the paper.
+    grids used by the paper.  ``position_ecef`` has shape ``(..., 3)``; each
+    result has the input shape minus the trailing axis, and a ``(3,)`` input
+    returns three floats.
     """
     from ..constants import EARTH_RADIUS_KM
 
-    x, y, z = (float(v) for v in np.asarray(position_ecef).reshape(3))
-    r = math.sqrt(x * x + y * y + z * z)
-    if r == 0.0:
+    position = np.asarray(position_ecef, dtype=float)
+    if position.shape[-1:] != (3,):
+        raise ValueError(f"positions must have a trailing axis of length 3, got {position.shape}")
+    r = np.linalg.norm(position, axis=-1)
+    if np.any(r == 0.0):
         raise ValueError("cannot convert the origin to geodetic coordinates")
-    latitude = math.asin(z / r)
-    longitude = math.atan2(y, x)
-    return latitude, longitude, r - EARTH_RADIUS_KM
+    coordinates = (
+        np.arcsin(position[..., 2] / r),
+        np.arctan2(position[..., 1], position[..., 0]),
+        r - EARTH_RADIUS_KM,
+    )
+    if position.ndim == 1:
+        return tuple(float(value) for value in coordinates)
+    return coordinates
 
 
 def geodetic_to_ecef(
@@ -133,8 +144,12 @@ def geodetic_to_ecef(
     )
 
 
-def eci_to_latlon(position_eci: np.ndarray, epoch: Epoch) -> tuple[float, float, float]:
-    """Return (latitude, longitude, altitude) of an ECI position at ``epoch``."""
+def eci_to_latlon(position_eci: np.ndarray, epoch: Epoch | np.ndarray):
+    """Return (latitude, longitude, altitude) of ECI positions at ``epoch``.
+
+    Accepts the scalar-or-array ``epoch`` forms of :func:`eci_to_ecef` and
+    returns in the form of :func:`ecef_to_geodetic`.
+    """
     return ecef_to_geodetic(eci_to_ecef(position_eci, epoch))
 
 
@@ -144,24 +159,27 @@ def eci_to_latlon(position_eci: np.ndarray, epoch: Epoch) -> tuple[float, float,
 # --------------------------------------------------------------------------
 
 
-def local_solar_time_hours(longitude_rad: float, epoch: Epoch) -> float:
-    """Return the local mean solar time [hours, 0-24) at an Earth-fixed longitude.
+def local_solar_time_hours(longitude_rad, epoch: Epoch | np.ndarray):
+    """Return the local mean solar time [hours, 0-24) at Earth-fixed longitudes.
 
     Defined from the hour angle of the mean Sun: local noon occurs when the
-    subsolar meridian coincides with the given longitude.
+    subsolar meridian coincides with the given longitude.  ``epoch`` is one
+    :class:`Epoch` or an array of Julian dates broadcasting against
+    ``longitude_rad``; scalar inputs return a float.
     """
     sun_ra = solar_right_ascension_rad(epoch)
     subsolar_longitude = sun_ra - gmst_rad(epoch)
-    hour_angle = longitude_rad - subsolar_longitude  # 0 at local noon
-    hours = 12.0 + hour_angle * HOURS_PER_DAY / (2.0 * math.pi)
-    return float(np.mod(hours, HOURS_PER_DAY))
+    hour_angle = np.asarray(longitude_rad, dtype=float) - subsolar_longitude  # 0 at local noon
+    hours = np.mod(12.0 + hour_angle * HOURS_PER_DAY / (2.0 * math.pi), HOURS_PER_DAY)
+    return float(hours) if hours.ndim == 0 else hours
 
 
-def eci_to_sunfixed(position_eci: np.ndarray, epoch: Epoch) -> tuple[float, float, float]:
-    """Return (latitude_rad, local_time_hours, altitude_km) of an ECI position.
+def eci_to_sunfixed(position_eci: np.ndarray, epoch: Epoch | np.ndarray):
+    """Return (latitude_rad, local_time_hours, altitude_km) of ECI positions.
 
     This is the coordinate chart of the paper's Figure 8: a point's "longitude"
-    is the local solar time of the meridian beneath it.
+    is the local solar time of the meridian beneath it.  Accepts and returns
+    the forms of :func:`eci_to_latlon`.
     """
     latitude, longitude, altitude = eci_to_latlon(position_eci, epoch)
     return latitude, local_solar_time_hours(longitude, epoch), altitude

@@ -4,7 +4,9 @@ A ground track is the path of the sub-satellite point over the Earth's
 surface.  This module samples ground tracks in both the Earth-fixed frame
 (latitude/longitude, used for Figure 2 and for RGT coverage analysis) and the
 sun-fixed frame (latitude/local-time-of-day, used by the SS-plane design of
-Section 4).
+Section 4).  Both are whole-array conversions of one
+:func:`~repro.orbits.propagation.sample_positions_eci` trajectory, each
+sample rotated at its own Julian date.
 """
 
 from __future__ import annotations
@@ -13,48 +15,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..constants import SOLAR_DAY_S
 from .elements import OrbitalElements
 from .frames import eci_to_latlon, eci_to_sunfixed
-from .propagation import J2Propagator
+from .propagation import sample_positions_eci
 from .time import Epoch
 
-__all__ = ["GroundTrackPoint", "GroundTrack", "compute_ground_track", "compute_sunfixed_track"]
+__all__ = ["GroundTrack", "compute_ground_track", "compute_sunfixed_track"]
 
 
-@dataclass(frozen=True)
-class GroundTrackPoint:
-    """One sample of a ground track."""
-
-    elapsed_s: float
-    latitude_rad: float
-    longitude_rad: float
-    altitude_km: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTrack:
-    """A sampled ground track.
+    """A sampled ground track, one array entry per sample in time order.
+
+    Instances compare by identity: array fields have no single truth value.
 
     Attributes
     ----------
-    points:
-        Time-ordered samples of the sub-satellite point.
+    elapsed_s:
+        Seconds since the track's reference epoch.
+    latitudes_rad, longitudes_rad:
+        The sub-satellite point [rad]; longitudes in (-pi, pi].
+    altitudes_km:
+        Altitude above the equatorial radius [km].
     """
 
-    points: tuple[GroundTrackPoint, ...]
+    elapsed_s: np.ndarray
+    latitudes_rad: np.ndarray
+    longitudes_rad: np.ndarray
+    altitudes_km: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def latitudes_rad(self) -> np.ndarray:
-        """Latitudes of all samples as an array [rad]."""
-        return np.array([p.latitude_rad for p in self.points])
-
-    @property
-    def longitudes_rad(self) -> np.ndarray:
-        """Longitudes of all samples as an array [rad], in (-pi, pi]."""
-        return np.array([p.longitude_rad for p in self.points])
+        return len(self.elapsed_s)
 
     @property
     def latitudes_deg(self) -> np.ndarray:
@@ -71,6 +63,14 @@ class GroundTrack:
         return float(np.max(np.abs(self.latitudes_deg)))
 
 
+def _trajectory(
+    elements: OrbitalElements, epoch: Epoch, duration_s: float, step_s: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (elapsed seconds, ECI positions, Julian dates) of the samples."""
+    times, positions = sample_positions_eci(elements, epoch, duration_s, step_s)
+    return times, positions, epoch.jd + times / SOLAR_DAY_S
+
+
 def compute_ground_track(
     elements: OrbitalElements,
     epoch: Epoch,
@@ -85,28 +85,18 @@ def compute_ground_track(
         Orbit and its reference epoch.
     duration_s:
         Length of the sampled window in seconds (one repeat cycle for an RGT,
-        one day for general visualisation).
+        one day for general visualisation); finite and non-negative.
     step_s:
-        Sampling interval in seconds.
+        Sampling interval in seconds; finite and positive.
     """
-    if step_s <= 0:
-        raise ValueError("step_s must be positive")
-    propagator = J2Propagator(elements, epoch)
-    times = np.arange(0.0, duration_s + step_s / 2.0, step_s)
-    points = []
-    for t in times:
-        current_epoch = epoch.add_seconds(float(t))
-        state = propagator.state_at(current_epoch)
-        latitude, longitude, altitude = eci_to_latlon(state.position_km, current_epoch)
-        points.append(
-            GroundTrackPoint(
-                elapsed_s=float(t),
-                latitude_rad=latitude,
-                longitude_rad=longitude,
-                altitude_km=altitude,
-            )
-        )
-    return GroundTrack(points=tuple(points))
+    times, positions, jds = _trajectory(elements, epoch, duration_s, step_s)
+    latitudes, longitudes, altitudes = eci_to_latlon(positions, jds)
+    return GroundTrack(
+        elapsed_s=times,
+        latitudes_rad=latitudes,
+        longitudes_rad=longitudes,
+        altitudes_km=altitudes,
+    )
 
 
 def compute_sunfixed_track(
@@ -125,16 +115,6 @@ def compute_sunfixed_track(
         this path is (nearly) time-invariant, which is exactly the property
         the SS-plane design builds on.
     """
-    if step_s <= 0:
-        raise ValueError("step_s must be positive")
-    propagator = J2Propagator(elements, epoch)
-    times = np.arange(0.0, duration_s + step_s / 2.0, step_s)
-    latitudes = np.empty(times.size)
-    local_times = np.empty(times.size)
-    for index, t in enumerate(times):
-        current_epoch = epoch.add_seconds(float(t))
-        state = propagator.state_at(current_epoch)
-        latitude, local_time, _ = eci_to_sunfixed(state.position_km, current_epoch)
-        latitudes[index] = latitude
-        local_times[index] = local_time
+    _, positions, jds = _trajectory(elements, epoch, duration_s, step_s)
+    latitudes, local_times, _ = eci_to_sunfixed(positions, jds)
     return latitudes, local_times

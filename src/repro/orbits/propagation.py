@@ -7,30 +7,21 @@ ignored -- they are metres-to-kilometres effects that do not influence
 coverage, demand matching or daily radiation fluence, the quantities this
 library computes.
 
-Two propagation paths share that model:
-
-* :class:`J2Propagator` -- the scalar reference implementation: one satellite,
-  one epoch, full :class:`StateVector` output.
-* :class:`BatchPropagator` -- the vectorised engine: the stacked elements of N
-  satellites are held as ``numpy`` arrays (semi-major axis, eccentricity,
-  inclination, RAAN, argument of perigee, mean anomaly, and the per-satellite
-  J2 secular rates), and whole constellations propagate in pure array
-  operations.  ``positions_eci_at`` / ``positions_ecef_at`` return ``(N, 3)``
-  arrays for one epoch; ``positions_eci_many`` / ``positions_ecef_many``
-  return ``(T, N, 3)`` stacks for a vector of epochs.  The batch path is
-  tested to agree with the scalar reference to better than 1e-9 km; it is the
-  engine behind topology snapshots, time-aware routing and radiation-exposure
-  trajectory sampling.
-
-For convenience the module also converts propagated elements to ECI position
-and velocity (perifocal-to-ECI rotation) and offers a vectorised sampler that
-returns whole trajectories as arrays.
+:class:`BatchPropagator` is the one propagation engine: the stacked elements
+of N satellites are held as ``numpy`` arrays (semi-major axis, eccentricity,
+inclination, RAAN, argument of perigee, mean anomaly, and the per-satellite
+J2 secular rates), and whole constellations propagate in pure array
+operations.  ``positions_eci_at`` / ``positions_ecef_at`` return ``(N, 3)``
+arrays for one epoch; ``positions_eci_many`` / ``positions_ecef_many``
+return ``(T, N, 3)`` stacks for a vector of epochs.  It is the engine behind
+topology snapshots, time-aware routing, radiation-exposure trajectory
+sampling and, through :func:`sample_positions_eci` (one satellite's whole
+trajectory in one pass), ground tracks and visibility windows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,143 +32,7 @@ from .kepler import mean_to_true_anomaly, true_to_mean_anomaly
 from .perturbations import j2_secular_rates
 from .time import Epoch
 
-__all__ = [
-    "StateVector",
-    "elements_to_state",
-    "J2Propagator",
-    "BatchPropagator",
-    "sample_positions_eci",
-]
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """An ECI position/velocity pair at a given epoch.
-
-    Instances compare by identity: array fields have no single truth value.
-    """
-
-    position_km: np.ndarray
-    velocity_km_s: np.ndarray
-    epoch: Epoch
-
-    @property
-    def radius_km(self) -> float:
-        """Geocentric distance in km."""
-        return float(np.linalg.norm(self.position_km))
-
-    @property
-    def speed_km_s(self) -> float:
-        """Inertial speed in km/s."""
-        return float(np.linalg.norm(self.velocity_km_s))
-
-
-def _perifocal_to_eci_matrix(elements: OrbitalElements) -> np.ndarray:
-    """Return the rotation matrix from the perifocal frame to ECI."""
-    cos_raan = math.cos(elements.raan_rad)
-    sin_raan = math.sin(elements.raan_rad)
-    cos_argp = math.cos(elements.arg_perigee_rad)
-    sin_argp = math.sin(elements.arg_perigee_rad)
-    cos_inc = math.cos(elements.inclination_rad)
-    sin_inc = math.sin(elements.inclination_rad)
-    return np.array(
-        [
-            [
-                cos_raan * cos_argp - sin_raan * sin_argp * cos_inc,
-                -cos_raan * sin_argp - sin_raan * cos_argp * cos_inc,
-                sin_raan * sin_inc,
-            ],
-            [
-                sin_raan * cos_argp + cos_raan * sin_argp * cos_inc,
-                -sin_raan * sin_argp + cos_raan * cos_argp * cos_inc,
-                -cos_raan * sin_inc,
-            ],
-            [
-                sin_argp * sin_inc,
-                cos_argp * sin_inc,
-                cos_inc,
-            ],
-        ]
-    )
-
-
-def elements_to_state(elements: OrbitalElements, epoch: Epoch) -> StateVector:
-    """Convert Keplerian elements to an ECI state vector at ``epoch``."""
-    from ..constants import MU_EARTH
-
-    p = elements.semi_latus_rectum_km
-    e = elements.eccentricity
-    nu = elements.true_anomaly_rad
-    r = p / (1.0 + e * math.cos(nu))
-
-    position_pqw = np.array([r * math.cos(nu), r * math.sin(nu), 0.0])
-    velocity_factor = math.sqrt(MU_EARTH / p)
-    velocity_pqw = np.array(
-        [-velocity_factor * math.sin(nu), velocity_factor * (e + math.cos(nu)), 0.0]
-    )
-
-    rotation = _perifocal_to_eci_matrix(elements)
-    return StateVector(
-        position_km=rotation @ position_pqw,
-        velocity_km_s=rotation @ velocity_pqw,
-        epoch=epoch,
-    )
-
-
-class J2Propagator:
-    """Analytical secular-J2 propagator for a single satellite.
-
-    Parameters
-    ----------
-    elements:
-        Keplerian elements at ``epoch``.
-    epoch:
-        Reference epoch of the element set.
-    """
-
-    def __init__(self, elements: OrbitalElements, epoch: Epoch):
-        self._elements = elements
-        self._epoch = epoch
-        self._rates = j2_secular_rates(elements)
-        self._mean_anomaly_0 = true_to_mean_anomaly(
-            elements.true_anomaly_rad, elements.eccentricity
-        )
-
-    @property
-    def elements(self) -> OrbitalElements:
-        """Element set at the reference epoch."""
-        return self._elements
-
-    @property
-    def epoch(self) -> Epoch:
-        """Reference epoch."""
-        return self._epoch
-
-    def elements_at(self, epoch: Epoch) -> OrbitalElements:
-        """Return the osculating (secularly drifted) elements at ``epoch``."""
-        dt = epoch.seconds_since(self._epoch)
-        mean_anomaly = self._mean_anomaly_0 + self._rates.mean_anomaly_rate * dt
-        true_anomaly = mean_to_true_anomaly(mean_anomaly, self._elements.eccentricity)
-        return OrbitalElements(
-            semi_major_axis_km=self._elements.semi_major_axis_km,
-            eccentricity=self._elements.eccentricity,
-            inclination_rad=self._elements.inclination_rad,
-            raan_rad=(self._elements.raan_rad + self._rates.raan_rate * dt)
-            % (2.0 * math.pi),
-            arg_perigee_rad=(
-                self._elements.arg_perigee_rad + self._rates.arg_perigee_rate * dt
-            )
-            % (2.0 * math.pi),
-            true_anomaly_rad=true_anomaly % (2.0 * math.pi),
-        )
-
-    def state_at(self, epoch: Epoch) -> StateVector:
-        """Return the ECI state vector at ``epoch``."""
-        return elements_to_state(self.elements_at(epoch), epoch)
-
-    def propagate(self, seconds: float) -> StateVector:
-        """Return the state ``seconds`` after the reference epoch."""
-        return self.state_at(self._epoch.add_seconds(seconds))
+__all__ = ["BatchPropagator", "sample_positions_eci"]
 
 
 class BatchPropagator:
@@ -187,8 +42,8 @@ class BatchPropagator:
     produces position arrays in pure array operations: the mean anomalies of
     every satellite advance together, one vectorised Kepler solve recovers
     all true anomalies, and the perifocal-to-ECI rotation is expanded into
-    broadcast arithmetic.  Results match the scalar :class:`J2Propagator`
-    (the reference implementation) to better than 1e-9 km.
+    broadcast arithmetic.  Tests hold it to a scalar one-epoch propagator
+    (perifocal rotation matrix) to better than 1e-9 km.
 
     Parameters
     ----------
@@ -216,8 +71,8 @@ class BatchPropagator:
         self._p = self._a * (1.0 - self._ecc**2)
 
         # Per-satellite secular rates and epoch mean anomalies come from the
-        # same scalar routines the reference propagator uses, so both paths
-        # integrate bit-identical rates.
+        # scalar routines, one satellite at a time, so every batch built from
+        # the same elements integrates bit-identical rates.
         rates = [j2_secular_rates(e) for e in elements]
         self._raan_rate = np.array([r.raan_rate for r in rates])
         self._argp_rate = np.array([r.arg_perigee_rate for r in rates])
@@ -300,7 +155,11 @@ def sample_positions_eci(
     duration_s: float,
     step_s: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ECI positions of one satellite over a time window.
+    """Sample ECI positions of one satellite over a time window, in one batch pass.
+
+    Samples lie every ``step_s`` seconds from 0 to ``duration_s`` inclusive.
+    ``step_s`` must be finite and positive, ``duration_s`` finite and
+    non-negative (``ValueError`` naming the parameter otherwise).
 
     Returns
     -------
@@ -308,11 +167,10 @@ def sample_positions_eci(
         ``times`` is an array of elapsed seconds (shape (N,)), ``positions``
         the corresponding ECI positions in km (shape (N, 3)).
     """
-    if step_s <= 0:
-        raise ValueError("step_s must be positive")
-    if duration_s < 0:
-        raise ValueError("duration_s must be non-negative")
+    if not (math.isfinite(step_s) and step_s > 0):
+        raise ValueError(f"step_s must be finite and positive, got {step_s!r}")
+    if not (math.isfinite(duration_s) and duration_s >= 0):
+        raise ValueError(f"duration_s must be finite and non-negative, got {duration_s!r}")
     times = np.arange(0.0, duration_s + step_s / 2.0, step_s)
     positions = BatchPropagator([elements], epoch).positions_eci_offsets(times)[:, 0, :]
     return times, positions
-

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ..constants import AU_KM, OBLIQUITY_J2000
+from ..constants import AU_KM, JD_J2000, OBLIQUITY_J2000
 from .time import Epoch
 
 __all__ = [
@@ -26,41 +26,43 @@ __all__ = [
 ]
 
 
-def _mean_elements(epoch: Epoch) -> tuple[float, float]:
+def _mean_elements(epoch: Epoch | np.ndarray):
     """Return (mean longitude, mean anomaly) of the Sun in radians."""
-    t = epoch.days_since_j2000()
-    mean_longitude = math.radians((280.460 + 0.9856474 * t) % 360.0)
-    mean_anomaly = math.radians((357.528 + 0.9856003 * t) % 360.0)
+    t = epoch.days_since_j2000() if isinstance(epoch, Epoch) else np.asarray(epoch) - JD_J2000
+    mean_longitude = np.radians(np.mod(280.460 + 0.9856474 * t, 360.0))
+    mean_anomaly = np.radians(np.mod(357.528 + 0.9856003 * t, 360.0))
     return mean_longitude, mean_anomaly
 
 
-def _ecliptic_longitude(epoch: Epoch) -> float:
+def _ecliptic_longitude(epoch: Epoch | np.ndarray):
     """Return the apparent ecliptic longitude of the Sun in radians."""
     mean_longitude, mean_anomaly = _mean_elements(epoch)
     longitude = (
         mean_longitude
-        + math.radians(1.915) * math.sin(mean_anomaly)
-        + math.radians(0.020) * math.sin(2.0 * mean_anomaly)
+        + math.radians(1.915) * np.sin(mean_anomaly)
+        + math.radians(0.020) * np.sin(2.0 * mean_anomaly)
     )
-    return longitude % (2.0 * math.pi)
+    return np.mod(longitude, 2.0 * math.pi)
 
 
-def sun_direction_eci(epoch: Epoch) -> np.ndarray:
+def sun_direction_eci(epoch: Epoch | np.ndarray) -> np.ndarray:
     """Return the unit vector from the Earth to the Sun in the ECI frame.
 
     The ECI frame here is the true-equator, mean-equinox frame used by the
-    rest of :mod:`repro.orbits`.
+    rest of :mod:`repro.orbits`.  ``epoch`` is one :class:`Epoch` (shape
+    ``(3,)``) or an array of Julian dates (shape ``(..., 3)``).
     """
     lam = _ecliptic_longitude(epoch)
     eps = OBLIQUITY_J2000
-    direction = np.array(
+    direction = np.stack(
         [
-            math.cos(lam),
-            math.cos(eps) * math.sin(lam),
-            math.sin(eps) * math.sin(lam),
-        ]
+            np.cos(lam),
+            math.cos(eps) * np.sin(lam),
+            math.sin(eps) * np.sin(lam),
+        ],
+        axis=-1,
     )
-    return direction / np.linalg.norm(direction)
+    return direction / np.linalg.norm(direction, axis=-1, keepdims=True)
 
 
 def sun_position_eci(epoch: Epoch) -> np.ndarray:
@@ -80,11 +82,15 @@ def solar_declination_rad(epoch: Epoch) -> float:
     return math.asin(float(np.clip(direction[2], -1.0, 1.0)))
 
 
-def solar_right_ascension_rad(epoch: Epoch) -> float:
-    """Return the right ascension of the Sun in radians, in [0, 2*pi)."""
+def solar_right_ascension_rad(epoch: Epoch | np.ndarray):
+    """Return the right ascension of the Sun in radians, in [0, 2*pi).
+
+    ``epoch`` is one :class:`Epoch` (a float is returned) or an array of
+    Julian dates (an array of the same shape is returned).
+    """
     direction = sun_direction_eci(epoch)
-    ra = math.atan2(direction[1], direction[0])
-    return ra % (2.0 * math.pi)
+    ra = np.mod(np.arctan2(direction[..., 1], direction[..., 0]), 2.0 * math.pi)
+    return float(ra) if ra.ndim == 0 else ra
 
 
 def subsolar_point(epoch: Epoch) -> tuple[float, float]:

@@ -8,47 +8,54 @@ import numpy as np
 import pytest
 
 from repro.constants import EARTH_RADIUS_KM
-from repro.coverage.visibility import (
-    elevation_angle_rad,
-    is_visible,
-    slant_range_to_km,
-    visibility_windows,
-)
+from repro.coverage.visibility import elevation_and_slant_range, visibility_windows
+from repro.network.ground_station import GroundStation, visibility_mask
 from repro.orbits.elements import OrbitalElements
-from repro.orbits.frames import ecef_to_eci, geodetic_to_ecef
+from repro.orbits.frames import geodetic_to_ecef
 
 
 class TestElevation:
-    def test_zenith_pass(self, epoch):
+    def test_zenith_pass(self):
         site_lat, site_lon = math.radians(10.0), math.radians(45.0)
-        overhead_ecef = geodetic_to_ecef(site_lat, site_lon, 560.0)
-        overhead_eci = ecef_to_eci(overhead_ecef, epoch)
-        elevation = elevation_angle_rad(overhead_eci, site_lat, site_lon, epoch)
+        overhead = geodetic_to_ecef(site_lat, site_lon, 560.0)
+        elevation, _ = elevation_and_slant_range(geodetic_to_ecef(site_lat, site_lon), overhead)
         assert math.degrees(elevation) == pytest.approx(90.0, abs=1e-6)
 
-    def test_antipodal_satellite_below_horizon(self, epoch):
+    def test_antipodal_satellite_below_horizon(self):
         site_lat, site_lon = math.radians(10.0), math.radians(45.0)
         antipode = geodetic_to_ecef(-site_lat, site_lon + math.pi, 560.0)
-        elevation = elevation_angle_rad(ecef_to_eci(antipode, epoch), site_lat, site_lon, epoch)
+        elevation, _ = elevation_and_slant_range(geodetic_to_ecef(site_lat, site_lon), antipode)
         assert elevation < 0.0
 
-    def test_slant_range_at_zenith(self, epoch):
+    def test_slant_range_at_zenith(self):
         site_lat, site_lon = 0.3, -1.0
-        overhead = ecef_to_eci(geodetic_to_ecef(site_lat, site_lon, 800.0), epoch)
-        assert slant_range_to_km(overhead, site_lat, site_lon, epoch) == pytest.approx(
-            800.0, rel=1e-9
-        )
+        overhead = geodetic_to_ecef(site_lat, site_lon, 800.0)
+        _, slant_km = elevation_and_slant_range(geodetic_to_ecef(site_lat, site_lon), overhead)
+        assert slant_km == pytest.approx(800.0, rel=1e-9)
 
-    def test_is_visible_threshold(self, epoch):
-        site_lat, site_lon = math.radians(0.0), math.radians(0.0)
-        overhead = ecef_to_eci(geodetic_to_ecef(site_lat, site_lon, 560.0), epoch)
-        assert is_visible(overhead, site_lat, site_lon, epoch, min_elevation_deg=80.0)
+    def test_is_visible_threshold(self):
+        station = GroundStation("test", 0.0, 0.0, min_elevation_deg=80.0)
+        overhead = geodetic_to_ecef(0.0, 0.0, 560.0)
+        visible, _ = visibility_mask(station, overhead)
+        assert visible
+        assert station.can_see(overhead)
 
-    def test_coincident_position_rejected(self, epoch):
-        site_lat, site_lon = 0.0, 0.0
-        site = ecef_to_eci(geodetic_to_ecef(site_lat, site_lon, 0.0), epoch)
+    def test_coincident_position_rejected(self):
+        station = GroundStation("test", 0.0, 0.0)
         with pytest.raises(ValueError):
-            elevation_angle_rad(site, site_lat, site_lon, epoch)
+            station.elevation_to_rad(station.position_ecef_km())
+
+    def test_stacked_positions_keep_their_leading_axes(self):
+        site = geodetic_to_ecef(0.2, 0.4)
+        positions = np.random.default_rng(0).normal(size=(4, 5, 3)) * (EARTH_RADIUS_KM + 560.0)
+        elevation, slant_km = elevation_and_slant_range(site, positions)
+        assert elevation.shape == slant_km.shape == (4, 5)
+        one, _ = elevation_and_slant_range(site, positions[2, 3])
+        assert elevation[2, 3] == pytest.approx(one, abs=1e-12)
+
+    def test_trailing_axis_checked(self):
+        with pytest.raises(ValueError, match="trailing axis"):
+            elevation_and_slant_range(geodetic_to_ecef(0.0, 0.0), np.zeros((3, 2)))
 
 
 class TestVisibilityWindows:
@@ -60,6 +67,7 @@ class TestVisibilityWindows:
             elements, epoch, 45.0, 0.0, duration_s=6 * 3600.0, step_s=30.0,
             min_elevation_deg=25.0,
         )
+        assert windows
         for window in windows:
             assert window.duration_s <= 12 * 60.0
 

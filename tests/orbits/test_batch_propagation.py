@@ -1,10 +1,11 @@
-"""Equivalence tests: the vectorised batch engine against the scalar reference.
+"""Equivalence tests: the vectorised batch engine against the scalar oracle.
 
-The :class:`BatchPropagator` is the hot path behind topology snapshots,
-time-aware routing and exposure sampling; the scalar :class:`J2Propagator`
-stays as the reference implementation.  These tests pin the two paths
-together to better than 1e-9 km across circular and eccentric element sets
-and multi-day propagation offsets.
+The :class:`BatchPropagator` is the one propagation engine, behind topology
+snapshots, time-aware routing, exposure sampling, ground tracks and
+visibility windows; the scalar ``J2Propagator`` in ``propagation_oracle.py``
+is its test oracle.  These tests pin the two together to better than 1e-9 km
+across circular and eccentric element sets and multi-day propagation
+offsets.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from propagation_oracle import J2Propagator
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.frames import eci_to_ecef
 from repro.orbits.kepler import (
@@ -22,7 +24,7 @@ from repro.orbits.kepler import (
     solve_kepler,
     true_to_mean_anomaly,
 )
-from repro.orbits.propagation import BatchPropagator, J2Propagator, sample_positions_eci
+from repro.orbits.propagation import BatchPropagator, sample_positions_eci
 from repro.orbits.time import Epoch, gmst_rad, step_count
 
 TOLERANCE_KM = 1e-9

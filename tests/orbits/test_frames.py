@@ -13,6 +13,8 @@ from repro.orbits.frames import (
     ecef_to_eci,
     ecef_to_geodetic,
     eci_to_ecef,
+    eci_to_latlon,
+    eci_to_sunfixed,
     geodetic_to_ecef,
     great_circle_distance_rad,
     local_solar_time_hours,
@@ -47,6 +49,25 @@ class TestGeodetic:
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
             ecef_to_geodetic(np.zeros(3))
+        with pytest.raises(ValueError):
+            ecef_to_geodetic(np.array([[7000.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+    def test_one_position_returns_floats(self):
+        coordinates = ecef_to_geodetic(geodetic_to_ecef(0.3, -1.2, 500.0))
+        assert all(type(value) is float for value in coordinates)
+
+    def test_stacked_positions_match_each_row(self):
+        positions = np.random.default_rng(3).normal(size=(4, 6, 3)) * 7000.0
+        latitudes, longitudes, altitudes = ecef_to_geodetic(positions)
+        assert latitudes.shape == longitudes.shape == altitudes.shape == (4, 6)
+        for index in np.ndindex(4, 6):
+            assert (latitudes[index], longitudes[index], altitudes[index]) == pytest.approx(
+                ecef_to_geodetic(positions[index]), abs=1e-12
+            )
+
+    def test_trailing_axis_checked(self):
+        with pytest.raises(ValueError, match="trailing axis"):
+            ecef_to_geodetic(np.zeros((2, 4)))
 
 
 class TestEciEcef:
@@ -87,6 +108,23 @@ class TestLocalSolarTime:
         base = local_solar_time_hours(0.0, epoch)
         east = local_solar_time_hours(math.radians(15.0), epoch)
         assert (east - base) % 24.0 == pytest.approx(1.0, abs=1e-6)
+
+    def test_julian_date_array_matches_each_epoch(self, epoch):
+        seconds = np.linspace(0.0, 2.0 * 86400.0, 49)
+        jds = epoch.jd + seconds / 86400.0
+        positions = np.random.default_rng(5).normal(size=(49, 3)) * 7000.0
+        latitudes, longitudes, _ = eci_to_latlon(positions, jds)
+        sun_latitudes, local_times, _ = eci_to_sunfixed(positions, jds)
+        assert np.array_equal(sun_latitudes, latitudes)
+        assert np.array_equal(local_times, local_solar_time_hours(longitudes, jds))
+        for index, t in enumerate(seconds):
+            at = epoch.add_seconds(float(t))
+            assert at.jd == jds[index]
+            lat, lon, _ = eci_to_latlon(positions[index], at)
+            assert (latitudes[index], longitudes[index]) == pytest.approx((lat, lon), abs=1e-12)
+            assert local_times[index] == pytest.approx(
+                local_solar_time_hours(lon, at), abs=1e-11
+            )
 
     @given(st.floats(min_value=0.0, max_value=24.0 - 1e-9))
     def test_sunfixed_longitude_round_trip(self, local_time):

@@ -1,4 +1,8 @@
-"""Tests of the secular-J2 propagator and ground tracks."""
+"""Tests of the secular-J2 propagator, the trajectory sampler and ground tracks.
+
+``TestElementsToState`` and ``TestJ2Propagator`` check the scalar oracle in
+``propagation_oracle.py`` that the batch engine and the tracks are held to.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from propagation_oracle import J2Propagator, elements_to_state
 from repro.constants import MU_EARTH, SOLAR_DAY_S
+from repro.coverage.visibility import visibility_windows
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.groundtrack import compute_ground_track, compute_sunfixed_track
-from repro.orbits.propagation import J2Propagator, elements_to_state, sample_positions_eci
+from repro.orbits.propagation import sample_positions_eci
 from repro.orbits.sunsync import sun_synchronous_inclination_deg
 
 
@@ -66,12 +72,45 @@ class TestJ2Propagator:
         assert times.shape[0] == positions.shape[0] == 61
         assert positions.shape[1] == 3
 
-    def test_sample_positions_validation(self, epoch):
+
+
+#: Every entry point that samples one satellite's trajectory, as
+#: ``(elements, epoch, duration_s, step_s) -> result``.
+SAMPLERS = {
+    "sample_positions_eci": sample_positions_eci,
+    "compute_ground_track": compute_ground_track,
+    "compute_sunfixed_track": compute_sunfixed_track,
+    "visibility_windows": lambda elements, epoch, duration_s, step_s: visibility_windows(
+        elements, epoch, 45.0, 0.0, duration_s, step_s
+    ),
+}
+
+
+class TestSamplingBoundary:
+    """A bad duration or step fails at the sampler, naming the parameter."""
+
+    @pytest.mark.parametrize("entry", sorted(SAMPLERS))
+    @pytest.mark.parametrize(
+        "duration_s, step_s, parameter",
+        [
+            (math.nan, 30.0, "duration_s"),
+            (math.inf, 30.0, "duration_s"),
+            (-1.0, 30.0, "duration_s"),
+            (-100.0, 30.0, "duration_s"),
+            (3600.0, math.nan, "step_s"),
+            (3600.0, math.inf, "step_s"),
+            (3600.0, 0.0, "step_s"),
+            (3600.0, -10.0, "step_s"),
+        ],
+    )
+    def test_rejected(self, epoch, entry, duration_s, step_s, parameter):
         elements = OrbitalElements.circular(560.0, 65.0)
-        with pytest.raises(ValueError):
-            sample_positions_eci(elements, epoch, 3600.0, 0.0)
-        with pytest.raises(ValueError):
-            sample_positions_eci(elements, epoch, -1.0, 10.0)
+        with pytest.raises(ValueError, match=parameter):
+            SAMPLERS[entry](elements, epoch, duration_s, step_s)
+
+    def test_zero_duration_is_one_sample(self, epoch):
+        elements = OrbitalElements.circular(560.0, 65.0)
+        assert len(compute_ground_track(elements, epoch, 0.0, 30.0)) == 1
 
 
 class TestGroundTrack:
@@ -85,6 +124,10 @@ class TestGroundTrack:
         elements = OrbitalElements.circular(560.0, 65.0)
         track = compute_ground_track(elements, epoch, 3600.0, 30.0)
         assert len(track) == 121
+        assert track.elapsed_s.tolist() == [30.0 * i for i in range(121)]
+        for values in (track.latitudes_rad, track.longitudes_rad, track.altitudes_km):
+            assert values.shape == (121,)
+        np.testing.assert_allclose(track.altitudes_km, 560.0, atol=1e-6)
 
     def test_westward_drift_of_successive_passes(self, epoch):
         # Successive ascending equator crossings of a prograde LEO orbit move

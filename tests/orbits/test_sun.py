@@ -52,6 +52,17 @@ class TestDeclination:
             ra = solar_right_ascension_rad(Epoch.from_calendar(2025, month, 15))
             assert 0.0 <= ra < 2.0 * math.pi
 
+    def test_julian_date_array_matches_each_epoch(self):
+        jds = Epoch.from_calendar(2025, 1, 1).jd + np.linspace(0.0, 400.0, 97)
+        right_ascensions = solar_right_ascension_rad(jds)
+        directions = sun_direction_eci(jds)
+        assert right_ascensions.shape == (97,)
+        assert directions.shape == (97, 3)
+        for index, jd in enumerate(jds):
+            assert right_ascensions[index] == solar_right_ascension_rad(Epoch(jd))
+            assert np.array_equal(directions[index], sun_direction_eci(Epoch(jd)))
+        assert isinstance(solar_right_ascension_rad(Epoch(jds[0])), float)
+
 
 class TestSubsolarPoint:
     def test_latitude_equals_declination(self):

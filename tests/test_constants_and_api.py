@@ -211,14 +211,14 @@ def _value_type_instances() -> dict:
     from repro.coverage.grid import LatLocalTimeGrid, LatLonGrid
     from repro.demand.traffic_matrix import City, TrafficMatrix
     from repro.network.scheduler import ScheduleResult
-    from repro.orbits.propagation import StateVector
-    from repro.orbits.time import Epoch
+    from repro.orbits.groundtrack import GroundTrack
 
     return {
-        "StateVector": StateVector(
-            position_km=np.array([7000.0, 0.0, 0.0]),
-            velocity_km_s=np.array([0.0, 7.5, 0.0]),
-            epoch=Epoch(2451545.0),
+        "GroundTrack": GroundTrack(
+            elapsed_s=np.array([0.0, 30.0]),
+            latitudes_rad=np.array([0.0, 0.01]),
+            longitudes_rad=np.array([0.0, 0.02]),
+            altitudes_km=np.array([560.0, 560.0]),
         ),
         "LatLonGrid": LatLonGrid(resolution_deg=30.0),
         "LatLocalTimeGrid": LatLocalTimeGrid(
@@ -253,7 +253,7 @@ class TestValueTypeEquality:
     @pytest.mark.parametrize(
         "name",
         [
-            "StateVector",
+            "GroundTrack",
             "LatLonGrid",
             "LatLocalTimeGrid",
             "TrafficMatrix",
